@@ -36,8 +36,12 @@ lint:
 lint-json:
 	$(GO) run ./cmd/gtv-lint -json ./... > LINT_findings.json || [ $$? -eq 1 ]
 
+# bench/_gtvbench is outside ./... (the underscore hides it from gtv-lint's
+# function counts), so it is vetted and self-tested by name, ~2 s.
 test:
 	$(GO) test ./...
+	$(GO) vet ./bench/_gtvbench
+	$(GO) test ./bench/_gtvbench
 
 # Race-detector runs: short mode across the module (heavy GAN-training
 # tests skip themselves; everything concurrency-relevant still runs),

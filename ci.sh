@@ -8,7 +8,10 @@
 # (the machine-readable report, including shapeflow's proved-ops
 # coverage stats, must match a fresh run — stats drift or new findings
 # fail here), build, full tests (the lint fixture packages run even under
-# -short), then the race detector over the whole module in short mode
+# -short) plus vet and the self-test of the benchmark program —
+# bench/_gtvbench hides from `./...` behind its underscore, so nothing else
+# would notice a refactor that stops it compiling — then the race detector
+# over the whole module in short mode
 # (GAN-training tests skip themselves; every concurrency path still runs)
 # and in full mode over the concurrency-critical packages (the vfl
 # protocol driver and its teardown tests — goroutine counts must return
@@ -26,6 +29,8 @@ make lint-json
 git diff --exit-code -- LINT_findings.json
 go build ./...
 go test ./...
+go vet ./bench/_gtvbench
+go test ./bench/_gtvbench
 go test -race -short ./...
 go test -race ./internal/vfl/... ./internal/tensor/... ./internal/autograd/...
 make fuzz

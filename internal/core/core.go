@@ -431,7 +431,10 @@ func (g *GTV) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, error)
 }
 
 // ClientTables returns the clients' current (shuffled) local tables. The
-// column order matches the order client tables were passed to New.
+// column order matches the order client tables were passed to New. After
+// the first round each call builds re-ordered copies (clients keep their
+// rows in place and train through a row-order view), so call it once per
+// evaluation, not per row.
 func (g *GTV) ClientTables() []*encoding.Table {
 	out := make([]*encoding.Table, len(g.clients))
 	for i, c := range g.clients {

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"fmt"
+
 	"repro/internal/tensor"
 )
 
@@ -21,16 +23,22 @@ type Backing interface {
 	//
 	//shape: out(N,W)
 	GatherRows(idx []int) (*tensor.Dense, error)
-	// Dense returns the full encoded matrix. owned reports whether the
-	// caller must Release it: columnar backings expand it per call (the
-	// faithful-real-pass path; see DESIGN.md), the in-memory backing
-	// returns its resident matrix.
+	// Dense returns the full encoded matrix with row p placed at row
+	// pos[p]; a nil pos keeps the backing's own order. Trainers that keep
+	// their row order as a view over an unmoving backing (vfl.LocalClient)
+	// pass the view's inverse here, the only time they need the whole
+	// matrix in training order (the faithful-real-pass path; see
+	// DESIGN.md). owned reports whether the caller must Release the
+	// result: only the in-memory backing asked for its own order returns
+	// its resident matrix, everything else is a pooled copy.
 	//
 	//shape: out(R,W)
-	Dense() (m *tensor.Dense, owned bool, err error)
-	// Shuffle re-orders the logical rows so that new row k holds old row
-	// perm[k] (training-with-shuffling). Columnar backings compose a row
-	// view instead of rewriting the immutable file.
+	Dense(pos []int32) (m *tensor.Dense, owned bool, err error)
+	// Shuffle re-orders the backing's own rows so that new row k holds old
+	// row perm[k]. Training does not call it — training-with-shuffling is
+	// a row-order view held by the trainer, see Dense — it survives as the
+	// physical reference the order-view tests compare against and for the
+	// bench probes that time it.
 	Shuffle(perm []int) error
 	// Close releases file handles and caches; the in-memory backing is a
 	// no-op.
@@ -61,10 +69,23 @@ func (b *DenseBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 	return b.m.GatherRows(idx), nil
 }
 
-// Dense implements Backing: the resident matrix, not owned by the caller.
+// Dense implements Backing: the resident matrix, not owned by the caller,
+// or a pooled copy re-ordered by pos.
 //
 //shape: out(R,W)
-func (b *DenseBacking) Dense() (*tensor.Dense, bool, error) { return b.m, false, nil }
+func (b *DenseBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
+	if pos == nil {
+		return b.m, false, nil
+	}
+	if len(pos) != b.m.Rows() {
+		return nil, false, fmt.Errorf("encoding: row order of length %d for %d rows", len(pos), b.m.Rows())
+	}
+	out := tensor.NewPooledUninit(b.m.Rows(), b.m.Cols())
+	for p, k := range pos {
+		copy(out.RawRow(int(k)), b.m.RawRow(p))
+	}
+	return out, true, nil
+}
 
 // Shuffle implements Backing.
 func (b *DenseBacking) Shuffle(perm []int) error {

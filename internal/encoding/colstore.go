@@ -316,10 +316,10 @@ func encodeFingerprint(seed int64, cfg gmm.Config, rows int, specs []ColumnSpec)
 // --- columnar backing ------------------------------------------------------
 
 // colBacking serves a party's encoded matrix out of an immutable gtvcol
-// file. Shuffling composes a logical-to-physical row view instead of
-// rewriting the file, so training-with-shuffling works over data that
-// never moves on disk; resident memory stays bounded by the reader's
-// block cache plus the 4-byte-per-row view.
+// file; resident memory stays bounded by the reader's block cache. Shuffle
+// composes a private logical-to-physical row view instead of rewriting the
+// file, but training never calls it (the trainer holds the row order), so
+// in a training run view stays nil.
 type colBacking struct {
 	// r reads the encoded real rows; everything it serves is exactly as
 	// sensitive as the in-memory encoded matrix it replaces.
@@ -365,13 +365,17 @@ func (b *colBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 }
 
 // Dense implements Backing by expanding the whole file into a pooled
-// matrix (owned by the caller). This is the memory-heavy escape hatch the
-// faithful real pass needs; batched training never calls it.
+// matrix (owned by the caller), each stripe's rows landing where pos sends
+// them. This is the memory-heavy escape hatch the faithful real pass
+// needs; batched training never calls it.
 //
 //shape: out(R,W)
-func (b *colBacking) Dense() (*tensor.Dense, bool, error) {
+func (b *colBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 	rows, cols := b.r.Rows(), b.r.Cols()
-	// inv sends physical file row p to its logical position.
+	if pos != nil && len(pos) != rows {
+		return nil, false, fmt.Errorf("encoding: row order of length %d for %d rows", len(pos), rows)
+	}
+	// inv sends physical file row p to its row in the backing's own order.
 	var inv []int32
 	if b.view != nil {
 		inv = make([]int32, rows)
@@ -384,7 +388,10 @@ func (b *colBacking) Dense() (*tensor.Dense, bool, error) {
 		for i := 0; i < block.Rows(); i++ {
 			at := first + i
 			if inv != nil {
-				at = int(inv[first+i])
+				at = int(inv[at])
+			}
+			if pos != nil {
+				at = int(pos[at])
 			}
 			copy(m.RawRow(at), block.RawRow(i))
 		}

@@ -68,9 +68,11 @@ type Setup struct {
 // the happens-before edge between consecutive calls. Any state shared
 // BETWEEN client instances (e.g. the ShuffleCoordinator) must be
 // immutable or internally synchronized. LocalClient meets the contract
-// because all its mutable state is per-instance and the coordinator is
-// immutable; RPCClient meets it because net/rpc clients are safe for
-// concurrent use and its reconnect path is mutex-guarded.
+// because all its mutable state is per-instance, the coordinator is
+// internally synchronized (its memo of the latest row order sits behind a
+// mutex) and the row orders it hands out are never written again;
+// RPCClient meets it because net/rpc clients are safe for concurrent use
+// and its reconnect path is mutex-guarded.
 // Every data-returning Client method is a privacy sink: its results cross
 // to the server, so privflow verifies nothing source-tainted reaches them
 // unsanitized.
@@ -113,7 +115,10 @@ type Client interface {
 	//privacy:sink boundary-slice gradient returned to the server
 	//shape: in(B,K) out(B,W)
 	BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error)
-	// EndRound shuffles the local data with the round's shared seed.
+	// EndRound shuffles the local data with the round's shared seed. round
+	// is the number of rounds completed before this one, which makes the
+	// call idempotent: a repeat of the round just applied (a transport
+	// retry whose first attempt did land) changes nothing and succeeds.
 	EndRound(round int) error
 	// GenerateRows runs a synthesis-time generator pass and buffers the
 	// activated rows locally.
@@ -141,7 +146,10 @@ type Client interface {
 // discriminator, and their optimizer state.
 type LocalClient struct {
 	// table is the client's vertical slice of the real training data; the
-	// server must never observe its values.
+	// server must never observe its values. It, the sampler's row index
+	// and data stay in the row order they were built in for the life of
+	// the client: training-with-shuffling is order, applied at the
+	// boundary (see rowOrder).
 	//privacy:source client raw table
 	table       *encoding.Table
 	transformer *encoding.Transformer
@@ -156,7 +164,17 @@ type LocalClient struct {
 	// on top of it, then goes back to the pool.
 	lastRealBuf *tensor.Dense
 	coord       *ShuffleCoordinator
-	rng         *rng.Rand
+	// order is the current row order, shared with every other in-process
+	// client of coord. Sampled rows leave through order.pos, the server's
+	// idx come in through order.view.
+	order rowOrder
+	// physIdx is the reusable scratch ForwardReal translates idx into.
+	physIdx []int
+	// fullReal is the encoded matrix in the current order, built by the
+	// first full-table ForwardReal after a shuffle and dropped by the next
+	// EndRound; nil until asked for and while the order is the identity.
+	fullReal *tensor.Dense
+	rng      *rng.Rand
 	// modelRng seeds Configure's weight initialization and keeps feeding
 	// the bottom discriminator's dropout masks during training; snapshots
 	// capture its stream position alongside rng's.
@@ -178,11 +196,6 @@ type LocalClient struct {
 
 	synthBuf []*tensor.Dense
 	pubCount int
-	// shuffles counts applied end-of-round shuffles. Together with the
-	// round-derived seeds it fully determines the current row order, which
-	// is how a checkpoint can capture "shuffle state" without ever
-	// serializing rows: restore replays the permutations locally.
-	shuffles int
 }
 
 var _ Client = (*LocalClient)(nil)
@@ -237,6 +250,7 @@ func (c *LocalClient) Close() error {
 		c.lastRealBuf.Release()
 		c.lastRealBuf = nil
 	}
+	c.dropFullReal()
 	return c.data.Close()
 }
 
@@ -308,6 +322,7 @@ func (c *LocalClient) SampleCV(batch int, synthesis bool) (*condvec.Batch, error
 	if err != nil {
 		return nil, err
 	}
+	c.toLogical(b.Rows)
 	c.lastCV = b
 	// The contributor deliberately shares idx_p with the server; §3.1.5's
 	// training-with-shuffling re-permutes rows every round so indices
@@ -322,9 +337,56 @@ func (c *LocalClient) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batc
 	if err != nil {
 		return nil, err
 	}
+	c.toLogical(b.Rows)
 	c.lastCV = b
 	//lint:ignore privflow idx_p disclosure is sanctioned by training-with-shuffling (§3.1.5)
 	return b, nil
+}
+
+// toLogical rewrites the physical rows the sampler drew from its index as
+// the positions they hold in the current order — the idx_p the server
+// sees. A sampler without categorical columns draws uniform rows rather
+// than indexed ones; those already are positions and pass through, as
+// they did when the rows themselves moved. (The uniform fallback for a
+// fixed condition no row matches is re-mapped like an indexed row: pos is a
+// bijection, so it stays a uniform draw.)
+func (c *LocalClient) toLogical(rows []int) {
+	if c.order.pos == nil || c.sampler.NumSpans() == 0 {
+		return
+	}
+	for k, p := range rows {
+		rows[k] = int(c.order.pos[p])
+	}
+}
+
+// toPhysical translates server-supplied row positions into the physical
+// rows holding them, rejecting any position outside the table (idx comes
+// from the untrusted side of the protocol). The result is scratch, valid
+// until the next call.
+func (c *LocalClient) toPhysical(idx []int) ([]int, error) {
+	if cap(c.physIdx) < len(idx) {
+		c.physIdx = make([]int, len(idx))
+	}
+	phys := c.physIdx[:len(idx)]
+	rows := c.table.Rows()
+	for k, i := range idx {
+		if i < 0 || i >= rows {
+			return nil, fmt.Errorf("vfl: real row index %d out of range %d", i, rows)
+		}
+		if c.order.view != nil {
+			i = int(c.order.view[i])
+		}
+		phys[k] = i
+	}
+	return phys, nil
+}
+
+// dropFullReal returns the ordered full-table matrix to the pool.
+func (c *LocalClient) dropFullReal() {
+	if c.fullReal != nil {
+		c.fullReal.Release()
+		c.fullReal = nil
+	}
 }
 
 // ResolveCondition maps a column name and category label of this client's
@@ -381,8 +443,20 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 		c.lastRealBuf = nil
 	}
 	var rows *tensor.Dense
-	if idx == nil {
-		m, owned, err := c.data.Dense()
+	switch {
+	case idx != nil:
+		phys, err := c.toPhysical(idx)
+		if err != nil {
+			return nil, err
+		}
+		m, err := c.data.GatherRows(phys)
+		if err != nil {
+			return nil, err
+		}
+		c.lastRealBuf = m
+		rows = m
+	case c.order.pos == nil:
+		m, owned, err := c.data.Dense(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -390,13 +464,20 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 			c.lastRealBuf = m
 		}
 		rows = m
-	} else {
-		m, err := c.data.GatherRows(idx)
-		if err != nil {
-			return nil, err
+	default:
+		// The full-table pass depends on row position (dropout masks are
+		// drawn per position), so it needs the matrix in the current order:
+		// one ordered copy per shuffle epoch, shared by the critic steps of
+		// the round — what the physical shuffle used to cost every round,
+		// paid only by federations that run the pass.
+		if c.fullReal == nil {
+			m, _, err := c.data.Dense(c.order.pos)
+			if err != nil {
+				return nil, err
+			}
+			c.fullReal = m
 		}
-		c.lastRealBuf = m
-		rows = m
+		rows = c.fullReal
 	}
 	// The bottom discriminator's forward is the sanitizing boundary; only
 	// its activations leave the client. Returning the local (rather than
@@ -478,17 +559,21 @@ func (c *LocalClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*t
 }
 
 // EndRound implements Client: training-with-shuffling with the shared seed.
+// Nothing moves: the client swaps its row order for the coordinator's next
+// one, a single assignment that either happens or does not. round must be
+// the number of shuffles already applied; one less is a retry of the
+// shuffle just applied (its reply was lost) and is acknowledged without
+// shuffling again, which would silently misalign this client's rows with
+// its peers'.
 func (c *LocalClient) EndRound(round int) error {
-	seed := c.coord.SeedForRound(round)
-	perm := rand.New(rand.NewSource(seed)).Perm(c.table.Rows())
-	c.table = c.table.ShuffleRows(perm)
-	if err := c.data.Shuffle(perm); err != nil {
-		return fmt.Errorf("vfl: shuffling encoded data: %w", err)
+	switch {
+	case round == c.order.shuffles-1:
+		return nil
+	case round != c.order.shuffles:
+		return fmt.Errorf("vfl: EndRound for round %d on a client that has completed %d", round, c.order.shuffles)
 	}
-	if err := c.sampler.Reindex(perm); err != nil {
-		return fmt.Errorf("vfl: reindexing CV sampler: %w", err)
-	}
-	c.shuffles++
+	c.order = c.coord.orderAfter(c.order, c.table.Rows(), round+1)
+	c.dropFullReal()
 	return nil
 }
 
@@ -530,5 +615,16 @@ func (c *LocalClient) Publish() (*encoding.Table, error) {
 
 // Table exposes the client's (current, possibly shuffled) local table for
 // evaluation code. Production deployments would not export this; the
-// experiment harness uses it to compute real-vs-synthetic metrics.
-func (c *LocalClient) Table() *encoding.Table { return c.table }
+// experiment harness uses it to compute real-vs-synthetic metrics. Once a
+// shuffle has happened every call materialises a re-ordered copy, so this
+// is for evaluation, never for the training path.
+func (c *LocalClient) Table() *encoding.Table {
+	if c.order.view == nil {
+		return c.table
+	}
+	idx := make([]int, len(c.order.view))
+	for k, p := range c.order.view {
+		idx[k] = int(p)
+	}
+	return c.table.GatherRows(idx)
+}

@@ -15,8 +15,10 @@ import (
 // before each call reaches the inner client: fixed per-call delays (slow
 // links), transient errors (flaky links — the call never reaches the
 // client, so retrying is safe), and dropped calls that hang until released
-// (dead links that trip per-call deadlines). It exists for the fault
-// tolerance tests and benchmarks; production code never constructs one.
+// (dead links that trip per-call deadlines). One fault comes after the
+// call instead: a lost EndRound reply, where the client did shuffle and
+// the retry must not shuffle it again. It exists for the fault tolerance
+// tests and benchmarks; production code never constructs one.
 //
 // All knobs are safe to adjust while calls are in flight.
 type FaultyTransport struct {
@@ -27,6 +29,7 @@ type FaultyTransport struct {
 	failures int           // guarded by mu; remaining injected errors; <0 means fail forever
 	failErr  error         // guarded by mu
 	drops    int           // guarded by mu; remaining calls that hang until Release
+	lostEnds int           // guarded by mu; remaining EndRound calls whose reply is lost
 	release  chan struct{} // guarded by mu
 	released bool          // guarded by mu
 	calls    int           // guarded by mu
@@ -64,6 +67,16 @@ func (f *FaultyTransport) FailNext(n int, err error) {
 func (f *FaultyTransport) DropNext(n int) {
 	f.mu.Lock()
 	f.drops = n
+	f.mu.Unlock()
+}
+
+// LoseEndRoundReplies makes the next n EndRound calls reach the client and
+// take effect there, then fail with a transient error as if the reply had
+// been lost on the way back — the one fault a retry cannot tell from a
+// call that never arrived.
+func (f *FaultyTransport) LoseEndRoundReplies(n int) {
+	f.mu.Lock()
+	f.lostEnds = n
 	f.mu.Unlock()
 }
 
@@ -212,7 +225,17 @@ func (f *FaultyTransport) EndRound(round int) error {
 	if err := f.before("EndRound"); err != nil {
 		return err
 	}
-	return f.Inner.EndRound(round)
+	err := f.Inner.EndRound(round)
+	f.mu.Lock()
+	lost := err == nil && f.lostEnds > 0
+	if lost {
+		f.lostEnds--
+	}
+	f.mu.Unlock()
+	if lost {
+		return fmt.Errorf("lost reply of EndRound: %w", ErrTransient)
+	}
+	return err
 }
 
 // GenerateRows implements Client.

@@ -12,13 +12,13 @@ package vfl
 // NewLocalClient, so the privacy boundary is preserved — the blob the
 // server stores carries nothing the protocol has not already sanctioned —
 // and checkpoints stay model-sized. Row order, the one piece of data-side
-// state training mutates, is reconstructed on restore by replaying the
-// seed-derived end-of-round permutations locally (see LocalClient.Restore).
+// state training changes, is a shuffle count: restore asks the shuffle
+// coordinator to replay the seed-derived order locally (see
+// LocalClient.Restore).
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 
 	ag "repro/internal/autograd"
@@ -197,7 +197,7 @@ func restoreLayer(d *snap.Dec, l nn.Layer) error {
 // snapState gathers the live client into a state view.
 func (c *LocalClient) snapState() *clientState {
 	return &clientState{
-		shuffles:   c.shuffles,
+		shuffles:   c.order.shuffles,
 		pubCount:   c.pubCount,
 		dataWidth:  c.transformer.Width(),
 		sliceWidth: c.setup.SliceWidth,
@@ -223,17 +223,17 @@ func (c *LocalClient) Snapshot() ([]byte, error) {
 
 // Restore implements Client: it reinstates a Snapshot blob into a freshly
 // constructed, already-configured client over the same data and seed. Row
-// order is rebuilt by replaying the checkpointed number of end-of-round
-// shuffles — the per-round permutations derive from the coordinator's
-// shared secret, so composing them locally reproduces exactly the order
-// the original run had at checkpoint time, one ShuffleRows instead of one
-// per round. On error the client state is unspecified; rebuild before
-// retrying.
+// order is rebuilt from the checkpointed shuffle count alone: the
+// coordinator replays that many seed-derived shuffles over the row order
+// (or hands over the one a peer's Restore just computed), reproducing
+// exactly the order the original run had at checkpoint time without
+// touching table, matrix or sampler. On error the client state is
+// unspecified; rebuild before retrying.
 func (c *LocalClient) Restore(state []byte) error {
 	if err := c.configured(); err != nil {
 		return err
 	}
-	if c.shuffles != 0 || c.pubCount != 0 {
+	if c.order.shuffles != 0 || c.pubCount != 0 {
 		return errors.New("vfl: Restore into a client that has already trained")
 	}
 	s, err := snap.Decode(state)
@@ -250,32 +250,7 @@ func (c *LocalClient) Restore(state []byte) error {
 	if err := c.discOpt.Restore(c.disc.Params(), st.discOpt); err != nil {
 		return err
 	}
-	if st.shuffles > 0 {
-		rows := c.table.Rows()
-		comp := make([]int, rows)
-		for k := range comp {
-			comp[k] = k
-		}
-		next := make([]int, rows)
-		for r := 0; r < st.shuffles; r++ {
-			perm := rand.New(rand.NewSource(c.coord.SeedForRound(r))).Perm(rows)
-			// Composing left-to-right: after this round, position k holds
-			// what the previous composite put at perm[k] — the same motion
-			// EndRound's ShuffleRows applies one round at a time.
-			for k := range next {
-				next[k] = comp[perm[k]]
-			}
-			comp, next = next, comp
-		}
-		c.table = c.table.ShuffleRows(comp)
-		if err := c.data.Shuffle(comp); err != nil {
-			return fmt.Errorf("vfl: shuffling encoded data on restore: %w", err)
-		}
-		if err := c.sampler.Reindex(comp); err != nil {
-			return fmt.Errorf("vfl: reindexing CV sampler on restore: %w", err)
-		}
-	}
-	c.shuffles = st.shuffles
+	c.order = c.coord.orderAfter(rowOrder{}, c.table.Rows(), st.shuffles)
 	c.pubCount = st.pubCount
 	return nil
 }

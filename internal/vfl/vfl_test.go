@@ -301,11 +301,40 @@ func TestShuffleKeepsClientsAligned(t *testing.T) {
 			t.Fatalf("EndRound B: %v", err)
 		}
 	}
+	// Table() materialises the shuffled table; take each once.
+	nowA, nowB := ca.Table().Data, cb.Table().Data
+	// The order is the composition of the three per-round permutations, each
+	// drawn exactly as rand.Perm draws it (new row k holds old row perm[k]):
+	// this pins the coordinator's fused shuffle to math/rand's sequence.
+	want := make([]int, 100)
+	for k := range want {
+		want[k] = k
+	}
+	for round := 0; round < 3; round++ {
+		perm := rand.New(rand.NewSource(coord.SeedForRound(round))).Perm(100)
+		next := make([]int, 100)
+		for k := range next {
+			next[k] = want[perm[k]]
+		}
+		want = next
+	}
+	moved := 0
+	for i := 0; i < 100; i++ {
+		if want[i] != i {
+			moved++
+		}
+		if nowA.At(i, 1) != origA.At(want[i], 1) || nowB.At(i, 0) != origB.At(want[i], 0) {
+			t.Fatalf("row %d is not original row %d after three shuffles", i, want[i])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("three shuffles left every row in place")
+	}
 	// Every shuffled A row must sit at the same position as its paired B row.
 	for i := 0; i < 100; i++ {
 		// find original index of A's row i by matching the (unique)
 		// continuous value.
-		spend := ca.Table().Data.At(i, 1)
+		spend := nowA.At(i, 1)
 		orig := -1
 		for k := 0; k < 100; k++ {
 			if origA.At(k, 1) == spend {
@@ -316,7 +345,7 @@ func TestShuffleKeepsClientsAligned(t *testing.T) {
 		if orig < 0 {
 			t.Fatalf("row %d lost after shuffling", i)
 		}
-		if cb.Table().Data.At(i, 0) != origB.At(orig, 0) {
+		if nowB.At(i, 0) != origB.At(orig, 0) {
 			t.Fatalf("row %d misaligned after shuffling", i)
 		}
 	}
