@@ -11,8 +11,14 @@ all: ci
 build:
 	$(GO) build ./...
 
+# The second pair keeps the non-amd64 file set compiling: internal/tensor
+# has AVX2 kernels on amd64 (whose assembly frames vet's asmdecl checks
+# there) and plain Go loops everywhere else, and nothing else in CI builds
+# the latter.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # Domain-specific static analysis (internal/lint): pool/tape lifetimes,
 # seeded-randomness discipline, map-order determinism, float comparison
@@ -75,11 +81,13 @@ bench:
 bench-round:
 	$(GO) test -run xxx -bench 'BenchmarkGTVTrainingRound(Latency)?$$' -benchtime 5x .
 
-# Kernel microbenchmarks (matmul variants, broadcast ops, backward passes),
-# recorded as JSON in BENCH_kernels.json. The raw go test output is echoed
-# to stderr by the converter.
+# Kernel microbenchmarks (every matmul variant over one shape table — square
+# sizes and the paper-scale federated shapes — on each kernel path, /asm and
+# /go, with GFLOP/s; elementwise ops, backward passes), recorded as JSON in
+# BENCH_kernels.json. The raw go test output is echoed to stderr by the
+# converter. One thread, like the repository's benchmark.
 bench-kernels:
-	$(GO) test -run xxx -bench . ./internal/tensor ./internal/autograd \
+	$(GO) test -run xxx -bench . -cpu 1 ./internal/tensor ./internal/autograd \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
 # Transport benchmarks: gob vs gtvwire-binary round-trip latency and

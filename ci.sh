@@ -1,6 +1,8 @@
 #!/bin/sh
 # ci.sh — the checks every change must pass, in increasing cost order:
-# vet, the repo's own static analyzers (gtv-lint: lifetimes, determinism,
+# vet (on amd64, where asmdecl checks the AVX2 kernels' frames against their
+# Go declarations, and again with GOARCH=arm64 plus a build, so the portable
+# kernel file set cannot rot), the repo's own static analyzers (gtv-lint: lifetimes, determinism,
 # guarded fields, dropped errors, the privflow privacy-boundary taint
 # analysis, and the concurrency suite — lockorder, goroleak, cancelflow —
 # see DESIGN.md "Static analysis", "Privacy boundary", and "Concurrency
@@ -18,12 +20,15 @@
 # to baseline after Close — the gtvwire pipelined transport with its
 # demux goroutine, per-connection server goroutines, and shared
 # frame-buffer pool, and the tensor/autograd substrate — worker pool,
-# buffer free lists — it fans out over). Last, a short-budget pass over
+# buffer free lists, and both kernel paths, which the tensor tests run
+# through their test-only switch — it fans out over). Last, a short-budget pass over
 # every fuzzer in the module (snapshot decoder, wire frame decoder,
 # matmul kernel) so decoder defenses regress loudly, not silently.
 set -eux
 
 go vet ./...
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build ./...
 make lint
 make lint-json
 git diff --exit-code -- LINT_findings.json

@@ -38,7 +38,13 @@ type op interface {
 	// and the gradient of the loss with respect to the output. Each returned
 	// gradient must have exactly the shape of the corresponding input. A nil
 	// entry means "no gradient" (e.g. for integer-index inputs).
-	backward(inputs []*Value, output, grad *Value) []*Value
+	//
+	// need has one entry per input: false means no requested variable is
+	// reachable through that input, so its gradient would be discarded and
+	// the op should return nil for it instead of computing it (a matmul's
+	// unwanted side is a whole product). At least one entry is true. need
+	// is only valid for the duration of the call.
+	backward(inputs []*Value, output, grad *Value, need []bool) []*Value
 	name() string
 }
 
@@ -119,23 +125,31 @@ func GradWithSeed(y, seed *Value, xs ...*Value) []*Value {
 
 	st := gradStatePool.Get().(*gradState)
 	st.topo(y)
+	st.markNeeded(xs)
 	st.grads[y] = seed
 
 	// Walk in reverse topological order so each node's gradient is complete
-	// before it is propagated to its inputs.
+	// before it is propagated to its inputs. Only nodes some requested x
+	// hangs below are differentiated, and each op is told which of its
+	// inputs those are: the gradient penalty asks for the critic's input
+	// gradient alone, and must not pay for a weight gradient per layer.
 	for i := len(st.order) - 1; i >= 0; i-- {
 		node := st.order[i]
 		g, ok := st.grads[node]
 		if !ok || node.op == nil {
 			continue
 		}
-		contribs := node.op.backward(node.inputs, node, g)
+		need := st.needMask(node)
+		if need == nil {
+			continue
+		}
+		contribs := node.op.backward(node.inputs, node, g, need)
 		if len(contribs) != len(node.inputs) {
 			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs",
 				node.op.name(), len(contribs), len(node.inputs)))
 		}
 		for j, in := range node.inputs {
-			if in == nil || !in.requiresGrad || contribs[j] == nil {
+			if !need[j] || contribs[j] == nil {
 				continue
 			}
 			ir, ic := in.Shape()
@@ -173,7 +187,11 @@ type gradState struct {
 	order   []*Value
 	stack   []frame
 	visited map[*Value]bool
-	grads   map[*Value]*Value
+	// needed holds the visited nodes from which a requested variable can be
+	// reached through inputs (the variables themselves included).
+	needed map[*Value]bool
+	grads  map[*Value]*Value
+	mask   []bool // needMask's result, reused from node to node
 }
 
 // frame is one step of the iterative DFS in gradState.topo.
@@ -185,6 +203,7 @@ type frame struct {
 var gradStatePool = sync.Pool{New: func() any {
 	return &gradState{
 		visited: make(map[*Value]bool, 64),
+		needed:  make(map[*Value]bool, 64),
 		grads:   make(map[*Value]*Value, 64),
 	}
 }}
@@ -193,8 +212,46 @@ func (s *gradState) release() {
 	s.order = s.order[:0]
 	s.stack = s.stack[:0]
 	clear(s.visited)
+	clear(s.needed)
 	clear(s.grads)
 	gradStatePool.Put(s)
+}
+
+// markNeeded fills s.needed after topo: s.order lists inputs before the
+// nodes that consume them, so one forward pass settles every node.
+func (s *gradState) markNeeded(xs []*Value) {
+	for _, x := range xs {
+		if s.visited[x] {
+			s.needed[x] = true
+		}
+	}
+	for _, v := range s.order {
+		if s.needed[v] {
+			continue
+		}
+		for _, in := range v.inputs {
+			if in != nil && s.needed[in] {
+				s.needed[v] = true
+				break
+			}
+		}
+	}
+}
+
+// needMask returns, per input of node, whether its gradient is needed, or
+// nil when none is. The slice is reused by the next call.
+func (s *gradState) needMask(node *Value) []bool {
+	s.mask = s.mask[:0]
+	some := false
+	for _, in := range node.inputs {
+		n := in != nil && s.needed[in]
+		s.mask = append(s.mask, n)
+		some = some || n
+	}
+	if !some {
+		return nil
+	}
+	return s.mask
 }
 
 // topo fills s.order with the nodes reachable from y that participate in

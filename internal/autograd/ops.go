@@ -15,10 +15,15 @@ import (
 type addOp struct{}
 
 func (addOp) name() string { return "add" }
-func (addOp) backward(inputs []*Value, _, grad *Value) []*Value {
-	ar, ac := inputs[0].Shape()
-	br, bc := inputs[1].Shape()
-	return []*Value{reduceTo(grad, ar, ac), reduceTo(grad, br, bc)}
+func (addOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
+	out := make([]*Value, 2)
+	for i, in := range inputs {
+		if need[i] {
+			r, c := in.Shape()
+			out[i] = reduceTo(grad, r, c)
+		}
+	}
+	return out
 }
 
 // Add returns a+b, broadcasting b onto a.
@@ -29,10 +34,17 @@ func Add(a, b *Value) *Value {
 type subOp struct{}
 
 func (subOp) name() string { return "sub" }
-func (subOp) backward(inputs []*Value, _, grad *Value) []*Value {
-	ar, ac := inputs[0].Shape()
-	br, bc := inputs[1].Shape()
-	return []*Value{reduceTo(grad, ar, ac), Neg(reduceTo(grad, br, bc))}
+func (subOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
+	out := make([]*Value, 2)
+	if need[0] {
+		ar, ac := inputs[0].Shape()
+		out[0] = reduceTo(grad, ar, ac)
+	}
+	if need[1] {
+		br, bc := inputs[1].Shape()
+		out[1] = Neg(reduceTo(grad, br, bc))
+	}
+	return out
 }
 
 // Sub returns a-b, broadcasting b onto a.
@@ -43,13 +55,18 @@ func Sub(a, b *Value) *Value {
 type mulOp struct{}
 
 func (mulOp) name() string { return "mul" }
-func (mulOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (mulOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	a, b := inputs[0], inputs[1]
-	ar, ac := a.Shape()
-	br, bc := b.Shape()
-	ga := reduceTo(Mul(grad, b), ar, ac)
-	gb := reduceTo(Mul(grad, a), br, bc)
-	return []*Value{ga, gb}
+	out := make([]*Value, 2)
+	if need[0] {
+		ar, ac := a.Shape()
+		out[0] = reduceTo(Mul(grad, b), ar, ac)
+	}
+	if need[1] {
+		br, bc := b.Shape()
+		out[1] = reduceTo(Mul(grad, a), br, bc)
+	}
+	return out
 }
 
 // Mul returns the element-wise product a*b, broadcasting b onto a.
@@ -60,13 +77,18 @@ func Mul(a, b *Value) *Value {
 type divOp struct{}
 
 func (divOp) name() string { return "div" }
-func (divOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (divOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	a, b := inputs[0], inputs[1]
-	ar, ac := a.Shape()
-	br, bc := b.Shape()
-	ga := reduceTo(Div(grad, b), ar, ac)
-	gb := reduceTo(Neg(Div(Mul(grad, a), Mul(b, b))), br, bc)
-	return []*Value{ga, gb}
+	out := make([]*Value, 2)
+	if need[0] {
+		ar, ac := a.Shape()
+		out[0] = reduceTo(Div(grad, b), ar, ac)
+	}
+	if need[1] {
+		br, bc := b.Shape()
+		out[1] = reduceTo(Neg(Div(Mul(grad, a), Mul(b, b))), br, bc)
+	}
+	return out
 }
 
 // Div returns the element-wise quotient a/b, broadcasting b onto a.
@@ -79,7 +101,7 @@ func Div(a, b *Value) *Value {
 type negOp struct{}
 
 func (negOp) name() string { return "neg" }
-func (negOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (negOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Neg(grad)}
 }
 
@@ -91,7 +113,7 @@ func Neg(a *Value) *Value {
 type scaleOp struct{ s float64 }
 
 func (scaleOp) name() string { return "scale" }
-func (o scaleOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (o scaleOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Scale(grad, o.s)}
 }
 
@@ -103,7 +125,7 @@ func Scale(a *Value, s float64) *Value {
 type addScalarOp struct{}
 
 func (addScalarOp) name() string { return "addScalar" }
-func (addScalarOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (addScalarOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{grad}
 }
 
@@ -118,7 +140,7 @@ func Square(a *Value) *Value { return Mul(a, a) }
 type sqrtOp struct{}
 
 func (sqrtOp) name() string { return "sqrt" }
-func (sqrtOp) backward(_ []*Value, output, grad *Value) []*Value {
+func (sqrtOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// d/dx sqrt(x) = 1 / (2*sqrt(x)) = 1/(2*output).
 	return []*Value{Div(grad, Scale(output, 2))}
 }
@@ -131,7 +153,7 @@ func Sqrt(a *Value) *Value {
 type expOp struct{}
 
 func (expOp) name() string { return "exp" }
-func (expOp) backward(_ []*Value, output, grad *Value) []*Value {
+func (expOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	return []*Value{Mul(grad, output)}
 }
 
@@ -143,7 +165,7 @@ func Exp(a *Value) *Value {
 type logOp struct{}
 
 func (logOp) name() string { return "log" }
-func (logOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (logOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Div(grad, inputs[0])}
 }
 
@@ -161,7 +183,7 @@ func Log(a *Value) *Value {
 type reluOp struct{}
 
 func (reluOp) name() string { return "relu" }
-func (reluOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (reluOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	mask := inputs[0].data.Apply(func(v float64) float64 {
 		if v > 0 {
 			return 1
@@ -185,7 +207,7 @@ func ReLU(a *Value) *Value {
 type leakyReLUOp struct{ slope float64 }
 
 func (leakyReLUOp) name() string { return "leakyrelu" }
-func (o leakyReLUOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (o leakyReLUOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	mask := inputs[0].data.Apply(func(v float64) float64 {
 		if v > 0 {
 			return 1
@@ -209,7 +231,7 @@ func LeakyReLU(a *Value, slope float64) *Value {
 type tanhOp struct{}
 
 func (tanhOp) name() string { return "tanh" }
-func (tanhOp) backward(_ []*Value, output, grad *Value) []*Value {
+func (tanhOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// d tanh = 1 - tanh^2, expressed on the output so it stays differentiable.
 	return []*Value{Mul(grad, AddScalar(Neg(Square(output)), 1))}
 }
@@ -222,7 +244,7 @@ func Tanh(a *Value) *Value {
 type sigmoidOp struct{}
 
 func (sigmoidOp) name() string { return "sigmoid" }
-func (sigmoidOp) backward(_ []*Value, output, grad *Value) []*Value {
+func (sigmoidOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	return []*Value{Mul(grad, Mul(output, AddScalar(Neg(output), 1)))}
 }
 
@@ -235,7 +257,7 @@ func Sigmoid(a *Value) *Value {
 type softmaxOp struct{}
 
 func (softmaxOp) name() string { return "softmaxRows" }
-func (softmaxOp) backward(_ []*Value, output, grad *Value) []*Value {
+func (softmaxOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// dL/dx = y * (g - sum_j g_j y_j), row-wise.
 	dot := SumCols(Mul(grad, output)) // Rx1
 	return []*Value{Mul(output, Sub(grad, dot))}
@@ -272,16 +294,20 @@ func SoftmaxRows(a *Value) *Value {
 type matmulOp struct{}
 
 func (matmulOp) name() string { return "matmul" }
-func (matmulOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (matmulOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// dA = G·Bᵀ and dB = Aᵀ·G via the fused kernels: no transpose is ever
 	// materialized, and the fused ops' own backwards close over {MatMul,
 	// MatMulTA, MatMulTB}, so differentiating these gradients again (as the
 	// WGAN-GP penalty does) stays within the fused set.
 	a, b := inputs[0], inputs[1]
-	return []*Value{
-		MatMulTB(grad, b),
-		MatMulTA(a, grad),
+	out := make([]*Value, 2)
+	if need[0] {
+		out[0] = MatMulTB(grad, b)
 	}
+	if need[1] {
+		out[1] = MatMulTA(a, grad)
+	}
+	return out
 }
 
 // MatMul returns the matrix product a*b.
@@ -292,13 +318,17 @@ func MatMul(a, b *Value) *Value {
 type matmulTAOp struct{}
 
 func (matmulTAOp) name() string { return "matmulTA" }
-func (matmulTAOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (matmulTAOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// y = aᵀ·b with a KxM and b KxN, G MxN: dA = B·Gᵀ (KxM), dB = A·G (KxN).
 	a, b := inputs[0], inputs[1]
-	return []*Value{
-		MatMulTB(b, grad),
-		MatMul(a, grad),
+	out := make([]*Value, 2)
+	if need[0] {
+		out[0] = MatMulTB(b, grad)
 	}
+	if need[1] {
+		out[1] = MatMul(a, grad)
+	}
+	return out
 }
 
 // MatMulTA returns aᵀ*b without materializing the transpose (a is KxM, b is
@@ -310,13 +340,17 @@ func MatMulTA(a, b *Value) *Value {
 type matmulTBOp struct{}
 
 func (matmulTBOp) name() string { return "matmulTB" }
-func (matmulTBOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (matmulTBOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// y = a·bᵀ with a MxN and b PxN, G MxP: dA = G·B (MxN), dB = Gᵀ·A (PxN).
 	a, b := inputs[0], inputs[1]
-	return []*Value{
-		MatMul(grad, b),
-		MatMulTA(grad, a),
+	out := make([]*Value, 2)
+	if need[0] {
+		out[0] = MatMul(grad, b)
 	}
+	if need[1] {
+		out[1] = MatMulTA(grad, a)
+	}
+	return out
 }
 
 // MatMulTB returns a*bᵀ without materializing the transpose (a is MxN, b is
@@ -328,13 +362,19 @@ func MatMulTB(a, b *Value) *Value {
 type affineOp struct{}
 
 func (affineOp) name() string { return "affine" }
-func (affineOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (affineOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	x, w := inputs[0], inputs[1]
-	return []*Value{
-		MatMulTB(grad, w),
-		MatMulTA(x, grad),
-		SumRows(grad),
+	out := make([]*Value, 3)
+	if need[0] {
+		out[0] = MatMulTB(grad, w)
 	}
+	if need[1] {
+		out[1] = MatMulTA(x, grad)
+	}
+	if need[2] {
+		out[2] = SumRows(grad)
+	}
+	return out
 }
 
 // Affine returns x*w + bias in one fused kernel, where bias is a 1xCols(w)
@@ -347,7 +387,7 @@ func Affine(x, w, bias *Value) *Value {
 type transposeOp struct{}
 
 func (transposeOp) name() string { return "transpose" }
-func (transposeOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (transposeOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Transpose(grad)}
 }
 
@@ -361,7 +401,7 @@ func Transpose(a *Value) *Value {
 type expandOp struct{}
 
 func (expandOp) name() string { return "expand" }
-func (expandOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (expandOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{reduceTo(grad, ar, ac)}
 }
@@ -374,7 +414,7 @@ func Expand(a *Value, rows, cols int) *Value {
 type sumAllOp struct{}
 
 func (sumAllOp) name() string { return "sumAll" }
-func (sumAllOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (sumAllOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
 }
@@ -399,7 +439,7 @@ func MeanAll(a *Value) *Value {
 type sumRowsOp struct{}
 
 func (sumRowsOp) name() string { return "sumRows" }
-func (sumRowsOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (sumRowsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
 }
@@ -421,7 +461,7 @@ func MeanRows(a *Value) *Value {
 type sumColsOp struct{}
 
 func (sumColsOp) name() string { return "sumCols" }
-func (sumColsOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (sumColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
 }
@@ -434,11 +474,13 @@ func SumCols(a *Value) *Value {
 type concatColsOp struct{ widths []int }
 
 func (concatColsOp) name() string { return "concatCols" }
-func (o concatColsOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (o concatColsOp) backward(_ []*Value, _, grad *Value, need []bool) []*Value {
 	out := make([]*Value, len(o.widths))
 	off := 0
 	for i, w := range o.widths {
-		out[i] = SliceCols(grad, off, off+w)
+		if need[i] {
+			out[i] = SliceCols(grad, off, off+w)
+		}
 		off += w
 	}
 	return out
@@ -458,7 +500,7 @@ func ConcatCols(vs ...*Value) *Value {
 type sliceColsOp struct{ from, to int }
 
 func (sliceColsOp) name() string { return "sliceCols" }
-func (o sliceColsOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (o sliceColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	_, ac := inputs[0].Shape()
 	return []*Value{PadCols(grad, o.from, ac)}
 }
@@ -471,7 +513,7 @@ func SliceCols(a *Value, from, to int) *Value {
 type padColsOp struct{ left, total int }
 
 func (padColsOp) name() string { return "padCols" }
-func (o padColsOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (o padColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	_, ac := inputs[0].Shape()
 	return []*Value{SliceCols(grad, o.left, o.left+ac)}
 }
@@ -493,7 +535,7 @@ func PadCols(a *Value, left, total int) *Value {
 type gatherRowsOp struct{ idx []int }
 
 func (gatherRowsOp) name() string { return "gatherRows" }
-func (o gatherRowsOp) backward(inputs []*Value, _, grad *Value) []*Value {
+func (o gatherRowsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, _ := inputs[0].Shape()
 	return []*Value{ScatterRows(grad, o.idx, ar)}
 }
@@ -511,7 +553,7 @@ type scatterRowsOp struct {
 }
 
 func (scatterRowsOp) name() string { return "scatterRows" }
-func (o scatterRowsOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (o scatterRowsOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{GatherRows(grad, o.idx)}
 }
 
@@ -546,7 +588,7 @@ func RowL2Norm(a *Value, eps float64) *Value {
 type reshapeOp struct{ fromRows, fromCols int }
 
 func (reshapeOp) name() string { return "reshape" }
-func (o reshapeOp) backward(_ []*Value, _, grad *Value) []*Value {
+func (o reshapeOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Reshape(grad, o.fromRows, o.fromCols)}
 }
 

@@ -103,17 +103,10 @@ func BuildModuleIndex(dir string) (*ModuleIndex, error) {
 // scanDir hashes one package directory's files and records its
 // module-internal imports.
 func (ix *ModuleIndex) scanDir(fset *token.FileSet, dir, rel string) error {
-	entries, err := os.ReadDir(dir)
+	names, err := sourceFiles(dir)
 	if err != nil {
 		return err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	h := sha256.New()
 	seen := make(map[string]bool)
 	for _, name := range names {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -113,9 +114,54 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// moduleDirs returns every directory under root holding non-test Go
-// files, skipping hidden, underscore, testdata, and vendor trees — the
-// package set both the loader and the findings cache agree on.
+// hostBuild is the build context whose file set gtv-lint analyzes: the
+// machine it runs on, whatever GOOS/GOARCH say in the environment (the sizes
+// the type checker uses are the host's too). A package split into
+// kernels_amd64.go and a `//go:build !amd64` twin is one package with one
+// of the two files, exactly as the compiler sees it.
+var hostBuild = func() build.Context {
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH = runtime.GOOS, runtime.GOARCH
+	return ctx
+}()
+
+// isSourceFile reports whether dir/name is a Go file the analyzers look at:
+// not a test, and selected by its name suffix and build constraints for the
+// host. The loader and the findings cache both list files through it.
+func isSourceFile(dir, name string) (bool, error) {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return hostBuild.MatchFile(dir, name)
+}
+
+// sourceFiles returns the names of dir's source files (see isSourceFile),
+// sorted.
+func sourceFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		ok, err := isSourceFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// moduleDirs returns every directory under root holding source files,
+// skipping hidden, underscore, testdata, and vendor trees — the package set
+// both the loader and the findings cache agree on.
 func moduleDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -130,11 +176,16 @@ func moduleDirs(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+		dir := filepath.Dir(path)
+		if len(dirs) > 0 && dirs[len(dirs)-1] == dir {
+			return nil
+		}
+		ok, err := isSourceFile(dir, d.Name())
+		if err != nil {
+			return err
+		}
+		if ok {
+			dirs = append(dirs, dir)
 		}
 		return nil
 	})
@@ -180,17 +231,10 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	entries, err := os.ReadDir(dir)
+	names, err := sourceFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}

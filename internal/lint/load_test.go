@@ -3,6 +3,8 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -27,6 +29,71 @@ func TestLoadDirSkipsExternalTestPackage(t *testing.T) {
 	}
 	if name := filepath.Base(loader.Fset.Position(pkg.Files[0].Pos()).Filename); name != "ext.go" {
 		t.Errorf("loaded file %q, want ext.go", name)
+	}
+}
+
+// TestLoadDirHonoursBuildConstraints loads a package that declares the same
+// constant once per architecture (a _amd64.go file and a `//go:build !amd64`
+// twin) and keeps a `//go:build ignore` main beside them. The loader must
+// pick the host's file set, as the compiler does: the shared file plus one
+// of the pair.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir("testdata/src/archsplit", "archsplit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(loader.Fset.Position(f.Pos()).Filename))
+	}
+	want := []string{"archsplit.go", "lanes_other.go"}
+	if runtime.GOARCH == "amd64" {
+		want = []string{"archsplit.go", "lanes_amd64.go"}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("loaded %v, want %v", got, want)
+	}
+}
+
+// TestModuleIndexHonoursBuildConstraints: the findings cache keys a package
+// by the files the loader would load, so editing the other architecture's
+// file (or an ignored one) must not move the key, and editing this
+// architecture's must.
+func TestModuleIndexHonoursBuildConstraints(t *testing.T) {
+	mine, other := "k_"+runtime.GOARCH+".go", "k_other.go"
+	files := map[string]string{
+		"go.mod":     "module example.com/m\n\ngo 1.21\n",
+		"m.go":       "package m\n\nvar _ = lanes\n",
+		mine:         "package m\n\nconst lanes = 4\n",
+		other:        "//go:build !" + runtime.GOARCH + "\n\npackage m\n\nconst lanes = 1\n",
+		"tool.go":    "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+		"gen/gen.go": "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+	}
+	key := func() string {
+		root := t.TempDir()
+		writeTree(t, root, files)
+		ix, err := BuildModuleIndex(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ix.Dirs, []string{"."}) {
+			t.Fatalf("indexed dirs %v, want only the root (gen/ holds no file of this build)", ix.Dirs)
+		}
+		return ix.modKey
+	}
+	base := key()
+	files[other] += "\n// edited\n"
+	files["tool.go"] += "\n// edited\n"
+	if key() != base {
+		t.Error("editing files outside this build's file set changed the cache key")
+	}
+	files[mine] += "\n// edited\n"
+	if key() == base {
+		t.Error("editing this architecture's file did not change the cache key")
 	}
 }
 

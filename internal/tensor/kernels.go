@@ -7,27 +7,41 @@ import (
 
 // Cache-blocked matrix kernels. All three products share the same design:
 // the k (reduction) dimension is tiled so the streamed panel of b stays in
-// cache, the inner loops are unrolled four-wide with register accumulation,
-// and rows of dst are distributed across the persistent worker pool. The
-// per-element summation order is a pure function of the operand shapes —
-// ascending k in groups of four, each group summed left to right — so
-// identical inputs always produce bitwise identical outputs (though results
-// may differ in low-order bits from a naive ikj loop).
+// cache, the inner loops are unrolled four-wide, and rows of dst are
+// distributed across the persistent worker pool. The per-element operation
+// sequence is a pure function of the operand shapes — MatMul/MatMulTA add
+// ascending groups of four k, each group summed left to right, onto dst;
+// MatMulTB sums ascending k from zero; multiplies and adds are never fused —
+// so identical inputs always produce bitwise identical outputs (though
+// results may differ in low-order bits from a naive ikj loop).
+//
+// The innermost loops exist twice: the portable Go loops in this file
+// (the *Generic functions), and on amd64 the AVX2 routines of
+// kernels_amd64.s, which run that same sequence for several independent
+// outputs at once. Which one runs depends on the CPU only, and the result
+// does not depend on which one ran (see DESIGN.md "Kernel architecture").
 
 const (
-	// matmulKC is the k-dimension tile: a 256-row panel of b (256*cols
-	// floats) is revisited for every dst row before moving on, keeping it
-	// resident in L2 for the sizes this codebase runs.
+	// panelFloats is the size of the b panel (a k tile of rows, each as wide
+	// as dst) that the accumulating kernels revisit for every dst row before
+	// moving on: 16 KiB, so that it stays in a 32 or 48 KiB L1d beside the
+	// dst row being updated. The vector row update runs at the rate the
+	// panel can be read: with a 256-row panel, streamed from L2, the 25x3060
+	// · 3060x256 product reached ≈ 14 GFLOP/s, with this one ≈ 18.
+	panelFloats = 2048
+	// matmulKC caps the k tile for narrow dst rows.
 	matmulKC = 256
 	// transposeBlock tiles Transpose into 32x32 sub-blocks (8 KiB working
 	// set) so the strided writes stay within a few cache lines.
 	transposeBlock = 32
 )
 
-// allFinite reports whether every element of data is finite.
-func allFinite(data []float64) bool {
+// allFiniteGeneric reports whether every element of data is finite: NaN and
+// ±Inf are exactly the values whose exponent field is all ones.
+func allFiniteGeneric(data []float64) bool {
+	const expMask = 0x7FF << 52
 	for _, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if math.Float64bits(v)&expMask == expMask {
 			return false
 		}
 	}
@@ -169,6 +183,15 @@ func matmulTAAcc(dst, a, b *Dense) {
 	runRows(t, a.cols, a.rows*b.cols)
 }
 
+// kTile returns the k-dimension tile for dst rows p wide: the largest
+// multiple of four rows of b that fits panelFloats, between one unroll group
+// and matmulKC. Every tile but the last is a whole number of groups, so the
+// groups — and with them each element's operation sequence — are the same
+// for any tile size.
+func kTile(p int) int {
+	return max(4, min(panelFloats/p&^3, matmulKC))
+}
+
 // matmulAccRange accumulates rows [lo,hi) of dst += a*b. The zero-skip is
 // gated on bFinite: 0*finite adds exactly zero, so skipping is legal, but
 // when b contains NaN or ±Inf every product must be formed so IEEE
@@ -176,8 +199,9 @@ func matmulTAAcc(dst, a, b *Dense) {
 func matmulAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 	n, p := a.cols, b.cols
 	ad, bd, od := a.data, b.data, dst.data
-	for kk := 0; kk < n; kk += matmulKC {
-		kend := min(kk+matmulKC, n)
+	kc := kTile(p)
+	for kk := 0; kk < n; kk += kc {
+		kend := min(kk+kc, n)
 		for i := lo; i < hi; i++ {
 			arow := ad[i*n : (i+1)*n]
 			orow := od[i*p : (i+1)*p]
@@ -188,13 +212,7 @@ func matmulAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 				if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				b0 := bd[k*p : (k+1)*p]
-				b1 := bd[(k+1)*p : (k+2)*p]
-				b2 := bd[(k+2)*p : (k+3)*p]
-				b3 := bd[(k+3)*p : (k+4)*p]
-				for j, bv := range b0 {
-					orow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
+				axpy4(orow, bd[k*p:(k+4)*p], a0, a1, a2, a3)
 			}
 			for ; k < kend; k++ {
 				av := arow[k]
@@ -202,10 +220,7 @@ func matmulAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 				if bFinite && av == 0 {
 					continue
 				}
-				brow := bd[k*p : (k+1)*p]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				axpy1(orow, bd[k*p:(k+1)*p], av)
 			}
 		}
 	}
@@ -217,8 +232,9 @@ func matmulAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 func matmulTAAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 	kN, m, n := a.rows, a.cols, b.cols
 	ad, bd, od := a.data, b.data, dst.data
-	for kk := 0; kk < kN; kk += matmulKC {
-		kend := min(kk+matmulKC, kN)
+	kc := kTile(n)
+	for kk := 0; kk < kN; kk += kc {
+		kend := min(kk+kc, kN)
 		for i := lo; i < hi; i++ {
 			orow := od[i*n : (i+1)*n]
 			k := kk
@@ -231,13 +247,7 @@ func matmulTAAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 				if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				b0 := bd[k*n : (k+1)*n]
-				b1 := bd[(k+1)*n : (k+2)*n]
-				b2 := bd[(k+2)*n : (k+3)*n]
-				b3 := bd[(k+3)*n : (k+4)*n]
-				for j, bv := range b0 {
-					orow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
+				axpy4(orow, bd[k*n:(k+4)*n], a0, a1, a2, a3)
 			}
 			for ; k < kend; k++ {
 				av := ad[k*m+i]
@@ -245,20 +255,36 @@ func matmulTAAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 				if bFinite && av == 0 {
 					continue
 				}
-				brow := bd[k*n : (k+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				axpy1(orow, bd[k*n:(k+1)*n], av)
 			}
 		}
 	}
 }
 
-// matmulTBRange computes rows [lo,hi) of dst = a*bᵀ as dot products,
+// axpy4Generic is the row update both accumulating kernels are made of:
+// orow[j] += a0*b[j] + a1*b[p+j] + a2*b[2p+j] + a3*b[3p+j] for the four
+// consecutive length-p rows held in b, the products summed left to right.
+func axpy4Generic(orow, b []float64, a0, a1, a2, a3 float64) {
+	p := len(orow)
+	b0, b1, b2, b3 := b[:p], b[p:2*p], b[2*p:3*p], b[3*p:4*p]
+	for j, bv := range b0 {
+		orow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
+// axpy1Generic is the k-tail of the row update: orow[j] += av*brow[j].
+func axpy1Generic(orow, brow []float64, av float64) {
+	brow = brow[:len(orow)]
+	for j, bv := range brow {
+		orow[j] += av * bv
+	}
+}
+
+// matmulTBRangeGeneric computes rows [lo,hi) of dst = a*bᵀ as dot products,
 // streaming one a row against four b rows with four register accumulators.
 // Every output element is written (not accumulated), so the destination
 // needs no zero fill and NaN/Inf propagate naturally.
-func matmulTBRange(dst, a, b *Dense, lo, hi int) {
+func matmulTBRangeGeneric(dst, a, b *Dense, lo, hi int) {
 	n, p := a.cols, b.rows
 	ad, bd, od := a.data, b.data, dst.data
 	for i := lo; i < hi; i++ {
@@ -290,7 +316,7 @@ func matmulTBRange(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// transposeRange writes the transpose of m into dst in 32x32 blocks.
+// transposeBlocks writes the transpose of m into dst in 32x32 blocks.
 func transposeBlocks(dst, m *Dense) {
 	r, c := m.rows, m.cols
 	md, dd := m.data, dst.data

@@ -1,0 +1,150 @@
+package tensor
+
+// amd64 side of the kernel layer: CPU detection, the declarations of the
+// AVX2 routines in kernels_amd64.s, and the five entry points the portable
+// code calls (axpy4, axpy1, matmulTBRange, binSame, allFinite), each of which
+// picks the vector routine or the Go loop it is bit-identical to.
+
+// useAsm is true when the CPU and the OS support AVX2. It is decided once at
+// start-up and read-only afterwards; only the path-equivalence tests (through
+// export_test.go) ever flip it.
+var useAsm = cpuHasAVX2()
+
+// vecMinLen is the shortest row worth a call into the vector routines: one
+// full 4-lane vector. Below it the Go loop is used; the result is the same.
+const vecMinLen = 4
+
+func cpuHasAVX2() bool
+
+//go:noescape
+func axpy4AVX2(dst, b *float64, n int, a0, a1, a2, a3 float64)
+
+//go:noescape
+func axpy1AVX2(dst, b *float64, n int, a float64)
+
+//go:noescape
+func dotPanel8x4AVX2(out *[dotPanelRows * dotPanelCols]float64, panel, b0, b1, b2, b3 *float64, n int)
+
+//go:noescape
+func vecAddAVX2(dst, a, b *float64, n int)
+
+//go:noescape
+func vecSubAVX2(dst, a, b *float64, n int)
+
+//go:noescape
+func vecMulAVX2(dst, a, b *float64, n int)
+
+//go:noescape
+func vecDivAVX2(dst, a, b *float64, n int)
+
+//go:noescape
+func allFiniteAVX2(p *float64, n int) bool
+
+func axpy4(orow, b []float64, a0, a1, a2, a3 float64) {
+	if p := len(orow); useAsm && p >= vecMinLen {
+		_ = b[4*p-1]
+		axpy4AVX2(&orow[0], &b[0], p, a0, a1, a2, a3)
+		return
+	}
+	axpy4Generic(orow, b, a0, a1, a2, a3)
+}
+
+func axpy1(orow, brow []float64, av float64) {
+	if p := len(orow); useAsm && p >= vecMinLen {
+		_ = brow[p-1]
+		axpy1AVX2(&orow[0], &brow[0], p, av)
+		return
+	}
+	axpy1Generic(orow, brow, av)
+}
+
+func binSame(od, ad, bd []float64, op binOp) {
+	n := len(ad)
+	if !useAsm || n < vecMinLen {
+		binSameGeneric(od, ad, bd, op)
+		return
+	}
+	_, _ = od[n-1], bd[n-1]
+	switch op {
+	case binAdd:
+		vecAddAVX2(&od[0], &ad[0], &bd[0], n)
+	case binSub:
+		vecSubAVX2(&od[0], &ad[0], &bd[0], n)
+	case binMul:
+		vecMulAVX2(&od[0], &ad[0], &bd[0], n)
+	case binDiv:
+		vecDivAVX2(&od[0], &ad[0], &bd[0], n)
+	}
+}
+
+func allFinite(data []float64) bool {
+	if useAsm && len(data) >= vecMinLen {
+		return allFiniteAVX2(&data[0], len(data))
+	}
+	return allFiniteGeneric(data)
+}
+
+// The MatMulTB tile: dotPanelRows rows of a against dotPanelCols rows of b
+// per call, eight 4-lane accumulators.
+const (
+	dotPanelRows = 8
+	dotPanelCols = 4
+	// dotPanelMinRows: a trailing block with fewer rows than this goes to
+	// the Go loop instead of a zero-padded panel. The Go loop runs four
+	// independent scalar chains, so for one or two rows it does no more
+	// work than the eight lanes would.
+	dotPanelMinRows = 3
+	// dotPanelMinK: below this reduction length a call is all overhead.
+	dotPanelMinK = 8
+)
+
+// matmulTBRange computes rows [lo,hi) of dst = a*bᵀ. A dot product is a
+// sequential chain, so the vector path runs many of them side by side
+// instead of splitting one: eight rows of a are packed transposed into a
+// pooled panel (panel[k*8+r] = a[i0+r][k], released before returning), and
+// for every four rows of b the routine broadcasts b[j][k] against the
+// panel, giving each of the 32 outputs its own lane and the scalar loop's
+// ascending-k sum from zero.
+func matmulTBRange(dst, a, b *Dense, lo, hi int) {
+	n, p := a.cols, b.rows
+	if !useAsm || n < dotPanelMinK || hi-lo < dotPanelMinRows {
+		matmulTBRangeGeneric(dst, a, b, lo, hi)
+		return
+	}
+	ad, bd, od := a.data, b.data, dst.data
+	panel := newPooledNoZero(n, dotPanelRows)
+	pd := panel.data
+	var out [dotPanelRows * dotPanelCols]float64
+	i0 := lo
+	for ; hi-i0 >= dotPanelMinRows; i0 += dotPanelRows {
+		rows := min(dotPanelRows, hi-i0)
+		for r := 0; r < rows; r++ {
+			for k, v := range ad[(i0+r)*n : (i0+r+1)*n] {
+				pd[k*dotPanelRows+r] = v
+			}
+		}
+		// Lanes past the last row are computed and dropped; zero them so
+		// they never hold a stale denormal or NaN that slows the unit down.
+		for r := rows; r < dotPanelRows; r++ {
+			for k := 0; k < n; k++ {
+				pd[k*dotPanelRows+r] = 0
+			}
+		}
+		for j := 0; j < p; j += dotPanelCols {
+			// Past the last b row the extra columns recompute row p-1
+			// and are not stored.
+			j1, j2, j3 := min(j+1, p-1), min(j+2, p-1), min(j+3, p-1)
+			dotPanel8x4AVX2(&out, &pd[0], &bd[j*n], &bd[j1*n], &bd[j2*n], &bd[j3*n], n)
+			cols := min(dotPanelCols, p-j)
+			for c := 0; c < cols; c++ {
+				for r := 0; r < rows; r++ {
+					od[(i0+r)*p+j+c] = out[c*dotPanelRows+r]
+				}
+			}
+		}
+	}
+	panel.Release()
+	if i0 < hi {
+		matmulTBRangeGeneric(dst, a, b, i0, hi)
+	}
+}

@@ -6,55 +6,62 @@ import (
 	"testing"
 )
 
-// Kernel microbenchmarks behind BENCH_kernels.json (make bench-kernels).
-// Sizes span the shapes the GTV training loop actually runs (batch 128,
-// width 256) up to 1024 to expose cache-blocking behavior.
+// The kernel bench table behind BENCH_kernels.json (make bench-kernels): one
+// row per product and shape, each run on every kernel path this machine has
+// (sub-benchmarks /asm and /go), reporting GFLOP/s next to ns/op. The square
+// sizes expose cache-blocking behaviour; the named shapes are the products a
+// paper-scale federated round is made of (block 256, pac 10, batch 250, so
+// D^t sees 25 rows and a (256+cv)*10 = 3060-wide first layer) plus the
+// generator-side 250-row product.
 
-var benchSizes = []int{32, 64, 128, 256, 512, 1024}
+type benchShape struct{ m, k, n int }
+
+func (s benchShape) String() string { return fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n) }
+
+var benchShapes = []benchShape{
+	{32, 32, 32}, {64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {512, 512, 512}, {1024, 1024, 1024},
+	{250, 256, 256},
+	{25, 3060, 256}, // forward through D^t's first layer (MatMul)
+	{25, 256, 3060}, // its input gradient, 25x256 · (3060x256)ᵀ (MatMulTB)
+	{3060, 25, 256}, // its weight gradient, (25x3060)ᵀ · 25x256 (MatMulTA)
+}
+
+// benchProduct benchmarks op over every shape and path. mk builds the two
+// operands of an m×k·k×n product in the layout op wants.
+func benchProduct(b *testing.B, op func(x, y *Dense) *Dense, mk func(rng *rand.Rand, s benchShape) (x, y *Dense)) {
+	for _, s := range benchShapes {
+		for _, path := range KernelPaths() {
+			b.Run(s.String()+"/"+path, func(b *testing.B) {
+				UseKernelPath(b, path)
+				x, y := mk(rand.New(rand.NewSource(1)), s)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op(x, y).Release()
+				}
+				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
 
 func BenchmarkMatMul(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := Randn(rng, n, n, 0, 1)
-			y := Randn(rng, n, n, 0, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMul(x, y).Release()
-			}
-		})
-	}
+	benchProduct(b, MatMul, func(rng *rand.Rand, s benchShape) (*Dense, *Dense) {
+		return Randn(rng, s.m, s.k, 0, 1), Randn(rng, s.k, s.n, 0, 1)
+	})
 }
 
 func BenchmarkMatMulTA(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := Randn(rng, n, n, 0, 1)
-			y := Randn(rng, n, n, 0, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTA(x, y).Release()
-			}
-		})
-	}
+	benchProduct(b, MatMulTA, func(rng *rand.Rand, s benchShape) (*Dense, *Dense) {
+		return Randn(rng, s.k, s.m, 0, 1), Randn(rng, s.k, s.n, 0, 1)
+	})
 }
 
 func BenchmarkMatMulTB(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := Randn(rng, n, n, 0, 1)
-			y := Randn(rng, n, n, 0, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulTB(x, y).Release()
-			}
-		})
-	}
+	benchProduct(b, MatMulTB, func(rng *rand.Rand, s benchShape) (*Dense, *Dense) {
+		return Randn(rng, s.m, s.k, 0, 1), Randn(rng, s.n, s.k, 0, 1)
+	})
 }
 
 // BenchmarkTransposeMatMul is the unfused form MatMulTA replaces; kept so
@@ -85,6 +92,50 @@ func BenchmarkTranspose(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				x.Transpose().Release()
+			}
+		})
+	}
+}
+
+// BenchmarkElementwise is the same-shape loop (binSame) on both paths, at
+// the activation sizes of a round: 25x3060, 250x256 and one large operand.
+func BenchmarkElementwise(b *testing.B) {
+	for _, sh := range []struct{ r, c int }{{25, 3060}, {250, 256}, {1024, 1024}} {
+		for _, op := range []struct {
+			name string
+			into func(dst, x, y *Dense) *Dense
+		}{{"Add", AddInto}, {"Mul", MulInto}, {"Div", DivInto}} {
+			for _, path := range KernelPaths() {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", op.name, sh.r, sh.c, path), func(b *testing.B) {
+					UseKernelPath(b, path)
+					rng := rand.New(rand.NewSource(1))
+					x := Randn(rng, sh.r, sh.c, 0, 1)
+					y := Randn(rng, sh.r, sh.c, 0, 1)
+					dst := New(sh.r, sh.c)
+					b.SetBytes(int64(3 * 8 * sh.r * sh.c))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op.into(dst, x, y)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkAllFinite is the scan every accumulating product runs over its
+// right operand first; 3060x256 is D^t's first-layer weight.
+func BenchmarkAllFinite(b *testing.B) {
+	for _, path := range KernelPaths() {
+		b.Run("3060x256/"+path, func(b *testing.B) {
+			UseKernelPath(b, path)
+			x := Randn(rand.New(rand.NewSource(1)), 3060, 256, 0, 1)
+			b.SetBytes(int64(8 * len(x.data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !allFinite(x.data) {
+					b.Fatal("finite data reported non-finite")
+				}
 			}
 		})
 	}

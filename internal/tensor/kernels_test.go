@@ -59,72 +59,110 @@ var kernelShapes = []struct{ m, k, n int }{
 }
 
 func TestKernelsMatchNaiveReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, sh := range kernelShapes {
-		a := Randn(rng, sh.m, sh.k, 0, 1)
-		b := Randn(rng, sh.k, sh.n, 0, 1)
-		if got, want := MatMul(a, b), naiveMatMul(a, b); !got.AllClose(want, 1e-9) {
-			t.Errorf("MatMul %dx%d * %dx%d deviates from naive reference", sh.m, sh.k, sh.k, sh.n)
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, sh := range kernelShapes {
+			a := Randn(rng, sh.m, sh.k, 0, 1)
+			b := Randn(rng, sh.k, sh.n, 0, 1)
+			if got, want := MatMul(a, b), naiveMatMul(a, b); !got.AllClose(want, 1e-9) {
+				t.Errorf("MatMul %dx%d * %dx%d deviates from naive reference", sh.m, sh.k, sh.k, sh.n)
+			}
+			at := Randn(rng, sh.k, sh.m, 0, 1)
+			if got, want := MatMulTA(at, b), naiveMatMulTA(at, b); !got.AllClose(want, 1e-9) {
+				t.Errorf("MatMulTA %dx%d * %dx%d deviates from naive reference", sh.k, sh.m, sh.k, sh.n)
+			}
+			bt := Randn(rng, sh.n, sh.k, 0, 1)
+			if got, want := MatMulTB(a, bt), naiveMatMulTB(a, bt); !got.AllClose(want, 1e-9) {
+				t.Errorf("MatMulTB %dx%d * %dx%d deviates from naive reference", sh.m, sh.k, sh.n, sh.k)
+			}
 		}
-		at := Randn(rng, sh.k, sh.m, 0, 1)
-		if got, want := MatMulTA(at, b), naiveMatMulTA(at, b); !got.AllClose(want, 1e-9) {
-			t.Errorf("MatMulTA %dx%d * %dx%d deviates from naive reference", sh.k, sh.m, sh.k, sh.n)
-		}
-		bt := Randn(rng, sh.n, sh.k, 0, 1)
-		if got, want := MatMulTB(a, bt), naiveMatMulTB(a, bt); !got.AllClose(want, 1e-9) {
-			t.Errorf("MatMulTB %dx%d * %dx%d deviates from naive reference", sh.m, sh.k, sh.n, sh.k)
-		}
-	}
+	})
 }
 
 func TestFusedKernelsMatchTransposeForms(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, sh := range kernelShapes {
-		a := Randn(rng, sh.k, sh.m, 0, 1)
-		b := Randn(rng, sh.k, sh.n, 0, 1)
-		if got, want := MatMulTA(a, b), MatMul(a.Transpose(), b); !got.AllClose(want, 1e-9) {
-			t.Errorf("MatMulTA differs from Transpose+MatMul at %+v", sh)
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for _, sh := range kernelShapes {
+			a := Randn(rng, sh.k, sh.m, 0, 1)
+			b := Randn(rng, sh.k, sh.n, 0, 1)
+			if got, want := MatMulTA(a, b), MatMul(a.Transpose(), b); !got.AllClose(want, 1e-9) {
+				t.Errorf("MatMulTA differs from Transpose+MatMul at %+v", sh)
+			}
+			c := Randn(rng, sh.m, sh.k, 0, 1)
+			d := Randn(rng, sh.n, sh.k, 0, 1)
+			if got, want := MatMulTB(c, d), MatMul(c, d.Transpose()); !got.AllClose(want, 1e-9) {
+				t.Errorf("MatMulTB differs from MatMul+Transpose at %+v", sh)
+			}
 		}
-		c := Randn(rng, sh.m, sh.k, 0, 1)
-		d := Randn(rng, sh.n, sh.k, 0, 1)
-		if got, want := MatMulTB(c, d), MatMul(c, d.Transpose()); !got.AllClose(want, 1e-9) {
-			t.Errorf("MatMulTB differs from MatMul+Transpose at %+v", sh)
-		}
-	}
+	})
 }
 
 func TestAffineMatchesMatMulAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sh := range kernelShapes {
-		x := Randn(rng, sh.m, sh.k, 0, 1)
-		w := Randn(rng, sh.k, sh.n, 0, 1)
-		bias := Randn(rng, 1, sh.n, 0, 1)
-		if got, want := Affine(x, w, bias), Add(MatMul(x, w), bias); !got.AllClose(want, 1e-9) {
-			t.Errorf("Affine differs from MatMul+Add at %+v", sh)
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, sh := range kernelShapes {
+			x := Randn(rng, sh.m, sh.k, 0, 1)
+			w := Randn(rng, sh.k, sh.n, 0, 1)
+			bias := Randn(rng, 1, sh.n, 0, 1)
+			if got, want := Affine(x, w, bias), Add(MatMul(x, w), bias); !got.AllClose(want, 1e-9) {
+				t.Errorf("Affine differs from MatMul+Add at %+v", sh)
+			}
 		}
-	}
+	})
 }
 
+// FuzzMatMulAgainstNaive checks the three products against the textbook
+// loops on whichever path is live and, where the machine has both paths,
+// requires them to agree bit for bit (onBothPaths), also with a's zero
+// groups and a non-finite b in play.
 func FuzzMatMulAgainstNaive(f *testing.F) {
-	f.Add(int64(1), 3, 5, 7)
-	f.Add(int64(2), 1, 300, 1)
-	f.Add(int64(3), 33, 257, 31)
-	f.Fuzz(func(t *testing.T, seed int64, m, k, n int) {
+	f.Add(int64(1), 3, 5, 7, uint8(0))
+	f.Add(int64(2), 1, 300, 1, uint8(1))
+	f.Add(int64(3), 33, 257, 31, uint8(2))
+	f.Add(int64(4), 25, 64, 44, uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, flags uint8) {
 		m, k, n = 1+abs(m)%48, 1+abs(k)%300, 1+abs(n)%48
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, m, k, 0, 1)
 		b := Randn(rng, k, n, 0, 1)
-		if !MatMul(a, b).AllClose(naiveMatMul(a, b), 1e-9) {
-			t.Fatalf("MatMul %dx%dx%d deviates from naive reference", m, k, n)
-		}
 		c := Randn(rng, m, n, 0, 1)
-		if !MatMulTA(a, c).AllClose(naiveMatMulTA(a, c), 1e-9) {
-			t.Fatalf("MatMulTA (%dx%d)ᵀ*(%dx%d) deviates from naive reference", m, k, m, n)
-		}
 		d := Randn(rng, n, k, 0, 1)
-		if !MatMulTB(a, d).AllClose(naiveMatMulTB(a, d), 1e-9) {
-			t.Fatalf("MatMulTB (%dx%d)*(%dx%d)ᵀ deviates from naive reference", m, k, n, k)
+		bias := Randn(rng, 1, n, 0, 1)
+		if flags&1 != 0 { // zero some whole groups of a, so the skip is taken
+			for i := 0; i < m; i++ {
+				for g := 0; g+4 <= k; g += 4 {
+					if rng.Intn(2) == 0 {
+						copy(a.RawRow(i)[g:g+4], []float64{0, 0, 0, 0})
+					}
+				}
+			}
 		}
+		if flags&6 == 0 { // all finite: the naive loops are the reference
+			if !MatMul(a, b).AllClose(naiveMatMul(a, b), 1e-9) {
+				t.Fatalf("MatMul %dx%dx%d deviates from naive reference", m, k, n)
+			}
+			if !MatMulTA(a, c).AllClose(naiveMatMulTA(a, c), 1e-9) {
+				t.Fatalf("MatMulTA (%dx%d)ᵀ*(%dx%d) deviates from naive reference", m, k, m, n)
+			}
+			if !MatMulTB(a, d).AllClose(naiveMatMulTB(a, d), 1e-9) {
+				t.Fatalf("MatMulTB (%dx%d)*(%dx%d)ᵀ deviates from naive reference", m, k, n, k)
+			}
+		}
+		if flags&2 != 0 {
+			b.Data()[rng.Intn(k*n)] = math.Inf(1)
+			d.Data()[rng.Intn(k*n)] = math.Inf(-1)
+		}
+		if flags&4 != 0 {
+			b.Data()[rng.Intn(k*n)] = math.NaN()
+			c.Data()[rng.Intn(m*n)] = math.NaN()
+		}
+		if !HasAsmKernels {
+			return
+		}
+		onBothPaths(t, "MatMul", func() *Dense { return MatMul(a, b) })
+		onBothPaths(t, "Affine", func() *Dense { return Affine(a, b, bias) })
+		onBothPaths(t, "MatMulTA", func() *Dense { return MatMulTA(a, c) })
+		onBothPaths(t, "MatMulTB", func() *Dense { return MatMulTB(a, d) })
 	})
 }
 
@@ -139,171 +177,179 @@ func abs(v int) int {
 // fast path: the seed kernel skipped a==0 unconditionally, silently turning
 // 0*Inf and 0*NaN (which are NaN under IEEE 754) into 0.
 func TestMatMulPropagatesNonFinite(t *testing.T) {
-	cases := []struct {
-		name string
-		bv   float64
-	}{
-		{"inf", math.Inf(1)},
-		{"neginf", math.Inf(-1)},
-		{"nan", math.NaN()},
-	}
-	for _, tc := range cases {
-		// a = [0 1], b = [bv; 1]: the product is 0*bv + 1 = NaN.
-		a := FromSlice(1, 2, []float64{0, 1})
-		b := FromSlice(2, 1, []float64{tc.bv, 1})
+	EachKernelPath(t, func(t *testing.T) {
+		cases := []struct {
+			name string
+			bv   float64
+		}{
+			{"inf", math.Inf(1)},
+			{"neginf", math.Inf(-1)},
+			{"nan", math.NaN()},
+		}
+		for _, tc := range cases {
+			// a = [0 1], b = [bv; 1]: the product is 0*bv + 1 = NaN.
+			a := FromSlice(1, 2, []float64{0, 1})
+			b := FromSlice(2, 1, []float64{tc.bv, 1})
+			if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
+				t.Errorf("MatMul %s: got %v, want NaN", tc.name, got)
+			}
+			if got := MatMulTA(a.Transpose(), b).At(0, 0); !math.IsNaN(got) {
+				t.Errorf("MatMulTA %s: got %v, want NaN", tc.name, got)
+			}
+			if got := MatMulTB(a, b.Transpose()).At(0, 0); !math.IsNaN(got) {
+				t.Errorf("MatMulTB %s: got %v, want NaN", tc.name, got)
+			}
+		}
+		// A whole zero group of four must not skip a non-finite b panel either.
+		a := New(1, 8)
+		a.Set(0, 7, 1)
+		b := New(8, 1)
+		b.Set(0, 0, math.Inf(1))
+		b.Set(7, 0, 1)
 		if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("MatMul %s: got %v, want NaN", tc.name, got)
+			t.Errorf("MatMul unrolled group: got %v, want NaN", got)
 		}
-		if got := MatMulTA(a.Transpose(), b).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("MatMulTA %s: got %v, want NaN", tc.name, got)
+		// NaN on the left side must survive regardless of the skip.
+		an := FromSlice(1, 2, []float64{math.NaN(), 0})
+		bn := FromSlice(2, 1, []float64{1, 1})
+		if got := MatMul(an, bn).At(0, 0); !math.IsNaN(got) {
+			t.Errorf("MatMul NaN in a: got %v, want NaN", got)
 		}
-		if got := MatMulTB(a, b.Transpose()).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("MatMulTB %s: got %v, want NaN", tc.name, got)
-		}
-	}
-	// A whole zero group of four must not skip a non-finite b panel either.
-	a := New(1, 8)
-	a.Set(0, 7, 1)
-	b := New(8, 1)
-	b.Set(0, 0, math.Inf(1))
-	b.Set(7, 0, 1)
-	if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
-		t.Errorf("MatMul unrolled group: got %v, want NaN", got)
-	}
-	// NaN on the left side must survive regardless of the skip.
-	an := FromSlice(1, 2, []float64{math.NaN(), 0})
-	bn := FromSlice(2, 1, []float64{1, 1})
-	if got := MatMul(an, bn).At(0, 0); !math.IsNaN(got) {
-		t.Errorf("MatMul NaN in a: got %v, want NaN", got)
-	}
+	})
 }
 
 // TestMatMulDeterministic: identical inputs must give bitwise identical
 // outputs, run to run — the fixed tiled summation order is part of the
 // kernel contract (same-seed training depends on it).
 func TestMatMulDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := Randn(rng, 65, 300, 0, 1e3)
-	b := Randn(rng, 300, 37, 0, 1e3)
-	first := MatMul(a, b)
-	ta := MatMulTA(a.Transpose(), b)
-	tb := MatMulTB(a, b.Transpose())
-	for i := 0; i < 3; i++ {
-		if !MatMul(a, b).Equal(first) {
-			t.Fatal("MatMul is not bitwise deterministic")
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		a := Randn(rng, 65, 300, 0, 1e3)
+		b := Randn(rng, 300, 37, 0, 1e3)
+		first := MatMul(a, b)
+		ta := MatMulTA(a.Transpose(), b)
+		tb := MatMulTB(a, b.Transpose())
+		for i := 0; i < 3; i++ {
+			if !MatMul(a, b).Equal(first) {
+				t.Fatal("MatMul is not bitwise deterministic")
+			}
+			if !MatMulTA(a.Transpose(), b).Equal(ta) {
+				t.Fatal("MatMulTA is not bitwise deterministic")
+			}
+			if !MatMulTB(a, b.Transpose()).Equal(tb) {
+				t.Fatal("MatMulTB is not bitwise deterministic")
+			}
 		}
-		if !MatMulTA(a.Transpose(), b).Equal(ta) {
-			t.Fatal("MatMulTA is not bitwise deterministic")
-		}
-		if !MatMulTB(a, b.Transpose()).Equal(tb) {
-			t.Fatal("MatMulTB is not bitwise deterministic")
-		}
-	}
+	})
 }
 
 func TestIntoVariantsAndReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := Randn(rng, 9, 17, 0, 1)
-	b := Randn(rng, 17, 5, 0, 1)
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		a := Randn(rng, 9, 17, 0, 1)
+		b := Randn(rng, 17, 5, 0, 1)
 
-	dst := Full(9, 5, 42) // stale contents must be fully overwritten
-	if got := MatMulInto(dst, a, b); !got.AllClose(naiveMatMul(a, b), 1e-9) {
-		t.Error("MatMulInto differs from naive reference")
-	}
-	at := a.Transpose()
-	ta := Full(9, 5, 42)
-	if got := MatMulTAInto(ta, at, b); !got.AllClose(naiveMatMulTA(at, b), 1e-9) {
-		t.Error("MatMulTAInto differs from naive reference")
-	}
-	ab := naiveMatMul(a, b) // 9x5
-	tb := Full(9, 17, 42)
-	if got := MatMulTBInto(tb, ab, b); !got.AllClose(naiveMatMulTB(ab, b), 1e-9) {
-		t.Error("MatMulTBInto differs from naive reference")
-	}
+		dst := Full(9, 5, 42) // stale contents must be fully overwritten
+		if got := MatMulInto(dst, a, b); !got.AllClose(naiveMatMul(a, b), 1e-9) {
+			t.Error("MatMulInto differs from naive reference")
+		}
+		at := a.Transpose()
+		ta := Full(9, 5, 42)
+		if got := MatMulTAInto(ta, at, b); !got.AllClose(naiveMatMulTA(at, b), 1e-9) {
+			t.Error("MatMulTAInto differs from naive reference")
+		}
+		ab := naiveMatMul(a, b) // 9x5
+		tb := Full(9, 17, 42)
+		if got := MatMulTBInto(tb, ab, b); !got.AllClose(naiveMatMulTB(ab, b), 1e-9) {
+			t.Error("MatMulTBInto differs from naive reference")
+		}
 
-	// TransposeInto + Reuse round trip.
-	scratch := Reuse(nil, a.Cols(), a.Rows())
-	tr := TransposeInto(scratch, a)
-	if !tr.Equal(a.Transpose()) {
-		t.Error("TransposeInto differs from Transpose")
-	}
-	// CopyInto into undersized scratch allocates; into adequate scratch reuses.
-	small := New(1, 1)
-	cp := a.CopyInto(small)
-	if !cp.Equal(a) {
-		t.Error("CopyInto (grow) lost data")
-	}
-	big := New(20, 20)
-	cp2 := a.CopyInto(big)
-	if !cp2.Equal(a) {
-		t.Error("CopyInto (reuse) lost data")
-	}
-	if &cp2.Data()[0] != &big.Data()[0] {
-		t.Error("CopyInto did not reuse adequate scratch storage")
-	}
+		// TransposeInto + Reuse round trip.
+		scratch := Reuse(nil, a.Cols(), a.Rows())
+		tr := TransposeInto(scratch, a)
+		if !tr.Equal(a.Transpose()) {
+			t.Error("TransposeInto differs from Transpose")
+		}
+		// CopyInto into undersized scratch allocates; into adequate scratch reuses.
+		small := New(1, 1)
+		cp := a.CopyInto(small)
+		if !cp.Equal(a) {
+			t.Error("CopyInto (grow) lost data")
+		}
+		big := New(20, 20)
+		cp2 := a.CopyInto(big)
+		if !cp2.Equal(a) {
+			t.Error("CopyInto (reuse) lost data")
+		}
+		if &cp2.Data()[0] != &big.Data()[0] {
+			t.Error("CopyInto did not reuse adequate scratch storage")
+		}
 
-	// Into broadcasting forms against the allocating forms.
-	x := Randn(rng, 6, 8, 0, 1)
-	row := Randn(rng, 1, 8, 0, 1)
-	col := Randn(rng, 6, 1, 0, 1)
-	sc := Scalar(3)
-	for _, b2 := range []*Dense{x.Clone(), row, col, sc} {
-		d := New(6, 8)
-		if !AddInto(d, x, b2).Equal(Add(x, b2)) {
-			t.Errorf("AddInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+		// Into broadcasting forms against the allocating forms.
+		x := Randn(rng, 6, 8, 0, 1)
+		row := Randn(rng, 1, 8, 0, 1)
+		col := Randn(rng, 6, 1, 0, 1)
+		sc := Scalar(3)
+		for _, b2 := range []*Dense{x.Clone(), row, col, sc} {
+			d := New(6, 8)
+			if !AddInto(d, x, b2).Equal(Add(x, b2)) {
+				t.Errorf("AddInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+			}
+			if !SubInto(d, x, b2).Equal(Sub(x, b2)) {
+				t.Errorf("SubInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+			}
+			if !MulInto(d, x, b2).Equal(Mul(x, b2)) {
+				t.Errorf("MulInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+			}
+			if !DivInto(d, x, b2).Equal(Div(x, b2)) {
+				t.Errorf("DivInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+			}
 		}
-		if !SubInto(d, x, b2).Equal(Sub(x, b2)) {
-			t.Errorf("SubInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
+		// In-place aliasing: dst == a.
+		y := x.Clone()
+		want := Add(x, row)
+		if !AddInto(y, y, row).Equal(want) {
+			t.Error("AddInto with dst aliasing a is wrong")
 		}
-		if !MulInto(d, x, b2).Equal(Mul(x, b2)) {
-			t.Errorf("MulInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
-		}
-		if !DivInto(d, x, b2).Equal(Div(x, b2)) {
-			t.Errorf("DivInto mismatch for %dx%d operand", b2.Rows(), b2.Cols())
-		}
-	}
-	// In-place aliasing: dst == a.
-	y := x.Clone()
-	want := Add(x, row)
-	if !AddInto(y, y, row).Equal(want) {
-		t.Error("AddInto with dst aliasing a is wrong")
-	}
+	})
 }
 
 // TestPooledBuffersAreClean: a recycled slab must come back either zeroed
 // (NewPooled) or fully overwritten (kernel outputs) — stale data from a
 // released matrix must never be observable.
 func TestPooledBuffersAreClean(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		d := NewPooled(13, 9)
-		for i := range d.Data() {
-			d.Data()[i] = 1e30 // poison
-		}
-		d.Release()
-		got := NewPooled(13, 9)
-		for i, v := range got.Data() {
-			if v != 0 {
-				t.Fatalf("trial %d: NewPooled slab not zeroed at %d: %v", trial, i, v)
+	EachKernelPath(t, func(t *testing.T) {
+		for trial := 0; trial < 8; trial++ {
+			d := NewPooled(13, 9)
+			for i := range d.Data() {
+				d.Data()[i] = 1e30 // poison
 			}
-		}
-		got.Release()
+			d.Release()
+			got := NewPooled(13, 9)
+			for i, v := range got.Data() {
+				if v != 0 {
+					t.Fatalf("trial %d: NewPooled slab not zeroed at %d: %v", trial, i, v)
+				}
+			}
+			got.Release()
 
-		// Kernel outputs reuse slabs without zeroing; every element must
-		// still be overwritten.
-		p := NewPooled(16, 16)
-		for i := range p.Data() {
-			p.Data()[i] = math.NaN() // poison: survives only if not overwritten
+			// Kernel outputs reuse slabs without zeroing; every element must
+			// still be overwritten.
+			p := NewPooled(16, 16)
+			for i := range p.Data() {
+				p.Data()[i] = math.NaN() // poison: survives only if not overwritten
+			}
+			p.Release()
+			rng := rand.New(rand.NewSource(int64(trial)))
+			a := Randn(rng, 16, 16, 0, 1)
+			b := Randn(rng, 16, 16, 0, 1)
+			out := MatMul(a, b)
+			if out.HasNaN() {
+				t.Fatalf("trial %d: MatMul output leaked poisoned pool contents", trial)
+			}
+			out.Release()
 		}
-		p.Release()
-		rng := rand.New(rand.NewSource(int64(trial)))
-		a := Randn(rng, 16, 16, 0, 1)
-		b := Randn(rng, 16, 16, 0, 1)
-		out := MatMul(a, b)
-		if out.HasNaN() {
-			t.Fatalf("trial %d: MatMul output leaked poisoned pool contents", trial)
-		}
-		out.Release()
-	}
+	})
 }
 
 func TestReleaseRejectsForeignBuffers(t *testing.T) {

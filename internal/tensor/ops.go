@@ -84,7 +84,7 @@ func binInto(dst, a, b *Dense, op binOp) *Dense {
 	case b.rows == 1: // 1xC row vector broadcast down the rows
 		c := a.cols
 		for i := 0; i < a.rows; i++ {
-			binRow(dst.data[i*c:(i+1)*c], a.data[i*c:(i+1)*c], b.data, op)
+			binSame(dst.data[i*c:(i+1)*c], a.data[i*c:(i+1)*c], b.data, op)
 		}
 	default: // Rx1 column vector: one scalar per row
 		c := a.cols
@@ -115,8 +115,9 @@ func binInto(dst, a, b *Dense, op binOp) *Dense {
 	return dst
 }
 
-// binSame applies op over equal-length flat slices.
-func binSame(od, ad, bd []float64, op binOp) {
+// binSameGeneric applies op over equal-length flat slices (a whole
+// same-shape operand, or one matrix row against a broadcast row vector).
+func binSameGeneric(od, ad, bd []float64, op binOp) {
 	bd = bd[:len(ad)]
 	od = od[:len(ad)]
 	switch op {
@@ -135,30 +136,6 @@ func binSame(od, ad, bd []float64, op binOp) {
 	case binDiv:
 		for i, av := range ad {
 			od[i] = av / bd[i]
-		}
-	}
-}
-
-// binRow applies op between one matrix row and a broadcast row vector.
-func binRow(od, ad, bd []float64, op binOp) {
-	bd = bd[:len(ad)]
-	od = od[:len(ad)]
-	switch op {
-	case binAdd:
-		for j, av := range ad {
-			od[j] = av + bd[j]
-		}
-	case binSub:
-		for j, av := range ad {
-			od[j] = av - bd[j]
-		}
-	case binMul:
-		for j, av := range ad {
-			od[j] = av * bd[j]
-		}
-	case binDiv:
-		for j, av := range ad {
-			od[j] = av / bd[j]
 		}
 	}
 }

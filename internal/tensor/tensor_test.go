@@ -364,25 +364,3 @@ func TestConcatSplitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	x := Randn(rng, 128, 128, 0, 1)
-	y := Randn(rng, 128, 128, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul512(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x := Randn(rng, 512, 512, 0, 1)
-	y := Randn(rng, 512, 512, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
