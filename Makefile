@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race fuzz ci bench bench-round bench-kernels bench-comm bench-data
+.PHONY: all build vet lint lint-json test race fuzz ci bench bench-round bench-kernels bench-setup bench-comm bench-data
 
 # Per-fuzzer budget for the `fuzz` target; override with
 # `make fuzz FUZZTIME=1m` for longer local hunts.
@@ -61,8 +61,10 @@ race:
 	$(GO) test -race ./internal/vfl/... ./internal/tensor/... ./internal/autograd/...
 
 # Short-budget runs of every fuzzer in the module: the gtvsnap checkpoint
-# decoder, the gtvwire frame decoder, the blocked-matmul kernel, and the
-# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip).
+# decoder, the gtvwire frame decoder, the blocked-matmul kernel, the
+# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip),
+# and the GMM fit against its reference loops (bit equality of every fitted
+# parameter, log-likelihood and sampled mode).
 # Each guards a byte-level or numeric contract that unit tests only sample.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snap
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
+	$(GO) test -run '^$$' -fuzz FuzzFitMatchesReference -fuzztime $(FUZZTIME) ./internal/gmm
 
 ci: vet lint build test race fuzz
 
@@ -89,6 +92,15 @@ bench-round:
 bench-kernels:
 	$(GO) test -run xxx -bench . -cpu 1 ./internal/tensor ./internal/autograd \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
+
+# Set-up path layer benchmarks: one GMM fit (ns per row per EM iteration),
+# the streamed encode of an adult client's columns (ns per row) and one
+# default-height gtvcol stripe of a one-hot-heavy matrix (MiB/s). One
+# thread, like the repository's benchmark; EXPERIMENTS.md "Where cold set-up
+# goes" quotes them.
+bench-setup:
+	$(GO) test -run xxx -bench 'BenchmarkFit|BenchmarkTransformTo|BenchmarkWriterStripe' -cpu 1 \
+		./internal/gmm ./internal/encoding ./internal/coldata
 
 # Transport benchmarks: gob vs gtvwire-binary round-trip latency and
 # allocs/op at paper-scale payloads, plus the delayed-round latency

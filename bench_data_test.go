@@ -3,6 +3,15 @@
 // test binary's) with the encoded matrix resident in memory versus
 // streamed from an on-disk columnar store. Recorded as JSON in
 // BENCH_data.json by `make bench-data`; see EXPERIMENTS.md.
+//
+// What "training" covers changed at PR 15: gtv-train used to start its
+// training clock before core.NewCentralized / NewFromAssignment, so the
+// rows in BENCH_data.json (recorded at PR 10 and not rerun since — the
+// target takes two hours) bill GMM fitting, encoding and the gtvcol write
+// as training, which is most of every mem and streamed row. From PR 15 on
+// gtv-train prints construction as its own `setup: <duration>` line and the
+// `training: N rounds in <duration>` line this file parses covers the
+// rounds only; a rerun of `make bench-data` records that.
 package main
 
 import (
@@ -29,7 +38,8 @@ const (
 var trainingLineRE = regexp.MustCompile(`training: (\d+) rounds in ([^\s]+)`)
 
 // runGTVTrain execs one gtv-train run and returns the training-phase wall
-// time and the subprocess's peak RSS in bytes.
+// time (rounds only, see the package comment) and the subprocess's peak RSS
+// in bytes.
 func runGTVTrain(b *testing.B, bin string, args []string) (trainTime time.Duration, peakRSS int64) {
 	b.Helper()
 	cmd := exec.Command(bin, args...)

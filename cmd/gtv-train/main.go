@@ -182,12 +182,20 @@ func run(args []string, stdout io.Writer) error {
 	// n-row synthesis no one looks at.
 	wantSynth := !*skipEval || *synthOut != ""
 	var synth *encoding.Table
-	trainStart := time.Now()
+	// Construction (split, GMM fit, encode, gtvcol write or open, sampler) is
+	// billed as set-up; the training clock starts once it is done.
+	setupStart := time.Now()
+	var trainStart time.Time
+	setupDone := func() {
+		fmt.Fprintf(stdout, "setup: %s\n", time.Since(setupStart))
+		trainStart = time.Now()
+	}
 	if *centralized {
 		c, err := core.NewCentralized(train, opts)
 		if err != nil {
 			return err
 		}
+		setupDone()
 		//lint:ignore errdrop teardown of the data plane at exit
 		defer func() { _ = c.Close() }()
 		trainCB, finish := progress, func() error { return nil }
@@ -232,6 +240,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		setupDone()
 		//lint:ignore errdrop teardown of finished loopback transports, nothing left to lose
 		defer func() { _ = g.Close() }()
 		fmt.Fprintf(stdout, "GTV %s with %d clients over %q transport, P_r=%v\n", plan.Name(), *clients, *wire, g.Ratios())

@@ -179,19 +179,28 @@ func scanBlock(vals []float64) blockStats {
 			}
 		}
 		if s.allIntegral {
-			// Integral means the int64 round trip is bit-exact, which
-			// excludes -0.0 (int64 cannot carry its sign), NaN and ±Inf.
+			var iv int64
+			switch {
+			case b == 0:
+				// +0.0, and 1.0 below: the cells of one-hot columns, which
+				// are most of an encoded matrix, need no float arithmetic
+				// to be known integral.
+			case b == oneBits:
+				iv = 1
 			//lint:ignore floateq Trunc round-trip is the intended exactness test for integer-valued floats
-			if v != math.Trunc(v) || v < float64(-maxExactInt) || v > float64(maxExactInt) || b == 1<<63 {
+			case v != math.Trunc(v) || v < float64(-maxExactInt) || v > float64(maxExactInt) || b == 1<<63:
+				// Integral means the int64 round trip is bit-exact, which
+				// excludes -0.0 (int64 cannot carry its sign), NaN and ±Inf.
 				s.allIntegral = false
-			} else {
-				iv := int64(v)
-				if i == 0 || iv < s.minI {
-					s.minI = iv
-				}
-				if i == 0 || iv > s.maxI {
-					s.maxI = iv
-				}
+				continue
+			default:
+				iv = int64(v)
+			}
+			if i == 0 || iv < s.minI {
+				s.minI = iv
+			}
+			if i == 0 || iv > s.maxI {
+				s.maxI = iv
 			}
 		}
 	}

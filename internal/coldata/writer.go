@@ -3,6 +3,7 @@ package coldata
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,10 +13,12 @@ import (
 )
 
 // Writer streams a row-major float64 matrix into a gtvcol file. Rows are
-// buffered into stripes of blockRows; each full stripe is sliced into
-// per-column blocks, encoded and flushed, so writing a table never holds
-// more than one stripe in memory. Close flushes the final partial stripe,
-// the metadata blobs and the footer/trailer.
+// buffered into stripes of blockRows, column-major: AppendRow scatters a
+// row's cells onto the ends of cols sequential streams, so each full stripe
+// is already the per-column blocks' input and is encoded and flushed
+// without a transpose. Writing a table never holds more than one stripe in
+// memory. Close flushes the final partial stripe, the metadata blobs and
+// the footer/trailer.
 type Writer struct {
 	f    *bufio.Writer
 	file *os.File
@@ -24,16 +27,17 @@ type Writer struct {
 	cols      int
 	blockRows int
 	rows      int
-	pending   int       // rows buffered in stripeBuf
-	stripeBuf []float64 // pending*cols, row-major
+	pending   int // rows buffered in stripe
+	// stripe holds column j's pending values at [j*stride, j*stride+pending).
+	stripe []float64
+	stride int
 
-	colScratch []float64
-	blockBuf   []byte
-	blockLens  []uint32 // stripe-major, cols per stripe
-	metaNames  []string
-	metaBlobs  map[string][]byte
-	offset     int64
-	closed     bool
+	blockBuf  []byte
+	blockLens []uint32 // stripe-major, cols per stripe
+	metaNames []string
+	metaBlobs map[string][]byte
+	offset    int64
+	closed    bool
 }
 
 // Create opens path for writing (truncating any existing file) and writes
@@ -55,9 +59,9 @@ func Create(path string, cols, blockRows int) (*Writer, error) {
 	w := &Writer{
 		f: bufio.NewWriterSize(file, 1<<20), file: file, path: path,
 		cols: cols, blockRows: blockRows,
-		stripeBuf:  make([]float64, 0, blockRows*cols),
-		colScratch: make([]float64, blockRows),
-		metaBlobs:  map[string][]byte{},
+		stripe:    make([]float64, (blockRows+stridePad)*cols),
+		stride:    blockRows + stridePad,
+		metaBlobs: map[string][]byte{},
 	}
 	var hdr [headerSize]byte
 	copy(hdr[:], headMagic[:])
@@ -69,11 +73,20 @@ func Create(path string, cols, blockRows int) (*Writer, error) {
 	return w, nil
 }
 
+// stridePad separates the column streams of a stripe by one cache line
+// beyond blockRows. blockRows is normally a power of two, and streams a
+// power of two apart share one cache set: a row's cols writes would evict
+// each other's lines on every row.
+const stridePad = 8
+
 func (w *Writer) write(b []byte) error {
 	n, err := w.f.Write(b)
 	w.offset += int64(n)
 	return err
 }
+
+// errClosed is what every method of a closed (or failed) Writer returns.
+var errClosed = errors.New("coldata: writer already closed")
 
 func (w *Writer) abort() {
 	//lint:ignore errdrop the write error being handled already describes the failure
@@ -83,20 +96,35 @@ func (w *Writer) abort() {
 
 // AppendRow buffers one row (len must equal the writer's column count).
 func (w *Writer) AppendRow(vals []float64) error {
+	if w.closed {
+		return errClosed
+	}
 	if len(vals) != w.cols {
 		return fmt.Errorf("coldata: row has %d values, file has %d columns", len(vals), w.cols)
 	}
-	w.stripeBuf = append(w.stripeBuf, vals...)
+	at := w.pending
+	for _, v := range vals {
+		w.stripe[at] = v
+		at += w.stride
+	}
 	w.pending++
 	w.rows++
 	if w.pending == w.blockRows {
-		return w.flushStripe()
+		if err := w.flushStripe(); err != nil {
+			// The stripe is still full: fail the writer rather than let the
+			// next row scatter past it.
+			w.abort()
+			return err
+		}
 	}
 	return nil
 }
 
 // AppendRows buffers every row of m (m's column count must match).
 func (w *Writer) AppendRows(m *tensor.Dense) error {
+	if w.closed {
+		return errClosed
+	}
 	if m.Cols() != w.cols {
 		return fmt.Errorf("coldata: matrix has %d columns, file has %d", m.Cols(), w.cols)
 	}
@@ -111,6 +139,9 @@ func (w *Writer) AppendRows(m *tensor.Dense) error {
 // SetMeta attaches a named metadata blob, written ahead of the footer on
 // Close. Setting a name again replaces its blob.
 func (w *Writer) SetMeta(name string, blob []byte) error {
+	if w.closed {
+		return errClosed
+	}
 	if name == "" || len(name) > maxMetaName {
 		return fmt.Errorf("coldata: invalid meta name %q", name)
 	}
@@ -132,17 +163,12 @@ func (w *Writer) flushStripe() error {
 		return nil
 	}
 	for j := 0; j < w.cols; j++ {
-		col := w.colScratch[:rows]
-		for i := 0; i < rows; i++ {
-			col[i] = w.stripeBuf[i*w.cols+j]
-		}
-		w.blockBuf = appendBlock(w.blockBuf[:0], col)
+		w.blockBuf = appendBlock(w.blockBuf[:0], w.stripe[j*w.stride:j*w.stride+rows])
 		if err := w.write(w.blockBuf); err != nil {
 			return err
 		}
 		w.blockLens = append(w.blockLens, uint32(len(w.blockBuf)))
 	}
-	w.stripeBuf = w.stripeBuf[:0]
 	w.pending = 0
 	return nil
 }
@@ -151,7 +177,7 @@ func (w *Writer) flushStripe() error {
 // and closes the file. The Writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.closed {
-		return fmt.Errorf("coldata: writer already closed")
+		return errClosed
 	}
 	w.closed = true
 	err := w.finish()

@@ -1,0 +1,255 @@
+package coldata
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// encodedLike builds a rows x cols matrix shaped like an encoded training
+// table: column 0 a tanh-range scalar, the rest one-hot groups of varying
+// width (the last group takes whatever columns remain).
+func encodedLike(rows, cols int, seed int64) *tensor.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	m := tensor.New(rows, cols)
+	widths := []int{10, 4, 5, 3, 6, 4}
+	for i := 0; i < rows; i++ {
+		row := m.RawRow(i)
+		row[0] = 2*rng.Float64() - 1
+		for off, g := 1, 0; off < cols; g++ {
+			w := min(widths[g%len(widths)], cols-off)
+			row[off+rng.Intn(w)] = 1
+			off += w
+		}
+	}
+	return m
+}
+
+// TestWriterMatchesPerColumnBlocks compares whole files with what the format
+// says they hold — the header, then stripe by stripe each column's rows
+// through appendBlock — over stripe heights from one row to the default,
+// one column and many, and a final stripe that is partial.
+func TestWriterMatchesPerColumnBlocks(t *testing.T) {
+	for _, blockRows := range []int{1, 3, DefaultBlockRows} {
+		for _, cols := range []int{1, 33} {
+			t.Run(fmt.Sprintf("blockRows=%d/cols=%d", blockRows, cols), func(t *testing.T) {
+				rows := 2*blockRows + (blockRows+1)/2 // two full stripes and a partial one
+				if blockRows == 1 {
+					rows = 5
+				}
+				m := encodedLike(rows, cols, int64(blockRows+cols))
+				raw, err := os.ReadFile(writeFile(t, t.TempDir(), m, blockRows, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				want := append(append([]byte(nil), headMagic[:]...), Version)
+				for first := 0; first < rows; first += blockRows {
+					n := min(blockRows, rows-first)
+					for j := 0; j < cols; j++ {
+						col := make([]float64, n)
+						for i := range col {
+							col[i] = m.At(first+i, j)
+						}
+						want = appendBlock(want, col)
+					}
+				}
+				if len(raw) < len(want)+trailerSize || !bytes.Equal(raw[:len(want)], want) {
+					t.Fatalf("file's header and blocks differ from per-column appendBlock output (%d bytes of blocks expected, file has %d)", len(want), len(raw))
+				}
+				// No metadata was set, so the footer starts where the blocks end.
+				if off := binary.LittleEndian.Uint64(raw[len(raw)-trailerSize:]); off != uint64(len(want)) {
+					t.Fatalf("footer at offset %d, blocks end at %d", off, len(want))
+				}
+				r, err := NewReader(bytes.NewReader(raw), int64(len(raw)), 0)
+				if err != nil {
+					t.Fatalf("NewReader: %v", err)
+				}
+				for j := 0; j < cols; j++ {
+					col, err := r.Column(j)
+					if err != nil {
+						t.Fatalf("Column(%d): %v", j, err)
+					}
+					for i := range col {
+						sameBits(t, "read back", col[i], m.At(i, j))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWriterRejectsUseAfterClose: a closed writer refuses rows and metadata
+// instead of buffering them (a stripe's worth used to run past the buffer
+// or vanish), and the file it closed stays as it was.
+func TestWriterRejectsUseAfterClose(t *testing.T) {
+	m := encodedLike(10, 4, 1)
+	path := filepath.Join(t.TempDir(), "t.gtvcol")
+	w, err := Create(path, m.Cols(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendRows(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ { // more than two stripes' worth
+		if err := w.AppendRow(m.RawRow(i)); err == nil {
+			t.Fatal("AppendRow after Close accepted")
+		}
+	}
+	if err := w.AppendRows(m); err == nil {
+		t.Fatal("AppendRows after Close accepted")
+	}
+	if err := w.SetMeta("late", []byte("x")); err == nil {
+		t.Fatal("SetMeta after Close accepted")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("calls after Close changed the file")
+	}
+}
+
+// failingWriter is a file that takes no bytes.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriterFailsAfterFlushError: when a stripe cannot be written, the row
+// that filled it reports the error and the writer is finished — the rows
+// after it used to be scattered past the still-full stripe, into the next
+// column's stream and then off the end of the buffer.
+func TestWriterFailsAfterFlushError(t *testing.T) {
+	m := encodedLike(40, 4, 2)
+	w, err := Create(filepath.Join(t.TempDir(), "t.gtvcol"), m.Cols(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f = bufio.NewWriterSize(failingWriter{}, 16)
+	for i := 0; i < 2; i++ {
+		if err := w.AppendRow(m.RawRow(i)); err != nil {
+			t.Fatalf("row %d, before the stripe is full: %v", i, err)
+		}
+	}
+	if err := w.AppendRow(m.RawRow(2)); err == nil || errors.Is(err, errClosed) {
+		t.Fatalf("the row that fills the stripe returned %v, want the write error", err)
+	}
+	for i := 3; i < m.Rows(); i++ { // far more than the padding absorbs
+		if err := w.AppendRow(m.RawRow(i)); !errors.Is(err, errClosed) {
+			t.Fatalf("row %d after the failed flush returned %v, want errClosed", i, err)
+		}
+	}
+	if err := w.Close(); !errors.Is(err, errClosed) {
+		t.Fatalf("Close after the failed flush returned %v, want errClosed", err)
+	}
+}
+
+// scanBlockReference is scanBlock before the one-hot fast path: every value
+// goes through math.Trunc. The two must fill blockStats identically, which
+// is what keeps the layout choice, and so the file bytes, unchanged.
+func scanBlockReference(vals []float64) blockStats {
+	s := blockStats{
+		n: len(vals), allSame: true, allZeroOne: true,
+		nonzeroOnes: true, allIntegral: true,
+	}
+	prevNZ := -1
+	for i, v := range vals {
+		b := math.Float64bits(v)
+		if i == 0 {
+			s.firstBits = b
+		} else if b != s.firstBits {
+			s.allSame = false
+		}
+		if b != 0 {
+			s.nnz++
+			if prevNZ < 0 {
+				s.deltaBytes += uvarintLen(uint64(i))
+			} else {
+				s.deltaBytes += uvarintLen(uint64(i - prevNZ))
+			}
+			prevNZ = i
+			if b != oneBits {
+				s.nonzeroOnes = false
+				s.allZeroOne = false
+			}
+		}
+		if s.allIntegral {
+			if v != math.Trunc(v) || v < float64(-maxExactInt) || v > float64(maxExactInt) || b == 1<<63 {
+				s.allIntegral = false
+			} else {
+				iv := int64(v)
+				if i == 0 || iv < s.minI {
+					s.minI = iv
+				}
+				if i == 0 || iv > s.maxI {
+					s.maxI = iv
+				}
+			}
+		}
+	}
+	return s
+}
+
+func TestScanBlockMatchesReference(t *testing.T) {
+	palette := []float64{
+		0, 1, 0, 1, 0, 0, // mostly the fast path
+		math.Copysign(0, -1), -1, 2, 7, -300, 1 << 40, 0.5, -2.25,
+		float64(maxExactInt), float64(maxExactInt) * 2, math.Inf(1), math.NaN(),
+		math.Float64frombits(oneBits + 1), math.SmallestNonzeroFloat64,
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 4000; trial++ {
+		// Draw from a prefix of the palette so many blocks stay all-0/1 or
+		// all-integral to their end.
+		reach := 1 + rng.Intn(len(palette))
+		vals := make([]float64, rng.Intn(40))
+		for i := range vals {
+			vals[i] = palette[rng.Intn(reach)]
+		}
+		if got, want := scanBlock(vals), scanBlockReference(vals); got != want {
+			t.Fatalf("scanBlock(%v)\n got %+v\nwant %+v", vals, got, want)
+		}
+	}
+}
+
+// BenchmarkWriterStripe writes one default-height stripe of a 33-column
+// one-hot-heavy matrix (an encoded adult client): Create, AppendRows and
+// Close, the file landing in the test's temp directory.
+func BenchmarkWriterStripe(b *testing.B) {
+	m := encodedLike(DefaultBlockRows, 33, 9)
+	path := filepath.Join(b.TempDir(), "stripe.gtvcol")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := Create(path, m.Cols(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.AppendRows(m); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mib := float64(m.Rows()*m.Cols()*8) / (1 << 20)
+	b.ReportMetric(mib*float64(b.N)/b.Elapsed().Seconds(), "MiB/s")
+}

@@ -1,0 +1,39 @@
+package encoding_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/encoding"
+	"repro/internal/gmm"
+)
+
+// BenchmarkTransformTo streams the encode of the columns the second of two
+// adult clients holds — a categorical, two mixed, a continuous and the
+// categorical target — into a sink that drops the rows: mode sampling and
+// row assembly without a writer behind them. The fit is outside the timer.
+func BenchmarkTransformTo(b *testing.B) {
+	const rows = 100_000
+	d, err := datasets.Generate("adult", datasets.Config{Rows: rows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := d.Table.SelectColumns([]int{6, 7, 8, 9, 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	tr, err := encoding.FitTransformer(rng, t, gmm.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.TransformTo(rng, t, func([]float64) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}

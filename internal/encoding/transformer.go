@@ -40,6 +40,11 @@ type colEncoder struct {
 	spec ColumnSpec
 	// mixture is set for continuous and mixed columns.
 	mixture *gmm.Model
+	// post is mixture's posterior with its per-component logs taken once;
+	// buildLayout derives it, so fitted and decoded transformers both have
+	// it. It is read-only: the scratch of a mode draw belongs to the
+	// Transform call (see encodeRow), so transformers stay shareable.
+	post gmm.Posterior
 	// specialIdx maps a mixed column's special values to their slot.
 	specialIdx map[float64]int
 }
@@ -65,6 +70,9 @@ type Transformer struct {
 	cols  []colEncoder
 	spans []Span
 	width int
+	// maxK is the largest mixture size of any column: the posterior scratch
+	// one Transform call needs.
+	maxK int
 }
 
 // FitTransformer learns per-column encoders from the table. GMM fitting for
@@ -114,15 +122,21 @@ func FitTransformer(rng *rand.Rand, t *Table, cfg gmm.Config) (*Transformer, err
 	return tr, nil
 }
 
-// buildLayout derives the span list and total width from the fitted
-// per-column encoders. It is shared by FitTransformer and the
-// deserialization path, so a transformer decoded from a gtvcol metadata
-// blob lays out its columns exactly like the one that was fitted.
+// buildLayout derives the span list, the total width and each mixture's
+// posterior constants from the fitted per-column encoders. It is shared by
+// FitTransformer and the deserialization path, so a transformer decoded
+// from a gtvcol metadata blob lays out and encodes its columns exactly like
+// the one that was fitted.
 func (tr *Transformer) buildLayout() {
 	tr.spans = tr.spans[:0]
+	tr.maxK = 0
 	offset := 0
 	for j := range tr.cols {
 		enc := &tr.cols[j]
+		if enc.mixture != nil {
+			enc.post = enc.mixture.Posterior()
+			tr.maxK = max(tr.maxK, enc.mixture.K())
+		}
 		switch enc.spec.Kind {
 		case KindCategorical:
 			tr.spans = append(tr.spans, Span{
@@ -177,8 +191,9 @@ func (tr *Transformer) Transform(rng *rand.Rand, t *Table) (*tensor.Dense, error
 		return nil, fmt.Errorf("encoding: table has %d columns, transformer fitted on %d", len(t.Specs), len(tr.specs))
 	}
 	out := tensor.New(t.Rows(), tr.width)
+	scratch := make([]float64, tr.maxK)
 	err := t.ScanRows(func(i int, row []float64) error {
-		return tr.encodeRow(rng, i, row, out.RawRow(i))
+		return tr.encodeRow(rng, i, row, out.RawRow(i), scratch)
 	})
 	if err != nil {
 		return nil, err
@@ -197,11 +212,12 @@ func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(row []flo
 		return fmt.Errorf("encoding: table has %d columns, transformer fitted on %d", len(t.Specs), len(tr.specs))
 	}
 	buf := make([]float64, tr.width)
+	scratch := make([]float64, tr.maxK)
 	return t.ScanRows(func(i int, row []float64) error {
 		for k := range buf {
 			buf[k] = 0
 		}
-		if err := tr.encodeRow(rng, i, row, buf); err != nil {
+		if err := tr.encodeRow(rng, i, row, buf, scratch); err != nil {
 			return err
 		}
 		return emit(buf)
@@ -209,8 +225,9 @@ func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(row []flo
 }
 
 // encodeRow encodes one raw row into dst (len tr.width, pre-zeroed),
-// consuming one rng draw per continuous/mixed-continuous cell.
-func (tr *Transformer) encodeRow(rng *rand.Rand, i int, row, dst []float64) error {
+// consuming one rng draw per continuous/mixed-continuous cell. scratch
+// (len tr.maxK) holds a cell's mode posterior while it is sampled.
+func (tr *Transformer) encodeRow(rng *rand.Rand, i int, row, dst, scratch []float64) error {
 	off := 0
 	for j := range tr.cols {
 		enc := &tr.cols[j]
@@ -223,7 +240,7 @@ func (tr *Transformer) encodeRow(rng *rand.Rand, i int, row, dst []float64) erro
 			}
 			dst[off+k] = 1
 		case KindContinuous:
-			mode := enc.mixture.SampleMode(rng, v)
+			mode := enc.post.SampleMode(rng, v, scratch)
 			dst[off] = enc.mixture.Normalize(v, mode)
 			dst[off+1+mode] = 1
 		case KindMixed:
@@ -231,7 +248,7 @@ func (tr *Transformer) encodeRow(rng *rand.Rand, i int, row, dst []float64) erro
 				dst[off] = 0
 				dst[off+1+slot] = 1
 			} else {
-				mode := enc.mixture.SampleMode(rng, v)
+				mode := enc.post.SampleMode(rng, v, scratch)
 				dst[off] = enc.mixture.Normalize(v, mode)
 				dst[off+1+len(enc.spec.SpecialValues)+mode] = 1
 			}

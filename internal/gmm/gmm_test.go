@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,7 +205,12 @@ func TestLogLikelihoodImprovesOverSingleGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	mu, std := meanStd(data)
+	var mu float64
+	for _, v := range data {
+		mu += v
+	}
+	mu /= float64(len(data))
+	std := stdAbout(data, mu)
 	single := &Model{Weights: []float64{1}, Means: []float64{mu}, Stds: []float64{std}}
 	if fitted.LogLikelihood(data) <= single.LogLikelihood(data) {
 		t.Fatal("mixture log-likelihood should beat a single Gaussian on bimodal data")
@@ -242,14 +248,29 @@ func TestQuickModelInvariants(t *testing.T) {
 	}
 }
 
-func BenchmarkFit1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	data := twoModeData(rng, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(rng, data, DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkFit times a whole Fit (initialisation, EM to convergence, prune)
+// on one bimodal column. ns/row/iter is the wall time divided by rows and by
+// the EM iterations that ran, the number set-up cost scales with; iters is
+// that count, fixed by the seed; it is read off the reference EM, which
+// TestFitMatchesReference holds Fit to iteration by iteration.
+func BenchmarkFit(b *testing.B) {
+	for _, rows := range []int{50_000, 500_000} {
+		b.Run(fmt.Sprintf("rows=%dk", rows/1000), func(b *testing.B) {
+			data := twoModeData(rand.New(rand.NewSource(10)), rows)
+			_, lls, err := fitReference(rand.New(rand.NewSource(11)), data, DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters := len(lls)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(rand.New(rand.NewSource(11)), data, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows)/float64(iters), "ns/row/iter")
+			b.ReportMetric(float64(iters), "iters")
+		})
 	}
 }
