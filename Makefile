@@ -62,7 +62,9 @@ race:
 
 # Short-budget runs of every fuzzer in the module: the gtvsnap checkpoint
 # decoder, the gtvwire frame decoder, the blocked-matmul kernel, the
-# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip),
+# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip)
+# and its block parser against the parser it replaced (CRC-valid frames
+# around fuzzed payloads: accept/reject and every bit read out must agree),
 # and the GMM fit against its reference loops (bit equality of every fitted
 # parameter, log-likelihood and sampled mode).
 # Each guards a byte-level or numeric contract that unit tests only sample.
@@ -72,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
+	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzFitMatchesReference -fuzztime $(FUZZTIME) ./internal/gmm
 
 ci: vet lint build test race fuzz
@@ -93,13 +96,15 @@ bench-kernels:
 	$(GO) test -run xxx -bench . -cpu 1 ./internal/tensor ./internal/autograd \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
-# Set-up path layer benchmarks: one GMM fit (ns per row per EM iteration),
-# the streamed encode of an adult client's columns (ns per row) and one
-# default-height gtvcol stripe of a one-hot-heavy matrix (MiB/s). One
-# thread, like the repository's benchmark; EXPERIMENTS.md "Where cold set-up
-# goes" quotes them.
+# Set-up and data-plane layer benchmarks: one GMM fit (ns per row per EM
+# iteration), the streamed encode of an adult client's columns (ns per row),
+# one default-height gtvcol stripe of a one-hot-heavy matrix (MiB/s), and
+# 64-row gathers from an 8-stripe file of that shape under a block-cache
+# budget that holds it, half of it and a tenth (ns/row, hit rate,
+# allocs/op). One thread, like the repository's benchmark; EXPERIMENTS.md
+# "Where cold set-up goes" and "Where the warm round goes" quote them.
 bench-setup:
-	$(GO) test -run xxx -bench 'BenchmarkFit|BenchmarkTransformTo|BenchmarkWriterStripe' -cpu 1 \
+	$(GO) test -run xxx -bench 'BenchmarkFit|BenchmarkTransformTo|BenchmarkWriterStripe|BenchmarkGatherRows' -cpu 1 \
 		./internal/gmm ./internal/encoding ./internal/coldata
 
 # Transport benchmarks: gob vs gtvwire-binary round-trip latency and

@@ -23,9 +23,9 @@
 # buffer free lists, and both kernel paths, which the tensor tests run
 # through their test-only switch — it fans out over). Last, a short-budget pass over
 # every fuzzer in the module (snapshot decoder, wire frame decoder,
-# matmul kernel, gtvcol decoder and round trip, GMM fit against its
-# reference loops) so decoder defenses and the bit-equality contracts
-# regress loudly, not silently.
+# matmul kernel, gtvcol decoder and round trip, gtvcol block parser against
+# the parser it replaced, GMM fit against its reference loops) so decoder
+# defenses and the bit-equality contracts regress loudly, not silently.
 set -eux
 
 go vet ./...

@@ -43,7 +43,7 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "dataset seed (must match every client)")
 		wire       = fs.String("wire", "gob", "wire protocol to serve: gob (net/rpc) | binary (gtvwire frames, pipelined); must match the server's -wire")
 		dataDir    = fs.String("data-dir", "", "keep this client's encoded matrix in a gtvcol columnar file under this directory (flat-memory training; reruns reuse it)")
-		blockCache = fs.Int("block-cache", 0, "decoded-block cache budget in MiB (0 = 256); only with -data-dir")
+		blockCache = fs.Int("block-cache", 0, "block cache budget in MiB (0 = 256): bounds the bytes held, about as many bytes of the gtvcol file; only with -data-dir")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

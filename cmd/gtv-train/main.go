@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		ckptEvery   = fs.Int("checkpoint-every", 1, "rounds between checkpoints when -checkpoint-dir is set")
 		resume      = fs.Bool("resume", false, "restore the newest checkpoint in -checkpoint-dir before training")
 		dataDir     = fs.String("data-dir", "", "keep each party's encoded matrix in a gtvcol columnar file under this directory (flat-memory out-of-core training; reruns reuse the files)")
-		blockCache  = fs.Int("block-cache", 0, "decoded-block cache budget per party in MiB (0 = 256); only with -data-dir")
+		blockCache  = fs.Int("block-cache", 0, "block cache budget per party in MiB (0 = 256): bounds the bytes held, about as many bytes of the party's gtvcol file; only with -data-dir")
 		skipEval    = fs.Bool("skip-eval", false, "skip the similarity/utility evaluation after training")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -7,9 +7,12 @@ import (
 
 // BlockBuf is a pooled byte buffer holding one raw block read from a
 // gtvcol file. Reads land in recycled buffers instead of churning the GC:
-// the reader acquires one per block read, hands ownership to the decoded
-// block's cache entry, and the entry's eviction (or the transient decode
-// that bypassed the cache) releases it.
+// every block read — a gather's cache miss, a column read, a stripe decode
+// — acquires one, validates the block in place, uses the handle that
+// aliases it and releases it, all in one function. None outlives the call:
+// the cache keeps a block by copying it to exact size (the power-of-two
+// classes here would double a full-stripe dense or bitmap block, whose
+// framing pushes it just past 2^19 and 2^13 bytes).
 //
 // The acquire/release pairing is enforced statically by the tapelifetime
 // lint rule, exactly like tensor's pooled matrices: a function that

@@ -1,96 +1,136 @@
 package coldata
 
-import (
-	"container/list"
-	"sync"
-)
+import "unsafe"
 
-// DefaultCacheBytes is the decoded-block LRU budget readers use when the
-// caller passes 0.
+// DefaultCacheBytes is the block-cache budget readers use when the caller
+// passes 0.
 const DefaultCacheBytes = 256 << 20
 
-type cacheKey struct {
-	stripe, col int32
+// CacheStats counts what a Reader's block cache has done for its gathers
+// since Open. Every block lookup of a gather is a hit or a miss; every miss
+// reads, checksums and validates the block again, and ends with the block
+// either resident or served once from a pooled buffer (a transient load).
+type CacheStats struct {
+	Hits, Misses   int64
+	Evictions      int64
+	TransientLoads int64
+	BytesRead      int64 // file bytes the misses read
+	ResidentBytes  int64 // weight of the blocks held now
+	BudgetBytes    int64 // the bound on ResidentBytes
 }
 
+// cacheEntry is a resident block: a handle whose payload and skip table are
+// exact-size copies the entry owns, linked into the cache's recency ring.
 type cacheEntry struct {
-	key    cacheKey
-	handle *blockHandle
-	bytes  int64
+	blockHandle
+	block      int    // stripe*cols + column
+	sweep      uint64 // the last gather that looked the block up
+	weight     int64
+	prev, next *cacheEntry
 }
 
-// blockCache is a byte-bounded LRU over decoded block handles. Handles
-// stay in their compact form (raw payload plus small index slices), so the
-// budget tracks roughly the on-disk footprint of the cached blocks, not
-// their dense expansion.
+const (
+	cacheEntrySize = int64(unsafe.Sizeof(cacheEntry{}))
+	skipEntrySize  = int64(unsafe.Sizeof(skipEntry{}))
+)
+
+// residentBytes is what keeping the block costs the cache: the payload and
+// skip table copied to exact size, and the entry that holds them.
+func (h *blockHandle) residentBytes() int64 {
+	return int64(len(h.payload)) + int64(len(h.skip))*skipEntrySize + cacheEntrySize
+}
+
+// blockCache keeps compact block handles for GatherRowsInto, its only
+// consumer, within a byte budget. A resident block weighs the bytes it
+// retains — its payload as the file holds it, a quarter of a byte per
+// nonzero of skip table, the entry — so the budget is a bound on about that
+// many file bytes, for every layout.
 //
-// The mutex makes the bookkeeping safe under concurrent use, but returned
-// handles follow the pool ownership discipline: a handle obtained from get
-// is only valid until the same consumer's next add may evict it, so a
-// Reader supports one random-access consumer at a time (the same contract
-// the vfl.Client interface already imposes per client).
+// The policy is built for the traffic: a gather is a sweep, numbered, and
+// every sweep visits its blocks in the same stripe-major order, a uniform
+// batch touching all of them. Under LRU such a cycle over more than the
+// budget evicts each block just before its next use and never hits. Here a
+// full cache makes room only out of blocks that neither this sweep nor the
+// one before looked up; when there are none, the missed block is served
+// from the caller's pooled buffer and not kept. So the resident set stays
+// put while the same region is swept — the hit rate over a working set
+// larger than the budget is about budget ÷ working set — and when gathers
+// move to other blocks the old ones go stale after two sweeps and are
+// replaced in the third. Protecting the current sweep alone would not do:
+// mid-sweep, the resident blocks further along the order have not been
+// touched yet.
+//
+// Not synchronized: the Reader serialises gathers.
 type blockCache struct {
-	mu    sync.Mutex
-	limit int64
-	used  int64                      // guarded by mu
-	ll    *list.List                 // guarded by mu; front = most recent
-	items map[cacheKey]*list.Element // guarded by mu
+	limit   int64
+	used    int64
+	sweep   uint64
+	entries []*cacheEntry // by block number; nil when not resident
+	ring    cacheEntry    // sentinel: ring.next is the most recently looked up, ring.prev the least
+	stats   CacheStats
 }
 
-func newBlockCache(limit int64) *blockCache {
+func (c *blockCache) init(limit int64, blocks int) {
 	if limit <= 0 {
 		limit = DefaultCacheBytes
 	}
-	return &blockCache{limit: limit, ll: list.New(), items: map[cacheKey]*list.Element{}}
+	c.limit = limit
+	c.entries = make([]*cacheEntry, blocks)
+	c.drop()
 }
 
-// get returns the cached handle for k, refreshing its recency, or nil.
-func (c *blockCache) get(k cacheKey) *blockHandle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
+func (c *blockCache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *blockCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.ring, c.ring.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// get returns block b's resident handle, marking it used by the current
+// sweep, or nil on a miss.
+func (c *blockCache) get(b int) *blockHandle {
+	e := c.entries[b]
+	if e == nil {
+		c.stats.Misses++
 		return nil
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).handle
+	c.stats.Hits++
+	e.sweep = c.sweep
+	c.unlink(e)
+	c.pushFront(e)
+	return &e.blockHandle
 }
 
-// add inserts a handle (taking ownership of it and its pooled buffer) and
-// evicts from the cold end until the budget holds again. The entry just
-// inserted is never evicted by its own add, so the caller may use the
-// handle until its next cache operation.
-func (c *blockCache) add(k cacheKey, h *blockHandle) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		// Lost a benign race with another fill of the same block: keep the
-		// resident entry, drop the newcomer.
-		c.ll.MoveToFront(el)
-		h.release()
-		return
+// offer is called with the freshly parsed handle of a block that missed.
+// If the block fits the budget — after evicting, least recently used
+// first, only blocks the last two sweeps did not touch — the cache keeps a
+// copy of it; t itself stays the caller's either way.
+func (c *blockCache) offer(b int, t *blockHandle) {
+	w := t.residentBytes()
+	for c.used+w > c.limit {
+		lru := c.ring.prev
+		if w > c.limit || lru == &c.ring || lru.sweep+1 >= c.sweep {
+			c.stats.TransientLoads++
+			return
+		}
+		c.unlink(lru)
+		c.entries[lru.block] = nil
+		c.used -= lru.weight
+		c.stats.Evictions++
 	}
-	e := &cacheEntry{key: k, handle: h, bytes: h.memBytes()}
-	c.items[k] = c.ll.PushFront(e)
-	c.used += e.bytes
-	for c.used > c.limit && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ev := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.used -= ev.bytes
-		ev.handle.release()
-	}
+	e := &cacheEntry{blockHandle: *t, block: b, sweep: c.sweep, weight: w}
+	e.payload = append(make([]byte, 0, len(t.payload)), t.payload...)
+	e.skip = append(make([]skipEntry, 0, len(t.skip)), t.skip...)
+	c.entries[b] = e
+	c.pushFront(e)
+	c.used += w
 }
 
-// drop releases every cached handle.
+// drop forgets every resident block.
 func (c *blockCache) drop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		el.Value.(*cacheEntry).handle.release()
-	}
-	c.ll.Init()
-	c.items = map[cacheKey]*list.Element{}
+	clear(c.entries)
+	c.ring.prev, c.ring.next = &c.ring, &c.ring
 	c.used = 0
 }

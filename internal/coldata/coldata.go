@@ -261,10 +261,14 @@ func chooseLayout(vals []float64) (byte, blockStats) {
 // where the CRC covers everything before it. The frame is appended to dst.
 func appendBlock(dst []byte, vals []float64) []byte {
 	layout, s := chooseLayout(vals)
-	payload := encodePayload(nil, layout, s, vals)
+	return appendFrame(dst, layout, len(vals), encodePayload(nil, layout, s, vals))
+}
+
+// appendFrame appends the frame around one block's payload.
+func appendFrame(dst []byte, layout byte, count int, payload []byte) []byte {
 	start := len(dst)
 	dst = append(dst, layout)
-	dst = appendUvarint(dst, uint64(len(vals)))
+	dst = appendUvarint(dst, uint64(count))
 	dst = appendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
 	return appendCRC(dst, start)

@@ -188,12 +188,8 @@ func TestChooserPicksCheapestLayout(t *testing.T) {
 		}
 		// Whatever was chosen must be the byte-minimal eligible encoding:
 		// re-encode under the generic framing and check it round-trips.
-		frame := appendBlock(nil, tc.vals)
-		buf := AcquireBlockBuf(len(frame))
-		copy(buf.Bytes(), frame)
-		h, err := parseBlock(buf, len(tc.vals))
-		if err != nil {
-			buf.Release()
+		var h blockHandle
+		if err := parseBlock(&h, appendBlock(nil, tc.vals), len(tc.vals)); err != nil {
 			t.Fatalf("%s: parseBlock: %v", tc.name, err)
 		}
 		for i, want := range tc.vals {
@@ -201,7 +197,6 @@ func TestChooserPicksCheapestLayout(t *testing.T) {
 				t.Fatalf("%s: row %d: %v != %v", tc.name, i, h.at(i), want)
 			}
 		}
-		h.release()
 	}
 }
 
@@ -254,12 +249,12 @@ func TestCacheStaysBounded(t *testing.T) {
 			sameBits(t, "bounded-cache gather", dst.At(k, 5), m.At(int(row), 5))
 		}
 	}
-	r.cache.mu.Lock()
-	used, limit := r.cache.used, r.cache.limit
-	n := r.cache.ll.Len()
-	r.cache.mu.Unlock()
-	if n > 1 && used > limit {
-		t.Fatalf("cache used %d over limit %d with %d entries", used, limit, n)
+	st := r.CacheStats()
+	if st.BudgetBytes != 4096 || st.ResidentBytes > st.BudgetBytes {
+		t.Fatalf("cache holds %d bytes, budget %d", st.ResidentBytes, st.BudgetBytes)
+	}
+	if st.ResidentBytes == 0 || st.Hits == 0 || st.TransientLoads == 0 {
+		t.Fatalf("a budget of a handful of blocks should hold some and pass on others: %+v", st)
 	}
 }
 

@@ -133,12 +133,8 @@ func FuzzColRoundTrip(f *testing.F) {
 				vals[i] = math.Float64frombits(a + x)
 			}
 		}
-		frame := appendBlock(nil, vals)
-		buf := AcquireBlockBuf(len(frame))
-		copy(buf.Bytes(), frame)
-		h, err := parseBlock(buf, n)
-		if err != nil {
-			buf.Release()
+		var h blockHandle
+		if err := parseBlock(&h, appendBlock(nil, vals), n); err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
 		for i, want := range vals {
@@ -146,7 +142,23 @@ func FuzzColRoundTrip(f *testing.F) {
 				t.Fatalf("row %d: %#x != %#x", i, math.Float64bits(h.at(i)), math.Float64bits(want))
 			}
 		}
-		h.release()
+	})
+}
+
+// FuzzBlockParse reaches the payload parser, which FuzzColFileDecode cannot:
+// a mutated file dies at the block's CRC, so here the fuzzed bytes are the
+// payload and the frame around them is always valid. parseBlock must not
+// panic, and must agree with the previous parser (reference_test.go) on
+// whether the block is acceptable and on every bit read out of it.
+func FuzzBlockParse(f *testing.F) {
+	for _, tc := range blockCases() {
+		layout, count, payload := splitFrame(f, appendBlock(nil, tc.vals))
+		f.Add(layout, uint16(count), payload)
+	}
+	f.Add(layoutSparseOnes, uint16(16), []byte{2, 5, 0x80, 0x80, 0x80, 0x80, 0x88, 0x80, 0x80, 0x80, 0x80, 0x01}) // delta 2^63+2^31
+	f.Add(numLayouts, uint16(3), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, layout byte, count uint16, payload []byte) {
+		checkBlockAgainstReference(t, layout, int(count)%4097, payload)
 	})
 }
 

@@ -4,86 +4,112 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/tensor"
 )
 
-// blockHandle is one decoded (stripe, column) block in its compact form.
-// Random access never expands the block: at() reads straight out of the
-// retained payload (dense, bitmap, FOR) or binary-searches the expanded
-// index list (sparse). buf is the pooled byte buffer backing payload; the
-// handle owner (the reader's LRU cache, or a transient decode) releases it.
+// blockHandle is one validated (stripe, column) block in its compact form:
+// the payload bytes exactly as the file holds them, a few parsed header
+// fields and, for the two sparse layouts, a skip table into the index
+// stream. Nothing is expanded for any of the six layouts; at() reads
+// straight out of the payload.
+//
+// A handle does not own its bytes. parseBlock leaves payload aliasing the
+// frame it was given — a pooled BlockBuf that whoever acquired it releases
+// once done with the handle — and the block cache keeps a block by copying
+// the handle onto exact-size allocations of its own (blockCache.offer).
 type blockHandle struct {
 	layout  byte
 	count   int
-	buf     *BlockBuf
-	payload []byte // aliases buf for the layouts that keep raw bytes
+	payload []byte
 
-	constBits uint64
-	idx       []int32   // sparse layouts: ascending nonzero row offsets
-	vals      []float64 // layoutSparse: the matching nonzero values
-	forMin    int64
-	forW      int
-	forBody   []byte // layoutFOR: the fixed-width delta array
+	constBits uint64 // layoutConst
+
+	// Sparse layouts: payload[idxOff:valOff] is the delta-varint stream of
+	// the nnz nonzero rows, payload[valOff:] the nonzeros' raw value bits
+	// (layoutSparse; empty for sparse-ones). skip[m] locates nonzero
+	// m*skipStride. parseBlock reuses skip's capacity.
+	nnz, idxOff, valOff int
+	skip                []skipEntry
+
+	// layoutFOR: payload[forOff:] is the array of count forW-byte deltas.
+	forMin       int64
+	forW, forOff int
 }
 
-// memBytes is the handle's cache weight.
-func (h *blockHandle) memBytes() int64 {
-	n := int64(64)
-	if h.buf != nil {
-		n += int64(cap(h.buf.b))
-	}
-	return n + int64(cap(h.idx))*4 + int64(cap(h.vals))*8
+// skipEntry locates one nonzero of a sparse block: its row, and the offset
+// in the index stream of the delta after its own.
+type skipEntry struct {
+	row int32
+	off uint32
 }
 
-// release returns the pooled payload buffer. The handle must not be used
-// afterwards.
-func (h *blockHandle) release() {
-	if h.buf != nil {
-		h.buf.Release()
-		h.buf = nil
+// One skip entry per skipStride nonzeros is a quarter of a byte per nonzero,
+// where the index expanded to int32 cost four on top of the one or two the
+// stream takes. The stride is the hit path's speed: a lookup walks half of
+// it on average, a varint a step, each step waiting on the byte before. At
+// 64 a lookup in a thinly populated one-hot column (some hundred nonzeros
+// in 64 Ki rows, where the search it replaces was ten probes of a 4 KB
+// array) ran a third slower than that search; at 32 it matches it, and the
+// densely populated columns come out well ahead.
+const skipStride = 32
+
+// uvarintAt decodes the uvarint at b[p] of a stream parseSparse has
+// validated, returning it and the offset after it. It checks nothing, and
+// is small enough to inline into the two loops that walk such a stream:
+// find, which is what a cache hit on a sparse block costs, and fill. A
+// sparse block's index stream is one uvarint per nonzero, the first its
+// row, each later one the gap (at least 1) from the nonzero before; gaps
+// under 128 are a single byte, and that is most of a one-hot column. (The
+// loop carries its condition in a variable because goroleak reads a bare
+// `for` with a return inside as endless, and scans decode on a goroutine.)
+func uvarintAt(b []byte, p int) (v, next int) {
+	v = int(b[p])
+	p++
+	if v < 0x80 {
+		return v, p
 	}
-	h.payload, h.forBody, h.idx, h.vals = nil, nil, nil, nil
+	v &= 0x7f
+	for s, more := 7, true; more; s += 7 {
+		c := int(b[p])
+		p++
+		v |= (c & 0x7f) << s
+		more = c >= 0x80
+	}
+	return v, p
 }
 
 // parseBlock validates one framed block (exactly raw, as read from the
-// file) and builds its handle. wantCount is the row count the footer
-// implies for this block; anything else is corruption. On success the
-// handle takes ownership of buf.
-func parseBlock(buf *BlockBuf, wantCount int) (*blockHandle, error) {
-	raw := buf.Bytes()
+// file) into h, which afterwards aliases raw. wantCount is the row count
+// the footer implies for this block; anything else is corruption. Every
+// load runs every check: the CRC, the framing and the whole payload.
+func parseBlock(h *blockHandle, raw []byte, wantCount int) error {
 	if len(raw) < 1+1+1+4 {
-		return nil, corruptf("block too short (%d bytes)", len(raw))
+		return corruptf("block too short (%d bytes)", len(raw))
 	}
 	body, crcBytes := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, corruptf("block CRC mismatch")
+		return corruptf("block CRC mismatch")
 	}
 	layout := body[0]
 	if layout >= numLayouts {
-		return nil, corruptf("unknown block layout %d", layout)
+		return corruptf("unknown block layout %d", layout)
 	}
 	rest := body[1:]
 	count64, rest, err := readUvarint(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int64(count64) != int64(wantCount) {
-		return nil, corruptf("block has %d rows, footer implies %d", count64, wantCount)
+		return corruptf("block has %d rows, footer implies %d", count64, wantCount)
 	}
 	plen, rest, err := readUvarint(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if uint64(len(rest)) != plen {
-		return nil, corruptf("block payload length %d, frame holds %d", plen, len(rest))
+		return corruptf("block payload length %d, frame holds %d", plen, len(rest))
 	}
-	h := &blockHandle{layout: layout, count: wantCount, buf: buf, payload: rest}
-	if err := h.parsePayload(); err != nil {
-		h.buf = nil // caller keeps ownership on failure
-		return nil, err
-	}
-	return h, nil
+	*h = blockHandle{layout: layout, count: wantCount, payload: rest, skip: h.skip[:0]}
+	return h.parsePayload()
 }
 
 func (h *blockHandle) parsePayload() error {
@@ -102,52 +128,7 @@ func (h *blockHandle) parsePayload() error {
 			return corruptf("bitmap has bits set past the last row")
 		}
 	case layoutSparseOnes, layoutSparse:
-		nnz64, rest, err := readUvarint(p)
-		if err != nil {
-			return err
-		}
-		if nnz64 > uint64(h.count) {
-			return corruptf("sparse block claims %d nonzeros in %d rows", nnz64, h.count)
-		}
-		nnz := int(nnz64)
-		h.idx = make([]int32, nnz)
-		prev := int64(-1)
-		for k := 0; k < nnz; k++ {
-			d, r, err := readUvarint(rest)
-			if err != nil {
-				return err
-			}
-			rest = r
-			var row int64
-			if k == 0 {
-				row = int64(d)
-			} else {
-				row = prev + int64(d)
-				if d == 0 {
-					return corruptf("sparse indices not strictly ascending")
-				}
-			}
-			if row >= int64(h.count) {
-				return corruptf("sparse index %d out of %d rows", row, h.count)
-			}
-			prev = row
-			h.idx[k] = int32(row)
-		}
-		if h.layout == layoutSparse {
-			if len(rest) != 8*nnz {
-				return corruptf("sparse values %d bytes for %d nonzeros", len(rest), nnz)
-			}
-			h.vals = make([]float64, nnz)
-			for k := range h.vals {
-				bits := binary.LittleEndian.Uint64(rest[8*k:])
-				if bits == 0 {
-					return corruptf("sparse block stores a zero value")
-				}
-				h.vals[k] = math.Float64frombits(bits)
-			}
-		} else if len(rest) != 0 {
-			return corruptf("%d trailing bytes in sparse-ones payload", len(rest))
-		}
+		return h.parseSparse()
 	case layoutFOR:
 		zz, rest, err := readUvarint(p)
 		if err != nil {
@@ -168,7 +149,7 @@ func (h *blockHandle) parsePayload() error {
 		if len(rest) != w*h.count {
 			return corruptf("FOR body %d bytes for %d rows of width %d", len(rest), h.count, w)
 		}
-		h.forW, h.forBody = w, rest
+		h.forW, h.forOff = w, len(p)-len(rest)
 		for i := 0; i < h.count; i++ {
 			if _, ok := h.forValue(i); !ok {
 				return corruptf("FOR value out of exact-integer range")
@@ -182,19 +163,117 @@ func (h *blockHandle) parsePayload() error {
 	return nil
 }
 
+// parseSparse validates a sparse payload — nnz, then nnz index deltas, then
+// (layoutSparse) nnz nonzero values — and builds the skip table in the same
+// walk of the index stream.
+func (h *blockHandle) parseSparse() error {
+	p := h.payload
+	nnz64, rest, err := readUvarint(p)
+	if err != nil {
+		return err
+	}
+	if nnz64 > uint64(h.count) {
+		return corruptf("sparse block claims %d nonzeros in %d rows", nnz64, h.count)
+	}
+	h.nnz = int(nnz64)
+	h.idxOff, h.valOff = len(p)-len(rest), len(p)
+	if h.layout == layoutSparse {
+		if len(rest) < 8*h.nnz {
+			return corruptf("sparse payload %d bytes short of %d values", len(rest), h.nnz)
+		}
+		h.valOff -= 8 * h.nnz
+	}
+	stream, at, row := h.indexStream(), 0, 0
+	for k := 0; k < h.nnz; k++ {
+		if at == len(stream) {
+			return corruptf("sparse index stream ends after %d of %d nonzeros", k, h.nnz)
+		}
+		d, n := uint64(stream[at]), 1
+		if d >= 0x80 {
+			if d, n = binary.Uvarint(stream[at:]); n <= 0 {
+				return corruptf("bad uvarint")
+			}
+		}
+		at += n
+		if k > 0 && d == 0 {
+			return corruptf("sparse indices not strictly ascending")
+		}
+		// d is bounded as an unsigned number, before it is added to a row: a
+		// delta of 2^63 or more would wrap a signed sum back into range.
+		if d >= uint64(h.count-row) {
+			return corruptf("sparse index delta %d from row %d leaves %d rows", d, row, h.count)
+		}
+		row += int(d)
+		if k%skipStride == 0 {
+			h.skip = append(h.skip, skipEntry{row: int32(row), off: uint32(at)})
+		}
+	}
+	if at != len(stream) {
+		return corruptf("%d trailing bytes in sparse index stream", len(stream)-at)
+	}
+	for k := 0; k < len(p)-h.valOff; k += 8 {
+		if binary.LittleEndian.Uint64(p[h.valOff+k:]) == 0 {
+			return corruptf("sparse block stores a zero value")
+		}
+	}
+	return nil
+}
+
+// indexStream returns a sparse block's delta-varint index stream.
+func (h *blockHandle) indexStream() []byte { return h.payload[h.idxOff:h.valOff] }
+
+// find returns the position of row i among a sparse block's nonzeros, or
+// -1 if the row is zero: a binary search of the skip table, then at most
+// skipStride-1 steps along the stream.
+func (h *blockHandle) find(i int) int {
+	skip := h.skip
+	if len(skip) == 0 || int(skip[0].row) > i {
+		return -1 // no nonzero at all, or none this early
+	}
+	m := 0 // the last entry at or before row i
+	for n := len(skip); n > 1; {
+		half := n >> 1
+		if int(skip[m+half].row) <= i {
+			m += half
+		}
+		n -= half
+	}
+	stream := h.indexStream()
+	k, row, p := m*skipStride, int(skip[m].row), int(skip[m].off)
+	for row < i && p < len(stream) {
+		var d int
+		d, p = uvarintAt(stream, p)
+		row += d
+		k++
+	}
+	if row != i {
+		return -1
+	}
+	return k
+}
+
+// sparseValue returns the k-th nonzero of a sparse block.
+func (h *blockHandle) sparseValue(k int) float64 {
+	if h.layout == layoutSparseOnes {
+		return 1
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(h.payload[h.valOff+8*k:]))
+}
+
 // forValue decodes row i of a FOR block, reporting whether the integer is
 // exactly representable as float64.
 func (h *blockHandle) forValue(i int) (int64, bool) {
+	body := h.payload[h.forOff:]
 	var d uint64
 	switch h.forW {
 	case 1:
-		d = uint64(h.forBody[i])
+		d = uint64(body[i])
 	case 2:
-		d = uint64(binary.LittleEndian.Uint16(h.forBody[2*i:]))
+		d = uint64(binary.LittleEndian.Uint16(body[2*i:]))
 	case 4:
-		d = uint64(binary.LittleEndian.Uint32(h.forBody[4*i:]))
+		d = uint64(binary.LittleEndian.Uint32(body[4*i:]))
 	default:
-		d = binary.LittleEndian.Uint64(h.forBody[8*i:])
+		d = binary.LittleEndian.Uint64(body[8*i:])
 	}
 	if d > uint64(2*maxExactInt) {
 		return 0, false
@@ -214,14 +293,11 @@ func (h *blockHandle) at(i int) float64 {
 		}
 		return 0
 	case layoutSparseOnes, layoutSparse:
-		k := searchInt32(h.idx, int32(i))
+		k := h.find(i)
 		if k < 0 {
 			return 0
 		}
-		if h.layout == layoutSparseOnes {
-			return 1
-		}
-		return h.vals[k]
+		return h.sparseValue(k)
 	case layoutFOR:
 		v, _ := h.forValue(i)
 		return float64(v)
@@ -230,43 +306,35 @@ func (h *blockHandle) at(i int) float64 {
 	}
 }
 
-// fillColumn writes all count rows of the block into column col of dst,
-// starting at dst row dstRow. Every cell in the range is written (zeros
-// included), so dst may be uninitialized pooled memory.
-func (h *blockHandle) fillColumn(dst *tensor.Dense, dstRow, col int) {
-	switch h.layout {
-	case layoutSparseOnes, layoutSparse:
-		for i := 0; i < h.count; i++ {
-			dst.Set(dstRow+i, col, 0)
-		}
-		for k, row := range h.idx {
-			v := 1.0
-			if h.layout == layoutSparse {
-				v = h.vals[k]
-			}
-			dst.Set(dstRow+int(row), col, v)
-		}
-	default:
-		for i := 0; i < h.count; i++ {
-			dst.Set(dstRow+i, col, h.at(i))
-		}
+// lookup serves one column of a gather from the block: for every key of
+// group (file row << 32 | batch position, the rows all inside the block,
+// which starts at file row base) it writes that row's value to
+// col[position*stride].
+func (h *blockHandle) lookup(group []uint64, base int, col []float64, stride int) {
+	for _, key := range group {
+		col[int(uint32(key))*stride] = h.at(int(key>>32) - base)
 	}
 }
 
-// searchInt32 binary-searches a sorted slice, returning the position of
-// want or -1.
-func searchInt32(xs []int32, want int32) int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < want {
-			lo = mid + 1
-		} else {
-			hi = mid
+// fill writes the block's count rows to dst[0], dst[stride], dst[2*stride]
+// and so on. Every one of those cells is written (zeros included), so dst
+// may be uninitialized pooled memory.
+func (h *blockHandle) fill(dst []float64, stride int) {
+	switch h.layout {
+	case layoutSparseOnes, layoutSparse:
+		for i := 0; i < h.count; i++ {
+			dst[i*stride] = 0
+		}
+		stream := h.indexStream()
+		for k, row, p := 0, 0, 0; k < h.nnz; k++ {
+			var d int
+			d, p = uvarintAt(stream, p)
+			row += d
+			dst[row*stride] = h.sparseValue(k)
+		}
+	default:
+		for i := 0; i < h.count; i++ {
+			dst[i*stride] = h.at(i)
 		}
 	}
-	if lo < len(xs) && xs[lo] == want {
-		return lo
-	}
-	return -1
 }

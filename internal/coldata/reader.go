@@ -6,19 +6,22 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
 // Reader serves random-access row gathers and sequential stripe scans
-// over a gtvcol file. Decoded blocks are kept compact in a byte-bounded
-// LRU cache, so resident memory is bounded by the cache budget (plus one
-// stripe of pooled scan buffers), never by the dataset.
+// over a gtvcol file. Gathers keep validated blocks, compact, in a
+// byte-bounded cache (see blockCache), so resident memory is bounded by
+// the cache budget (plus one stripe of pooled scan buffers), never by the
+// dataset.
 //
-// Concurrency: Close aside, a Reader supports one random-access consumer
-// at a time; ScanStripes overlaps its internal prefetch decode with the
-// caller's compute but presents stripes strictly in order.
+// Concurrency: gathers (and CacheStats and Close) serialise on one mutex;
+// Column and ScanStripes share nothing with them. ScanStripes overlaps its
+// internal prefetch decode with the caller's compute but presents stripes
+// strictly in order.
 type Reader struct {
 	src  io.ReaderAt
 	file *os.File // set by Open; closed by Close
@@ -30,13 +33,18 @@ type Reader struct {
 	blockLen   []uint32 // same order
 	metas      map[string][]byte
 
-	cache *blockCache
+	// mu serialises gathers: the cache and the two scratch fields below
+	// belong to the gather in progress.
+	mu        sync.Mutex
+	cache     blockCache
+	order     []uint64    // the batch as row<<32 | position, sorted
+	transient blockHandle // what a block that missed is parsed into
 }
 
-// Open maps the gtvcol file at path. cacheBytes bounds the decoded-block
-// cache (0 = DefaultCacheBytes). The footer, trailer and metadata are
-// validated eagerly; block payloads are validated (CRC included) on first
-// decode.
+// Open maps the gtvcol file at path. cacheBytes bounds the bytes the block
+// cache holds, which are about as many bytes of the file (0 =
+// DefaultCacheBytes). The footer, trailer and metadata are validated
+// eagerly; a block is validated (CRC included) every time it is read.
 func Open(path string, cacheBytes int64) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -62,10 +70,11 @@ func Open(path string, cacheBytes int64) (*Reader, error) {
 // the io.ReaderAt-level entry point Open wraps; fuzzing drives it over
 // in-memory images.
 func NewReader(src io.ReaderAt, size int64, cacheBytes int64) (*Reader, error) {
-	r := &Reader{src: src, cache: newBlockCache(cacheBytes)}
+	r := &Reader{src: src}
 	if err := r.parseContainer(size); err != nil {
 		return nil, err
 	}
+	r.cache.init(cacheBytes, len(r.blockLen))
 	return r, nil
 }
 
@@ -243,7 +252,9 @@ func (r *Reader) stripeRows(s int) int {
 // Close releases the cache and closes the underlying file (when the
 // Reader came from Open).
 func (r *Reader) Close() error {
+	r.mu.Lock()
 	r.cache.drop()
+	r.mu.Unlock()
 	if r.file != nil {
 		f := r.file
 		r.file = nil
@@ -252,78 +263,90 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// readBlock reads and parses block (s, j), bypassing the cache. The
-// caller owns the returned handle and must release it.
-func (r *Reader) readBlock(s, j int) (*blockHandle, error) {
-	b := s*r.cols + j
-	buf := AcquireBlockBuf(int(r.blockLen[b]))
-	if _, err := r.src.ReadAt(buf.Bytes(), r.blockOff[b]); err != nil {
-		buf.Release()
-		return nil, err
-	}
-	h, err := parseBlock(buf, r.stripeRows(s))
-	if err != nil {
-		buf.Release()
-		return nil, fmt.Errorf("stripe %d column %d: %w", s, j, err)
-	}
-	return h, nil
+// CacheStats returns the block cache's counters.
+func (r *Reader) CacheStats() CacheStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.cache.stats
+	st.ResidentBytes, st.BudgetBytes = r.cache.used, r.cache.limit
+	return st
 }
 
-// cachedBlock returns block (s, j) through the LRU. The handle is owned
-// by the cache; it stays valid until the caller's next cache operation.
-func (r *Reader) cachedBlock(s, j int) (*blockHandle, error) {
-	k := cacheKey{stripe: int32(s), col: int32(j)}
-	if h := r.cache.get(k); h != nil {
-		return h, nil
+// readBlock reads block (s, j) into buf, which must be blockLen bytes
+// long, and validates it into h. h aliases buf: it is good until buf is
+// released, which stays the caller's to do.
+func (r *Reader) readBlock(h *blockHandle, buf *BlockBuf, s, j int) error {
+	if _, err := r.src.ReadAt(buf.Bytes(), r.blockOff[s*r.cols+j]); err != nil {
+		return err
 	}
-	h, err := r.readBlock(s, j)
-	if err != nil {
-		return nil, err
+	if err := parseBlock(h, buf.Bytes(), r.stripeRows(s)); err != nil {
+		return fmt.Errorf("stripe %d column %d: %w", s, j, err)
 	}
-	r.cache.add(k, h)
-	return h, nil
+	return nil
 }
 
 // GatherRowsInto fills dst (len(rows) x Cols) with the requested rows, in
-// order. Work is grouped stripe-by-stripe and column-at-a-time so each
-// needed block is looked up once per gather, and blocks are read in their
-// compact form — a random batch touches kilobytes per block, not the dense
-// expansion.
+// order. The batch is sorted by file row, and each stripe's share of it is
+// served column by column, so a gather looks every block it needs up once,
+// always in the same stripe-major order (the sweep blockCache is built
+// for), and reads blocks in their compact form.
 func (r *Reader) GatherRowsInto(rows []int32, dst *tensor.Dense) error {
 	if dst.Rows() != len(rows) || dst.Cols() != r.cols {
 		return fmt.Errorf("coldata: gather destination %dx%d for %d rows x %d cols",
 			dst.Rows(), dst.Cols(), len(rows), r.cols)
 	}
-	// order visits the batch grouped by stripe (stable within a stripe).
-	order := make([]int32, len(rows))
-	for i := range order {
-		row := rows[i]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	order := r.order[:0]
+	for k, row := range rows {
 		if row < 0 || int(row) >= r.rows {
 			return fmt.Errorf("coldata: row %d out of range %d", row, r.rows)
 		}
-		order[i] = int32(i)
+		order = append(order, uint64(row)<<32|uint64(k))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return rows[order[a]]/int32(r.blockRows) < rows[order[b]]/int32(r.blockRows)
-	})
+	r.order = order
+	slices.Sort(order)
+	r.cache.sweep++
+	data := dst.Data()
 	for lo := 0; lo < len(order); {
-		s := int(rows[order[lo]]) / r.blockRows
-		hi := lo
-		for hi < len(order) && int(rows[order[hi]])/r.blockRows == s {
+		s := int(order[lo]>>32) / r.blockRows
+		end := uint64((s+1)*r.blockRows) << 32
+		hi := lo + 1
+		for hi < len(order) && order[hi] < end {
 			hi++
 		}
-		base := s * r.blockRows
 		for j := 0; j < r.cols; j++ {
-			h, err := r.cachedBlock(s, j)
-			if err != nil {
+			if err := r.gatherColumn(s, j, order[lo:hi], data[j:]); err != nil {
 				return err
-			}
-			for _, k := range order[lo:hi] {
-				dst.Set(int(k), j, h.at(int(rows[k])-base))
 			}
 		}
 		lo = hi
 	}
+	return nil
+}
+
+// gatherColumn serves group — the batch's keys that fall in stripe s — from
+// block (s, j) into col, column j of the destination. A block that misses
+// the cache is read into a pooled buffer and validated in full; the cache
+// may keep a copy, but the lookups are served from the buffer, which goes
+// back to the pool before the next column.
+func (r *Reader) gatherColumn(s, j int, group []uint64, col []float64) error {
+	b, base := s*r.cols+j, s*r.blockRows
+	if h := r.cache.get(b); h != nil {
+		h.lookup(group, base, col, r.cols)
+		return nil
+	}
+	buf := AcquireBlockBuf(int(r.blockLen[b]))
+	t := &r.transient
+	if err := r.readBlock(t, buf, s, j); err != nil {
+		buf.Release()
+		return err
+	}
+	r.cache.stats.BytesRead += int64(r.blockLen[b])
+	r.cache.offer(b, t)
+	t.lookup(group, base, col, r.cols)
+	t.payload = nil // it aliased buf
+	buf.Release()
 	return nil
 }
 
@@ -333,18 +356,27 @@ func (r *Reader) Column(j int) ([]float64, error) {
 		return nil, fmt.Errorf("coldata: column %d out of range %d", j, r.cols)
 	}
 	out := make([]float64, r.rows)
+	var h blockHandle
 	for s := 0; s < r.stripes; s++ {
-		h, err := r.readBlock(s, j)
-		if err != nil {
+		if err := r.expandBlock(&h, s, j, out[s*r.blockRows:], 1); err != nil {
 			return nil, err
 		}
-		base := s * r.blockRows
-		for i := 0; i < h.count; i++ {
-			out[base+i] = h.at(i)
-		}
-		h.release()
 	}
 	return out, nil
+}
+
+// expandBlock reads block (s, j) past the cache — sequential readers would
+// only evict the gathers' working set — and writes its rows to dst[0],
+// dst[stride], and so on. h is the caller's scratch, reused from block to
+// block for its skip table's capacity.
+func (r *Reader) expandBlock(h *blockHandle, s, j int, dst []float64, stride int) error {
+	buf := AcquireBlockBuf(int(r.blockLen[s*r.cols+j]))
+	defer buf.Release()
+	if err := r.readBlock(h, buf, s, j); err != nil {
+		return err
+	}
+	h.fill(dst, stride)
+	return nil
 }
 
 // scanResult carries one decoded stripe from the prefetch goroutine.
@@ -354,19 +386,16 @@ type scanResult struct {
 }
 
 // decodeStripe expands stripe s into a pooled rows x cols matrix. The
-// caller owns (and must Release) the matrix. Cache is bypassed: scans are
-// sequential, and caching them would evict the random-access working set.
+// caller owns (and must Release) the matrix.
 func (r *Reader) decodeStripe(s int) (*tensor.Dense, error) {
 	rows := r.stripeRows(s)
 	m := tensor.NewPooledUninit(rows, r.cols)
+	var h blockHandle
 	for j := 0; j < r.cols; j++ {
-		h, err := r.readBlock(s, j)
-		if err != nil {
+		if err := r.expandBlock(&h, s, j, m.Data()[j:], r.cols); err != nil {
 			m.Release()
 			return nil, err
 		}
-		h.fillColumn(m, 0, j)
-		h.release()
 	}
 	return m, nil
 }

@@ -114,8 +114,11 @@ type Options struct {
 	// same data, seed and GMM config reuses the file without re-fitting or
 	// re-encoding. Training is bit-identical with or without a DataDir.
 	DataDir string
-	// BlockCacheMB bounds each party's decoded-block cache in MiB; 0
-	// selects the coldata default (256 MiB). Only meaningful with DataDir.
+	// BlockCacheMB bounds, in MiB, the bytes each party's block cache
+	// holds; blocks are held in their on-disk form, so that is about as
+	// many MiB of the party's .enc.gtvcol file, and batched training runs
+	// at in-memory speed while the file fits. 0 selects the coldata
+	// default (256 MiB). Only meaningful with DataDir.
 	BlockCacheMB int
 }
 

@@ -25,8 +25,9 @@ type Storage struct {
 	Dir string
 	// Name is the per-party file stem, e.g. "central" or "client-0".
 	Name string
-	// CacheBytes bounds each reader's decoded-block cache
-	// (0 = coldata.DefaultCacheBytes).
+	// CacheBytes bounds the bytes each reader's block cache holds, which
+	// are about as many bytes of its file: blocks are cached in their
+	// on-disk form (0 = coldata.DefaultCacheBytes).
 	CacheBytes int64
 	// BlockRows overrides the stripe height (0 = coldata.DefaultBlockRows).
 	BlockRows int
