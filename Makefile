@@ -107,9 +107,12 @@ bench-setup:
 	$(GO) test -run xxx -bench 'BenchmarkFit|BenchmarkTransformTo|BenchmarkWriterStripe|BenchmarkGatherRows' -cpu 1 \
 		./internal/gmm ./internal/encoding ./internal/coldata
 
-# Transport benchmarks: gob vs gtvwire-binary round-trip latency and
-# allocs/op at paper-scale payloads, plus the delayed-round latency
-# comparison. Recorded as JSON in BENCH_comm.json.
+# Transport benchmarks: gtvwire round-trip latency, allocs/op and framed
+# bytes at paper-scale payloads (f64 and f32), plus the delayed-round
+# latency comparison. Writes BENCH_comm.json — whose committed copy is the
+# PR 7 record that still has the deleted gob transport's rows in it, so
+# running this replaces history with a file that has nothing to compare
+# against; ROADMAP 1(c) decides that file's fate.
 bench-comm:
 	{ $(GO) test -run xxx -bench BenchmarkWireRoundTrip -benchtime 50x ./internal/vfl ; \
 	  $(GO) test -run xxx -bench 'BenchmarkGTVTrainingRoundLatency$$' -benchtime 5x . ; } \

@@ -67,13 +67,12 @@ type Options struct {
 	// settings.
 	Parallelism int
 	// Transport selects how the server reaches the clients: "local" (or
-	// empty) drives them in-process; "gob" and "binary" serve each client
-	// on a TCP loopback listener (net/rpc+gob vs the gtvwire binary frame
-	// protocol, see DESIGN.md "Wire protocol") and drive it through the
-	// corresponding network proxy — byte-for-byte the traffic a
-	// multi-machine deployment exchanges. Training results are
-	// bit-identical across transports (float32 mode aside). Call Close to
-	// tear the loopback listeners down.
+	// empty) drives them in-process; "binary" serves each client on a TCP
+	// loopback listener over the gtvwire frame protocol (see DESIGN.md
+	// "Wire protocol") and drives it through a vfl.WireClient —
+	// byte-for-byte the traffic a multi-machine deployment exchanges.
+	// Training results are bit-identical across transports (float32 mode
+	// aside). Call Close to tear the loopback listeners down.
 	Transport string
 	// WireFloat32 sends activation and gradient matrices as float32 on
 	// the binary transport, halving boundary traffic at the cost of exact
@@ -92,7 +91,7 @@ type Options struct {
 	// vfl.(*WireClient).SetDelta). Lossless. Only valid with Transport
 	// "binary".
 	WireDelta bool
-	// CallPolicy hardens the network transports' calls (deadline +
+	// CallPolicy hardens the binary transport's calls (deadline +
 	// transient-error retry); ignored for the local transport. The zero
 	// value imposes nothing.
 	CallPolicy vfl.CallPolicy
@@ -191,13 +190,13 @@ type GTV struct {
 	ckptDir   string
 	ckptEvery int
 
-	// Loopback plumbing for the network transports; empty for "local".
+	// Loopback plumbing for the binary transport; empty for "local".
 	listeners []net.Listener
 	proxies   []io.Closer
 }
 
 // New builds a GTV system from pre-partitioned client tables (all with the
-// same number of aligned rows). With a network Transport in the options,
+// same number of aligned rows). With the binary Transport in the options,
 // each client is served on its own TCP loopback listener and the server
 // drives the resulting proxies; call Close when done.
 func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
@@ -247,8 +246,9 @@ func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
 }
 
 // connectTransport replaces each in-process client in ifaces with a
-// network proxy according to opts.Transport, serving the real client on a
-// TCP loopback listener. For the local transport it is a no-op.
+// gtvwire proxy when opts.Transport asks for the binary transport, serving
+// the real client on a TCP loopback listener. For the local transport it
+// is a no-op.
 func (g *GTV) connectTransport(ifaces []vfl.Client, opts Options) error {
 	switch opts.Transport {
 	case "", "local":
@@ -259,15 +259,9 @@ func (g *GTV) connectTransport(ifaces []vfl.Client, opts Options) error {
 			return errors.New("core: WireDelta requires the binary transport")
 		}
 		return nil
-	case "gob", "binary":
+	case "binary":
 	default:
-		return fmt.Errorf("core: unknown transport %q (want local, gob or binary)", opts.Transport)
-	}
-	if opts.WireFloat32 && opts.Transport != "binary" {
-		return errors.New("core: WireFloat32 requires the binary transport")
-	}
-	if opts.WireDelta && opts.Transport != "binary" {
-		return errors.New("core: WireDelta requires the binary transport")
+		return fmt.Errorf("core: unknown transport %q (want local or binary)", opts.Transport)
 	}
 	for i, c := range ifaces {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -277,35 +271,20 @@ func (g *GTV) connectTransport(ifaces []vfl.Client, opts Options) error {
 		}
 		g.listeners = append(g.listeners, lis)
 		serve := c
-		if opts.Transport == "binary" {
-			//lint:ignore goroleak serve-loop daemon: it exits when Close shuts the listener, which also closes every served connection
-			go func() {
-				//lint:ignore errdrop the serve loop ends when Close shuts the listener
-				_ = vfl.ServeClientWire(lis, serve)
-			}()
-			wc, err := vfl.DialWireClientPolicy("tcp", lis.Addr().String(), opts.CallPolicy)
-			if err != nil {
-				_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-				return fmt.Errorf("core: dialing client %d: %w", i, err)
-			}
-			wc.SetFloat32(opts.WireFloat32)
-			wc.SetDelta(opts.WireDelta)
-			ifaces[i] = wc
-			g.proxies = append(g.proxies, wc)
-			continue
-		}
 		//lint:ignore goroleak serve-loop daemon: it exits when Close shuts the listener, which also closes every served connection
 		go func() {
 			//lint:ignore errdrop the serve loop ends when Close shuts the listener
-			_ = vfl.ServeClient(lis, serve)
+			_ = vfl.ServeClientWire(lis, serve)
 		}()
-		rc, err := vfl.DialClientPolicy("tcp", lis.Addr().String(), opts.CallPolicy)
+		wc, err := vfl.DialWireClientPolicy("tcp", lis.Addr().String(), opts.CallPolicy)
 		if err != nil {
 			_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
 			return fmt.Errorf("core: dialing client %d: %w", i, err)
 		}
-		ifaces[i] = rc
-		g.proxies = append(g.proxies, rc)
+		wc.SetFloat32(opts.WireFloat32)
+		wc.SetDelta(opts.WireDelta)
+		ifaces[i] = wc
+		g.proxies = append(g.proxies, wc)
 	}
 	return nil
 }

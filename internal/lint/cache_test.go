@@ -170,7 +170,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		Msg:  "test finding",
 		Path: []PathHop{
 			{Func: "vfl.leak", Pos: token.Position{Filename: "internal/vfl/client.go", Line: 5}},
-			{Func: "vfl.Handler", Pos: token.Position{Filename: "internal/vfl/rpc.go", Line: 9}},
+			{Func: "vfl.Handler", Pos: token.Position{Filename: "internal/vfl/wireserver.go", Line: 9}},
 		},
 	}}
 	if err := c.Put(key, findings, Stats{"shapeflow.ops_proved": 7}); err != nil {

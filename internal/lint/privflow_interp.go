@@ -407,7 +407,8 @@ func resultFields(fd *ast.FuncDecl) []*ast.Field {
 // approximation that keeps fmt.Errorf wrapping from drowning the signal.
 
 // sinkCheckPtrWrite flags tainted writes through a sink function's pointer
-// parameters (*reply = v, reply.Field = v) — the RPC reply path.
+// parameters (*reply = v, reply.Field = v) — the reply path of a handler
+// that answers through an out-parameter.
 func (in *interp) sinkCheckPtrWrite(lhs ast.Expr, t taintVal) {
 	if !in.report || in.fn.sink == nil || len(t.srcs) == 0 {
 		return
@@ -654,7 +655,7 @@ func (in *interp) evalCall(call *ast.CallExpr) []taintVal {
 }
 
 // calleeObj resolves the called object, unwrapping generic instantiations
-// (callRPC[R](...)) down to the generic function object.
+// (wireCall[R](...)) down to the generic function object.
 func (in *interp) calleeObj(call *ast.CallExpr) types.Object {
 	fun := ast.Unparen(call.Fun)
 	switch idx := fun.(type) {

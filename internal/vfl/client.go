@@ -57,7 +57,8 @@ type Setup struct {
 }
 
 // Client is the protocol surface the GTV server drives. LocalClient
-// implements it in-process; RPCClient proxies it over the network.
+// implements it in-process; WireClient proxies it over the network; the
+// client Intercept returns decorates either.
 //
 // Concurrency contract: the server fans protocol steps out across
 // clients, so distinct Client instances are driven from distinct
@@ -71,8 +72,8 @@ type Setup struct {
 // because all its mutable state is per-instance, the coordinator is
 // internally synchronized (its memo of the latest row order sits behind a
 // mutex) and the row orders it hands out are never written again;
-// RPCClient meets it because net/rpc clients are safe for concurrent use
-// and its reconnect path is mutex-guarded.
+// WireClient meets it because its session pipelines concurrent calls by
+// sequence number and its reconnect path is mutex-guarded.
 // Every data-returning Client method is a privacy sink: its results cross
 // to the server, so privflow verifies nothing source-tainted reaches them
 // unsanitized.
@@ -308,6 +309,33 @@ func (c *LocalClient) configured() error {
 	return nil
 }
 
+// checkSlice rejects a generator slice that is absent or not the width
+// Configure assigned. Like idx in toPhysical, the slice and the gradients
+// checkGrad looks at come from the untrusted side of the protocol, and
+// each is checked where its shape is known so that a bad frame is an error
+// frame back, never a panic in the gtv-client serving it.
+func (c *LocalClient) checkSlice(slice *tensor.Dense) error {
+	if slice == nil {
+		return errors.New("vfl: no generator slice")
+	}
+	if slice.Cols() != c.setup.SliceWidth {
+		return fmt.Errorf("vfl: slice width %d, expected %d", slice.Cols(), c.setup.SliceWidth)
+	}
+	return nil
+}
+
+// checkGrad rejects a gradient that is absent or not the shape of the
+// retained forward output it is the gradient of.
+func checkGrad(what string, grad *tensor.Dense, out *ag.Value) error {
+	if grad == nil {
+		return fmt.Errorf("vfl: no %s gradient", what)
+	}
+	if rows, cols := out.Shape(); grad.Rows() != rows || grad.Cols() != cols {
+		return fmt.Errorf("vfl: %s gradient %dx%d for a %dx%d forward output", what, grad.Rows(), grad.Cols(), rows, cols)
+	}
+	return nil
+}
+
 // SampleCV implements Client.
 func (c *LocalClient) SampleCV(batch int, synthesis bool) (*condvec.Batch, error) {
 	var (
@@ -402,8 +430,8 @@ func (c *LocalClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tenso
 	if err := c.configured(); err != nil {
 		return nil, err
 	}
-	if slice.Cols() != c.setup.SliceWidth {
-		return nil, fmt.Errorf("vfl: slice width %d, expected %d", slice.Cols(), c.setup.SliceWidth)
+	if err := c.checkSlice(slice); err != nil {
+		return nil, err
 	}
 	switch phase {
 	case PhaseDiscriminator:
@@ -497,6 +525,12 @@ func (c *LocalClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	if c.lastSynthOut == nil || c.lastRealOut == nil {
 		return errors.New("vfl: BackwardDisc before forward passes")
 	}
+	if err := checkGrad("synthetic-branch", gradSynth, c.lastSynthOut); err != nil {
+		return err
+	}
+	if err := checkGrad("real-branch", gradReal, c.lastRealOut); err != nil {
+		return err
+	}
 	// <output, grad> has exactly the requested gradients, so a single
 	// backward pass updates D_i^b from both branches.
 	proxy := ag.Add(
@@ -534,6 +568,9 @@ func (c *LocalClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*t
 	}
 	if c.lastSynthOut == nil || c.lastSliceVar == nil || c.lastRawGen == nil {
 		return nil, errors.New("vfl: BackwardGen before a generator-phase forward")
+	}
+	if err := checkGrad("generator", gradSynth, c.lastSynthOut); err != nil {
+		return nil, err
 	}
 	proxy := ag.SumAll(ag.Mul(c.lastSynthOut, ag.Const(gradSynth)))
 	if conditioned && c.lastCV != nil && c.sampler.Width() > 0 {
@@ -582,6 +619,9 @@ func (c *LocalClient) EndRound(round int) error {
 //shape: in(B,W)
 func (c *LocalClient) GenerateRows(slice *tensor.Dense) error {
 	if err := c.configured(); err != nil {
+		return err
+	}
+	if err := c.checkSlice(slice); err != nil {
 		return err
 	}
 	raw := c.gen.Forward(ag.Const(slice), false)

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/condvec"
-	"repro/internal/encoding"
-	"repro/internal/tensor"
 )
 
 // FaultyTransport wraps a Client and injects configurable transport faults
@@ -20,9 +16,12 @@ import (
 // the retry must not shuffle it again. It exists for the fault tolerance
 // tests and benchmarks; production code never constructs one.
 //
-// All knobs are safe to adjust while calls are in flight.
+// It is the intercepted client it embeds — the Client methods and the
+// byte-counter forwards are Intercept's — with around as the interceptor;
+// what is declared here is the knobs. All of them are safe to adjust while
+// calls are in flight.
 type FaultyTransport struct {
-	Inner Client
+	*intercepted
 
 	mu       sync.Mutex
 	delay    time.Duration // guarded by mu
@@ -40,7 +39,9 @@ var _ Client = (*FaultyTransport)(nil)
 // NewFaultyTransport wraps a client with a fault-free transport; use the
 // Set/Fail/Drop knobs to inject faults.
 func NewFaultyTransport(inner Client) *FaultyTransport {
-	return &FaultyTransport{Inner: inner, release: make(chan struct{})}
+	f := &FaultyTransport{release: make(chan struct{})}
+	f.intercepted = &intercepted{inner: inner, around: f.around}
+	return f
 }
 
 // SetDelay makes every subsequent call sleep d before proceeding.
@@ -148,145 +149,24 @@ func (f *FaultyTransport) before(method string) error {
 	return nil
 }
 
-// Info implements Client.
-func (f *FaultyTransport) Info() (ClientInfo, error) {
-	if err := f.before("Info"); err != nil {
-		return ClientInfo{}, err
-	}
-	return f.Inner.Info()
-}
-
-// Configure implements Client.
-func (f *FaultyTransport) Configure(s Setup) error {
-	if err := f.before("Configure"); err != nil {
-		return err
-	}
-	return f.Inner.Configure(s)
-}
-
-// SampleCV implements Client.
-func (f *FaultyTransport) SampleCV(batch int, synthesis bool) (*condvec.Batch, error) {
-	if err := f.before("SampleCV"); err != nil {
+// around is the transport's Interceptor: the configured faults, then the
+// call, then the one fault that comes after it.
+func (f *FaultyTransport) around(method string, call func() (any, error)) (any, error) {
+	if err := f.before(method); err != nil {
 		return nil, err
 	}
-	return f.Inner.SampleCV(batch, synthesis)
-}
-
-// SampleCVFixed implements Client.
-func (f *FaultyTransport) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batch, error) {
-	if err := f.before("SampleCVFixed"); err != nil {
-		return nil, err
+	out, err := call()
+	if method != "EndRound" || err != nil {
+		return out, err
 	}
-	return f.Inner.SampleCVFixed(batch, spanIdx, category)
-}
-
-// ForwardSynthetic implements Client.
-//
-//shape: in(B,W) out(B,K)
-func (f *FaultyTransport) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
-	if err := f.before("ForwardSynthetic"); err != nil {
-		return nil, err
-	}
-	return f.Inner.ForwardSynthetic(slice, phase)
-}
-
-// ForwardReal implements Client.
-//
-//shape: out(R,K)
-func (f *FaultyTransport) ForwardReal(idx []int) (*tensor.Dense, error) {
-	if err := f.before("ForwardReal"); err != nil {
-		return nil, err
-	}
-	return f.Inner.ForwardReal(idx)
-}
-
-// BackwardDisc implements Client.
-//
-//shape: in(Bs,K) in(Br,K2)
-func (f *FaultyTransport) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
-	if err := f.before("BackwardDisc"); err != nil {
-		return err
-	}
-	return f.Inner.BackwardDisc(gradSynth, gradReal)
-}
-
-// BackwardGen implements Client.
-//
-//shape: in(B,K) out(B,W)
-func (f *FaultyTransport) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
-	if err := f.before("BackwardGen"); err != nil {
-		return nil, err
-	}
-	return f.Inner.BackwardGen(gradSynth, conditioned)
-}
-
-// EndRound implements Client.
-func (f *FaultyTransport) EndRound(round int) error {
-	if err := f.before("EndRound"); err != nil {
-		return err
-	}
-	err := f.Inner.EndRound(round)
 	f.mu.Lock()
-	lost := err == nil && f.lostEnds > 0
+	lost := f.lostEnds > 0
 	if lost {
 		f.lostEnds--
 	}
 	f.mu.Unlock()
 	if lost {
-		return fmt.Errorf("lost reply of EndRound: %w", ErrTransient)
+		return nil, fmt.Errorf("lost reply of EndRound: %w", ErrTransient)
 	}
-	return err
-}
-
-// GenerateRows implements Client.
-//
-//shape: in(B,W)
-func (f *FaultyTransport) GenerateRows(slice *tensor.Dense) error {
-	if err := f.before("GenerateRows"); err != nil {
-		return err
-	}
-	return f.Inner.GenerateRows(slice)
-}
-
-// Publish implements Client.
-func (f *FaultyTransport) Publish() (*encoding.Table, error) {
-	if err := f.before("Publish"); err != nil {
-		return nil, err
-	}
-	return f.Inner.Publish()
-}
-
-// Snapshot implements Client.
-func (f *FaultyTransport) Snapshot() ([]byte, error) {
-	if err := f.before("Snapshot"); err != nil {
-		return nil, err
-	}
-	return f.Inner.Snapshot()
-}
-
-// Restore implements Client.
-func (f *FaultyTransport) Restore(state []byte) error {
-	if err := f.before("Restore"); err != nil {
-		return err
-	}
-	return f.Inner.Restore(state)
-}
-
-// WireBytes forwards the inner transport's connection-byte counter (zero
-// when the inner client does not measure one), so fault-injection stacks
-// keep exact CommStats.WireBytes accounting.
-func (f *FaultyTransport) WireBytes() int64 {
-	if wc, ok := f.Inner.(WireByteCounter); ok {
-		return wc.WireBytes()
-	}
-	return 0
-}
-
-// WireBytesByMethod forwards the inner transport's per-method byte tally
-// (zero when the inner client does not measure one).
-func (f *FaultyTransport) WireBytesByMethod() WireMethodBytes {
-	if wc, ok := f.Inner.(WireMethodByteCounter); ok {
-		return wc.WireBytesByMethod()
-	}
-	return WireMethodBytes{}
+	return out, nil
 }

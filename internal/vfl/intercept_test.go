@@ -1,0 +1,328 @@
+package vfl
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/condvec"
+	"repro/internal/encoding"
+	"repro/internal/tensor"
+)
+
+// TestInterceptMethodNames drives all 13 protocol methods through one
+// interceptor and pins the names it is told to the wire's labels, in wire
+// id order: an Interceptor that keys on a method name (FaultyTransport's
+// lost EndRound reply, a per-method tracer) and the per-method byte tally
+// must agree on what the methods are called.
+func TestInterceptMethodNames(t *testing.T) {
+	var seen []string
+	c := Intercept(&echoClient{out: tensor.New(2, 2)}, func(method string, call func() (any, error)) (any, error) {
+		seen = append(seen, method)
+		return call()
+	})
+	m := tensor.New(2, 2)
+	c.Info()
+	c.Configure(Setup{})
+	c.SampleCV(2, false)
+	c.SampleCVFixed(2, 0, 0)
+	c.ForwardSynthetic(m, PhaseDiscriminator)
+	c.ForwardReal(nil)
+	c.BackwardDisc(m, m)
+	c.BackwardGen(m, false)
+	c.EndRound(0)
+	c.GenerateRows(m)
+	c.Publish()
+	c.Snapshot()
+	c.Restore(nil)
+	if len(seen) != wireNumMethods-1 {
+		t.Fatalf("interceptor saw %d calls, want %d: %v", len(seen), wireNumMethods-1, seen)
+	}
+	for i, name := range seen {
+		if want := WireMethodLabel(i + 1); name != want {
+			t.Errorf("call %d intercepted as %q, the wire calls it %q", i, name, want)
+		}
+	}
+}
+
+// TestAbandonedAttemptOwnsItsResult lets a call time out while its attempt
+// is parked inside the wrapped client, then releases that attempt to run
+// alongside the next call. Every run of an Interceptor's call returns a
+// box of its own, so under -race (ci.sh) the late result has nowhere to
+// land that the second call reads.
+func TestAbandonedAttemptOwnsItsResult(t *testing.T) {
+	ta, _ := twoClientTables(t, 40, 19)
+	la, err := NewLocalClient(ta, NewShuffleCoordinator(3), 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	hold := make(chan struct{})
+	returned := make(chan struct{}, 2)
+	parked := Intercept(la, func(_ string, call func() (any, error)) (any, error) {
+		<-hold
+		out, err := call()
+		returned <- struct{}{}
+		return out, err
+	})
+	c := WithPolicy(parked, "A", CallPolicy{Timeout: 100 * time.Millisecond})
+	info, err := c.Info()
+	if !errors.Is(err, ErrCallTimeout) || info != (ClientInfo{}) {
+		t.Fatalf("parked Info = %+v, %v; want the zero value and ErrCallTimeout", info, err)
+	}
+	close(hold)
+	info, err = c.Info()
+	if err != nil || info.Rows != 40 {
+		t.Fatalf("Info alongside the abandoned attempt = %+v, %v", info, err)
+	}
+	<-returned
+	<-returned
+}
+
+// hostile wraps a client so that method's successful replies are replaced
+// by mutate's rewrite of them: the peer that answers on time, with the
+// wrong thing. hit records that the rewrite happened.
+func hostile(inner Client, method string, mutate func(any) any, hit *bool) Client {
+	return Intercept(inner, func(m string, call func() (any, error)) (any, error) {
+		out, err := call()
+		if m == method && err == nil {
+			*hit = true
+			out = mutate(out)
+		}
+		return out, err
+	})
+}
+
+// resized rewrites a matrix reply as a zero matrix dRows taller and dCols
+// wider.
+func resized(dRows, dCols int) func(any) any {
+	return func(v any) any {
+		m := v.(*tensor.Dense)
+		return tensor.New(m.Rows()+dRows, m.Cols()+dCols)
+	}
+}
+
+// onBatch rewrites a copy of a CV batch reply.
+func onBatch(f func(b *condvec.Batch)) func(any) any {
+	return func(v any) any {
+		b := *v.(*condvec.Batch)
+		f(&b)
+		return &b
+	}
+}
+
+// TestHostileRepliesAreErrors is the server half of the trust boundary: a
+// client that answers with an absent or mis-shaped matrix, batch or table
+// must cost the round an error naming the client and the method — not a
+// ConcatCols or matmul panic, and not a nil dereference inside a fan-out
+// goroutine, which no caller could recover. Every case is one Interceptor
+// rewriting one method's reply, in broadcast mode and with the faithful
+// full-table real pass.
+func TestHostileRepliesAreErrors(t *testing.T) {
+	matrix := []struct {
+		bad    string
+		mutate func(any) any
+	}{
+		{"rows-1", resized(-1, 0)},
+		{"rows+1", resized(1, 0)},
+		{"cols+3", resized(0, 3)},
+		{"nil", func(any) any { return (*tensor.Dense)(nil) }},
+	}
+	type hostileCase struct {
+		method, bad string
+		mutate      func(any) any
+		// target is the one client that misbehaves; -1 turns every client
+		// hostile, for the CV methods only the round's contributor is asked.
+		target int
+		drive  func(*Server) error
+	}
+	train := func(s *Server) error { _, _, err := s.TrainRound(); return err }
+	synth := func(s *Server) error { _, err := s.Synthesize(40); return err }
+	cond := func(s *Server) error { _, err := s.SynthesizeCondition(40, 0, 0, 1); return err }
+	var cases []hostileCase
+	for _, method := range []string{"ForwardSynthetic", "ForwardReal", "BackwardGen"} {
+		for _, m := range matrix {
+			cases = append(cases, hostileCase{method, m.bad, m.mutate, 1, train})
+		}
+	}
+	cases = append(cases,
+		hostileCase{"ForwardReal", "one row", func(v any) any { return tensor.New(1, v.(*tensor.Dense).Cols()) }, 1, train},
+		hostileCase{"SampleCV", "nil batch", func(any) any { return (*condvec.Batch)(nil) }, -1, train},
+		hostileCase{"SampleCV", "nil CV", onBatch(func(b *condvec.Batch) { b.CV = nil }), -1, train},
+		hostileCase{"SampleCV", "CV cols+3", onBatch(func(b *condvec.Batch) { b.CV = tensor.New(b.CV.Rows(), b.CV.Cols()+3) }), -1, train},
+		hostileCase{"SampleCV", "CV rows-1", onBatch(func(b *condvec.Batch) { b.CV = tensor.New(b.CV.Rows()-1, b.CV.Cols()) }), -1, synth},
+		hostileCase{"SampleCV", "short idx", onBatch(func(b *condvec.Batch) { b.Rows = b.Rows[1:] }), -1, train},
+		hostileCase{"SampleCV", "idx past the table", onBatch(func(b *condvec.Batch) {
+			b.Rows = append([]int(nil), b.Rows...)
+			b.Rows[3] = 1 << 20
+		}), -1, train},
+		hostileCase{"SampleCV", "negative idx", onBatch(func(b *condvec.Batch) {
+			b.Rows = append([]int(nil), b.Rows...)
+			b.Rows[0] = -1
+		}), -1, train},
+		hostileCase{"SampleCVFixed", "nil CV", onBatch(func(b *condvec.Batch) { b.CV = nil }), 0, cond},
+		hostileCase{"SampleCVFixed", "short idx", onBatch(func(b *condvec.Batch) { b.Rows = nil }), 0, cond},
+		hostileCase{"Publish", "nil table", func(any) any { return (*encoding.Table)(nil) }, 1, synth},
+		hostileCase{"Publish", "a row short", func(v any) any {
+			tbl := v.(*encoding.Table)
+			idx := make([]int, tbl.Rows()-1)
+			for k := range idx {
+				idx[k] = k
+			}
+			return tbl.GatherRows(idx)
+		}, 1, synth},
+	)
+	for _, faithful := range []bool{false, true} {
+		mode := "broadcast"
+		if faithful {
+			mode = "faithful"
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/%s/%s", mode, tc.method, tc.bad), func(t *testing.T) {
+				tables := threeClientTables(t, 60, 17)
+				coord := NewShuffleCoordinator(99)
+				clients := make([]Client, len(tables))
+				hits := make([]bool, len(tables))
+				for i, tab := range tables {
+					lc, err := NewLocalClient(tab, coord, int64(i+1))
+					if err != nil {
+						t.Fatalf("NewLocalClient %d: %v", i, err)
+					}
+					clients[i] = lc
+					if tc.target < 0 || tc.target == i {
+						clients[i] = hostile(lc, tc.method, tc.mutate, &hits[i])
+					}
+				}
+				cfg := DefaultConfig()
+				cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
+				cfg.Rounds = 1
+				cfg.DiscSteps = 1
+				cfg.BatchSize = 16
+				cfg.NoiseDim = 8
+				cfg.BlockDim = 24
+				cfg.FaithfulRealPass = faithful
+				srv, err := NewServer(clients, cfg)
+				if err != nil {
+					t.Fatalf("NewServer: %v", err)
+				}
+				err = tc.drive(srv)
+				var re *replyError
+				if !errors.As(err, &re) {
+					t.Fatalf("want a reply error, got: %v", err)
+				}
+				if re.method != tc.method || !hits[re.client] {
+					t.Fatalf("error names client %d and %s, the hostile reply was %s from %v: %v",
+						re.client, re.method, tc.method, hits, err)
+				}
+				if tc.target >= 0 && re.client != tc.target {
+					t.Fatalf("error names client %d, client %d is the hostile one: %v", re.client, tc.target, err)
+				}
+				want := fmt.Sprintf("client %d %s reply", re.client, tc.method)
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error text should say %q: %v", want, err)
+				}
+			})
+		}
+	}
+}
+
+// TestHostileNilReplyOverWire is the case the network makes cheapest: over
+// gtvwire an absent matrix is a one-byte reply (the nil layout tag), which
+// WireClient hands back as (nil, nil). The server must turn it into the
+// same typed error as in process.
+func TestHostileNilReplyOverWire(t *testing.T) {
+	ta, tb := twoClientTables(t, 60, 23)
+	coord := NewShuffleCoordinator(7)
+	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lb, err := NewLocalClient(tb, coord, 2)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	var hit bool
+	remote := hostile(lb, "ForwardSynthetic", func(any) any { return (*tensor.Dense)(nil) }, &hit)
+	pb := serveWire(t, remote)
+
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+	cfg.Rounds = 1
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	srv, err := NewServer([]Client{serveWire(t, la), pb}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	_, _, err = srv.TrainRound()
+	var re *replyError
+	if !errors.As(err, &re) || re.client != 1 || re.method != "ForwardSynthetic" || !hit {
+		t.Fatalf("want client 1's ForwardSynthetic reply refused, got: %v", err)
+	}
+	if got := pb.counters.recvBy[wireMethodForwardSynthetic].Load(); got != wireHeaderLen+1 {
+		t.Fatalf("the refused reply was a %d-byte frame, want the header and one byte", got)
+	}
+}
+
+// TestWireRejectsMisshapedGradients is the client half: gradients and
+// synthesis slices arrive from the server inside per-request goroutines of
+// the serve loop, where a broadcast panic would take the whole gtv-client
+// down. Each bad frame must come back as an error frame, and the same
+// connection — and the forward state the gradients were for — must answer
+// the well-formed call that follows.
+func TestWireRejectsMisshapedGradients(t *testing.T) {
+	ta, _ := twoClientTables(t, 60, 41)
+	lc, err := NewLocalClient(ta, NewShuffleCoordinator(55), 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	proxy := serveWire(t, lc)
+	const sliceW, discW, batch = 8, 16, 8
+	if err := proxy.Configure(Setup{
+		Plan: Plan{DiscServer: 2, GenClient: 2}, SliceWidth: sliceW, GenBlockWidth: sliceW,
+		DiscWidth: discW, LR: 1e-3, Seed: 5,
+	}); err != nil {
+		t.Fatalf("Configure: %v", err)
+	}
+	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	wantErr := func(what string, err error, text string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), text) {
+			t.Fatalf("%s: want an error frame saying %q, got: %v", what, text, err)
+		}
+	}
+
+	if _, err := proxy.ForwardSynthetic(tensor.New(batch, sliceW), PhaseDiscriminator); err != nil {
+		t.Fatalf("ForwardSynthetic: %v", err)
+	}
+	if _, err := proxy.ForwardReal(idx); err != nil {
+		t.Fatalf("ForwardReal: %v", err)
+	}
+	wantErr("BackwardDisc, synthetic rows-1", proxy.BackwardDisc(tensor.New(batch-1, discW), tensor.New(batch, discW)),
+		"synthetic-branch gradient 7x16 for a 8x16 forward output")
+	wantErr("BackwardDisc, real cols+3", proxy.BackwardDisc(tensor.New(batch, discW), tensor.New(batch, discW+3)),
+		"real-branch gradient 8x19 for a 8x16 forward output")
+	if err := proxy.BackwardDisc(tensor.New(batch, discW), tensor.New(batch, discW)); err != nil {
+		t.Fatalf("well-formed BackwardDisc after the bad frames: %v", err)
+	}
+
+	if _, err := proxy.ForwardSynthetic(tensor.New(batch, sliceW), PhaseGenerator); err != nil {
+		t.Fatalf("ForwardSynthetic: %v", err)
+	}
+	_, err = proxy.BackwardGen(tensor.New(batch, 5), false)
+	wantErr("BackwardGen, cols", err, "generator gradient 8x5 for a 8x16 forward output")
+	if sg, err := proxy.BackwardGen(tensor.New(batch, discW), false); err != nil || sg.Rows() != batch || sg.Cols() != sliceW {
+		t.Fatalf("well-formed BackwardGen after the bad frame: %v", err)
+	}
+
+	wantErr("GenerateRows, slice cols+3", proxy.GenerateRows(tensor.New(batch, sliceW+3)), "slice width 11, expected 8")
+	if err := proxy.GenerateRows(tensor.New(batch, sliceW)); err != nil {
+		t.Fatalf("well-formed GenerateRows after the bad frame: %v", err)
+	}
+	if tbl, err := proxy.Publish(); err != nil || tbl.Rows() != batch {
+		t.Fatalf("the served client did not survive the bad frames: %v", err)
+	}
+}

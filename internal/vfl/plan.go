@@ -3,7 +3,8 @@
 // notation), the feature-ratio vector P_r with its width-splitting rules,
 // the shared-seed shuffle coordination that implements
 // training-with-shuffling, the client and server roles of Algorithm 1, and
-// a net/rpc transport for running clients in separate processes.
+// gtvwire, the binary frame transport for running clients in separate
+// processes.
 //
 // Invariants enforced by every plan (see DESIGN.md §2):
 //   - the generator's output FC always lives on the client, so synthetic

@@ -5,12 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"time"
-
-	"repro/internal/condvec"
-	"repro/internal/encoding"
-	"repro/internal/tensor"
 )
 
 // ErrCallTimeout marks a protocol call that exceeded its per-call deadline.
@@ -27,15 +22,14 @@ var ErrTransient = errors.New("vfl: transient transport error")
 
 // IsTransient reports whether an error looks like a transport-level fault
 // worth retrying: the connection dropped, reset, or was never established.
-// Application-level errors (rpc.ServerError, protocol violations) and
-// deadline expiries are not transient.
+// Application-level errors (a gtvwire error frame, protocol violations)
+// and deadline expiries are not transient.
 func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, ErrCallTimeout) {
 		return false
 	}
-	if errors.Is(err, ErrTransient) || errors.Is(err, rpc.ErrShutdown) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, ErrTransient) || errors.Is(err, io.EOF) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 		return true
 	}
 	var opErr *net.OpError
@@ -143,117 +137,14 @@ func attemptOnce[R any](timeout time.Duration, do func() (R, error)) (R, error) 
 	}
 }
 
-// policyClient applies a CallPolicy to every method of an arbitrary Client.
-// It is the in-process counterpart of RPCClient's built-in policy: tests
-// stack it on a FaultyTransport to exercise retry, deadline and
-// cancellation paths without a network, and deployments can use it to
-// harden any custom transport.
-type policyClient struct {
-	inner  Client
-	policy CallPolicy
-	name   string
-}
-
 // WithPolicy wraps a client so every call observes the policy's deadline
-// and transient-error retry. name labels the client in error messages.
+// and transient-error retry — what WireClient applies to its own calls,
+// for any other Client: tests stack it on a FaultyTransport to exercise
+// retry, deadline and cancellation paths without a network, and
+// deployments can use it to harden a custom transport. name labels the
+// client in error messages.
 func WithPolicy(inner Client, name string, p CallPolicy) Client {
-	return &policyClient{inner: inner, policy: p, name: name}
-}
-
-var _ Client = (*policyClient)(nil)
-
-func (c *policyClient) what(method string) string {
-	return fmt.Sprintf("%s on client %s", method, c.name)
-}
-
-func (c *policyClient) Info() (ClientInfo, error) {
-	return callWithPolicy(c.policy, c.what("Info"), nil, c.inner.Info)
-}
-
-func (c *policyClient) Configure(s Setup) error {
-	_, err := callWithPolicy(c.policy, c.what("Configure"), nil, func() (struct{}, error) {
-		return struct{}{}, c.inner.Configure(s)
+	return Intercept(inner, func(method string, call func() (any, error)) (any, error) {
+		return callWithPolicy(p, fmt.Sprintf("%s on client %s", method, name), nil, call)
 	})
-	return err
-}
-
-func (c *policyClient) SampleCV(batch int, synthesis bool) (*condvec.Batch, error) {
-	return callWithPolicy(c.policy, c.what("SampleCV"), nil, func() (*condvec.Batch, error) {
-		return c.inner.SampleCV(batch, synthesis)
-	})
-}
-
-func (c *policyClient) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batch, error) {
-	return callWithPolicy(c.policy, c.what("SampleCVFixed"), nil, func() (*condvec.Batch, error) {
-		return c.inner.SampleCVFixed(batch, spanIdx, category)
-	})
-}
-
-//shape: in(B,W) out(B,K)
-func (c *policyClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
-	return callWithPolicy(c.policy, c.what("ForwardSynthetic"), nil, func() (*tensor.Dense, error) {
-		return c.inner.ForwardSynthetic(slice, phase)
-	})
-}
-
-//shape: out(R,K)
-func (c *policyClient) ForwardReal(idx []int) (*tensor.Dense, error) {
-	return callWithPolicy(c.policy, c.what("ForwardReal"), nil, func() (*tensor.Dense, error) {
-		return c.inner.ForwardReal(idx)
-	})
-}
-
-//shape: in(Bs,K) in(Br,K2)
-func (c *policyClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
-	_, err := callWithPolicy(c.policy, c.what("BackwardDisc"), nil, func() (struct{}, error) {
-		return struct{}{}, c.inner.BackwardDisc(gradSynth, gradReal)
-	})
-	return err
-}
-
-//shape: in(B,K) out(B,W)
-func (c *policyClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
-	return callWithPolicy(c.policy, c.what("BackwardGen"), nil, func() (*tensor.Dense, error) {
-		return c.inner.BackwardGen(gradSynth, conditioned)
-	})
-}
-
-func (c *policyClient) EndRound(round int) error {
-	_, err := callWithPolicy(c.policy, c.what("EndRound"), nil, func() (struct{}, error) {
-		return struct{}{}, c.inner.EndRound(round)
-	})
-	return err
-}
-
-//shape: in(B,W)
-func (c *policyClient) GenerateRows(slice *tensor.Dense) error {
-	_, err := callWithPolicy(c.policy, c.what("GenerateRows"), nil, func() (struct{}, error) {
-		return struct{}{}, c.inner.GenerateRows(slice)
-	})
-	return err
-}
-
-func (c *policyClient) Publish() (*encoding.Table, error) {
-	return callWithPolicy(c.policy, c.what("Publish"), nil, c.inner.Publish)
-}
-
-func (c *policyClient) Snapshot() ([]byte, error) {
-	return callWithPolicy(c.policy, c.what("Snapshot"), nil, c.inner.Snapshot)
-}
-
-func (c *policyClient) Restore(state []byte) error {
-	_, err := callWithPolicy(c.policy, c.what("Restore"), nil, func() (struct{}, error) {
-		return struct{}{}, c.inner.Restore(state)
-	})
-	return err
-}
-
-// WireBytes forwards the inner transport's connection-byte counter (zero
-// when the inner client does not measure one), so policy wrappers keep
-// exact CommStats.WireBytes accounting.
-func (c *policyClient) WireBytes() int64 {
-	if wc, ok := c.inner.(WireByteCounter); ok {
-		return wc.WireBytes()
-	}
-	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	ag "repro/internal/autograd"
+	"repro/internal/condvec"
 	"repro/internal/encoding"
 	"repro/internal/gan"
 	"repro/internal/nn"
@@ -279,9 +280,9 @@ func (s *Server) Ratios() []float64 { return s.ratios }
 // CommStats returns a consistent snapshot of the accumulated
 // server<->client payload accounting. It is safe to call from any
 // goroutine, including while a round is in flight. Clients whose
-// transport measures its connection (WireByteCounter: WireClient,
-// RPCClient, and wrappers that forward it) additionally contribute exact
-// framed bytes to the WireBytes field.
+// transport measures its connection (WireByteCounter: WireClient, and an
+// Intercept decorator over one, which forwards it) additionally contribute
+// exact framed bytes to the WireBytes field.
 func (s *Server) CommStats() CommStats {
 	stats := s.comm.snapshot()
 	for _, c := range s.clients {
@@ -366,13 +367,91 @@ func (s *Server) embedCV(local *tensor.Dense, p int) *tensor.Dense {
 	return out
 }
 
-// generatorForward runs steps 1-5 of Algorithm 1: sample the contributor's
-// CV, run the top generator and split the boundary output by P_r.
-func (s *Server) generatorForward(batch int, train bool) (p int, cvRows []int, globalCV *tensor.Dense, gtOut *ag.Value, slices []*tensor.Dense, err error) {
-	p = s.pickContributor()
-	cvb, err := s.clients[p].SampleCV(batch, !train)
+// replyError reports a reply the server cannot use: the client answered,
+// but with a matrix, batch or table of the wrong shape. In VFL the other
+// party is the threat model, so every reply is checked against the shape
+// the server itself asked for before any of its math sees it — what would
+// otherwise be a ConcatCols or matmul panic, or a nil dereference inside a
+// fan-out goroutine no caller can recover, is this error instead.
+type replyError struct {
+	client  int
+	method  string
+	problem string
+}
+
+func (e *replyError) Error() string {
+	return fmt.Sprintf("vfl: client %d %s reply: %s", e.client, e.method, e.problem)
+}
+
+// checkMatrix is the shape gate of every matrix a client returns: present,
+// and rows x cols as the request implies. O(1), so it costs a round nothing.
+func checkMatrix(client int, method string, m *tensor.Dense, rows, cols int) error {
+	switch {
+	case m == nil:
+		return &replyError{client, method, "no matrix"}
+	case m.Rows() != rows || m.Cols() != cols:
+		return &replyError{client, method, fmt.Sprintf("%dx%d matrix, want %dx%d", m.Rows(), m.Cols(), rows, cols)}
+	}
+	return nil
+}
+
+// cvSource names the contributor of one batch and draws its conditional
+// vectors, checked: the one step training, free synthesis and conditional
+// synthesis do differently before the generator runs.
+type cvSource func(batch int) (p int, cvb *condvec.Batch, err error)
+
+// contributorCV is Algorithm 1's source: contributor p drawn with
+// probability P_r, sampling by log-frequency (training) or raw frequency
+// (synthesis).
+func (s *Server) contributorCV(synthesis bool) cvSource {
+	return func(batch int) (int, *condvec.Batch, error) {
+		p := s.pickContributor()
+		cvb, err := s.clients[p].SampleCV(batch, synthesis)
+		return p, cvb, s.checkCV(p, "SampleCV", cvb, err, batch)
+	}
+}
+
+// fixedCV is conditional synthesis's source: always client p, always the
+// one category of its span. It never touches the server RNG.
+func (s *Server) fixedCV(p, spanIdx, category int) cvSource {
+	return func(batch int) (int, *condvec.Batch, error) {
+		cvb, err := s.clients[p].SampleCVFixed(batch, spanIdx, category)
+		return p, cvb, s.checkCV(p, "SampleCVFixed", cvb, err, batch)
+	}
+}
+
+// checkCV passes a failed CV call on with the client named, and otherwise
+// checks the batch: the CV matrix against the width client p declared, one
+// row index per CV, and every index inside the table — the server gathers
+// full-pass logits and scatters their gradients by those indices.
+func (s *Server) checkCV(p int, method string, b *condvec.Batch, err error, batch int) error {
 	if err != nil {
-		return 0, nil, nil, nil, nil, fmt.Errorf("client %d SampleCV: %w", p, err)
+		return fmt.Errorf("client %d %s: %w", p, method, err)
+	}
+	if b == nil {
+		return &replyError{p, method, "no batch"}
+	}
+	if err := checkMatrix(p, method, b.CV, batch, s.infos[p].CVWidth); err != nil {
+		return err
+	}
+	if len(b.Rows) != batch {
+		return &replyError{p, method, fmt.Sprintf("%d row indices for a batch of %d", len(b.Rows), batch)}
+	}
+	for _, r := range b.Rows {
+		if r < 0 || r >= s.rows {
+			return &replyError{p, method, fmt.Sprintf("row index %d outside the %d-row table", r, s.rows)}
+		}
+	}
+	return nil
+}
+
+// generatorForward runs steps 1-5 of Algorithm 1: draw the contributor's
+// CV from sampleCV, run the top generator and split the boundary output by
+// P_r.
+func (s *Server) generatorForward(batch int, train bool, sampleCV cvSource) (p int, cvRows []int, globalCV *tensor.Dense, gtOut *ag.Value, slices []*tensor.Dense, err error) {
+	p, cvb, err := sampleCV(batch)
+	if err != nil {
+		return 0, nil, nil, nil, nil, err
 	}
 	globalCV = s.embedCV(cvb.CV, p)
 	s.comm.add(func(c *CommStats) { c.CVBytes += matrixBytes(cvb.CV.Rows(), cvb.CV.Cols()) })
@@ -486,14 +565,16 @@ func (s *Server) sparsifyGrad(client, stream int, grad *tensor.Dense) *tensor.De
 // discStep performs one distributed WGAN-GP critic update (steps 4-16).
 func (s *Server) discStep() (float64, error) {
 	batch := s.cfg.BatchSize
-	p, cvRows, globalCV, gtOut, slices, err := s.generatorForward(batch, true)
+	p, cvRows, globalCV, gtOut, slices, err := s.generatorForward(batch, true, s.contributorCV(false))
 	if err != nil {
 		return 0, err
 	}
 	n := len(s.clients)
 	fakeVars := make([]*ag.Value, n)
 	realVars := make([]*ag.Value, n)
-	fullRealRows := make([]int, n) // >0 when the client did a full pass
+	// In faithful mode every client but the contributor runs its full local
+	// table through D_i^b and the server selects the logits (steps 12, 14).
+	fullPass := func(i int) bool { return i != p && s.cfg.FaithfulRealPass }
 	// Pre-draw the DP perturbations in the sequential order (synthetic then
 	// real, per client) so concurrent rounds stay bit-identical.
 	synthNoise := make([]*tensor.Dense, n)
@@ -507,32 +588,28 @@ func (s *Server) discStep() (float64, error) {
 		if err != nil {
 			return fmt.Errorf("client %d synthetic forward: %w", i, err)
 		}
+		if err := checkMatrix(i, "ForwardSynthetic", logits, batch, s.discWidths[i]); err != nil {
+			return err
+		}
 		s.comm.add(func(cs *CommStats) { cs.DiscLogitsReceived += matrixBytes(logits.Rows(), logits.Cols()) })
 		fakeVars[i] = ag.Var(perturb(logits, synthNoise[i]))
 
-		var realLogits *tensor.Dense
-		switch {
-		case i == p:
-			// The contributor selects its own matching rows (step 10).
-			if realLogits, err = c.ForwardReal(cvRows); err != nil {
-				return fmt.Errorf("client %d real forward: %w", i, err)
-			}
-		case s.cfg.FaithfulRealPass:
-			// Full local pass; the server selects logits (steps 12, 14).
-			full, err := c.ForwardReal(nil)
-			if err != nil {
-				return fmt.Errorf("client %d real forward: %w", i, err)
-			}
-			fullRealRows[i] = full.Rows()
-			s.comm.add(func(cs *CommStats) { cs.DiscLogitsReceived += matrixBytes(full.Rows(), full.Cols()) })
-			realLogits = full.GatherRows(cvRows)
-		default:
-			if realLogits, err = c.ForwardReal(cvRows); err != nil {
-				return fmt.Errorf("client %d real forward: %w", i, err)
-			}
+		// The contributor selects its own matching rows (step 10), and in
+		// broadcast mode so does everyone else.
+		idx, wantRows := cvRows, len(cvRows)
+		if fullPass(i) {
+			idx, wantRows = nil, s.rows
 		}
-		if fullRealRows[i] == 0 {
-			s.comm.add(func(cs *CommStats) { cs.DiscLogitsReceived += matrixBytes(realLogits.Rows(), realLogits.Cols()) })
+		realLogits, err := c.ForwardReal(idx)
+		if err != nil {
+			return fmt.Errorf("client %d real forward: %w", i, err)
+		}
+		if err := checkMatrix(i, "ForwardReal", realLogits, wantRows, s.discWidths[i]); err != nil {
+			return err
+		}
+		s.comm.add(func(cs *CommStats) { cs.DiscLogitsReceived += matrixBytes(realLogits.Rows(), realLogits.Cols()) })
+		if fullPass(i) {
+			realLogits = realLogits.GatherRows(cvRows)
 		}
 		realVars[i] = ag.Var(perturb(realLogits, realNoise[i]))
 		return nil
@@ -566,10 +643,10 @@ func (s *Server) discStep() (float64, error) {
 	err = s.fanOut(func(i int, c Client) error {
 		gradSynth := grads[len(serverParams)+i].Data()
 		gradReal := grads[len(serverParams)+n+i].Data()
-		if fullRealRows[i] > 0 {
+		if fullPass(i) {
 			// Scatter back to the client's full-pass output rows,
 			// accumulating duplicates.
-			gradReal = scatterRowsAccumulate(gradReal, cvRows, fullRealRows[i])
+			gradReal = scatterRowsAccumulate(gradReal, cvRows, s.rows)
 		}
 		gradSynth = s.sparsifyGrad(i, 0, gradSynth)
 		gradReal = s.sparsifyGrad(i, 1, gradReal)
@@ -601,7 +678,7 @@ func (s *Server) discStep() (float64, error) {
 // genStep performs one distributed generator update (steps 18-22).
 func (s *Server) genStep() (float64, error) {
 	batch := s.cfg.BatchSize
-	p, _, globalCV, gtOut, slices, err := s.generatorForward(batch, true)
+	p, _, globalCV, gtOut, slices, err := s.generatorForward(batch, true, s.contributorCV(false))
 	if err != nil {
 		return 0, err
 	}
@@ -615,6 +692,9 @@ func (s *Server) genStep() (float64, error) {
 		logits, err := c.ForwardSynthetic(slices[i], PhaseGenerator)
 		if err != nil {
 			return fmt.Errorf("client %d generator forward: %w", i, err)
+		}
+		if err := checkMatrix(i, "ForwardSynthetic", logits, batch, s.discWidths[i]); err != nil {
+			return err
 		}
 		s.comm.add(func(cs *CommStats) { cs.DiscLogitsReceived += matrixBytes(logits.Rows(), logits.Cols()) })
 		fakeVars[i] = ag.Var(perturb(logits, synthNoise[i]))
@@ -635,6 +715,9 @@ func (s *Server) genStep() (float64, error) {
 		sg, err := c.BackwardGen(g, i == p)
 		if err != nil {
 			return fmt.Errorf("client %d generator backward: %w", i, err)
+		}
+		if err := checkMatrix(i, "BackwardGen", sg, batch, s.sliceWidths[i]); err != nil {
+			return err
 		}
 		s.comm.add(func(cs *CommStats) { cs.SliceGradsReceived += matrixBytes(sg.Rows(), sg.Cols()) })
 		sliceGrads[i] = sg
@@ -725,6 +808,24 @@ func (s *Server) Synthesize(n int) (*encoding.Table, error) {
 // alongside the joined table, which the Avg-client and Across-client
 // metrics need.
 func (s *Server) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, error) {
+	return s.synthesize(n, s.contributorCV(true))
+}
+
+// SynthesizeCondition generates n rows all conditioned on one category of
+// client p's categorical span spanIdx (conditional synthesis). The
+// contributor is fixed to p for every batch.
+func (s *Server) SynthesizeCondition(n, p, spanIdx, category int) (*encoding.Table, error) {
+	if p < 0 || p >= len(s.clients) {
+		return nil, fmt.Errorf("vfl: client %d out of range %d", p, len(s.clients))
+	}
+	joined, _, err := s.synthesize(n, s.fixedCV(p, spanIdx, category))
+	return joined, err
+}
+
+// synthesize is the one synthesis loop: batches of generator-only forward
+// passes under sampleCV's conditions, buffered client-side, then one
+// Publish per client and the horizontal join.
+func (s *Server) synthesize(n int, sampleCV cvSource) (*encoding.Table, []*encoding.Table, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("vfl: cannot synthesize %d rows", n)
 	}
@@ -734,7 +835,7 @@ func (s *Server) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, err
 		if n-done < batch {
 			batch = n - done
 		}
-		_, _, _, _, slices, err := s.generatorForward(batch, false)
+		_, _, _, _, slices, err := s.generatorForward(batch, false, sampleCV)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -755,6 +856,9 @@ func (s *Server) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, err
 		if err != nil {
 			return fmt.Errorf("vfl: client %d publishing: %w", i, err)
 		}
+		if t == nil || t.Rows() != n {
+			return &replyError{i, "Publish", fmt.Sprintf("not the %d-row table asked for", n)}
+		}
 		parts[i] = t
 		return nil
 	})
@@ -766,62 +870,4 @@ func (s *Server) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, err
 		return nil, nil, fmt.Errorf("vfl: assembling synthetic table: %w", err)
 	}
 	return joined, parts, nil
-}
-
-// SynthesizeCondition generates n rows all conditioned on one category of
-// client p's categorical span spanIdx (conditional synthesis). The
-// contributor is fixed to p for every batch.
-func (s *Server) SynthesizeCondition(n, p, spanIdx, category int) (*encoding.Table, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("vfl: cannot synthesize %d rows", n)
-	}
-	if p < 0 || p >= len(s.clients) {
-		return nil, fmt.Errorf("vfl: client %d out of range %d", p, len(s.clients))
-	}
-	done := 0
-	for done < n {
-		batch := s.cfg.BatchSize
-		if n-done < batch {
-			batch = n - done
-		}
-		cvb, err := s.clients[p].SampleCVFixed(batch, spanIdx, category)
-		if err != nil {
-			return nil, fmt.Errorf("vfl: client %d fixed CV: %w", p, err)
-		}
-		globalCV := s.embedCV(cvb.CV, p)
-		s.comm.add(func(c *CommStats) { c.CVBytes += matrixBytes(cvb.CV.Rows(), cvb.CV.Cols()) })
-		noise := gan.SampleNoise(s.rng.Rand, batch, s.cfg.NoiseDim)
-		gin := tensor.ConcatCols(noise, globalCV)
-		gtOut := s.gTop.Forward(ag.Const(gin), false)
-		slices := gtOut.Data().SplitCols(s.sliceWidths)
-		err = s.fanOut(func(i int, c Client) error {
-			sl := slices[i]
-			s.comm.add(func(cs *CommStats) { cs.GenSlicesSent += matrixBytes(sl.Rows(), sl.Cols()) })
-			if err := c.GenerateRows(sl); err != nil {
-				return fmt.Errorf("vfl: client %d generating: %w", i, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		done += batch
-	}
-	parts := make([]*encoding.Table, len(s.clients))
-	err := s.fanOut(func(i int, c Client) error {
-		t, err := c.Publish()
-		if err != nil {
-			return fmt.Errorf("vfl: client %d publishing: %w", i, err)
-		}
-		parts[i] = t
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	joined, err := encoding.ConcatColumns(parts...)
-	if err != nil {
-		return nil, fmt.Errorf("vfl: assembling conditional synthesis: %w", err)
-	}
-	return joined, nil
 }

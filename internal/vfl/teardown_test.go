@@ -69,9 +69,8 @@ func TestWireClientNoRedialAfterClose(t *testing.T) {
 // TestListenerCloseEndsConnGoroutines: closing the listener alone — the
 // proxy stays open — must end every serve-side goroutine, and, because the
 // server closes the accepted connections, the client-side demux loops too.
-// This pins the connSet teardown in ServeClientWire/ServeClient; without
-// it the per-connection read loops park on their sockets until the peer
-// hangs up.
+// This pins the connSet teardown in ServeClientWire; without it the
+// per-connection read loops park on their sockets until the peer hangs up.
 func TestListenerCloseEndsConnGoroutines(t *testing.T) {
 	ta, _ := twoClientTables(t, 40, 13)
 	coord := NewShuffleCoordinator(9)
@@ -79,44 +78,30 @@ func TestListenerCloseEndsConnGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLocalClient: %v", err)
 	}
-	for _, transport := range []string{"wire", "gob"} {
-		t.Run(transport, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			done := make(chan error, 1)
-			var c Client
-			if transport == "wire" {
-				go func() { done <- ServeClientWire(lis, la) }()
-				proxy, err := DialWireClient("tcp", lis.Addr().String())
-				if err != nil {
-					t.Fatalf("dial: %v", err)
-				}
-				t.Cleanup(func() { proxy.Close() })
-				c = proxy
-			} else {
-				go func() { done <- ServeClient(lis, la) }()
-				proxy, err := DialClient("tcp", lis.Addr().String())
-				if err != nil {
-					t.Fatalf("dial: %v", err)
-				}
-				t.Cleanup(func() { proxy.Close() })
-				c = proxy
-			}
-			if _, err := c.Info(); err != nil {
-				t.Fatalf("Info: %v", err)
-			}
-			if err := lis.Close(); err != nil {
-				t.Fatalf("close listener: %v", err)
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("serve loop: %v", err)
-			}
-			waitGoroutineBaseline(t, base)
-		})
-	}
+	t.Run("wire", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- ServeClientWire(lis, la) }()
+		proxy, err := DialWireClient("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { proxy.Close() })
+		if _, err := proxy.Info(); err != nil {
+			t.Fatalf("Info: %v", err)
+		}
+		if err := lis.Close(); err != nil {
+			t.Fatalf("close listener: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("serve loop: %v", err)
+		}
+		waitGoroutineBaseline(t, base)
+	})
 }
 
 // TestReleaseUnblocksDelayedCalls: Release must cut injected delays short,

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -115,16 +116,18 @@ func TestGradTopKConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTopKCrossTransportEquivalence trains two identically-seeded systems
-// with gradient sparsification on — one on in-process clients, one over
-// gtvwire TCP loopback — and requires byte-identical final weights. The
-// compressor lives in the Server, before any transport encoding, so the
-// (lossy) trajectory must not depend on how gradients travel.
+// TestTopKCrossTransportEquivalence trains two identically-seeded systems —
+// one on in-process clients, one over gtvwire TCP loopback — and requires
+// byte-identical final weights, dense and with gradient sparsification on,
+// in broadcast mode and with the faithful full-table real pass. The wire
+// must be invisible to the learning process, and the compressor lives in
+// the Server, before any transport encoding, so the (lossy) trajectory
+// must not depend on how gradients travel either.
 func TestTopKCrossTransportEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("networked GAN training in -short mode")
 	}
-	build := func(binary bool) *Server {
+	build := func(t *testing.T, binary bool, topK float64, faithful bool) *Server {
 		ta, tb := twoClientTables(t, 120, 51)
 		coord := NewShuffleCoordinator(66)
 		la, err := NewLocalClient(ta, coord, 1)
@@ -146,7 +149,8 @@ func TestTopKCrossTransportEquivalence(t *testing.T) {
 		cfg.BatchSize = 32
 		cfg.NoiseDim = 16
 		cfg.BlockDim = 32
-		cfg.GradTopK = 0.25
+		cfg.GradTopK = topK
+		cfg.FaithfulRealPass = faithful
 		srv, err := NewServer(clients, cfg)
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)
@@ -156,10 +160,17 @@ func TestTopKCrossTransportEquivalence(t *testing.T) {
 		}
 		return srv
 	}
-	local := build(false)
-	wire := build(true)
-	assertParamsEqual(t, "gTop under top-k", local.gTop, wire.gTop)
-	assertParamsEqual(t, "dTop under top-k", local.dTop, wire.dTop)
+	for _, topK := range []float64{0, 0.25} {
+		for _, faithful := range []bool{false, true} {
+			t.Run(fmt.Sprintf("topk=%v/faithful=%v", topK, faithful), func(t *testing.T) {
+				local := build(t, false, topK, faithful)
+				wire := build(t, true, topK, faithful)
+				assertParamsEqual(t, "gTop", local.gTop, wire.gTop)
+				assertParamsEqual(t, "dTop", local.dTop, wire.dTop)
+				assertParamsEqual(t, "dS", local.dS, wire.dS)
+			})
+		}
+	}
 }
 
 // TestTopKResumeByteIdentical reruns the checkpoint/resume byte-identity

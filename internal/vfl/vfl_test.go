@@ -1,8 +1,12 @@
 package vfl
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -732,5 +736,48 @@ func TestSynthesizeConditionServerValidation(t *testing.T) {
 	}
 	if synth.Rows() != 20 || synth.Cols() != 3 {
 		t.Fatalf("conditional synthesis shape %dx%d", synth.Rows(), synth.Cols())
+	}
+}
+
+// TestSynthesizeConditionGolden pins conditional synthesis to bytes: the
+// sha256 of a fixed-seed 64-row SynthesizeCondition CSV (three batches of
+// 24, 24 and 16, so the partial batch is in it), the payload accounting it
+// adds, and the digest of a free synthesis run straight after it, which
+// moves if conditional synthesis drew from the server RNG in any other
+// order. The constants were computed on the tree where SynthesizeCondition
+// still had a batch loop of its own; the fold onto SynthesizeParts' loop
+// must not move them. Like every bit-equality contract in the repo they
+// hold within one amd64 build (arm64 fuses x*y+z).
+func TestSynthesizeConditionGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are pinned for amd64 float arithmetic")
+	}
+	const (
+		wantCond  = "436b38703b13d07860086e508b733e59572ebc50d74a50bf0ec68b72020e37cc"
+		wantAfter = "257099e4a785530efa199761b02a078b0ed904f35150748783afc0558fdbc6a2"
+	)
+	srv, _ := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 2; c.BatchSize = 24 })
+	trainRounds(t, srv, "golden")
+	before := srv.CommStats()
+	tbl, err := srv.SynthesizeCondition(64, 2, 0, 1)
+	if err != nil {
+		t.Fatalf("SynthesizeCondition: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := encoding.WriteCSV(&buf, tbl); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != wantCond {
+		t.Fatalf("conditional synthesis digest %s, want %s", got, wantCond)
+	}
+	after := srv.CommStats()
+	if gen, cv := after.GenSlicesSent-before.GenSlicesSent, after.CVBytes-before.CVBytes; gen != 24576 || cv != 1536 || after.Total()-before.Total() != gen+cv {
+		t.Fatalf("conditional synthesis accounted %d slice and %d CV bytes of %d, want 24576 and 1536 and nothing else",
+			gen, cv, after.Total()-before.Total())
+	}
+	sum = sha256.Sum256(synthCSVBytes(t, srv, "after conditional synthesis", 40))
+	if got := hex.EncodeToString(sum[:]); got != wantAfter {
+		t.Fatalf("free synthesis after conditional synthesis: digest %s, want %s", got, wantAfter)
 	}
 }

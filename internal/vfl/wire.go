@@ -1,12 +1,11 @@
 package vfl
 
-// gtvwire: a stdlib-only, length-prefixed binary frame protocol that
-// replaces net/rpc+gob on the GTV network path. The paper's own cost
-// analysis (§4.3.1) makes boundary-payload traffic — generator slices,
-// critic logits and gradients every round — the dominant federated cost,
-// and the gob path paid for it three times over: ToWire copied every
-// matrix before encoding, gob re-described the types per stream, and
-// decoding allocated fresh slices outside the tensor free lists.
+// gtvwire: a stdlib-only, length-prefixed binary frame protocol, the GTV
+// network path. The paper's own cost analysis (§4.3.1) makes
+// boundary-payload traffic — generator slices, critic logits and gradients
+// every round — the dominant federated cost, so the format is built around
+// not paying for it twice: no copy of a matrix before encoding, no type
+// description on the stream, no decode outside the tensor free lists.
 //
 // The wire format is deliberately dumb and byte-exact (golden fixtures in
 // testdata/wire pin it):
@@ -20,17 +19,16 @@ package vfl
 //
 // Payloads are method-specific sequences of the primitives in
 // wirecodec.go. Matrix payloads are written directly from
-// tensor.Dense.Data() (no intermediate WireMatrix copy) and decoded into
+// tensor.Dense.Data() (no intermediate copy) and decoded into
 // tensor.NewPooled buffers, so a round-trip touches each float exactly
 // once per direction.
 //
 // A single persistent connection carries many concurrent calls: requests
 // are sequence-numbered, responses may arrive in any order, and a demux
 // goroutine on the client routes each response frame to the caller
-// waiting on its sequence number (see wireclient.go). The server side
-// mirrors net/rpc's concurrency contract: every request is served in its
-// own goroutine and responses are written as they complete
-// (wireserver.go).
+// waiting on its sequence number (see wireclient.go). The serving side
+// runs every request in its own goroutine and writes responses as they
+// complete (wireserver.go).
 
 import (
 	"encoding/binary"

@@ -96,38 +96,27 @@ func wireBenchPayloads(batch int) []struct {
 }
 
 // BenchmarkWireRoundTrip measures one full protocol call (matrix out,
-// matrix back) over TCP loopback, comparing net/rpc+gob against the
-// gtvwire binary codec (f64 and the opt-in f32 payload mode) across the
-// payload classes the encoder picks different layouts for: dense
-// activations at three boundary widths, one-hot CV batches, 0/1 masks
-// (bitmap layout) and top-k sparsified gradients (index-list layout). The
-// wire_bytes/op metric is the measured framed traffic per call, so
-// BENCH_comm.json records the bytes-on-wire reduction next to latency; gob
-// always ships dense and is the baseline.
+// matrix back) over TCP loopback on the gtvwire binary codec (f64 and the
+// opt-in f32 payload mode) across the payload classes the encoder picks
+// different layouts for: dense activations at three boundary widths,
+// one-hot CV batches, 0/1 masks (bitmap layout) and top-k sparsified
+// gradients (index-list layout). The wire_bytes/op metric is the measured
+// framed traffic per call, so the bytes on the wire sit next to latency.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	const batch = 500
 	for _, tc := range wireBenchPayloads(batch) {
 		payload := tc.payload
 		echo := &echoClient{out: payload.Clone()}
 
-		serve := func(b *testing.B, binary bool) Client {
+		serve := func(b *testing.B) *WireClient {
 			b.Helper()
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { lis.Close() })
-			if binary {
-				go func() { _ = ServeClientWire(lis, echo) }()
-				proxy, err := DialWireClient("tcp", lis.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { proxy.Close() })
-				return proxy
-			}
-			go func() { _ = ServeClient(lis, echo) }()
-			proxy, err := DialClient("tcp", lis.Addr().String())
+			go func() { _ = ServeClientWire(lis, echo) }()
+			proxy, err := DialWireClient("tcp", lis.Addr().String())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -135,15 +124,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			return proxy
 		}
 
-		run := func(proxy Client) func(*testing.B) {
+		run := func(proxy *WireClient) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(2 * 8 * int64(payload.Rows()) * int64(payload.Cols()))
-				counter, _ := proxy.(WireByteCounter)
-				var startBytes int64
-				if counter != nil {
-					startBytes = counter.WireBytes()
-				}
+				startBytes := proxy.WireBytes()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					out, err := proxy.BackwardGen(payload, false)
@@ -152,16 +137,13 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 					}
 					out.Release()
 				}
-				if counter != nil {
-					b.ReportMetric(float64(counter.WireBytes()-startBytes)/float64(b.N), "wire_bytes/op")
-				}
+				b.ReportMetric(float64(proxy.WireBytes()-startBytes)/float64(b.N), "wire_bytes/op")
 			}
 		}
 
-		b.Run(tc.name+"/gob", run(serve(b, false)))
-		b.Run(tc.name+"/binary", run(serve(b, true)))
+		b.Run(tc.name+"/binary", run(serve(b)))
 		b.Run(tc.name+"/binary-f32", func(b *testing.B) {
-			proxy := serve(b, true).(*WireClient)
+			proxy := serve(b)
 			proxy.SetFloat32(true)
 			run(proxy)(b)
 		})

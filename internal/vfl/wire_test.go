@@ -709,63 +709,40 @@ func TestWireEndToEndTraining(t *testing.T) {
 	}
 }
 
-// TestGobBinaryEquivalence trains two identically-seeded systems over TCP
-// loopback — one on the net/rpc+gob transport, one on gtvwire — and
-// verifies the server's top-model parameters end up byte-identical. The
-// binary wire (f32 mode excluded by default) must be invisible to the
-// learning process.
-func TestGobBinaryEquivalence(t *testing.T) {
+// TestWireFaithfulMode runs the faithful real pass over the network: the
+// non-contributor's full-table logits — the largest frames the protocol
+// has — cross gtvwire, and the server row-selects them.
+func TestWireFaithfulMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("networked GAN training in -short mode")
 	}
-	build := func(binary bool) *Server {
-		ta, tb := twoClientTables(t, 120, 51)
-		coord := NewShuffleCoordinator(66)
-		la, err := NewLocalClient(ta, coord, 1)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
-		lb, err := NewLocalClient(tb, coord, 2)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
-		var clients []Client
-		if binary {
-			clients = []Client{serveWire(t, la), serveWire(t, lb)}
-		} else {
-			clients = []Client{serveLocal(t, la), serveLocal(t, lb)}
-		}
-		cfg := DefaultConfig()
-		cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
-		cfg.Rounds = 2
-		cfg.DiscSteps = 2
-		cfg.BatchSize = 32
-		cfg.NoiseDim = 16
-		cfg.BlockDim = 32
-		srv, err := NewServer(clients, cfg)
-		if err != nil {
-			t.Fatalf("NewServer: %v", err)
-		}
-		if err := srv.Train(nil); err != nil {
-			t.Fatalf("Train: %v", err)
-		}
-		return srv
+	ta, tb := twoClientTables(t, 120, 31)
+	coord := NewShuffleCoordinator(88)
+	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
 	}
-	gob := build(false)
-	bin := build(true)
-	gp := gob.gTop.Params()
-	bp := bin.gTop.Params()
-	for k := range gp {
-		if !gp[k].Data().Equal(bp[k].Data()) {
-			t.Fatalf("top generator param %d diverges between gob and binary transports", k)
-		}
+	lb, err := NewLocalClient(tb, coord, 2)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
 	}
-	gd := gob.dTop.Params()
-	bd := bin.dTop.Params()
-	for k := range gd {
-		if !gd[k].Data().Equal(bd[k].Data()) {
-			t.Fatalf("top discriminator param %d diverges between gob and binary transports", k)
-		}
+	pa := serveWire(t, la)
+	pb := serveWire(t, lb)
+
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
+	cfg.Rounds = 2
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	cfg.FaithfulRealPass = true
+	srv, err := NewServer([]Client{pa, pb}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, _, err := srv.TrainRound(); err != nil {
+		t.Fatalf("TrainRound: %v", err)
 	}
 }
 
@@ -837,9 +814,8 @@ func TestWireErrorPropagation(t *testing.T) {
 
 // TestWirePipelining issues many concurrent calls on ONE WireClient against
 // a delay-injected client and verifies they overlap on the single
-// connection: total wall-clock stays near one delay, not the sum. This is
-// the property net/rpc's per-call serialization could not provide, and the
-// race detector runs this test in CI (see ci.sh).
+// connection: total wall-clock stays near one delay, not the sum. The race
+// detector runs this test in CI (see ci.sh).
 func TestWirePipelining(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
@@ -942,9 +918,76 @@ func TestWireRedialAfterDisconnect(t *testing.T) {
 	}
 }
 
-// TestWireSlowClientTripsDeadline mirrors the RPC transport's deadline
-// test on the binary wire: a short per-call deadline converts a slow reply
-// into ErrCallTimeout naming the client.
+// TestWirePeerDiesBetweenRounds kills one client process for good between
+// rounds — its listener shut and, with it, every connection it served —
+// and verifies the next round fails within the retry budget with an error
+// naming the dead client, instead of hanging the server.
+// TestWireRedialAfterDisconnect is the other half: a peer that comes back.
+func TestWirePeerDiesBetweenRounds(t *testing.T) {
+	ta, tb := twoClientTables(t, 100, 91)
+	coord := NewShuffleCoordinator(12)
+	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lb, err := NewLocalClient(tb, coord, 2)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	pa := serveWire(t, la)
+	lisB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	servedB := make(chan error, 1)
+	go func() { servedB <- ServeClientWire(lisB, lb) }()
+	addrB := lisB.Addr().String()
+	policy := CallPolicy{Timeout: 5 * time.Second, MaxAttempts: 2, Backoff: 10 * time.Millisecond}
+	pb, err := DialWireClientPolicy("tcp", addrB, policy)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { pb.Close() })
+
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+	cfg.Rounds = 2
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	srv, err := NewServer([]Client{pa, pb}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, _, err := srv.TrainRound(); err != nil {
+		t.Fatalf("round 1 with both clients alive: %v", err)
+	}
+
+	// The serve loop closes every connection it accepted on its way out.
+	lisB.Close()
+	if err := <-servedB; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+	start := time.Now()
+	_, _, err = srv.TrainRound()
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("round 2 must fail after client B died")
+	}
+	if !strings.Contains(err.Error(), addrB) {
+		t.Fatalf("error should name the dead client %s: %v", addrB, err)
+	}
+	// Budget: 2 fast-failing attempts plus backoff, far under the 5s
+	// per-call deadline; 10s leaves slack for a loaded CI machine.
+	if elapsed > 10*time.Second {
+		t.Fatalf("dead client stalled the round for %v", elapsed)
+	}
+}
+
+// TestWireSlowClientTripsDeadline serves a delay-injected client over real
+// TCP: a short per-call deadline converts the slow reply into
+// ErrCallTimeout naming the client, well within the test's budget.
 func TestWireSlowClientTripsDeadline(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
@@ -1093,12 +1136,19 @@ func TestWireBytesMatchesEstimate(t *testing.T) {
 }
 
 // TestWireFaultyTransportComposition stacks a WireClient under the fault
-// injector's wrapper the way tests stack RPCClient, confirming the
-// WireBytes passthrough and transient-fault retry compose.
+// injector and the policy wrapper, confirming that both byte counters pass
+// through every layer of decoration: a Server over the stack must report a
+// per-method tally that accounts for every measured byte. (WithPolicy used
+// to forward WireBytes alone, leaving a non-zero total over an all-zero
+// breakdown.)
 func TestWireFaultyTransportComposition(t *testing.T) {
-	ta, _ := twoClientTables(t, 60, 83)
+	ta, tb := twoClientTables(t, 60, 83)
 	coord := NewShuffleCoordinator(13)
 	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lb, err := NewLocalClient(tb, coord, 2)
 	if err != nil {
 		t.Fatalf("NewLocalClient: %v", err)
 	}
@@ -1113,5 +1163,35 @@ func TestWireFaultyTransportComposition(t *testing.T) {
 	}
 	if counter.WireBytes() != inner.WireBytes() {
 		t.Fatalf("WireBytes passthrough mismatch: %d vs %d", counter.WireBytes(), inner.WireBytes())
+	}
+
+	policy := CallPolicy{Timeout: 5 * time.Second, MaxAttempts: 2, Backoff: time.Millisecond}
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+	cfg.Rounds = 1
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	srv, err := NewServer([]Client{
+		WithPolicy(faulty, "A", policy),
+		WithPolicy(NewFaultyTransport(serveWire(t, lb)), "B", policy),
+	}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer over the decorated stack: %v", err)
+	}
+	if _, _, err := srv.TrainRound(); err != nil {
+		t.Fatalf("TrainRound over the decorated stack: %v", err)
+	}
+	stats := srv.CommStats()
+	if stats.WireBytes == 0 {
+		t.Fatal("WireBytes lost under WithPolicy(FaultyTransport(WireClient))")
+	}
+	var byMethod int64
+	for _, v := range stats.WireBytesByMethod {
+		byMethod += v
+	}
+	if byMethod != stats.WireBytes {
+		t.Fatalf("per-method tally %d != total wire bytes %d under the decorated stack", byMethod, stats.WireBytes)
 	}
 }

@@ -14,16 +14,15 @@ import (
 )
 
 // WireClient is the server-side proxy for a remote client process speaking
-// the gtvwire binary protocol (see wire.go). Unlike RPCClient, whose
-// net/rpc connection serializes calls, a WireClient pipelines: concurrent
+// the gtvwire binary protocol (see wire.go). It pipelines: concurrent
 // calls each get a sequence number, all frames share one persistent
 // connection, and a demux goroutine routes each response to the caller
 // waiting on its sequence number — so the fan-out in Server overlaps
 // network round-trips to a single client as well as across clients.
 //
-// Every call observes the client's CallPolicy exactly like RPCClient:
-// per-call deadlines, transient-error retry with backoff, and a redial
-// before each retry so a restarted client process can rejoin mid-training.
+// Every call observes the client's CallPolicy: per-call deadlines,
+// transient-error retry with backoff, and a redial before each retry so a
+// restarted client process can rejoin mid-training.
 type WireClient struct {
 	network, addr string
 	policy        CallPolicy

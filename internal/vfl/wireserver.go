@@ -12,11 +12,10 @@ import (
 )
 
 // ServeClientWire serves a client over the gtvwire binary protocol until
-// the listener is closed. It is the binary-wire counterpart of ServeClient
-// and shares its concurrency contract with net/rpc: every request frame is
-// served in its own goroutine, so a pipelining peer overlaps calls, while
-// a server that serializes its calls (as vfl.Server does per client) sees
-// strictly ordered execution.
+// the listener is closed. It is the entry point of the gtv-client process.
+// Every request frame is served in its own goroutine, so a pipelining peer
+// overlaps calls, while a server that serializes its calls (as vfl.Server
+// does per client) sees strictly ordered execution.
 func ServeClientWire(lis net.Listener, c Client) error {
 	var conns connSet
 	defer conns.closeAll()
