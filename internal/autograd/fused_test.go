@@ -131,32 +131,49 @@ func TestReleaseProtectsLeaves(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesBuffers: without a shielding leaf, an interior buffer
-// must actually return to the pool (this is the whole point of the tape).
-// Under the race detector sync.Pool deliberately drops roughly a quarter
-// of Puts, so no single attempt is conclusive; instead the test retries
-// until one released buffer is observably recycled. 25 independent
-// attempts make a spurious failure (every Put dropped) vanishingly
-// unlikely (~4^-25) while a genuine recycling bug still fails every time.
-func TestReleaseRecyclesBuffers(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	const attempts = 25
-	for i := 0; i < attempts; i++ {
-		a := Var(tensor.Randn(rng, 16, 16, 0, 1))
-		b := Var(tensor.Randn(rng, 16, 16, 0, 1))
-		y := MatMul(a, b)
-		ptr := &y.Data().Data()[0]
-		Release(y)
-		// Drain a few allocations: sync.Pool gives no ordering guarantee,
-		// but single-threaded it returns the most recent Put first. The
-		// mismatched probes are deliberately not released — putting one
-		// back would make the next probe return it again forever.
-		for j := 0; j < 4; j++ {
-			d := tensor.NewPooled(16, 16)
-			if &d.Data()[0] == ptr {
-				return
-			}
+// poolHas reports whether a pooled 16x16 matrix with the given backing storage
+// can be drawn again. sync.Pool gives no ordering guarantee, but
+// single-threaded it returns the most recent Puts first, so a few draws
+// suffice. The mismatched probes are deliberately not released — putting one
+// back would make the next probe return it again forever.
+func poolHas(ptr *float64) bool {
+	for j := 0; j < 8; j++ {
+		if d := tensor.NewPooled(16, 16); &d.Data()[0] == ptr {
+			return true
 		}
 	}
-	t.Fatalf("no released interior buffer came back from the pool in %d attempts", attempts)
+	return false
+}
+
+// TestReleaseRecyclesBuffers: without a shielding leaf, the buffers of a
+// released step must actually return to the pool (this is the whole point of
+// the tape) — an interior node's data, the buffer of an activation-gradient
+// node, and the dropout mask, which is no node's data but belongs to the
+// forward node that drew it. Under the race detector sync.Pool deliberately
+// drops roughly a quarter of Puts, so no single attempt is conclusive;
+// instead the test retries until each kind has been observably recycled. 25
+// independent attempts a kind make a spurious failure (every Put dropped)
+// vanishingly unlikely (~4^-25) while a genuine recycling bug still fails
+// every time.
+func TestReleaseRecyclesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	kinds := []string{"interior node data", "activation gradient", "dropout mask"}
+	const attempts = 25
+	for kind, name := range kinds {
+		recycled := false
+		for i := 0; i < attempts && !recycled; i++ {
+			x := Var(tensor.Randn(rng, 16, 16, 0, 1))
+			w := Var(tensor.Randn(rng, 16, 16, 0, 1))
+			h := MatMul(x, w)
+			y := Dropout(LeakyReLU(h, 0.2), rng, 0.5)
+			loss := SumAll(y)
+			g := Grad(loss, h)[0] // an actGrad node
+			ptr := [](*float64){&h.Data().Data()[0], &g.Data().Data()[0], &y.op.(*dropoutOp).mask.Data()[0]}[kind]
+			Release(loss, g)
+			recycled = poolHas(ptr)
+		}
+		if !recycled {
+			t.Errorf("%s: no released buffer came back from the pool in %d attempts", name, attempts)
+		}
+	}
 }

@@ -44,3 +44,35 @@ func BenchmarkLinearStep(b *testing.B) {
 		Release(loss, grads[0], grads[1])
 	}
 }
+
+// BenchmarkFullPassStep is one client's share of a full-table real pass and
+// the critic step that follows it (the faithful index-privacy mode): 5000
+// rows of a 20-column encoded table through the bottom discriminator of a
+// four-party split — Linear, LeakyReLU, then two blocks of Linear, LeakyReLU,
+// Dropout, 17 columns wide — backward from a gradient of the output's shape
+// to every weight, and the release. allocs/op and B/op are the point: every
+// activation, mask and gradient buffer should come from the pool and go
+// back.
+func BenchmarkFullPassStep(b *testing.B) {
+	const rows, in, width = 5000, 20, 17
+	rng := rand.New(rand.NewSource(1))
+	x := Const(tensor.Randn(rng, rows, in, 0, 1))
+	seed := Const(tensor.Randn(rng, rows, width, 0, 1))
+	ps := []*Value{
+		Var(tensor.Randn(rng, in, width, 0, 0.3)), Var(tensor.Randn(rng, 1, width, 0, 0.3)),
+		Var(tensor.Randn(rng, width, width, 0, 0.3)), Var(tensor.Randn(rng, 1, width, 0, 0.3)),
+		Var(tensor.Randn(rng, width, width, 0, 0.3)), Var(tensor.Randn(rng, 1, width, 0, 0.3)),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := LeakyReLU(Affine(x, ps[0], ps[1]), 0.2)
+		h = Dropout(LeakyReLU(Affine(h, ps[2], ps[3]), 0.2), rng, 0.5)
+		h = Dropout(LeakyReLU(Affine(h, ps[4], ps[5]), 0.2), rng, 0.5)
+		grads := GradWithSeed(h, seed, ps...)
+		var tape Tape
+		tape.Track(h)
+		tape.Track(grads...)
+		tape.Release()
+	}
+}

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math"
+	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -177,55 +178,74 @@ func Log(a *Value) *Value {
 // ---- activations ----
 //
 // The piecewise-linear activations (ReLU, LeakyReLU) have an exactly-zero
-// second derivative almost everywhere, so treating their input mask as a
-// constant in backward is correct for higher-order differentiation too.
+// second derivative almost everywhere, so their gradient is linear in the
+// incoming gradient and constant in the input: one fused op, actGrad, whose
+// own backward is actGrad again. Differentiating to any order never leaves
+// {ReLU, LeakyReLU, actGrad}, and no mask matrix is ever built.
+
+// actGradOp is g*(x > 0 ? 1 : slope) for the forward input x of a ReLU
+// (slope 0) or LeakyReLU. x is borrowed from the forward node, which owns it
+// and is released in the same Release call as every gradient taken through
+// it; it is not a graph input, because nothing flows back to it.
+type actGradOp struct {
+	slope float64
+	x     *tensor.Dense
+}
+
+func (actGradOp) name() string { return "actGrad" }
+func (o actGradOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
+	return []*Value{actGrad(grad, o.x, o.slope)}
+}
+
+func actGrad(g *Value, x *tensor.Dense, slope float64) *Value {
+	return newValue(tensor.ActGrad(g.data, x, slope), actGradOp{slope: slope, x: x}, g)
+}
 
 type reluOp struct{}
 
 func (reluOp) name() string { return "relu" }
 func (reluOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
-	mask := inputs[0].data.Apply(func(v float64) float64 {
-		if v > 0 {
-			return 1
-		}
-		return 0
-	})
-	return []*Value{Mul(grad, Const(mask))}
+	return []*Value{actGrad(grad, inputs[0].data, 0)}
 }
 
 // ReLU returns max(a, 0) element-wise.
 func ReLU(a *Value) *Value {
-	out := a.data.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-	return newValue(out, reluOp{}, a)
+	return newValue(tensor.ReLU(a.data), reluOp{}, a)
 }
 
 type leakyReLUOp struct{ slope float64 }
 
 func (leakyReLUOp) name() string { return "leakyrelu" }
 func (o leakyReLUOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
-	mask := inputs[0].data.Apply(func(v float64) float64 {
-		if v > 0 {
-			return 1
-		}
-		return o.slope
-	})
-	return []*Value{Mul(grad, Const(mask))}
+	return []*Value{actGrad(grad, inputs[0].data, o.slope)}
 }
 
 // LeakyReLU returns a where a > 0 and slope*a elsewhere.
 func LeakyReLU(a *Value, slope float64) *Value {
-	out := a.data.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return slope * v
-	})
-	return newValue(out, leakyReLUOp{slope: slope}, a)
+	return newValue(tensor.LeakyReLU(a.data, slope), leakyReLUOp{slope: slope}, a)
+}
+
+// dropoutOp multiplies by a dropout mask, in the forward pass (Dropout, which
+// draws the mask and owns it) and in every gradient taken through it
+// (its backward, which borrows it): the gradient of x*mask is g*mask, to any
+// order. The mask is a pooled matrix that is no node's data, so Release
+// returns it when it recycles the node that owns it.
+type dropoutOp struct {
+	mask  *tensor.Dense
+	owned bool
+}
+
+func (*dropoutOp) name() string { return "dropout" }
+func (o *dropoutOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
+	return []*Value{newValue(tensor.Mul(grad.data, o.mask), &dropoutOp{mask: o.mask}, grad)}
+}
+
+// Dropout zeroes each element of a with probability 1-keep and scales the
+// survivors by 1/keep (inverted dropout), drawing one rng.Float64 per element
+// in row-major order.
+func Dropout(a *Value, rng *rand.Rand, keep float64) *Value {
+	out, mask := tensor.Dropout(rng, a.data, keep)
+	return newValue(out, &dropoutOp{mask: mask, owned: true}, a)
 }
 
 type tanhOp struct{}

@@ -61,6 +61,9 @@ func (t *Tape) Release() {
 //     when an interior node also points at it.
 //   - Slabs shared by several interior nodes (Reshape views) are released
 //     exactly once.
+//   - A pooled buffer an op keeps beside its node's data (a dropout mask)
+//     belongs to the node that made it and goes back with that node; the
+//     gradient nodes that borrow it release nothing.
 //
 // After Release returns, every non-leaf Value reachable from roots is dead:
 // the caller must drop all references to them. All roots of one step must be
@@ -101,6 +104,9 @@ func Release(roots ...*Value) {
 		if p := dataPtr(v.data); p != nil && !st.leafPtrs[p] && !st.released[p] {
 			st.released[p] = true
 			v.data.Release()
+		}
+		if o, ok := v.op.(*dropoutOp); ok && o.owned {
+			o.mask.Release()
 		}
 		v.data = nil
 		v.op = nil

@@ -198,7 +198,10 @@ func (c *Centralized) generate(batch int, hard bool) (*ag.Value, *ag.Value, *con
 		return nil, nil, nil, err
 	}
 	noise := SampleNoise(c.rng.Rand, batch, c.cfg.NoiseDim)
-	in := ag.Const(tensor.ConcatCols(noise, cvb.CV))
+	// Concatenated in the graph, so the pooled input matrix belongs to an
+	// interior node and goes back with the step's tape; behind a Const leaf
+	// it would be shielded and lost to the collector every step.
+	in := ag.ConcatCols(ag.Const(noise), ag.Const(cvb.CV))
 	raw := c.gen.Forward(in, true)
 	activated := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, hard)
 	return activated, raw, cvb, nil

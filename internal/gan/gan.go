@@ -7,6 +7,7 @@
 package gan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -156,19 +157,35 @@ func GeneratorLoss(fakeScores *ag.Value) *ag.Value {
 //
 //shape: in(B,C) in(B,C) out(1,1)
 func GradientPenalty(rng *rand.Rand, realIn, fakeIn *tensor.Dense, critic func(*ag.Value) *ag.Value) *ag.Value {
-	rows, cols := realIn.Shape()
-	eps := tensor.New(rows, 1)
-	for i := 0; i < rows; i++ {
-		eps.Set(i, 0, rng.Float64())
-	}
-	epsFull := eps.Expand(rows, cols)
-	interp := tensor.Add(tensor.Mul(realIn, epsFull), tensor.Mul(fakeIn, tensor.Sub(tensor.Full(rows, cols, 1), epsFull)))
-
-	x := ag.Var(interp)
+	x := ag.Var(interpolate(rng, realIn, fakeIn))
 	scores := critic(x)
 	gradIn := ag.Grad(scores, x)[0]
 	norms := ag.RowL2Norm(gradIn, 1e-12)
 	return ag.Scale(ag.MeanAll(ag.Square(ag.AddScalar(norms, -1))), GradientPenaltyWeight)
+}
+
+// interpolate returns x̂ = real*ε + fake*(1-ε) with one ε ~ U[0,1) per row,
+// drawn in row order; both products are rounded before they are added (the
+// conversions forbid a fused multiply-add). The matrix becomes a Var leaf,
+// which no tape releases, so it is the one buffer built here and it is not
+// taken from the pool.
+//
+//shape: in(B,C) in(B,C) out(B,C)
+func interpolate(rng *rand.Rand, realIn, fakeIn *tensor.Dense) *tensor.Dense {
+	rows, cols := realIn.Shape()
+	if fr, fc := fakeIn.Shape(); fr != rows || fc != cols {
+		panic(fmt.Sprintf("gan: interpolating %dx%d real rows with %dx%d fake rows", rows, cols, fr, fc))
+	}
+	out := tensor.New(rows, cols)
+	for i := 0; i < rows; i++ {
+		eps := rng.Float64()
+		rest := 1 - eps
+		realRow, fakeRow, dst := realIn.RawRow(i), fakeIn.RawRow(i), out.RawRow(i)
+		for j, r := range realRow {
+			dst[j] = float64(r*eps) + float64(fakeRow[j]*rest)
+		}
+	}
+	return out
 }
 
 // NewGenerator builds the CTGAN generator trunk: nBlocks residual blocks

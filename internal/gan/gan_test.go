@@ -9,6 +9,7 @@ import (
 	"repro/internal/condvec"
 	"repro/internal/encoding"
 	"repro/internal/nn"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -149,6 +150,73 @@ func TestGradientPenaltyTrainsLipschitz(t *testing.T) {
 	}
 	if norm := w.Data().Norm(); math.Abs(norm-1) > 0.05 {
 		t.Fatalf("weight norm after GP-only training = %v want ~1", norm)
+	}
+}
+
+// oldInterpolate is how GradientPenalty built x̂ before it did so in one
+// pass: ε drawn into a column, expanded, and x̂ = real*ε + fake*(1-ε) out of
+// six full-size temporaries.
+func oldInterpolate(rng *rand.Rand, realIn, fakeIn *tensor.Dense) *tensor.Dense {
+	rows, cols := realIn.Shape()
+	eps := tensor.New(rows, 1)
+	for i := 0; i < rows; i++ {
+		eps.Set(i, 0, rng.Float64())
+	}
+	epsFull := eps.Expand(rows, cols)
+	return tensor.Add(tensor.Mul(realIn, epsFull), tensor.Mul(fakeIn, tensor.Sub(tensor.Full(rows, cols, 1), epsFull)))
+}
+
+// TestGradientPenaltyMatchesOldComposition: x̂, the penalty and every critic
+// weight gradient equal, bit for bit, what the composition of tensor ops
+// gave, through a 2-block critic with live dropout; both generators end in
+// the same state.
+func TestGradientPenaltyMatchesOldComposition(t *testing.T) {
+	src := rand.New(rand.NewSource(8))
+	const rows, cols = 25, 47
+	realIn := tensor.Randn(src, rows, cols, 0, 1)
+	fakeIn := tensor.Randn(src, rows, cols, 0, 1)
+	realIn.Set(3, 4, 0)
+	fakeIn.Set(3, 4, math.Copysign(0, -1))
+
+	a, b := rng.New(9), rng.New(9)
+	if got, want := interpolate(a.Rand, realIn, fakeIn), oldInterpolate(b.Rand, realIn, fakeIn); !got.Equal(want) {
+		t.Fatal("one-pass x̂ differs from the composed x̂")
+	}
+
+	type result struct {
+		penalty float64
+		grads   []*tensor.Dense
+		state   rng.State
+	}
+	run := func(old bool) result {
+		r := rng.New(10)
+		disc := NewDiscriminator(r.Rand, cols, 17, 2)
+		critic := func(x *ag.Value) *ag.Value { return disc.Forward(x, true) }
+		var gp *ag.Value
+		if old {
+			x := ag.Var(oldInterpolate(r.Rand, realIn, fakeIn))
+			norms := ag.RowL2Norm(ag.Grad(critic(x), x)[0], 1e-12)
+			gp = ag.Scale(ag.MeanAll(ag.Square(ag.AddScalar(norms, -1))), GradientPenaltyWeight)
+		} else {
+			gp = GradientPenalty(r.Rand, realIn, fakeIn, critic)
+		}
+		res := result{penalty: gp.Item(), state: r.State()}
+		for _, g := range nn.Grads(gp, disc) {
+			res.grads = append(res.grads, g.Data())
+		}
+		return res
+	}
+	got, want := run(false), run(true)
+	if math.Float64bits(got.penalty) != math.Float64bits(want.penalty) {
+		t.Fatalf("penalty %v, composed %v", got.penalty, want.penalty)
+	}
+	for i := range want.grads {
+		if !got.grads[i].Equal(want.grads[i]) {
+			t.Fatalf("critic parameter %d: gradient differs from the composed penalty's", i)
+		}
+	}
+	if got.state != want.state {
+		t.Fatal("the generator ended somewhere else")
 	}
 }
 

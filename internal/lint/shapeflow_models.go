@@ -208,6 +208,17 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 		v := in.binModel(fn.Name(), pos, argShape(args, 1), argShape(args, 2))
 		in.intoDst(fn.Name(), pos, argShape(args, 0), v.shape.rows, v.shape.cols)
 		return one(v), true
+	case "ReLU", "LeakyReLU":
+		a := argShape(args, 0)
+		return one(matVal(a.rows, a.cols)), true
+	case "ActGrad":
+		g, x := argShape(args, 0), argShape(args, 1)
+		in.constrain(g.rows, x.rows, pos, "ActGrad rows", nil)
+		in.constrain(g.cols, x.cols, pos, "ActGrad cols", nil)
+		return one(matVal(g.rows, g.cols)), true
+	case "Dropout":
+		x := argShape(args, 1)
+		return []sfVal{matVal(x.rows, x.cols), matVal(x.rows, x.cols)}, true
 	case "ConcatCols", "ConcatRows":
 		return one(in.concatModel(fn.Name(), call, args)), true
 	case "TransposeInto":
@@ -291,7 +302,7 @@ func (in *sfInterp) modelAGFunc(call *ast.CallExpr, fn *types.Func, args []sfVal
 		return one(in.affineModel(pos, argShape(args, 0), argShape(args, 1), argShape(args, 2))), true
 	case "Add", "Sub", "Mul", "Div":
 		return one(in.binModel(fn.Name(), pos, argShape(args, 0), argShape(args, 1))), true
-	case "Neg", "Sqrt", "Exp", "Log", "ReLU", "Tanh", "Sigmoid", "SoftmaxRows", "Square", "LeakyReLU", "Scale", "AddScalar":
+	case "Neg", "Sqrt", "Exp", "Log", "ReLU", "Tanh", "Sigmoid", "SoftmaxRows", "Square", "LeakyReLU", "Dropout", "Scale", "AddScalar":
 		a := argShape(args, 0)
 		return one(matVal(a.rows, a.cols)), true
 	case "Transpose":

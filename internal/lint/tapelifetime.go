@@ -7,10 +7,11 @@ import (
 )
 
 // AnalyzerTapeLifetime enforces the pool/tape release discipline from
-// DESIGN.md ("Kernel architecture"): a tensor.NewPooled buffer or an
-// autograd tape acquired inside a function must be handed back with
-// Release before the function exits, unless ownership visibly escapes
-// (returned, stored, or passed to another function). The check is
+// DESIGN.md ("Kernel architecture"): a tensor.NewPooled buffer (or either
+// result of tensor.Dropout) or an autograd tape acquired inside a function
+// must be handed back with Release before the function exits, unless
+// ownership visibly escapes (returned, stored — a dropout mask in the op
+// that owns it — or passed to another function). The check is
 // flow-insensitive def/use over the AST — any Release call on the
 // variable, including a deferred one, satisfies it — so it cannot prove
 // per-path leaks, but it catches the dominant hazard: an acquisition with
@@ -51,6 +52,21 @@ func checkFuncLifetimes(p *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
+			if len(st.Lhs) == 2 && len(st.Rhs) == 1 {
+				// out, mask := tensor.Dropout(...): both results are pooled
+				// and the caller's — the mask is no node's data, so no tape
+				// returns it unless an op takes it over (which is an escape).
+				if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok && isPkgFunc(info, call, "internal/tensor", "Dropout") {
+					for i, what := range []string{"tensor.Dropout product", "tensor.Dropout mask"} {
+						if id, ok := st.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
+							if obj := defOrUse(info, id); obj != nil {
+								acqs = append(acqs, &acquisition{obj: obj, pos: id.Pos(), what: what})
+							}
+						}
+					}
+				}
+				return true
+			}
 			if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
 				return true
 			}
@@ -158,12 +174,11 @@ func checkFuncLifetimes(p *Pass, fn *ast.FuncDecl) {
 }
 
 // classifyAcquisition recognizes `x := tensor.NewPooled(...)`,
-// `x := autograd.NewTape()` and `x := autograd.Tape{}` forms.
+// `x := autograd.NewTape()` and `x := autograd.Tape{}` forms (the two-result
+// `out, mask := tensor.Dropout(...)` is recognized where assignments are
+// collected).
 func classifyAcquisition(info *types.Info, id *ast.Ident, rhs ast.Expr) *acquisition {
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id] // plain = assignment to an existing var
-	}
+	obj := defOrUse(info, id)
 	if obj == nil {
 		return nil
 	}
@@ -193,6 +208,15 @@ func classifyAcquisition(info *types.Info, id *ast.Ident, rhs ast.Expr) *acquisi
 		}
 	}
 	return nil
+}
+
+// defOrUse returns the variable an assignment's left-hand identifier names,
+// whether the statement defines it or assigns to an existing one.
+func defOrUse(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }
 
 // isTapeType reports whether t is autograd.Tape (or a pointer to it).

@@ -3,6 +3,8 @@
 package tapelifetime
 
 import (
+	"math/rand"
+
 	ag "repro/internal/autograd"
 	"repro/internal/coldata"
 	"repro/internal/tensor"
@@ -59,4 +61,26 @@ func releasedBlockBuf() int {
 func escapingBlockBuf() *coldata.BlockBuf {
 	bb := coldata.AcquireBlockBuf(64)
 	return bb // ownership transfers to the caller: no finding
+}
+
+func leakDropoutMask(rng *rand.Rand, x *tensor.Dense) float64 {
+	out, mask := tensor.Dropout(rng, x, 0.5) // want "tensor.Dropout mask is acquired here but never Released"
+	defer out.Release()
+	return out.Sum() + mask.Sum()
+}
+
+func releasedDropout(rng *rand.Rand, x *tensor.Dense) float64 {
+	out, mask := tensor.Dropout(rng, x, 0.5)
+	defer out.Release()
+	defer mask.Release()
+	return out.Sum() + mask.Sum()
+}
+
+// maskOwner stands in for an autograd op that keeps the mask beside its
+// node's data and returns it when the node is recycled.
+type maskOwner struct{ mask *tensor.Dense }
+
+func opOwnedDropoutMask(rng *rand.Rand, x *tensor.Dense) (*tensor.Dense, *maskOwner) {
+	out, mask := tensor.Dropout(rng, x, 0.5)
+	return out, &maskOwner{mask: mask} // both change hands: no finding
 }

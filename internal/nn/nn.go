@@ -107,11 +107,18 @@ func (b *BatchNorm) Forward(x *ag.Value, train bool) *ag.Value {
 		mean = ag.MeanRows(x)
 		centered := ag.Sub(x, mean)
 		variance = ag.MeanRows(ag.Square(centered))
-		// Update running statistics outside the graph. PyTorch tracks the
-		// unbiased variance in its running estimate.
-		unbiased := variance.Data().Scale(float64(rows) / float64(rows-1))
-		b.runningMean = tensor.Add(b.runningMean.Scale(1-b.momentum), mean.Data().Scale(b.momentum))
-		b.runningVar = tensor.Add(b.runningVar.Scale(1-b.momentum), unbiased.Scale(b.momentum))
+		// Update running statistics outside the graph, in place. PyTorch
+		// tracks the unbiased variance in its running estimate. Every product
+		// is rounded before it is added (the conversions forbid a fused
+		// multiply-add), as when each was a matrix of its own.
+		unbias := float64(rows) / float64(rows-1)
+		keep, m := 1-b.momentum, b.momentum
+		rm, rv := b.runningMean.Data(), b.runningVar.Data()
+		md, vd := mean.Data().Data(), variance.Data().Data()
+		for j := range rm {
+			rm[j] = float64(rm[j]*keep) + float64(md[j]*m)
+			rv[j] = float64(rv[j]*keep) + float64(float64(vd[j]*unbias)*m)
+		}
 		norm := ag.Div(centered, ag.Sqrt(ag.AddScalar(variance, b.eps)))
 		return ag.Add(ag.Mul(norm, b.Gamma), b.Beta)
 	}
@@ -190,16 +197,7 @@ func (d *Dropout) Forward(x *ag.Value, train bool) *ag.Value {
 	if !train || d.P <= 0 {
 		return x
 	}
-	rows, cols := x.Shape()
-	keep := 1 - d.P
-	mask := tensor.New(rows, cols)
-	data := mask.Data()
-	for i := range data {
-		if d.rng.Float64() < keep {
-			data[i] = 1 / keep
-		}
-	}
-	return ag.Mul(x, ag.Const(mask))
+	return ag.Dropout(x, d.rng, 1-d.P)
 }
 
 // Params implements Layer.

@@ -34,6 +34,14 @@ const (
 	// transposeBlock tiles Transpose into 32x32 sub-blocks (8 KiB working
 	// set) so the strided writes stay within a few cache lines.
 	transposeBlock = 32
+	// narrowMaxCols is the widest dst row the accumulating kernels treat as
+	// narrow: eight 4-lane vector registers, which is what the row update of
+	// kernels_amd64.s holds a row in across a whole k tile, and the width up
+	// to which MatMulTA never transposes. Both rules read the operand shapes
+	// and nothing else: the 12-to-18-column client models of a four-party
+	// split and the 32-column default block are on this side, the paper's
+	// 256-column blocks on the other.
+	narrowMaxCols = 32
 )
 
 // allFiniteGeneric reports whether every element of data is finite: NaN and
@@ -55,7 +63,7 @@ func MatMul(a, b *Dense) *Dense {
 	}
 	out := newPooledNoZero(a.rows, b.cols)
 	clear(out.data)
-	matmulAcc(out, a, b)
+	matmulAcc(out, a, b, nil)
 	return out
 }
 
@@ -67,7 +75,7 @@ func MatMulInto(dst, a, b *Dense) *Dense {
 	}
 	checkDst(dst, a, b, a.rows, b.cols, "MatMulInto")
 	clear(dst.data)
-	matmulAcc(dst, a, b)
+	matmulAcc(dst, a, b, nil)
 	return dst
 }
 
@@ -120,7 +128,7 @@ func MatMulTBInto(dst, a, b *Dense) *Dense {
 }
 
 // Affine returns a*b + bias with the 1xCols(b) bias row folded into the
-// matmul: dst rows are seeded with the bias and the product accumulates on
+// matmul: every dst row starts from the bias and the product accumulates on
 // top, saving the broadcast-add pass and its intermediate.
 func Affine(a, b, bias *Dense) *Dense {
 	if a.cols != b.rows {
@@ -130,11 +138,14 @@ func Affine(a, b, bias *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: Affine bias %dx%d, want 1x%d", bias.rows, bias.cols, b.cols))
 	}
 	out := newPooledNoZero(a.rows, b.cols)
-	p := b.cols
-	for i := 0; i < a.rows; i++ {
-		copy(out.data[i*p:(i+1)*p], bias.data)
+	if a.cols == 0 {
+		p := b.cols
+		for i := 0; i < a.rows; i++ {
+			copy(out.data[i*p:(i+1)*p], bias.data)
+		}
+		return out
 	}
-	matmulAcc(out, a, b)
+	matmulAcc(out, a, b, bias)
 	return out
 }
 
@@ -151,21 +162,27 @@ func checkDst(dst, a, b *Dense, rows, cols int, op string) {
 	}
 }
 
-// matmulAcc adds a*b onto dst (which the caller has initialized), fanning
-// rows of dst across the worker pool for large products.
-func matmulAcc(dst, a, b *Dense) {
+// matmulAcc adds a*b onto dst, fanning rows of dst across the worker pool for
+// large products. Each dst row starts from the 1xCols(dst) row seed, or, with
+// a nil seed, from what the caller put in dst.
+func matmulAcc(dst, a, b, seed *Dense) {
 	if len(dst.data) == 0 || a.cols == 0 {
 		return
 	}
-	t := kernelTask{kind: kernelMatMulAcc, dst: dst, a: a, b: b, bFinite: allFinite(b.data)}
+	t := kernelTask{kind: kernelMatMulAcc, dst: dst, a: a, b: b, seed: seed, bFinite: allFinite(b.data)}
 	runRows(t, a.rows, a.cols*b.cols)
 }
 
 // matmulTATransposeThreshold: below it (operand fits L2) the strided-column
 // kernel wins by skipping the copy; above it the column walk thrashes and a
 // blocked transpose into a pooled scratch followed by the contiguous kernel
-// is faster. The path depends only on a's shape, so outputs stay a pure
-// function of the inputs.
+// is faster — provided dst rows are wider than narrowMaxCols. Up to that
+// width an element of a feeds at most 32 multiply-adds, fewer than moving it
+// costs, and the strided kernel wins at every width of a (the weight gradient
+// of a tall, narrow activation, 5000x17 against 5000x17, by 2x; measured up
+// to 3060 columns). The path depends only on the operand shapes, so outputs
+// stay a pure function of the inputs, and both paths run the same groups in
+// the same order.
 const matmulTATransposeThreshold = 1 << 15
 
 // matmulTAAcc adds aᵀ*b onto dst.
@@ -173,9 +190,9 @@ func matmulTAAcc(dst, a, b *Dense) {
 	if len(dst.data) == 0 || a.rows == 0 {
 		return
 	}
-	if len(a.data) >= matmulTATransposeThreshold {
+	if len(a.data) >= matmulTATransposeThreshold && b.cols > narrowMaxCols {
 		at := a.Transpose()
-		matmulAcc(dst, at, b)
+		matmulAcc(dst, at, b, nil)
 		at.Release()
 		return
 	}
@@ -192,71 +209,69 @@ func kTile(p int) int {
 	return max(4, min(panelFloats/p&^3, matmulKC))
 }
 
-// matmulAccRange accumulates rows [lo,hi) of dst += a*b. The zero-skip is
-// gated on bFinite: 0*finite adds exactly zero, so skipping is legal, but
-// when b contains NaN or ±Inf every product must be formed so IEEE
-// propagation (0*Inf = NaN) is preserved.
-func matmulAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
+// matmulAccRange accumulates rows [lo,hi) of dst += a*b, one k tile after the
+// other so that the tile's b panel is read from cache by every row. The rows
+// start from seed when there is one: it rides along with the first tile.
+func matmulAccRange(dst, a, b, seed *Dense, lo, hi int, bFinite bool) {
 	n, p := a.cols, b.cols
-	ad, bd, od := a.data, b.data, dst.data
+	ad, bd := a.data, b.data
+	var from []float64
+	if seed != nil {
+		from = seed.data
+	}
 	kc := kTile(p)
 	for kk := 0; kk < n; kk += kc {
 		kend := min(kk+kc, n)
-		for i := lo; i < hi; i++ {
-			arow := ad[i*n : (i+1)*n]
-			orow := od[i*p : (i+1)*p]
-			k := kk
-			for ; k+3 < kend; k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids (x+0*y==x for finite y, gated on bFinite)
-				if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				axpy4(orow, bd[k*p:(k+4)*p], a0, a1, a2, a3)
-			}
-			for ; k < kend; k++ {
-				av := arow[k]
-				//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids
-				if bFinite && av == 0 {
-					continue
-				}
-				axpy1(orow, bd[k*p:(k+1)*p], av)
-			}
-		}
+		tileAcc(dst.data, p, from, ad[kk:], n, 1, kend-kk, bd[kk*p:kend*p], lo, hi, bFinite)
+		from = nil
 	}
 }
 
 // matmulTAAccRange accumulates rows [lo,hi) of dst += aᵀ*b. dst row i is
-// a's column i, loaded with stride Cols(a); the b panel access pattern is
+// a's column i, read with stride Cols(a); the b panel access pattern is
 // identical to matmulAccRange.
 func matmulTAAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
 	kN, m, n := a.rows, a.cols, b.cols
-	ad, bd, od := a.data, b.data, dst.data
+	ad, bd := a.data, b.data
 	kc := kTile(n)
 	for kk := 0; kk < kN; kk += kc {
 		kend := min(kk+kc, kN)
-		for i := lo; i < hi; i++ {
-			orow := od[i*n : (i+1)*n]
-			k := kk
-			for ; k+3 < kend; k += 4 {
-				a0 := ad[k*m+i]
-				a1 := ad[(k+1)*m+i]
-				a2 := ad[(k+2)*m+i]
-				a3 := ad[(k+3)*m+i]
-				//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids (x+0*y==x for finite y, gated on bFinite)
-				if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				axpy4(orow, bd[k*n:(k+4)*n], a0, a1, a2, a3)
+		tileAcc(dst.data, n, nil, ad[kk*m:], 1, m, kend-kk, bd[kk*n:kend*n], lo, hi, bFinite)
+	}
+}
+
+// tileAccGroups is the update of rows [lo,hi) of dst (p columns each, in od)
+// by one k tile, and the specification of every routine that performs it.
+// The tile's kn rows of b are held back to back in b; row i weighs them by
+// a[i*rowStride], a[i*rowStride+kStride], ... (a contiguous row of a for
+// MatMul, a column of it for MatMulTA). Each row, first copied from seed when
+// there is one, takes ascending groups of four k — a group's products summed
+// left to right, then added to the row — and then one k at a time. The
+// zero-skip is gated on bFinite: 0*finite adds exactly zero, so skipping is
+// legal, but when b contains NaN or ±Inf every product must be formed so IEEE
+// propagation (0*Inf = NaN) is preserved.
+func tileAccGroups(od []float64, p int, seed, a []float64, rowStride, kStride, kn int, b []float64, lo, hi int, bFinite bool) {
+	for i := lo; i < hi; i++ {
+		orow := od[i*p : (i+1)*p]
+		if seed != nil {
+			copy(orow, seed)
+		}
+		k, at := 0, i*rowStride
+		for ; k+3 < kn; k, at = k+4, at+4*kStride {
+			a0, a1, a2, a3 := a[at], a[at+kStride], a[at+2*kStride], a[at+3*kStride]
+			//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids (x+0*y==x for finite y, gated on bFinite)
+			if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
 			}
-			for ; k < kend; k++ {
-				av := ad[k*m+i]
-				//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids
-				if bFinite && av == 0 {
-					continue
-				}
-				axpy1(orow, bd[k*n:(k+1)*n], av)
+			axpy4(orow, b[k*p:(k+4)*p], a0, a1, a2, a3)
+		}
+		for ; k < kn; k, at = k+1, at+kStride {
+			av := a[at]
+			//lint:ignore floateq exact-zero skip is bit-identical to the multiply it avoids
+			if bFinite && av == 0 {
+				continue
 			}
+			axpy1(orow, b[k*p:(k+1)*p], av)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package tensor
 
 // amd64 side of the kernel layer: CPU detection, the declarations of the
-// AVX2 routines in kernels_amd64.s, and the five entry points the portable
-// code calls (axpy4, axpy1, matmulTBRange, binSame, allFinite), each of which
-// picks the vector routine or the Go loop it is bit-identical to.
+// AVX2 routines in kernels_amd64.s, and the entry points the portable code
+// calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu, leakyReLU,
+// actGrad, allFinite), each of which picks the vector routine or the Go loop
+// it is bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -23,6 +24,18 @@ func axpy4AVX2(dst, b *float64, n int, a0, a1, a2, a3 float64)
 func axpy1AVX2(dst, b *float64, n int, a float64)
 
 //go:noescape
+func rowAccNarrowAVX2(dst, seed, a *float64, stride, kn int, b *float64, p int, bFinite bool)
+
+//go:noescape
+func vecReLUAVX2(dst, x *float64, n int)
+
+//go:noescape
+func vecLeakyReLUAVX2(dst, x *float64, n int, slope float64)
+
+//go:noescape
+func vecActGradAVX2(dst, grad, x *float64, n int, slope float64)
+
+//go:noescape
 func dotPanel8x4AVX2(out *[dotPanelRows * dotPanelCols]float64, panel, b0, b1, b2, b3 *float64, n int)
 
 //go:noescape
@@ -39,6 +52,28 @@ func vecDivAVX2(dst, a, b *float64, n int)
 
 //go:noescape
 func allFiniteAVX2(p *float64, n int) bool
+
+// tileAcc adds a k tile's contribution to rows [lo,hi) of dst (see
+// tileAccGroups, the loop it must agree with bit for bit). Rows of vecMinLen
+// to narrowMaxCols columns take one call each that keeps the row in registers
+// for the whole tile; wider ones go group by group through axpy4.
+func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kn int, b []float64, lo, hi int, bFinite bool) {
+	if !useAsm || p < vecMinLen || p > narrowMaxCols {
+		tileAccGroups(od, p, seed, a, rowStride, kStride, kn, b, lo, hi, bFinite)
+		return
+	}
+	_ = b[kn*p-1]
+	for i := lo; i < hi; i++ {
+		orow := od[i*p : (i+1)*p]
+		from := orow
+		if seed != nil {
+			from = seed[:p]
+		}
+		arow := a[i*rowStride:]
+		_ = arow[(kn-1)*kStride]
+		rowAccNarrowAVX2(&orow[0], &from[0], &arow[0], kStride, kn, &b[0], p, bFinite)
+	}
+}
 
 func axpy4(orow, b []float64, a0, a1, a2, a3 float64) {
 	if p := len(orow); useAsm && p >= vecMinLen {
@@ -75,6 +110,33 @@ func binSame(od, ad, bd []float64, op binOp) {
 	case binDiv:
 		vecDivAVX2(&od[0], &ad[0], &bd[0], n)
 	}
+}
+
+func relu(dst, x []float64) {
+	if n := len(x); useAsm && n >= vecMinLen {
+		_ = dst[n-1]
+		vecReLUAVX2(&dst[0], &x[0], n)
+		return
+	}
+	reluGeneric(dst, x)
+}
+
+func leakyReLU(dst, x []float64, slope float64) {
+	if n := len(x); useAsm && n >= vecMinLen {
+		_ = dst[n-1]
+		vecLeakyReLUAVX2(&dst[0], &x[0], n, slope)
+		return
+	}
+	leakyReLUGeneric(dst, x, slope)
+}
+
+func actGrad(dst, g, x []float64, slope float64) {
+	if n := len(x); useAsm && n >= vecMinLen {
+		_, _ = dst[n-1], g[n-1]
+		vecActGradAVX2(&dst[0], &g[0], &x[0], n, slope)
+		return
+	}
+	actGradGeneric(dst, g, x, slope)
 }
 
 func allFinite(data []float64) bool {

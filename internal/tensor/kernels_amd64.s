@@ -1,6 +1,6 @@
-// AVX2 routines behind the matmul kernels, the same-shape elementwise loop
-// and allFinite (see kernels_amd64.go for the Go declarations and DESIGN.md
-// "Kernel architecture" for the contract).
+// AVX2 routines behind the matmul kernels, the same-shape elementwise loop,
+// the activations and their gradient, and allFinite (see kernels_amd64.go for
+// the Go declarations and DESIGN.md "Kernel architecture" for the contract).
 //
 // The rule every routine here obeys: an output element sees exactly the
 // operation sequence of the Go loop it replaces. Vector lanes (and unrolled
@@ -46,6 +46,181 @@ L1: \
 DONE: \
 	VZEROUPPER; \
 	RET
+
+// The narrow-row accumulator, rowAccNarrowAVX2, is one prologue and eight
+// copies of the same loop, one per number of 4-lane vectors a dst row of 4 to
+// 32 columns needs. Registers, set up by the prologue:
+//
+//	DI  dst row            SI  b row k            R8  b row k+3
+//	DX  bytes per b row    R9, R10  the same two b rows at the last vector
+//	BX  a[k]               R11 bytes between a[k] and a[k+1], R13 three times that
+//	R12 byte offset of the last vector, (p-4)*8
+//	CX  counter            AX  scratch (the seed row while LOADS runs)
+//
+// Vectors 0..n-2 sit at offsets 0, 32, ...; the last one sits at (p-4)*8
+// whatever p is, so for a width that is not a multiple of four it overlaps
+// its neighbour instead of running past the row. The shared columns are then
+// accumulated twice, in two registers, from the same loads by the same
+// instructions — lanes are independent outputs — and stored twice with the
+// same bits.
+//
+// NV is one vector's share of one group of four k: the axpy4 sequence
+// ((a0*b0 + a1*b1) + a2*b2) + a3*b3, then the add onto the accumulator that
+// stands in for dst. B0/B3 are the registers holding b rows k and k+3 for
+// this vector, Y12..Y15 the four a values. NT is the k tail, acc += a*b.
+#define NV(B0, B3, OFF, ACC, T0, T1) \
+	VMULPD OFF(B0), Y12, T0; \
+	VMULPD OFF(B0)(DX*1), Y13, T1; \
+	VADDPD T1, T0, T0; \
+	VMULPD OFF(B0)(DX*2), Y14, T1; \
+	VADDPD T1, T0, T0; \
+	VMULPD OFF(B3), Y15, T1; \
+	VADDPD T1, T0, T0; \
+	VADDPD T0, ACC, ACC
+
+#define NT(B0, OFF, ACC, T0) \
+	VMULPD OFF(B0), Y12, T0; \
+	VADDPD T0, ACC, ACC
+
+#define NVLAST(ACC, T0, T1) NV(R9, R10, 0, ACC, T0, T1)
+#define NTLAST(ACC, T0) NT(R9, 0, ACC, T0)
+
+// FULLn is the first n vectors' share of a group, at their fixed offsets;
+// GROUPn is a row of n vectors: n-1 of those and the last one.
+#define FULL1 NV(SI, R8, 0, Y0, Y8, Y9)
+#define FULL2 FULL1; NV(SI, R8, 32, Y1, Y10, Y11)
+#define FULL3 FULL2; NV(SI, R8, 64, Y2, Y8, Y9)
+#define FULL4 FULL3; NV(SI, R8, 96, Y3, Y10, Y11)
+#define FULL5 FULL4; NV(SI, R8, 128, Y4, Y8, Y9)
+#define FULL6 FULL5; NV(SI, R8, 160, Y5, Y10, Y11)
+#define FULL7 FULL6; NV(SI, R8, 192, Y6, Y8, Y9)
+
+#define GROUP1 NVLAST(Y0, Y8, Y9)
+#define GROUP2 FULL1; NVLAST(Y1, Y10, Y11)
+#define GROUP3 FULL2; NVLAST(Y2, Y8, Y9)
+#define GROUP4 FULL3; NVLAST(Y3, Y10, Y11)
+#define GROUP5 FULL4; NVLAST(Y4, Y8, Y9)
+#define GROUP6 FULL5; NVLAST(Y5, Y10, Y11)
+#define GROUP7 FULL6; NVLAST(Y6, Y8, Y9)
+#define GROUP8 FULL7; NVLAST(Y7, Y10, Y11)
+
+// The same for one leftover k.
+#define TFULL1 NT(SI, 0, Y0, Y8)
+#define TFULL2 TFULL1; NT(SI, 32, Y1, Y9)
+#define TFULL3 TFULL2; NT(SI, 64, Y2, Y10)
+#define TFULL4 TFULL3; NT(SI, 96, Y3, Y11)
+#define TFULL5 TFULL4; NT(SI, 128, Y4, Y8)
+#define TFULL6 TFULL5; NT(SI, 160, Y5, Y9)
+#define TFULL7 TFULL6; NT(SI, 192, Y6, Y10)
+
+#define TAIL1 NTLAST(Y0, Y8)
+#define TAIL2 TFULL1; NTLAST(Y1, Y9)
+#define TAIL3 TFULL2; NTLAST(Y2, Y10)
+#define TAIL4 TFULL3; NTLAST(Y3, Y11)
+#define TAIL5 TFULL4; NTLAST(Y4, Y8)
+#define TAIL6 TFULL5; NTLAST(Y5, Y9)
+#define TAIL7 TFULL6; NTLAST(Y6, Y10)
+#define TAIL8 TFULL7; NTLAST(Y7, Y11)
+
+// LOADSn reads the n accumulators from the row AX points at (dst itself, or
+// the bias row of an Affine's first k tile); STORESn writes them to dst.
+#define LFULL1 VMOVUPD (AX), Y0
+#define LFULL2 LFULL1; VMOVUPD 32(AX), Y1
+#define LFULL3 LFULL2; VMOVUPD 64(AX), Y2
+#define LFULL4 LFULL3; VMOVUPD 96(AX), Y3
+#define LFULL5 LFULL4; VMOVUPD 128(AX), Y4
+#define LFULL6 LFULL5; VMOVUPD 160(AX), Y5
+#define LFULL7 LFULL6; VMOVUPD 192(AX), Y6
+
+#define LOADS1 VMOVUPD (AX)(R12*1), Y0
+#define LOADS2 LFULL1; VMOVUPD (AX)(R12*1), Y1
+#define LOADS3 LFULL2; VMOVUPD (AX)(R12*1), Y2
+#define LOADS4 LFULL3; VMOVUPD (AX)(R12*1), Y3
+#define LOADS5 LFULL4; VMOVUPD (AX)(R12*1), Y4
+#define LOADS6 LFULL5; VMOVUPD (AX)(R12*1), Y5
+#define LOADS7 LFULL6; VMOVUPD (AX)(R12*1), Y6
+#define LOADS8 LFULL7; VMOVUPD (AX)(R12*1), Y7
+
+#define SFULL1 VMOVUPD Y0, (DI)
+#define SFULL2 SFULL1; VMOVUPD Y1, 32(DI)
+#define SFULL3 SFULL2; VMOVUPD Y2, 64(DI)
+#define SFULL4 SFULL3; VMOVUPD Y3, 96(DI)
+#define SFULL5 SFULL4; VMOVUPD Y4, 128(DI)
+#define SFULL6 SFULL5; VMOVUPD Y5, 160(DI)
+#define SFULL7 SFULL6; VMOVUPD Y6, 192(DI)
+
+#define STORES1 VMOVUPD Y0, (DI)(R12*1)
+#define STORES2 SFULL1; VMOVUPD Y1, (DI)(R12*1)
+#define STORES3 SFULL2; VMOVUPD Y2, (DI)(R12*1)
+#define STORES4 SFULL3; VMOVUPD Y3, (DI)(R12*1)
+#define STORES5 SFULL4; VMOVUPD Y4, (DI)(R12*1)
+#define STORES6 SFULL5; VMOVUPD Y5, (DI)(R12*1)
+#define STORES7 SFULL6; VMOVUPD Y6, (DI)(R12*1)
+#define STORES8 SFULL7; VMOVUPD Y7, (DI)(R12*1)
+
+// NARROW is the loop for one vector count: the groups of four k, then up to
+// three single k, each behind the exact-zero test of the Go loop — a group
+// is skipped when b is finite and all four a are ±0 (their bit patterns
+// ORed together and shifted clear of the sign are zero), a single k
+// likewise. A skip leaves the accumulators as they are, which is what not
+// touching dst was.
+#define NARROW(LOADS, GROUP, TAIL, STORES, LG, LGDO, LGNEXT, LT, LTLOOP, LTDO, LTNEXT, LDONE) \
+	LOADS; \
+	MOVQ kn+32(FP), CX; \
+	SHRQ $2, CX; \
+	JZ   LT; \
+LG: \
+	MOVQ (BX), AX; \
+	ORQ  (BX)(R11*1), AX; \
+	ORQ  (BX)(R11*2), AX; \
+	ORQ  (BX)(R13*1), AX; \
+	SHLQ $1, AX; \
+	JNZ  LGDO; \
+	CMPB bFinite+56(FP), $0; \
+	JNE  LGNEXT; \
+LGDO: \
+	VBROADCASTSD (BX), Y12; \
+	VBROADCASTSD (BX)(R11*1), Y13; \
+	VBROADCASTSD (BX)(R11*2), Y14; \
+	VBROADCASTSD (BX)(R13*1), Y15; \
+	GROUP; \
+LGNEXT: \
+	LEAQ (BX)(R11*4), BX; \
+	LEAQ (SI)(DX*4), SI; \
+	LEAQ (R8)(DX*4), R8; \
+	LEAQ (R9)(DX*4), R9; \
+	LEAQ (R10)(DX*4), R10; \
+	DECQ CX; \
+	JNZ  LG; \
+LT: \
+	MOVQ kn+32(FP), CX; \
+	ANDQ $3, CX; \
+	JZ   LDONE; \
+LTLOOP: \
+	MOVQ (BX), AX; \
+	SHLQ $1, AX; \
+	JNZ  LTDO; \
+	CMPB bFinite+56(FP), $0; \
+	JNE  LTNEXT; \
+LTDO: \
+	VBROADCASTSD (BX), Y12; \
+	TAIL; \
+LTNEXT: \
+	ADDQ R11, BX; \
+	ADDQ DX, SI; \
+	ADDQ DX, R9; \
+	DECQ CX; \
+	JNZ  LTLOOP; \
+LDONE: \
+	STORES; \
+	VZEROUPPER; \
+	RET
+
+// The activation routines compare x with +0 (GT_OQ: false for NaN, as `v >
+// 0` is in Go) and select with the resulting lane mask; the products are
+// VMULPD. A tail element goes through the same packed instructions on an XMM
+// register whose upper lane VMOVSD zeroed, so it rounds as a lane does.
+#define CMPGT $0x1E
 
 // func cpuHasAVX2() bool
 //
@@ -195,6 +370,185 @@ axpy1tail1:
 	JMP  axpy1tail1
 
 axpy1done:
+	VZEROUPPER
+	RET
+
+// func rowAccNarrowAVX2(dst, seed, a *float64, stride, kn int, b *float64, p int, bFinite bool)
+//
+// One dst row of p columns (4 <= p <= 32) against kn rows of b: the row is
+// read once from seed into registers, every group of four k and every
+// leftover k adds onto it there in ascending order, and it is written to dst
+// once. a[k] is a[k*stride].
+TEXT ·rowAccNarrowAVX2(SB), NOSPLIT, $0-57
+	MOVQ dst+0(FP), DI
+	MOVQ a+16(FP), BX
+	MOVQ stride+24(FP), R11
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R13
+	MOVQ b+40(FP), SI
+	MOVQ p+48(FP), DX
+	LEAQ -4(DX), R12
+	SHLQ $3, R12
+	LEAQ 3(DX), CX
+	SHRQ $2, CX
+	SHLQ $3, DX
+	LEAQ (DX)(DX*2), R8
+	ADDQ SI, R8
+	LEAQ (SI)(R12*1), R9
+	LEAQ (R8)(R12*1), R10
+	MOVQ seed+8(FP), AX
+	CMPQ CX, $4
+	JGT  narrowhi
+	JEQ  narrow4
+	CMPQ CX, $2
+	JGT  narrow3
+	JEQ  narrow2
+	NARROW(LOADS1, GROUP1, TAIL1, STORES1, n1g, n1gdo, n1gnext, n1t, n1tloop, n1tdo, n1tnext, n1done)
+
+narrow2:
+	NARROW(LOADS2, GROUP2, TAIL2, STORES2, n2g, n2gdo, n2gnext, n2t, n2tloop, n2tdo, n2tnext, n2done)
+
+narrow3:
+	NARROW(LOADS3, GROUP3, TAIL3, STORES3, n3g, n3gdo, n3gnext, n3t, n3tloop, n3tdo, n3tnext, n3done)
+
+narrow4:
+	NARROW(LOADS4, GROUP4, TAIL4, STORES4, n4g, n4gdo, n4gnext, n4t, n4tloop, n4tdo, n4tnext, n4done)
+
+narrowhi:
+	CMPQ CX, $6
+	JGT  narrow78
+	JEQ  narrow6
+	NARROW(LOADS5, GROUP5, TAIL5, STORES5, n5g, n5gdo, n5gnext, n5t, n5tloop, n5tdo, n5tnext, n5done)
+
+narrow6:
+	NARROW(LOADS6, GROUP6, TAIL6, STORES6, n6g, n6gdo, n6gnext, n6t, n6tloop, n6tdo, n6tnext, n6done)
+
+narrow78:
+	CMPQ CX, $7
+	JGT  narrow8
+	NARROW(LOADS7, GROUP7, TAIL7, STORES7, n7g, n7gdo, n7gnext, n7t, n7tloop, n7tdo, n7tnext, n7done)
+
+narrow8:
+	NARROW(LOADS8, GROUP8, TAIL8, STORES8, n8g, n8gdo, n8gnext, n8t, n8tloop, n8tdo, n8tnext, n8done)
+
+// func vecReLUAVX2(dst, x *float64, n int)
+//
+// dst[i] = x[i] where x[i] > 0, else +0: the compare mask ANDed onto x.
+TEXT ·vecReLUAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+
+relu4:
+	CMPQ CX, $4
+	JL   relu1
+	VMOVUPD (SI)(AX*1), Y0
+	VCMPPD CMPGT, Y15, Y0, Y1
+	VANDPD Y1, Y0, Y2
+	VMOVUPD Y2, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JMP  relu4
+
+relu1:
+	TESTQ CX, CX
+	JZ   reludone
+	VMOVSD (SI)(AX*1), X0
+	VCMPPD CMPGT, X15, X0, X1
+	VANDPD X1, X0, X2
+	VMOVSD X2, (DI)(AX*1)
+	ADDQ $8, AX
+	DECQ CX
+	JMP  relu1
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func vecLeakyReLUAVX2(dst, x *float64, n int, slope float64)
+//
+// dst[i] = x[i] where x[i] > 0, else slope*x[i].
+TEXT ·vecLeakyReLUAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD slope+24(FP), Y14
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+
+leaky4:
+	CMPQ CX, $4
+	JL   leaky1
+	VMOVUPD (SI)(AX*1), Y0
+	VCMPPD CMPGT, Y15, Y0, Y1
+	VMULPD Y0, Y14, Y2
+	VBLENDVPD Y1, Y0, Y2, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JMP  leaky4
+
+leaky1:
+	TESTQ CX, CX
+	JZ   leakydone
+	VMOVSD (SI)(AX*1), X0
+	VCMPPD CMPGT, X15, X0, X1
+	VMULPD X0, X14, X2
+	VBLENDVPD X1, X0, X2, X3
+	VMOVSD X3, (DI)(AX*1)
+	ADDQ $8, AX
+	DECQ CX
+	JMP  leaky1
+
+leakydone:
+	VZEROUPPER
+	RET
+
+// func vecActGradAVX2(dst, grad, x *float64, n int, slope float64)
+//
+// dst[i] = grad[i]*m with m = 1 where x[i] > 0, else slope: the factor is
+// selected, the product always formed.
+TEXT ·vecActGradAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), CX
+	VBROADCASTSD slope+32(FP), Y14
+	MOVQ $0x3FF0000000000000, AX
+	MOVQ AX, X13
+	VBROADCASTSD X13, Y13
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+
+actgrad4:
+	CMPQ CX, $4
+	JL   actgrad1
+	VMOVUPD (SI)(AX*1), Y0
+	VCMPPD CMPGT, Y15, Y0, Y1
+	VBLENDVPD Y1, Y13, Y14, Y2
+	VMOVUPD (DX)(AX*1), Y3
+	VMULPD Y2, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JMP  actgrad4
+
+actgrad1:
+	TESTQ CX, CX
+	JZ   actgraddone
+	VMOVSD (SI)(AX*1), X0
+	VCMPPD CMPGT, X15, X0, X1
+	VBLENDVPD X1, X13, X14, X2
+	VMOVSD (DX)(AX*1), X3
+	VMULPD X2, X3, X3
+	VMOVSD X3, (DI)(AX*1)
+	ADDQ $8, AX
+	DECQ CX
+	JMP  actgrad1
+
+actgraddone:
 	VZEROUPPER
 	RET
 

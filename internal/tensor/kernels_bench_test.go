@@ -12,7 +12,9 @@ import (
 // sizes expose cache-blocking behaviour; the named shapes are the products a
 // paper-scale federated round is made of (block 256, pac 10, batch 250, so
 // D^t sees 25 rows and a (256+cv)*10 = 3060-wide first layer) plus the
-// generator-side 250-row product.
+// generator-side 250-row product; the tall-narrow ones are a client's share
+// of a full-table real pass (5000 rows through 12-to-18-column layers, a
+// 40-column encoded input) and the same layers at batch size.
 
 type benchShape struct{ m, k, n int }
 
@@ -24,6 +26,7 @@ var benchShapes = []benchShape{
 	{25, 3060, 256}, // forward through D^t's first layer (MatMul)
 	{25, 256, 3060}, // its input gradient, 25x256 · (3060x256)ᵀ (MatMulTB)
 	{3060, 25, 256}, // its weight gradient, (25x3060)ᵀ · 25x256 (MatMulTA)
+	{5000, 17, 17}, {5000, 40, 17}, {5000, 16, 16}, {500, 17, 17}, {17, 5000, 17},
 }
 
 // benchProduct benchmarks op over every shape and path. mk builds the two
@@ -48,6 +51,16 @@ func benchProduct(b *testing.B, op func(x, y *Dense) *Dense, mk func(rng *rand.R
 
 func BenchmarkMatMul(b *testing.B) {
 	benchProduct(b, MatMul, func(rng *rand.Rand, s benchShape) (*Dense, *Dense) {
+		return Randn(rng, s.m, s.k, 0, 1), Randn(rng, s.k, s.n, 0, 1)
+	})
+}
+
+// BenchmarkAffine is MatMul with the bias row folded in: what a Linear
+// layer's forward runs.
+func BenchmarkAffine(b *testing.B) {
+	var bias *Dense
+	benchProduct(b, func(x, y *Dense) *Dense { return Affine(x, y, bias) }, func(rng *rand.Rand, s benchShape) (*Dense, *Dense) {
+		bias = Randn(rng, 1, s.n, 0, 1)
 		return Randn(rng, s.m, s.k, 0, 1), Randn(rng, s.k, s.n, 0, 1)
 	})
 }
@@ -98,7 +111,8 @@ func BenchmarkTranspose(b *testing.B) {
 }
 
 // BenchmarkElementwise is the same-shape loop (binSame) on both paths, at
-// the activation sizes of a round: 25x3060, 250x256 and one large operand.
+// the activation sizes of a round: 25x3060, 250x256 and one large operand;
+// then the activation rows (benchActivations).
 func BenchmarkElementwise(b *testing.B) {
 	for _, sh := range []struct{ r, c int }{{25, 3060}, {250, 256}, {1024, 1024}} {
 		for _, op := range []struct {
@@ -120,6 +134,70 @@ func BenchmarkElementwise(b *testing.B) {
 				})
 			}
 		}
+	}
+	benchActivations(b)
+}
+
+// benchActivations is the activation layer of a critic block and what
+// surrounds it — LeakyReLU, its gradient, dropout — at the full-pass and the
+// paper-scale activation sizes, each fused op beside the composition it
+// replaced (/closure: Apply with a branch; an Apply-built mask and a Mul; a
+// drawn mask in a fresh matrix and a Mul). Bytes are the operands read and
+// the result written once; allocs/op shows the masks.
+func benchActivations(b *testing.B) {
+	const slope, keep = 0.2, 0.5
+	for _, sh := range []struct{ r, c int }{{5000, 17}, {250, 256}} {
+		rng := rand.New(rand.NewSource(1))
+		x := Randn(rng, sh.r, sh.c, 0, 1)
+		g := Randn(rng, sh.r, sh.c, 0, 1)
+		run := func(name, path string, operands int, f func()) {
+			b.Run(fmt.Sprintf("%s/%dx%d/%s", name, sh.r, sh.c, path), func(b *testing.B) {
+				if path == "asm" || path == "go" {
+					UseKernelPath(b, path)
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(operands * 8 * sh.r * sh.c))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+			})
+		}
+		for _, path := range KernelPaths() {
+			run("LeakyReLU", path, 2, func() { LeakyReLU(x, slope).Release() })
+			run("ActGrad", path, 3, func() { ActGrad(g, x, slope).Release() })
+		}
+		run("LeakyReLU", "closure", 2, func() {
+			x.Apply(func(v float64) float64 {
+				if v > 0 {
+					return v
+				}
+				return slope * v
+			}).Release()
+		})
+		run("ActGrad", "closure", 3, func() {
+			mask := x.Apply(func(v float64) float64 {
+				if v > 0 {
+					return 1
+				}
+				return slope
+			})
+			Mul(g, mask).Release() // the mask sat behind a Const leaf: never released
+		})
+		run("Dropout", "fused", 3, func() {
+			out, mask := Dropout(rng, x, keep)
+			out.Release()
+			mask.Release()
+		})
+		run("Dropout", "closure", 3, func() {
+			mask := New(sh.r, sh.c)
+			for i := range mask.data {
+				if rng.Float64() < keep {
+					mask.data[i] = 1 / keep
+				}
+			}
+			Mul(x, mask).Release()
+		})
 	}
 }
 

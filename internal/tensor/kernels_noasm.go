@@ -2,13 +2,17 @@
 
 package tensor
 
-// No vector routines on this architecture: the five entry points the
-// portable code calls are the Go loops themselves (see kernels_amd64.go for
-// the other side).
+// No vector routines on this architecture: the entry points the portable
+// code calls are the Go loops themselves (see kernels_amd64.go for the other
+// side).
 
 // useAsm exists so the path-equivalence tests compile everywhere; with
 // nothing to switch to it stays false.
 var useAsm = false
+
+func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kn int, b []float64, lo, hi int, bFinite bool) {
+	tileAccGroups(od, p, seed, a, rowStride, kStride, kn, b, lo, hi, bFinite)
+}
 
 func axpy4(orow, b []float64, a0, a1, a2, a3 float64) { axpy4Generic(orow, b, a0, a1, a2, a3) }
 
@@ -17,5 +21,11 @@ func axpy1(orow, brow []float64, av float64) { axpy1Generic(orow, brow, av) }
 func matmulTBRange(dst, a, b *Dense, lo, hi int) { matmulTBRangeGeneric(dst, a, b, lo, hi) }
 
 func binSame(od, ad, bd []float64, op binOp) { binSameGeneric(od, ad, bd, op) }
+
+func relu(dst, x []float64) { reluGeneric(dst, x) }
+
+func leakyReLU(dst, x []float64, slope float64) { leakyReLUGeneric(dst, x, slope) }
+
+func actGrad(dst, g, x []float64, slope float64) { actGradGeneric(dst, g, x, slope) }
 
 func allFinite(data []float64) bool { return allFiniteGeneric(data) }

@@ -46,9 +46,14 @@ func requireSameBits(t *testing.T, what string, got, want *Dense) {
 // pathShapes: the three products of the paper-scale federated round (D^t's
 // first layer is (256+cv)*10 = 3060 wide at pac 10), every width from 1 to 9
 // (no vector, exactly one and two, and each tail length), reduction lengths
-// around the unroll group and the k tile, and row counts around the 8-row
-// MatMulTB panel.
+// around the unroll group and the k tile, row counts around the 8-row
+// MatMulTB panel, and the tall-narrow products of a full-table real pass
+// (dst rows that fit the registers: widths around each vector count up to the
+// 32-column limit and one past it, k with and without a tail, a k of several
+// tiles as the weight gradient has after its transpose).
 var pathShapes = []struct{ m, k, n int }{
+	{5000, 17, 17}, {5000, 40, 17}, {17, 5000, 17}, {500, 16, 16}, {40, 13, 12}, {40, 18, 18},
+	{9, 7, 20}, {9, 21, 24}, {9, 6, 27}, {9, 9, 28}, {9, 11, 31}, {9, 300, 32}, {9, 300, 33},
 	{25, 3060, 256}, // forward: 25x3060 · 3060x256
 	{25, 256, 3060}, // input gradient: 25x256 · (3060x256)ᵀ as MatMulTB, m×k · (n×k)ᵀ
 	{3060, 25, 256}, // weight gradient: (25x3060)ᵀ · 25x256 as MatMulTA, (k×m)ᵀ · k×n
@@ -82,7 +87,7 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 func TestKernelPathsZeroGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 5e-324, -2.5e-310, math.MaxFloat64}
-	for _, sh := range []struct{ m, k, n int }{{5, 16, 9}, {9, 259, 7}, {25, 64, 36}, {12, 40, 4}} {
+	for _, sh := range []struct{ m, k, n int }{{5, 16, 9}, {9, 259, 7}, {25, 64, 36}, {12, 40, 4}, {7, 1030, 17}, {6, 127, 32}, {40, 900, 13}} {
 		a := Randn(rng, sh.m, sh.k, 0, 1)
 		// Zero whole groups of four k, single entries, and one whole row.
 		for i := 0; i < sh.m; i++ {
@@ -114,6 +119,27 @@ func TestKernelPathsZeroGroups(t *testing.T) {
 			onBothPaths(t, "MatMul (special in a)", func() *Dense { return MatMul(bt, at) })
 			onBothPaths(t, "MatMulTB (special in a)", func() *Dense { return MatMulTB(bt, a) })
 		}
+	}
+}
+
+// TestMatMulTAIsMatMulOfTheTranspose: MatMulTA reads a's columns in place or
+// transposes a first, as the operand shapes decide, and either way must run
+// exactly the groups MatMul runs on the transposed operand — shapes on both
+// sides of the size threshold and of the narrow-dst rule, on both paths.
+func TestMatMulTAIsMatMulOfTheTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range []struct{ k, m, n int }{
+		{5000, 17, 17}, // large a, narrow dst: strided
+		{5000, 17, 40}, // large a, dst past the limit: transposed
+		{1100, 40, 32}, {1100, 40, 33},
+		{100, 17, 17}, {300, 50, 64}, // below the threshold
+	} {
+		a := Randn(rng, sh.k, sh.m, 0, 1)
+		b := Randn(rng, sh.k, sh.n, 0, 1)
+		at := a.Transpose()
+		requireSameBits(t, "MatMulTA vs MatMul of the transpose",
+			onBothPaths(t, "MatMulTA", func() *Dense { return MatMulTA(a, b) }),
+			onBothPaths(t, "MatMul", func() *Dense { return MatMul(at, b) }))
 	}
 }
 
@@ -168,4 +194,162 @@ func TestAllFinitePathsAgree(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNarrowRowPathMatchesGenericUpdates drives the tileAcc entry point
+// directly, the vector path against the Go path — where tileAccGroups runs
+// the groups through axpy4Generic and axpy1Generic: every dst width from 1 to
+// 33 (below the first vector, every vector count with every overlap of the
+// last vector, and one past the register limit), reduction lengths around the
+// unroll group and the k tile and one of many tiles' worth, a read along its
+// rows (MatMul) and down its columns (MatMulTA), the middle rows of a
+// five-row dst, with and without a seed row, zero groups and zero single k
+// (of both signs) in a, and a finite and a non-finite b with the matching
+// bFinite.
+func TestNarrowRowPathMatchesGenericUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	negZero := math.Copysign(0, -1)
+	const rows, lo, hi = 5, 1, 4
+	for p := 1; p <= 33; p++ {
+		for _, kn := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 5000} {
+			for _, byColumn := range []bool{false, true} {
+				rowStride, kStride := kn, 1 // a is rows x kn
+				if byColumn {
+					rowStride, kStride = 1, rows // a is kn x rows
+				}
+				a := Randn(rng, 1, rows*kn, 0, 1).data
+				for i := 0; i < rows; i++ {
+					at := func(k int) *float64 { return &a[i*rowStride+k*kStride] }
+					for g := 0; g+4 <= kn; g += 4 {
+						switch rng.Intn(4) {
+						case 0: // a whole group of zeros, signs mixed
+							for k := g; k < g+4; k++ {
+								*at(k) = []float64{0, negZero}[rng.Intn(2)]
+							}
+						case 1: // all but one
+							for k := g; k < g+3; k++ {
+								*at(k) = 0
+							}
+						}
+					}
+					if tail := kn &^ 3; tail < kn {
+						*at(tail) = negZero
+					}
+				}
+				for _, special := range []float64{1, math.Inf(1), math.NaN(), 5e-324} {
+					b := Randn(rng, kn, p, 0, 1).data
+					b[rng.Intn(len(b))] = special
+					b[rng.Intn(len(b))] = negZero
+					bFinite := allFiniteGeneric(b)
+					init := Randn(rng, rows, p, 0, 1)
+					init.data[rng.Intn(len(init.data))] = negZero
+					onBothPaths(t, "tileAcc onto dst", func() *Dense {
+						dst := init.Clone()
+						tileAcc(dst.data, p, nil, a, rowStride, kStride, kn, b, lo, hi, bFinite)
+						return dst
+					})
+					onBothPaths(t, "tileAcc from a seed row", func() *Dense {
+						dst := Full(rows, p, math.NaN()) // rows lo..hi-1 must be overwritten
+						tileAcc(dst.data, p, init.data[:p], a, rowStride, kStride, kn, b, lo, hi, bFinite)
+						return dst
+					})
+				}
+			}
+		}
+	}
+}
+
+// activationInputs returns n values salted with everything the compare, the
+// select and the product could treat specially: both zeros (the boundary of
+// `x > 0`), the smallest denormals either side of it, infinities, NaN, the
+// slope itself and the largest finite values.
+func activationInputs(rng *rand.Rand, n int, slope float64) []float64 {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), math.NaN(),
+		slope, -slope, 1, -1, math.MaxFloat64, -math.MaxFloat64}
+	x := Randn(rng, 1, n, 0, 3).data
+	for i := range x {
+		if rng.Intn(3) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return x
+}
+
+var activationLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 18, 31, 32, 33, 5000 * 17}
+
+// TestActivationPathsBitIdentical: ReLU, LeakyReLU and the activation
+// gradient on the vector path equal their Go loops, and both equal the
+// closure forms they replaced — Apply with a branch for the forward, an
+// Apply-built 1/slope mask multiplied in for the gradient.
+func TestActivationPathsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range activationLens {
+		for _, slope := range []float64{0.2, 0, -0.5, math.Inf(1)} {
+			x := FromSlice(1, n, activationInputs(rng, n, slope))
+			g := FromSlice(1, n, activationInputs(rng, n, slope))
+			got := onBothPaths(t, "ReLU", func() *Dense { return ReLU(x) })
+			requireSameBits(t, "ReLU vs closure", got, x.Apply(func(v float64) float64 {
+				if v > 0 {
+					return v
+				}
+				return 0
+			}))
+			got = onBothPaths(t, "LeakyReLU", func() *Dense { return LeakyReLU(x, slope) })
+			requireSameBits(t, "LeakyReLU vs closure", got, x.Apply(func(v float64) float64 {
+				if v > 0 {
+					return v
+				}
+				return slope * v
+			}))
+			got = onBothPaths(t, "ActGrad", func() *Dense { return ActGrad(g, x, slope) })
+			requireSameBits(t, "ActGrad vs mask", got, Mul(g, x.Apply(func(v float64) float64 {
+				if v > 0 {
+					return 1
+				}
+				return slope
+			})))
+		}
+	}
+}
+
+// TestDropoutMatchesMaskThenMul: the fused pass draws what the mask loop
+// drew, in its order, and leaves what Mul left — a dropped negative
+// activation is -0, a dropped NaN is NaN — with the generator in the same
+// place afterwards.
+func TestDropoutMatchesMaskThenMul(t *testing.T) {
+	EachKernelPath(t, func(t *testing.T) {
+		for _, n := range activationLens {
+			for _, keep := range []float64{0.5, 0.9, 1, 0.001} {
+				x := FromSlice(1, n, activationInputs(rand.New(rand.NewSource(int64(n))), n, keep))
+				fused, ref := rand.New(rand.NewSource(27)), rand.New(rand.NewSource(27))
+				out, mask := Dropout(fused, x, keep)
+				wantMask := New(1, n)
+				for i := range wantMask.data {
+					if ref.Float64() < keep {
+						wantMask.data[i] = 1 / keep
+					}
+				}
+				requireSameBits(t, "Dropout mask", mask, wantMask)
+				requireSameBits(t, "Dropout product", out, Mul(x, wantMask))
+				if fused.Int63() != ref.Int63() {
+					t.Fatalf("n=%d keep=%v: the fused pass left the generator somewhere else", n, keep)
+				}
+				out.Release()
+				mask.Release()
+			}
+		}
+	})
+}
+
+// TestScalarOpsMatchClosures: Scale and AddScalar lost their closures, not
+// their arithmetic.
+func TestScalarOpsMatchClosures(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		for _, s := range []float64{-1, 0.1, 0, math.Inf(-1), 1e-320} {
+			x := FromSlice(1, n, activationInputs(rng, n, s))
+			requireSameBits(t, "Scale", x.Scale(s), x.Apply(func(v float64) float64 { return v * s }))
+			requireSameBits(t, "AddScalar", x.AddScalar(s), x.Apply(func(v float64) float64 { return v + s }))
+		}
+	}
 }

@@ -120,8 +120,13 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(2), 1, 300, 1, uint8(1))
 	f.Add(int64(3), 33, 257, 31, uint8(2))
 	f.Add(int64(4), 25, 64, 44, uint8(7))
+	f.Add(int64(5), 40, 1100, 17, uint8(1)) // a row that stays in registers over ten k tiles
+	f.Add(int64(6), 47, 900, 33, uint8(3))  // one column past that, and a large enough to transpose
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, flags uint8) {
-		m, k, n = 1+abs(m)%48, 1+abs(k)%300, 1+abs(n)%48
+		// Widths on both sides of the 32-column register limit, reductions of
+		// up to ten k tiles, and operands on both sides of MatMulTA's
+		// transpose threshold (48*1200 > 1<<15).
+		m, k, n = 1+abs(m)%48, 1+abs(k)%1200, 1+abs(n)%48
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, m, k, 0, 1)
 		b := Randn(rng, k, n, 0, 1)
@@ -163,6 +168,11 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 		onBothPaths(t, "Affine", func() *Dense { return Affine(a, b, bias) })
 		onBothPaths(t, "MatMulTA", func() *Dense { return MatMulTA(a, c) })
 		onBothPaths(t, "MatMulTB", func() *Dense { return MatMulTB(a, d) })
+		// The long reduction through MatMulTA as well, strided or transposed
+		// as the shapes decide: the same groups in the same order as MatMul.
+		at := a.Transpose()
+		requireSameBits(t, "MatMulTA(aᵀ, b) vs MatMul(a, b)",
+			onBothPaths(t, "MatMulTA long", func() *Dense { return MatMulTA(at, b) }), MatMul(a, b))
 	})
 }
 
@@ -208,6 +218,28 @@ func TestMatMulPropagatesNonFinite(t *testing.T) {
 		b.Set(7, 0, 1)
 		if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
 			t.Errorf("MatMul unrolled group: got %v, want NaN", got)
+		}
+		// Nor may the routine that keeps a narrow dst row in registers and
+		// tests the groups itself: a zero group and a zero leftover k, each
+		// against an infinity, at every width it serves and one either side.
+		for p := 3; p <= 33; p++ {
+			a := New(1, 6)
+			a.Set(0, 4, 1)
+			for _, at := range [][2]int{{1, 0}, {5, p - 1}} { // in the group, in the k tail
+				b := Full(6, p, 1)
+				b.Set(at[0], at[1], math.Inf(-1))
+				for name, got := range map[string]*Dense{
+					"MatMul":   MatMul(a, b),
+					"Affine":   Affine(a, b, New(1, p)),
+					"MatMulTA": MatMulTA(a.Transpose(), b),
+				} {
+					for j := 0; j < p; j++ {
+						if want := j == at[1]; math.IsNaN(got.At(0, j)) != want {
+							t.Errorf("%s width %d, -Inf at b[%d][%d]: column %d is %v", name, p, at[0], at[1], j, got.At(0, j))
+						}
+					}
+				}
+			}
 		}
 		// NaN on the left side must survive regardless of the skip.
 		an := FromSlice(1, 2, []float64{math.NaN(), 0})

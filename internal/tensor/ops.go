@@ -186,12 +186,22 @@ func newBinDst(a, b *Dense, op string) *Dense {
 
 // Scale returns m*s.
 func (m *Dense) Scale(s float64) *Dense {
-	return m.Apply(func(v float64) float64 { return v * s })
+	out := newPooledNoZero(m.rows, m.cols)
+	od := out.data[:len(m.data)]
+	for i, v := range m.data {
+		od[i] = v * s
+	}
+	return out
 }
 
 // AddScalar returns m+s element-wise.
 func (m *Dense) AddScalar(s float64) *Dense {
-	return m.Apply(func(v float64) float64 { return v + s })
+	out := newPooledNoZero(m.rows, m.cols)
+	od := out.data[:len(m.data)]
+	for i, v := range m.data {
+		od[i] = v + s
+	}
+	return out
 }
 
 // AddInPlace adds src (same shape) into m and returns m.

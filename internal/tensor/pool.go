@@ -188,6 +188,7 @@ type kernelTask struct {
 	kind    kernelKind
 	dst     *Dense
 	a, b    *Dense
+	seed    *Dense // kernelMatMulAcc only: the row every dst row starts from, or nil
 	bFinite bool
 	f       func(lo, hi int) // kernelFunc only
 	lo, hi  int
@@ -232,7 +233,7 @@ func poolWorkers() int {
 func runKernelRange(t kernelTask) {
 	switch t.kind {
 	case kernelMatMulAcc:
-		matmulAccRange(t.dst, t.a, t.b, t.lo, t.hi, t.bFinite)
+		matmulAccRange(t.dst, t.a, t.b, t.seed, t.lo, t.hi, t.bFinite)
 	case kernelMatMulTAAcc:
 		matmulTAAccRange(t.dst, t.a, t.b, t.lo, t.hi, t.bFinite)
 	case kernelMatMulTB:

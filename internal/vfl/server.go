@@ -456,8 +456,10 @@ func (s *Server) generatorForward(batch int, train bool, sampleCV cvSource) (p i
 	globalCV = s.embedCV(cvb.CV, p)
 	s.comm.add(func(c *CommStats) { c.CVBytes += matrixBytes(cvb.CV.Rows(), cvb.CV.Cols()) })
 	noise := gan.SampleNoise(s.rng.Rand, batch, s.cfg.NoiseDim)
-	gin := tensor.ConcatCols(noise, globalCV)
-	gtOut = s.gTop.Forward(ag.Const(gin), train)
+	// Concatenated in the graph: the pooled input matrix then belongs to an
+	// interior node, which the step's tape returns (a Const leaf would
+	// shield it, and the collector would have it every step).
+	gtOut = s.gTop.Forward(ag.ConcatCols(ag.Const(noise), ag.Const(globalCV)), train)
 	slices = gtOut.Data().SplitCols(s.sliceWidths)
 	for _, sl := range slices {
 		rows, cols := sl.Rows(), sl.Cols()
@@ -781,7 +783,10 @@ func (s *Server) topInputs(fakeVars, realVars []*ag.Value, globalCV *tensor.Dens
 }
 
 // scatterRowsAccumulate maps gradients of selected rows back onto the full
-// row space, summing duplicates.
+// row space, summing duplicates. The result is left to the collector on
+// purpose: it looks releasable once BackwardDisc has returned, but under a
+// call deadline (WithPolicy, WireClient) an attempt that timed out may still
+// be encoding it while its retry returns, so it must not go back to the pool.
 func scatterRowsAccumulate(grad *tensor.Dense, idx []int, rows int) *tensor.Dense {
 	out := tensor.New(rows, grad.Cols())
 	for k, r := range idx {
