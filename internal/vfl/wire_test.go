@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +156,51 @@ func goldenWireFrames() map[string][]byte {
 	fixtures["error_resp.bin"] = frame(wireKindError, wireMethodPublish, 0, 3, enc.buf)
 	enc.release()
 
+	// Publish response: a spec list (one column of each kind) and the table.
+	enc = newWireEnc()
+	enc.table(goldenPublishTable(), false)
+	fixtures["publish_resp.bin"] = frame(wireKindResponse, wireMethodPublish, 0, 19, enc.buf)
+	enc.release()
+
+	// Configure request: the Setup record.
+	enc = newWireEnc()
+	enc.setup(goldenSetup)
+	fixtures["configure_req.bin"] = frame(wireKindRequest, wireMethodConfigure, 0, 21, enc.buf)
+	enc.release()
+
+	// Restore request: a length-prefixed opaque byte string.
+	enc = newWireEnc()
+	enc.bytes(goldenRestoreBlob)
+	fixtures["restore_req.bin"] = frame(wireKindRequest, wireMethodRestore, 0, 23, enc.buf)
+	enc.release()
+
 	return fixtures
+}
+
+// The values behind publish_resp.bin, configure_req.bin and restore_req.bin.
+// Those three frames were written by the encoder as it stood before the codec
+// moved onto internal/binfmt and must never be regenerated.
+var (
+	goldenSetup = Setup{
+		Plan:          Plan{DiscServer: 2, DiscClient: 1, GenServer: 1, GenClient: 2},
+		SliceWidth:    24,
+		GenBlockWidth: 128,
+		DiscWidth:     256,
+		LR:            2e-4,
+		Seed:          -77,
+	}
+	goldenRestoreBlob = []byte("GTVSNP\x02\x03 a short blob")
+)
+
+func goldenPublishTable() *encoding.Table {
+	return &encoding.Table{
+		Specs: []encoding.ColumnSpec{
+			{Name: "segment", Kind: encoding.KindCategorical, Categories: []string{"retail", "", "sme"}},
+			{Name: "spend", Kind: encoding.KindContinuous},
+			{Name: "mortgage", Kind: encoding.KindMixed, SpecialValues: []float64{0, -1.5}},
+		},
+		Data: tensor.FromRows([][]float64{{0, 12.5, 0}, {2, -3.25, 1800.75}, {1, 0.1, -1.5}}),
+	}
 }
 
 func TestWireGoldenFrames(t *testing.T) {
@@ -319,6 +364,48 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	}
 	if err := dec.finish(); err != nil {
 		t.Fatalf("decode error frame: %v", err)
+	}
+
+	h, dec = read("publish_resp.bin")
+	if h.method != wireMethodPublish {
+		t.Fatalf("publish fixture header %+v", h)
+	}
+	specs := dec.specs()
+	m = dec.matrix()
+	if err := dec.finish(); err != nil {
+		t.Fatalf("decode publish: %v", err)
+	}
+	wantTable := goldenPublishTable()
+	if !reflect.DeepEqual(specs, wantTable.Specs) {
+		t.Fatalf("decoded specs %+v", specs)
+	}
+	if !m.Equal(wantTable.Data) {
+		t.Fatalf("decoded table %v", m)
+	}
+	m.Release()
+
+	h, dec = read("configure_req.bin")
+	if h.method != wireMethodConfigure {
+		t.Fatalf("configure fixture header %+v", h)
+	}
+	setup := dec.setup()
+	if err := dec.finish(); err != nil {
+		t.Fatalf("decode configure: %v", err)
+	}
+	if setup != goldenSetup {
+		t.Fatalf("decoded setup %+v", setup)
+	}
+
+	h, dec = read("restore_req.bin")
+	if h.method != wireMethodRestore {
+		t.Fatalf("restore fixture header %+v", h)
+	}
+	state := dec.bytes()
+	if err := dec.finish(); err != nil {
+		t.Fatalf("decode restore: %v", err)
+	}
+	if !bytes.Equal(state, goldenRestoreBlob) {
+		t.Fatalf("decoded blob %q", state)
 	}
 }
 
