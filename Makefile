@@ -60,17 +60,23 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/vfl/... ./internal/tensor/... ./internal/autograd/...
 
-# Short-budget runs of every fuzzer in the module: the gtvsnap checkpoint
-# decoder, the gtvwire frame decoder, the blocked-matmul kernel, the
-# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip)
-# and its block parser against the parser it replaced (CRC-valid frames
-# around fuzzed payloads: accept/reject and every bit read out must agree),
-# and the GMM fit against its reference loops (bit equality of every fitted
-# parameter, log-likelihood and sampled mode).
+# Short-budget runs of every fuzzer in the module: the shared byte-layer
+# reader under a script of reads chosen by the input (internal/binfmt; the
+# primitive sweep the three format fuzzers used to carry each), the gtvsnap
+# checkpoint container and its section composites, the gtvwire frame
+# decoder, the stored spec/transformer blob decoders of the gtvcol store,
+# the blocked-matmul kernel, the gtvcol columnar file decoder (hostile
+# bytes + encode/decode round-trip) and its block parser against the parser
+# it replaced (CRC-valid frames around fuzzed payloads: accept/reject and
+# every bit read out must agree), and the GMM fit against its reference
+# loops (bit equality of every fitted parameter, log-likelihood and sampled
+# mode).
 # Each guards a byte-level or numeric contract that unit tests only sample.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/binfmt
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) ./internal/vfl
+	$(GO) test -run '^$$' -fuzz FuzzStoredBlobDecode -fuzztime $(FUZZTIME) ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata

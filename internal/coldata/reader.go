@@ -1,7 +1,6 @@
 package coldata
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/tensor"
 )
 
@@ -99,9 +99,8 @@ func (r *Reader) parseContainer(size int64) error {
 	if [8]byte(tr[16:]) != tailMagic {
 		return corruptf("bad trailer magic")
 	}
-	footerOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
-	footerLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
-	footerCRC := binary.LittleEndian.Uint32(tr[12:16])
+	t := binfmt.NewReader(tr[:16], ErrCorrupt)
+	footerOff, footerLen, footerCRC := int64(t.U64()), int64(t.U32()), t.U32()
 	if footerOff < headerSize || footerLen <= 0 || footerLen > maxFooterLen ||
 		footerOff+footerLen+trailerSize != size {
 		return corruptf("footer bounds off=%d len=%d size=%d", footerOff, footerLen, size)
@@ -120,17 +119,11 @@ func (r *Reader) parseContainer(size int64) error {
 }
 
 func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
-	var (
-		vals [4]uint64
-		err  error
-	)
-	rest := footer
-	for i := range vals {
-		if vals[i], rest, err = readUvarint(rest); err != nil {
-			return err
-		}
+	d := binfmt.NewReader(footer, ErrCorrupt)
+	rows, cols, blockRows, stripes := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	rows, cols, blockRows, stripes := vals[0], vals[1], vals[2], vals[3]
 	if int64(rows) > maxRows || cols == 0 || cols > maxCols ||
 		blockRows == 0 || blockRows > maxBlockRows {
 		return corruptf("dimensions rows=%d cols=%d blockRows=%d", rows, cols, blockRows)
@@ -141,33 +134,30 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 	}
 	r.rows, r.cols, r.blockRows, r.stripes = int(rows), int(cols), int(blockRows), int(stripes)
 
-	nBlocks := int(stripes) * r.cols
-	if uint64(len(rest)) < uint64(nBlocks) { // each length is >= 1 byte
-		return corruptf("footer too short for %d block lengths", nBlocks)
+	// Each block length is at least one byte.
+	nBlocks := d.Count(stripes*cols, 1, "block length")
+	if err := d.Err(); err != nil {
+		return err
 	}
 	r.blockOff = make([]int64, nBlocks)
 	r.blockLen = make([]uint32, nBlocks)
 	off := int64(headerSize)
-	for b := 0; b < nBlocks; b++ {
-		stripeRows := r.stripeRows(b / r.cols)
-		var l uint64
-		if l, rest, err = readUvarint(rest); err != nil {
-			return err
-		}
-		if l < 7 || l > uint64(maxBlockLen(stripeRows)) {
-			return corruptf("block %d length %d out of bounds", b, l)
+	for b := range r.blockLen {
+		l := d.Uvarint()
+		if l < 7 || l > uint64(maxBlockLen(r.stripeRows(b/r.cols))) {
+			d.Failf("block %d length %d out of bounds", b, l)
 		}
 		r.blockOff[b] = off
 		r.blockLen[b] = uint32(l)
 		off += int64(l)
 	}
 
-	metaCount, rest, err := readUvarint(rest)
-	if err != nil {
-		return err
-	}
+	metaCount := d.Uvarint()
 	if metaCount > maxMetaCount {
-		return corruptf("%d metadata entries", metaCount)
+		d.Failf("%d metadata entries", metaCount)
+	}
+	if err := d.Err(); err != nil {
+		return err
 	}
 	r.metas = make(map[string][]byte, metaCount)
 	type metaLoc struct {
@@ -178,25 +168,15 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 	}
 	locs := make([]metaLoc, 0, metaCount)
 	for i := uint64(0); i < metaCount; i++ {
-		nameLen, rest2, err := readUvarint(rest)
-		if err != nil {
+		name, blobLen, blobCRC := string(d.VarBytes()), d.Uvarint(), d.Uvarint()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if nameLen == 0 || nameLen > maxMetaName || uint64(len(rest2)) < nameLen {
-			return corruptf("meta name length %d", nameLen)
-		}
-		name := string(rest2[:nameLen])
-		rest2 = rest2[nameLen:]
-		blobLen, rest2, err := readUvarint(rest2)
-		if err != nil {
-			return err
+		if len(name) == 0 || len(name) > maxMetaName {
+			return corruptf("meta name length %d", len(name))
 		}
 		if blobLen > maxMetaLen {
 			return corruptf("meta %q blob length %d", name, blobLen)
-		}
-		blobCRC, rest2, err := readUvarint(rest2)
-		if err != nil {
-			return err
 		}
 		if blobCRC > 0xffffffff {
 			return corruptf("meta %q CRC out of range", name)
@@ -207,10 +187,9 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 		r.metas[name] = nil
 		locs = append(locs, metaLoc{name: name, off: off, len: int64(blobLen), crc: uint32(blobCRC)})
 		off += int64(blobLen)
-		rest = rest2
 	}
-	if len(rest) != 0 {
-		return corruptf("%d trailing bytes in footer", len(rest))
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	// The accounting must land exactly on the footer: any gap would be
 	// bytes the index never describes (interleaved or trailing garbage).

@@ -2,13 +2,13 @@ package coldata
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/tensor"
 )
 
@@ -206,33 +206,32 @@ func (w *Writer) finish() error {
 	}
 	footerOff := w.offset
 	stripes := len(w.blockLens) / w.cols
-	footer := make([]byte, 0, 64+len(w.blockLens)*3)
-	footer = appendUvarint(footer, uint64(w.rows))
-	footer = appendUvarint(footer, uint64(w.cols))
-	footer = appendUvarint(footer, uint64(w.blockRows))
-	footer = appendUvarint(footer, uint64(stripes))
+	footer := binfmt.Writer{Buf: make([]byte, 0, 64+len(w.blockLens)*3)}
+	footer.Uvarint(uint64(w.rows))
+	footer.Uvarint(uint64(w.cols))
+	footer.Uvarint(uint64(w.blockRows))
+	footer.Uvarint(uint64(stripes))
 	for _, l := range w.blockLens {
-		footer = appendUvarint(footer, uint64(l))
+		footer.Uvarint(uint64(l))
 	}
-	footer = appendUvarint(footer, uint64(len(w.metaNames)))
+	footer.Uvarint(uint64(len(w.metaNames)))
 	for _, name := range w.metaNames {
 		blob := w.metaBlobs[name]
-		footer = appendUvarint(footer, uint64(len(name)))
-		footer = append(footer, name...)
-		footer = appendUvarint(footer, uint64(len(blob)))
+		footer.VarString(name)
+		footer.Uvarint(uint64(len(blob)))
 		// The blob's CRC lives in the footer (itself CRC'd), so every byte
 		// of the file is integrity-checked.
-		footer = appendUvarint(footer, uint64(crc32.ChecksumIEEE(blob)))
+		footer.Uvarint(uint64(crc32.ChecksumIEEE(blob)))
 	}
-	if err := w.write(footer); err != nil {
+	if err := w.write(footer.Buf); err != nil {
 		return err
 	}
-	var tr []byte
-	tr = binary.LittleEndian.AppendUint64(tr, uint64(footerOff))
-	tr = binary.LittleEndian.AppendUint32(tr, uint32(len(footer)))
-	tr = binary.LittleEndian.AppendUint32(tr, crc32.ChecksumIEEE(footer))
-	tr = append(tr, tailMagic[:]...)
-	if err := w.write(tr); err != nil {
+	var tr binfmt.Writer
+	tr.U64(uint64(footerOff))
+	tr.U32(uint32(len(footer.Buf)))
+	tr.U32(crc32.ChecksumIEEE(footer.Buf))
+	tr.Raw(tailMagic[:])
+	if err := w.write(tr.Buf); err != nil {
 		return err
 	}
 	return w.f.Flush()

@@ -3,12 +3,12 @@ package encoding
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
+	"repro/internal/binfmt"
 	"repro/internal/coldata"
 	"repro/internal/gmm"
 	"repro/internal/rng"
@@ -61,151 +61,96 @@ const (
 // on any layout change so stale caches re-encode instead of misparsing.
 const colstoreCodecVersion = 1
 
-const maxCodecElems = 1 << 24
+// errBlob is the domain every stored-blob decode error wraps: the
+// "encoding: " message prefix.
+var errBlob = errors.New("encoding")
 
-// --- binary blob codec -----------------------------------------------------
+// --- spec codec ------------------------------------------------------------
 
-func appendUv(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+// minSpecBytes is the smallest encoded ColumnSpec: an empty name's length
+// byte, the kind byte and two zero counts.
+const minSpecBytes = 4
 
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// blobCursor reads the length-prefixed binary blobs colstore stores in
-// gtvcol metadata, latching the first error.
-type blobCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *blobCursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("encoding: "+format, args...)
+// AppendSpecs appends a column-spec list in the one layout gtvwire's
+// Publish reply and the gtvcol meta blobs share: a uvarint count, then per
+// spec the name, the kind byte, the category labels and the special values
+// (strings and lists behind uvarint lengths, values as float64 bits).
+func AppendSpecs(w *binfmt.Writer, specs []ColumnSpec) {
+	w.Uvarint(uint64(len(specs)))
+	for i := range specs {
+		appendSpec(w, &specs[i])
 	}
 }
 
-func (c *blobCursor) uv() uint64 {
-	if c.err != nil {
-		return 0
+func appendSpec(w *binfmt.Writer, s *ColumnSpec) {
+	w.VarString(s.Name)
+	w.U8(byte(s.Kind))
+	w.Uvarint(uint64(len(s.Categories)))
+	for _, cat := range s.Categories {
+		w.VarString(cat)
 	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail("truncated varint in stored blob")
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
+	w.Uvarint(uint64(len(s.SpecialValues)))
+	w.F64s(s.SpecialValues)
 }
 
-// count reads a uvarint bounded by maxCodecElems, rejecting hostile
-// lengths before they size an allocation.
-func (c *blobCursor) count(what string) int {
-	v := c.uv()
-	if v > maxCodecElems {
-		c.fail("stored blob %s count %d out of bounds", what, v)
-		return 0
+// ReadSpecs decodes a list written by AppendSpecs. The specs are not
+// validated: NewTable and the blob decoders below do that once the whole
+// input has parsed.
+func ReadSpecs(r *binfmt.Reader) []ColumnSpec {
+	specs := make([]ColumnSpec, r.Count(r.Uvarint(), minSpecBytes, "column spec"))
+	for i := range specs {
+		readSpec(r, &specs[i])
 	}
-	return int(v)
+	return specs
 }
 
-func (c *blobCursor) str(what string) string {
-	n := c.count(what)
-	if c.err != nil || n > len(c.b) {
-		c.fail("truncated %s in stored blob", what)
-		return ""
+func readSpec(r *binfmt.Reader, s *ColumnSpec) {
+	s.Name = string(r.VarBytes())
+	s.Kind = ColumnKind(r.U8())
+	if n := r.Count(r.Uvarint(), 1, "category label"); n > 0 {
+		s.Categories = make([]string, n)
+		for i := range s.Categories {
+			s.Categories[i] = string(r.VarBytes())
+		}
 	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s
+	if n := r.Count(r.Uvarint(), 8, "special value"); n > 0 {
+		s.SpecialValues = make([]float64, n)
+		r.F64s(s.SpecialValues)
+	}
 }
 
-func (c *blobCursor) f64() float64 {
-	if c.err != nil {
-		return 0
+// blobReader starts decoding a stored blob and checks its codec version.
+func blobReader(blob []byte, what string) *binfmt.Reader {
+	r := binfmt.NewReader(blob, errBlob)
+	if v := r.Uvarint(); v != colstoreCodecVersion {
+		r.Failf("stored %s codec version %d, want %d", what, v, colstoreCodecVersion)
 	}
-	if len(c.b) < 8 {
-		c.fail("truncated float in stored blob")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b))
-	c.b = c.b[8:]
-	return v
+	return &r
 }
 
-func (c *blobCursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("encoding: %d trailing bytes in stored blob", len(c.b))
+func validateSpecs(specs []ColumnSpec) error {
+	for i := range specs {
+		if err := specs[i].Validate(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// --- spec codec ------------------------------------------------------------
-
-func appendSpec(b []byte, s *ColumnSpec) []byte {
-	b = appendUv(b, uint64(len(s.Name)))
-	b = append(b, s.Name...)
-	b = appendUv(b, uint64(s.Kind))
-	b = appendUv(b, uint64(len(s.Categories)))
-	for _, cat := range s.Categories {
-		b = appendUv(b, uint64(len(cat)))
-		b = append(b, cat...)
-	}
-	b = appendUv(b, uint64(len(s.SpecialValues)))
-	for _, v := range s.SpecialValues {
-		b = appendF64(b, v)
-	}
-	return b
-}
-
-func readSpec(c *blobCursor) ColumnSpec {
-	var s ColumnSpec
-	s.Name = c.str("spec name")
-	s.Kind = ColumnKind(c.uv())
-	if n := c.count("categories"); c.err == nil && n > 0 {
-		s.Categories = make([]string, n)
-		for i := range s.Categories {
-			s.Categories[i] = c.str("category label")
-		}
-	}
-	if n := c.count("special values"); c.err == nil && n > 0 {
-		s.SpecialValues = make([]float64, n)
-		for i := range s.SpecialValues {
-			s.SpecialValues[i] = c.f64()
-		}
-	}
-	return s
-}
-
 func encodeSpecs(specs []ColumnSpec) []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = appendUv(b, uint64(len(specs)))
-	for i := range specs {
-		b = appendSpec(b, &specs[i])
-	}
-	return b
+	var w binfmt.Writer
+	w.Uvarint(colstoreCodecVersion)
+	AppendSpecs(&w, specs)
+	return w.Buf
 }
 
 func decodeSpecs(blob []byte) ([]ColumnSpec, error) {
-	c := &blobCursor{b: blob}
-	if v := c.uv(); c.err == nil && v != colstoreCodecVersion {
-		return nil, fmt.Errorf("encoding: stored specs codec version %d, want %d", v, colstoreCodecVersion)
-	}
-	specs := make([]ColumnSpec, c.count("columns"))
-	for i := range specs {
-		specs[i] = readSpec(c)
-	}
-	if err := c.done(); err != nil {
+	r := blobReader(blob, "specs")
+	specs := ReadSpecs(r)
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return specs, nil
+	return specs, validateSpecs(specs)
 }
 
 // --- transformer codec -----------------------------------------------------
@@ -216,74 +161,55 @@ func decodeSpecs(blob []byte) ([]ColumnSpec, error) {
 // routine FitTransformer uses, so a decoded transformer is functionally
 // identical to the one that was fitted.
 func (tr *Transformer) encodeBinary() []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = appendUv(b, uint64(len(tr.cols)))
+	var w binfmt.Writer
+	w.Uvarint(colstoreCodecVersion)
+	w.Uvarint(uint64(len(tr.cols)))
 	for j := range tr.cols {
 		enc := &tr.cols[j]
-		b = appendSpec(b, &enc.spec)
+		appendSpec(&w, &enc.spec)
 		if enc.mixture == nil {
-			b = appendUv(b, 0)
+			w.Uvarint(0)
 			continue
 		}
-		b = appendUv(b, uint64(enc.mixture.K()))
-		for _, v := range enc.mixture.Weights {
-			b = appendF64(b, v)
-		}
-		for _, v := range enc.mixture.Means {
-			b = appendF64(b, v)
-		}
-		for _, v := range enc.mixture.Stds {
-			b = appendF64(b, v)
-		}
+		w.Uvarint(uint64(enc.mixture.K()))
+		w.F64s(enc.mixture.Weights)
+		w.F64s(enc.mixture.Means)
+		w.F64s(enc.mixture.Stds)
 	}
-	return b
+	return w.Buf
 }
 
 func decodeTransformer(blob []byte) (*Transformer, error) {
-	c := &blobCursor{b: blob}
-	if v := c.uv(); c.err == nil && v != colstoreCodecVersion {
-		return nil, fmt.Errorf("encoding: stored transformer codec version %d, want %d", v, colstoreCodecVersion)
-	}
-	n := c.count("columns")
+	r := blobReader(blob, "transformer")
+	// A column is its spec and at least the mixture-size byte.
+	n := r.Count(r.Uvarint(), minSpecBytes+1, "column")
 	tr := &Transformer{specs: make([]ColumnSpec, n), cols: make([]colEncoder, n)}
-	for j := 0; j < n; j++ {
-		spec := readSpec(c)
-		enc := colEncoder{spec: spec}
-		if k := c.count("mixture components"); k > 0 {
-			m := gmm.Model{
-				Weights: make([]float64, k),
-				Means:   make([]float64, k),
-				Stds:    make([]float64, k),
-			}
-			for i := range m.Weights {
-				m.Weights[i] = c.f64()
-			}
-			for i := range m.Means {
-				m.Means[i] = c.f64()
-			}
-			for i := range m.Stds {
-				m.Stds[i] = c.f64()
-			}
-			enc.mixture = &m
+	for j := range tr.cols {
+		enc := &tr.cols[j]
+		readSpec(r, &enc.spec)
+		// A component is a weight, a mean and a standard deviation.
+		if k := r.Count(r.Uvarint(), 24, "mixture component"); k > 0 {
+			enc.mixture = &gmm.Model{Weights: make([]float64, k), Means: make([]float64, k), Stds: make([]float64, k)}
+			r.F64s(enc.mixture.Weights)
+			r.F64s(enc.mixture.Means)
+			r.F64s(enc.mixture.Stds)
 		}
-		if len(spec.SpecialValues) > 0 {
-			enc.specialIdx = make(map[float64]int, len(spec.SpecialValues))
-			for i, v := range spec.SpecialValues {
+		if len(enc.spec.SpecialValues) > 0 {
+			enc.specialIdx = make(map[float64]int, len(enc.spec.SpecialValues))
+			for i, v := range enc.spec.SpecialValues {
 				enc.specialIdx[v] = i
 			}
 		}
-		tr.specs[j] = spec
-		tr.cols[j] = enc
+		tr.specs[j] = enc.spec
 	}
-	if err := c.done(); err != nil {
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	if err := validateSpecs(tr.specs); err != nil {
 		return nil, err
 	}
 	for j := range tr.cols {
-		enc := &tr.cols[j]
-		if err := enc.spec.Validate(); err != nil {
-			return nil, err
-		}
-		if (enc.spec.Kind != KindCategorical) != (enc.mixture != nil) {
+		if enc := &tr.cols[j]; (enc.spec.Kind != KindCategorical) != (enc.mixture != nil) {
 			return nil, fmt.Errorf("encoding: stored transformer column %q mixture presence does not match kind", enc.spec.Name)
 		}
 	}
@@ -299,18 +225,16 @@ func decodeTransformer(blob []byte) (*Transformer, error) {
 // fingerprint matches, so stale caches (different data, seed or config)
 // re-encode instead of silently training on the wrong matrix.
 func encodeFingerprint(seed int64, cfg gmm.Config, rows int, specs []ColumnSpec) []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = binary.AppendVarint(b, seed)
-	b = appendUv(b, uint64(rows))
-	b = appendUv(b, uint64(cfg.MaxComponents))
-	b = appendF64(b, cfg.WeightThreshold)
-	b = appendUv(b, uint64(cfg.MaxIter))
-	b = appendF64(b, cfg.Tol)
-	b = appendUv(b, uint64(len(specs)))
-	for i := range specs {
-		b = appendSpec(b, &specs[i])
-	}
-	sum := sha256.Sum256(b)
+	var w binfmt.Writer
+	w.Uvarint(colstoreCodecVersion)
+	w.Varint(seed)
+	w.Uvarint(uint64(rows))
+	w.Uvarint(uint64(cfg.MaxComponents))
+	w.F64(cfg.WeightThreshold)
+	w.Uvarint(uint64(cfg.MaxIter))
+	w.F64(cfg.Tol)
+	AppendSpecs(&w, specs)
+	sum := sha256.Sum256(w.Buf)
 	return sum[:]
 }
 
@@ -471,34 +395,17 @@ func OpenOrEncode(st Storage, t *Table, seed int64, cfg gmm.Config) (*Transforme
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(st.Dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	tmp := st.EncPath() + ".tmp"
-	w, err := coldata.Create(tmp, tr.Width(), st.BlockRows)
+	err = st.install(st.EncPath(), tr.Width(), func(w *coldata.Writer) error {
+		if err := w.SetMeta(metaFingerprint, fp); err != nil {
+			return err
+		}
+		if err := w.SetMeta(metaTransformer, tr.encodeBinary()); err != nil {
+			return err
+		}
+		return tr.TransformTo(encRng.Rand, t, w.AppendRow)
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	werr := w.SetMeta(metaFingerprint, fp)
-	if werr == nil {
-		werr = w.SetMeta(metaTransformer, tr.encodeBinary())
-	}
-	if werr == nil {
-		werr = tr.TransformTo(encRng.Rand, t, w.AppendRow)
-	}
-	if werr == nil {
-		werr = w.Close()
-	} else {
-		//lint:ignore errdrop the encode error already describes the failure; the temp file is removed
-		_ = w.Close()
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, st.EncPath())
-	}
-	if werr != nil {
-		//lint:ignore errdrop best-effort cleanup of the temp file
-		_ = os.Remove(tmp)
-		return nil, nil, fmt.Errorf("encoding: writing %s: %w", tmp, werr)
 	}
 	r, err := coldata.Open(st.EncPath(), st.CacheBytes)
 	if err != nil {
@@ -514,29 +421,38 @@ func WriteRawTable(st Storage, t *Table, sourceTag string) error {
 	if !st.Enabled() {
 		return fmt.Errorf("encoding: WriteRawTable requires a data directory")
 	}
+	return st.install(st.RawPath(), t.Cols(), func(w *coldata.Writer) error {
+		if err := w.SetMeta(metaSpecs, encodeSpecs(t.Specs)); err != nil {
+			return err
+		}
+		if err := w.SetMeta(metaSource, []byte(sourceTag)); err != nil {
+			return err
+		}
+		return t.ScanRows(func(_ int, row []float64) error { return w.AppendRow(row) })
+	})
+}
+
+// install writes a cols-wide gtvcol file to path atomically: fill sets the
+// metadata and appends the rows of a writer on path.tmp, which is renamed
+// over path once it has closed cleanly and removed otherwise.
+func (st Storage) install(path string, cols int, fill func(*coldata.Writer) error) error {
 	if err := os.MkdirAll(st.Dir, 0o755); err != nil {
 		return err
 	}
-	tmp := st.RawPath() + ".tmp"
-	w, err := coldata.Create(tmp, t.Cols(), st.BlockRows)
+	tmp := path + ".tmp"
+	w, err := coldata.Create(tmp, cols, st.BlockRows)
 	if err != nil {
 		return err
 	}
-	werr := w.SetMeta(metaSpecs, encodeSpecs(t.Specs))
-	if werr == nil {
-		werr = w.SetMeta(metaSource, []byte(sourceTag))
-	}
-	if werr == nil {
-		werr = t.ScanRows(func(_ int, row []float64) error { return w.AppendRow(row) })
-	}
+	werr := fill(w)
 	if werr == nil {
 		werr = w.Close()
 	} else {
-		//lint:ignore errdrop the write error already describes the failure; the temp file is removed
+		//lint:ignore errdrop the fill error already describes the failure; the temp file is removed
 		_ = w.Close()
 	}
 	if werr == nil {
-		werr = os.Rename(tmp, st.RawPath())
+		werr = os.Rename(tmp, path)
 	}
 	if werr != nil {
 		//lint:ignore errdrop best-effort cleanup of the temp file

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/snap"
 )
 
 // TestCentralizedWeightsByteIdentical trains the same configuration twice
@@ -33,14 +34,10 @@ func TestCentralizedWeightsByteIdentical(t *testing.T) {
 		if err := g.Train(nil); err != nil {
 			t.Fatalf("Train: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := nn.SaveParams(&buf, g.gen); err != nil {
-			t.Fatalf("SaveParams(gen): %v", err)
-		}
-		if err := nn.SaveParams(&buf, g.disc); err != nil {
-			t.Fatalf("SaveParams(disc): %v", err)
-		}
-		return buf.Bytes()
+		var e snap.Enc
+		nn.EncodeParams(&e, g.gen)
+		nn.EncodeParams(&e, g.disc)
+		return e.Buf
 	}
 	if !bytes.Equal(weights(), weights()) {
 		t.Fatal("same-seed training runs produced different weight bytes")

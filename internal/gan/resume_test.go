@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/nn"
+	"repro/internal/snap"
+	"repro/internal/snap/snaptest"
 )
 
 // resumeTestConfig is small enough that the resume tests stay fast under
@@ -26,14 +28,10 @@ func resumeTestConfig() Config {
 // weightBytes serializes both networks for exact comparison.
 func weightBytes(t *testing.T, c *Centralized) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := nn.SaveParams(&buf, c.gen); err != nil {
-		t.Fatalf("SaveParams(gen): %v", err)
-	}
-	if err := nn.SaveParams(&buf, c.disc); err != nil {
-		t.Fatalf("SaveParams(disc): %v", err)
-	}
-	return buf.Bytes()
+	var e snap.Enc
+	nn.EncodeParams(&e, c.gen)
+	nn.EncodeParams(&e, c.disc)
+	return e.Buf
 }
 
 // synthCSV renders a synthesis run to CSV bytes for exact comparison.
@@ -153,4 +151,41 @@ func TestRestoreRejectsConfigDrift(t *testing.T) {
 	if err := ext.Restore(blob); err != nil {
 		t.Fatalf("Restore with extended Rounds: %v", err)
 	}
+}
+
+// TestRestoreRejectsHostileImages damages a trained trainer's snapshot every
+// way internal/snap/snaptest knows — truncation at and between section
+// boundaries, every count and dimension maxed out behind a valid CRC, every
+// fingerprint value changed — and requires Restore into a fresh same-seed
+// trainer to refuse each image cheaply, naming the fingerprint field when
+// that is what differs.
+func TestRestoreRejectsHostileImages(t *testing.T) {
+	tbl := tinyTable(t, rand.New(rand.NewSource(13)), 60)
+	cfg := resumeTestConfig()
+	cfg.Rounds = 1
+	fresh := func() func([]byte) error {
+		c, err := NewCentralized(tbl, cfg)
+		if err != nil {
+			t.Fatalf("NewCentralized: %v", err)
+		}
+		return c.Restore
+	}
+	c, err := NewCentralized(tbl, cfg)
+	if err != nil {
+		t.Fatalf("NewCentralized: %v", err)
+	}
+	if err := c.Train(nil); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	image := c.Snapshot()
+	snaptest.Hostile(t, image, map[byte]func(*snaptest.Walker){
+		secCMeta:    (*snaptest.Walker).Rest,
+		secCRNG:     (*snaptest.Walker).RNG,
+		secCGen:     (*snaptest.Walker).Params,
+		secCDisc:    (*snaptest.Walker).Params,
+		secCGenOpt:  (*snaptest.Walker).Adam,
+		secCDiscOpt: (*snaptest.Walker).Adam,
+	}, fresh)
+	// The meta section is round, data width, CV width, then the fingerprint.
+	snaptest.Fingerprint(t, image, secCMeta, 3*8, cfg.fingerprint(), fresh)
 }

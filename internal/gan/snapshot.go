@@ -52,51 +52,23 @@ type centralizedState struct {
 	discOpt   nn.AdamState
 }
 
-// encodeConfigFingerprint writes the trajectory-relevant hyper-parameters.
-// Rounds is excluded: extending training on resume is legitimate and does
-// not change the trajectory up to the checkpoint.
-func encodeConfigFingerprint(e *snap.Enc, cfg Config) {
-	e.I64(int64(cfg.DiscSteps))
-	e.I64(int64(cfg.BatchSize))
-	e.I64(int64(cfg.NoiseDim))
-	e.I64(int64(cfg.BlockDim))
-	e.I64(int64(cfg.GenBlocks))
-	e.I64(int64(cfg.DiscBlocks))
-	e.F64(cfg.LR)
-	e.I64(int64(cfg.Pac))
-	e.I64(cfg.Seed)
-}
-
-// checkConfigFingerprint verifies a fingerprint written by
-// encodeConfigFingerprint against the live configuration.
-func checkConfigFingerprint(d *snap.Dec, cfg Config) error {
-	type field struct {
-		name      string
-		have, got float64
+// fingerprint lists the trajectory-relevant hyper-parameters, in the order
+// the meta section stores them. The one table both writes the fingerprint
+// and checks it on restore. Rounds is excluded: extending training on
+// resume is legitimate and does not change the trajectory up to the
+// checkpoint.
+func (cfg Config) fingerprint() []snap.Field {
+	return []snap.Field{
+		{Name: "disc-steps", Value: int64(cfg.DiscSteps)},
+		{Name: "batch", Value: int64(cfg.BatchSize)},
+		{Name: "noise-dim", Value: int64(cfg.NoiseDim)},
+		{Name: "block-dim", Value: int64(cfg.BlockDim)},
+		{Name: "gen-blocks", Value: int64(cfg.GenBlocks)},
+		{Name: "disc-blocks", Value: int64(cfg.DiscBlocks)},
+		{Name: "lr", Value: cfg.LR},
+		{Name: "pac", Value: int64(cfg.Pac)},
+		{Name: "seed", Value: cfg.Seed},
 	}
-	fields := []field{
-		{"disc-steps", float64(cfg.DiscSteps), float64(d.I64())},
-		{"batch", float64(cfg.BatchSize), float64(d.I64())},
-		{"noise-dim", float64(cfg.NoiseDim), float64(d.I64())},
-		{"block-dim", float64(cfg.BlockDim), float64(d.I64())},
-		{"gen-blocks", float64(cfg.GenBlocks), float64(d.I64())},
-		{"disc-blocks", float64(cfg.DiscBlocks), float64(d.I64())},
-		{"lr", cfg.LR, d.F64()},
-		{"pac", float64(cfg.Pac), float64(d.I64())},
-		{"seed", float64(cfg.Seed), float64(d.I64())},
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		// Exact comparison is the point: any drift in a trajectory-relevant
-		// hyper-parameter invalidates the checkpoint.
-		//lint:ignore floateq fingerprint fields must match bit-exactly; approximate equality would mask a config mismatch
-		if f.have != f.got {
-			return fmt.Errorf("gtvsnap: checkpoint %s %v does not match configured %v", f.name, f.got, f.have)
-		}
-	}
-	return nil
 }
 
 // encode serializes the state into a finished snapshot image.
@@ -105,12 +77,9 @@ func (st *centralizedState) encode(b *snap.Builder) []byte {
 		e.I64(int64(st.round))
 		e.I64(int64(st.dataWidth))
 		e.I64(int64(st.cvWidth))
-		encodeConfigFingerprint(e, st.cfg)
+		e.Fingerprint(st.cfg.fingerprint())
 	})
-	b.Section(secCRNG, func(e *snap.Enc) {
-		s := st.rng.State()
-		e.U64s(s[:])
-	})
+	b.Section(secCRNG, func(e *snap.Enc) { e.RNG(st.rng) })
 	b.Section(secCGen, func(e *snap.Enc) { nn.EncodeParams(e, st.gen) })
 	b.Section(secCDisc, func(e *snap.Enc) { nn.EncodeParams(e, st.disc) })
 	b.Section(secCGenOpt, func(e *snap.Enc) { nn.EncodeAdamState(e, st.genOpt) })
@@ -125,68 +94,29 @@ func (st *centralizedState) decode(s *snap.Snapshot) error {
 	if s.Kind != snap.KindCentralized {
 		return fmt.Errorf("gtvsnap: snapshot kind %d is not a centralized checkpoint", s.Kind)
 	}
-	d, err := s.Need(secCMeta, "meta")
-	if err != nil {
+	if err := s.Read(secCMeta, "meta", func(d *snap.Dec) {
+		st.round = int(d.I64())
+		dataW, cvW := int(d.I64()), int(d.I64())
+		d.Fingerprint(st.cfg.fingerprint())
+		if dataW != st.dataWidth || cvW != st.cvWidth {
+			d.Failf("checkpoint encoder widths %d/%d do not match fitted %d/%d", dataW, cvW, st.dataWidth, st.cvWidth)
+		}
+	}); err != nil {
 		return err
 	}
-	st.round = int(d.I64())
-	dataW := int(d.I64())
-	cvW := int(d.I64())
-	if err := checkConfigFingerprint(d, st.cfg); err != nil {
+	if err := s.Read(secCRNG, "rng", func(d *snap.Dec) { d.RNG(st.rng) }); err != nil {
 		return err
 	}
-	if err := d.Finish(); err != nil {
+	if err := s.Read(secCGen, "generator", func(d *snap.Dec) { nn.RestoreParams(d, st.gen) }); err != nil {
 		return err
 	}
-	if dataW != st.dataWidth || cvW != st.cvWidth {
-		return fmt.Errorf("gtvsnap: checkpoint encoder widths %d/%d do not match fitted %d/%d", dataW, cvW, st.dataWidth, st.cvWidth)
-	}
-
-	if d, err = s.Need(secCRNG, "rng"); err != nil {
+	if err := s.Read(secCDisc, "discriminator", func(d *snap.Dec) { nn.RestoreParams(d, st.disc) }); err != nil {
 		return err
 	}
-	words := d.U64s()
-	if err := d.Finish(); err != nil {
+	if err := s.Read(secCGenOpt, "generator optimizer", func(d *snap.Dec) { st.genOpt = nn.DecodeAdamState(d) }); err != nil {
 		return err
 	}
-	var rs rng.State
-	if len(words) != len(rs) {
-		return fmt.Errorf("gtvsnap: rng section holds %d state words, want %d", len(words), len(rs))
-	}
-	copy(rs[:], words)
-	st.rng.SetState(rs)
-
-	if d, err = s.Need(secCGen, "generator"); err != nil {
-		return err
-	}
-	if err := nn.RestoreParams(d, st.gen); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if d, err = s.Need(secCDisc, "discriminator"); err != nil {
-		return err
-	}
-	if err := nn.RestoreParams(d, st.disc); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secCGenOpt, "generator optimizer"); err != nil {
-		return err
-	}
-	st.genOpt = nn.DecodeAdamState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if d, err = s.Need(secCDiscOpt, "discriminator optimizer"); err != nil {
-		return err
-	}
-	st.discOpt = nn.DecodeAdamState(d)
-	return d.Finish()
+	return s.Read(secCDiscOpt, "discriminator optimizer", func(d *snap.Dec) { st.discOpt = nn.DecodeAdamState(d) })
 }
 
 // snapState gathers the live trainer into a state view.

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	ag "repro/internal/autograd"
+	"repro/internal/binfmt"
+	"repro/internal/snap"
 	"repro/internal/tensor"
 )
 
@@ -229,34 +232,109 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestSaveLoadParamsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	src := NewSequential(NewLinear(rng, 3, 4), ReLU{}, NewLinear(rng, 4, 2))
-	dst := NewSequential(NewLinear(rng, 3, 4), ReLU{}, NewLinear(rng, 4, 2))
+// encodedParams returns EncodeParams' bytes for l.
+func encodedParams(l Layer) []byte {
+	var e snap.Enc
+	EncodeParams(&e, l)
+	return e.Buf
+}
 
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src); err != nil {
-		t.Fatalf("SaveParams: %v", err)
+func TestEncodeRestoreParamsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	build := func() *Sequential {
+		return NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(4), ReLU{}, NewResidualBlock(rng, 4, 3), NewLinear(rng, 7, 2))
 	}
-	if err := LoadParams(&buf, dst); err != nil {
-		t.Fatalf("LoadParams: %v", err)
+	src, dst := build(), build()
+	// Two training-mode passes move src's running statistics off their
+	// initial values, so the round trip has to carry them.
+	for i := 0; i < 2; i++ {
+		src.Forward(ag.Const(tensor.Randn(rng, 6, 3, 1, 2)), true)
 	}
+	if bytes.Equal(encodedParams(src), encodedParams(dst)) {
+		t.Fatal("the two replicas already agree; the test would prove nothing")
+	}
+
+	d := snap.NewDec(encodedParams(src))
+	RestoreParams(d, dst)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("RestoreParams: %v", err)
+	}
+	if !bytes.Equal(encodedParams(src), encodedParams(dst)) {
+		t.Fatal("restored layer re-encodes differently")
+	}
+	// Evaluation mode reads the running statistics, which Params() omits.
 	x := ag.Const(tensor.Randn(rng, 5, 3, 0, 1))
-	if !src.Forward(x, false).Data().AllClose(dst.Forward(x, false).Data(), 1e-12) {
-		t.Fatal("loaded model differs from saved model")
+	if !src.Forward(x, false).Data().Equal(dst.Forward(x, false).Data()) {
+		t.Fatal("restored model evaluates differently from the encoded one")
 	}
 }
 
-func TestLoadParamsShapeMismatch(t *testing.T) {
+func TestRestoreParamsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	src := NewLinear(rng, 3, 4)
-	dst := NewLinear(rng, 3, 5)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src); err != nil {
-		t.Fatalf("SaveParams: %v", err)
+	src := NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(4))
+	full := encodedParams(src)
+	var nilParam, nilStat snap.Enc
+	nilParam.U32(2)
+	nilParam.Matrix(tensor.New(3, 4))
+	nilParam.Matrix(nil)
+	nilStat.U32(2)
+	nilStat.Matrix(tensor.New(1, 4))
+	nilStat.Matrix(tensor.New(1, 4))
+	nilStat.U32(1)
+	nilStat.Matrix(nil)
+	extraStat := snap.Enc{Writer: binfmt.Writer{Buf: encodedParams(NewLinear(rng, 3, 4))}}
+	extraStat.Buf = extraStat.Buf[:len(extraStat.Buf)-4] // drop the zero statistics count
+	extraStat.U32(1)
+	extraStat.Matrix(tensor.New(1, 4))
+	extraStat.Matrix(tensor.New(1, 4))
+
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		dst     Layer
+	}{
+		{"more params than the layer", full, NewLinear(rng, 3, 4)},
+		{"fewer params than the layer", full, NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(4), NewLinear(rng, 4, 1))},
+		{"param shape", full, NewSequential(NewLinear(rng, 3, 5), NewBatchNorm(4))},
+		{"batch-norm width", full, NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(5))},
+		{"batch-norm count", extraStat.Buf, NewLinear(rng, 3, 4)},
+		{"nil param", nilParam.Buf, NewLinear(rng, 3, 4)},
+		{"nil running statistic", nilStat.Buf, NewBatchNorm(4)},
+		{"truncated", full[:len(full)-1], src},
+	} {
+		d := snap.NewDec(c.payload)
+		RestoreParams(d, c.dst)
+		if err := d.Finish(); err == nil {
+			t.Errorf("%s: RestoreParams accepted the snapshot", c.name)
+		}
 	}
-	if err := LoadParams(&buf, dst); err == nil {
-		t.Fatal("expected shape-mismatch error")
+}
+
+// TestRestoreParamsReleasesDecodeBuffers restores a snapshot whose last
+// matrix has the wrong shape, over and over: each attempt decodes three
+// 32 KiB matrices before it fails, and all three must go back to the tensor
+// free list. Leaking even one of them per attempt would allocate it afresh
+// every time; recycling allocates next to nothing.
+func TestRestoreParamsReleasesDecodeBuffers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sync.Pool drops Puts at random under the race detector, which CI runs in -short mode")
+	}
+	rng := rand.New(rand.NewSource(12))
+	payload := encodedParams(NewSequential(NewLinear(rng, 64, 64), NewLinear(rng, 64, 64), NewLinear(rng, 64, 63)))
+	dst := NewSequential(NewLinear(rng, 64, 64), NewLinear(rng, 64, 64), NewLinear(rng, 64, 64))
+	const runs = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		d := snap.NewDec(payload)
+		RestoreParams(d, dst)
+		if err := d.Finish(); err == nil {
+			t.Fatal("RestoreParams accepted a 64x63 matrix for a 64x64 parameter")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, oneLeak := after.TotalAlloc-before.TotalAlloc, uint64(runs*64*64*8); got > oneLeak/2 {
+		t.Fatalf("%d failing restores allocated %d bytes; one leaked matrix per restore would be %d", runs, got, oneLeak)
 	}
 }
 

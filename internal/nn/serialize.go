@@ -1,57 +1,10 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	ag "repro/internal/autograd"
 )
-
-// paramState is the gob wire form of one parameter matrix.
-type paramState struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-// SaveParams writes the parameters of a layer to w in a stable order so they
-// can be restored with LoadParams into an identically-constructed layer.
-func SaveParams(w io.Writer, l Layer) error {
-	params := l.Params()
-	states := make([]paramState, len(params))
-	for i, p := range params {
-		r, c := p.Shape()
-		data := make([]float64, len(p.Data().Data()))
-		copy(data, p.Data().Data())
-		states[i] = paramState{Rows: r, Cols: c, Data: data}
-	}
-	if err := gob.NewEncoder(w).Encode(states); err != nil {
-		return fmt.Errorf("nn: encoding %d params: %w", len(states), err)
-	}
-	return nil
-}
-
-// LoadParams restores parameters saved by SaveParams into l, which must have
-// been constructed with the same architecture.
-func LoadParams(r io.Reader, l Layer) error {
-	var states []paramState
-	if err := gob.NewDecoder(r).Decode(&states); err != nil {
-		return fmt.Errorf("nn: decoding params: %w", err)
-	}
-	params := l.Params()
-	if len(states) != len(params) {
-		return fmt.Errorf("nn: saved model has %d params, layer has %d", len(states), len(params))
-	}
-	for i, p := range params {
-		r0, c0 := p.Shape()
-		if states[i].Rows != r0 || states[i].Cols != c0 {
-			return fmt.Errorf("nn: param %d shape %dx%d does not match saved %dx%d",
-				i, r0, c0, states[i].Rows, states[i].Cols)
-		}
-		copy(p.Data().Data(), states[i].Data)
-	}
-	return nil
-}
 
 // CountParams returns the total number of scalar parameters in a layer.
 func CountParams(l Layer) int {

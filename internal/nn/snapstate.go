@@ -6,7 +6,7 @@ package nn
 // back exactly — the bias corrections 1-beta^t and the per-element
 // moments feed every subsequent update — so the optimizer state is a
 // first-class part of the snapshot format, serialized in Params() order
-// (the same stable order SaveParams/LoadParams rely on).
+// (the stable order CloneInto pairs two replicas by).
 
 import (
 	"fmt"
@@ -92,13 +92,8 @@ func EncodeAdamState(e *snap.Enc, st AdamState) {
 func DecodeAdamState(d *snap.Dec) AdamState {
 	var st AdamState
 	st.T = int(d.I64())
-	n := int(d.U32())
-	// Each entry is at least two nil tags; bounding keeps a corrupt count
-	// from driving allocation.
-	if n > d.Remaining()/2 {
-		d.Failf("Adam moment count %d exceeds section", n)
-		return st
-	}
+	// Each entry is at least two nil tags.
+	n := d.Count(uint64(d.U32()), 2, "Adam moment")
 	st.M = make([]*tensor.Dense, n)
 	st.V = make([]*tensor.Dense, n)
 	for i := 0; i < n; i++ {
@@ -148,71 +143,40 @@ func EncodeParams(e *snap.Enc, l Layer) {
 }
 
 // RestoreParams decodes matrices written by EncodeParams into the live
-// parameter tensors and BatchNorm running estimates of l (which must have
-// the same architecture), copying element values and handing the decode
-// buffers back to the free list.
-func RestoreParams(d *snap.Dec, l Layer) error {
+// parameter tensors and BatchNorm running estimates of l, copying element
+// values and handing every decode buffer back to the free list. A snapshot
+// of another architecture — a different count, a nil matrix, a different
+// shape — fails d; what was copied before the mismatch stays copied.
+func RestoreParams(d *snap.Dec, l Layer) {
 	params := l.Params()
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(params) {
-		return fmt.Errorf("nn: snapshot holds %d params, layer has %d", n, len(params))
+	if n := int(d.U32()); n != len(params) {
+		d.Failf("snapshot holds %d params, layer has %d", n, len(params))
 	}
 	for i, p := range params {
-		m := d.Matrix()
-		if m == nil {
-			if err := d.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("nn: snapshot param %d is nil", i)
-		}
-		pr, pc := p.Shape()
-		if m.Rows() != pr || m.Cols() != pc {
-			err := fmt.Errorf("nn: snapshot param %d shape %dx%d does not match layer %dx%d",
-				i, m.Rows(), m.Cols(), pr, pc)
-			m.Release()
-			return err
-		}
-		p.Data().CopyFrom(m)
-		m.Release()
+		restoreMatrix(d, "param", i, p.Data())
 	}
 	bns := BatchNorms(l)
-	bn := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if bn != len(bns) {
-		return fmt.Errorf("nn: snapshot holds %d batch-norm stats, layer has %d", bn, len(bns))
+	if n := int(d.U32()); n != len(bns) {
+		d.Failf("snapshot holds %d batch-norm stats, layer has %d", n, len(bns))
 	}
 	for i, b := range bns {
-		if err := restoreNormStat(d, i, b.runningMean); err != nil {
-			return err
-		}
-		if err := restoreNormStat(d, i, b.runningVar); err != nil {
-			return err
-		}
+		restoreMatrix(d, "batch-norm mean", i, b.runningMean)
+		restoreMatrix(d, "batch-norm variance", i, b.runningVar)
 	}
-	return nil
 }
 
-// restoreNormStat copies one decoded running-statistic row into dst.
-func restoreNormStat(d *snap.Dec, i int, dst *tensor.Dense) error {
+// restoreMatrix decodes one matrix and copies it into dst, which it must
+// match in shape.
+func restoreMatrix(d *snap.Dec, what string, i int, dst *tensor.Dense) {
 	m := d.Matrix()
 	if m == nil {
-		if err := d.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("nn: snapshot batch-norm stat %d is nil", i)
+		d.Failf("snapshot %s %d is nil", what, i)
+		return
 	}
 	if m.Rows() != dst.Rows() || m.Cols() != dst.Cols() {
-		err := fmt.Errorf("nn: snapshot batch-norm stat %d shape %dx%d does not match layer %dx%d",
-			i, m.Rows(), m.Cols(), dst.Rows(), dst.Cols())
-		m.Release()
-		return err
+		d.Failf("snapshot %s %d shape %dx%d does not match layer %dx%d", what, i, m.Rows(), m.Cols(), dst.Rows(), dst.Cols())
+	} else {
+		dst.CopyFrom(m)
 	}
-	dst.CopyFrom(m)
 	m.Release()
-	return nil
 }

@@ -1,57 +1,36 @@
 package snap
 
-// Section-payload primitives, deliberately the same shapes as the gtvwire
-// codec (internal/vfl/wirecodec.go): little-endian integers, a sticky
-// decode error so call sites read as straight-line field lists, explicit
-// remaining-bytes bounds before every allocation, and matrices streamed
-// from tensor.Dense.Data() on encode and into pooled buffers on decode.
-// Snapshots always store float64 elements — a checkpoint exists to resume
-// byte-identically, so the lossy float32 wire encoding has no place here.
+// Section-payload codec: internal/binfmt's Writer and Reader plus what is
+// gtvsnap's own — u32 length prefixes, fixed-width ints, float64-only
+// matrices (a checkpoint exists to resume byte-identically, so the lossy
+// float32 wire encoding has no place here), the RNG-state record and the
+// config fingerprint.
 
 import (
-	"encoding/binary"
-	"fmt"
+	"bytes"
+	"errors"
 	"math"
 
+	"repro/internal/binfmt"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
-func putU64(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
-func getU64(src []byte) uint64    { return binary.LittleEndian.Uint64(src) }
-func getU32(src []byte) uint32    { return binary.LittleEndian.Uint32(src) }
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+// errSnap is the domain every section decode error wraps: the "gtvsnap: "
+// message prefix.
+var errSnap = errors.New("gtvsnap")
 
 // Enc appends one section payload to the Builder's buffer.
-type Enc struct{ buf []byte }
-
-func (e *Enc) U8(v byte) { e.buf = append(e.buf, v) }
-func (e *Enc) U32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-func (e *Enc) I64(v int64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-}
-func (e *Enc) F64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
+type Enc struct{ binfmt.Writer }
 
 func (e *Enc) Str(s string) {
 	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	e.Buf = append(e.Buf, s...)
 }
 
 func (e *Enc) Bytes(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.Raw(b)
 }
 
 func (e *Enc) Ints(v []int) {
@@ -64,7 +43,7 @@ func (e *Enc) Ints(v []int) {
 func (e *Enc) U64s(v []uint64) {
 	e.U32(uint32(len(v)))
 	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, x)
+		e.U64(x)
 	}
 }
 
@@ -79,140 +58,32 @@ func (e *Enc) Matrix(m *tensor.Dense) {
 	e.U8(1)
 	e.U32(uint32(m.Rows()))
 	e.U32(uint32(m.Cols()))
-	data := m.Data()
-	e.buf = growBuf(e.buf, 8*len(data))
-	for _, v := range data {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-	}
+	e.F64s(m.Data())
 }
 
-// growBuf ensures room for n more bytes so element-append loops never
-// re-grow mid-matrix.
-func growBuf(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n)
-	copy(nb, b)
-	return nb
+// RNG appends r's stream position.
+func (e *Enc) RNG(r *rng.Rand) {
+	s := r.State()
+	e.U64s(s[:])
 }
 
-// Dec walks one section payload. The first decode error sticks; every
-// subsequent read returns zero values, so callers check Finish once.
-type Dec struct {
-	buf []byte
-	off int
-	err error
-}
+// Dec walks one section payload: a binfmt.Reader whose errors read
+// "gtvsnap: …".
+type Dec struct{ binfmt.Reader }
 
 // NewDec starts decoding one section payload.
-func NewDec(payload []byte) *Dec { return &Dec{buf: payload} }
+func NewDec(payload []byte) *Dec { return &Dec{binfmt.NewReader(payload, errSnap)} }
 
-func (d *Dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("gtvsnap: "+format, args...)
-	}
-}
-
-// take returns the next n payload bytes, or nil after marking the decoder
-// failed when fewer remain.
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("truncated section: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// Err peeks at the sticky error without the trailing-bytes check, so
-// multi-stage decoders can stop early on a poisoned stream.
-func (d *Dec) Err() error { return d.err }
-
-// Remaining reports how many undecoded bytes are left, the bound callers
-// use to reject length prefixes larger than the data behind them.
-func (d *Dec) Remaining() int { return len(d.buf) - d.off }
-
-// Failf marks the decoder failed with a formatted message (first failure
-// sticks). Decoder helpers outside this package use it for their own
-// bounds checks.
-func (d *Dec) Failf(format string, args ...any) { d.fail(format, args...) }
-
-// Finish reports the sticky error, also flagging unconsumed trailing
-// bytes (a symptom of an encoder/decoder mismatch, i.e. a missed version
-// bump).
-func (d *Dec) Finish() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("%d trailing section bytes", len(d.buf)-d.off)
-	}
-	return d.err
-}
-
-func (d *Dec) U8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *Dec) I64() int64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (d *Dec) F64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (d *Dec) Bool() bool { return d.U8() != 0 }
-
-func (d *Dec) Str() string {
-	n := d.U32()
-	b := d.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (d *Dec) Str() string { return string(d.Take(int(d.U32()))) }
 
 // Bytes returns a copy of a length-prefixed byte string (a copy, because
 // section payloads alias the decoded file image, which checkpoint loaders
 // discard after restoring).
-func (d *Dec) Bytes() []byte {
-	n := d.U32()
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+func (d *Dec) Bytes() []byte { return bytes.Clone(d.Take(int(d.U32()))) }
 
 func (d *Dec) Ints() []int {
-	n := int(d.U32())
-	if d.take(0) == nil || n > (len(d.buf)-d.off)/8 {
-		d.fail("int slice length %d exceeds section", n)
+	n := d.Count(uint64(d.U32()), 8, "int")
+	if d.Err() != nil {
 		return nil
 	}
 	out := make([]int, n)
@@ -223,18 +94,13 @@ func (d *Dec) Ints() []int {
 }
 
 func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	if d.take(0) == nil || n > (len(d.buf)-d.off)/8 {
-		d.fail("uint64 slice length %d exceeds section", n)
+	n := d.Count(uint64(d.U32()), 8, "uint64")
+	if d.Err() != nil {
 		return nil
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		b := d.take(8)
-		if b == nil {
-			return nil
-		}
-		out[i] = binary.LittleEndian.Uint64(b)
+		out[i] = d.U64()
 	}
 	return out
 }
@@ -243,29 +109,81 @@ func (d *Dec) U64s() []uint64 {
 // (every element is overwritten). Ownership passes to the caller; restore
 // paths copy into live parameter tensors and Release the decoded buffer.
 func (d *Dec) Matrix() *tensor.Dense {
-	tag := d.U8()
-	if d.err != nil || tag == 0 {
+	if d.U8() == 0 {
 		return nil
 	}
-	rows := int(d.U32())
-	cols := int(d.U32())
-	if d.err != nil {
+	rows, cols := uint64(d.U32()), uint64(d.U32())
+	r, c := d.Shape(rows, cols, 8)
+	if d.Err() != nil {
 		return nil
 	}
-	// Bounding rows by remaining/(cols*8) both rejects shapes larger than
-	// the section and keeps rows*cols from overflowing below.
-	if rows < 0 || cols < 0 || (cols != 0 && rows > (len(d.buf)-d.off)/(cols*8)) {
-		d.fail("matrix shape %dx%d exceeds section", rows, cols)
-		return nil
-	}
-	raw := d.take(rows * cols * 8)
-	if raw == nil {
-		return nil
-	}
-	out := tensor.NewPooledUninit(rows, cols)
-	data := out.Data()
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	out := tensor.NewPooledUninit(r, c)
+	d.F64s(out.Data())
 	return out
+}
+
+// RNG reads a stream position written by Enc.RNG into r.
+func (d *Dec) RNG(r *rng.Rand) {
+	var s rng.State
+	if n := d.U32(); n != uint32(len(s)) {
+		d.Failf("rng section holds %d state words, want %d", n, len(s))
+	}
+	for i := range s {
+		s[i] = d.U64()
+	}
+	if d.Err() == nil {
+		r.SetState(s)
+	}
+}
+
+// Field is one entry of a config fingerprint: a trajectory-relevant
+// hyper-parameter under the name a mismatch is reported by. Value holds an
+// int64, a float64 or a bool.
+type Field struct {
+	Name  string
+	Value any
+}
+
+// Fingerprint appends the fields' values in order.
+func (e *Enc) Fingerprint(fields []Field) {
+	for _, f := range fields {
+		switch v := f.Value.(type) {
+		case int64:
+			e.I64(v)
+		case float64:
+			e.F64(v)
+		case bool:
+			e.Bool(v)
+		default:
+			panic("snap: fingerprint field " + f.Name + " is not an int64, float64 or bool")
+		}
+	}
+}
+
+// Fingerprint reads a fingerprint written from the same field table and
+// fails the decoder at the first value that differs from the live one: the
+// table that writes a field is the table that checks it. Floats compare by
+// bits — any drift in a trajectory-relevant hyper-parameter invalidates the
+// checkpoint.
+func (d *Dec) Fingerprint(fields []Field) {
+	for _, f := range fields {
+		var got any
+		same := false
+		switch have := f.Value.(type) {
+		case int64:
+			v := d.I64()
+			got, same = v, v == have
+		case float64:
+			v := d.F64()
+			got, same = v, math.Float64bits(v) == math.Float64bits(have)
+		case bool:
+			v := d.Bool()
+			got, same = v, v == have
+		default:
+			panic("snap: fingerprint field " + f.Name + " is not an int64, float64 or bool")
+		}
+		if !same {
+			d.Failf("checkpoint %s %v does not match configured %v", f.Name, got, f.Value)
+		}
+	}
 }

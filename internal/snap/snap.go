@@ -27,6 +27,7 @@
 package snap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -34,6 +35,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/binfmt"
 )
 
 const (
@@ -72,17 +75,6 @@ type Snapshot struct {
 	Sections []Section
 }
 
-// Section returns the payload of the first section with the given id, or
-// nil when absent. Repeated ids (per-client blobs) use All.
-func (s *Snapshot) Section(id byte) []byte {
-	for _, sec := range s.Sections {
-		if sec.ID == id {
-			return sec.Payload
-		}
-	}
-	return nil
-}
-
 // Need returns a decoder over the first section with the given id, or an
 // error naming the missing section — the shape restore paths want, where
 // every section is mandatory.
@@ -93,6 +85,18 @@ func (s *Snapshot) Need(id byte, name string) (*Dec, error) {
 		}
 	}
 	return nil, fmt.Errorf("gtvsnap: snapshot is missing the %s section (id %d)", name, id)
+}
+
+// Read decodes the first section with the given id: Need, the field list
+// decode reads (failures stick to the Dec), then Finish, so a section that
+// is missing, short, malformed or longer than its decoder is one error.
+func (s *Snapshot) Read(id byte, name string, decode func(*Dec)) error {
+	d, err := s.Need(id, name)
+	if err != nil {
+		return err
+	}
+	decode(d)
+	return d.Finish()
 }
 
 // All returns the payloads of every section with the given id, in file
@@ -128,13 +132,12 @@ func (b *Builder) Section(id byte, encode func(*Enc)) {
 	b.buf = append(b.buf, id)
 	lenAt := len(b.buf)
 	b.buf = append(b.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	e := &Enc{buf: b.buf}
+	e := &Enc{binfmt.Writer{Buf: b.buf}}
 	encode(e)
-	b.buf = e.buf
-	payload := b.buf[lenAt+8:]
-	putU64(b.buf[lenAt:lenAt+8], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(payload)
-	b.buf = appendU32(b.buf, sum)
+	payload := e.Buf[lenAt+8:]
+	binary.LittleEndian.PutUint64(e.Buf[lenAt:], uint64(len(payload)))
+	e.U32(crc32.ChecksumIEEE(payload))
+	b.buf = e.Buf
 }
 
 // Bytes returns the complete encoded snapshot.
@@ -163,14 +166,14 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("gtvsnap: truncated section header: %d trailing bytes", len(rest))
 		}
 		id := rest[0]
-		n := getU64(rest[1:9])
+		n := binary.LittleEndian.Uint64(rest[1:9])
 		// Bounding by the bytes actually present both rejects truncated
 		// files and keeps a corrupt length from driving allocation.
 		if n > uint64(len(rest)-sectionOverhead) {
 			return nil, fmt.Errorf("gtvsnap: section %d length %d exceeds remaining %d bytes", id, n, len(rest)-sectionOverhead)
 		}
 		payload := rest[9 : 9+n]
-		want := getU32(rest[9+n : 9+n+4])
+		want := binary.LittleEndian.Uint32(rest[9+n:])
 		if got := crc32.ChecksumIEEE(payload); got != want {
 			return nil, fmt.Errorf("gtvsnap: section %d CRC mismatch: file %08x, computed %08x", id, want, got)
 		}

@@ -2,12 +2,14 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -166,7 +168,7 @@ func sectionBoundaries(t *testing.T, data []byte) map[int]bool {
 	ok := map[int]bool{headerLen: true}
 	off := headerLen
 	for off < len(data) {
-		n := int(getU64(data[off+1 : off+9]))
+		n := int(binary.LittleEndian.Uint64(data[off+1 : off+9]))
 		off += sectionOverhead + n
 		ok[off] = true
 	}
@@ -263,7 +265,7 @@ func TestDecLengthBounds(t *testing.T) {
 	e.U8(1)
 	e.U32(1 << 20)
 	e.U32(1 << 20)
-	if NewDec(e.buf).Matrix() != nil {
+	if NewDec(e.Buf).Matrix() != nil {
 		t.Error("Matrix accepted a shape exceeding the section")
 	}
 }
@@ -403,8 +405,9 @@ func TestLatestCheckpoint(t *testing.T) {
 // --- fuzzing ---
 
 // FuzzSnapshotDecode feeds arbitrary bytes through Decode and, when a file
-// parses, through every Dec primitive. Nothing here may panic, and no
-// length field may drive allocation beyond the input size.
+// parses, through every composite the section codec adds to the shared
+// reader (whose primitives internal/binfmt fuzzes). Nothing here may panic,
+// and no length field may drive allocation beyond the input size.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(goldenSnapshot())
 	f.Add([]byte{})
@@ -412,6 +415,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(append([]byte("GTVSNP"), Version, KindServer))
 	trunc := goldenSnapshot()
 	f.Add(trunc[:len(trunc)-3])
+	fields := []Field{{"int", int64(-42)}, {"float", 3.5}, {"bool", true}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
@@ -420,21 +424,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 		total := 0
 		for _, sec := range s.Sections {
 			total += len(sec.Payload)
-			d := NewDec(sec.Payload)
-			d.U8()
-			d.U32()
-			d.I64()
-			d.F64()
-			d.Bool()
-			d.Str()
-			d.Bytes()
-			d.Ints()
-			d.U64s()
-			if m := d.Matrix(); m != nil {
-				m.Release()
+			for _, decode := range []func(*Dec){
+				func(d *Dec) { d.Str() },
+				func(d *Dec) { d.Bytes() },
+				func(d *Dec) { d.Ints() },
+				func(d *Dec) { d.U64s() },
+				func(d *Dec) {
+					if m := d.Matrix(); m != nil {
+						m.Release()
+					}
+				},
+				func(d *Dec) { d.RNG(rng.New(1)) },
+				func(d *Dec) { d.Fingerprint(fields) },
+			} {
+				d := NewDec(sec.Payload)
+				decode(d)
+				//lint:ignore errdrop the fuzz target only asserts the decoder never panics
+				_ = d.Finish()
 			}
-			//lint:ignore errdrop the fuzz target only asserts the decoder never panics
-			_ = d.Finish()
 		}
 		if total+headerLen > len(data) {
 			t.Fatalf("decoded payloads total %d bytes from a %d-byte input", total, len(data))

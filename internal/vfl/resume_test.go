@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/snap/snaptest"
 )
 
 // trainRounds drives a system for its configured number of rounds.
@@ -207,4 +208,68 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err := locals[0].Restore(blob); err == nil {
 		t.Fatal("Restore accepted a client that has already trained")
 	}
+}
+
+// TestRestoreRejectsHostileImages damages a trained federation's server
+// snapshot and one client's blob every way internal/snap/snaptest knows —
+// truncation at and between section boundaries, every count and dimension
+// maxed out behind a valid CRC, every fingerprint value changed — and
+// requires Restore into a fresh same-seed federation to refuse each image
+// cheaply, naming the fingerprint field when that is what differs. The
+// client blob is the case that matters most: it is the one image a peer
+// hands the server and the server hands back.
+func TestRestoreRejectsHostileImages(t *testing.T) {
+	// Top-k on, so the error-feedback section holds matrices.
+	mutate := func(c *Config) { c.Rounds = 1; c.GradTopK = 0.25 }
+	srv, locals := newThreeClientSystem(t, 0, mutate)
+	trainRounds(t, srv, "origin")
+
+	blob, err := locals[1].Snapshot()
+	if err != nil {
+		t.Fatalf("client Snapshot: %v", err)
+	}
+	snaptest.Hostile(t, blob, map[byte]func(*snaptest.Walker){
+		secLMeta:     (*snaptest.Walker).Rest,
+		secLRNG:      (*snaptest.Walker).RNG,
+		secLModelRNG: (*snaptest.Walker).RNG,
+		secLGen:      (*snaptest.Walker).Params,
+		secLDisc:     (*snaptest.Walker).Params,
+		secLGenOpt:   (*snaptest.Walker).Adam,
+		secLDiscOpt:  (*snaptest.Walker).Adam,
+	}, func() func([]byte) error {
+		_, fresh := newThreeClientSystem(t, 0, mutate)
+		return fresh[1].Restore
+	})
+
+	image, err := srv.Snapshot()
+	if err != nil {
+		t.Fatalf("server Snapshot: %v", err)
+	}
+	fresh := func() func([]byte) error {
+		s, _ := newThreeClientSystem(t, 0, mutate)
+		return s.Restore
+	}
+	snaptest.Hostile(t, image, map[byte]func(*snaptest.Walker){
+		secSMeta:     (*snaptest.Walker).Rest,
+		secSRNG:      (*snaptest.Walker).RNG,
+		secSModelRNG: (*snaptest.Walker).RNG,
+		secSGTop:     (*snaptest.Walker).Params,
+		secSDTop:     (*snaptest.Walker).Params,
+		secSDS:       func(w *snaptest.Walker) { w.Skip(1); w.Params() },
+		secSGOpt:     (*snaptest.Walker).Adam,
+		secSDOpt:     (*snaptest.Walker).Adam,
+		secSComm:     func(w *snaptest.Walker) { w.Skip(7 * 8); w.Skip(8 * int(w.U32())) },
+		secSTopKEF: func(w *snaptest.Walker) {
+			for n := w.U32(); n > 0; n-- {
+				w.Matrix()
+				w.Matrix()
+				w.Matrix()
+			}
+		},
+		// The blob inside is a client image of its own, damaged above.
+		secSClient: func(w *snaptest.Walker) { w.U32(); w.Skip(int(w.U32())) },
+	}, fresh)
+	// The meta section is round, rows, CV width, client count, then the
+	// fingerprint.
+	snaptest.Fingerprint(t, image, secSMeta, 4*8, srv.cfg.fingerprint(), fresh)
 }

@@ -89,14 +89,8 @@ func (st *clientState) encode(b *snap.Builder) []byte {
 		e.I64(int64(st.dataWidth))
 		e.I64(int64(st.sliceWidth))
 	})
-	b.Section(secLRNG, func(e *snap.Enc) {
-		s := st.rng.State()
-		e.U64s(s[:])
-	})
-	b.Section(secLModelRNG, func(e *snap.Enc) {
-		s := st.modelRng.State()
-		e.U64s(s[:])
-	})
+	b.Section(secLRNG, func(e *snap.Enc) { e.RNG(st.rng) })
+	b.Section(secLModelRNG, func(e *snap.Enc) { e.RNG(st.modelRng) })
 	b.Section(secLGen, func(e *snap.Enc) { nn.EncodeParams(e, st.gen) })
 	b.Section(secLDisc, func(e *snap.Enc) { nn.EncodeParams(e, st.disc) })
 	b.Section(secLGenOpt, func(e *snap.Enc) { nn.EncodeAdamState(e, st.genOpt) })
@@ -111,87 +105,34 @@ func (st *clientState) decode(s *snap.Snapshot) error {
 	if s.Kind != snap.KindClient {
 		return fmt.Errorf("gtvsnap: snapshot kind %d is not a client checkpoint", s.Kind)
 	}
-	d, err := s.Need(secLMeta, "meta")
-	if err != nil {
+	if err := s.Read(secLMeta, "meta", func(d *snap.Dec) {
+		st.shuffles, st.pubCount = int(d.I64()), int(d.I64())
+		dataW, sliceW := int(d.I64()), int(d.I64())
+		if st.shuffles < 0 || st.pubCount < 0 {
+			d.Failf("negative replay counters %d/%d", st.shuffles, st.pubCount)
+		}
+		if dataW != st.dataWidth || sliceW != st.sliceWidth {
+			d.Failf("checkpoint widths %d/%d do not match configured %d/%d", dataW, sliceW, st.dataWidth, st.sliceWidth)
+		}
+	}); err != nil {
 		return err
 	}
-	shuffles := int(d.I64())
-	pubCount := int(d.I64())
-	dataW := int(d.I64())
-	sliceW := int(d.I64())
-	if err := d.Finish(); err != nil {
+	if err := s.Read(secLRNG, "rng", func(d *snap.Dec) { d.RNG(st.rng) }); err != nil {
 		return err
 	}
-	if shuffles < 0 || pubCount < 0 {
-		return fmt.Errorf("gtvsnap: negative replay counters %d/%d", shuffles, pubCount)
-	}
-	if dataW != st.dataWidth || sliceW != st.sliceWidth {
-		return fmt.Errorf("gtvsnap: checkpoint widths %d/%d do not match configured %d/%d", dataW, sliceW, st.dataWidth, st.sliceWidth)
-	}
-	st.shuffles = shuffles
-	st.pubCount = pubCount
-
-	if d, err = s.Need(secLRNG, "rng"); err != nil {
+	if err := s.Read(secLModelRNG, "model rng", func(d *snap.Dec) { d.RNG(st.modelRng) }); err != nil {
 		return err
 	}
-	if err := decodeRNG(d, st.rng); err != nil {
+	if err := s.Read(secLGen, "generator", func(d *snap.Dec) { nn.RestoreParams(d, st.gen) }); err != nil {
 		return err
 	}
-	if d, err = s.Need(secLModelRNG, "model rng"); err != nil {
+	if err := s.Read(secLDisc, "discriminator", func(d *snap.Dec) { nn.RestoreParams(d, st.disc) }); err != nil {
 		return err
 	}
-	if err := decodeRNG(d, st.modelRng); err != nil {
+	if err := s.Read(secLGenOpt, "generator optimizer", func(d *snap.Dec) { st.genOpt = nn.DecodeAdamState(d) }); err != nil {
 		return err
 	}
-
-	if d, err = s.Need(secLGen, "generator"); err != nil {
-		return err
-	}
-	if err := restoreLayer(d, st.gen); err != nil {
-		return err
-	}
-	if d, err = s.Need(secLDisc, "discriminator"); err != nil {
-		return err
-	}
-	if err := restoreLayer(d, st.disc); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secLGenOpt, "generator optimizer"); err != nil {
-		return err
-	}
-	st.genOpt = nn.DecodeAdamState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if d, err = s.Need(secLDiscOpt, "discriminator optimizer"); err != nil {
-		return err
-	}
-	st.discOpt = nn.DecodeAdamState(d)
-	return d.Finish()
-}
-
-// decodeRNG reads a four-word xoshiro state section into r.
-func decodeRNG(d *snap.Dec, r *rng.Rand) error {
-	words := d.U64s()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	var rs rng.State
-	if len(words) != len(rs) {
-		return fmt.Errorf("gtvsnap: rng section holds %d state words, want %d", len(words), len(rs))
-	}
-	copy(rs[:], words)
-	r.SetState(rs)
-	return nil
-}
-
-// restoreLayer decodes one parameter section into a live layer.
-func restoreLayer(d *snap.Dec, l nn.Layer) error {
-	if err := nn.RestoreParams(d, l); err != nil {
-		return err
-	}
-	return d.Finish()
+	return s.Read(secLDiscOpt, "discriminator optimizer", func(d *snap.Dec) { st.discOpt = nn.DecodeAdamState(d) })
 }
 
 // snapState gathers the live client into a state view.
@@ -292,69 +233,29 @@ type serverState struct {
 	clients [][]byte
 }
 
-// encodeServerFingerprint writes the trajectory-relevant hyper-parameters.
-// Rounds is excluded (resume may extend training) and so is Parallelism
-// (training is bit-identical across fan-out bounds by construction).
-func encodeServerFingerprint(e *snap.Enc, cfg Config) {
-	e.I64(int64(cfg.Plan.DiscServer))
-	e.I64(int64(cfg.Plan.DiscClient))
-	e.I64(int64(cfg.Plan.GenServer))
-	e.I64(int64(cfg.Plan.GenClient))
-	e.I64(int64(cfg.DiscSteps))
-	e.I64(int64(cfg.BatchSize))
-	e.I64(int64(cfg.NoiseDim))
-	e.I64(int64(cfg.BlockDim))
-	e.I64(int64(cfg.GenBlockDim))
-	e.F64(cfg.LR)
-	e.I64(cfg.Seed)
-	e.I64(int64(cfg.Pac))
-	e.F64(cfg.DPLogitNoise)
-	e.Bool(cfg.FaithfulRealPass)
-	e.F64(cfg.GradTopK)
-}
-
-// checkServerFingerprint verifies a fingerprint written by
-// encodeServerFingerprint against the live configuration.
-func checkServerFingerprint(d *snap.Dec, cfg Config) error {
-	type field struct {
-		name      string
-		have, got float64
+// fingerprint lists the trajectory-relevant hyper-parameters, in the order
+// the meta section stores them. The one table both writes the fingerprint
+// and checks it on restore. Rounds is excluded (resume may extend training)
+// and so is Parallelism (training is bit-identical across fan-out bounds by
+// construction).
+func (cfg Config) fingerprint() []snap.Field {
+	return []snap.Field{
+		{Name: "plan-disc-server", Value: int64(cfg.Plan.DiscServer)},
+		{Name: "plan-disc-client", Value: int64(cfg.Plan.DiscClient)},
+		{Name: "plan-gen-server", Value: int64(cfg.Plan.GenServer)},
+		{Name: "plan-gen-client", Value: int64(cfg.Plan.GenClient)},
+		{Name: "disc-steps", Value: int64(cfg.DiscSteps)},
+		{Name: "batch", Value: int64(cfg.BatchSize)},
+		{Name: "noise-dim", Value: int64(cfg.NoiseDim)},
+		{Name: "block-dim", Value: int64(cfg.BlockDim)},
+		{Name: "gen-block-dim", Value: int64(cfg.GenBlockDim)},
+		{Name: "lr", Value: cfg.LR},
+		{Name: "seed", Value: cfg.Seed},
+		{Name: "pac", Value: int64(cfg.Pac)},
+		{Name: "dp-noise", Value: cfg.DPLogitNoise},
+		{Name: "faithful-real-pass", Value: cfg.FaithfulRealPass},
+		{Name: "grad-topk", Value: cfg.GradTopK},
 	}
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	fields := []field{
-		{"plan-disc-server", float64(cfg.Plan.DiscServer), float64(d.I64())},
-		{"plan-disc-client", float64(cfg.Plan.DiscClient), float64(d.I64())},
-		{"plan-gen-server", float64(cfg.Plan.GenServer), float64(d.I64())},
-		{"plan-gen-client", float64(cfg.Plan.GenClient), float64(d.I64())},
-		{"disc-steps", float64(cfg.DiscSteps), float64(d.I64())},
-		{"batch", float64(cfg.BatchSize), float64(d.I64())},
-		{"noise-dim", float64(cfg.NoiseDim), float64(d.I64())},
-		{"block-dim", float64(cfg.BlockDim), float64(d.I64())},
-		{"gen-block-dim", float64(cfg.GenBlockDim), float64(d.I64())},
-		{"lr", cfg.LR, d.F64()},
-		{"seed", float64(cfg.Seed), float64(d.I64())},
-		{"pac", float64(cfg.Pac), float64(d.I64())},
-		{"dp-noise", cfg.DPLogitNoise, d.F64()},
-		{"faithful-real-pass", b2f(cfg.FaithfulRealPass), b2f(d.Bool())},
-		{"grad-topk", cfg.GradTopK, d.F64()},
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		// Exact comparison is the point: any drift in a trajectory-relevant
-		// hyper-parameter invalidates the checkpoint.
-		//lint:ignore floateq fingerprint fields must match bit-exactly; approximate equality would mask a config mismatch
-		if f.have != f.got {
-			return fmt.Errorf("gtvsnap: checkpoint %s %v does not match configured %v", f.name, f.got, f.have)
-		}
-	}
-	return nil
 }
 
 // encode serializes the server state into a finished KindServer image.
@@ -364,16 +265,10 @@ func (st *serverState) encode(b *snap.Builder) []byte {
 		e.I64(int64(st.rows))
 		e.I64(int64(st.cvWidth))
 		e.I64(int64(st.nclients))
-		encodeServerFingerprint(e, st.cfg)
+		e.Fingerprint(st.cfg.fingerprint())
 	})
-	b.Section(secSRNG, func(e *snap.Enc) {
-		s := st.rng.State()
-		e.U64s(s[:])
-	})
-	b.Section(secSModelRNG, func(e *snap.Enc) {
-		s := st.modelRng.State()
-		e.U64s(s[:])
-	})
+	b.Section(secSRNG, func(e *snap.Enc) { e.RNG(st.rng) })
+	b.Section(secSModelRNG, func(e *snap.Enc) { e.RNG(st.modelRng) })
 	b.Section(secSGTop, func(e *snap.Enc) { nn.EncodeParams(e, st.gTop) })
 	b.Section(secSDTop, func(e *snap.Enc) { nn.EncodeParams(e, st.dTop) })
 	b.Section(secSDS, func(e *snap.Enc) {
@@ -423,120 +318,78 @@ func (st *serverState) decode(s *snap.Snapshot) error {
 	if s.Kind != snap.KindServer {
 		return fmt.Errorf("gtvsnap: snapshot kind %d is not a server checkpoint", s.Kind)
 	}
-	d, err := s.Need(secSMeta, "meta")
-	if err != nil {
-		return err
-	}
-	round := int(d.I64())
-	rows := int(d.I64())
-	cvW := int(d.I64())
-	ncl := int(d.I64())
-	if err := checkServerFingerprint(d, st.cfg); err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if rows != st.rows || cvW != st.cvWidth || ncl != st.nclients {
-		return fmt.Errorf("gtvsnap: checkpoint federation %d rows/%d cv/%d clients does not match live %d/%d/%d",
-			rows, cvW, ncl, st.rows, st.cvWidth, st.nclients)
-	}
-	if round < 0 {
-		return fmt.Errorf("gtvsnap: negative round counter %d", round)
-	}
-	st.round = round
-
-	if d, err = s.Need(secSRNG, "rng"); err != nil {
-		return err
-	}
-	if err := decodeRNG(d, st.rng); err != nil {
-		return err
-	}
-	if d, err = s.Need(secSModelRNG, "model rng"); err != nil {
-		return err
-	}
-	if err := decodeRNG(d, st.modelRng); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secSGTop, "top generator"); err != nil {
-		return err
-	}
-	if err := restoreLayer(d, st.gTop); err != nil {
-		return err
-	}
-	if d, err = s.Need(secSDTop, "top discriminator"); err != nil {
-		return err
-	}
-	if err := restoreLayer(d, st.dTop); err != nil {
-		return err
-	}
-	if d, err = s.Need(secSDS, "cv filter"); err != nil {
-		return err
-	}
-	hasDS := d.Bool()
-	if hasDS != (st.dS != nil) {
-		return fmt.Errorf("gtvsnap: checkpoint cv-filter presence %v does not match live %v", hasDS, st.dS != nil)
-	}
-	if hasDS {
-		if err := restoreLayer(d, st.dS); err != nil {
-			return err
+	if err := s.Read(secSMeta, "meta", func(d *snap.Dec) {
+		st.round = int(d.I64())
+		rows, cvW, ncl := int(d.I64()), int(d.I64()), int(d.I64())
+		d.Fingerprint(st.cfg.fingerprint())
+		if rows != st.rows || cvW != st.cvWidth || ncl != st.nclients {
+			d.Failf("checkpoint federation %d rows/%d cv/%d clients does not match live %d/%d/%d",
+				rows, cvW, ncl, st.rows, st.cvWidth, st.nclients)
 		}
-	} else if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secSGOpt, "generator optimizer"); err != nil {
-		return err
-	}
-	st.gOpt = nn.DecodeAdamState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if d, err = s.Need(secSDOpt, "discriminator optimizer"); err != nil {
-		return err
-	}
-	st.dOpt = nn.DecodeAdamState(d)
-	if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secSComm, "comm stats"); err != nil {
-		return err
-	}
-	st.comm = CommStats{
-		GenSlicesSent:      d.I64(),
-		DiscLogitsReceived: d.I64(),
-		GradsSent:          d.I64(),
-		SliceGradsReceived: d.I64(),
-		CVBytes:            d.I64(),
-		Rounds:             int(d.I64()),
-		WireBytes:          d.I64(),
-	}
-	nmethods := int(d.U32())
-	if nmethods != wireNumMethods {
-		return fmt.Errorf("gtvsnap: checkpoint tallies %d wire methods, this build has %d", nmethods, wireNumMethods)
-	}
-	for i := range st.comm.WireBytesByMethod {
-		st.comm.WireBytesByMethod[i] = d.I64()
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-
-	if d, err = s.Need(secSTopKEF, "top-k error feedback"); err != nil {
-		return err
-	}
-	nef := int(d.U32())
-	if nef != len(st.topkEF) {
-		return fmt.Errorf("gtvsnap: checkpoint holds %d top-k accumulators, live server has %d (grad-topk fingerprint should have caught this)", nef, len(st.topkEF))
-	}
-	for i := range st.topkEF {
-		for j := range st.topkEF[i] {
-			st.topkEF[i][j] = d.Matrix()
+		if st.round < 0 {
+			d.Failf("negative round counter %d", st.round)
 		}
+	}); err != nil {
+		return err
 	}
-	if err := d.Finish(); err != nil {
+	if err := s.Read(secSRNG, "rng", func(d *snap.Dec) { d.RNG(st.rng) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSModelRNG, "model rng", func(d *snap.Dec) { d.RNG(st.modelRng) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSGTop, "top generator", func(d *snap.Dec) { nn.RestoreParams(d, st.gTop) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSDTop, "top discriminator", func(d *snap.Dec) { nn.RestoreParams(d, st.dTop) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSDS, "cv filter", func(d *snap.Dec) {
+		hasDS := d.Bool()
+		if hasDS != (st.dS != nil) {
+			d.Failf("checkpoint cv-filter presence %v does not match live %v", hasDS, st.dS != nil)
+		} else if hasDS {
+			nn.RestoreParams(d, st.dS)
+		}
+	}); err != nil {
+		return err
+	}
+	if err := s.Read(secSGOpt, "generator optimizer", func(d *snap.Dec) { st.gOpt = nn.DecodeAdamState(d) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSDOpt, "discriminator optimizer", func(d *snap.Dec) { st.dOpt = nn.DecodeAdamState(d) }); err != nil {
+		return err
+	}
+	if err := s.Read(secSComm, "comm stats", func(d *snap.Dec) {
+		st.comm = CommStats{
+			GenSlicesSent:      d.I64(),
+			DiscLogitsReceived: d.I64(),
+			GradsSent:          d.I64(),
+			SliceGradsReceived: d.I64(),
+			CVBytes:            d.I64(),
+			Rounds:             int(d.I64()),
+			WireBytes:          d.I64(),
+		}
+		if n := d.U32(); n != wireNumMethods {
+			d.Failf("checkpoint tallies %d wire methods, this build has %d", n, wireNumMethods)
+		}
+		for i := range st.comm.WireBytesByMethod {
+			st.comm.WireBytesByMethod[i] = d.I64()
+		}
+	}); err != nil {
+		return err
+	}
+	if err := s.Read(secSTopKEF, "top-k error feedback", func(d *snap.Dec) {
+		if n := int(d.U32()); n != len(st.topkEF) {
+			d.Failf("checkpoint holds %d top-k accumulators, live server has %d (grad-topk fingerprint should have caught this)", n, len(st.topkEF))
+			return
+		}
+		for i := range st.topkEF {
+			for j := range st.topkEF[i] {
+				st.topkEF[i][j] = d.Matrix()
+			}
+		}
+	}); err != nil {
 		return err
 	}
 

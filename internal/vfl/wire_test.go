@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/condvec"
 	"repro/internal/encoding"
 	"repro/internal/tensor"
@@ -91,21 +92,21 @@ func goldenWireFrames() map[string][]byte {
 	// ForwardSynthetic request: a 2x3 float64 slice plus the phase.
 	enc := newWireEnc()
 	enc.matrix(tensor.FromRows([][]float64{{1, -2.5, 3.25}, {4, 5.5, -6.75}}), false)
-	enc.i64(int64(PhaseDiscriminator))
-	fixtures["forward_synthetic_req.bin"] = frame(wireKindRequest, wireMethodForwardSynthetic, 0, 7, enc.buf)
+	enc.I64(int64(PhaseDiscriminator))
+	fixtures["forward_synthetic_req.bin"] = frame(wireKindRequest, wireMethodForwardSynthetic, 0, 7, enc.Buf)
 	enc.release()
 
 	// The same call in float32 payload mode (flags bit 0, elemSize 4).
 	enc = newWireEnc()
 	enc.matrix(tensor.FromRows([][]float64{{1, -2.5, 3.25}, {4, 5.5, -6.75}}), true)
-	enc.i64(int64(PhaseDiscriminator))
-	fixtures["forward_synthetic_req_f32.bin"] = frame(wireKindRequest, wireMethodForwardSynthetic, wireFlagF32, 7, enc.buf)
+	enc.I64(int64(PhaseDiscriminator))
+	fixtures["forward_synthetic_req_f32.bin"] = frame(wireKindRequest, wireMethodForwardSynthetic, wireFlagF32, 7, enc.Buf)
 	enc.release()
 
 	// Info response.
 	enc = newWireEnc()
 	enc.clientInfo(ClientInfo{Features: 3, EncodedWidth: 17, CVWidth: 5, Rows: 800})
-	fixtures["info_resp.bin"] = frame(wireKindResponse, wireMethodInfo, 0, 9, enc.buf)
+	fixtures["info_resp.bin"] = frame(wireKindResponse, wireMethodInfo, 0, 9, enc.Buf)
 	enc.release()
 
 	// SampleCV response: CV matrix (one-hot layout via the sampler's Hot
@@ -117,13 +118,13 @@ func goldenWireFrames() map[string][]byte {
 		Rows:    []int{4, 9},
 		Choices: []condvec.Choice{{Span: 1, Category: 2}, {Span: 0, Category: 3}},
 	}, false)
-	fixtures["sample_cv_resp.bin"] = frame(wireKindResponse, wireMethodSampleCV, 0, 11, enc.buf)
+	fixtures["sample_cv_resp.bin"] = frame(wireKindResponse, wireMethodSampleCV, 0, 11, enc.Buf)
 	enc.release()
 
 	// A 0/1 mask with several hot bits per row: the bitmap layout.
 	enc = newWireEnc()
 	enc.matrix(tensor.FromRows([][]float64{{1, 0, 1, 1, 0}, {0, 1, 0, 1, 1}}), false)
-	fixtures["mask_bitmap.bin"] = frame(wireKindResponse, wireMethodForwardReal, 0, 13, enc.buf)
+	fixtures["mask_bitmap.bin"] = frame(wireKindResponse, wireMethodForwardReal, 0, 13, enc.Buf)
 	enc.release()
 
 	// A mostly-zero gradient: the delta-coded index-list (sparse) layout.
@@ -133,7 +134,7 @@ func goldenWireFrames() map[string][]byte {
 	sp.Set(2, 1, -1.25)
 	sp.Set(3, 7, 3)
 	enc.matrix(sp, false)
-	fixtures["grad_sparse.bin"] = frame(wireKindRequest, wireMethodBackwardGen, 0, 15, enc.buf)
+	fixtures["grad_sparse.bin"] = frame(wireKindRequest, wireMethodBackwardGen, 0, 15, enc.Buf)
 	enc.release()
 
 	// A delta-encoded snapshot response: three changed bytes against a
@@ -142,36 +143,36 @@ func goldenWireFrames() map[string][]byte {
 	cur := append([]byte(nil), base...)
 	cur[10], cur[11], cur[40] = 1, 2, 3
 	enc = newWireEnc()
-	enc.u8(wireSnapDelta)
-	enc.uvarint(5)
-	enc.u32(snapDeltaCRC(cur))
-	enc.uvarint(uint64(len(cur)))
+	enc.U8(wireSnapDelta)
+	enc.Uvarint(5)
+	enc.U32(snapDeltaCRC(cur))
+	enc.Uvarint(uint64(len(cur)))
 	appendSnapDeltaOps(enc, base, cur)
-	fixtures["snapshot_delta_resp.bin"] = frame(wireKindResponse, wireMethodSnapshot, 0, 17, enc.buf)
+	fixtures["snapshot_delta_resp.bin"] = frame(wireKindResponse, wireMethodSnapshot, 0, 17, enc.Buf)
 	enc.release()
 
 	// An application error response.
 	enc = newWireEnc()
-	enc.str("vfl: client not configured")
-	fixtures["error_resp.bin"] = frame(wireKindError, wireMethodPublish, 0, 3, enc.buf)
+	enc.VarString("vfl: client not configured")
+	fixtures["error_resp.bin"] = frame(wireKindError, wireMethodPublish, 0, 3, enc.Buf)
 	enc.release()
 
 	// Publish response: a spec list (one column of each kind) and the table.
 	enc = newWireEnc()
 	enc.table(goldenPublishTable(), false)
-	fixtures["publish_resp.bin"] = frame(wireKindResponse, wireMethodPublish, 0, 19, enc.buf)
+	fixtures["publish_resp.bin"] = frame(wireKindResponse, wireMethodPublish, 0, 19, enc.Buf)
 	enc.release()
 
 	// Configure request: the Setup record.
 	enc = newWireEnc()
 	enc.setup(goldenSetup)
-	fixtures["configure_req.bin"] = frame(wireKindRequest, wireMethodConfigure, 0, 21, enc.buf)
+	fixtures["configure_req.bin"] = frame(wireKindRequest, wireMethodConfigure, 0, 21, enc.Buf)
 	enc.release()
 
 	// Restore request: a length-prefixed opaque byte string.
 	enc = newWireEnc()
-	enc.bytes(goldenRestoreBlob)
-	fixtures["restore_req.bin"] = frame(wireKindRequest, wireMethodRestore, 0, 23, enc.buf)
+	enc.VarBytes(goldenRestoreBlob)
+	fixtures["restore_req.bin"] = frame(wireKindRequest, wireMethodRestore, 0, 23, enc.Buf)
 	enc.release()
 
 	return fixtures
@@ -248,8 +249,8 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("forward_synthetic_req header = %+v", h)
 	}
 	m := dec.matrix()
-	phase := Phase(dec.i64())
-	if err := dec.finish(); err != nil {
+	phase := Phase(dec.I64())
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	want := tensor.FromRows([][]float64{{1, -2.5, 3.25}, {4, 5.5, -6.75}})
@@ -263,8 +264,8 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("f32 fixture lost its flag: %+v", h)
 	}
 	m = dec.matrix()
-	_ = dec.i64()
-	if err := dec.finish(); err != nil {
+	_ = dec.I64()
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode f32: %v", err)
 	}
 	// The fixture values are exactly representable in float32.
@@ -275,7 +276,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 
 	_, dec = read("info_resp.bin")
 	info := dec.clientInfo()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode info: %v", err)
 	}
 	if info != (ClientInfo{Features: 3, EncodedWidth: 17, CVWidth: 5, Rows: 800}) {
@@ -284,7 +285,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 
 	_, dec = read("sample_cv_resp.bin")
 	b := dec.cvBatch()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode cv batch: %v", err)
 	}
 	if len(b.Rows) != 2 || b.Rows[0] != 4 || b.Rows[1] != 9 ||
@@ -304,7 +305,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("mask fixture header %+v", h)
 	}
 	m = dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode mask: %v", err)
 	}
 	if !m.Equal(tensor.FromRows([][]float64{{1, 0, 1, 1, 0}, {0, 1, 0, 1, 1}})) {
@@ -317,7 +318,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("sparse fixture header %+v", h)
 	}
 	m = dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode sparse: %v", err)
 	}
 	wantSparse := tensor.New(4, 8)
@@ -333,17 +334,17 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	if h.method != wireMethodSnapshot {
 		t.Fatalf("delta fixture header %+v", h)
 	}
-	if form := dec.u8(); form != wireSnapDelta {
+	if form := dec.U8(); form != wireSnapDelta {
 		t.Fatalf("delta fixture form %d", form)
 	}
-	if epoch := dec.uvarint(); epoch != 5 {
+	if epoch := dec.Uvarint(); epoch != 5 {
 		t.Fatalf("delta fixture epoch %d", epoch)
 	}
-	crc := dec.u32()
-	newLen := int(dec.uvarint())
+	crc := dec.U32()
+	newLen := int(dec.Uvarint())
 	base := bytes.Repeat([]byte{0xAA}, 64)
 	blob := decodeSnapDelta(dec, base, newLen)
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode snapshot delta: %v", err)
 	}
 	if snapDeltaCRC(blob) != crc {
@@ -362,7 +363,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	if msg := dec.str(); msg != "vfl: client not configured" {
 		t.Fatalf("decoded error message %q", msg)
 	}
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode error frame: %v", err)
 	}
 
@@ -370,9 +371,9 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	if h.method != wireMethodPublish {
 		t.Fatalf("publish fixture header %+v", h)
 	}
-	specs := dec.specs()
+	specs := encoding.ReadSpecs(&dec.Reader)
 	m = dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode publish: %v", err)
 	}
 	wantTable := goldenPublishTable()
@@ -389,7 +390,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("configure fixture header %+v", h)
 	}
 	setup := dec.setup()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode configure: %v", err)
 	}
 	if setup != goldenSetup {
@@ -401,11 +402,27 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("restore fixture header %+v", h)
 	}
 	state := dec.bytes()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode restore: %v", err)
 	}
 	if !bytes.Equal(state, goldenRestoreBlob) {
 		t.Fatalf("decoded blob %q", state)
+	}
+}
+
+// TestWirePublishSpecsAreTheSharedCodec compares the spec list inside
+// publish_resp.bin — bytes gtvwire's own per-spec loop wrote before it was
+// deleted — with encoding.AppendSpecs, the codec the gtvcol meta blobs store
+// specs with: one layout, byte for byte.
+func TestWirePublishSpecsAreTheSharedCodec(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "wire", "publish_resp.bin"))
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	var w binfmt.Writer
+	encoding.AppendSpecs(&w, goldenPublishTable().Specs)
+	if len(w.Buf) == 0 || !bytes.HasPrefix(raw[wireHeaderLen:], w.Buf) {
+		t.Fatalf("shared codec wrote % x, the pinned frame carries % x", w.Buf, raw[wireHeaderLen:])
 	}
 }
 
@@ -416,12 +433,12 @@ func encodeDecode(t *testing.T, encode func(*wireEnc)) *wireDec {
 	t.Helper()
 	enc := newWireEnc()
 	encode(enc)
-	h := wireHeader{payloadLen: uint32(len(enc.buf)), version: wireVersion, kind: wireKindResponse, method: wireMethodInfo}
+	h := wireHeader{payloadLen: uint32(len(enc.Buf)), version: wireVersion, kind: wireKindResponse, method: wireMethodInfo}
 	var buf bytes.Buffer
 	var hdr [wireHeaderLen]byte
 	h.put(hdr[:])
 	buf.Write(hdr[:])
-	buf.Write(enc.buf)
+	buf.Write(enc.Buf)
 	enc.release()
 	_, payload, err := readWireFrame(&buf)
 	if err != nil {
@@ -443,7 +460,7 @@ func TestWireMatrixCodecRoundTrip(t *testing.T) {
 		}
 		dec := encodeDecode(t, func(e *wireEnc) { e.matrix(m, false) })
 		got := dec.matrix()
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if got.Rows() != sh.rows || got.Cols() != sh.cols {
@@ -461,7 +478,7 @@ func TestWireMatrixCodecNil(t *testing.T) {
 	if got := dec.matrix(); got != nil {
 		t.Fatalf("nil matrix decoded as %v", got)
 	}
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode nil matrix: %v", err)
 	}
 }
@@ -476,7 +493,7 @@ func TestWireMatrixCodecBitExact(t *testing.T) {
 	copy(m.Data(), vals)
 	dec := encodeDecode(t, func(e *wireEnc) { e.matrix(m, false) })
 	got := dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i, v := range got.Data() {
@@ -495,7 +512,7 @@ func TestWireMatrixCodecFloat32(t *testing.T) {
 	}
 	dec := encodeDecode(t, func(e *wireEnc) { e.matrix(m, true) })
 	got := dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i, v := range got.Data() {
@@ -515,7 +532,7 @@ func TestWireCVBatchCodecRoundTrip(t *testing.T) {
 	}
 	dec := encodeDecode(t, func(e *wireEnc) { e.cvBatch(in, false) })
 	got := dec.cvBatch()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !got.CV.Equal(in.CV) {
@@ -541,9 +558,9 @@ func TestWireTableCodecRoundTrip(t *testing.T) {
 		t.Fatalf("NewTable: %v", err)
 	}
 	dec := encodeDecode(t, func(e *wireEnc) { e.table(tbl, false) })
-	gotSpecs := dec.specs()
+	gotSpecs := encoding.ReadSpecs(&dec.Reader)
 	gotData := dec.matrix()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if len(gotSpecs) != 2 || gotSpecs[0].Name != "segment" ||
@@ -568,7 +585,7 @@ func TestWireSetupCodecRoundTrip(t *testing.T) {
 	}
 	dec := encodeDecode(t, func(e *wireEnc) { e.setup(in) })
 	got := dec.setup()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got != in {
@@ -591,8 +608,8 @@ func TestWireDecRejectsTruncation(t *testing.T) {
 	enc.matrix(tensor.FromRows([][]float64{{1, 1, 0, 1}, {0, 1, 1, 1}}), false)
 	enc.matrix(sparse, false)
 	enc.ints([]int{3, 1, 4})
-	enc.str("hello")
-	full := append([]byte(nil), enc.buf...)
+	enc.VarString("hello")
+	full := append([]byte(nil), enc.Buf...)
 	enc.release()
 
 	decodeAll := func(dec *wireDec) {
@@ -607,14 +624,14 @@ func TestWireDecRejectsTruncation(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		dec := newWireDec(full[:cut])
 		decodeAll(dec)
-		if err := dec.finish(); err == nil {
+		if err := dec.Finish(); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(full))
 		}
 	}
 	// The full payload must still decode cleanly.
 	dec := newWireDec(full)
 	decodeAll(dec)
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("full payload: %v", err)
 	}
 }
@@ -628,23 +645,23 @@ func TestWireSnapDeltaRejectsTruncation(t *testing.T) {
 		cur[i] ^= 0xFF
 	}
 	enc := newWireEnc()
-	enc.uvarint(uint64(len(cur)))
+	enc.Uvarint(uint64(len(cur)))
 	appendSnapDeltaOps(enc, base, cur)
-	full := append([]byte(nil), enc.buf...)
+	full := append([]byte(nil), enc.Buf...)
 	enc.release()
 
 	for cut := 0; cut < len(full); cut++ {
 		dec := newWireDec(full[:cut])
-		newLen := int(dec.uvarint())
+		newLen := int(dec.Uvarint())
 		blob := decodeSnapDelta(dec, base, newLen)
-		if err := dec.finish(); err == nil && bytes.Equal(blob, cur) {
+		if err := dec.Finish(); err == nil && bytes.Equal(blob, cur) {
 			t.Fatalf("truncation at %d/%d bytes reassembled the full blob", cut, len(full))
 		}
 	}
 	dec := newWireDec(full)
-	newLen := int(dec.uvarint())
+	newLen := int(dec.Uvarint())
 	blob := decodeSnapDelta(dec, base, newLen)
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("full delta body: %v", err)
 	}
 	if !bytes.Equal(blob, cur) {
@@ -654,11 +671,11 @@ func TestWireSnapDeltaRejectsTruncation(t *testing.T) {
 
 func TestWireDecRejectsTrailingBytes(t *testing.T) {
 	enc := newWireEnc()
-	enc.i64(5)
-	enc.u8(0xFF) // junk the decoder never consumes
-	dec := newWireDec(enc.buf)
-	_ = dec.i64()
-	if err := dec.finish(); err == nil || !strings.Contains(err.Error(), "trailing") {
+	enc.I64(5)
+	enc.U8(0xFF) // junk the decoder never consumes
+	dec := newWireDec(enc.Buf)
+	_ = dec.I64()
+	if err := dec.Finish(); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("want trailing-bytes error, got %v", err)
 	}
 	enc.release()
@@ -694,7 +711,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 					b.CV.Release()
 				}
 			},
-			func(d *wireDec) { _ = d.specs() },
+			func(d *wireDec) { _ = encoding.ReadSpecs(&d.Reader) },
 			func(d *wireDec) { _ = d.setup() },
 			func(d *wireDec) { _ = d.clientInfo() },
 			func(d *wireDec) { _ = d.str() },
@@ -702,15 +719,15 @@ func FuzzWireFrameDecode(f *testing.F) {
 			func(d *wireDec) {
 				// The delta snapshot response body: form, epoch, then
 				// either a plain blob or crc + length + ops.
-				switch d.u8() {
+				switch d.U8() {
 				case wireSnapFull:
-					_ = d.uvarint()
+					_ = d.Uvarint()
 					_ = d.bytes()
 				case wireSnapDelta:
-					_ = d.uvarint()
-					_ = d.u32()
-					newLen := int(d.uvarint())
-					if d.err == nil && newLen >= 0 && newLen <= len(payload) {
+					_ = d.Uvarint()
+					_ = d.U32()
+					newLen := int(d.Uvarint())
+					if d.Err() == nil && newLen >= 0 && newLen <= len(payload) {
 						base := make([]byte, newLen)
 						_ = decodeSnapDelta(d, base, newLen)
 					}
@@ -719,7 +736,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		} {
 			d := newWireDec(payload)
 			decode(d)
-			_ = d.finish()
+			_ = d.Finish()
 		}
 	})
 }

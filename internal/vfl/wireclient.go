@@ -332,7 +332,7 @@ func wireCall[R any](c *WireClient, method byte, f32 bool, encode func(*wireEnc)
 		if f32 {
 			flags |= wireFlagF32
 		}
-		hdr, payload, err := s.roundTrip(method, flags, enc.buf)
+		hdr, payload, err := s.roundTrip(method, flags, enc.Buf)
 		enc.release()
 		if err != nil {
 			return zero, err
@@ -343,7 +343,7 @@ func wireCall[R any](c *WireClient, method byte, f32 bool, encode func(*wireEnc)
 			// Application-level error from the remote client: the call
 			// reached it, so this is deliberately not transient.
 			msg := dec.str()
-			if derr := dec.finish(); derr != nil {
+			if derr := dec.Finish(); derr != nil {
 				return zero, derr
 			}
 			return zero, errors.New(msg)
@@ -352,7 +352,7 @@ func wireCall[R any](c *WireClient, method byte, f32 bool, encode func(*wireEnc)
 		if decode != nil {
 			out = decode(dec)
 		}
-		if derr := dec.finish(); derr != nil {
+		if derr := dec.Finish(); derr != nil {
 			return zero, derr
 		}
 		return out, nil
@@ -373,17 +373,17 @@ func (c *WireClient) Configure(s Setup) error {
 // SampleCV implements Client.
 func (c *WireClient) SampleCV(batch int, synthesis bool) (*condvec.Batch, error) {
 	return wireCall(c, wireMethodSampleCV, false, func(e *wireEnc) {
-		e.i64(int64(batch))
-		e.bool(synthesis)
+		e.I64(int64(batch))
+		e.Bool(synthesis)
 	}, func(d *wireDec) *condvec.Batch { return d.cvBatch() })
 }
 
 // SampleCVFixed implements Client.
 func (c *WireClient) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batch, error) {
 	return wireCall(c, wireMethodSampleCVFixed, false, func(e *wireEnc) {
-		e.i64(int64(batch))
-		e.i64(int64(spanIdx))
-		e.i64(int64(category))
+		e.I64(int64(batch))
+		e.I64(int64(spanIdx))
+		e.I64(int64(category))
 	}, func(d *wireDec) *condvec.Batch { return d.cvBatch() })
 }
 
@@ -393,7 +393,7 @@ func (c *WireClient) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batch
 func (c *WireClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodForwardSynthetic, c.f32, func(e *wireEnc) {
 		e.matrix(slice, c.f32)
-		e.i64(int64(phase))
+		e.I64(int64(phase))
 	}, func(d *wireDec) *tensor.Dense { return d.matrix() })
 }
 
@@ -402,7 +402,7 @@ func (c *WireClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor
 //shape: out(R,K)
 func (c *WireClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodForwardReal, c.f32, func(e *wireEnc) {
-		e.bool(idx == nil)
+		e.Bool(idx == nil)
 		e.ints(idx)
 	}, func(d *wireDec) *tensor.Dense { return d.matrix() })
 }
@@ -424,13 +424,13 @@ func (c *WireClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 func (c *WireClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodBackwardGen, c.f32, func(e *wireEnc) {
 		e.matrix(gradSynth, c.f32)
-		e.bool(conditioned)
+		e.Bool(conditioned)
 	}, func(d *wireDec) *tensor.Dense { return d.matrix() })
 }
 
 // EndRound implements Client.
 func (c *WireClient) EndRound(round int) error {
-	_, err := wireCall[struct{}](c, wireMethodEndRound, false, func(e *wireEnc) { e.i64(int64(round)) }, nil)
+	_, err := wireCall[struct{}](c, wireMethodEndRound, false, func(e *wireEnc) { e.I64(int64(round)) }, nil)
 	return err
 }
 
@@ -450,7 +450,7 @@ func (c *WireClient) GenerateRows(slice *tensor.Dense) error {
 func (c *WireClient) Snapshot() ([]byte, error) {
 	if !c.delta {
 		return wireCall(c, wireMethodSnapshot, false, func(e *wireEnc) {
-			e.bool(false)
+			e.Bool(false)
 		}, func(d *wireDec) []byte { return d.bytes() })
 	}
 	blob, err := c.snapshotDelta()
@@ -474,26 +474,26 @@ func (c *WireClient) snapshotDelta() ([]byte, error) {
 		epoch uint64
 	}
 	reply, err := wireCall(c, wireMethodSnapshot, false, func(e *wireEnc) {
-		e.bool(true)
+		e.Bool(true)
 		if base == nil {
-			e.uvarint(0)
+			e.Uvarint(0)
 		} else {
-			e.uvarint(baseEpoch)
+			e.Uvarint(baseEpoch)
 		}
 	}, func(d *wireDec) snapReply {
-		form := d.u8()
-		epoch := d.uvarint()
+		form := d.U8()
+		epoch := d.Uvarint()
 		switch form {
 		case wireSnapFull:
 			return snapReply{blob: d.bytes(), epoch: epoch}
 		case wireSnapDelta:
-			crc := d.u32()
-			newLen := int(d.uvarint())
-			if d.err != nil {
+			crc := d.U32()
+			newLen := int(d.Uvarint())
+			if d.Err() != nil {
 				return snapReply{}
 			}
 			if newLen != len(base) {
-				d.fail("snapshot delta against %d-byte base, have %d: %w", newLen, len(base), errWireSnapStale)
+				d.Failf("snapshot delta against %d-byte base, have %d: %w", newLen, len(base), errWireSnapStale)
 				return snapReply{}
 			}
 			blob := decodeSnapDelta(d, base, newLen)
@@ -501,12 +501,12 @@ func (c *WireClient) snapshotDelta() ([]byte, error) {
 				return snapReply{}
 			}
 			if snapDeltaCRC(blob) != crc {
-				d.fail("snapshot delta checksum mismatch: %w", errWireSnapStale)
+				d.Failf("snapshot delta checksum mismatch: %w", errWireSnapStale)
 				return snapReply{}
 			}
 			return snapReply{blob: blob, epoch: epoch}
 		}
-		d.fail("invalid snapshot transfer form %d", form)
+		d.Failf("invalid snapshot transfer form %d", form)
 		return snapReply{}
 	})
 	if err != nil {
@@ -524,14 +524,14 @@ func (c *WireClient) snapshotDelta() ([]byte, error) {
 // Restore implements Client: it ships a checkpoint blob back to the
 // remote client for reinstatement.
 func (c *WireClient) Restore(state []byte) error {
-	_, err := wireCall[struct{}](c, wireMethodRestore, false, func(e *wireEnc) { e.bytes(state) }, nil)
+	_, err := wireCall[struct{}](c, wireMethodRestore, false, func(e *wireEnc) { e.VarBytes(state) }, nil)
 	return err
 }
 
 // Publish implements Client.
 func (c *WireClient) Publish() (*encoding.Table, error) {
 	reply, err := wireCall(c, wireMethodPublish, false, nil, func(d *wireDec) *encoding.Table {
-		specs := d.specs()
+		specs := encoding.ReadSpecs(&d.Reader)
 		data := d.matrix()
 		return &encoding.Table{Specs: specs, Data: data}
 	})

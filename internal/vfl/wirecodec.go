@@ -1,16 +1,19 @@
 package vfl
 
-// Payload primitives for the gtvwire frame protocol (see wire.go for the
-// frame layout). Encoders append to a pooled byte buffer; decoders walk a
-// received payload with a sticky error, so call sites read as straight-line
-// field lists and malformed frames surface as one descriptive error instead
-// of a panic (FuzzWireFrameDecode holds the codec to that).
+// Payload codec for the gtvwire frame protocol (see wire.go for the frame
+// layout): internal/binfmt's Writer over a pooled byte buffer and its Reader
+// over a received payload, plus what is gtvwire's own — uvarint lengths,
+// zigzag ints, the matrix layouts and the ownership of the pooled tensors
+// they decode into. Malformed frames surface as one descriptive error
+// instead of a panic (FuzzWireFrameDecode holds the codec to that).
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/condvec"
 	"repro/internal/encoding"
 	"repro/internal/tensor"
@@ -47,68 +50,27 @@ const (
 	wireBitsOne  = 0x3FF0000000000000
 )
 
-// wireEnc accumulates one frame payload.
-type wireEnc struct{ buf []byte }
+// errWire is the domain every payload decode error wraps: the "gtvwire: "
+// message prefix.
+var errWire = errors.New("gtvwire")
 
-func newWireEnc() *wireEnc { return &wireEnc{buf: getWireBuf(0)} }
+// wireEnc accumulates one frame payload.
+type wireEnc struct{ binfmt.Writer }
+
+func newWireEnc() *wireEnc { return &wireEnc{binfmt.Writer{Buf: getWireBuf(0)}} }
 
 // release hands the payload buffer back to the frame-buffer free list.
 func (e *wireEnc) release() {
-	putWireBuf(e.buf)
-	e.buf = nil
+	putWireBuf(e.Buf)
+	e.Buf = nil
 }
 
-func (e *wireEnc) u8(v byte) { e.buf = append(e.buf, v) }
-
-func (e *wireEnc) u32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-
-func (e *wireEnc) i64(v int64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-}
-
-func (e *wireEnc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *wireEnc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-// uvarint appends an unsigned LEB128 varint — the field-width-aware
-// packing applied to every shape, length and index field of the format,
-// where the common values (batch sizes, widths, row indices) fit one or
-// two bytes instead of a fixed four or eight.
-func (e *wireEnc) uvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-// svarint appends a zigzag-coded signed varint (small magnitudes of either
-// sign stay short; condvec uses -1 as a sentinel).
-func (e *wireEnc) svarint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-func (e *wireEnc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// bytes appends a length-prefixed opaque byte string (checkpoint blobs).
-func (e *wireEnc) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
+// ints appends a length-prefixed list of zigzag varints (small magnitudes
+// of either sign stay short; condvec uses -1 as a sentinel).
 func (e *wireEnc) ints(v []int) {
-	e.uvarint(uint64(len(v)))
+	e.Uvarint(uint64(len(v)))
 	for _, x := range v {
-		e.svarint(int64(x))
+		e.Varint(int64(x))
 	}
 }
 
@@ -122,7 +84,7 @@ func (e *wireEnc) ints(v []int) {
 // exact in either mode.
 func (e *wireEnc) matrix(m *tensor.Dense, f32 bool) {
 	if m == nil {
-		e.u8(wireLayoutNil)
+		e.U8(wireLayoutNil)
 		return
 	}
 	switch scanWireMatrix(m) {
@@ -188,34 +150,45 @@ func scanWireMatrix(m *tensor.Dense) byte {
 	return wireLayoutDense
 }
 
-func (e *wireEnc) matrixDense(m *tensor.Dense, f32 bool) {
-	e.u8(wireLayoutDense)
-	e.uvarint(uint64(m.Rows()))
-	e.uvarint(uint64(m.Cols()))
-	data := m.Data()
+// matrixHeader appends what every present matrix starts with: the layout
+// byte and the shape.
+func (e *wireEnc) matrixHeader(layout byte, m *tensor.Dense) {
+	e.U8(layout)
+	e.Uvarint(uint64(m.Rows()))
+	e.Uvarint(uint64(m.Cols()))
+}
+
+// elemSize appends the element-size byte of the layouts that carry element
+// bytes.
+func (e *wireEnc) elemSize(f32 bool) {
 	if f32 {
-		e.u8(wireElemF32)
-		e.buf = growWireBuf(e.buf, 4*len(data))
-		for _, v := range data {
-			e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v)))
-		}
+		e.U8(wireElemF32)
+	} else {
+		e.U8(wireElemF64)
+	}
+}
+
+func (e *wireEnc) f32(v float64) { e.U32(math.Float32bits(float32(v))) }
+
+func (e *wireEnc) matrixDense(m *tensor.Dense, f32 bool) {
+	e.matrixHeader(wireLayoutDense, m)
+	e.elemSize(f32)
+	data := m.Data()
+	if !f32 {
+		e.F64s(data)
 		return
 	}
-	e.u8(wireElemF64)
-	e.buf = growWireBuf(e.buf, 8*len(data))
+	e.Grow(4 * len(data))
 	for _, v := range data {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+		e.f32(v)
 	}
 }
 
 // matrixOneHot writes one varint per row: the hot column plus one, zero
 // meaning an all-zero row. ~1 byte/row instead of 8 bytes/element.
 func (e *wireEnc) matrixOneHot(m *tensor.Dense) {
-	e.u8(wireLayoutOneHot)
-	rows, cols := m.Rows(), m.Cols()
-	e.uvarint(uint64(rows))
-	e.uvarint(uint64(cols))
-	for i := 0; i < rows; i++ {
+	e.matrixHeader(wireLayoutOneHot, m)
+	for i := 0; i < m.Rows(); i++ {
 		hot := uint64(0)
 		for j, v := range m.RawRow(i) {
 			if math.Float64bits(v) == wireBitsOne {
@@ -223,7 +196,7 @@ func (e *wireEnc) matrixOneHot(m *tensor.Dense) {
 				break
 			}
 		}
-		e.uvarint(hot)
+		e.Uvarint(hot)
 	}
 }
 
@@ -236,14 +209,12 @@ func (e *wireEnc) matrixHot(m *tensor.Dense, hot []int) {
 		e.matrix(m, false)
 		return
 	}
-	e.u8(wireLayoutOneHot)
-	e.uvarint(uint64(m.Rows()))
-	e.uvarint(uint64(m.Cols()))
+	e.matrixHeader(wireLayoutOneHot, m)
 	for _, h := range hot {
 		if h < 0 {
-			e.uvarint(0)
+			e.Uvarint(0)
 		} else {
-			e.uvarint(uint64(h) + 1)
+			e.Uvarint(uint64(h) + 1)
 		}
 	}
 }
@@ -251,19 +222,16 @@ func (e *wireEnc) matrixHot(m *tensor.Dense, hot []int) {
 // matrixBitmap packs a 0/1 matrix into a row-major LSB-first bitmap over
 // the flattened element index: n/8 bytes instead of 8n.
 func (e *wireEnc) matrixBitmap(m *tensor.Dense) {
-	e.u8(wireLayoutBitmap)
-	rows, cols := m.Rows(), m.Cols()
-	e.uvarint(uint64(rows))
-	e.uvarint(uint64(cols))
+	e.matrixHeader(wireLayoutBitmap, m)
 	data := m.Data()
 	nbytes := (len(data) + 7) / 8
-	e.buf = growWireBuf(e.buf, nbytes)
-	start := len(e.buf)
-	e.buf = e.buf[:start+nbytes]
-	clear(e.buf[start:])
+	e.Grow(nbytes)
+	start := len(e.Buf)
+	e.Buf = e.Buf[:start+nbytes]
+	clear(e.Buf[start:])
 	for i, v := range data {
 		if math.Float64bits(v) == wireBitsOne {
-			e.buf[start+i/8] |= 1 << (uint(i) % 8)
+			e.Buf[start+i/8] |= 1 << (uint(i) % 8)
 		}
 	}
 }
@@ -272,63 +240,38 @@ func (e *wireEnc) matrixBitmap(m *tensor.Dense) {
 // index list with their values — the layout top-k sparsified gradients
 // take, ~(1+elemSize) bytes per nonzero.
 func (e *wireEnc) matrixSparse(m *tensor.Dense, f32 bool) {
-	e.u8(wireLayoutSparse)
-	e.uvarint(uint64(m.Rows()))
-	e.uvarint(uint64(m.Cols()))
+	e.matrixHeader(wireLayoutSparse, m)
+	e.elemSize(f32)
 	data := m.Data()
-	elem := byte(wireElemF64)
-	if f32 {
-		elem = wireElemF32
-	}
-	e.u8(elem)
 	nnz := 0
 	for _, v := range data {
 		if math.Float64bits(v) != wireBitsZero {
 			nnz++
 		}
 	}
-	e.uvarint(uint64(nnz))
-	prev := -1
+	e.Uvarint(uint64(nnz))
+	prev := 0
 	for i, v := range data {
 		if math.Float64bits(v) == wireBitsZero {
 			continue
 		}
-		if prev < 0 {
-			e.uvarint(uint64(i))
-		} else {
-			e.uvarint(uint64(i - prev))
-		}
+		// The first entry is its index, every later one the distance from
+		// its predecessor.
+		e.Uvarint(uint64(i - prev))
 		prev = i
 		if f32 {
-			e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v)))
+			e.f32(v)
 		} else {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+			e.F64(v)
 		}
 	}
 }
 
 func (e *wireEnc) choices(cs []condvec.Choice) {
-	e.uvarint(uint64(len(cs)))
+	e.Uvarint(uint64(len(cs)))
 	for _, c := range cs {
-		e.svarint(int64(c.Span))
-		e.svarint(int64(c.Category))
-	}
-}
-
-func (e *wireEnc) specs(ss []encoding.ColumnSpec) {
-	e.uvarint(uint64(len(ss)))
-	for i := range ss {
-		s := &ss[i]
-		e.str(s.Name)
-		e.u8(byte(s.Kind))
-		e.uvarint(uint64(len(s.Categories)))
-		for _, c := range s.Categories {
-			e.str(c)
-		}
-		e.uvarint(uint64(len(s.SpecialValues)))
-		for _, v := range s.SpecialValues {
-			e.f64(v)
-		}
+		e.Varint(int64(c.Span))
+		e.Varint(int64(c.Category))
 	}
 }
 
@@ -344,180 +287,54 @@ func (e *wireEnc) cvBatch(b *condvec.Batch, f32 bool) {
 	e.choices(b.Choices)
 }
 
+// table appends a published table: its column specs in the layout the
+// gtvcol meta blobs share (encoding.AppendSpecs), then the cells.
 func (e *wireEnc) table(t *encoding.Table, f32 bool) {
-	e.specs(t.Specs)
+	encoding.AppendSpecs(&e.Writer, t.Specs)
 	e.matrix(t.Data, f32)
 }
 
 func (e *wireEnc) setup(s Setup) {
-	e.i64(int64(s.Plan.DiscServer))
-	e.i64(int64(s.Plan.DiscClient))
-	e.i64(int64(s.Plan.GenServer))
-	e.i64(int64(s.Plan.GenClient))
-	e.i64(int64(s.SliceWidth))
-	e.i64(int64(s.GenBlockWidth))
-	e.i64(int64(s.DiscWidth))
-	e.f64(s.LR)
-	e.i64(s.Seed)
+	e.I64(int64(s.Plan.DiscServer))
+	e.I64(int64(s.Plan.DiscClient))
+	e.I64(int64(s.Plan.GenServer))
+	e.I64(int64(s.Plan.GenClient))
+	e.I64(int64(s.SliceWidth))
+	e.I64(int64(s.GenBlockWidth))
+	e.I64(int64(s.DiscWidth))
+	e.F64(s.LR)
+	e.I64(s.Seed)
 }
 
 func (e *wireEnc) clientInfo(i ClientInfo) {
-	e.i64(int64(i.Features))
-	e.i64(int64(i.EncodedWidth))
-	e.i64(int64(i.CVWidth))
-	e.i64(int64(i.Rows))
+	e.I64(int64(i.Features))
+	e.I64(int64(i.EncodedWidth))
+	e.I64(int64(i.CVWidth))
+	e.I64(int64(i.Rows))
 }
 
-// growWireBuf ensures room for n more bytes so the element-append loops
-// never re-grow mid-matrix.
-func growWireBuf(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n)
-	copy(nb, b)
-	return nb
-}
+// wireDec walks one received frame payload: a binfmt.Reader whose errors
+// read "gtvwire: …". Strings, byte strings and matrices are copied out of
+// the payload, which is a pooled frame buffer reused as soon as the call
+// dispatches.
+type wireDec struct{ binfmt.Reader }
 
-// wireDec walks one received frame payload. The first decode error sticks;
-// every subsequent read returns zero values, so callers check err once at
-// the end.
-type wireDec struct {
-	buf []byte
-	off int
-	err error
-}
+func newWireDec(payload []byte) *wireDec { return &wireDec{binfmt.NewReader(payload, errWire)} }
 
-func newWireDec(payload []byte) *wireDec { return &wireDec{buf: payload} }
+func (d *wireDec) str() string { return string(d.VarBytes()) }
 
-func (d *wireDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("gtvwire: "+format, args...)
-	}
-}
-
-// take returns the next n payload bytes, or nil after marking the decoder
-// failed when fewer remain.
-func (d *wireDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("truncated payload: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// finish reports the sticky error, also flagging unconsumed trailing bytes
-// (a symptom of a codec mismatch between peers).
-func (d *wireDec) finish() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("%d trailing payload bytes", len(d.buf)-d.off)
-	}
-	return d.err
-}
-
-func (d *wireDec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *wireDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *wireDec) i64() int64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (d *wireDec) f64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (d *wireDec) bool() bool { return d.u8() != 0 }
-
-// uvarint decodes an unsigned LEB128 varint. Both truncation (n == 0) and
-// a value overflowing 64 bits (n < 0) fail the decoder; encoders emit
-// minimal varints, so there is no partial-prefix ambiguity to tolerate.
-func (d *wireDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("invalid varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// svarint decodes a zigzag-coded signed varint.
-func (d *wireDec) svarint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("invalid varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireDec) str() string {
-	n := d.uvarint()
-	b := d.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// bytes decodes a length-prefixed opaque byte string into a fresh copy:
-// the frame buffer it would otherwise alias is pooled and reused as soon
-// as the call dispatches.
-func (d *wireDec) bytes() []byte {
-	n := d.uvarint()
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+// bytes decodes a length-prefixed opaque byte string (checkpoint blobs).
+func (d *wireDec) bytes() []byte { return bytes.Clone(d.VarBytes()) }
 
 func (d *wireDec) ints() []int {
-	n := int(d.uvarint())
-	// Each encoded int is at least one byte, so the remaining payload
-	// bounds the count before the output slice is allocated.
-	if d.take(0) == nil || n > len(d.buf)-d.off {
-		d.fail("int slice length %d exceeds payload", n)
+	// Each encoded int is at least one byte.
+	n := d.Count(d.Uvarint(), 1, "int")
+	if d.Err() != nil {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(d.svarint())
+		out[i] = int(d.Varint())
 	}
 	return out
 }
@@ -537,15 +354,11 @@ func (d *wireDec) matrix() *tensor.Dense {
 // receivers can keep the sparse representation alongside the dense tensor.
 // Other layouts return a nil hot slice.
 func (d *wireDec) matrixHot() (*tensor.Dense, []int) {
-	layout := d.u8()
-	if d.err != nil || layout == wireLayoutNil {
+	layout := d.U8()
+	if layout == wireLayoutNil {
 		return nil, nil
 	}
-	rows := int(d.uvarint())
-	cols := int(d.uvarint())
-	if d.err != nil {
-		return nil, nil
-	}
+	rows, cols := d.Uvarint(), d.Uvarint()
 	switch layout {
 	case wireLayoutDense:
 		return d.matrixDense(rows, cols), nil
@@ -556,210 +369,127 @@ func (d *wireDec) matrixHot() (*tensor.Dense, []int) {
 	case wireLayoutSparse:
 		return d.matrixSparse(rows, cols), nil
 	}
-	d.fail("invalid matrix layout %d", layout)
+	d.Failf("invalid matrix layout %d", layout)
 	return nil, nil
 }
 
-// checkSparseShape bounds the dense expansion of the sparse layouts, whose
-// wire size is far below 8 B/element: without the cap a tiny frame could
-// claim a huge shape and make the decoder allocate gigabytes.
-func (d *wireDec) checkSparseShape(rows, cols int) bool {
-	if rows < 0 || cols < 0 || (cols != 0 && rows > wireMaxSparseElems/cols) || (cols == 0 && rows > wireMaxSparseElems) {
-		d.fail("sparse matrix shape %dx%d exceeds element limit %d", rows, cols, wireMaxSparseElems)
-		return false
+// sparseShape bounds the dense expansion of the sparse layouts, whose wire
+// size is far below 8 B/element: without the cap a tiny frame could claim a
+// huge shape and make the decoder allocate gigabytes.
+func (d *wireDec) sparseShape(rows, cols uint64) (int, int) {
+	if rows > wireMaxSparseElems || cols > wireMaxSparseElems || rows*cols > wireMaxSparseElems {
+		d.Failf("sparse matrix shape %dx%d exceeds element limit %d", rows, cols, wireMaxSparseElems)
 	}
-	return true
+	if d.Err() != nil {
+		return 0, 0
+	}
+	return int(rows), int(cols)
 }
 
-func (d *wireDec) matrixDense(rows, cols int) *tensor.Dense {
-	elem := int(d.u8())
-	if d.err != nil {
-		return nil
-	}
+// elemSize reads the element-size byte, which is authoritative on decode.
+func (d *wireDec) elemSize() int {
+	elem := int(d.U8())
 	if elem != wireElemF64 && elem != wireElemF32 {
-		d.fail("invalid matrix element size %d", elem)
+		d.Failf("invalid matrix element size %d", elem)
+	}
+	return elem
+}
+
+func (d *wireDec) matrixDense(rows, cols uint64) *tensor.Dense {
+	elem := d.elemSize()
+	r, c := d.Shape(rows, cols, elem)
+	if d.Err() != nil {
 		return nil
 	}
-	// Bounding rows by remaining/(cols*elem) both rejects shapes larger
-	// than the payload and keeps rows*cols*elem from overflowing below.
-	if rows < 0 || cols < 0 || (cols != 0 && rows > (len(d.buf)-d.off)/(cols*elem)) {
-		d.fail("matrix shape %dx%d exceeds payload", rows, cols)
-		return nil
-	}
-	n := rows * cols
-	raw := d.take(n * elem)
-	if raw == nil {
-		return nil
-	}
-	out := tensor.NewPooledUninit(rows, cols)
+	out := tensor.NewPooledUninit(r, c)
 	data := out.Data()
-	if elem == wireElemF32 {
-		for i := range data {
-			data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
-		}
+	if elem == wireElemF64 {
+		d.F64s(data)
 		return out
 	}
+	raw := d.Take(4 * len(data))
 	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
 	}
 	return out
 }
 
-func (d *wireDec) matrixOneHot(rows, cols int) (*tensor.Dense, []int) {
-	if !d.checkSparseShape(rows, cols) {
-		return nil, nil
-	}
+func (d *wireDec) matrixOneHot(rows, cols uint64) (*tensor.Dense, []int) {
+	r, c := d.sparseShape(rows, cols)
 	// Each row costs at least one varint byte.
-	if rows > len(d.buf)-d.off {
-		d.fail("one-hot matrix rows %d exceed payload", rows)
-		return nil, nil
-	}
-	hot := make([]int, rows)
+	hot := make([]int, d.Count(uint64(r), 1, "one-hot row"))
 	for i := range hot {
-		h := d.uvarint()
-		if d.err != nil {
-			return nil, nil
-		}
-		if h == 0 {
-			hot[i] = -1
-			continue
-		}
-		if h > uint64(cols) {
-			d.fail("one-hot index %d out of range for %d columns", h-1, cols)
-			return nil, nil
+		h := d.Uvarint()
+		if h > uint64(c) {
+			d.Failf("one-hot index %d out of range for %d columns", h-1, c)
 		}
 		hot[i] = int(h) - 1
 	}
-	return tensor.NewPooledOneHot(rows, cols, hot), hot
+	if d.Err() != nil {
+		return nil, nil
+	}
+	return tensor.NewPooledOneHot(r, c, hot), hot
 }
 
-func (d *wireDec) matrixBitmap(rows, cols int) *tensor.Dense {
-	if !d.checkSparseShape(rows, cols) {
-		return nil
-	}
-	n := rows * cols
-	raw := d.take((n + 7) / 8)
-	if raw == nil {
-		return nil
-	}
+func (d *wireDec) matrixBitmap(rows, cols uint64) *tensor.Dense {
+	r, c := d.sparseShape(rows, cols)
+	n := r * c
+	raw := d.Take((n + 7) / 8)
 	// Trailing pad bits must be zero so each matrix has exactly one
 	// encoding (golden fixtures and the byte-accounting tests rely on it).
-	if n%8 != 0 && raw[len(raw)-1]>>(uint(n)%8) != 0 {
-		d.fail("bitmap matrix has nonzero padding bits")
+	if d.Err() == nil && n%8 != 0 && raw[len(raw)-1]>>(uint(n)%8) != 0 {
+		d.Failf("bitmap matrix has nonzero padding bits")
+	}
+	if d.Err() != nil {
 		return nil
 	}
-	return tensor.NewPooledBitmap(rows, cols, raw)
+	return tensor.NewPooledBitmap(r, c, raw)
 }
 
-func (d *wireDec) matrixSparse(rows, cols int) *tensor.Dense {
-	if !d.checkSparseShape(rows, cols) {
-		return nil
-	}
-	elem := int(d.u8())
-	if d.err != nil {
-		return nil
-	}
-	if elem != wireElemF64 && elem != wireElemF32 {
-		d.fail("invalid matrix element size %d", elem)
-		return nil
-	}
-	nnz := int(d.uvarint())
+func (d *wireDec) matrixSparse(rows, cols uint64) *tensor.Dense {
+	r, c := d.sparseShape(rows, cols)
+	elem := d.elemSize()
 	// Each entry costs at least one index byte plus elem value bytes.
-	if d.err != nil || nnz < 0 || nnz > (len(d.buf)-d.off)/(1+elem) {
-		d.fail("sparse matrix nnz %d exceeds payload", nnz)
+	nnz := d.Count(d.Uvarint(), 1+elem, "sparse matrix entry")
+	if d.Err() != nil {
 		return nil
 	}
-	n := rows * cols
-	out := tensor.NewPooled(rows, cols)
+	out := tensor.NewPooled(r, c)
 	data := out.Data()
-	pos := -1
-	for range nnz {
-		delta := d.uvarint()
-		if d.err != nil {
-			out.Release()
-			return nil
+	pos := 0
+	for k := range nnz {
+		// The first entry is its index, every later one a distance: zero
+		// would repeat an element, and one past the matrix is out of range
+		// whatever it is added to (the bound also keeps pos from overflowing).
+		delta := d.Uvarint()
+		if delta > uint64(len(data)) || (k > 0 && delta == 0) {
+			d.Failf("sparse matrix index delta %d not strictly ascending within %d elements", delta, len(data))
 		}
-		if pos < 0 {
-			pos = int(delta)
-		} else if delta == 0 || delta > uint64(n) {
-			d.fail("sparse matrix index delta %d not strictly ascending", delta)
-			out.Release()
-			return nil
-		} else {
-			pos += int(delta)
-		}
-		if pos < 0 || pos >= n {
-			d.fail("sparse matrix index %d out of range for %d elements", pos, n)
-			out.Release()
-			return nil
-		}
+		pos += int(delta)
+		v := 0.0
 		if elem == wireElemF32 {
-			b := d.take(4)
-			if b == nil {
-				out.Release()
-				return nil
-			}
-			data[pos] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
+			v = float64(math.Float32frombits(d.U32()))
 		} else {
-			b := d.take(8)
-			if b == nil {
-				out.Release()
-				return nil
-			}
-			data[pos] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			v = d.F64()
 		}
+		if pos >= len(data) {
+			d.Failf("sparse matrix index %d out of range for %d elements", pos, len(data))
+		}
+		if d.Err() != nil {
+			out.Release()
+			return nil
+		}
+		data[pos] = v
 	}
 	return out
 }
 
 func (d *wireDec) choices() []condvec.Choice {
-	n := int(d.uvarint())
 	// Each choice costs at least two varint bytes.
-	if d.take(0) == nil || n > (len(d.buf)-d.off)/2 {
-		d.fail("choice slice length %d exceeds payload", n)
-		return nil
-	}
-	out := make([]condvec.Choice, n)
+	out := make([]condvec.Choice, d.Count(d.Uvarint(), 2, "choice"))
 	for i := range out {
-		out[i].Span = int(d.svarint())
-		out[i].Category = int(d.svarint())
-	}
-	return out
-}
-
-func (d *wireDec) specs() []encoding.ColumnSpec {
-	n := int(d.uvarint())
-	if d.take(0) == nil || n > len(d.buf)-d.off {
-		d.fail("spec slice length %d exceeds payload", n)
-		return nil
-	}
-	out := make([]encoding.ColumnSpec, n)
-	for i := range out {
-		s := &out[i]
-		s.Name = d.str()
-		s.Kind = encoding.ColumnKind(d.u8())
-		ncat := int(d.uvarint())
-		if d.take(0) == nil || ncat > len(d.buf)-d.off {
-			d.fail("category count %d exceeds payload", ncat)
-			return nil
-		}
-		if ncat > 0 {
-			s.Categories = make([]string, ncat)
-			for j := range s.Categories {
-				s.Categories[j] = d.str()
-			}
-		}
-		nsp := int(d.uvarint())
-		if d.take(0) == nil || nsp > (len(d.buf)-d.off)/8 {
-			d.fail("special value count %d exceeds payload", nsp)
-			return nil
-		}
-		if nsp > 0 {
-			s.SpecialValues = make([]float64, nsp)
-			for j := range s.SpecialValues {
-				s.SpecialValues[j] = d.f64()
-			}
-		}
+		out[i].Span = int(d.Varint())
+		out[i].Category = int(d.Varint())
 	}
 	return out
 }
@@ -772,24 +502,24 @@ func (d *wireDec) cvBatch() *condvec.Batch {
 func (d *wireDec) setup() Setup {
 	return Setup{
 		Plan: Plan{
-			DiscServer: int(d.i64()),
-			DiscClient: int(d.i64()),
-			GenServer:  int(d.i64()),
-			GenClient:  int(d.i64()),
+			DiscServer: int(d.I64()),
+			DiscClient: int(d.I64()),
+			GenServer:  int(d.I64()),
+			GenClient:  int(d.I64()),
 		},
-		SliceWidth:    int(d.i64()),
-		GenBlockWidth: int(d.i64()),
-		DiscWidth:     int(d.i64()),
-		LR:            d.f64(),
-		Seed:          d.i64(),
+		SliceWidth:    int(d.I64()),
+		GenBlockWidth: int(d.I64()),
+		DiscWidth:     int(d.I64()),
+		LR:            d.F64(),
+		Seed:          d.I64(),
 	}
 }
 
 func (d *wireDec) clientInfo() ClientInfo {
 	return ClientInfo{
-		Features:     int(d.i64()),
-		EncodedWidth: int(d.i64()),
-		CVWidth:      int(d.i64()),
-		Rows:         int(d.i64()),
+		Features:     int(d.I64()),
+		EncodedWidth: int(d.I64()),
+		CVWidth:      int(d.I64()),
+		Rows:         int(d.I64()),
 	}
 }

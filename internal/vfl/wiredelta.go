@@ -83,9 +83,9 @@ func appendSnapDeltaOps(e *wireEnc, base, cur []byte) {
 			if lit > len(cur) {
 				lit = len(cur)
 			}
-			e.uvarint(uint64(equalLen))
-			e.uvarint(uint64(lit - eq))
-			e.buf = append(e.buf, cur[eq:lit]...)
+			e.Uvarint(uint64(equalLen))
+			e.Uvarint(uint64(lit - eq))
+			e.Raw(cur[eq:lit])
 			i = lit
 			continue
 		}
@@ -97,9 +97,9 @@ func appendSnapDeltaOps(e *wireEnc, base, cur []byte) {
 		for lit < len(cur) && cur[lit] != base[lit] {
 			lit++
 		}
-		e.uvarint(uint64(equalLen))
-		e.uvarint(uint64(lit - eq))
-		e.buf = append(e.buf, cur[eq:lit]...)
+		e.Uvarint(uint64(equalLen))
+		e.Uvarint(uint64(lit - eq))
+		e.Raw(cur[eq:lit])
 		i = lit
 	}
 }
@@ -110,18 +110,18 @@ func appendSnapDeltaOps(e *wireEnc, base, cur []byte) {
 func decodeSnapDelta(d *wireDec, base []byte, newLen int) []byte {
 	out := make([]byte, 0, newLen)
 	for len(out) < newLen {
-		equalLen := int(d.uvarint())
-		litLen := int(d.uvarint())
-		if d.err != nil {
+		equalLen := int(d.Uvarint())
+		litLen := int(d.Uvarint())
+		if d.Err() != nil {
 			return nil
 		}
 		if equalLen < 0 || litLen < 0 || equalLen > newLen-len(out) || litLen > newLen-len(out)-equalLen {
-			d.fail("snapshot delta ops overrun blob length %d", newLen)
+			d.Failf("snapshot delta ops overrun blob length %d", newLen)
 			return nil
 		}
 		out = append(out, base[len(out):len(out)+equalLen]...)
-		lit := d.take(litLen)
-		if lit == nil {
+		lit := d.Take(litLen)
+		if d.Err() != nil {
 			return nil
 		}
 		out = append(out, lit...)
@@ -151,18 +151,18 @@ func encodeWireSnapshot(enc *wireEnc, snaps *wireSnapCache, blob []byte, haveEpo
 	if base != nil && haveEpoch != 0 && haveEpoch == baseEpoch && len(base) == len(blob) {
 		ops := newWireEnc()
 		appendSnapDeltaOps(ops, base, blob)
-		if len(ops.buf) < len(blob) {
-			enc.u8(wireSnapDelta)
-			enc.uvarint(epoch)
-			enc.u32(snapDeltaCRC(blob))
-			enc.uvarint(uint64(len(blob)))
-			enc.buf = append(enc.buf, ops.buf...)
+		if len(ops.Buf) < len(blob) {
+			enc.U8(wireSnapDelta)
+			enc.Uvarint(epoch)
+			enc.U32(snapDeltaCRC(blob))
+			enc.Uvarint(uint64(len(blob)))
+			enc.Raw(ops.Buf)
 			ops.release()
 			return
 		}
 		ops.release()
 	}
-	enc.u8(wireSnapFull)
-	enc.uvarint(epoch)
-	enc.bytes(blob)
+	enc.U8(wireSnapFull)
+	enc.Uvarint(epoch)
+	enc.VarBytes(blob)
 }

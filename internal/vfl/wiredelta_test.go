@@ -12,10 +12,10 @@ func deltaRoundTrip(t *testing.T, base, cur []byte) (opsLen int) {
 	t.Helper()
 	enc := newWireEnc()
 	appendSnapDeltaOps(enc, base, cur)
-	opsLen = len(enc.buf)
-	dec := newWireDec(enc.buf)
+	opsLen = len(enc.Buf)
+	dec := newWireDec(enc.Buf)
 	got := decodeSnapDelta(dec, base, len(cur))
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode ops: %v", err)
 	}
 	enc.release()
@@ -83,25 +83,25 @@ func TestSnapDeltaOpsRoundTrip(t *testing.T) {
 func decodeSnapResponse(t *testing.T, payload, base []byte) (form byte, epoch uint64, blob []byte) {
 	t.Helper()
 	dec := newWireDec(payload)
-	form = dec.u8()
-	epoch = dec.uvarint()
+	form = dec.U8()
+	epoch = dec.Uvarint()
 	switch form {
 	case wireSnapFull:
 		blob = dec.bytes()
 	case wireSnapDelta:
-		crc := dec.u32()
-		newLen := int(dec.uvarint())
+		crc := dec.U32()
+		newLen := int(dec.Uvarint())
 		if newLen != len(base) {
 			t.Fatalf("delta newLen %d against %d-byte base", newLen, len(base))
 		}
 		blob = decodeSnapDelta(dec, base, newLen)
-		if dec.err == nil && snapDeltaCRC(blob) != crc {
+		if dec.Err() == nil && snapDeltaCRC(blob) != crc {
 			t.Fatalf("delta crc mismatch")
 		}
 	default:
 		t.Fatalf("unknown snapshot form %d", form)
 	}
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode snapshot response: %v", err)
 	}
 	return form, epoch, blob
@@ -116,7 +116,7 @@ func TestEncodeWireSnapshotForms(t *testing.T) {
 
 	enc := newWireEnc()
 	encodeWireSnapshot(enc, snaps, blob1, 0)
-	form, epoch1, got := decodeSnapResponse(t, enc.buf, nil)
+	form, epoch1, got := decodeSnapResponse(t, enc.Buf, nil)
 	enc.release()
 	if form != wireSnapFull || !bytes.Equal(got, blob1) {
 		t.Fatalf("first fetch: form %d, blob match %v", form, bytes.Equal(got, blob1))
@@ -127,10 +127,10 @@ func TestEncodeWireSnapshotForms(t *testing.T) {
 	blob2[100], blob2[1500] = 1, 2
 	enc = newWireEnc()
 	encodeWireSnapshot(enc, snaps, blob2, epoch1)
-	if len(enc.buf) >= len(blob2) {
-		t.Fatalf("delta response %d bytes not smaller than the %d-byte blob", len(enc.buf), len(blob2))
+	if len(enc.Buf) >= len(blob2) {
+		t.Fatalf("delta response %d bytes not smaller than the %d-byte blob", len(enc.Buf), len(blob2))
 	}
-	form, epoch2, got := decodeSnapResponse(t, enc.buf, blob1)
+	form, epoch2, got := decodeSnapResponse(t, enc.Buf, blob1)
 	enc.release()
 	if form != wireSnapDelta || !bytes.Equal(got, blob2) {
 		t.Fatalf("second fetch: form %d, blob match %v", form, bytes.Equal(got, blob2))
@@ -142,7 +142,7 @@ func TestEncodeWireSnapshotForms(t *testing.T) {
 	// Stale epoch (peer never saw blob2): must fall back to full.
 	enc = newWireEnc()
 	encodeWireSnapshot(enc, snaps, blob2, epoch1)
-	form, epoch3, got := decodeSnapResponse(t, enc.buf, nil)
+	form, epoch3, got := decodeSnapResponse(t, enc.Buf, nil)
 	enc.release()
 	if form != wireSnapFull || !bytes.Equal(got, blob2) {
 		t.Fatalf("stale-epoch fetch: form %d", form)
@@ -152,7 +152,7 @@ func TestEncodeWireSnapshotForms(t *testing.T) {
 	blob3 := append(append([]byte(nil), blob2...), 9, 9, 9)
 	enc = newWireEnc()
 	encodeWireSnapshot(enc, snaps, blob3, epoch3)
-	form, _, got = decodeSnapResponse(t, enc.buf, nil)
+	form, _, got = decodeSnapResponse(t, enc.Buf, nil)
 	enc.release()
 	if form != wireSnapFull || !bytes.Equal(got, blob3) {
 		t.Fatalf("length-change fetch: form %d", form)

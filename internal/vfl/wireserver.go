@@ -182,12 +182,12 @@ func serveWireRequest(c Client, cw *wireConnWriter, slices *wireSliceTracker, sn
 	putWireBuf(payload)
 	kind := byte(wireKindResponse)
 	if err != nil {
-		enc.buf = enc.buf[:0]
-		enc.str(err.Error())
+		enc.Buf = enc.Buf[:0]
+		enc.VarString(err.Error())
 		kind = wireKindError
 	}
 	rh := wireHeader{
-		payloadLen: uint32(len(enc.buf)),
+		payloadLen: uint32(len(enc.Buf)),
 		version:    wireVersion,
 		kind:       kind,
 		method:     h.method,
@@ -197,7 +197,7 @@ func serveWireRequest(c Client, cw *wireConnWriter, slices *wireSliceTracker, sn
 	// A failed response write means the connection is dead; the read loop
 	// observes that on its next read and tears the connection down.
 	//lint:ignore errdrop the read loop handles the dead connection
-	_ = cw.writeFrame(rh, enc.buf)
+	_ = cw.writeFrame(rh, enc.Buf)
 	enc.release()
 }
 
@@ -214,7 +214,7 @@ func serveWireRequest(c Client, cw *wireConnWriter, slices *wireSliceTracker, sn
 func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache, method byte, f32 bool, dec *wireDec, enc *wireEnc) error {
 	switch method {
 	case wireMethodInfo:
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		info, err := c.Info()
@@ -226,15 +226,15 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 
 	case wireMethodConfigure:
 		s := dec.setup()
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		return c.Configure(s)
 
 	case wireMethodSampleCV:
-		batch := int(dec.i64())
-		synthesis := dec.bool()
-		if err := dec.finish(); err != nil {
+		batch := int(dec.I64())
+		synthesis := dec.Bool()
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		b, err := c.SampleCV(batch, synthesis)
@@ -245,10 +245,10 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		return nil
 
 	case wireMethodSampleCVFixed:
-		batch := int(dec.i64())
-		span := int(dec.i64())
-		category := int(dec.i64())
-		if err := dec.finish(); err != nil {
+		batch := int(dec.I64())
+		span := int(dec.I64())
+		category := int(dec.I64())
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		b, err := c.SampleCVFixed(batch, span, category)
@@ -260,7 +260,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 
 	case wireMethodForwardSynthetic:
 		slice := dec.matrix()
-		phase := Phase(dec.i64())
+		phase := Phase(dec.I64())
 		if err := requireWireMatrix(dec, "slice", slice); err != nil {
 			slice.Release()
 			return err
@@ -276,9 +276,9 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		return nil
 
 	case wireMethodForwardReal:
-		all := dec.bool()
+		all := dec.Bool()
 		idx := dec.ints()
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		if all {
@@ -314,7 +314,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 
 	case wireMethodBackwardGen:
 		gradSynth := dec.matrix()
-		conditioned := dec.bool()
+		conditioned := dec.Bool()
 		if err := requireWireMatrix(dec, "gradient", gradSynth); err != nil {
 			gradSynth.Release()
 			return err
@@ -332,8 +332,8 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		return nil
 
 	case wireMethodEndRound:
-		round := int(dec.i64())
-		if err := dec.finish(); err != nil {
+		round := int(dec.I64())
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		return c.EndRound(round)
@@ -351,7 +351,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		return err
 
 	case wireMethodPublish:
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		t, err := c.Publish()
@@ -362,12 +362,12 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		return nil
 
 	case wireMethodSnapshot:
-		capable := dec.bool()
+		capable := dec.Bool()
 		var haveEpoch uint64
 		if capable {
-			haveEpoch = dec.uvarint()
+			haveEpoch = dec.Uvarint()
 		}
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		blob, err := c.Snapshot()
@@ -376,7 +376,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 		}
 		if !capable {
 			// Plain body for peers without delta mode: just the blob.
-			enc.bytes(blob)
+			enc.VarBytes(blob)
 			return nil
 		}
 		encodeWireSnapshot(enc, snaps, blob, haveEpoch)
@@ -384,7 +384,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 
 	case wireMethodRestore:
 		state := dec.bytes()
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			return err
 		}
 		return c.Restore(state)
@@ -396,7 +396,7 @@ func dispatchWireMethod(c Client, slices *wireSliceTracker, snaps *wireSnapCache
 // matrices for methods whose arguments are mandatory, so a malformed frame
 // fails with a protocol error instead of a panic inside the client.
 func requireWireMatrix(dec *wireDec, what string, ms ...*tensor.Dense) error {
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		return err
 	}
 	for _, m := range ms {

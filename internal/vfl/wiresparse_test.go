@@ -13,7 +13,7 @@ import (
 func encodeMatrix(m *tensor.Dense, f32 bool) []byte {
 	enc := newWireEnc()
 	enc.matrix(m, f32)
-	out := append([]byte(nil), enc.buf...)
+	out := append([]byte(nil), enc.Buf...)
 	enc.release()
 	return out
 }
@@ -72,7 +72,7 @@ func TestWireSparseLayoutRoundTrips(t *testing.T) {
 	} {
 		dec := encodeDecode(t, func(e *wireEnc) { e.matrix(tc.m, false) })
 		got := dec.matrix()
-		if err := dec.finish(); err != nil {
+		if err := dec.Finish(); err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
 		for i, v := range got.Data() {
@@ -95,7 +95,7 @@ func TestWireMatrixHotFastPath(t *testing.T) {
 	scanned := encodeMatrix(m, false)
 	enc := newWireEnc()
 	enc.matrixHot(m, hot)
-	fast := append([]byte(nil), enc.buf...)
+	fast := append([]byte(nil), enc.Buf...)
 	enc.release()
 	if !bytes.Equal(fast, scanned) {
 		t.Fatalf("fast path %x, scan path %x", fast, scanned)
@@ -103,7 +103,7 @@ func TestWireMatrixHotFastPath(t *testing.T) {
 
 	enc = newWireEnc()
 	enc.matrixHot(m, hot[:2]) // wrong length: must fall back, not misencode
-	fallback := append([]byte(nil), enc.buf...)
+	fallback := append([]byte(nil), enc.Buf...)
 	enc.release()
 	if !bytes.Equal(fallback, scanned) {
 		t.Fatalf("short-hot fallback %x, scan path %x", fallback, scanned)
@@ -118,59 +118,73 @@ func TestWireSparseDecodeRejectsMalformed(t *testing.T) {
 		t.Helper()
 		enc := newWireEnc()
 		build(enc)
-		dec := newWireDec(enc.buf)
+		dec := newWireDec(enc.Buf)
 		if m := dec.matrix(); m != nil {
 			m.Release()
 		}
-		if err := dec.finish(); err == nil {
+		if err := dec.Finish(); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		}
 		enc.release()
 	}
 
 	expectFail("sparse shape over cap", func(e *wireEnc) {
-		e.u8(wireLayoutSparse)
-		e.uvarint(1 << 30) // rows
-		e.uvarint(1 << 30) // cols: would be an exabyte dense
-		e.u8(8)
-		e.uvarint(0)
+		e.U8(wireLayoutSparse)
+		e.Uvarint(1 << 30) // rows
+		e.Uvarint(1 << 30) // cols: would be an exabyte dense
+		e.U8(8)
+		e.Uvarint(0)
 	})
 	expectFail("sparse index out of range", func(e *wireEnc) {
-		e.u8(wireLayoutSparse)
-		e.uvarint(2)
-		e.uvarint(2)
-		e.u8(8)
-		e.uvarint(1)
-		e.uvarint(9) // first absolute index past n=4
-		e.f64(1)
+		e.U8(wireLayoutSparse)
+		e.Uvarint(2)
+		e.Uvarint(2)
+		e.U8(8)
+		e.Uvarint(1)
+		e.Uvarint(9) // first absolute index past n=4
+		e.F64(1)
 	})
 	expectFail("sparse duplicate index", func(e *wireEnc) {
-		e.u8(wireLayoutSparse)
-		e.uvarint(2)
-		e.uvarint(2)
-		e.u8(8)
-		e.uvarint(2)
-		e.uvarint(1) // index 1
-		e.f64(1)
-		e.uvarint(0) // delta 0: not strictly ascending
-		e.f64(2)
+		e.U8(wireLayoutSparse)
+		e.Uvarint(2)
+		e.Uvarint(2)
+		e.U8(8)
+		e.Uvarint(2)
+		e.Uvarint(1) // index 1
+		e.F64(1)
+		e.Uvarint(0) // delta 0: not strictly ascending
+		e.F64(2)
 	})
 	expectFail("bitmap pad bits set", func(e *wireEnc) {
-		e.u8(wireLayoutBitmap)
-		e.uvarint(1)
-		e.uvarint(3)
-		e.u8(0xFF) // bits 3..7 are past the last element
+		e.U8(wireLayoutBitmap)
+		e.Uvarint(1)
+		e.Uvarint(3)
+		e.U8(0xFF) // bits 3..7 are past the last element
 	})
 	expectFail("one-hot index out of range", func(e *wireEnc) {
-		e.u8(wireLayoutOneHot)
-		e.uvarint(1)
-		e.uvarint(2)
-		e.uvarint(5) // hot+1 = 5 -> column 4 of a 2-wide row
+		e.U8(wireLayoutOneHot)
+		e.Uvarint(1)
+		e.Uvarint(2)
+		e.Uvarint(5) // hot+1 = 5 -> column 4 of a 2-wide row
+	})
+	// cols*8 wraps to zero in 64 bits: the bound this replaced divided by it
+	// and took the process down with a 12-byte frame.
+	expectFail("dense width overflowing the byte count", func(e *wireEnc) {
+		e.U8(wireLayoutDense)
+		e.Uvarint(1)
+		e.Uvarint(1 << 61)
+		e.U8(8)
+	})
+	expectFail("dense height past the int range", func(e *wireEnc) {
+		e.U8(wireLayoutDense)
+		e.Uvarint(1 << 63)
+		e.Uvarint(0)
+		e.U8(8)
 	})
 	expectFail("unknown layout", func(e *wireEnc) {
-		e.u8(9)
-		e.uvarint(1)
-		e.uvarint(1)
+		e.U8(9)
+		e.Uvarint(1)
+		e.Uvarint(1)
 	})
 }
 
@@ -185,7 +199,7 @@ func TestCVBatchHotRoundTrip(t *testing.T) {
 	}
 	dec := encodeDecode(t, func(e *wireEnc) { e.cvBatch(in, false) })
 	got := dec.cvBatch()
-	if err := dec.finish(); err != nil {
+	if err := dec.Finish(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !got.CV.Equal(in.CV) {
