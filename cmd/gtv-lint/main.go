@@ -2,12 +2,8 @@
 // internal/lint and DESIGN.md "Static analysis" / "Privacy boundary")
 // over the module and exits non-zero on any finding. It is wired into
 // ci.sh via `make lint`, and `make lint-json` captures machine-readable
-// findings.
-//
-// Findings are cached under <module>/.lintcache keyed by file contents,
-// with one entry per (package, rule) so a partial -only run fills and
-// reuses the same entries as a full run instead of invalidating them;
-// -nocache forces a full run.
+// findings. Every run loads the module and runs the selected rules through
+// lint.Run, the same call the package's own tests make.
 //
 // Usage:
 //
@@ -45,10 +41,8 @@ func run(args []string, stdout *os.File) (int, error) {
 		root    = fs.String("root", ".", "directory inside the module to lint")
 		list    = fs.Bool("list", false, "print the rule catalog and exit")
 		only    = fs.String("only", "", "comma-separated rule subset (default: all)")
-		rules   = fs.String("rules", "", "deprecated alias for -only")
 		jsonOut = fs.Bool("json", false, "emit findings as JSON")
-		nocache = fs.Bool("nocache", false, "bypass the findings cache")
-		timing  = fs.Bool("timing", false, "print per-rule wall time on stderr (cached rules show 0, so cache regressions are visible)")
+		timing  = fs.Bool("timing", false, "print per-rule wall time on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -61,13 +55,9 @@ func run(args []string, stdout *os.File) (int, error) {
 	}
 
 	analyzers := lint.Analyzers()
-	sel := *only
-	if sel == "" {
-		sel = *rules
-	}
-	if sel != "" {
+	if *only != "" {
 		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(sel, ",") {
+		for _, name := range strings.Split(*only, ",") {
 			a := lint.AnalyzerByName(strings.TrimSpace(name))
 			if a == nil {
 				return 2, fmt.Errorf("unknown rule %q (try -list)", name)
@@ -85,10 +75,16 @@ func run(args []string, stdout *os.File) (int, error) {
 		analyzers, timings = lint.Instrument(analyzers)
 	}
 
-	findings, stats, err := collectFindings(*root, analyzers, *nocache)
+	loader, err := lint.NewLoader(*root)
 	if err != nil {
 		return 2, err
 	}
+	pkgs, err := loader.LoadModule()
+	if err != nil {
+		return 2, err
+	}
+	findings, stats := lint.Run(pkgs, analyzers)
+	lint.Relativize(findings, loader.ModuleRoot)
 	if timings != nil {
 		fmt.Fprint(os.Stderr, timings.Summary())
 	}
@@ -151,193 +147,6 @@ type report struct {
 	Findings  []lint.Finding
 	Stats     map[string]int     `json:",omitempty"`
 	TimingsMs map[string]float64 `json:",omitempty"`
-}
-
-// collectFindings produces the module's findings and coverage stats,
-// through the cache unless disabled. Any cache infrastructure failure
-// falls back to a full uncached run — caching must never change results,
-// only speed.
-func collectFindings(root string, analyzers []*lint.Analyzer, nocache bool) ([]lint.Finding, lint.Stats, error) {
-	if !nocache {
-		if findings, stats, err := collectCached(root, analyzers); err == nil {
-			return findings, stats, nil
-		}
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		return nil, nil, err
-	}
-	perPkg, module := lint.SplitAnalyzers(analyzers)
-	var all []lint.Finding
-	stats := make(lint.Stats)
-	for _, pkg := range pkgs {
-		for _, a := range perPkg {
-			all = append(all, lint.RunPackageRule(pkg, a)...)
-		}
-		all = append(all, lint.PackageSuppressionFindings(pkg)...)
-	}
-	for _, a := range module {
-		fs, st := lint.RunModuleRule(pkgs, a)
-		all = append(all, fs...)
-		stats.Merge(st)
-	}
-	lint.Relativize(all, loader.ModuleRoot)
-	lint.SortFindings(all)
-	return all, stats, nil
-}
-
-// collectCached runs the analysis through the findings cache. Entries are
-// keyed per (package, rule) — plus one suppression entry per package and
-// one entry per module rule — so a rule re-runs only where its inputs
-// changed, and a -only subset run touches only its own entries. The
-// prune live set always covers the full rule registry, so a partial run
-// can never evict entries a full run still needs.
-func collectCached(root string, analyzers []*lint.Analyzer) ([]lint.Finding, lint.Stats, error) {
-	ix, err := lint.BuildModuleIndex(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	perPkg, module := lint.SplitAnalyzers(analyzers)
-	cache := lint.OpenCache(filepath.Join(ix.Root, ".lintcache"), lint.CacheSalt(ix))
-
-	allPerPkg, allModule := lint.SplitAnalyzers(lint.Analyzers())
-	live := make(map[string]bool)
-	for _, rel := range ix.Dirs {
-		pk := ix.PackageKey(rel)
-		for _, a := range allPerPkg {
-			live[cache.Key("pkg", rel, pk, a.Name)] = true
-		}
-		live[cache.Key("sup", rel, pk)] = true
-	}
-	modKey := ix.ModuleKey()
-	for _, a := range allModule {
-		live[cache.Key("module", modKey, a.Name)] = true
-	}
-
-	var all []lint.Finding
-	stats := make(lint.Stats)
-	missed := make(map[string][]*lint.Analyzer)
-	supMissed := make(map[string]bool)
-	needLoad := make(map[string]bool)
-	for _, rel := range ix.Dirs {
-		pk := ix.PackageKey(rel)
-		for _, a := range perPkg {
-			if fs, _, ok := cache.Get(cache.Key("pkg", rel, pk, a.Name)); ok {
-				all = append(all, fs...)
-			} else {
-				missed[rel] = append(missed[rel], a)
-				needLoad[rel] = true
-			}
-		}
-		if fs, _, ok := cache.Get(cache.Key("sup", rel, pk)); ok {
-			all = append(all, fs...)
-		} else {
-			supMissed[rel] = true
-			needLoad[rel] = true
-		}
-	}
-	var moduleMissed []*lint.Analyzer
-	for _, a := range module {
-		if fs, st, ok := cache.Get(cache.Key("module", modKey, a.Name)); ok {
-			all = append(all, fs...)
-			stats.Merge(st)
-		} else {
-			moduleMissed = append(moduleMissed, a)
-		}
-	}
-
-	// refresh re-runs a package's stale rules (and suppression scan) and
-	// stores each result under its own key.
-	refresh := func(rel string, pkg *lint.Package) error {
-		pk := ix.PackageKey(rel)
-		for _, a := range missed[rel] {
-			fs := lint.RunPackageRule(pkg, a)
-			lint.Relativize(fs, ix.Root)
-			if err := cache.Put(cache.Key("pkg", rel, pk, a.Name), fs, nil); err != nil {
-				return err
-			}
-			all = append(all, fs...)
-		}
-		if supMissed[rel] {
-			fs := lint.PackageSuppressionFindings(pkg)
-			lint.Relativize(fs, ix.Root)
-			if err := cache.Put(cache.Key("sup", rel, pk), fs, nil); err != nil {
-				return err
-			}
-			all = append(all, fs...)
-		}
-		return nil
-	}
-
-	if len(moduleMissed) > 0 {
-		// A module rule must see every package, so load the whole module
-		// and refresh the missed per-package entries on the way.
-		loader, err := lint.NewLoader(ix.Root)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkgs, err := loader.LoadModule()
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, pkg := range pkgs {
-			rel := pkgRelDir(ix.ModulePath, pkg.Path)
-			if !needLoad[rel] {
-				continue
-			}
-			if err := refresh(rel, pkg); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, a := range moduleMissed {
-			fs, st := lint.RunModuleRule(pkgs, a)
-			lint.Relativize(fs, ix.Root)
-			if err := cache.Put(cache.Key("module", modKey, a.Name), fs, st); err != nil {
-				return nil, nil, err
-			}
-			all = append(all, fs...)
-			stats.Merge(st)
-		}
-	} else if len(needLoad) > 0 {
-		// Only per-package work is stale: load just those packages (their
-		// dependencies type-check on demand, without running analyzers
-		// over them).
-		loader, err := lint.NewLoader(ix.Root)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, rel := range ix.Dirs {
-			if !needLoad[rel] {
-				continue
-			}
-			ip := ix.ModulePath
-			if rel != "." {
-				ip = ix.ModulePath + "/" + rel
-			}
-			pkg, err := loader.LoadDir(filepath.Join(ix.Root, filepath.FromSlash(rel)), ip)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := refresh(rel, pkg); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	cache.Prune(live)
-	lint.SortFindings(all)
-	return all, stats, nil
-}
-
-// pkgRelDir maps an import path back to the module-relative directory.
-func pkgRelDir(modPath, importPath string) string {
-	if importPath == modPath {
-		return "."
-	}
-	return strings.TrimPrefix(importPath, modPath+"/")
 }
 
 func matchesAny(path string, prefixes []string) bool {

@@ -1,20 +1,41 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
-// pinTestModule lays out a minimal module with exactly one floateq
-// finding, so full and subset runs have observably different outputs.
+// pinTestModule lays out a minimal module with one floateq finding, one
+// errdrop finding, an errdrop suppression with nothing to suppress and a
+// suppression that names no rule, so full and subset runs have observably
+// different outputs.
 func pinTestModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module example.com/pin\n\ngo 1.21\n",
-		"a.go":   "package pin\n\n// Eq compares floats exactly.\nfunc Eq(a, b float64) bool { return a == b }\n",
+		"a.go": `package pin
+
+import "os"
+
+// Eq compares floats exactly.
+func Eq(a, b float64) bool { return a == b }
+
+// Drop discards an error.
+func Drop() { os.Remove("x") }
+
+//lint:ignore errdrop nothing below returns an error
+func clean() {}
+
+//lint:ignore
+var _ = clean
+`,
 	}
 	for rel, content := range files {
 		path := filepath.Join(root, filepath.FromSlash(rel))
@@ -48,73 +69,83 @@ func runLint(t *testing.T, args ...string) (int, string) {
 	return code, string(data)
 }
 
-// snapshotCache maps each cache entry file to its contents.
-func snapshotCache(t *testing.T, dir string) map[string]string {
+// lintJSON runs `-json` with the given extra arguments and decodes the
+// report.
+func lintJSON(t *testing.T, root string, args ...string) (string, report) {
 	t.Helper()
-	snap := make(map[string]string)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("cache dir missing: %v", err)
+	code, out := runLint(t, append([]string{"-root", root, "-json"}, args...)...)
+	if code != 1 {
+		t.Fatalf("gtv-lint -json %v: exit %d, want 1 (the module has findings)", args, code)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap[e.Name()] = string(data)
+	var doc report
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("gtv-lint -json %v: %v\n%s", args, err, out)
 	}
-	return snap
+	return out, doc
 }
 
-// TestOnlyRunDoesNotPoisonFullCache pins the per-rule cache contract: a
-// full run populates the cache; a subsequent -only subset run must leave
-// every full-run entry byte-identical (no eviction, no rewrite), and a
-// second full run must reproduce the first run's output from that cache.
-func TestOnlyRunDoesNotPoisonFullCache(t *testing.T) {
+// ofRule filters findings to one rule; containing counts the ones whose
+// message mentions substr.
+func ofRule(findings []lint.Finding, rule string) []lint.Finding {
+	var out []lint.Finding
+	for _, f := range findings {
+		if f.Rule == rule {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func containing(findings []lint.Finding, substr string) int {
+	n := 0
+	for _, f := range findings {
+		if strings.Contains(f.Msg, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRuleSubsetRuns pins what a run owes its caller: the report is a
+// function of the tree and the rule set alone, a subset run sees exactly
+// the full run's findings for its rules, a suppression counts as unused
+// only when its rule ran, and a malformed suppression is reported once
+// whatever ran.
+func TestRuleSubsetRuns(t *testing.T) {
 	root := pinTestModule(t)
-	cacheDir := filepath.Join(root, ".lintcache")
 
-	code, full1 := runLint(t, "-root", root)
-	if code != 1 || !strings.Contains(full1, "floateq") {
-		t.Fatalf("full run: code %d, output %q; want code 1 with a floateq finding", code, full1)
+	first, full := lintJSON(t, root)
+	if second, _ := lintJSON(t, root); second != first {
+		t.Errorf("two consecutive -json runs differ:\n%s\n---\n%s", first, second)
 	}
-	snap := snapshotCache(t, cacheDir)
-	if len(snap) == 0 {
-		t.Fatal("full run left no cache entries")
+	if len(ofRule(full.Findings, "floateq")) != 1 || len(ofRule(full.Findings, "errdrop")) != 1 {
+		t.Fatalf("full run: want one floateq and one errdrop finding, got %v", full.Findings)
+	}
+	if n := containing(full.Findings, "unused //lint:ignore errdrop"); n != 1 {
+		t.Errorf("full run reports the unused errdrop suppression %d times, want 1", n)
 	}
 
-	// Subset run on a rule with no findings here: exit 0, and the full
-	// run's entries survive untouched.
-	code, sub := runLint(t, "-root", root, "-only", "errdrop")
-	if code != 0 || strings.Contains(sub, "floateq") {
-		t.Fatalf("-only errdrop run: code %d, output %q; want clean", code, sub)
-	}
-	after := snapshotCache(t, cacheDir)
-	for name, content := range snap {
-		got, ok := after[name]
-		if !ok {
-			t.Errorf("-only run evicted full-run cache entry %s", name)
-			continue
+	for _, only := range []string{"floateq", "errdrop", "floateq,privflow"} {
+		_, sub := lintJSON(t, root, "-only", only)
+		for _, rule := range strings.Split(only, ",") {
+			if got, want := ofRule(sub.Findings, rule), ofRule(full.Findings, rule); !reflect.DeepEqual(got, want) {
+				t.Errorf("-only %s: %s findings %v, want the full run's %v", only, rule, got, want)
+			}
 		}
-		if got != content {
-			t.Errorf("-only run rewrote full-run cache entry %s", name)
+		wantUnused := 0
+		if strings.Contains(only, "errdrop") {
+			wantUnused = 1
 		}
-	}
-
-	// The subset's findings must also match a full run's view of that rule.
-	code, only := runLint(t, "-root", root, "-only", "floateq")
-	if code != 1 || !strings.Contains(only, "floateq") {
-		t.Fatalf("-only floateq run: code %d, output %q; want the finding", code, only)
-	}
-
-	code, full2 := runLint(t, "-root", root)
-	if code != 1 || full2 != full1 {
-		t.Fatalf("second full run diverged: code %d\nfirst:\n%s\nsecond:\n%s", code, full1, full2)
-	}
-
-	// -rules stays as a deprecated alias for -only.
-	code, alias := runLint(t, "-root", root, "-rules", "floateq")
-	if code != 1 || alias != only {
-		t.Fatalf("-rules alias diverged from -only: code %d\n-only:\n%s\n-rules:\n%s", code, only, alias)
+		if n := containing(sub.Findings, "unused //lint:ignore errdrop"); n != wantUnused {
+			t.Errorf("-only %s reports the unused errdrop suppression %d times, want %d", only, n, wantUnused)
+		}
+		if n := containing(sub.Findings, "malformed suppression"); n != 1 {
+			t.Errorf("-only %s reports the malformed suppression %d times, want 1", only, n)
+		}
+		for _, f := range sub.Findings {
+			if f.Rule != "lint" && !strings.Contains(","+only+",", ","+f.Rule+",") {
+				t.Errorf("-only %s reports a finding of a rule that did not run: %s", only, f)
+			}
+		}
 	}
 }

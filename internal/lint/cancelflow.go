@@ -30,27 +30,18 @@ import (
 // that, and one straggler stalls the round. Callbacks are expected to
 // route all waiting through policy-bounded client calls.
 var AnalyzerCancelFlow = &Analyzer{
-	Name:      "cancelflow",
-	Doc:       "functions holding a context or CallPolicy deadline must propagate it into every blocking operation",
-	RunModule: runCancelFlow,
+	Name: "cancelflow",
+	Doc:  "functions holding a context or CallPolicy deadline must propagate it into every blocking operation",
+	Run:  runCancelFlow,
 }
 
-func runCancelFlow(p *ModulePass) {
-	decls := buildDeclIndex(p.Pkgs)
-	for _, pkg := range p.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				hasCtx, hasPolicy, carrier := deadlineCarriers(pkg.Info, fd)
-				if hasCtx || hasPolicy {
-					checkScopedBody(p, pkg.Info, fd, hasCtx, hasPolicy, carrier)
-				}
-				checkFanOutCallbacks(p, pkg.Info, decls, fd)
-			}
+func runCancelFlow(p *Pass) {
+	for _, f := range p.Index.Funcs {
+		hasCtx, hasPolicy, carrier := deadlineCarriers(f.pkg.Info, f.decl)
+		if hasCtx || hasPolicy {
+			checkScopedBody(p, f.pkg.Info, f.decl, hasCtx, hasPolicy, carrier)
 		}
+		checkFanOutCallbacks(p, f.pkg.Info, f.decl)
 	}
 }
 
@@ -109,7 +100,7 @@ func isCallPolicyType(t types.Type) bool {
 // checkScopedBody walks fd's own body (function literals are separate
 // goroutines or callbacks, audited at their own sites) and reports
 // deadline-severing calls and naked blocking operations.
-func checkScopedBody(p *ModulePass, info *types.Info, fd *ast.FuncDecl, hasCtx, hasPolicy bool, carrier string) {
+func checkScopedBody(p *Pass, info *types.Info, fd *ast.FuncDecl, hasCtx, hasPolicy bool, carrier string) {
 	fname := fd.Name.Name
 	walkStack(fd.Body, func(stack []ast.Node) bool {
 		switch n := stack[len(stack)-1].(type) {
@@ -220,14 +211,14 @@ func callTargetName(info *types.Info, call *ast.CallExpr) string {
 // checkFanOutCallbacks flags function literals handed to the fan-out
 // machinery that block directly instead of routing waits through
 // policy-bounded client calls.
-func checkFanOutCallbacks(p *ModulePass, info *types.Info, decls declIndex, fd *ast.FuncDecl) {
+func checkFanOutCallbacks(p *Pass, info *types.Info, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn, _, ok := decls.staticCallee(info, call)
-		if !ok || (fn.Name() != "fanClients" && fn.Name() != "fanOut") {
+		fn := p.Index.Static(info, call)
+		if fn == nil || (fn.obj.Name() != "fanClients" && fn.obj.Name() != "fanOut") {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -235,14 +226,14 @@ func checkFanOutCallbacks(p *ModulePass, info *types.Info, decls declIndex, fd *
 			if !ok {
 				continue
 			}
-			checkCallbackBody(p, info, fn.Name(), lit)
+			checkCallbackBody(p, info, fn.obj.Name(), lit)
 		}
 		return true
 	})
 }
 
 // checkCallbackBody reports direct blocking inside one fan-out callback.
-func checkCallbackBody(p *ModulePass, info *types.Info, fanName string, lit *ast.FuncLit) {
+func checkCallbackBody(p *Pass, info *types.Info, fanName string, lit *ast.FuncLit) {
 	report := func(pos ast.Node, what blockingKind) {
 		p.Report(pos.Pos(), fmt.Sprintf(
 			"%s callback performs %s directly: first-error cancellation cannot interrupt it, so one straggler stalls the round; route the wait through a policy-bounded client call",

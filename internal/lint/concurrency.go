@@ -6,54 +6,12 @@ import (
 )
 
 // Shared infrastructure for the concurrency analyzers (lockorder,
-// goroleak, cancelflow): a whole-module function-declaration index so
-// static calls resolve to their bodies across packages, lock-call
-// classification over sync.Mutex/sync.RWMutex, and the blocking-operation
-// taxonomy the rules agree on. All three are syntactic, flow-insensitive
+// goroleak, cancelflow): lock-call classification over
+// sync.Mutex/sync.RWMutex and the blocking-operation taxonomy the rules
+// agree on (static calls resolve to their bodies through Pass.Index). All three are syntactic, flow-insensitive
 // approximations — see DESIGN.md ("Concurrency rules") for the documented
 // gaps — tuned so a finding is worth reading and a clean tree means the
 // discipline holds.
-
-// funcDecl pairs a declared function with the package it lives in.
-type funcDecl struct {
-	decl *ast.FuncDecl
-	pkg  *Package
-}
-
-// declIndex maps every declared function or method of the loaded packages
-// to its declaration, so analyzers can chase static calls into bodies.
-type declIndex map[*types.Func]funcDecl
-
-// buildDeclIndex indexes every FuncDecl of the module pass.
-func buildDeclIndex(pkgs []*Package) declIndex {
-	ix := make(declIndex)
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					ix[fn] = funcDecl{decl: fd, pkg: pkg}
-				}
-			}
-		}
-	}
-	return ix
-}
-
-// staticCallee resolves a call to its declared module function, or nil
-// for calls through function values, interfaces without a single
-// declaration, builtins, and out-of-module functions.
-func (ix declIndex) staticCallee(info *types.Info, call *ast.CallExpr) (*types.Func, funcDecl, bool) {
-	fn, ok := calleeObject(info, call).(*types.Func)
-	if !ok {
-		return nil, funcDecl{}, false
-	}
-	fd, ok := ix[fn]
-	return fn, fd, ok
-}
 
 // ---- lock-call classification ----
 

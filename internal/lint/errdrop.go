@@ -18,12 +18,12 @@ import (
 var AnalyzerErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "flag statements that silently drop an error result",
-	Run:  runErrDrop,
+	Run:  perPackage(runErrDrop),
 }
 
-func runErrDrop(p *Pass) {
-	info := p.Pkg.Info
-	for _, file := range p.Pkg.Files {
+func runErrDrop(p *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
 			switch st := n.(type) {

@@ -15,12 +15,12 @@ import (
 var AnalyzerFloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flag ==/!= on floating-point operands outside tests",
-	Run:  runFloatEq,
+	Run:  perPackage(runFloatEq),
 }
 
-func runFloatEq(p *Pass) {
-	info := p.Pkg.Info
-	for _, file := range p.Pkg.Files {
+func runFloatEq(p *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {

@@ -17,7 +17,7 @@ import (
 var AnalyzerGlobalRand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "ban process-global math/rand functions and time-derived RNG seeds outside cmd/",
-	Run:  runGlobalRand,
+	Run:  perPackage(runGlobalRand),
 }
 
 // mathRandAllowed lists the math/rand (and v2) top-level functions that do
@@ -32,12 +32,12 @@ var mathRandAllowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func runGlobalRand(p *Pass) {
-	if isCommandPath(p.Pkg.Path) {
+func runGlobalRand(p *Pass, pkg *Package) {
+	if isCommandPath(pkg.Path) {
 		return
 	}
-	info := p.Pkg.Info
-	for _, file := range p.Pkg.Files {
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.SelectorExpr:

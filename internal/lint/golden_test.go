@@ -62,7 +62,7 @@ func TestFixtureFindingsGolden(t *testing.T) {
 			if tc.rule != "" {
 				analyzers = []*Analyzer{AnalyzerByName(tc.rule)}
 			}
-			findings := Run([]*Package{pkg}, analyzers)
+			findings, _ := Run([]*Package{pkg}, analyzers)
 			Relativize(findings, loader.ModuleRoot)
 			got := renderFindings(findings)
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.name+".txt"))

@@ -32,20 +32,18 @@ import (
 // The check only fires when the channel's make() is visible with a
 // constant capacity, so dynamic channels never false-positive.
 var AnalyzerGoroLeak = &Analyzer{
-	Name:      "goroleak",
-	Doc:       "every spawned goroutine needs a provable exit path; unbuffered sends need a guaranteed receiver",
-	RunModule: runGoroLeak,
+	Name: "goroleak",
+	Doc:  "every spawned goroutine needs a provable exit path; unbuffered sends need a guaranteed receiver",
+	Run:  runGoroLeak,
 }
 
 // goroLeakState memoizes daemon-loop classification per declared function.
 type goroLeakState struct {
-	pass  *ModulePass
-	decls declIndex
+	pass *Pass
 	// daemon memoizes whether a function's body (or a statically resolved
-	// callee's, transitively) contains an unguarded daemon loop. The
-	// token.Pos names the loop for the report.
-	daemon   map[*types.Func]*daemonLoop
-	visiting map[*types.Func]bool
+	// callee's, transitively) contains an unguarded daemon loop.
+	daemon   map[*Func]*daemonLoop
+	visiting map[*Func]bool
 }
 
 // daemonLoop describes the unguarded loop that makes a function a daemon.
@@ -54,12 +52,11 @@ type daemonLoop struct {
 	via  string // non-empty when inherited from a callee
 }
 
-func runGoroLeak(p *ModulePass) {
+func runGoroLeak(p *Pass) {
 	st := &goroLeakState{
 		pass:     p,
-		decls:    buildDeclIndex(p.Pkgs),
-		daemon:   make(map[*types.Func]*daemonLoop),
-		visiting: make(map[*types.Func]bool),
+		daemon:   make(map[*Func]*daemonLoop),
+		visiting: make(map[*Func]bool),
 	}
 	for _, pkg := range p.Pkgs {
 		for _, file := range pkg.Files {
@@ -86,8 +83,8 @@ func (st *goroLeakState) checkGoStmt(pkg *Package, stack []ast.Node, gs *ast.GoS
 	var calleeName string
 	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 		body, bodyInfo = lit.Body, info
-	} else if fn, fd, ok := st.decls.staticCallee(info, gs.Call); ok {
-		body, bodyInfo, calleeName = fd.decl.Body, fd.pkg.Info, fn.Name()
+	} else if fn := st.pass.Index.Static(info, gs.Call); fn != nil {
+		body, bodyInfo, calleeName = fn.decl.Body, fn.pkg.Info, fn.obj.Name()
 		// The callee itself may be a clean wrapper whose callees loop; the
 		// memoized classification covers that transitively.
 		if loop := st.funcDaemon(fn); loop != nil && !st.wgPaired(info, spawner, gs, body, bodyInfo) {
@@ -176,19 +173,18 @@ func hasWGCall(info *types.Info, block *ast.BlockStmt, method string) bool {
 // statically resolved callee's, transitively) contains an unguarded
 // daemon loop. Function literals inside the body are excluded — they run
 // on their own goroutines and are checked at their own go statements.
-func (st *goroLeakState) funcDaemon(fn *types.Func) *daemonLoop {
+func (st *goroLeakState) funcDaemon(fn *Func) *daemonLoop {
 	if l, ok := st.daemon[fn]; ok {
 		return l
 	}
-	fd, ok := st.decls[fn]
-	if !ok || st.visiting[fn] {
+	if st.visiting[fn] {
 		return nil
 	}
 	st.visiting[fn] = true
 	defer delete(st.visiting, fn)
-	loop := st.litDaemon(fd.pkg.Info, fd.decl.Body)
+	loop := st.litDaemon(fn.pkg.Info, fn.decl.Body)
 	if loop == nil {
-		loop = st.calleeDaemon(fd.pkg.Info, fd.decl.Body, fn)
+		loop = st.calleeDaemon(fn.pkg.Info, fn.decl.Body, fn)
 	}
 	st.daemon[fn] = loop
 	return loop
@@ -197,7 +193,7 @@ func (st *goroLeakState) funcDaemon(fn *types.Func) *daemonLoop {
 // calleeDaemon scans a body (excluding nested function literals) for a
 // static call to a daemonish function, tagging the result with the call
 // chain. self guards direct recursion for declared functions.
-func (st *goroLeakState) calleeDaemon(info *types.Info, body *ast.BlockStmt, self *types.Func) *daemonLoop {
+func (st *goroLeakState) calleeDaemon(info *types.Info, body *ast.BlockStmt, self *Func) *daemonLoop {
 	var loop *daemonLoop
 	ast.Inspect(body, func(n ast.Node) bool {
 		if loop != nil {
@@ -210,11 +206,11 @@ func (st *goroLeakState) calleeDaemon(info *types.Info, body *ast.BlockStmt, sel
 		if !ok {
 			return true
 		}
-		if callee, _, ok := st.decls.staticCallee(info, call); ok && callee != self {
+		if callee := st.pass.Index.Static(info, call); callee != nil && callee != self {
 			if l := st.funcDaemon(callee); l != nil {
-				via := callee.Name()
+				via := callee.obj.Name()
 				if l.via != "" {
-					via = callee.Name() + " -> " + l.via
+					via = via + " -> " + l.via
 				}
 				loop = &daemonLoop{what: l.what, via: via}
 			}

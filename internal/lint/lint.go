@@ -20,90 +20,64 @@ import (
 	"strings"
 )
 
-// Analyzer is one named rule. Per-package rules implement Run, which
-// inspects a single type-checked package; whole-module rules (such as the
-// interprocedural privflow taint analysis) implement RunModule instead and
-// see every package of one load at once. Exactly one of Run and RunModule
-// must be set.
+// Analyzer is one named rule.
 type Analyzer struct {
 	// Name is the rule ID used in reports and //lint:ignore comments.
 	Name string
 	// Doc is a one-line description for -list output.
 	Doc string
-	// Run executes the rule over one package.
+	// Run executes the rule once over all loaded packages. A rule that
+	// looks at one package at a time is a loop over Pass.Pkgs.
 	Run func(*Pass)
-	// RunModule executes the rule once over all loaded packages.
-	RunModule func(*ModulePass)
 }
 
-// Pass carries one (analyzer, package) execution.
+// Pass carries one analyzer's execution over the loaded packages.
 type Pass struct {
-	// Pkg is the package under analysis.
-	Pkg *Package
-
-	analyzer *Analyzer
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:  p.Pkg.Fset.Position(pos),
-		Rule: p.analyzer.Name,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries one (module analyzer, package set) execution.
-type ModulePass struct {
 	// Pkgs are all packages of the load, sorted by import path.
 	Pkgs []*Package
+	// Index is the module index every rule of one Run shares.
+	Index *Index
 
 	analyzer *Analyzer
 	findings *[]Finding
 	stats    Stats
 }
 
-// Stats are the coverage counters a module rule may emit alongside its
-// findings (shapeflow reports how many tensor ops it proved consistent).
-// They ride the cache next to findings and surface in the -json report.
+// Stats are the coverage counters a rule may emit alongside its findings
+// (shapeflow reports how many tensor ops it proved consistent). They
+// surface in the -json report.
 type Stats map[string]int
 
 // AddStat bumps a named counter on the pass. Keys are namespaced by rule
-// ("shapeflow.ops_proved") so merged reports stay unambiguous.
-func (p *ModulePass) AddStat(key string, n int) {
-	if p.stats == nil {
-		p.stats = make(Stats)
-	}
-	p.stats[p.analyzer.Name+"."+key] += n
-}
-
-// Merge folds other into s, summing shared keys.
-func (s Stats) Merge(other Stats) Stats {
-	if len(other) == 0 {
-		return s
-	}
-	if s == nil {
-		s = make(Stats, len(other))
-	}
-	for k, v := range other {
-		s[k] += v
-	}
-	return s
-}
+// ("shapeflow.ops_proved") so the merged report stays unambiguous.
+func (p *Pass) AddStat(key string, n int) { p.stats[p.analyzer.Name+"."+key] += n }
 
 // Fset returns the file set shared by the loaded packages.
-func (p *ModulePass) Fset() *token.FileSet { return p.Pkgs[0].Fset }
+func (p *Pass) Fset() *token.FileSet { return p.Pkgs[0].Fset }
+
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Report(pos, fmt.Sprintf(format, args...), nil)
+}
 
 // Report records a finding with an optional dataflow path (source-to-sink
 // hops for taint rules).
-func (p *ModulePass) Report(pos token.Pos, msg string, path []PathHop) {
+func (p *Pass) Report(pos token.Pos, msg string, path []PathHop) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:  p.Fset().Position(pos),
 		Rule: p.analyzer.Name,
 		Msg:  msg,
 		Path: path,
 	})
+}
+
+// perPackage adapts a rule that looks at one package at a time.
+func perPackage(run func(*Pass, *Package)) func(*Pass) {
+	return func(p *Pass) {
+		for _, pkg := range p.Pkgs {
+			run(p, pkg)
+		}
+	}
 }
 
 // PathHop is one step of a dataflow path: the function the value moved
@@ -174,74 +148,23 @@ func AnalyzerByName(name string) *Analyzer {
 	return nil
 }
 
-// SplitAnalyzers partitions a rule set into per-package and whole-module
-// analyzers — the two independently cacheable phases of a run.
-func SplitAnalyzers(analyzers []*Analyzer) (perPkg, module []*Analyzer) {
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			module = append(module, a)
-		} else {
-			perPkg = append(perPkg, a)
-		}
-	}
-	return perPkg, module
-}
-
-// Run executes the analyzers over every package, applies //lint:ignore
-// suppressions, and returns the surviving findings sorted by position.
-// Malformed or unused suppressions are themselves findings (rule "lint"),
-// so suppressions can never silently rot into blanket disables. A
-// suppression only counts as unused when its rule actually ran.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	perPkg, module := SplitAnalyzers(analyzers)
-	var all []Finding
-	for _, pkg := range pkgs {
-		all = append(all, RunPackage(pkg, perPkg)...)
-	}
-	if len(module) > 0 {
-		all = append(all, RunModuleAnalyzers(pkgs, module)...)
-	}
-	SortFindings(all)
-	return all
-}
-
-// RunPackage executes per-package analyzers over one package, applies the
-// package's suppressions, and reports malformed suppressions plus unused
-// suppressions of the rules that ran. It is the unit the findings cache
-// stores per package; Run is the union of RunPackage over all packages
-// and RunModuleAnalyzers. Results are unsorted.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
+// Run executes the analyzers over the packages of one load, applies
+// //lint:ignore suppressions, and returns the surviving findings sorted by
+// position together with the rules' coverage stats. Malformed or unused
+// suppressions are themselves findings (rule "lint"), so suppressions can
+// never silently rot into blanket disables. A suppression only counts as
+// unused when its rule actually ran. It is the one way rules run: gtv-lint
+// and the package's own tests both call it.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, Stats) {
+	ix := buildIndex(pkgs)
+	stats := make(Stats)
+	ran := make(map[string]bool, len(analyzers))
 	var raw []Finding
 	for _, a := range analyzers {
-		a.Run(&Pass{Pkg: pkg, analyzer: a, findings: &raw})
+		a.Run(&Pass{Pkgs: pkgs, Index: ix, analyzer: a, findings: &raw, stats: stats})
+		ran[a.Name] = true
 	}
-	sup, all := collectSuppressions(pkg)
-	for _, f := range raw {
-		if s := sup.match(f); s != nil {
-			s.used = true
-			continue
-		}
-		all = append(all, f)
-	}
-	return append(all, sup.unused(ruleNames(analyzers))...)
-}
-
-// RunModuleAnalyzers executes whole-module analyzers once over the full
-// package set, applies suppressions from every package, and reports
-// unused suppressions of the module rules that ran. Malformed-suppression
-// findings are left to RunPackage so they are reported exactly once.
-// Results are unsorted.
-func RunModuleAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	var raw []Finding
-	for _, a := range analyzers {
-		a.RunModule(&ModulePass{Pkgs: pkgs, analyzer: a, findings: &raw})
-	}
-	var sups suppressionSet
-	for _, pkg := range pkgs {
-		s, _ := collectSuppressions(pkg)
-		sups = append(sups, s...)
-	}
-	var all []Finding
+	sups, all := collectSuppressions(ix)
 	for _, f := range raw {
 		if s := sups.match(f); s != nil {
 			s.used = true
@@ -249,74 +172,8 @@ func RunModuleAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 		all = append(all, f)
 	}
-	return append(all, sups.unused(ruleNames(analyzers))...)
-}
-
-// RunPackageRule executes exactly one per-package analyzer over one
-// package, applies that rule's suppressions, and reports the rule's unused
-// suppressions. It is the unit the per-rule findings cache stores;
-// malformed-suppression findings are left to PackageSuppressionFindings so
-// a multi-rule run reports them exactly once. Results are unsorted.
-func RunPackageRule(pkg *Package, a *Analyzer) []Finding {
-	var raw []Finding
-	a.Run(&Pass{Pkg: pkg, analyzer: a, findings: &raw})
-	sup, _ := collectSuppressions(pkg)
-	var all []Finding
-	for _, f := range raw {
-		if s := sup.match(f); s != nil {
-			s.used = true
-			continue
-		}
-		all = append(all, f)
-	}
-	return append(all, sup.unused(ruleNames([]*Analyzer{a}))...)
-}
-
-// PackageSuppressionFindings reports a package's malformed //lint:ignore
-// comments. They belong to no single rule, so per-rule runs cache them
-// under their own key instead of duplicating them into every rule's entry.
-func PackageSuppressionFindings(pkg *Package) []Finding {
-	_, bad := collectSuppressions(pkg)
-	return bad
-}
-
-// RunModuleRule executes one whole-module analyzer over the package set,
-// applies suppressions from every package, reports the rule's unused
-// suppressions, and returns the rule's coverage stats. Results are
-// unsorted.
-func RunModuleRule(pkgs []*Package, a *Analyzer) ([]Finding, Stats) {
-	var raw []Finding
-	mp := &ModulePass{Pkgs: pkgs, analyzer: a, findings: &raw}
-	a.RunModule(mp)
-	var sups suppressionSet
-	for _, pkg := range pkgs {
-		s, _ := collectSuppressions(pkg)
-		sups = append(sups, s...)
-	}
-	var all []Finding
-	for _, f := range raw {
-		if s := sups.match(f); s != nil {
-			s.used = true
-			continue
-		}
-		all = append(all, f)
-	}
-	return append(all, sups.unused(ruleNames([]*Analyzer{a}))...), mp.stats
-}
-
-// ruleNames collects the rule IDs of an analyzer set.
-func ruleNames(analyzers []*Analyzer) map[string]bool {
-	names := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		names[a.Name] = true
-	}
-	return names
-}
-
-// SortFindings orders findings by position then rule, the driver's stable
-// reporting order.
-func SortFindings(all []Finding) {
-	sort.Slice(all, func(i, j int) bool {
+	all = append(all, sups.unused(ran)...)
+	sort.SliceStable(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -329,6 +186,7 @@ func SortFindings(all []Finding) {
 		}
 		return a.Rule < b.Rule
 	})
+	return all, stats
 }
 
 // Relativize rewrites finding paths (including dataflow path hops)
@@ -391,37 +249,29 @@ func (s suppressionSet) unused(ran map[string]bool) []Finding {
 	return out
 }
 
-// collectSuppressions parses every //lint:ignore comment of a package.
+// collectSuppressions parses every //lint:ignore comment of the load.
 // Malformed ones (missing rule, unknown rule, or missing reason) are
 // returned as findings so they cannot act as blanket disables.
-func collectSuppressions(pkg *Package) (suppressionSet, []Finding) {
+func collectSuppressions(ix *Index) (suppressionSet, []Finding) {
 	var (
 		sups suppressionSet
 		bad  []Finding
 	)
-	for _, file := range pkg.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					bad = append(bad, Finding{Pos: pos, Rule: "lint",
-						Msg: "malformed suppression: want //lint:ignore <rule> <reason>"})
-					continue
-				}
-				rule := fields[0]
-				if AnalyzerByName(rule) == nil {
-					bad = append(bad, Finding{Pos: pos, Rule: "lint",
-						Msg: fmt.Sprintf("suppression names unknown rule %q", rule)})
-					continue
-				}
-				sups = append(sups, &suppression{file: pos.Filename, line: pos.Line, rule: rule, pos: pos})
-			}
+	for _, d := range ix.Directives("//lint:ignore") {
+		pos := d.pkg.Fset.Position(d.pos)
+		fields := strings.Fields(d.text)
+		if len(fields) < 2 {
+			bad = append(bad, Finding{Pos: pos, Rule: "lint",
+				Msg: "malformed suppression: want //lint:ignore <rule> <reason>"})
+			continue
 		}
+		rule := fields[0]
+		if AnalyzerByName(rule) == nil {
+			bad = append(bad, Finding{Pos: pos, Rule: "lint",
+				Msg: fmt.Sprintf("suppression names unknown rule %q", rule)})
+			continue
+		}
+		sups = append(sups, &suppression{file: pos.Filename, line: pos.Line, rule: rule, pos: pos})
 	}
 	return sups, bad
 }
@@ -450,9 +300,17 @@ func isOrderInsensitive(t types.Type) bool {
 
 // calleeObject resolves the object a call expression invokes (function,
 // method, or builtin), or nil when it cannot (calls through function
-// values, conversions).
+// values, conversions). An explicit instantiation (f[T](...)) resolves to
+// the generic function.
 func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch idx := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(idx.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(idx.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		return info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -49,7 +49,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings := Run([]*Package{pkg}, []*Analyzer{a})
+			findings, _ := Run([]*Package{pkg}, []*Analyzer{a})
 			checkWants(t, tc.dir, findings)
 		})
 	}
@@ -142,7 +142,7 @@ func TestMalformedSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerFloatEq})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerFloatEq})
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(findings), findings)
 	}
@@ -172,7 +172,7 @@ func TestPrivFlowAnnotationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerPrivFlow})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerPrivFlow})
 	wantSubstrings := []string{
 		`unknown privacy annotation kind "leak"`,
 		"privacy sink annotation needs a description",
@@ -215,7 +215,7 @@ func TestShapeFlowAnnotationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerShapeFlow})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerShapeFlow})
 	wantSubstrings := []string{
 		"shape annotation on TooManyIns has 2 in(...) clauses for 1 shape-bearing parameters",
 		"exported shape-bearing function shapeflowann.TooManyIns needs a //shape: annotation",
@@ -267,7 +267,7 @@ func TestShapeFlowPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerShapeFlow})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerShapeFlow})
 	var hit *Finding
 	for i := range findings {
 		if strings.Contains(findings[i].Msg, "MatMul inner dims") && len(findings[i].Path) > 0 && strings.Contains(findings[i].Path[0].Func, "helperMM") {
@@ -308,7 +308,7 @@ func TestPrivFlowPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerPrivFlow})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerPrivFlow})
 	var hit *Finding
 	for i := range findings {
 		if strings.Contains(findings[i].Msg, "SampleCV") {
@@ -353,7 +353,7 @@ func TestSnapStateSkipNeedsReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{AnalyzerSnapState})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerSnapState})
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
 	}
@@ -365,8 +365,8 @@ func TestSnapStateSkipNeedsReason(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range Analyzers() {
-		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %+v needs a name, a doc, and exactly one of Run or RunModule", a)
+		if a.Name == "" || a.Doc == "" || a.Run == nil {
+			t.Errorf("analyzer %+v needs a name, a doc, and a Run function", a)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

@@ -127,7 +127,7 @@ var hostBuild = func() build.Context {
 
 // isSourceFile reports whether dir/name is a Go file the analyzers look at:
 // not a test, and selected by its name suffix and build constraints for the
-// host. The loader and the findings cache both list files through it.
+// host.
 func isSourceFile(dir, name string) (bool, error) {
 	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 		return false, nil
@@ -160,8 +160,7 @@ func sourceFiles(dir string) ([]string, error) {
 }
 
 // moduleDirs returns every directory under root holding source files,
-// skipping hidden, underscore, testdata, and vendor trees — the package set
-// both the loader and the findings cache agree on.
+// skipping hidden, underscore, testdata, and vendor trees.
 func moduleDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {

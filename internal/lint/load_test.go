@@ -59,44 +59,6 @@ func TestLoadDirHonoursBuildConstraints(t *testing.T) {
 	}
 }
 
-// TestModuleIndexHonoursBuildConstraints: the findings cache keys a package
-// by the files the loader would load, so editing the other architecture's
-// file (or an ignored one) must not move the key, and editing this
-// architecture's must.
-func TestModuleIndexHonoursBuildConstraints(t *testing.T) {
-	mine, other := "k_"+runtime.GOARCH+".go", "k_other.go"
-	files := map[string]string{
-		"go.mod":     "module example.com/m\n\ngo 1.21\n",
-		"m.go":       "package m\n\nvar _ = lanes\n",
-		mine:         "package m\n\nconst lanes = 4\n",
-		other:        "//go:build !" + runtime.GOARCH + "\n\npackage m\n\nconst lanes = 1\n",
-		"tool.go":    "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
-		"gen/gen.go": "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
-	}
-	key := func() string {
-		root := t.TempDir()
-		writeTree(t, root, files)
-		ix, err := BuildModuleIndex(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(ix.Dirs, []string{"."}) {
-			t.Fatalf("indexed dirs %v, want only the root (gen/ holds no file of this build)", ix.Dirs)
-		}
-		return ix.modKey
-	}
-	base := key()
-	files[other] += "\n// edited\n"
-	files["tool.go"] += "\n// edited\n"
-	if key() != base {
-		t.Error("editing files outside this build's file set changed the cache key")
-	}
-	files[mine] += "\n// edited\n"
-	if key() == base {
-		t.Error("editing this architecture's file did not change the cache key")
-	}
-}
-
 // writeTree lays out a file tree under root from rel-path -> contents.
 func writeTree(t *testing.T, root string, files map[string]string) {
 	t.Helper()

@@ -17,7 +17,7 @@ import (
 var AnalyzerLockedField = &Analyzer{
 	Name: "lockedfield",
 	Doc:  "fields annotated 'guarded by <mutex>' must be accessed under that mutex",
-	Run:  runLockedField,
+	Run:  perPackage(runLockedField),
 }
 
 // guardInfo records one annotated field.
@@ -26,13 +26,13 @@ type guardInfo struct {
 	structName string // for messages
 }
 
-func runLockedField(p *Pass) {
-	info := p.Pkg.Info
-	guards := collectGuards(p)
+func runLockedField(p *Pass, pkg *Package) {
+	info := pkg.Info
+	guards := collectGuards(pkg)
 	if len(guards) == 0 {
 		return
 	}
-	for _, file := range p.Pkg.Files {
+	for _, file := range pkg.Files {
 		walkStack(file, func(stack []ast.Node) bool {
 			sel, ok := stack[len(stack)-1].(*ast.SelectorExpr)
 			if !ok {
@@ -59,10 +59,10 @@ func runLockedField(p *Pass) {
 
 // collectGuards finds every "guarded by <mutex>" field annotation in the
 // package's struct declarations.
-func collectGuards(p *Pass) map[types.Object]guardInfo {
-	info := p.Pkg.Info
+func collectGuards(pkg *Package) map[types.Object]guardInfo {
+	info := pkg.Info
 	guards := make(map[types.Object]guardInfo)
-	for _, file := range p.Pkg.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {

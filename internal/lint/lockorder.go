@@ -40,9 +40,9 @@ import (
 // deliberate under-approximation that avoids false positives at the
 // price of missing some held regions.
 var AnalyzerLockOrder = &Analyzer{
-	Name:      "lockorder",
-	Doc:       "consistent lock-acquisition order; no blocking operations while a mutex is held",
-	RunModule: runLockOrder,
+	Name: "lockorder",
+	Doc:  "consistent lock-acquisition order; no blocking operations while a mutex is held",
+	Run:  runLockOrder,
 }
 
 // lockEdge is one observed "acquired B while holding A" event.
@@ -55,39 +55,29 @@ type lockEdge struct {
 
 // lockOrderState accumulates the module-wide graph.
 type lockOrderState struct {
-	pass  *ModulePass
-	decls declIndex
+	pass *Pass
 	// acquires memoizes, per declared function, the set of locks its body
 	// (or any statically resolved callee's body) may acquire.
-	acquires map[*types.Func]map[types.Object]lockIdent
-	visiting map[*types.Func]bool
+	acquires map[*Func]map[types.Object]lockIdent
+	visiting map[*Func]bool
 	edges    []lockEdge
 }
 
-func runLockOrder(p *ModulePass) {
+func runLockOrder(p *Pass) {
 	st := &lockOrderState{
 		pass:     p,
-		decls:    buildDeclIndex(p.Pkgs),
-		acquires: make(map[*types.Func]map[types.Object]lockIdent),
-		visiting: make(map[*types.Func]bool),
+		acquires: make(map[*Func]map[types.Object]lockIdent),
+		visiting: make(map[*Func]bool),
 	}
 	// Walk every function body (including function literals, each as its
 	// own root: a literal runs on its own goroutine's schedule, so locks
 	// held at its definition site are not held when it runs).
-	for _, pkg := range p.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil {
-					name = recvTypeName(fd) + "." + name
-				}
-				st.walkFunc(pkg, name, fd.Body)
-			}
+	for _, f := range p.Index.Funcs {
+		name := f.decl.Name.Name
+		if f.decl.Recv != nil {
+			name = recvTypeName(f.decl) + "." + name
 		}
+		st.walkFunc(f.pkg, name, f.decl.Body)
 	}
 	st.reportCycles()
 }
@@ -162,8 +152,8 @@ func (st *lockOrderState) walkFunc(pkg *Package, fname string, body *ast.BlockSt
 				return true
 			}
 			// A call under lock may acquire more locks transitively.
-			if fn, _, ok := st.decls.staticCallee(info, n); ok {
-				for _, id := range st.funcAcquires(fn) {
+			if callee := st.pass.Index.Static(info, n); callee != nil {
+				for _, id := range st.funcAcquires(callee) {
 					st.recordAcquire(pkg, fname, held, id, "", n.Pos())
 				}
 			}
@@ -238,29 +228,29 @@ func (st *lockOrderState) reportBlocking(pkg *Package, fname string, held []held
 // funcAcquires computes, memoized, the set of locks fn's body or its
 // statically resolved callees may acquire. Cycles in the call graph
 // resolve to the direct set.
-func (st *lockOrderState) funcAcquires(fn *types.Func) map[types.Object]lockIdent {
+func (st *lockOrderState) funcAcquires(fn *Func) map[types.Object]lockIdent {
 	if s, ok := st.acquires[fn]; ok {
 		return s
 	}
-	fd, ok := st.decls[fn]
-	if !ok || st.visiting[fn] {
+	if st.visiting[fn] {
 		return nil
 	}
 	st.visiting[fn] = true
 	defer delete(st.visiting, fn)
+	info := fn.pkg.Info
 	out := make(map[types.Object]lockIdent)
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if op, recv := classifyLockCall(fd.pkg.Info, call); op == lockAcquire {
-			if id, ok := identifyLock(fd.pkg.Info, recv); ok {
+		if op, recv := classifyLockCall(info, call); op == lockAcquire {
+			if id, ok := identifyLock(info, recv); ok {
 				out[id.obj] = id
 			}
 			return true
 		}
-		if callee, _, ok := st.decls.staticCallee(fd.pkg.Info, call); ok && callee != fn {
+		if callee := st.pass.Index.Static(info, call); callee != nil && callee != fn {
 			for obj, id := range st.funcAcquires(callee) {
 				out[obj] = id
 			}

@@ -22,12 +22,12 @@ import (
 var AnalyzerMapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "flag order-sensitive accumulation inside range-over-map loops",
-	Run:  runMapOrder,
+	Run:  perPackage(runMapOrder),
 }
 
-func runMapOrder(p *Pass) {
-	info := p.Pkg.Info
-	for _, file := range p.Pkg.Files {
+func runMapOrder(p *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, file := range pkg.Files {
 		walkStack(file, func(stack []ast.Node) bool {
 			rs, ok := stack[len(stack)-1].(*ast.RangeStmt)
 			if !ok {
@@ -36,7 +36,7 @@ func runMapOrder(p *Pass) {
 			if t := info.TypeOf(rs.X); t == nil || !isMapType(t) {
 				return true
 			}
-			checkMapRangeBody(p, rs, enclosingFuncBody(append(stack, rs)))
+			checkMapRangeBody(p, info, rs, enclosingFuncBody(append(stack, rs)))
 			return true
 		})
 	}
@@ -47,8 +47,7 @@ func isMapType(t types.Type) bool {
 	return ok
 }
 
-func checkMapRangeBody(p *Pass, rs *ast.RangeStmt, funcBody *ast.BlockStmt) {
-	info := p.Pkg.Info
+func checkMapRangeBody(p *Pass, info *types.Info, rs *ast.RangeStmt, funcBody *ast.BlockStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if fn, ok := calleeObject(info, call).(*types.Func); ok && isRNGDraw(fn) {

@@ -39,9 +39,9 @@ import (
 // idx_p, made safe by training-with-shuffling) carry reasoned
 // //lint:ignore privflow suppressions at the crossing site.
 var AnalyzerPrivFlow = &Analyzer{
-	Name:      "privflow",
-	Doc:       "interprocedural taint analysis of the privacy boundary (//privacy:source -> //privacy:sink)",
-	RunModule: runPrivFlow,
+	Name: "privflow",
+	Doc:  "interprocedural taint analysis of the privacy boundary (//privacy:source -> //privacy:sink)",
+	Run:  runPrivFlow,
 }
 
 // Known annotation kinds.
@@ -59,14 +59,10 @@ type pfAnnotation struct {
 	pos  token.Position
 }
 
-// pfFunc is one module function under analysis.
+// pfFunc is one module function under analysis: the index's declaration
+// plus the taint state privflow keeps for it.
 type pfFunc struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-	obj  *types.Func
-	// name is the display name used in findings and path hops
-	// ("LocalClient.SampleCV", "condvec.sampleDiscrete").
-	name string
+	*Func
 	// inputObjs holds the receiver (if any) followed by the parameters, in
 	// summary input-bit order; unnamed inputs are nil placeholders.
 	inputObjs []types.Object
@@ -79,7 +75,7 @@ type pfFunc struct {
 
 // pf is the whole-module analysis state.
 type pf struct {
-	pass *ModulePass
+	pass *Pass
 	fset *token.FileSet
 
 	anns     map[types.Object]*pfAnnotation
@@ -91,26 +87,21 @@ type pf struct {
 	// object (c.lastCV = b in one call, c.lastCV read in a later one).
 	fieldTaint map[*types.Var]taintVal
 
-	namedTypes []*types.Named
-	implCache  map[*types.Func][]*pfFunc
-
 	// changed drives the global fixpoint: set when any summary or field
 	// taint grows during a pass.
 	changed bool
 }
 
-func runPrivFlow(p *ModulePass) {
+func runPrivFlow(p *Pass) {
 	a := &pf{
 		pass:       p,
 		fset:       p.Fset(),
 		anns:       make(map[types.Object]*pfAnnotation),
 		funcs:      make(map[*types.Func]*pfFunc),
 		fieldTaint: make(map[*types.Var]taintVal),
-		implCache:  make(map[*types.Func][]*pfFunc),
 	}
 	a.collectAnnotations()
 	a.collectFuncs()
-	a.collectNamedTypes()
 	a.resolveSinks()
 
 	// Monotone fixpoint over summaries and field taint. The bound is a
@@ -134,91 +125,26 @@ func runPrivFlow(p *ModulePass) {
 
 // ---- annotation collection ----
 
-// parsePrivacyDirective splits a "//privacy:kind description" comment.
-// ok is false when the comment is not a privacy directive at all.
-func parsePrivacyDirective(text string) (kind, desc string, ok bool) {
-	rest, ok := strings.CutPrefix(text, "//privacy:")
-	if !ok {
-		return "", "", false
-	}
-	kind, desc, _ = strings.Cut(rest, " ")
-	return strings.TrimSpace(kind), strings.TrimSpace(desc), true
-}
-
-// collectAnnotations walks every declaration that may carry a //privacy:
-// directive, binds well-formed ones to their type-checker objects, and
-// reports malformed or misplaced ones as findings.
+// collectAnnotations binds every well-formed //privacy: directive to the
+// type-checker object of the declaration it documents, and reports
+// malformed or misplaced ones as findings. A struct field line binds its
+// first name; an embedded field or interface has no single object.
 func (a *pf) collectAnnotations() {
-	consumed := make(map[token.Pos]bool)
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			a.collectFileAnnotations(pkg, file, consumed)
+	for _, d := range a.pass.Index.Directives("//privacy:") {
+		var obj types.Object
+		switch {
+		case d.fn != nil:
+			obj = d.pkg.Info.Defs[d.fn.Name]
+		case d.field != nil && len(d.field.Names) > 0:
+			obj = d.pkg.Info.Defs[d.field.Names[0]]
 		}
-	}
-	// Any privacy directive not attached to an annotatable declaration is
-	// dead weight pretending to be protection — flag it.
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					if _, _, ok := parsePrivacyDirective(c.Text); ok && !consumed[c.Pos()] {
-						a.pass.Report(c.Pos(), "misplaced privacy annotation: //privacy: directives go in the doc comment of a function, struct field, or interface method", nil)
-					}
-				}
-			}
-		}
-	}
-}
-
-func (a *pf) collectFileAnnotations(pkg *Package, file *ast.File, consumed map[token.Pos]bool) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-				a.bindDirectives(d.Doc, nil, obj, false, consumed)
-			}
-		case *ast.StructType:
-			for _, field := range d.Fields.List {
-				a.bindFieldDirectives(pkg, field, true, consumed)
-			}
-		case *ast.InterfaceType:
-			for _, field := range d.Methods.List {
-				a.bindFieldDirectives(pkg, field, false, consumed)
-			}
-		}
-		return true
-	})
-}
-
-// bindFieldDirectives handles one struct field or interface method line.
-func (a *pf) bindFieldDirectives(pkg *Package, field *ast.Field, isStructField bool, consumed map[token.Pos]bool) {
-	if len(field.Names) == 0 {
-		// Embedded field or embedded interface: directives here have no
-		// single object to bind to; the misplaced sweep reports them.
-		return
-	}
-	obj := pkg.Info.Defs[field.Names[0]]
-	if obj == nil {
-		return
-	}
-	a.bindDirectives(field.Doc, field.Comment, obj, isStructField, consumed)
-}
-
-// bindDirectives parses the directives of one declaration's doc and line
-// comments and records the resulting annotation.
-func (a *pf) bindDirectives(doc, comment *ast.CommentGroup, obj types.Object, isStructField bool, consumed map[token.Pos]bool) {
-	for _, cg := range []*ast.CommentGroup{doc, comment} {
-		if cg == nil {
+		if obj == nil {
+			// Dead weight pretending to be protection — flag it.
+			a.pass.Report(d.pos, "misplaced privacy annotation: //privacy: directives go in the doc comment of a function, struct field, or interface method", nil)
 			continue
 		}
-		for _, c := range cg.List {
-			kind, desc, ok := parsePrivacyDirective(c.Text)
-			if !ok {
-				continue
-			}
-			consumed[c.Pos()] = true
-			a.bindOne(c.Pos(), kind, desc, obj, isStructField)
-		}
+		kind, desc, _ := strings.Cut(d.text, " ")
+		a.bindOne(d.pos, strings.TrimSpace(kind), strings.TrimSpace(desc), obj, d.field != nil && !d.iface)
 	}
 }
 
@@ -253,30 +179,11 @@ func (a *pf) bindOne(pos token.Pos, kind, desc string, obj types.Object, isStruc
 // ---- function registry, named types, sink resolution ----
 
 func (a *pf) collectFuncs() {
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				f := &pfFunc{
-					pkg:  pkg,
-					decl: fd,
-					obj:  obj,
-					name: funcDisplayName(obj),
-				}
-				f.inputObjs = collectInputs(pkg.Info, fd)
-				sig := obj.Type().(*types.Signature)
-				f.sum = &summary{results: make([]taintVal, sig.Results().Len())}
-				a.funcs[obj] = f
-				a.funcList = append(a.funcList, f)
-			}
-		}
+	for _, fn := range a.pass.Index.Funcs {
+		f := &pfFunc{Func: fn, inputObjs: collectInputs(fn.pkg.Info, fn.decl)}
+		f.sum = &summary{results: make([]taintVal, fn.obj.Type().(*types.Signature).Results().Len())}
+		a.funcs[fn.obj] = f
+		a.funcList = append(a.funcList, f)
 	}
 }
 
@@ -307,114 +214,37 @@ func collectInputs(info *types.Info, fd *ast.FuncDecl) []types.Object {
 	return out
 }
 
-// funcDisplayName renders "Recv.Method" or "pkg.Func" for findings.
-func funcDisplayName(obj *types.Func) string {
-	sig := obj.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + obj.Name()
-		}
-		return types.TypeString(t, func(*types.Package) string { return "" }) + "." + obj.Name()
+// implsOf returns the analysis state of the module implementations of an
+// interface method: the concrete methods interface dispatch can reach.
+func (a *pf) implsOf(m *types.Func) []*pfFunc {
+	impls := a.pass.Index.Impls(m)
+	out := make([]*pfFunc, len(impls))
+	for i, impl := range impls {
+		out[i] = a.funcs[impl.obj]
 	}
-	if obj.Pkg() != nil {
-		return obj.Pkg().Name() + "." + obj.Name()
-	}
-	return obj.Name()
-}
-
-func (a *pf) collectNamedTypes() {
-	for _, pkg := range a.pass.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() { // Names() is sorted: deterministic
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok {
-				a.namedTypes = append(a.namedTypes, named)
-			}
-		}
-	}
-}
-
-// isInterfaceMethod reports whether obj is declared on an interface.
-func isInterfaceMethod(obj *types.Func) bool {
-	sig, ok := obj.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
-}
-
-// resolveImpls finds the module implementations of an interface method:
-// the concrete methods interface dispatch can reach.
-func (a *pf) resolveImpls(m *types.Func) []*pfFunc {
-	if impls, ok := a.implCache[m]; ok {
-		return impls
-	}
-	var out []*pfFunc
-	sig := m.Type().(*types.Signature)
-	ifc, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if ok {
-		for _, named := range a.namedTypes {
-			if types.IsInterface(named) {
-				continue
-			}
-			if !types.Implements(named, ifc) && !types.Implements(types.NewPointer(named), ifc) {
-				continue
-			}
-			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, m.Pkg(), m.Name())
-			if fn, ok := obj.(*types.Func); ok {
-				if impl := a.funcs[fn]; impl != nil {
-					out = append(out, impl)
-				}
-			}
-		}
-	}
-	a.implCache[m] = out
 	return out
 }
 
 // resolveSinks marks directly annotated functions and every module
-// implementation of an annotated interface method as sinks.
+// implementation of an annotated interface method as sinks; where several
+// interface sinks reach one implementation, the first in directive order
+// wins.
 func (a *pf) resolveSinks() {
 	for _, f := range a.funcList {
 		if ann := a.anns[f.obj]; ann != nil && ann.kind == annSink {
 			f.sink = ann
 		}
 	}
-	// Deterministic sweep over interface-method sinks: use funcList order
-	// independence by iterating annotations through the package walk order
-	// captured in funcList? Interface methods have no body, so walk the
-	// annotation map via namedTypes is not possible — collect sorted.
-	var ifaceSinks []*pfAnnotation
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				it, ok := n.(*ast.InterfaceType)
-				if !ok {
-					return true
-				}
-				for _, field := range it.Methods.List {
-					if len(field.Names) == 0 {
-						continue
-					}
-					obj := pkg.Info.Defs[field.Names[0]]
-					if ann := a.anns[obj]; ann != nil && ann.kind == annSink {
-						ifaceSinks = append(ifaceSinks, ann)
-					}
-				}
-				return true
-			})
-		}
-	}
-	for _, ann := range ifaceSinks {
-		m, ok := ann.obj.(*types.Func)
-		if !ok {
+	for _, d := range a.pass.Index.Directives("//privacy:") {
+		if !d.iface || len(d.field.Names) == 0 {
 			continue
 		}
-		for _, impl := range a.resolveImpls(m) {
+		m, _ := d.pkg.Info.Defs[d.field.Names[0]].(*types.Func)
+		ann := a.anns[m]
+		if m == nil || ann == nil || ann.kind != annSink {
+			continue
+		}
+		for _, impl := range a.implsOf(m) {
 			if impl.sink == nil {
 				impl.sink = ann
 			}

@@ -623,7 +623,7 @@ func (in *interp) evalCall(call *ast.CallExpr) []taintVal {
 	if tv, ok := in.info.Types[call.Fun]; ok && tv.IsType() {
 		return []taintVal{in.evalExprList(call.Args)}
 	}
-	callee := in.calleeObj(call)
+	callee := calleeObject(in.info, call)
 	if b, ok := callee.(*types.Builtin); ok {
 		return in.evalBuiltin(b, call, nres)
 	}
@@ -652,25 +652,6 @@ func (in *interp) evalCall(call *ast.CallExpr) []taintVal {
 		}
 	}
 	return in.evalUnknownCall(call, nres)
-}
-
-// calleeObj resolves the called object, unwrapping generic instantiations
-// (wireCall[R](...)) down to the generic function object.
-func (in *interp) calleeObj(call *ast.CallExpr) types.Object {
-	fun := ast.Unparen(call.Fun)
-	switch idx := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(idx.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(idx.X)
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		return in.info.Uses[f]
-	case *ast.SelectorExpr:
-		return in.info.Uses[f.Sel]
-	}
-	return nil
 }
 
 // evalRecv evaluates a method call's receiver expression for effects.
@@ -744,7 +725,7 @@ func (in *interp) operandTaints(call *ast.CallExpr, target *pfFunc) []taintVal {
 // module implementations; with none known, it degrades to the conservative
 // unknown-call rule.
 func (in *interp) evalIfaceCall(call *ast.CallExpr, m *types.Func, nres int) []taintVal {
-	impls := in.a.resolveImpls(m)
+	impls := in.a.implsOf(m)
 	if len(impls) == 0 {
 		return in.evalUnknownCall(call, nres)
 	}

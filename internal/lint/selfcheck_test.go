@@ -3,10 +3,10 @@ package lint
 import "testing"
 
 // TestModuleIsLintClean runs every analyzer over the whole module — the
-// same sweep ci.sh performs via cmd/gtv-lint — so a violation introduced
-// anywhere in the tree fails `go test ./internal/lint/...` without
-// needing the CI script. Skipped under -short: it type-checks the entire
-// module.
+// same Run over the same load that ci.sh performs via cmd/gtv-lint — so a
+// violation introduced anywhere in the tree fails `go test
+// ./internal/lint/...` without needing the CI script. Skipped under
+// -short: it type-checks the entire module.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module lint sweep in short mode")
@@ -19,7 +19,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(pkgs, Analyzers())
+	findings, _ := Run(pkgs, Analyzers())
 	Relativize(findings, loader.ModuleRoot)
 	for _, f := range findings {
 		t.Errorf("%s", f)
@@ -46,7 +46,7 @@ func TestShapeFlowProvesModuleOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, stats := RunModuleRule(pkgs, AnalyzerShapeFlow)
+	findings, stats := Run(pkgs, []*Analyzer{AnalyzerShapeFlow})
 	Relativize(findings, loader.ModuleRoot)
 	for _, f := range findings {
 		t.Errorf("%s", f)

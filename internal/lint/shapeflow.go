@@ -42,9 +42,9 @@ import (
 // annotated interface method must carry one, so deleting a boundary
 // annotation is itself a finding.
 var AnalyzerShapeFlow = &Analyzer{
-	Name:      "shapeflow",
-	Doc:       "interprocedural symbolic tensor shape checking (//shape: annotations)",
-	RunModule: runShapeFlow,
+	Name: "shapeflow",
+	Doc:  "interprocedural symbolic tensor shape checking (//shape: annotations)",
+	Run:  runShapeFlow,
 }
 
 // shapePkgs are the package-path suffixes whose exported shape-bearing
@@ -157,13 +157,6 @@ func shapeSlots(tuple *types.Tuple, variadic bool) (kinds []int, vars []*types.V
 }
 
 // ---- parsing ----
-
-// parseShapeDirective splits a "//shape: ..." comment into its clause
-// text. ok is false when the comment is not a shape directive at all.
-func parseShapeDirective(text string) (rest string, ok bool) {
-	rest, ok = strings.CutPrefix(text, "//shape:")
-	return strings.TrimSpace(rest), ok
-}
 
 // parseShapeClauses parses the directive body. A body starting with "("
 // is the field form (one bare clause); otherwise it is a sequence of
@@ -278,14 +271,12 @@ func isDimName(s string) bool {
 
 // ---- whole-module state ----
 
-// sfFunc is one module function under analysis.
+// sfFunc is one module function under analysis: the index's declaration
+// plus its contract and summary.
 type sfFunc struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-	obj  *types.Func
-	name string
-	ann  *sfAnn
-	sum  *sfSummary
+	*Func
+	ann *sfAnn
+	sum *sfSummary
 	// sumState: 0 fresh, 1 in progress (recursion guard), 2 done.
 	sumState int
 }
@@ -357,7 +348,7 @@ type opStat struct {
 
 // sf is the whole-module analysis state.
 type sf struct {
-	pass *ModulePass
+	pass *Pass
 	fset *token.FileSet
 
 	anns      map[types.Object]*sfAnn      // functions and interface methods
@@ -365,18 +356,14 @@ type sf struct {
 	// fieldNames maps a named type to the symbolic names its field
 	// annotations use — the object-scoped part of its methods' contracts.
 	fieldNames map[*types.TypeName]map[string]bool
-	// fieldsOf lists a named type's annotated fields (for method bodies).
-	funcs    map[*types.Func]*sfFunc
-	funcList []*sfFunc
-
-	namedTypes []*types.Named
-	implCache  map[*types.Func][]*sfFunc
+	funcs      map[*types.Func]*sfFunc
+	funcList   []*sfFunc
 
 	ops      map[token.Pos]*opStat
 	reported map[string]bool
 }
 
-func runShapeFlow(p *ModulePass) {
+func runShapeFlow(p *Pass) {
 	a := &sf{
 		pass:       p,
 		fset:       p.Fset(),
@@ -384,13 +371,15 @@ func runShapeFlow(p *ModulePass) {
 		fieldAnns:  make(map[types.Object]*sfFieldAnn),
 		fieldNames: make(map[*types.TypeName]map[string]bool),
 		funcs:      make(map[*types.Func]*sfFunc),
-		implCache:  make(map[*types.Func][]*sfFunc),
 		ops:        make(map[token.Pos]*opStat),
 		reported:   make(map[string]bool),
 	}
 	a.collectAnnotations()
-	a.collectFuncs()
-	a.collectNamedTypes()
+	for _, fn := range p.Index.Funcs {
+		f := &sfFunc{Func: fn, ann: a.anns[fn.obj]}
+		a.funcs[fn.obj] = f
+		a.funcList = append(a.funcList, f)
+	}
 	a.checkObligations()
 
 	for _, f := range a.funcList {
@@ -459,94 +448,48 @@ func (a *sf) noteOp(pos token.Pos, res unifyResult) {
 
 // ---- annotation collection ----
 
+// collectAnnotations binds every //shape: directive to the function,
+// interface method or struct field it documents. One attached to anything
+// else is a contract that binds nothing — flag it.
 func (a *sf) collectAnnotations() {
-	consumed := make(map[token.Pos]bool)
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			a.collectFileAnnotations(pkg, file, consumed)
+	for _, d := range a.pass.Index.Directives("//shape:") {
+		var name *ast.Ident
+		switch {
+		case d.fn != nil:
+			name = d.fn.Name
+		case d.iface && len(d.field.Names) > 0:
+			name = d.field.Names[0]
 		}
-	}
-	// A //shape: directive not attached to an annotatable declaration is a
-	// contract that binds nothing — flag it.
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					if _, ok := parseShapeDirective(c.Text); ok && !consumed[c.Pos()] {
-						a.pass.Report(c.Pos(), "misplaced shape annotation: //shape: goes in the doc comment of a function, interface method, or tensor struct field", nil)
-					}
-				}
-			}
-		}
-	}
-}
-
-func (a *sf) collectFileAnnotations(pkg *Package, file *ast.File, consumed map[token.Pos]bool) {
-	for _, decl := range file.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-				a.bindFuncDirectives(pkg, d.Doc, nil, obj, consumed)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-				switch tt := ts.Type.(type) {
-				case *ast.StructType:
-					for _, field := range tt.Fields.List {
-						a.bindFieldDirective(pkg, tn, field, consumed)
-					}
-				case *ast.InterfaceType:
-					for _, m := range tt.Methods.List {
-						if len(m.Names) == 0 {
-							continue
-						}
-						if obj, ok := pkg.Info.Defs[m.Names[0]].(*types.Func); ok {
-							a.bindFuncDirectives(pkg, m.Doc, m.Comment, obj, consumed)
-						}
-					}
-				}
-			}
+		switch obj, _ := d.pkg.Info.Defs[name].(*types.Func); {
+		case obj != nil:
+			a.bindFuncDirective(d, obj)
+		case d.field != nil && !d.iface:
+			a.bindFieldDirective(d)
+		default:
+			a.pass.Report(d.pos, "misplaced shape annotation: //shape: goes in the doc comment of a function, interface method, or tensor struct field", nil)
 		}
 	}
 }
 
-// bindFuncDirectives parses the function-form directive on one function
+// bindFuncDirective parses the function-form directive on one function
 // or interface method and validates clause arity against the signature.
-func (a *sf) bindFuncDirectives(pkg *Package, doc, comment *ast.CommentGroup, obj *types.Func, consumed map[token.Pos]bool) {
-	for _, cg := range []*ast.CommentGroup{doc, comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			body, ok := parseShapeDirective(c.Text)
-			if !ok {
-				continue
-			}
-			consumed[c.Pos()] = true
-			ins, outs, field, err := parseShapeClauses(body)
-			if err != nil {
-				a.pass.Report(c.Pos(), "malformed shape annotation: "+err.Error(), nil)
-				continue
-			}
-			if field != nil {
-				a.pass.Report(c.Pos(), "shape annotation on a function must use in(...)/out(...) clauses, not a bare field clause", nil)
-				continue
-			}
-			if prev := a.anns[obj]; prev != nil {
-				a.pass.Report(c.Pos(), fmt.Sprintf("duplicate shape annotation on %s (already declared at %s)", obj.Name(), prev.pos), nil)
-				continue
-			}
-			ann := &sfAnn{ins: ins, outs: outs, pos: a.fset.Position(c.Pos())}
-			if !a.checkAnnArity(c.Pos(), obj, ann) {
-				continue
-			}
-			a.anns[obj] = ann
-		}
+func (a *sf) bindFuncDirective(d Directive, obj *types.Func) {
+	ins, outs, field, err := parseShapeClauses(d.text)
+	if err != nil {
+		a.pass.Report(d.pos, "malformed shape annotation: "+err.Error(), nil)
+		return
+	}
+	if field != nil {
+		a.pass.Report(d.pos, "shape annotation on a function must use in(...)/out(...) clauses, not a bare field clause", nil)
+		return
+	}
+	if prev := a.anns[obj]; prev != nil {
+		a.pass.Report(d.pos, fmt.Sprintf("duplicate shape annotation on %s (already declared at %s)", obj.Name(), prev.pos), nil)
+		return
+	}
+	ann := &sfAnn{ins: ins, outs: outs, pos: a.fset.Position(d.pos)}
+	if a.checkAnnArity(d.pos, obj, ann) {
+		a.anns[obj] = ann
 	}
 }
 
@@ -591,121 +534,44 @@ func slotDims(kind int) int {
 }
 
 // bindFieldDirective parses the field-form directive on one struct field.
-func (a *sf) bindFieldDirective(pkg *Package, owner *types.TypeName, field *ast.Field, consumed map[token.Pos]bool) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
+func (a *sf) bindFieldDirective(d Directive) {
+	_, _, fc, err := parseShapeClauses(d.text)
+	if err != nil {
+		a.pass.Report(d.pos, "malformed shape annotation: "+err.Error(), nil)
+		return
+	}
+	if fc == nil {
+		a.pass.Report(d.pos, "shape annotation on a struct field must be a single (R,C) clause", nil)
+		return
+	}
+	if len(d.field.Names) == 0 {
+		a.pass.Report(d.pos, "shape annotation cannot attach to an embedded field", nil)
+		return
+	}
+	fa := &sfFieldAnn{dims: [2]sfDimSpec{fc.dims[0], fc.dims[1]}, pos: a.fset.Position(d.pos)}
+	for _, name := range d.field.Names {
+		obj := d.pkg.Info.Defs[name]
+		if obj == nil {
 			continue
 		}
-		for _, c := range cg.List {
-			body, ok := parseShapeDirective(c.Text)
-			if !ok {
-				continue
+		if !isMatrixType(obj.Type()) {
+			a.pass.Report(d.pos, fmt.Sprintf("shape annotation on %s, which is not a tensor-typed field", name.Name), nil)
+			continue
+		}
+		a.fieldAnns[obj] = fa
+		if d.owner != nil {
+			ns := a.fieldNames[d.owner]
+			if ns == nil {
+				ns = make(map[string]bool)
+				a.fieldNames[d.owner] = ns
 			}
-			consumed[c.Pos()] = true
-			_, _, fc, err := parseShapeClauses(body)
-			if err != nil {
-				a.pass.Report(c.Pos(), "malformed shape annotation: "+err.Error(), nil)
-				continue
-			}
-			if fc == nil {
-				a.pass.Report(c.Pos(), "shape annotation on a struct field must be a single (R,C) clause", nil)
-				continue
-			}
-			if len(field.Names) == 0 {
-				a.pass.Report(c.Pos(), "shape annotation cannot attach to an embedded field", nil)
-				continue
-			}
-			fa := &sfFieldAnn{dims: [2]sfDimSpec{fc.dims[0], fc.dims[1]}, pos: a.fset.Position(c.Pos())}
-			for _, name := range field.Names {
-				obj := pkg.Info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if !isMatrixType(obj.Type()) {
-					a.pass.Report(c.Pos(), fmt.Sprintf("shape annotation on %s, which is not a tensor-typed field", name.Name), nil)
-					continue
-				}
-				a.fieldAnns[obj] = fa
-				if owner != nil {
-					ns := a.fieldNames[owner]
-					if ns == nil {
-						ns = make(map[string]bool)
-						a.fieldNames[owner] = ns
-					}
-					for _, d := range fc.dims {
-						for _, n := range d.names {
-							ns[n] = true
-						}
-					}
+			for _, dim := range fc.dims {
+				for _, n := range dim.names {
+					ns[n] = true
 				}
 			}
 		}
 	}
-}
-
-// ---- function registry, named types ----
-
-func (a *sf) collectFuncs() {
-	for _, pkg := range a.pass.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				f := &sfFunc{pkg: pkg, decl: fd, obj: obj, name: funcDisplayName(obj), ann: a.anns[obj]}
-				a.funcs[obj] = f
-				a.funcList = append(a.funcList, f)
-			}
-		}
-	}
-}
-
-func (a *sf) collectNamedTypes() {
-	for _, pkg := range a.pass.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() { // sorted: deterministic
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok {
-				a.namedTypes = append(a.namedTypes, named)
-			}
-		}
-	}
-}
-
-// resolveImpls finds the module implementations of an interface method.
-func (a *sf) resolveImpls(m *types.Func) []*sfFunc {
-	if impls, ok := a.implCache[m]; ok {
-		return impls
-	}
-	var out []*sfFunc
-	sig := m.Type().(*types.Signature)
-	ifc, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if ok {
-		for _, named := range a.namedTypes {
-			if types.IsInterface(named) {
-				continue
-			}
-			if !types.Implements(named, ifc) && !types.Implements(types.NewPointer(named), ifc) {
-				continue
-			}
-			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, m.Pkg(), m.Name())
-			if fn, ok := obj.(*types.Func); ok {
-				if impl := a.funcs[fn]; impl != nil {
-					out = append(out, impl)
-				}
-			}
-		}
-	}
-	a.implCache[m] = out
-	return out
 }
 
 // recvBaseTypeName returns the *types.TypeName of a method's receiver base
@@ -855,7 +721,7 @@ func (a *sf) annotatedIfaceMethod(obj *types.Func) *types.Func {
 		if !ok || !isInterfaceMethod(m) || m.Name() != obj.Name() {
 			continue
 		}
-		for _, impl := range a.resolveImpls(m) {
+		for _, impl := range a.pass.Index.Impls(m) {
 			if impl.obj == obj {
 				return m
 			}

@@ -10,7 +10,7 @@ import (
 
 // Abstract values the shapeflow interpreter tracks per variable.
 const (
-	vTop = iota
+	vTop  = iota
 	vMat  // a *tensor.Dense / *autograd.Value with symbolic (rows, cols)
 	vInt  // an int holding a dimension
 	vList // a []*Dense / []*Value with known element shapes
@@ -725,21 +725,13 @@ func (in *sfInterp) evalSelector(ex *ast.SelectorExpr) sfVal {
 		ns = &sfNS{m: make(map[string]sfDim)}
 		in.objNS[root] = ns
 	}
-	origin := PathHop{Func: funcDisplayName2(sel.Obj()) + " //shape:", Pos: fa.pos}
+	origin := PathHop{Func: objDisplayName(sel.Obj()) + " //shape:", Pos: fa.pos}
 	look := func(name string) sfDim { return in.nsGet(ns, name, origin) }
 	saved := in.annHop
 	in.annHop = origin
 	v := matVal(in.specDim(fa.dims[0], look), in.specDim(fa.dims[1], look))
 	in.annHop = saved
 	return v
-}
-
-// funcDisplayName2 renders "Type.Field" for a field object.
-func funcDisplayName2(obj types.Object) string {
-	if obj.Pkg() != nil {
-		return obj.Pkg().Name() + "." + obj.Name()
-	}
-	return obj.Name()
 }
 
 // rootObject unwraps a receiver/base expression to its variable, the key

@@ -20,9 +20,9 @@ import (
 // package (nn.AdamState is encoded by nn but embedded in gan and vfl
 // snapshots).
 var AnalyzerSnapState = &Analyzer{
-	Name:      "snapstate",
-	Doc:       "every field of a //snap:state struct must be encoded and decoded, or annotated //snap:skip <reason>",
-	RunModule: runSnapState,
+	Name: "snapstate",
+	Doc:  "every field of a //snap:state struct must be encoded and decoded, or annotated //snap:skip <reason>",
+	Run:  runSnapState,
 }
 
 // snapField tracks one field of a //snap:state struct across the scan.
@@ -37,7 +37,7 @@ type snapField struct {
 // provides.
 type snapCtx struct{ enc, dec bool }
 
-func runSnapState(p *ModulePass) {
+func runSnapState(p *Pass) {
 	fields, byObj := collectSnapStateFields(p)
 	if len(fields) == 0 {
 		return
@@ -158,9 +158,15 @@ func funcTypeCtx(info *types.Info, ft *ast.FuncType) snapCtx {
 // struct in the module, honoring //snap:skip annotations. Fields are
 // returned in declaration order (reporting must not depend on map
 // iteration), with a lookup map keyed by the shared field objects.
-func collectSnapStateFields(p *ModulePass) ([]*snapField, map[types.Object]*snapField) {
+func collectSnapStateFields(p *Pass) ([]*snapField, map[types.Object]*snapField) {
 	var fields []*snapField
 	byObj := make(map[types.Object]*snapField)
+	skips := make(map[*ast.Field]Directive) // a field's first //snap:skip
+	for _, d := range p.Index.Directives("//snap:skip") {
+		if _, dup := skips[d.field]; d.field != nil && !dup {
+			skips[d.field] = d
+		}
+	}
 	for _, pkg := range p.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -178,12 +184,10 @@ func collectSnapStateFields(p *ModulePass) ([]*snapField, map[types.Object]*snap
 						continue
 					}
 					for _, field := range st.Fields.List {
-						skip, bad := snapSkipReason(field)
-						if bad != token.NoPos {
-							p.Report(bad, "//snap:skip needs a reason: what keeps this field off the snapshot?", nil)
-							continue
-						}
-						if skip {
+						if skip, ok := skips[field]; ok {
+							if strings.TrimSpace(skip.text) == "" {
+								p.Report(skip.pos, "//snap:skip needs a reason: what keeps this field off the snapshot?", nil)
+							}
 							continue
 						}
 						for _, name := range field.Names {
@@ -216,26 +220,4 @@ func hasDirective(cg *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-// snapSkipReason scans a field's doc and trailing comments for a
-// //snap:skip annotation. skip reports a well-formed annotation; bad is
-// the position of one lacking a reason (token.NoPos otherwise).
-func snapSkipReason(field *ast.Field) (skip bool, bad token.Pos) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, "//snap:skip")
-			if !ok {
-				continue
-			}
-			if strings.TrimSpace(rest) == "" {
-				return false, c.Pos()
-			}
-			return true, token.NoPos
-		}
-	}
-	return false, token.NoPos
 }

@@ -19,7 +19,7 @@ import (
 var AnalyzerTapeLifetime = &Analyzer{
 	Name: "tapelifetime",
 	Doc:  "pooled tensors and autograd tapes must be Released (or escape) in the acquiring function",
-	Run:  runTapeLifetime,
+	Run:  perPackage(runTapeLifetime),
 }
 
 // acquisition is one tracked pooled value or tape inside a function.
@@ -30,22 +30,19 @@ type acquisition struct {
 	tape bool   // tapes only count once Track is called on them
 }
 
-func runTapeLifetime(p *Pass) {
-	info := p.Pkg.Info
-	for _, file := range p.Pkg.Files {
+func runTapeLifetime(p *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkFuncLifetimes(p, fn)
+			checkFuncLifetimes(p, pkg.Info, fn)
 		}
 	}
-	_ = info
 }
 
-func checkFuncLifetimes(p *Pass, fn *ast.FuncDecl) {
-	info := p.Pkg.Info
+func checkFuncLifetimes(p *Pass, info *types.Info, fn *ast.FuncDecl) {
 	var acqs []*acquisition
 
 	// Pass 1: collect acquisitions bound to plain local identifiers.

@@ -8,11 +8,8 @@ import (
 	"time"
 )
 
-// Timings accumulates per-rule wall time across a run. A rule served
-// entirely from the findings cache never executes, so its time stays at
-// zero — which is exactly what makes a cache regression visible in the
-// -timing output: a warm run showing real analysis time means the cache
-// stopped hitting.
+// Timings accumulates per-rule wall time across a run: the -timing cost
+// table, which says where an analysis run spends its time.
 type Timings struct {
 	mu    sync.Mutex
 	names []string // instrumentation order, for deterministic iteration
@@ -21,8 +18,8 @@ type Timings struct {
 
 // Instrument wraps each analyzer so every execution accumulates wall time
 // into the returned Timings. Names and docs are unchanged, so suppression
-// matching, rule filtering, and cache salting behave identically to the
-// unwrapped analyzers.
+// matching and rule filtering behave identically to the unwrapped
+// analyzers.
 func Instrument(analyzers []*Analyzer) ([]*Analyzer, *Timings) {
 	tm := &Timings{spent: make(map[string]time.Duration)}
 	out := make([]*Analyzer, len(analyzers))
@@ -30,22 +27,11 @@ func Instrument(analyzers []*Analyzer) ([]*Analyzer, *Timings) {
 		a := a
 		tm.names = append(tm.names, a.Name)
 		tm.spent[a.Name] = 0
-		w := &Analyzer{Name: a.Name, Doc: a.Doc}
-		if a.Run != nil {
-			w.Run = func(p *Pass) {
-				start := time.Now()
-				a.Run(p)
-				tm.add(a.Name, time.Since(start))
-			}
-		}
-		if a.RunModule != nil {
-			w.RunModule = func(p *ModulePass) {
-				start := time.Now()
-				a.RunModule(p)
-				tm.add(a.Name, time.Since(start))
-			}
-		}
-		out[i] = w
+		out[i] = &Analyzer{Name: a.Name, Doc: a.Doc, Run: func(p *Pass) {
+			start := time.Now()
+			a.Run(p)
+			tm.add(a.Name, time.Since(start))
+		}}
 	}
 	return out, tm
 }

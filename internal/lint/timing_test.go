@@ -7,15 +7,14 @@ import (
 )
 
 // TestInstrument pins the -timing contract: wrappers keep names and docs
-// (so suppression matching, -rules filtering, and cache salting see the
-// same analyzer set), executed rules accumulate nonzero time, and rules
-// that never run — the cache-hit case — stay at exactly zero in both the
-// summary and the JSON map.
+// (so suppression matching and -only filtering see the same analyzer
+// set), executed rules accumulate nonzero time, and rules that never run
+// stay at exactly zero in both the summary and the JSON map.
 func TestInstrument(t *testing.T) {
 	ran := &Analyzer{Name: "ran", Doc: "runs and sleeps", Run: func(p *Pass) {
 		time.Sleep(2 * time.Millisecond)
 	}}
-	cached := &Analyzer{Name: "cached", Doc: "never executes", RunModule: func(p *ModulePass) {}}
+	cached := &Analyzer{Name: "cached", Doc: "never executes", Run: func(p *Pass) {}}
 	wrapped, tm := Instrument([]*Analyzer{ran, cached})
 	if len(wrapped) != 2 {
 		t.Fatalf("wrapped %d analyzers, want 2", len(wrapped))
@@ -25,12 +24,11 @@ func TestInstrument(t *testing.T) {
 			t.Errorf("wrapper %d changed identity: %q/%q", i, wrapped[i].Name, wrapped[i].Doc)
 		}
 	}
-	if wrapped[0].Run == nil || wrapped[1].RunModule == nil {
+	if wrapped[0].Run == nil || wrapped[1].Run == nil {
 		t.Fatal("wrappers dropped the run functions")
 	}
 
-	// Execute only the first analyzer, simulating the second being served
-	// from the findings cache.
+	// Execute only the first analyzer.
 	wrapped[0].Run(nil)
 
 	ms := tm.Milliseconds()
@@ -50,7 +48,7 @@ func TestInstrument(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
-	// Slowest first: the executed rule must be listed before the cached one.
+	// Slowest first: the executed rule must be listed before the idle one.
 	if strings.Index(sum, "ran") > strings.Index(sum, "cached") {
 		t.Errorf("summary not sorted slowest-first:\n%s", sum)
 	}
