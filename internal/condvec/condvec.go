@@ -34,7 +34,7 @@ type Choice struct {
 type Batch struct {
 	// CV is batch x Width, one one-hot condition per row.
 	//
-	//shape: (N,W)
+	//shape:(N,W)
 	CV *tensor.Dense
 	// Rows holds, per CV, the index of a real training row matching the
 	// condition (the idx_p the selected client shares with the server).

@@ -21,7 +21,7 @@ type Backing interface {
 	// The caller owns the result and must Release it when the training
 	// step is done with it.
 	//
-	//shape: out(N,W)
+	//shape:out(N,W)
 	GatherRows(idx []int) (*tensor.Dense, error)
 	// Dense returns the full encoded matrix with row p placed at row
 	// pos[p]; a nil pos keeps the backing's own order. Trainers that keep
@@ -32,7 +32,7 @@ type Backing interface {
 	// result: only the in-memory backing asked for its own order returns
 	// its resident matrix, everything else is a pooled copy.
 	//
-	//shape: out(R,W)
+	//shape:out(R,W)
 	Dense(pos []int32) (m *tensor.Dense, owned bool, err error)
 	// Shuffle re-orders the backing's own rows so that new row k holds old
 	// row perm[k]. Training does not call it — training-with-shuffling is
@@ -53,7 +53,7 @@ type DenseBacking struct {
 
 // NewDenseBacking wraps an encoded matrix.
 //
-//shape: in(N,W)
+//shape:in(N,W)
 func NewDenseBacking(m *tensor.Dense) *DenseBacking { return &DenseBacking{m: m} }
 
 // Rows implements Backing.
@@ -64,7 +64,7 @@ func (b *DenseBacking) Width() int { return b.m.Cols() }
 
 // GatherRows implements Backing. The result comes from the tensor pool.
 //
-//shape: out(N,W)
+//shape:out(N,W)
 func (b *DenseBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 	return b.m.GatherRows(idx), nil
 }
@@ -72,7 +72,7 @@ func (b *DenseBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 // Dense implements Backing: the resident matrix, not owned by the caller,
 // or a pooled copy re-ordered by pos.
 //
-//shape: out(R,W)
+//shape:out(R,W)
 func (b *DenseBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 	if pos == nil {
 		return b.m, false, nil

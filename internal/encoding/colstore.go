@@ -265,7 +265,7 @@ func (b *colBacking) Width() int { return b.r.Cols() }
 // GatherRows implements Backing: the batch is gathered straight from
 // cached compact blocks into a pooled matrix the caller must Release.
 //
-//shape: out(N,W)
+//shape:out(N,W)
 func (b *colBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 	if cap(b.idxBuf) < len(idx) {
 		b.idxBuf = make([]int32, len(idx))
@@ -294,7 +294,7 @@ func (b *colBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 // them. This is the memory-heavy escape hatch the faithful real pass
 // needs; batched training never calls it.
 //
-//shape: out(R,W)
+//shape:out(R,W)
 func (b *colBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 	rows, cols := b.r.Rows(), b.r.Cols()
 	if pos != nil && len(pos) != rows {

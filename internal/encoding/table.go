@@ -86,7 +86,7 @@ func (s *ColumnSpec) Validate() error {
 // operations that need the whole matrix resident.
 type Table struct {
 	Specs []ColumnSpec
-	//shape: (R,C)
+	//shape:(R,C)
 	Data *tensor.Dense
 	// src serves a stored table's cells straight from its gtvcol file;
 	// Data is nil in that case.
@@ -95,7 +95,7 @@ type Table struct {
 
 // NewTable validates and wraps specs+data into a Table.
 //
-//shape: in(R,C)
+//shape:in(R,C)
 func NewTable(specs []ColumnSpec, data *tensor.Dense) (*Table, error) {
 	if data.Cols() != len(specs) {
 		return nil, fmt.Errorf("encoding: %d specs for %d data columns", len(specs), data.Cols())

@@ -185,7 +185,7 @@ func (tr *Transformer) Specs() []ColumnSpec { return tr.specs }
 // mode-specific normalization (CTGAN samples the mode rather than taking
 // the argmax).
 //
-//shape: out(R,W)
+//shape:out(R,W)
 func (tr *Transformer) Transform(rng *rand.Rand, t *Table) (*tensor.Dense, error) {
 	if len(t.Specs) != len(tr.specs) {
 		return nil, fmt.Errorf("encoding: table has %d columns, transformer fitted on %d", len(t.Specs), len(tr.specs))
@@ -262,7 +262,7 @@ func (tr *Transformer) encodeRow(rng *rand.Rand, i int, row, dst, scratch []floa
 // One-hot groups are decoded by argmax; scalar offsets are clipped to
 // [-1, 1] before denormalization.
 //
-//shape: in(R,W)
+//shape:in(R,W)
 func (tr *Transformer) Inverse(enc *tensor.Dense) (*Table, error) {
 	if enc.Cols() != tr.width {
 		return nil, fmt.Errorf("encoding: matrix width %d, transformer width %d", enc.Cols(), tr.width)

@@ -32,7 +32,7 @@ const GradientPenaltyWeight = 10.0
 // training (soft, differentiable samples) and hard=true at synthesis time
 // (the decoded table argmaxes anyway, so hard sampling just sharpens).
 //
-//shape: in(B,W) out(B,W)
+//shape:in(B,W) out(B,W)
 func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard bool) *ag.Value {
 	_, cols := raw.Shape()
 	parts := make([]*ag.Value, 0, len(spans))
@@ -91,7 +91,7 @@ func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 // catSpans.
 //
 //privacy:sanitizer batch-aggregated conditioning cross-entropy
-//shape: in(B,W) out(1,1)
+//shape:in(B,W) out(1,1)
 func ConditionLoss(rawOut *ag.Value, catSpans []encoding.Span, choices []condvec.Choice) *ag.Value {
 	// Group rows by conditioned span so each span costs one graph slice.
 	rowsBySpan := make(map[int][]int)
@@ -133,7 +133,7 @@ func ConditionLoss(rawOut *ag.Value, catSpans []encoding.Span, choices []condvec
 // mean(D(fake)) - mean(D(real)). The two score batches may have
 // different row counts (PacGAN packing divides them independently).
 //
-//shape: in(Bf,K) in(Br,K2) out(1,1)
+//shape:in(Bf,K) in(Br,K2) out(1,1)
 func CriticLoss(fakeScores, realScores *ag.Value) *ag.Value {
 	return ag.Sub(ag.MeanAll(fakeScores), ag.MeanAll(realScores))
 }
@@ -141,7 +141,7 @@ func CriticLoss(fakeScores, realScores *ag.Value) *ag.Value {
 // GeneratorLoss is the Wasserstein generator loss to minimize:
 // -mean(D(fake)).
 //
-//shape: in(B,K) out(1,1)
+//shape:in(B,K) out(1,1)
 func GeneratorLoss(fakeScores *ag.Value) *ag.Value {
 	return ag.Neg(ag.MeanAll(fakeScores))
 }
@@ -155,7 +155,7 @@ func GeneratorLoss(fakeScores *ag.Value) *ag.Value {
 // value is differentiable with respect to the critic's parameters thanks to
 // the autograd engine's higher-order gradients.
 //
-//shape: in(B,C) in(B,C) out(1,1)
+//shape:in(B,C) in(B,C) out(1,1)
 func GradientPenalty(rng *rand.Rand, realIn, fakeIn *tensor.Dense, critic func(*ag.Value) *ag.Value) *ag.Value {
 	x := ag.Var(interpolate(rng, realIn, fakeIn))
 	scores := critic(x)
@@ -170,7 +170,7 @@ func GradientPenalty(rng *rand.Rand, realIn, fakeIn *tensor.Dense, critic func(*
 // which no tape releases, so it is the one buffer built here and it is not
 // taken from the pool.
 //
-//shape: in(B,C) in(B,C) out(B,C)
+//shape:in(B,C) in(B,C) out(B,C)
 func interpolate(rng *rand.Rand, realIn, fakeIn *tensor.Dense) *tensor.Dense {
 	rows, cols := realIn.Shape()
 	if fr, fc := fakeIn.Shape(); fr != rows || fc != cols {
@@ -219,7 +219,7 @@ func NewDiscriminator(rng *rand.Rand, inDim, blockDim, nBlocks int) *nn.Sequenti
 
 // SampleNoise draws a batch of standard-normal noise rows.
 //
-//shape: in(B) in(D) out(B,D)
+//shape:in(B) in(D) out(B,D)
 func SampleNoise(rng *rand.Rand, batch, dim int) *tensor.Dense {
 	return tensor.Randn(rng, batch, dim, 0, 1)
 }

@@ -254,6 +254,37 @@ func TestShapeFlowAnnotationErrors(t *testing.T) {
 	}
 }
 
+// TestShapeFlowRejectsSpacedDirective: gofmt rewrites "//shape: in(...)"
+// into the plain comment "// shape: in(...)", so only the spelling without
+// a space is a directive, and the spaced one is a finding instead of a
+// contract that silently stops binding.
+func TestShapeFlowRejectsSpacedDirective(t *testing.T) {
+	for directive, want := range map[string]int{"//shape:in(R,C) out(R,C)": 0, "//shape: in(R,C) out(R,C)": 1} {
+		root := t.TempDir()
+		writeTree(t, root, map[string]string{
+			"go.mod":               "module example.com/m\n\ngo 1.21\n",
+			"internal/tensor/t.go": "package tensor\n\ntype Dense struct{}\n",
+			"m.go": "package m\n\nimport \"example.com/m/internal/tensor\"\n\n// Id returns x.\n//\n" +
+				directive + "\nfunc Id(x *tensor.Dense) *tensor.Dense { return x }\n",
+		})
+		loader, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.LoadModule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings, stats := Run(pkgs, []*Analyzer{AnalyzerShapeFlow})
+		if len(findings) != want || (want == 1 && !strings.Contains(findings[0].Msg, "space after")) {
+			t.Errorf("%q: findings %v, want %d about the space", directive, findings, want)
+		}
+		if got := stats["shapeflow.shape_annotations"]; got != 1-want {
+			t.Errorf("%q: %d annotations bound, want %d", directive, got, 1-want)
+		}
+	}
+}
+
 // TestShapeFlowPaths checks that an interprocedural shape finding
 // carries the call chain: the Chain fixture violates a MatMul inner-dim
 // equation exported from helperMM's summary, so the finding must hop

@@ -13,13 +13,13 @@ import (
 // proves the runtime shape guards of internal/tensor unreachable on the
 // paths it can see. The vocabulary is one comment directive:
 //
-//	//shape: in(B,Din) in(Din,Dout) out(B,Dout)  — on a function or
+//	//shape:in(B,Din) in(Din,Dout) out(B,Dout)  — on a function or
 //	    interface method: clauses map positionally over the shape-bearing
 //	    parameters and results (a *tensor.Dense or *autograd.Value slot
 //	    takes a 2-dim clause, a plain int slot a 1-dim clause; other types
 //	    are skipped). Dims are symbolic names, integer constants, "_"
 //	    (unconstrained), or sums (D1+D2).
-//	//shape: (R,C)  — on a tensor-typed struct field. Field and method
+//	//shape:(R,C)  — on a tensor-typed struct field. Field and method
 //	    annotations of one type share a namespace, so Linear's W(In,Out)
 //	    pins the same In/Out its Forward contract names.
 //
@@ -164,7 +164,7 @@ func shapeSlots(tuple *types.Tuple, variadic bool) (kinds []int, vars []*types.V
 func parseShapeClauses(body string) (ins, outs []sfClause, field *sfClause, err error) {
 	s := strings.TrimSpace(body)
 	if s == "" {
-		return nil, nil, nil, fmt.Errorf("empty directive: want //shape: in(R,C) ... out(R,C) or //shape: (R,C)")
+		return nil, nil, nil, fmt.Errorf("empty directive: want //shape:in(R,C) ... out(R,C) or //shape:(R,C)")
 	}
 	if strings.HasPrefix(s, "(") {
 		c, rest, cerr := parseOneClause(s)
@@ -453,6 +453,13 @@ func (a *sf) noteOp(pos token.Pos, res unifyResult) {
 // else is a contract that binds nothing — flag it.
 func (a *sf) collectAnnotations() {
 	for _, d := range a.pass.Index.Directives("//shape:") {
+		if d.text != strings.TrimLeft(d.text, " \t") {
+			// gofmt turns "//shape: in(...)" into the plain comment
+			// "// shape: in(...)", which then binds nothing without a word
+			// of complaint; only the spelling gofmt leaves alone is a directive.
+			a.pass.Report(d.pos, "shape annotation has a space after \"//shape:\", which gofmt rewrites into a plain comment: write //shape:in(...) out(...) or //shape:(R,C)", nil)
+			continue
+		}
 		var name *ast.Ident
 		switch {
 		case d.fn != nil:

@@ -13,7 +13,7 @@ import (
 
 // Project computes x*w; the contract ties the inner dims together.
 //
-//shape: in(B,D1) in(D1,D2) out(B,D2)
+//shape:in(B,D1) in(D1,D2) out(B,D2)
 func Project(x, w *tensor.Dense) *tensor.Dense {
 	return tensor.MatMul(x, w)
 }
@@ -21,14 +21,14 @@ func Project(x, w *tensor.Dense) *tensor.Dense {
 // Fuse concatenates two batches column-wise; the output width is the
 // symbolic sum of the input widths.
 //
-//shape: in(B,D1) in(B,D2) out(B,D1+D2)
+//shape:in(B,D1) in(B,D2) out(B,D1+D2)
 func Fuse(a, b *tensor.Dense) *tensor.Dense {
 	return tensor.ConcatCols(a, b)
 }
 
 // MeanSquare reduces a batch to a scalar.
 //
-//shape: in(B,D) out(1,1)
+//shape:in(B,D) out(1,1)
 func MeanSquare(x *ag.Value) *ag.Value {
 	return ag.MeanAll(ag.Square(x))
 }
@@ -38,7 +38,7 @@ func MeanSquare(x *ag.Value) *ag.Value {
 // BadProj multiplies two row-aligned matrices: MatMul needs x's width to
 // equal w's height, but the contract pins w's height to the batch dim.
 //
-//shape: in(B,D1) in(B,D2) out(B,D2)
+//shape:in(B,D1) in(B,D2) out(B,D2)
 func BadProj(x, w *tensor.Dense) *tensor.Dense {
 	return tensor.MatMul(x, w) // want "shape mismatch: MatMul inner dims: D1 vs B"
 }
@@ -48,7 +48,7 @@ func BadProj(x, w *tensor.Dense) *tensor.Dense {
 // BadFuse concatenates a with itself, so the result width is 2*D1, not
 // the declared D1+D2.
 //
-//shape: in(B,D1) in(B,D2) out(B,D1+D2)
+//shape:in(B,D1) in(B,D2) out(B,D1+D2)
 func BadFuse(a, b *tensor.Dense) *tensor.Dense {
 	return tensor.ConcatCols(a, a) // want "shape mismatch: return cols vs //shape: out"
 }
@@ -64,7 +64,7 @@ func helperMM(a, b *tensor.Dense) *tensor.Dense {
 // Chain instantiates helperMM's summary with two batch-aligned matrices;
 // the replayed equation forces D1 == B, which the contract forbids.
 //
-//shape: in(B,D1) in(B,D2) out(B,D2)
+//shape:in(B,D1) in(B,D2) out(B,D2)
 func Chain(x, w *tensor.Dense) *tensor.Dense {
 	return helperMM(x, w) // want "shape mismatch: MatMul inner dims: D1 vs B"
 }
@@ -73,7 +73,7 @@ func Chain(x, w *tensor.Dense) *tensor.Dense {
 
 // Activate preserves its input shape.
 //
-//shape: in(B,D) out(B,D)
+//shape:in(B,D) out(B,D)
 func Activate(x *tensor.Dense) *tensor.Dense {
 	return x.Clone()
 }
@@ -92,7 +92,7 @@ func useActivate() *tensor.Dense {
 // BadIdentity claims to transpose but returns its input unchanged, so
 // the returned row dim is B where the contract promises D.
 //
-//shape: in(B,D) out(D,B)
+//shape:in(B,D) out(D,B)
 func BadIdentity(x *ag.Value) *ag.Value {
 	return x // want "shape mismatch: return rows vs //shape: out: B vs D"
 }
@@ -102,7 +102,7 @@ func BadIdentity(x *ag.Value) *ag.Value {
 // SuppressedBad repeats BadProj's mismatch under a reasoned suppression:
 // no finding may surface, and the suppression must count as used.
 //
-//shape: in(B,D1) in(B,D2) out(B,D2)
+//shape:in(B,D1) in(B,D2) out(B,D2)
 func SuppressedBad(x, w *tensor.Dense) *tensor.Dense {
 	//lint:ignore shapeflow fixture keeps a deliberate mismatch to pin suppression behaviour
 	return tensor.MatMul(x, w)

@@ -19,17 +19,17 @@ type Classifier interface {
 	// Fit trains on feature matrix x (rows = samples) with labels y in
 	// [0, numClasses).
 	//
-	//shape: in(B,D) in(K)
+	//shape:in(B,D) in(K)
 	Fit(x *tensor.Dense, y []int, numClasses int) error
 	// PredictProba returns a rows x numClasses matrix of class probabilities.
 	//
-	//shape: in(B,D) out(B,K)
+	//shape:in(B,D) out(B,K)
 	PredictProba(x *tensor.Dense) *tensor.Dense
 }
 
 // Predict returns argmax-class predictions from a classifier.
 //
-//shape: in(B,D)
+//shape:in(B,D)
 func Predict(c Classifier, x *tensor.Dense) []int {
 	return c.PredictProba(x).ArgmaxRows()
 }
@@ -117,7 +117,7 @@ func (f *Featurizer) NumClasses() int { return f.specs[f.target].NumCategories()
 // Transform converts a table (with the same schema as the fitted one) into
 // a feature matrix and label vector.
 //
-//shape: out(B,D)
+//shape:out(B,D)
 func (f *Featurizer) Transform(t *encoding.Table) (*tensor.Dense, []int, error) {
 	if len(t.Specs) != len(f.specs) {
 		return nil, nil, fmt.Errorf("ml: table has %d columns, featurizer fitted on %d", len(t.Specs), len(f.specs))

@@ -26,7 +26,7 @@ var _ Classifier = (*LogisticRegression)(nil)
 
 // Fit implements Classifier.
 //
-//shape: in(B,D) in(K)
+//shape:in(B,D) in(K)
 func (m *LogisticRegression) Fit(x *tensor.Dense, y []int, numClasses int) error {
 	if x.Rows() == 0 || x.Rows() != len(y) {
 		return errors.New("ml: logistic regression fit with empty or misaligned data")
@@ -76,7 +76,7 @@ func (m *LogisticRegression) scores(x *tensor.Dense) *tensor.Dense {
 
 // PredictProba implements Classifier.
 //
-//shape: in(B,D) out(B,K)
+//shape:in(B,D) out(B,K)
 func (m *LogisticRegression) PredictProba(x *tensor.Dense) *tensor.Dense {
 	out := m.scores(x)
 	softmaxInPlace(out)
@@ -105,7 +105,7 @@ var _ Classifier = (*LinearSVM)(nil)
 
 // Fit implements Classifier.
 //
-//shape: in(B,D) in(K)
+//shape:in(B,D) in(K)
 func (m *LinearSVM) Fit(x *tensor.Dense, y []int, numClasses int) error {
 	if x.Rows() == 0 || x.Rows() != len(y) {
 		return errors.New("ml: svm fit with empty or misaligned data")
@@ -171,7 +171,7 @@ func (m *LinearSVM) margins(x *tensor.Dense) *tensor.Dense {
 
 // PredictProba implements Classifier.
 //
-//shape: in(B,D) out(B,K)
+//shape:in(B,D) out(B,K)
 func (m *LinearSVM) PredictProba(x *tensor.Dense) *tensor.Dense {
 	out := m.margins(x)
 	// Squash margins through a sigmoid then renormalize per row.

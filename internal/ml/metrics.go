@@ -98,7 +98,7 @@ func BinaryAUC(scores []float64, y []int) float64 {
 // MacroAUC returns the macro-averaged one-vs-rest AUC for a probability
 // matrix (rows x classes). For binary problems it equals the standard AUC.
 //
-//shape: in(B,K) in(K)
+//shape:in(B,K) in(K)
 func MacroAUC(proba *tensor.Dense, y []int, numClasses int) float64 {
 	if numClasses == 2 {
 		return BinaryAUC(proba.Col(1), binarize(y, 1))
@@ -172,7 +172,8 @@ func (s Scores) String() string {
 }
 
 // Evaluate computes all three metrics for a classifier on a test set.
-//shape: in(B,D) in(K)
+//
+//shape:in(B,D) in(K)
 func Evaluate(c Classifier, x *tensor.Dense, y []int, numClasses int) Scores {
 	proba := c.PredictProba(x)
 	pred := proba.ArgmaxRows()

@@ -28,10 +28,10 @@ type MLP struct {
 
 var _ Classifier = (*MLP)(nil)
 
-// Fit implements Classifier. The contract Fit needs — x has exactly
-// len(y) rows — relates a matrix dim to a slice length, which the
-// //shape: dim language cannot express; a dims-only contract would
-// overpromise, so the obligation is waived instead.
+// Fit implements Classifier. The contract Fit needs — x has exactly len(y)
+// rows — relates a matrix dim to a slice length, which the //shape: dim language
+// cannot express; a dims-only contract would overpromise, so it is waived.
+//
 //lint:ignore shapeflow x-rows/len(y) coupling is not expressible in the dim language
 func (m *MLP) Fit(x *tensor.Dense, y []int, numClasses int) error {
 	if x.Rows() == 0 || x.Rows() != len(y) {
@@ -72,7 +72,7 @@ func (m *MLP) Fit(x *tensor.Dense, y []int, numClasses int) error {
 
 // PredictProba implements Classifier.
 //
-//shape: in(B,D) out(B,K)
+//shape:in(B,D) out(B,K)
 func (m *MLP) PredictProba(x *tensor.Dense) *tensor.Dense {
 	logits := m.net.Forward(ag.Const(x), false)
 	return ag.SoftmaxRows(logits).Data()
@@ -81,7 +81,7 @@ func (m *MLP) PredictProba(x *tensor.Dense) *tensor.Dense {
 // CrossEntropy returns the mean softmax cross-entropy between logits and
 // one-hot targets, as an autograd value.
 //
-//shape: in(B,K) in(B,K) out(1,1)
+//shape:in(B,K) in(B,K) out(1,1)
 func CrossEntropy(logits, onehot *ag.Value) *ag.Value {
 	probs := ag.SoftmaxRows(logits)
 	logp := ag.Log(ag.AddScalar(probs, 1e-12))

@@ -38,7 +38,7 @@ type treeNode struct {
 
 // Fit implements Classifier.
 //
-//shape: in(B,D) in(K)
+//shape:in(B,D) in(K)
 func (t *DecisionTree) Fit(x *tensor.Dense, y []int, numClasses int) error {
 	if x.Rows() == 0 || x.Rows() != len(y) {
 		return errors.New("ml: tree fit with empty or misaligned data")
@@ -156,7 +156,7 @@ func (t *DecisionTree) candidateFeatures(total int) []int {
 
 // PredictProba implements Classifier.
 //
-//shape: in(B,D) out(B,K)
+//shape:in(B,D) out(B,K)
 func (t *DecisionTree) PredictProba(x *tensor.Dense) *tensor.Dense {
 	out := tensor.New(x.Rows(), t.numClasses)
 	for i := 0; i < x.Rows(); i++ {
@@ -214,7 +214,7 @@ var _ Classifier = (*RandomForest)(nil)
 
 // Fit implements Classifier.
 //
-//shape: in(B,D) in(K)
+//shape:in(B,D) in(K)
 func (f *RandomForest) Fit(x *tensor.Dense, y []int, numClasses int) error {
 	if x.Rows() == 0 || x.Rows() != len(y) {
 		return errors.New("ml: forest fit with empty or misaligned data")
@@ -257,7 +257,7 @@ func (f *RandomForest) Fit(x *tensor.Dense, y []int, numClasses int) error {
 
 // PredictProba implements Classifier.
 //
-//shape: in(B,D) out(B,K)
+//shape:in(B,D) out(B,K)
 func (f *RandomForest) PredictProba(x *tensor.Dense) *tensor.Dense {
 	out := tensor.New(x.Rows(), f.numClasses)
 	for _, tree := range f.trees {

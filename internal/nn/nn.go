@@ -22,7 +22,7 @@ import (
 type Layer interface {
 	// Forward applies the layer to a batch (rows = samples).
 	//
-	//shape: in(B,Din) out(B,Dout)
+	//shape:in(B,Din) out(B,Dout)
 	Forward(x *ag.Value, train bool) *ag.Value
 	// Params returns the trainable parameters in a stable order.
 	Params() []*ag.Value
@@ -30,9 +30,9 @@ type Layer interface {
 
 // Linear is a fully-connected layer: y = x*W + b.
 type Linear struct {
-	//shape: (In,Out)
+	//shape:(In,Out)
 	W *ag.Value
-	//shape: (1,Out)
+	//shape:(1,Out)
 	B *ag.Value
 }
 
@@ -53,7 +53,7 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 
 // Forward implements Layer.
 //
-//shape: in(B,In) out(B,Out)
+//shape:in(B,In) out(B,Out)
 func (l *Linear) Forward(x *ag.Value, _ bool) *ag.Value {
 	return ag.Affine(x, l.W, l.B)
 }
@@ -71,9 +71,9 @@ func (l *Linear) Out() int { _, c := l.W.Shape(); return c }
 // over the batch, then applies a learned affine transform. At evaluation
 // time it uses exponential running statistics gathered during training.
 type BatchNorm struct {
-	//shape: (1,Dim)
+	//shape:(1,Dim)
 	Gamma *ag.Value
-	//shape: (1,Dim)
+	//shape:(1,Dim)
 	Beta *ag.Value
 
 	runningMean *tensor.Dense
@@ -99,7 +99,7 @@ func NewBatchNorm(dim int) *BatchNorm {
 
 // Forward implements Layer.
 //
-//shape: in(B,Dim) out(B,Dim)
+//shape:in(B,Dim) out(B,Dim)
 func (b *BatchNorm) Forward(x *ag.Value, train bool) *ag.Value {
 	rows, _ := x.Shape()
 	var mean, variance *ag.Value
@@ -138,7 +138,7 @@ var _ Layer = ReLU{}
 
 // Forward implements Layer.
 //
-//shape: in(B,D) out(B,D)
+//shape:in(B,D) out(B,D)
 func (ReLU) Forward(x *ag.Value, _ bool) *ag.Value { return ag.ReLU(x) }
 
 // Params implements Layer.
@@ -153,7 +153,7 @@ var _ Layer = LeakyReLU{}
 
 // Forward implements Layer.
 //
-//shape: in(B,D) out(B,D)
+//shape:in(B,D) out(B,D)
 func (l LeakyReLU) Forward(x *ag.Value, _ bool) *ag.Value { return ag.LeakyReLU(x, l.Slope) }
 
 // Params implements Layer.
@@ -166,7 +166,7 @@ var _ Layer = Tanh{}
 
 // Forward implements Layer.
 //
-//shape: in(B,D) out(B,D)
+//shape:in(B,D) out(B,D)
 func (Tanh) Forward(x *ag.Value, _ bool) *ag.Value { return ag.Tanh(x) }
 
 // Params implements Layer.
@@ -192,7 +192,7 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 
 // Forward implements Layer.
 //
-//shape: in(B,D) out(B,D)
+//shape:in(B,D) out(B,D)
 func (d *Dropout) Forward(x *ag.Value, train bool) *ag.Value {
 	if !train || d.P <= 0 {
 		return x
@@ -218,7 +218,7 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 // the raw input, becomes visible downstream.
 //
 //privacy:sanitizer bottom-model forward activation
-//shape: in(B,Din) out(B,Dout)
+//shape:in(B,Din) out(B,Dout)
 func (s *Sequential) Forward(x *ag.Value, train bool) *ag.Value {
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
@@ -254,7 +254,7 @@ func NewResidualBlock(rng *rand.Rand, in, out int) *ResidualBlock {
 // input width (the skip concatenation), which only the caller's dims can
 // name — hence the free Dout.
 //
-//shape: in(B,Din) out(B,Dout)
+//shape:in(B,Din) out(B,Dout)
 func (r *ResidualBlock) Forward(x *ag.Value, train bool) *ag.Value {
 	h := ag.ReLU(r.BN.Forward(r.FC.Forward(x, train), train))
 	return ag.ConcatCols(h, x)
@@ -289,7 +289,7 @@ func NewDiscBlock(rng *rand.Rand, in, out int) *DiscBlock {
 
 // Forward implements Layer.
 //
-//shape: in(B,Din) out(B,Dout)
+//shape:in(B,Din) out(B,Dout)
 func (d *DiscBlock) Forward(x *ag.Value, train bool) *ag.Value {
 	return d.Drop.Forward(d.Act.Forward(d.FC.Forward(x, train), train), train)
 }

@@ -35,7 +35,7 @@ func CloneInto(dst, src Layer) error {
 
 // Grads computes the gradients of loss with respect to every parameter of l.
 //
-//shape: in(1,1)
+//shape:in(1,1)
 func Grads(loss *ag.Value, l Layer) []*ag.Value {
 	return ag.Grad(loss, l.Params()...)
 }

@@ -96,25 +96,25 @@ type Client interface {
 	// ForwardSynthetic routes a generator slice through G_i^b (+output
 	// activations) and D_i^b, returning the intermediate critic logits.
 	//privacy:sink critic logits returned to the server
-	//shape: in(B,W) out(B,K)
+	//shape:in(B,W) out(B,K)
 	ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error)
 	// ForwardReal passes real rows through D_i^b. A nil idx means the full
 	// local table (the paper's privacy-preserving path for clients that did
 	// not contribute the CV; the server row-selects the logits).
 	//privacy:sink real-branch critic logits returned to the server
-	//shape: out(R,K)
+	//shape:out(R,K)
 	ForwardReal(idx []int) (*tensor.Dense, error)
 	// BackwardDisc applies critic gradients (w.r.t. the logits returned by
 	// the last ForwardSynthetic/ForwardReal) and updates D_i^b.
 	//
-	//shape: in(Bs,K) in(Br,K2)
+	//shape:in(Bs,K) in(Br,K2)
 	BackwardDisc(gradSynth, gradReal *tensor.Dense) error
 	// BackwardGen applies generator gradients, updates G_i^b, and returns
 	// the gradient with respect to the input slice so the server can update
 	// G^t. conditioned marks this client as the round's CV contributor,
 	// which adds the local conditioning cross-entropy.
 	//privacy:sink boundary-slice gradient returned to the server
-	//shape: in(B,K) out(B,W)
+	//shape:in(B,K) out(B,W)
 	BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error)
 	// EndRound shuffles the local data with the round's shared seed. round
 	// is the number of rounds completed before this one, which makes the
@@ -124,7 +124,7 @@ type Client interface {
 	// GenerateRows runs a synthesis-time generator pass and buffers the
 	// activated rows locally.
 	//
-	//shape: in(B,W)
+	//shape:in(B,W)
 	GenerateRows(slice *tensor.Dense) error
 	// Publish decodes and shuffles all buffered synthetic rows (with the
 	// shared publication seed) and returns the client's synthetic columns.
@@ -425,7 +425,7 @@ func (c *LocalClient) ResolveCondition(column, categoryLabel string) (spanIdx, c
 
 // ForwardSynthetic implements Client.
 //
-//shape: in(B,W) out(B,K)
+//shape:in(B,W) out(B,K)
 func (c *LocalClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
 	if err := c.configured(); err != nil {
 		return nil, err
@@ -459,7 +459,7 @@ func (c *LocalClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tenso
 
 // ForwardReal implements Client.
 //
-//shape: out(R,K)
+//shape:out(R,K)
 func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 	if err := c.configured(); err != nil {
 		return nil, err
@@ -517,7 +517,7 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 
 // BackwardDisc implements Client.
 //
-//shape: in(Bs,K) in(Br,K2)
+//shape:in(Bs,K) in(Br,K2)
 func (c *LocalClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	if err := c.configured(); err != nil {
 		return err
@@ -561,7 +561,7 @@ func (c *LocalClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 
 // BackwardGen implements Client.
 //
-//shape: in(B,K) out(B,W)
+//shape:in(B,K) out(B,W)
 func (c *LocalClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
 	if err := c.configured(); err != nil {
 		return nil, err
@@ -616,7 +616,7 @@ func (c *LocalClient) EndRound(round int) error {
 
 // GenerateRows implements Client.
 //
-//shape: in(B,W)
+//shape:in(B,W)
 func (c *LocalClient) GenerateRows(slice *tensor.Dense) error {
 	if err := c.configured(); err != nil {
 		return err

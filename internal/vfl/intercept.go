@@ -65,22 +65,22 @@ func (c *intercepted) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batc
 	})
 }
 
-//shape: in(B,W) out(B,K)
+//shape:in(B,W) out(B,K)
 func (c *intercepted) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
 	return via(c, "ForwardSynthetic", func() (*tensor.Dense, error) { return c.inner.ForwardSynthetic(slice, phase) })
 }
 
-//shape: out(R,K)
+//shape:out(R,K)
 func (c *intercepted) ForwardReal(idx []int) (*tensor.Dense, error) {
 	return via(c, "ForwardReal", func() (*tensor.Dense, error) { return c.inner.ForwardReal(idx) })
 }
 
-//shape: in(Bs,K) in(Br,K2)
+//shape:in(Bs,K) in(Br,K2)
 func (c *intercepted) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	return c.errVia("BackwardDisc", func() error { return c.inner.BackwardDisc(gradSynth, gradReal) })
 }
 
-//shape: in(B,K) out(B,W)
+//shape:in(B,K) out(B,W)
 func (c *intercepted) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
 	return via(c, "BackwardGen", func() (*tensor.Dense, error) { return c.inner.BackwardGen(gradSynth, conditioned) })
 }
@@ -89,7 +89,7 @@ func (c *intercepted) EndRound(round int) error {
 	return c.errVia("EndRound", func() error { return c.inner.EndRound(round) })
 }
 
-//shape: in(B,W)
+//shape:in(B,W)
 func (c *intercepted) GenerateRows(slice *tensor.Dense) error {
 	return c.errVia("GenerateRows", func() error { return c.inner.GenerateRows(slice) })
 }

@@ -389,7 +389,7 @@ func (c *WireClient) SampleCVFixed(batch, spanIdx, category int) (*condvec.Batch
 
 // ForwardSynthetic implements Client.
 //
-//shape: in(B,W) out(B,K)
+//shape:in(B,W) out(B,K)
 func (c *WireClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodForwardSynthetic, c.f32, func(e *wireEnc) {
 		e.matrix(slice, c.f32)
@@ -399,7 +399,7 @@ func (c *WireClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tensor
 
 // ForwardReal implements Client.
 //
-//shape: out(R,K)
+//shape:out(R,K)
 func (c *WireClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodForwardReal, c.f32, func(e *wireEnc) {
 		e.Bool(idx == nil)
@@ -409,7 +409,7 @@ func (c *WireClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 
 // BackwardDisc implements Client.
 //
-//shape: in(Bs,K) in(Br,K2)
+//shape:in(Bs,K) in(Br,K2)
 func (c *WireClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	_, err := wireCall[struct{}](c, wireMethodBackwardDisc, c.f32, func(e *wireEnc) {
 		e.matrix(gradSynth, c.f32)
@@ -420,7 +420,7 @@ func (c *WireClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 
 // BackwardGen implements Client.
 //
-//shape: in(B,K) out(B,W)
+//shape:in(B,K) out(B,W)
 func (c *WireClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*tensor.Dense, error) {
 	return wireCall(c, wireMethodBackwardGen, c.f32, func(e *wireEnc) {
 		e.matrix(gradSynth, c.f32)
@@ -436,7 +436,7 @@ func (c *WireClient) EndRound(round int) error {
 
 // GenerateRows implements Client.
 //
-//shape: in(B,W)
+//shape:in(B,W)
 func (c *WireClient) GenerateRows(slice *tensor.Dense) error {
 	_, err := wireCall[struct{}](c, wireMethodGenerateRows, c.f32, func(e *wireEnc) { e.matrix(slice, c.f32) }, nil)
 	return err
