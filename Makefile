@@ -29,9 +29,8 @@ vet:
 # (deadlines propagate into every blocking callee on the fan-out path) —
 # plus shapeflow, interprocedural tensor shape inference over //shape:
 # contracts that proves runtime shape panics unreachable.
-# Findings are cached under .lintcache/ keyed by file contents, so
-# unchanged repeat runs skip type-checking; -timing prints per-rule wall
-# time so a cache regression shows up as nonzero time on a warm run.
+# For people: findings as text, and -timing's per-rule cost table. ci.sh
+# runs the analysis once, through lint-json.
 lint:
 	$(GO) run ./cmd/gtv-lint -timing ./...
 
@@ -42,8 +41,9 @@ lint:
 lint-json:
 	$(GO) run ./cmd/gtv-lint -json ./... > LINT_findings.json || [ $$? -eq 1 ]
 
-# bench/_gtvbench is outside ./... (the underscore hides it from gtv-lint's
-# function counts), so it is vetted and self-tested by name, ~2 s.
+# bench/_gtvbench is outside ./... (the underscore hides it from the go
+# tool's package patterns and from gtv-lint's walk), so it is vetted and
+# self-tested by name, ~2 s.
 test:
 	$(GO) test ./...
 	$(GO) vet ./bench/_gtvbench

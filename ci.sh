@@ -2,14 +2,16 @@
 # ci.sh — the checks every change must pass, in increasing cost order:
 # vet (on amd64, where asmdecl checks the AVX2 kernels' frames against their
 # Go declarations, and again with GOARCH=arm64 plus a build, so the portable
-# kernel file set cannot rot), the repo's own static analyzers (gtv-lint: lifetimes, determinism,
+# kernel file set cannot rot), a gofmt gate over everything but the lint
+# fixtures, the repo's own static analyzers (gtv-lint: lifetimes, determinism,
 # guarded fields, dropped errors, the privflow privacy-boundary taint
 # analysis, and the concurrency suite — lockorder, goroleak, cancelflow —
 # see DESIGN.md "Static analysis", "Privacy boundary", and "Concurrency
-# rules"), a regenerate-and-diff of the committed LINT_findings.json
-# (the machine-readable report, including shapeflow's proved-ops
-# coverage stats, must match a fresh run — stats drift or new findings
-# fail here), build, full tests (the lint fixture packages run even under
+# rules") run once, as a regenerate-and-diff of the committed
+# LINT_findings.json (the machine-readable report, including shapeflow's
+# proved-ops coverage stats, must match a fresh run — stats drift or new
+# findings fail here, after printing the findings in text form), build,
+# full tests (the lint fixture packages run even under
 # -short) plus vet and the self-test of the benchmark program —
 # bench/_gtvbench hides from `./...` behind its underscore, so nothing else
 # would notice a refactor that stops it compiling — then the race detector
@@ -32,9 +34,9 @@ set -eux
 go vet ./...
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
-make lint
+test -z "$(gofmt -l . | grep -v /testdata/)"
 make lint-json
-git diff --exit-code -- LINT_findings.json
+git diff --exit-code -- LINT_findings.json || { make lint; exit 1; }
 go build ./...
 go test ./...
 go vet ./bench/_gtvbench

@@ -412,7 +412,6 @@ func runShapeFlow(p *Pass) {
 	p.AddStat("ops_checked", checked)
 	p.AddStat("ops_proved", proved)
 	p.AddStat("ops_proved_exact", exact)
-	p.AddStat("funcs_analyzed", len(a.funcList))
 	p.AddStat("shape_annotations", len(a.anns)+len(a.fieldAnns))
 }
 
