@@ -8,10 +8,10 @@ import (
 // Shared infrastructure for the concurrency analyzers (lockorder,
 // goroleak, cancelflow): lock-call classification over
 // sync.Mutex/sync.RWMutex and the blocking-operation taxonomy the rules
-// agree on (static calls resolve to their bodies through Pass.Index). All three are syntactic, flow-insensitive
-// approximations — see DESIGN.md ("Concurrency rules") for the documented
-// gaps — tuned so a finding is worth reading and a clean tree means the
-// discipline holds.
+// agree on (static calls resolve to their bodies through Pass.Index). All
+// three are syntactic, flow-insensitive approximations — see DESIGN.md
+// ("Concurrency rules") for the documented gaps — tuned so a finding is
+// worth reading and a clean tree means the discipline holds.
 
 // ---- lock-call classification ----
 

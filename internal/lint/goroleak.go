@@ -210,7 +210,7 @@ func (st *goroLeakState) calleeDaemon(info *types.Info, body *ast.BlockStmt, sel
 			if l := st.funcDaemon(callee); l != nil {
 				via := callee.obj.Name()
 				if l.via != "" {
-					via = via + " -> " + l.via
+					via += " -> " + l.via
 				}
 				loop = &daemonLoop{what: l.what, via: via}
 			}

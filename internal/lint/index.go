@@ -9,11 +9,11 @@ import (
 )
 
 // Index answers, once per Run and for every rule on the pass, the five
-// questions the whole-module rules used to answer privately: which bodied
-// functions the module declares (Funcs, Func), which named types (Named),
-// which declaration a call statically reaches (Static), which methods an
-// interface call can dispatch to (Impls), and which declaration a comment
-// directive documents (Directives).
+// questions whole-module rules share: which bodied functions the module
+// declares (Funcs), which named types (Named), which declaration a call
+// statically reaches (Static), which methods an interface call can
+// dispatch to (Impls), and which declaration a comment directive documents
+// (Directives).
 type Index struct {
 	// Funcs lists every function and method declared with a body, in load
 	// order: packages by import path, files by name, declarations by
@@ -125,10 +125,6 @@ func (ix *Index) indexFile(pkg *Package, file *ast.File) {
 		return true
 	})
 }
-
-// Func returns the declaration of a module function, or nil for one
-// declared elsewhere or without a body.
-func (ix *Index) Func(obj *types.Func) *Func { return ix.byObj[obj] }
 
 // Static resolves a call to the module declaration it reaches, or nil for
 // calls through function values and interfaces, builtins, conversions and

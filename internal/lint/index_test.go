@@ -12,21 +12,12 @@ import (
 // declarations, an interface call resolves to nothing statically and to the
 // implementing method through Impls.
 func TestIndexResolvesCalls(t *testing.T) {
-	root := t.TempDir()
-	writeTree(t, root, map[string]string{
+	pkgs := loadTempModule(t, map[string]string{
 		"go.mod":       "module example.com/m\n\ngo 1.21\n",
 		"iface/i.go":   "package iface\n\ntype Doer interface{ Do() int }\n\nfunc Call(d Doer) int { return d.Do() }\n",
 		"impl/impl.go": "package impl\n\ntype Base struct{}\n\nfunc (Base) Do() int { return 1 }\n\ntype Wrapped struct{ Base }\n",
 		"m.go":         "package m\n\nimport (\n\t\"example.com/m/iface\"\n\t\"example.com/m/impl\"\n)\n\nfunc Run() int {\n\tvar w impl.Wrapped\n\treturn iface.Call(w) + w.Do()\n}\n",
 	})
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ix := buildIndex(pkgs)
 
 	funcs := make(map[string]*Func)

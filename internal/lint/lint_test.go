@@ -260,21 +260,12 @@ func TestShapeFlowAnnotationErrors(t *testing.T) {
 // contract that silently stops binding.
 func TestShapeFlowRejectsSpacedDirective(t *testing.T) {
 	for directive, want := range map[string]int{"//shape:in(R,C) out(R,C)": 0, "//shape: in(R,C) out(R,C)": 1} {
-		root := t.TempDir()
-		writeTree(t, root, map[string]string{
+		pkgs := loadTempModule(t, map[string]string{
 			"go.mod":               "module example.com/m\n\ngo 1.21\n",
 			"internal/tensor/t.go": "package tensor\n\ntype Dense struct{}\n",
 			"m.go": "package m\n\nimport \"example.com/m/internal/tensor\"\n\n// Id returns x.\n//\n" +
 				directive + "\nfunc Id(x *tensor.Dense) *tensor.Dense { return x }\n",
 		})
-		loader, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs, err := loader.LoadModule()
-		if err != nil {
-			t.Fatal(err)
-		}
 		findings, stats := Run(pkgs, []*Analyzer{AnalyzerShapeFlow})
 		if len(findings) != want || (want == 1 && !strings.Contains(findings[0].Msg, "space after")) {
 			t.Errorf("%q: findings %v, want %d about the space", directive, findings, want)

@@ -73,21 +73,12 @@ func writeTree(t *testing.T, root string, files map[string]string) {
 	}
 }
 
-// TestLoadModuleSkipsTestOnlyDirs builds a throwaway module in which one
-// directory holds nothing but _test.go files. LoadModule must load the
-// real packages and skip the test-only directory, because a directory
-// without non-test Go files is not a package the linters can check.
-func TestLoadModuleSkipsTestOnlyDirs(t *testing.T) {
+// loadTempModule writes files under a fresh directory and loads the module
+// they form.
+func loadTempModule(t *testing.T, files map[string]string) []*Package {
+	t.Helper()
 	root := t.TempDir()
-	writeTree(t, root, map[string]string{
-		"go.mod":              "module example.com/m\n\ngo 1.21\n",
-		"a.go":                "package m\n\nimport \"example.com/m/sub\"\n\nvar _ = sub.B\n",
-		"sub/b.go":            "package sub\n\n// B is exported for the root package.\nvar B = 1\n",
-		"onlytest/x_test.go":  "package onlytest\n\nimport \"testing\"\n\nfunc TestX(t *testing.T) {}\n",
-		"onlytest/y_test.go":  "package onlytest_test\n\nimport \"testing\"\n\nfunc TestY(t *testing.T) {}\n",
-		"sub/helper_test.go":  "package sub_test\n\nimport \"testing\"\n\nfunc TestB(t *testing.T) {}\n",
-		"testdata/ignored.go": "package broken!\n",
-	})
+	writeTree(t, root, files)
 	loader, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +87,23 @@ func TestLoadModuleSkipsTestOnlyDirs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pkgs
+}
+
+// TestLoadModuleSkipsTestOnlyDirs builds a throwaway module in which one
+// directory holds nothing but _test.go files. LoadModule must load the
+// real packages and skip the test-only directory, because a directory
+// without non-test Go files is not a package the linters can check.
+func TestLoadModuleSkipsTestOnlyDirs(t *testing.T) {
+	pkgs := loadTempModule(t, map[string]string{
+		"go.mod":              "module example.com/m\n\ngo 1.21\n",
+		"a.go":                "package m\n\nimport \"example.com/m/sub\"\n\nvar _ = sub.B\n",
+		"sub/b.go":            "package sub\n\n// B is exported for the root package.\nvar B = 1\n",
+		"onlytest/x_test.go":  "package onlytest\n\nimport \"testing\"\n\nfunc TestX(t *testing.T) {}\n",
+		"onlytest/y_test.go":  "package onlytest_test\n\nimport \"testing\"\n\nfunc TestY(t *testing.T) {}\n",
+		"sub/helper_test.go":  "package sub_test\n\nimport \"testing\"\n\nfunc TestB(t *testing.T) {}\n",
+		"testdata/ignored.go": "package broken!\n",
+	})
 	var paths []string
 	for _, p := range pkgs {
 		paths = append(paths, p.Path)

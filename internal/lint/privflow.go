@@ -176,7 +176,7 @@ func (a *pf) bindOne(pos token.Pos, kind, desc string, obj types.Object, isStruc
 	a.anns[obj] = &pfAnnotation{kind: kind, desc: desc, obj: obj, pos: a.fset.Position(pos)}
 }
 
-// ---- function registry, named types, sink resolution ----
+// ---- function registry, sink resolution ----
 
 func (a *pf) collectFuncs() {
 	for _, fn := range a.pass.Index.Funcs {
