@@ -1,9 +1,15 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/vfl"
 )
@@ -264,5 +270,98 @@ func TestSynthesizeCondition(t *testing.T) {
 	}
 	if _, err := g.SynthesizeCondition(10, 1, "target", "nope"); err == nil {
 		t.Fatal("expected unknown category error")
+	}
+}
+
+// TestTrainCheckpointCadence pins the rule gtv-train, gtv-server and
+// GTV.Train share: a checkpoint every k rounds (0 means every round), one
+// more after the last round when it falls off the interval, and after a
+// failed write no further attempt — training runs to the end and the first
+// failure is what Train reports.
+func TestTrainCheckpointCadence(t *testing.T) {
+	d, err := datasets.Generate("loan", datasets.Config{Rows: 60, Seed: 12})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	assignment, err := EvenAssignment(d.Table.Cols(), 2)
+	if err != nil {
+		t.Fatalf("EvenAssignment: %v", err)
+	}
+	tests := []struct {
+		name          string
+		every, rounds int
+		// failAt is the completed-round count at which the progress callback
+		// moves the checkpoint directory away (before that round's save);
+		// one round later it moves it back, so exactly the saves in between
+		// fail. 0 never does.
+		failAt  int
+		want    []int  // rounds whose checkpoint file must exist afterwards
+		wantErr string // substring of Train's error, "" for success
+	}{
+		{"every round by default", 0, 3, 0, []int{1, 2, 3}, ""},
+		{"every round", 1, 3, 0, []int{1, 2, 3}, ""},
+		{"interval divides rounds", 3, 6, 0, []int{3, 6}, ""},
+		{"last round off the interval", 3, 7, 0, []int{3, 6, 7}, ""},
+		{"failed write is remembered", 1, 4, 2, []int{1}, "checkpointing"},
+		{"failed final write", 3, 4, 4, []int{3}, "final checkpoint"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			opts := DefaultOptions()
+			opts.Rounds = tc.rounds
+			opts.DiscSteps = 1
+			opts.BlockDim = 16
+			opts.NoiseDim = 8
+			opts.BatchSize = 16
+			opts.CheckpointDir = dir
+			opts.CheckpointEvery = tc.every
+			g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+			if err != nil {
+				t.Fatalf("NewFromAssignment: %v", err)
+			}
+			var seen []int
+			err = g.Train(func(round int, _, _ float64) {
+				seen = append(seen, round)
+				switch {
+				case tc.failAt == 0:
+				case round+1 == tc.failAt:
+					if err := os.Rename(dir, dir+".gone"); err != nil {
+						t.Error(err)
+					}
+				case round+1 == tc.failAt+1:
+					if err := os.Rename(dir+".gone", dir); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			if len(seen) != tc.rounds {
+				t.Fatalf("progress saw rounds %v, want all %d", seen, tc.rounds)
+			}
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("Train: %v", err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, os.ErrNotExist)) {
+				t.Fatalf("Train error = %v, want a %q error wrapping os.ErrNotExist", err, tc.wantErr)
+			}
+			if tc.failAt == tc.rounds {
+				dir += ".gone"
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			var want []string
+			for _, r := range tc.want {
+				want = append(want, filepath.Base(snap.CheckpointPath(dir, r)))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("checkpoint files = %v, want %v", got, want)
+			}
+		})
 	}
 }
