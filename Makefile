@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race fuzz ci bench bench-round bench-kernels bench-setup bench-comm bench-data
+.PHONY: all build vet lint lint-json test race fuzz ci bench-layers
 
 # Per-fuzzer budget for the `fuzz` target; override with
 # `make fuzz FUZZTIME=1m` for longer local hunts.
@@ -83,52 +83,23 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzFitMatchesReference -fuzztime $(FUZZTIME) ./internal/gmm
 
-ci: vet lint build test race fuzz
+# The one CI definition is ci.sh; the targets above are its steps for
+# running one at a time.
+ci:
+	./ci.sh
 
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
-
-# The sequential-vs-concurrent round benchmarks behind the numbers recorded
-# in CHANGES.md.
-bench-round:
-	$(GO) test -run xxx -bench 'BenchmarkGTVTrainingRound(Latency)?$$' -benchtime 5x .
-
-# Kernel microbenchmarks (every matmul variant over one shape table — square
-# sizes and the paper-scale federated shapes — on each kernel path, /asm and
-# /go, with GFLOP/s; elementwise ops, backward passes), recorded as JSON in
-# BENCH_kernels.json. The raw go test output is echoed to stderr by the
-# converter. One thread, like the repository's benchmark.
-bench-kernels:
-	$(GO) test -run xxx -bench . -cpu 1 ./internal/tensor ./internal/autograd \
-		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
-
-# Set-up and data-plane layer benchmarks: one GMM fit (ns per row per EM
-# iteration), the streamed encode of an adult client's columns (ns per row),
-# one default-height gtvcol stripe of a one-hot-heavy matrix (MiB/s), and
-# 64-row gathers from an 8-stripe file of that shape under a block-cache
-# budget that holds it, half of it and a tenth (ns/row, hit rate,
-# allocs/op). One thread, like the repository's benchmark; EXPERIMENTS.md
-# "Where cold set-up goes" and "Where the warm round goes" quote them.
-bench-setup:
-	$(GO) test -run xxx -bench 'BenchmarkFit|BenchmarkTransformTo|BenchmarkWriterStripe|BenchmarkGatherRows' -cpu 1 \
-		./internal/gmm ./internal/encoding ./internal/coldata
-
-# Transport benchmarks: gtvwire round-trip latency, allocs/op and framed
-# bytes at paper-scale payloads (f64 and f32), plus the delayed-round
-# latency comparison. Writes BENCH_comm.json — whose committed copy is the
-# PR 7 record that still has the deleted gob transport's rows in it, so
-# running this replaces history with a file that has nothing to compare
-# against; ROADMAP 1(c) decides that file's fate.
-bench-comm:
-	{ $(GO) test -run xxx -bench BenchmarkWireRoundTrip -benchtime 50x ./internal/vfl ; \
-	  $(GO) test -run xxx -bench 'BenchmarkGTVTrainingRoundLatency$$' -benchtime 5x . ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_comm.json
-
-# Data-plane benchmarks: whole-process gtv-train runs (in-memory vs gtvcol
-# streamed, centralized and federated, up to 10M rows) measuring training
-# throughput, peak RSS, and on-disk store size. Recorded as JSON in
-# BENCH_data.json. Subprocess-driven so peak RSS is the real number.
-bench-data:
-	$(GO) build -o /tmp/gtv-train-bench ./cmd/gtv-train
-	GTV_TRAIN_BIN=/tmp/gtv-train-bench $(GO) test -run xxx -bench BenchmarkDataPlane -benchtime 1x -timeout 120m . \
-		| $(GO) run ./cmd/benchjson > BENCH_data.json
+# Per-package micro-benchmarks of the layers under a training round, one
+# thread like the repository's benchmark (bench/run.sh, the end-to-end door):
+# every matmul variant on each kernel path with GFLOP/s, elementwise ops and
+# backward passes (tensor, autograd); one GMM fit, the streamed encode, one
+# gtvcol stripe write and 64-row gathers under three block-cache budgets
+# (gmm, encoding, coldata); gtvwire round trips per payload class with
+# framed bytes, the coordinator's shuffle step and the delayed-round fan-out
+# comparison (vfl). cmd/benchjson stamps the record with commit, Go version,
+# CPU model and GOMAXPROCS and echoes the raw output to stderr; the record
+# replaces BENCH_layers.json only when the run got that far.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -cpu 1 ./internal/tensor ./internal/autograd \
+		./internal/gmm ./internal/encoding ./internal/coldata ./internal/vfl \
+		| $(GO) run ./cmd/benchjson > BENCH_layers.json.tmp
+	mv BENCH_layers.json.tmp BENCH_layers.json

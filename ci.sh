@@ -3,7 +3,9 @@
 # vet (on amd64, where asmdecl checks the AVX2 kernels' frames against their
 # Go declarations, and again with GOARCH=arm64 plus a build, so the portable
 # kernel file set cannot rot), a gofmt gate over everything but the lint
-# fixtures, the repo's own static analyzers (gtv-lint: lifetimes, determinism,
+# fixtures, a guard that the module root holds no Go file (a root package is
+# how a second benchmark system beside bench/ and `make bench-layers` grows
+# back), the repo's own static analyzers (gtv-lint: lifetimes, determinism,
 # guarded fields, dropped errors, the privflow privacy-boundary taint
 # analysis, and the concurrency suite — lockorder, goroleak, cancelflow —
 # see DESIGN.md "Static analysis", "Privacy boundary", and "Concurrency
@@ -35,6 +37,7 @@ go vet ./...
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 test -z "$(gofmt -l . | grep -v /testdata/)"
+test -z "$(ls ./*.go 2>/dev/null)"
 make lint-json
 git diff --exit-code -- LINT_findings.json || { make lint; exit 1; }
 go build ./...

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// array on stdout, one object per benchmark result. It backs the
-// `make bench-kernels` target, which records the kernel microbenchmark
-// numbers in BENCH_kernels.json.
+// array on stdout: first a stamp saying where the run was measured, then
+// one object per benchmark result. It backs `make bench-layers`, which
+// records the per-package micro-benchmarks in BENCH_layers.json.
 package main
 
 import (
@@ -9,9 +9,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// stamp is the first record of a run: the commit and toolchain from the
+// environment benchjson runs in (the same checkout and `go` as the `go
+// test` it is piped from), the goos/goarch/cpu header `go test` prints per
+// package, and the GOMAXPROCS the benchmarks ran at, which `go test`
+// appends to every name as -N unless N is 1.
+type stamp struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
 
 // result is one parsed benchmark line, e.g.
 //
@@ -28,14 +44,27 @@ type result struct {
 }
 
 func main() {
-	var results []result
+	st := stamp{Commit: commit(), GoVersion: runtime.Version(), GOMAXPROCS: 1}
+	var records []any
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(os.Stderr, line) // pass through for the operator
-		if r, ok := parse(line); ok {
-			results = append(results, r)
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			st.GOOS = v
+		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			st.GOARCH = v
+		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			st.CPU = v
+		} else if r, ok := parse(line); ok {
+			if len(records) == 0 {
+				if n, err := strconv.Atoi(r.Name[strings.LastIndexByte(r.Name, '-')+1:]); err == nil {
+					st.GOMAXPROCS = n
+				}
+				records = append(records, &st)
+			}
+			records = append(records, r)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -44,10 +73,20 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(records); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// commit names the checkout's HEAD, marked -dirty when the work tree
+// differs from it.
+func commit() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 func parse(line string) (result, bool) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/encoding"
+	"repro/internal/snap"
 	"repro/internal/vfl"
 )
 
@@ -116,30 +117,14 @@ func run(args []string) error {
 			}
 		}
 	}
-	interval := *ckptEvery
-	if interval <= 0 {
-		interval = 1
-	}
-	var ckptErr error
 	fmt.Printf("training %s for %d rounds, P_r=%v\n", plan.Name(), *rounds, server.Ratios())
-	err = server.Train(func(round int, dLoss, gLoss float64) {
+	err = snap.TrainWithCheckpoints(*ckptDir, *ckptEvery, server.Train, func(round int, dLoss, gLoss float64) {
 		if *every > 0 && (round+1)%*every == 0 {
 			fmt.Printf("round %4d  critic %.4f  generator %.4f\n", round+1, dLoss, gLoss)
 		}
-		if *ckptDir != "" && ckptErr == nil && (round+1)%interval == 0 {
-			_, ckptErr = server.SaveCheckpoint(*ckptDir)
-		}
-	})
+	}, server.SaveCheckpoint, server.Rounds)
 	if err != nil {
 		return err
-	}
-	if ckptErr != nil {
-		return fmt.Errorf("checkpointing: %w", ckptErr)
-	}
-	if *ckptDir != "" && server.Rounds()%interval != 0 {
-		if _, err := server.SaveCheckpoint(*ckptDir); err != nil {
-			return fmt.Errorf("final checkpoint: %w", err)
-		}
 	}
 
 	// Estimated payload bytes next to the measured framed bytes.

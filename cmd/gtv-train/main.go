@@ -22,6 +22,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/ml"
+	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/vfl"
 )
@@ -198,7 +199,6 @@ func run(args []string, stdout io.Writer) error {
 		setupDone()
 		//lint:ignore errdrop teardown of the data plane at exit
 		defer func() { _ = c.Close() }()
-		trainCB, finish := progress, func() error { return nil }
 		if *ckptDir != "" {
 			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 				return fmt.Errorf("checkpoint dir: %w", err)
@@ -212,12 +212,9 @@ func run(args []string, stdout io.Writer) error {
 					fmt.Fprintf(stdout, "resumed centralized training at round %d\n", r)
 				}
 			}
-			trainCB, finish = withCheckpoints(c, *ckptDir, *ckptEvery, progress)
 		}
-		if err := c.Train(trainCB); err != nil {
-			return err
-		}
-		if err := finish(); err != nil {
+		err = snap.TrainWithCheckpoints(*ckptDir, *ckptEvery, c.Train, progress, c.SaveCheckpoint, c.Round)
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "training: %d rounds in %s\n", *rounds, time.Since(trainStart))
@@ -309,35 +306,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "synthetic data written to %s\n", *synthOut)
 	}
 	return nil
-}
-
-// withCheckpoints wraps the centralized trainer's progress callback so a
-// checkpoint lands every `every` rounds; the returned finish func reports
-// the first failed write and covers the final round when it falls off the
-// interval.
-func withCheckpoints(c *core.Centralized, dir string, every int, progress func(int, float64, float64)) (func(int, float64, float64), func() error) {
-	if every <= 0 {
-		every = 1
-	}
-	var ckptErr error
-	cb := func(round int, dLoss, gLoss float64) {
-		if progress != nil {
-			progress(round, dLoss, gLoss)
-		}
-		if ckptErr == nil && (round+1)%every == 0 {
-			_, ckptErr = c.SaveCheckpoint(dir)
-		}
-	}
-	finish := func() error {
-		if ckptErr != nil {
-			return fmt.Errorf("checkpointing: %w", ckptErr)
-		}
-		if c.Round()%every != 0 {
-			if _, err := c.SaveCheckpoint(dir); err != nil {
-				return fmt.Errorf("final checkpoint: %w", err)
-			}
-		}
-		return nil
-	}
-	return cb, finish
 }

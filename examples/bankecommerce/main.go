@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -70,44 +72,51 @@ func buildCustomers(n int, seed int64) (bank, shop *encoding.Table, err error) {
 }
 
 func main() {
+	if err := run(os.Stdout, 400); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, rounds int) error {
 	bank, shop, err := buildCustomers(800, 11)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Each organization is one GTV client; neither ever ships a raw row.
 	opts := core.DefaultOptions()
-	opts.Rounds = 400
+	opts.Rounds = rounds
 	opts.Plan.GenServer, opts.Plan.GenClient = 0, 2 // D2_0 G2_0: scalable default
 	g, err := core.New([]*encoding.Table{bank, shop}, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("training joint bank + e-commerce synthesizer ...")
+	fmt.Fprintln(w, "training joint bank + e-commerce synthesizer ...")
 	if err := g.Train(nil); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	joined, parts, err := g.SynthesizeParts(800)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("synthetic table: %d rows x %d columns (bank %d + shop %d)\n",
+	fmt.Fprintf(w, "synthetic table: %d rows x %d columns (bank %d + shop %d)\n",
 		joined.Rows(), joined.Cols(), parts[0].Cols(), parts[1].Cols())
 
 	// The pay-off: the cross-party association between the bank's income
 	// and the shop's spend survives in the synthetic data.
 	realJoined, err := encoding.ConcatColumns(bank, shop)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	realCorr := stats.Pearson(realJoined.Data.Col(0), realJoined.Data.Col(3))
 	synthCorr := stats.Pearson(joined.Data.Col(0), joined.Data.Col(3))
-	fmt.Printf("income vs monthly_spend correlation: real %.3f, synthetic %.3f\n", realCorr, synthCorr)
+	fmt.Fprintf(w, "income vs monthly_spend correlation: real %.3f, synthetic %.3f\n", realCorr, synthCorr)
 
 	across, err := stats.AcrossClientDiff(bank, shop, parts[0], parts[1])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("across-client Diff.Corr (lower is better): %.3f\n", across)
+	fmt.Fprintf(w, "across-client Diff.Corr (lower is better): %.3f\n", across)
+	return nil
 }

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -14,9 +16,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 250); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, rounds int) error {
 	d, err := datasets.Generate("intrusion", datasets.Config{Rows: 600, Seed: 3})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Imbalanced ownership: client 0 gets 5 columns, client 1 gets 3,
 	// clients 2 and 3 get the rest.
@@ -37,31 +45,32 @@ func main() {
 
 	for _, enlarged := range []bool{false, true} {
 		opts := core.DefaultOptions()
-		opts.Rounds = 250
+		opts.Rounds = rounds
 		if enlarged {
 			opts.GenBlockDim = 3 * opts.BlockDim
 		}
 		g, err := core.NewFromAssignment(d.Table, assignment, 4, opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		label := "default generator"
 		if enlarged {
 			label = "enlarged generator (3x block width)"
 		}
-		fmt.Printf("%s: P_r = %.2f\n", label, g.Ratios())
+		fmt.Fprintf(w, "%s: P_r = %.2f\n", label, g.Ratios())
 		if err := g.Train(nil); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		_, parts, err := g.SynthesizeParts(600)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		realParts := g.ClientTables()
 		avg, err := stats.AvgClientDiff(realParts, parts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  avg-client Diff.Corr: %.3f\n", avg)
+		fmt.Fprintf(w, "  avg-client Diff.Corr: %.3f\n", avg)
 	}
+	return nil
 }

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/gan"
+	"repro/internal/snap"
 	"repro/internal/vfl"
 )
 
@@ -354,36 +355,11 @@ func EvenAssignment(numCols, numClients int) ([]int, error) {
 // Train runs the full training loop. The optional progress callback
 // receives (round, criticLoss, generatorLoss). With CheckpointDir set, a
 // checkpoint is written every CheckpointEvery rounds and after the final
-// round; a checkpoint failure stops training at the next round boundary.
+// round; a failed write ends checkpointing, not training, and is reported
+// once the rounds are done (snap.TrainWithCheckpoints).
 func (g *GTV) Train(progress func(round int, dLoss, gLoss float64)) error {
-	if g.ckptDir == "" {
-		return g.server.Train(progress)
-	}
-	every := g.ckptEvery
-	if every <= 0 {
-		every = 1
-	}
-	var ckptErr error
-	err := g.server.Train(func(round int, dLoss, gLoss float64) {
-		if progress != nil {
-			progress(round, dLoss, gLoss)
-		}
-		if ckptErr == nil && (round+1)%every == 0 {
-			_, ckptErr = g.server.SaveCheckpoint(g.ckptDir)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if ckptErr != nil {
-		return fmt.Errorf("core: checkpointing: %w", ckptErr)
-	}
-	if g.server.Rounds()%every != 0 {
-		if _, err := g.server.SaveCheckpoint(g.ckptDir); err != nil {
-			return fmt.Errorf("core: final checkpoint: %w", err)
-		}
-	}
-	return nil
+	return snap.TrainWithCheckpoints(g.ckptDir, g.ckptEvery, g.server.Train, progress,
+		g.server.SaveCheckpoint, g.server.Rounds)
 }
 
 // Checkpoint writes a federation checkpoint into dir immediately and

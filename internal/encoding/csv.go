@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/tensor"
 )
 
 // WriteCSV writes the table with a header row. Categorical cells are
@@ -40,66 +38,4 @@ func WriteCSV(w io.Writer, t *Table) error {
 		return fmt.Errorf("encoding: flushing CSV: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV reads a table written by WriteCSV given the column specs. The
-// header row must match the spec names in order.
-func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("encoding: reading CSV header: %w", err)
-	}
-	if len(header) != len(specs) {
-		return nil, fmt.Errorf("encoding: CSV has %d columns, specs have %d", len(header), len(specs))
-	}
-	for j, s := range specs {
-		if header[j] != s.Name {
-			return nil, fmt.Errorf("encoding: CSV column %d is %q, spec says %q", j, header[j], s.Name)
-		}
-	}
-	catIndex := make([]map[string]int, len(specs))
-	for j, s := range specs {
-		if s.Kind == KindCategorical {
-			catIndex[j] = make(map[string]int, len(s.Categories))
-			for k, c := range s.Categories {
-				catIndex[j][c] = k
-			}
-		}
-	}
-	var rows [][]float64
-	for line := 2; ; line++ {
-		record, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("encoding: reading CSV line %d: %w", line, err)
-		}
-		row := make([]float64, len(specs))
-		for j, s := range specs {
-			if s.Kind == KindCategorical {
-				k, ok := catIndex[j][record[j]]
-				if !ok {
-					return nil, fmt.Errorf("encoding: CSV line %d: unknown category %q in column %q", line, record[j], s.Name)
-				}
-				row[j] = float64(k)
-			} else {
-				v, err := strconv.ParseFloat(record[j], 64)
-				if err != nil {
-					return nil, fmt.Errorf("encoding: CSV line %d column %q: %w", line, s.Name, err)
-				}
-				row[j] = v
-			}
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("encoding: CSV has no data rows")
-	}
-	data := make([]float64, 0, len(rows)*len(specs))
-	for _, r := range rows {
-		data = append(data, r...)
-	}
-	return NewTable(specs, tensor.FromSlice(len(rows), len(specs), data))
 }

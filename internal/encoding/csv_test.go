@@ -2,7 +2,9 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,12 +16,24 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, tbl); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	back, err := ReadCSV(&buf, tbl.Specs)
+	records, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("reading back: %v", err)
 	}
-	if !back.Data.AllClose(tbl.Data, 1e-12) {
-		t.Fatal("CSV round trip changed data")
+	if len(records) != tbl.Rows()+1 {
+		t.Fatalf("%d CSV records for %d rows and a header", len(records), tbl.Rows())
+	}
+	for i, rec := range records[1:] {
+		for j, s := range tbl.Specs {
+			want := tbl.Data.At(i, j)
+			if s.Kind == KindCategorical {
+				if rec[j] != s.Categories[int(want)] {
+					t.Fatalf("row %d %s = %q, want label %q", i, s.Name, rec[j], s.Categories[int(want)])
+				}
+			} else if got, err := strconv.ParseFloat(rec[j], 64); err != nil || got != want {
+				t.Fatalf("row %d %s = %q (%v), want exactly %v", i, s.Name, rec[j], err, want)
+			}
+		}
 	}
 }
 
@@ -37,26 +51,5 @@ func TestCSVHeaderHasLabels(t *testing.T) {
 	// Categorical cells must carry labels, not indices.
 	if !strings.Contains(out, "M") && !strings.Contains(out, "F") {
 		t.Fatal("categorical labels missing from CSV body")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tbl := sampleTable(t, rng, 3)
-	tests := []struct {
-		name string
-		csv  string
-	}{
-		{"wrong header", "a,b,c\nM,1,2\n"},
-		{"unknown category", "gender,income,mortgage\nX,1,2\n"},
-		{"bad float", "gender,income,mortgage\nM,abc,2\n"},
-		{"no rows", "gender,income,mortgage\n"},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tc.csv), tbl.Specs); err == nil {
-				t.Fatal("expected error")
-			}
-		})
 	}
 }

@@ -272,42 +272,29 @@ func (c *Centralized) trainGenStep() (float64, error) {
 
 // Synthesize generates n synthetic rows and decodes them to a raw table.
 func (c *Centralized) Synthesize(n int) (*encoding.Table, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gan: cannot synthesize %d rows", n)
-	}
-	out := tensor.New(n, c.transformer.Width())
-	done := 0
-	for done < n {
-		batch := c.cfg.BatchSize
-		if n-done < batch {
-			batch = n - done
-		}
-		cvb, err := c.sampler.SampleSynthesis(c.rng.Rand, batch)
-		if err != nil {
-			return nil, err
-		}
-		noise := SampleNoise(c.rng.Rand, batch, c.cfg.NoiseDim)
-		in := ag.Const(tensor.ConcatCols(noise, cvb.CV))
-		raw := c.gen.Forward(in, false)
-		act := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, true)
-		for i := 0; i < batch; i++ {
-			copy(out.RawRow(done+i), act.Data().RawRow(i))
-		}
-		done += batch
-	}
-	return c.transformer.Inverse(out)
+	return c.synthesize(n, func(batch int) (*condvec.Batch, error) {
+		return c.sampler.SampleSynthesis(c.rng.Rand, batch)
+	})
 }
 
 // SynthesizeCondition generates n rows all conditioned on column holding
 // categoryLabel (CTGAN's "control the class of generation"). The column
 // must be categorical.
 func (c *Centralized) SynthesizeCondition(n int, column, categoryLabel string) (*encoding.Table, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gan: cannot synthesize %d rows", n)
-	}
 	spanIdx, category, err := ResolveCondition(c.specs, c.sampler, column, categoryLabel)
 	if err != nil {
 		return nil, err
+	}
+	return c.synthesize(n, func(batch int) (*condvec.Batch, error) {
+		return c.sampler.SampleFixed(c.rng.Rand, batch, spanIdx, category)
+	})
+}
+
+// synthesize is the one synthesis loop: batches of generator-only forward
+// passes under sampleCV's conditions, decoded to a raw table.
+func (c *Centralized) synthesize(n int, sampleCV func(batch int) (*condvec.Batch, error)) (*encoding.Table, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("gan: cannot synthesize %d rows", n)
 	}
 	out := tensor.New(n, c.transformer.Width())
 	done := 0
@@ -316,7 +303,7 @@ func (c *Centralized) SynthesizeCondition(n int, column, categoryLabel string) (
 		if n-done < batch {
 			batch = n - done
 		}
-		cvb, err := c.sampler.SampleFixed(c.rng.Rand, batch, spanIdx, category)
+		cvb, err := sampleCV(batch)
 		if err != nil {
 			return nil, err
 		}

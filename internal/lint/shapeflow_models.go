@@ -243,7 +243,7 @@ func (in *sfInterp) modelDenseMethod(call *ast.CallExpr, fn *types.Func, recv sf
 		return one(intVal(m.cols)), true
 	case "Shape":
 		return []sfVal{intVal(m.rows), intVal(m.cols)}, true
-	case "Scale", "AddScalar", "Apply", "ApplyInPlace", "Clone", "ShuffleRows":
+	case "Scale", "AddScalar", "Apply", "Clone", "ShuffleRows":
 		return one(matVal(m.rows, m.cols)), true
 	case "AddInPlace", "AxpyInPlace":
 		srcIdx := 0

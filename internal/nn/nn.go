@@ -1,7 +1,7 @@
 // Package nn provides neural-network building blocks over the autograd
 // engine: linear layers, batch normalization, activations, dropout, the
 // CTGAN-style residual and discriminator blocks used by GTV, sequential
-// composition, and the Adam and SGD optimizers.
+// composition, and the Adam optimizer.
 //
 // All layers implement the Layer interface. Randomness (weight
 // initialization, dropout masks) is drawn from an explicit *rand.Rand so
@@ -26,6 +26,13 @@ type Layer interface {
 	Forward(x *ag.Value, train bool) *ag.Value
 	// Params returns the trainable parameters in a stable order.
 	Params() []*ag.Value
+}
+
+// Grads computes the gradients of loss with respect to every parameter of l.
+//
+//shape:in(1,1)
+func Grads(loss *ag.Value, l Layer) []*ag.Value {
+	return ag.Grad(loss, l.Params()...)
 }
 
 // Linear is a fully-connected layer: y = x*W + b.

@@ -7,13 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters in place given their gradients.
-type Optimizer interface {
-	// Step applies one update. params[i] is updated using grads[i]; the two
-	// slices must be the same length and shape-aligned.
-	Step(params, grads []*ag.Value)
-}
-
 // Adam implements the Adam optimizer with optional decoupled weight decay.
 // CTGAN trains both networks with lr=2e-4, betas=(0.5, 0.9) and weight
 // decay 1e-6, which NewAdam uses as defaults.
@@ -29,8 +22,6 @@ type Adam struct {
 	v map[*ag.Value]*tensor.Dense
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam returns an Adam optimizer with the CTGAN defaults at the given
 // learning rate.
 func NewAdam(lr float64) *Adam {
@@ -45,7 +36,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update in place: params[i] is updated using grads[i]; the
+// two slices must be the same length and shape-aligned.
 func (a *Adam) Step(params, grads []*ag.Value) {
 	if len(params) != len(grads) {
 		panic("nn: Adam.Step params/grads length mismatch")
@@ -79,62 +71,4 @@ func (a *Adam) Step(params, grads []*ag.Value) {
 			wd[k] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 	}
-}
-
-// SGD implements stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*ag.Value]*tensor.Dense
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*ag.Value]*tensor.Dense)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*ag.Value) {
-	if len(params) != len(grads) {
-		panic("nn: SGD.Step params/grads length mismatch")
-	}
-	for i, p := range params {
-		g := grads[i].Data()
-		w := p.Data()
-		if s.Momentum <= 0 {
-			w.AxpyInPlace(-s.LR, g)
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = tensor.New(w.Rows(), w.Cols())
-			s.vel[p] = v
-		}
-		vd, gd, wd := v.Data(), g.Data(), w.Data()
-		for k := range wd {
-			vd[k] = s.Momentum*vd[k] + gd[k]
-			wd[k] -= s.LR * vd[k]
-		}
-	}
-}
-
-// ClipGradNorm scales grads in place so their global L2 norm does not exceed
-// maxNorm, and returns the pre-clip norm.
-func ClipGradNorm(grads []*ag.Value, maxNorm float64) float64 {
-	var total float64
-	for _, g := range grads {
-		n := g.Data().Norm()
-		total += n * n
-	}
-	total = math.Sqrt(total)
-	if total > maxNorm && total > 0 {
-		scale := maxNorm / total
-		for _, g := range grads {
-			g.Data().ApplyInPlace(func(v float64) float64 { return v * scale })
-		}
-	}
-	return total
 }

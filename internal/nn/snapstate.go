@@ -5,8 +5,7 @@ package nn
 // byte-identical when the Adam step count and both moment estimates come
 // back exactly — the bias corrections 1-beta^t and the per-element
 // moments feed every subsequent update — so the optimizer state is a
-// first-class part of the snapshot format, serialized in Params() order
-// (the stable order CloneInto pairs two replicas by).
+// first-class part of the snapshot format, serialized in Params() order.
 
 import (
 	"fmt"

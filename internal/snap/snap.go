@@ -275,3 +275,44 @@ func LatestCheckpoint(dir string) (path string, rounds int, ok bool, err error) 
 	fmt.Sscanf(last, "checkpoint-%d"+fileExt, &rounds)
 	return filepath.Join(dir, last), rounds, true, nil
 }
+
+// TrainWithCheckpoints runs train under the checkpoint cadence every
+// trainer shares: each round is passed on to progress (which may be nil),
+// then every `every` rounds (0 means every round) save writes a checkpoint
+// into dir, and once more after the last round when it fell off the
+// interval. A failed save does not stop training: no further save is
+// attempted, and that first failure is what the call returns once train
+// has. rounds reports the completed round count. An empty dir is plain
+// train(progress).
+func TrainWithCheckpoints(dir string, every int,
+	train func(progress func(round int, dLoss, gLoss float64)) error,
+	progress func(round int, dLoss, gLoss float64),
+	save func(dir string) (string, error), rounds func() int) error {
+	if dir == "" {
+		return train(progress)
+	}
+	if every <= 0 {
+		every = 1
+	}
+	var saveErr error
+	err := train(func(round int, dLoss, gLoss float64) {
+		if progress != nil {
+			progress(round, dLoss, gLoss)
+		}
+		if saveErr == nil && (round+1)%every == 0 {
+			_, saveErr = save(dir)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if saveErr != nil {
+		return fmt.Errorf("checkpointing: %w", saveErr)
+	}
+	if rounds()%every != 0 {
+		if _, err := save(dir); err != nil {
+			return fmt.Errorf("final checkpoint: %w", err)
+		}
+	}
+	return nil
+}

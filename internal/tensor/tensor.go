@@ -213,14 +213,6 @@ func (m *Dense) Apply(f func(float64) float64) *Dense {
 	return out
 }
 
-// ApplyInPlace applies f to every element of m in place and returns m.
-func (m *Dense) ApplyInPlace(f func(float64) float64) *Dense {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-	return m
-}
-
 // Equal reports whether m and n have the same shape and identical elements.
 func (m *Dense) Equal(n *Dense) bool {
 	if m.rows != n.rows || m.cols != n.cols {

@@ -55,13 +55,6 @@ type CallPolicy struct {
 	MaxBackoff time.Duration
 }
 
-// DefaultCallPolicy is a production-sane starting point: calls fail after
-// 30s, transient transport errors are retried twice with 50ms/100ms
-// backoff.
-func DefaultCallPolicy() CallPolicy {
-	return CallPolicy{Timeout: 30 * time.Second, MaxAttempts: 3, Backoff: 50 * time.Millisecond}
-}
-
 func (p CallPolicy) withDefaults() CallPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 1

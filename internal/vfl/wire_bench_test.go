@@ -2,10 +2,11 @@ package vfl
 
 import (
 	"fmt"
-	"net"
 	"testing"
+	"time"
 
 	"repro/internal/condvec"
+	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/tensor"
 )
@@ -108,22 +109,6 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		payload := tc.payload
 		echo := &echoClient{out: payload.Clone()}
 
-		serve := func(b *testing.B) *WireClient {
-			b.Helper()
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { lis.Close() })
-			go func() { _ = ServeClientWire(lis, echo) }()
-			proxy, err := DialWireClient("tcp", lis.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { proxy.Close() })
-			return proxy
-		}
-
 		run := func(proxy *WireClient) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
@@ -141,11 +126,72 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			}
 		}
 
-		b.Run(tc.name+"/binary", run(serve(b)))
+		b.Run(tc.name+"/binary", run(serveWire(b, echo)))
 		b.Run(tc.name+"/binary-f32", func(b *testing.B) {
-			proxy := serve(b)
+			proxy := serveWire(b, echo)
 			proxy.SetFloat32(true)
 			run(proxy)(b)
 		})
 	}
+}
+
+// BenchmarkGTVTrainingRoundLatency is the fan-out's reason to exist: one
+// round of four clients with a simulated 2ms transport delay on every
+// client call — the deployment regime, where a round is network waits, not
+// matrix math — under the sequential driver (Parallelism 1) and the
+// concurrent one (0). The concurrent driver overlaps the per-client waits,
+// so it wins even on a single core; both train bit-identical models. The
+// binary variant puts the same delayed clients behind TCP loopback gtvwire
+// transports under the concurrent driver.
+func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
+	const numClients = 4
+	run := func(par int, binary bool) func(*testing.B) {
+		return func(b *testing.B) {
+			d, err := datasets.Generate("intrusion", datasets.Config{Rows: 300, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Contiguous runs of columns, as even as they divide.
+			assignment := make([]int, d.Table.Cols())
+			for j := range assignment {
+				assignment[j] = j * numClients / len(assignment)
+			}
+			parts, err := d.Table.VerticalSplit(assignment, numClients)
+			if err != nil {
+				b.Fatal(err)
+			}
+			coord := NewShuffleCoordinator(7)
+			clients := make([]Client, numClients)
+			for i, part := range parts {
+				lc, err := NewLocalClient(part, coord, int64(i+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				slow := NewFaultyTransport(lc)
+				slow.SetDelay(2 * time.Millisecond)
+				clients[i] = slow
+				if binary {
+					clients[i] = serveWire(b, slow)
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+			cfg.Rounds = 1
+			cfg.Parallelism = par
+			srv, err := NewServer(clients, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := srv.TrainRound(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/sequential", numClients), run(1, false))
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent", numClients), run(0, false))
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent/binary", numClients), run(0, true))
 }

@@ -744,7 +744,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 // --- transport behavior over real TCP ---
 
 // serveWire starts a gtvwire server for c and returns a connected proxy.
-func serveWire(t *testing.T, c Client) *WireClient {
+func serveWire(t testing.TB, c Client) *WireClient {
 	t.Helper()
 	addr := serveWireListener(t, c)
 	proxy, err := DialWireClient("tcp", addr)
@@ -755,7 +755,7 @@ func serveWire(t *testing.T, c Client) *WireClient {
 	return proxy
 }
 
-func serveWireListener(t *testing.T, c Client) string {
+func serveWireListener(t testing.TB, c Client) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
