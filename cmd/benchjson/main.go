@@ -45,7 +45,7 @@ type result struct {
 
 func main() {
 	st := stamp{Commit: commit(), GoVersion: runtime.Version(), GOMAXPROCS: 1}
-	var records []any
+	var results []result
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -58,18 +58,25 @@ func main() {
 		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
 			st.CPU = v
 		} else if r, ok := parse(line); ok {
-			if len(records) == 0 {
-				if n, err := strconv.Atoi(r.Name[strings.LastIndexByte(r.Name, '-')+1:]); err == nil {
-					st.GOMAXPROCS = n
-				}
-				records = append(records, &st)
-			}
-			records = append(records, r)
+			results = append(results, r)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	// An input without results has no run to stamp and stays the JSON null
+	// it always was.
+	var records []any
+	if len(results) > 0 {
+		name := results[0].Name
+		if n, err := strconv.Atoi(name[strings.LastIndexByte(name, '-')+1:]); err == nil {
+			st.GOMAXPROCS = n
+		}
+		records = append(records, st)
+		for _, r := range results {
+			records = append(records, r)
+		}
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

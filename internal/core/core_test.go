@@ -4,7 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -359,7 +359,7 @@ func TestTrainCheckpointCadence(t *testing.T) {
 			for _, r := range tc.want {
 				want = append(want, filepath.Base(snap.CheckpointPath(dir, r)))
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("checkpoint files = %v, want %v", got, want)
 			}
 		})

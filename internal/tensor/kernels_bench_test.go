@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The kernel bench table behind BENCH_kernels.json (make bench-kernels): one
+// The kernel bench table behind BENCH_layers.json (make bench-layers): one
 // row per product and shape, each run on every kernel path this machine has
 // (sub-benchmarks /asm and /go), reporting GFLOP/s next to ns/op. The square
 // sizes expose cache-blocking behaviour; the named shapes are the products a

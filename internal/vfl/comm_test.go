@@ -68,14 +68,8 @@ func TestEnlargedGeneratorCostsMoreTraffic(t *testing.T) {
 	run := func(genBlockDim int) CommStats {
 		ta, tb := twoClientTables(t, 150, 7)
 		coord := NewShuffleCoordinator(99)
-		ca, err := NewLocalClient(ta, coord, 1)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
-		cb, err := NewLocalClient(tb, coord, 2)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
+		ca := newLocal(t, ta, coord, 1)
+		cb := newLocal(t, tb, coord, 2)
 		cfg := DefaultConfig()
 		cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
 		cfg.Rounds = 1

@@ -67,10 +67,7 @@ func newThreeClientSystem(t *testing.T, parallelism int, mutate func(*Config)) (
 	locals := make([]*LocalClient, len(tables))
 	ifaces := make([]Client, len(tables))
 	for i, tab := range tables {
-		c, err := NewLocalClient(tab, coord, int64(i+1))
-		if err != nil {
-			t.Fatalf("NewLocalClient %d: %v", i, err)
-		}
+		c := newLocal(t, tab, coord, int64(i+1))
 		locals[i] = c
 		ifaces[i] = c
 	}

@@ -17,14 +17,8 @@ func newFaultySystem(t *testing.T, policy CallPolicy) (*Server, *FaultyTransport
 	t.Helper()
 	ta, tb := twoClientTables(t, 80, 7)
 	coord := NewShuffleCoordinator(99)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient A: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient B: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	faulty := NewFaultyTransport(cb)
 	t.Cleanup(faulty.Release)
 	cfg := DefaultConfig()
@@ -119,10 +113,7 @@ func TestDroppedCallTripsDeadline(t *testing.T) {
 // worse, repeat a side effect). Exactly one attempt must reach the client.
 func TestPolicyDoesNotRetryApplicationErrors(t *testing.T) {
 	ta, _ := twoClientTables(t, 50, 3)
-	lc, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	lc := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	faulty := NewFaultyTransport(lc)
 	c := WithPolicy(faulty, "A", CallPolicy{MaxAttempts: 5, Backoff: time.Millisecond})
 	if _, err := c.Publish(); err == nil {

@@ -54,10 +54,7 @@ func TestInterceptMethodNames(t *testing.T) {
 // land that the second call reads.
 func TestAbandonedAttemptOwnsItsResult(t *testing.T) {
 	ta, _ := twoClientTables(t, 40, 19)
-	la, err := NewLocalClient(ta, NewShuffleCoordinator(3), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, NewShuffleCoordinator(3), 1)
 	hold := make(chan struct{})
 	returned := make(chan struct{}, 2)
 	parked := Intercept(la, func(_ string, call func() (any, error)) (any, error) {
@@ -185,10 +182,7 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 				clients := make([]Client, len(tables))
 				hits := make([]bool, len(tables))
 				for i, tab := range tables {
-					lc, err := NewLocalClient(tab, coord, int64(i+1))
-					if err != nil {
-						t.Fatalf("NewLocalClient %d: %v", i, err)
-					}
+					lc := newLocal(t, tab, coord, int64(i+1))
 					clients[i] = lc
 					if tc.target < 0 || tc.target == i {
 						clients[i] = hostile(lc, tc.method, tc.mutate, &hits[i])
@@ -234,14 +228,8 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 func TestHostileNilReplyOverWire(t *testing.T) {
 	ta, tb := twoClientTables(t, 60, 23)
 	coord := NewShuffleCoordinator(7)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	var hit bool
 	remote := hostile(lb, "ForwardSynthetic", func(any) any { return (*tensor.Dense)(nil) }, &hit)
 	pb := serveWire(t, remote)
@@ -275,10 +263,7 @@ func TestHostileNilReplyOverWire(t *testing.T) {
 // the well-formed call that follows.
 func TestWireRejectsMisshapedGradients(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 41)
-	lc, err := NewLocalClient(ta, NewShuffleCoordinator(55), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	lc := newLocal(t, ta, NewShuffleCoordinator(55), 1)
 	proxy := serveWire(t, lc)
 	const sliceW, discW, batch = 8, 16, 8
 	if err := proxy.Configure(Setup{
@@ -312,7 +297,7 @@ func TestWireRejectsMisshapedGradients(t *testing.T) {
 	if _, err := proxy.ForwardSynthetic(tensor.New(batch, sliceW), PhaseGenerator); err != nil {
 		t.Fatalf("ForwardSynthetic: %v", err)
 	}
-	_, err = proxy.BackwardGen(tensor.New(batch, 5), false)
+	_, err := proxy.BackwardGen(tensor.New(batch, 5), false)
 	wantErr("BackwardGen, cols", err, "generator gradient 8x5 for a 8x16 forward output")
 	if sg, err := proxy.BackwardGen(tensor.New(batch, discW), false); err != nil || sg.Rows() != batch || sg.Cols() != sliceW {
 		t.Fatalf("well-formed BackwardGen after the bad frame: %v", err)

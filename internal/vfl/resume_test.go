@@ -2,7 +2,6 @@ package vfl
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"repro/internal/encoding"
@@ -126,34 +125,11 @@ func TestSnapshotOverWire(t *testing.T) {
 	srv, locals := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 1 })
 	trainRounds(t, srv, "origin")
 
-	serve := func(c Client) *WireClient {
-		t.Helper()
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		go func() {
-			//lint:ignore errdrop the serve loop ends when the test closes the listener
-			_ = ServeClientWire(lis, c)
-		}()
-		proxy, err := DialWireClient("tcp", lis.Addr().String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		t.Cleanup(func() {
-			//lint:ignore errdrop test teardown, nothing left to lose
-			_ = proxy.Close()
-			//lint:ignore errdrop test teardown, nothing left to lose
-			_ = lis.Close()
-		})
-		return proxy
-	}
-
 	direct, err := locals[0].Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot(direct): %v", err)
 	}
-	viaWire, err := serve(locals[0]).Snapshot()
+	viaWire, err := serveWire(t, locals[0]).Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot(wire): %v", err)
 	}
@@ -164,7 +140,7 @@ func TestSnapshotOverWire(t *testing.T) {
 	// A fresh same-seed federation; restore client 0's blob through the
 	// wire and compare the reinstated state against the original.
 	_, fresh := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 1 })
-	if err := serve(fresh[0]).Restore(viaWire); err != nil {
+	if err := serveWire(t, fresh[0]).Restore(viaWire); err != nil {
 		t.Fatalf("Restore(wire): %v", err)
 	}
 	assertParamsEqual(t, "restored gen", locals[0].gen, fresh[0].gen)

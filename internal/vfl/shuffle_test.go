@@ -202,10 +202,7 @@ func TestRowOrderViewMatchesPhysicalShuffle(t *testing.T) {
 // second shuffle, anything else is refused and names both numbers.
 func TestEndRoundIsKeyedByRound(t *testing.T) {
 	ta, _ := twoClientTables(t, 50, 3)
-	c, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	c := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	if err := c.EndRound(3); err == nil || !strings.Contains(err.Error(), "round 3") || !strings.Contains(err.Error(), "completed 0") {
 		t.Fatalf("EndRound(3) on a fresh client: %v", err)
 	}
@@ -309,10 +306,7 @@ func TestConcurrentEndRoundSharesOneOrder(t *testing.T) {
 		if i%2 == 1 {
 			table = tb
 		}
-		c, err := NewLocalClient(table, coord, int64(i))
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
+		c := newLocal(t, table, coord, int64(i))
 		clients[i] = c
 	}
 	for round := 0; round < 3; round++ {

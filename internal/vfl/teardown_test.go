@@ -36,10 +36,7 @@ func waitGoroutineBaseline(t *testing.T, base int) {
 func TestWireClientNoRedialAfterClose(t *testing.T) {
 	ta, _ := twoClientTables(t, 40, 11)
 	coord := NewShuffleCoordinator(5)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	addr := serveWireListener(t, la)
 	// Retries enabled on purpose: even a retrying policy must not redial a
 	// closed client.
@@ -74,10 +71,7 @@ func TestWireClientNoRedialAfterClose(t *testing.T) {
 func TestListenerCloseEndsConnGoroutines(t *testing.T) {
 	ta, _ := twoClientTables(t, 40, 13)
 	coord := NewShuffleCoordinator(9)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	t.Run("wire", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -111,10 +105,7 @@ func TestListenerCloseEndsConnGoroutines(t *testing.T) {
 func TestReleaseUnblocksDelayedCalls(t *testing.T) {
 	ta, _ := twoClientTables(t, 40, 17)
 	coord := NewShuffleCoordinator(3)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	f := NewFaultyTransport(la)
 	f.SetDelay(time.Hour)
 	start := time.Now()

@@ -130,14 +130,8 @@ func TestTopKCrossTransportEquivalence(t *testing.T) {
 	build := func(t *testing.T, binary bool, topK float64, faithful bool) *Server {
 		ta, tb := twoClientTables(t, 120, 51)
 		coord := NewShuffleCoordinator(66)
-		la, err := NewLocalClient(ta, coord, 1)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
-		lb, err := NewLocalClient(tb, coord, 2)
-		if err != nil {
-			t.Fatalf("NewLocalClient: %v", err)
-		}
+		la := newLocal(t, ta, coord, 1)
+		lb := newLocal(t, tb, coord, 2)
 		clients := []Client{la, lb}
 		if binary {
 			clients = []Client{serveWire(t, la), serveWire(t, lb)}

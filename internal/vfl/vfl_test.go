@@ -163,19 +163,24 @@ func twoClientTables(t *testing.T, rows int, seed int64) (*encoding.Table, *enco
 	return ta, tb
 }
 
+// newLocal is NewLocalClient for a table the test built itself, where a
+// constructor error is a broken fixture.
+func newLocal(t testing.TB, tab *encoding.Table, coord *ShuffleCoordinator, seed int64) *LocalClient {
+	t.Helper()
+	c, err := NewLocalClient(tab, coord, seed)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	return c
+}
+
 // newTestSystem builds a 2-client GTV system with a small fast config.
 func newTestSystem(t *testing.T, plan Plan, rows int, faithful bool) (*Server, []*LocalClient) {
 	t.Helper()
 	ta, tb := twoClientTables(t, rows, 7)
 	coord := NewShuffleCoordinator(99)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient A: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient B: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	cfg := DefaultConfig()
 	cfg.Plan = plan
 	cfg.Rounds = 40
@@ -283,14 +288,8 @@ func TestEndToEndLearnsCrossClientCorrelation(t *testing.T) {
 func TestShuffleKeepsClientsAligned(t *testing.T) {
 	ta, tb := twoClientTables(t, 100, 11)
 	coord := NewShuffleCoordinator(5)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	// Record the row pairing before shuffles via the deterministic
 	// cross-client relationship is not exact; instead track a synthetic ID:
 	// row i of A pairs with row i of B. After identical-seed shuffles the
@@ -359,14 +358,8 @@ func TestServerRejectsMisalignedClients(t *testing.T) {
 	ta, _ := twoClientTables(t, 100, 3)
 	_, tb := twoClientTables(t, 90, 3)
 	coord := NewShuffleCoordinator(1)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	if _, err := NewServer([]Client{ca, cb}, DefaultConfig()); err == nil {
 		t.Fatal("expected row-misalignment error")
 	}
@@ -379,10 +372,7 @@ func TestNewServerValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 0
 	ta, _ := twoClientTables(t, 50, 3)
-	ca, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	if _, err := NewServer([]Client{ca}, cfg); err == nil {
 		t.Fatal("expected config validation error")
 	}
@@ -390,10 +380,7 @@ func TestNewServerValidation(t *testing.T) {
 
 func TestClientErrorsBeforeConfigure(t *testing.T) {
 	ta, _ := twoClientTables(t, 50, 3)
-	c, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	c := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	if _, err := c.ForwardSynthetic(tensor.New(4, 8), PhaseDiscriminator); err == nil {
 		t.Fatal("expected not-configured error")
 	}
@@ -410,10 +397,7 @@ func TestClientErrorsBeforeConfigure(t *testing.T) {
 
 func TestBackwardBeforeForwardErrors(t *testing.T) {
 	ta, _ := twoClientTables(t, 50, 3)
-	c, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	c := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	setup := Setup{
 		Plan:          Plan{DiscServer: 2, GenClient: 2},
 		SliceWidth:    8,
@@ -440,10 +424,7 @@ func TestBackwardBeforeForwardErrors(t *testing.T) {
 // outputs cannot be the identity of the encoded rows).
 func TestPrivacyLogitsAreNotRawData(t *testing.T) {
 	ta, _ := twoClientTables(t, 80, 13)
-	c, err := NewLocalClient(ta, NewShuffleCoordinator(1), 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	c := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	info, err := c.Info()
 	if err != nil {
 		t.Fatalf("Info: %v", err)
@@ -497,14 +478,8 @@ func TestGTVWithoutCategoricalColumns(t *testing.T) {
 		t.Fatalf("NewTable: %v", err)
 	}
 	coord := NewShuffleCoordinator(3)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	cfg := DefaultConfig()
 	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
 	cfg.Rounds = 3
@@ -540,10 +515,7 @@ func TestSingleClientFederation(t *testing.T) {
 		t.Fatalf("ConcatColumns: %v", err)
 	}
 	coord := NewShuffleCoordinator(9)
-	c, err := NewLocalClient(joined, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	c := newLocal(t, joined, coord, 1)
 	cfg := DefaultConfig()
 	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
 	cfg.Rounds = 2
@@ -637,14 +609,8 @@ func TestPacTraining(t *testing.T) {
 	}
 	ta, tb := twoClientTables(t, 150, 61)
 	coord := NewShuffleCoordinator(4)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	cfg := DefaultConfig()
 	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
 	cfg.Rounds = 2
@@ -689,14 +655,8 @@ func TestDPNoiseTraining(t *testing.T) {
 	}
 	ta, tb := twoClientTables(t, 120, 62)
 	coord := NewShuffleCoordinator(4)
-	ca, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	cb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	ca := newLocal(t, ta, coord, 1)
+	cb := newLocal(t, tb, coord, 2)
 	cfg := DefaultConfig()
 	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
 	cfg.Rounds = 2

@@ -163,10 +163,7 @@ func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
 			coord := NewShuffleCoordinator(7)
 			clients := make([]Client, numClients)
 			for i, part := range parts {
-				lc, err := NewLocalClient(part, coord, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
+				lc := newLocal(b, part, coord, int64(i+1))
 				slow := NewFaultyTransport(lc)
 				slow.SetDelay(2 * time.Millisecond)
 				clients[i] = slow

@@ -776,14 +776,8 @@ func TestWireEndToEndTraining(t *testing.T) {
 	}
 	ta, tb := twoClientTables(t, 200, 21)
 	coord := NewShuffleCoordinator(77)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	pa := serveWire(t, la)
 	pb := serveWire(t, lb)
 
@@ -822,14 +816,8 @@ func TestWireFaithfulMode(t *testing.T) {
 	}
 	ta, tb := twoClientTables(t, 120, 31)
 	coord := NewShuffleCoordinator(88)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	pa := serveWire(t, la)
 	pb := serveWire(t, lb)
 
@@ -859,14 +847,8 @@ func TestWireFloat32Training(t *testing.T) {
 	}
 	ta, tb := twoClientTables(t, 120, 61)
 	coord := NewShuffleCoordinator(99)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	pa := serveWire(t, la)
 	pb := serveWire(t, lb)
 	pa.SetFloat32(true)
@@ -898,10 +880,7 @@ func TestWireFloat32Training(t *testing.T) {
 func TestWireErrorPropagation(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 41)
 	coord := NewShuffleCoordinator(55)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	proxy := serveWire(t, la)
 	// Forward before configure must fail across the wire with the remote
 	// error message, and the connection must survive for later calls.
@@ -923,10 +902,7 @@ func TestWireErrorPropagation(t *testing.T) {
 func TestWirePipelining(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	const delay = 150 * time.Millisecond
 	slow := NewFaultyTransport(la)
 	slow.SetDelay(delay)
@@ -1001,10 +977,7 @@ func serveWireKillable(t *testing.T, c Client) (addr string, killConns func()) {
 func TestWireRedialAfterDisconnect(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 47)
 	coord := NewShuffleCoordinator(21)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	addr, killConns := serveWireKillable(t, la)
 	policy := CallPolicy{Timeout: 5 * time.Second, MaxAttempts: 3, Backoff: 10 * time.Millisecond}
 	proxy, err := DialWireClientPolicy("tcp", addr, policy)
@@ -1030,14 +1003,8 @@ func TestWireRedialAfterDisconnect(t *testing.T) {
 func TestWirePeerDiesBetweenRounds(t *testing.T) {
 	ta, tb := twoClientTables(t, 100, 91)
 	coord := NewShuffleCoordinator(12)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	pa := serveWire(t, la)
 	lisB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1095,10 +1062,7 @@ func TestWirePeerDiesBetweenRounds(t *testing.T) {
 func TestWireSlowClientTripsDeadline(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
 	slow := NewFaultyTransport(la)
 	slow.SetDelay(2 * time.Second)
 	addr := serveWireListener(t, slow)
@@ -1163,14 +1127,8 @@ func TestWireBytesMatchesEstimate(t *testing.T) {
 		t.Fatalf("NewTable B: %v", err)
 	}
 	coord := NewShuffleCoordinator(17)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	pa := serveWire(t, la)
 	pb := serveWire(t, lb)
 
@@ -1248,14 +1206,8 @@ func TestWireBytesMatchesEstimate(t *testing.T) {
 func TestWireFaultyTransportComposition(t *testing.T) {
 	ta, tb := twoClientTables(t, 60, 83)
 	coord := NewShuffleCoordinator(13)
-	la, err := NewLocalClient(ta, coord, 1)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
-	lb, err := NewLocalClient(tb, coord, 2)
-	if err != nil {
-		t.Fatalf("NewLocalClient: %v", err)
-	}
+	la := newLocal(t, ta, coord, 1)
+	lb := newLocal(t, tb, coord, 2)
 	inner := serveWire(t, la)
 	faulty := NewFaultyTransport(inner)
 	if _, err := faulty.Info(); err != nil {
