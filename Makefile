@@ -64,20 +64,25 @@ race:
 # reader under a script of reads chosen by the input (internal/binfmt; the
 # primitive sweep the three format fuzzers used to carry each), the gtvsnap
 # checkpoint container and its section composites, the gtvwire frame
-# decoder, the stored spec/transformer blob decoders of the gtvcol store,
-# the blocked-matmul kernel, the gtvcol columnar file decoder (hostile
-# bytes + encode/decode round-trip) and its block parser against the parser
-# it replaced (CRC-valid frames around fuzzed payloads: accept/reject and
-# every bit read out must agree), and the GMM fit against its reference
-# loops (bit equality of every fitted parameter, log-likelihood and sampled
-# mode).
+# decoder and its matrix codec (a matrix built from the input must round-trip
+# bit for bit under the shortest layout that admits it), the stored
+# spec/transformer blob decoders of the gtvcol store, the blocked-matmul
+# kernel, the masked-form counting, pack and unpack kernels against their
+# element-at-a-time definition on both kernel paths, the gtvcol columnar
+# file decoder (hostile bytes + encode/decode round-trip) and its block
+# parser against the parser it replaced (CRC-valid frames around fuzzed
+# payloads: accept/reject and every bit read out must agree), and the GMM
+# fit against its reference loops (bit equality of every fitted parameter,
+# log-likelihood and sampled mode).
 # Each guards a byte-level or numeric contract that unit tests only sample.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/binfmt
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) ./internal/vfl
+	$(GO) test -run '^$$' -fuzz FuzzWireMatrixRoundTrip -fuzztime $(FUZZTIME) ./internal/vfl
 	$(GO) test -run '^$$' -fuzz FuzzStoredBlobDecode -fuzztime $(FUZZTIME) ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
@@ -90,10 +95,11 @@ ci:
 
 # Per-package micro-benchmarks of the layers under a training round, one
 # thread like the repository's benchmark (bench/run.sh, the end-to-end door):
-# every matmul variant on each kernel path with GFLOP/s, elementwise ops and
-# backward passes (tensor, autograd); one GMM fit, the streamed encode, one
-# gtvcol stripe write and 64-row gathers under three block-cache budgets
-# (gmm, encoding, coldata); gtvwire round trips per payload class with
+# every matmul variant on each kernel path with GFLOP/s, elementwise ops,
+# backward passes, and the zero-class scan and the masked form's pack and
+# unpack on each kernel path (tensor, autograd); one GMM fit, the streamed
+# encode, one gtvcol stripe write and 64-row gathers under three block-cache
+# budgets (gmm, encoding, coldata); gtvwire round trips per payload class with
 # framed bytes, the coordinator's shuffle step and the delayed-round fan-out
 # comparison (vfl). cmd/benchjson stamps the record with commit, Go version,
 # CPU model and GOMAXPROCS and echoes the raw output to stderr; the record

@@ -27,10 +27,12 @@
 # buffer free lists, and both kernel paths, which the tensor tests run
 # through their test-only switch — it fans out over). Last, a short-budget pass over
 # every fuzzer in the module (shared byte-layer reader, snapshot decoder,
-# wire frame decoder, stored spec/transformer blob decoders, matmul kernel,
-# gtvcol decoder and round trip, gtvcol block parser against the parser it
-# replaced, GMM fit against its reference loops) so decoder defenses and
-# the bit-equality contracts regress loudly, not silently.
+# wire frame decoder, wire matrix round trip under the cost-exact layout
+# chooser, stored spec/transformer blob decoders, matmul kernel, masked-form
+# pack/unpack kernels, gtvcol decoder and round trip, gtvcol block parser
+# against the parser it replaced, GMM fit against its reference loops) so
+# decoder defenses and the bit-equality contracts regress loudly, not
+# silently.
 set -eux
 
 go vet ./...

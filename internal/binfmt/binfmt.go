@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Writer appends encoded values to Buf.
@@ -33,6 +34,10 @@ func (w *Writer) F64(v float64)    { w.U64(math.Float64bits(v)) }
 func (w *Writer) Uvarint(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
 func (w *Writer) Varint(v int64)   { w.Buf = binary.AppendVarint(w.Buf, v) }
 func (w *Writer) Raw(b []byte)     { w.Buf = append(w.Buf, b...) }
+
+// UvarintLen is the number of bytes Uvarint writes for v, for an encoder
+// that sizes a layout before it commits to it.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // VarBytes appends b behind a uvarint length prefix; VarString is the same
 // for a string.

@@ -97,6 +97,22 @@ func TestEncodedBytes(t *testing.T) {
 // TestTruncationEveryCutPoint reads every proper prefix of a buffer holding
 // one of each primitive: each fails, none panics, and the whole buffer plus
 // one byte fails on Finish.
+// TestUvarintLenIsWhatUvarintWrites: both sides of every 7-bit boundary.
+func TestUvarintLenIsWhatUvarintWrites(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			var w Writer
+			w.Uvarint(v)
+			if got := UvarintLen(v); got != len(w.Buf) {
+				t.Fatalf("UvarintLen(%#x) = %d, Uvarint wrote %d bytes", v, got, len(w.Buf))
+			}
+		}
+	}
+	if got := UvarintLen(math.MaxUint64); got != 10 {
+		t.Fatalf("UvarintLen(max) = %d", got)
+	}
+}
+
 func TestTruncationEveryCutPoint(t *testing.T) {
 	var w Writer
 	read := everyPrimitive(&w)

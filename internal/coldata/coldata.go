@@ -34,6 +34,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"repro/internal/binfmt"
 )
 
 // appendCRC appends the IEEE CRC32 of dst[start:] to dst.
@@ -106,15 +108,6 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // readUvarint consumes a uvarint from b, returning the value and the rest.
 func readUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
@@ -168,9 +161,9 @@ func scanBlock(vals []float64) blockStats {
 		if b != 0 {
 			s.nnz++
 			if prevNZ < 0 {
-				s.deltaBytes += uvarintLen(uint64(i))
+				s.deltaBytes += binfmt.UvarintLen(uint64(i))
 			} else {
-				s.deltaBytes += uvarintLen(uint64(i - prevNZ))
+				s.deltaBytes += binfmt.UvarintLen(uint64(i - prevNZ))
 			}
 			prevNZ = i
 			if b != oneBits {
@@ -238,12 +231,12 @@ func chooseLayout(vals []float64) (byte, blockStats) {
 		costs[layoutBitmap] = (s.n + 7) / 8
 	}
 	if s.nonzeroOnes {
-		costs[layoutSparseOnes] = uvarintLen(uint64(s.nnz)) + s.deltaBytes
+		costs[layoutSparseOnes] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes
 	}
-	costs[layoutSparse] = uvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
+	costs[layoutSparse] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
 	if s.allIntegral && s.n > 0 {
 		w := forWidth(uint64(s.maxI - s.minI))
-		costs[layoutFOR] = uvarintLen(zigzag(s.minI)) + 1 + w*s.n
+		costs[layoutFOR] = binfmt.UvarintLen(zigzag(s.minI)) + 1 + w*s.n
 	}
 	best := layoutDense
 	for l := byte(0); l < numLayouts; l++ {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/tensor"
 )
 
@@ -181,9 +182,9 @@ func scanBlockReference(vals []float64) blockStats {
 		if b != 0 {
 			s.nnz++
 			if prevNZ < 0 {
-				s.deltaBytes += uvarintLen(uint64(i))
+				s.deltaBytes += binfmt.UvarintLen(uint64(i))
 			} else {
-				s.deltaBytes += uvarintLen(uint64(i - prevNZ))
+				s.deltaBytes += binfmt.UvarintLen(uint64(i - prevNZ))
 			}
 			prevNZ = i
 			if b != oneBits {

@@ -184,7 +184,7 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 	switch fn.Name() {
 	case "New", "NewPooled", "NewPooledUninit":
 		return one(matVal(argDim(args, 0), argDim(args, 1))), true
-	case "Full", "FromSlice", "NewPooledOneHot", "NewPooledBitmap":
+	case "Full", "FromSlice", "NewPooledOneHot", "NewPooledBitmap", "NewPooledMasked":
 		return one(matVal(argDim(args, 0), argDim(args, 1))), true
 	case "Randn", "RandUniform":
 		return one(matVal(argDim(args, 1), argDim(args, 2))), true

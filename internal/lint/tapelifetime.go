@@ -181,17 +181,10 @@ func classifyAcquisition(info *types.Info, id *ast.Ident, rhs ast.Expr) *acquisi
 	}
 	switch v := ast.Unparen(rhs).(type) {
 	case *ast.CallExpr:
-		if isPkgFunc(info, v, "internal/tensor", "NewPooled") {
-			return &acquisition{obj: obj, pos: id.Pos(), what: "tensor.NewPooled buffer"}
-		}
-		if isPkgFunc(info, v, "internal/tensor", "NewPooledUninit") {
-			return &acquisition{obj: obj, pos: id.Pos(), what: "tensor.NewPooledUninit buffer"}
-		}
-		if isPkgFunc(info, v, "internal/tensor", "NewPooledOneHot") {
-			return &acquisition{obj: obj, pos: id.Pos(), what: "tensor.NewPooledOneHot buffer"}
-		}
-		if isPkgFunc(info, v, "internal/tensor", "NewPooledBitmap") {
-			return &acquisition{obj: obj, pos: id.Pos(), what: "tensor.NewPooledBitmap buffer"}
+		for _, name := range []string{"NewPooled", "NewPooledUninit", "NewPooledOneHot", "NewPooledBitmap", "NewPooledMasked"} {
+			if isPkgFunc(info, v, "internal/tensor", name) {
+				return &acquisition{obj: obj, pos: id.Pos(), what: "tensor." + name + " buffer"}
+			}
 		}
 		if isPkgFunc(info, v, "internal/coldata", "AcquireBlockBuf") {
 			return &acquisition{obj: obj, pos: id.Pos(), what: "coldata.AcquireBlockBuf buffer"}

@@ -3,8 +3,8 @@ package tensor
 // amd64 side of the kernel layer: CPU detection, the declarations of the
 // AVX2 routines in kernels_amd64.s, and the entry points the portable code
 // calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu, leakyReLU,
-// actGrad, allFinite), each of which picks the vector routine or the Go loop
-// it is bit-identical to.
+// actGrad, allFinite, countZeroClasses, packMasked), each of which picks the
+// vector routine or the Go loop it is bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -52,6 +52,12 @@ func vecDivAVX2(dst, a, b *float64, n int)
 
 //go:noescape
 func allFiniteAVX2(p *float64, n int) bool
+
+//go:noescape
+func countZeroClassesAVX2(p *float64, n int) (posZero, zero, one int)
+
+//go:noescape
+func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
 
 // tileAcc adds a k tile's contribution to rows [lo,hi) of dst (see
 // tileAccGroups, the loop it must agree with bit for bit). Rows of vecMinLen
@@ -146,6 +152,13 @@ func allFinite(data []float64) bool {
 	return allFiniteGeneric(data)
 }
 
+func countZeroClasses(data []float64) (posZero, zero, one int) {
+	if useAsm && len(data) >= vecMinLen {
+		return countZeroClassesAVX2(&data[0], len(data))
+	}
+	return countZeroClassesGeneric(data)
+}
+
 // The MatMulTB tile: dotPanelRows rows of a against dotPanelCols rows of b
 // per call, eight 4-lane accumulators.
 const (
@@ -209,4 +222,34 @@ func matmulTBRange(dst, a, b *Dense, lo, hi int) {
 	if i0 < hi {
 		matmulTBRangeGeneric(dst, a, b, i0, hi)
 	}
+}
+
+// maskedLeftPack[m] is the VPERMD index vector that moves the 64-bit lanes
+// named by the bits of m to the front, in order (a lane is two of VPERMD's
+// 32-bit elements); maskedAdvance[m] is the bytes those lanes fill.
+var maskedLeftPack, maskedAdvance = func() (perm [16][8]uint32, adv [16]uint8) {
+	for m := range perm {
+		k := 0
+		for lane := 0; lane < 4; lane++ {
+			if m>>lane&1 != 0 {
+				perm[m][2*k], perm[m][2*k+1] = uint32(2*lane), uint32(2*lane+1)
+				k++
+			}
+		}
+		adv[m] = uint8(8 * k)
+	}
+	return perm, adv
+}()
+
+// packMasked gives the float64 form's whole groups of eight elements to the
+// vector routine and whatever it leaves — the last n%8 elements, the float32
+// form, or everything once values has run out of room — to the Go loop, whose
+// bounds checks then report the shortage.
+func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
+	if !useAsm || f32 || len(data) < 8 {
+		return packMaskedGeneric(presence, sign, values, data, f32)
+	}
+	_, _ = presence[len(data)/8-1], sign[len(data)/8-1]
+	done, used := packMaskedAVX2(&presence[0], &sign[0], &values[0], len(values), &data[0], len(data)&^7, &maskedLeftPack, &maskedAdvance)
+	return used + packMaskedGeneric(presence[done/8:], sign[done/8:], values[used:], data[done:], false)
 }

@@ -695,3 +695,190 @@ findone:
 	SETEQ ret+16(FP)
 	VZEROUPPER
 	RET
+
+// func countZeroClassesAVX2(p *float64, n int) (posZero, zero, one int)
+//
+// Integer compares of the raw bits, as the Go loop does them: a lane equal to
+// 0 is +0, a lane that is 0 once doubled (the sign shifted out) is +0 or -0,
+// a lane equal to the bits of 1.0 is +1. A compare leaves all ones (-1) in a
+// matching lane, so subtracting it counts the match. The tail compares in
+// general registers: a scalar vector load would zero the upper lanes, and
+// those zeros would be counted.
+TEXT ·countZeroClassesAVX2(SB), NOSPLIT, $0-40
+	MOVQ p+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ $0x3FF0000000000000, R11
+	VMOVQ R11, X14
+	VPBROADCASTQ X14, Y14
+	VPXOR Y15, Y15, Y15
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	XORQ R8, R8
+	XORQ R9, R9
+	XORQ R10, R10
+
+zcloop8:
+	CMPQ CX, $8
+	JL   zcloop4
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y4
+	VPCMPEQQ Y0, Y15, Y1
+	VPADDQ Y0, Y0, Y2
+	VPCMPEQQ Y0, Y14, Y3
+	VPCMPEQQ Y2, Y15, Y2
+	VPCMPEQQ Y4, Y15, Y5
+	VPADDQ Y4, Y4, Y6
+	VPCMPEQQ Y4, Y14, Y7
+	VPCMPEQQ Y6, Y15, Y6
+	VPSUBQ Y1, Y8, Y8
+	VPSUBQ Y2, Y9, Y9
+	VPSUBQ Y3, Y10, Y10
+	VPSUBQ Y5, Y8, Y8
+	VPSUBQ Y6, Y9, Y9
+	VPSUBQ Y7, Y10, Y10
+	ADDQ $64, SI
+	SUBQ $8, CX
+	JMP  zcloop8
+
+zcloop4:
+	CMPQ CX, $4
+	JL   zctail1
+	VMOVDQU (SI), Y0
+	VPCMPEQQ Y0, Y15, Y1
+	VPADDQ Y0, Y0, Y2
+	VPCMPEQQ Y0, Y14, Y3
+	VPCMPEQQ Y2, Y15, Y2
+	VPSUBQ Y1, Y8, Y8
+	VPSUBQ Y2, Y9, Y9
+	VPSUBQ Y3, Y10, Y10
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  zcloop4
+
+zctail1:
+	TESTQ CX, CX
+	JZ   zcdone
+	MOVQ (SI), AX
+	XORQ DX, DX
+	TESTQ AX, AX
+	SETEQ DL
+	ADDQ DX, R8
+	MOVQ AX, BX
+	SHLQ $1, BX
+	SETEQ DL
+	ADDQ DX, R9
+	CMPQ AX, R11
+	SETEQ DL
+	ADDQ DX, R10
+	ADDQ $8, SI
+	DECQ CX
+	JMP  zctail1
+
+zcdone:
+	VEXTRACTI128 $1, Y8, X0
+	VPADDQ X0, X8, X8
+	VPSHUFD $0x4E, X8, X0
+	VPADDQ X0, X8, X8
+	VMOVQ X8, AX
+	ADDQ AX, R8
+	VEXTRACTI128 $1, Y9, X0
+	VPADDQ X0, X9, X9
+	VPSHUFD $0x4E, X9, X0
+	VPADDQ X0, X9, X9
+	VMOVQ X9, AX
+	ADDQ AX, R9
+	VEXTRACTI128 $1, Y10, X0
+	VPADDQ X0, X10, X10
+	VPSHUFD $0x4E, X10, X0
+	VPADDQ X0, X10, X10
+	VMOVQ X10, AX
+	ADDQ AX, R10
+	MOVQ R8, posZero+16(FP)
+	MOVQ R9, zero+24(FP)
+	MOVQ R10, one+32(FP)
+	VZEROUPPER
+	RET
+
+// func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
+//
+// The masked form (masked.go) of n elements, n a multiple of 8, eight
+// elements — one byte of each plane — per turn. VPADDQ shifts the sign out, a
+// compare with zero marks the lanes that are +0 or -0, and VMOVMSKPD turns
+// that and the sign bits into two 4-bit masks per vector: sign AND zero is
+// the sign plane's nibble, NOT zero the presence plane's. The presence nibble
+// picks the VPERMD index vector in perm that moves the present lanes to the
+// front in order; all 32 bytes are stored at the cursor and the cursor moves
+// by adv[nibble], eight bytes per present lane — the store-everything,
+// advance-by-presence rule of packWordF64, four elements at a time. A turn
+// writes up to 64 bytes past the cursor, so the routine stops before a turn
+// that room does not cover and reports how far it got.
+TEXT ·packMaskedAVX2(SB), NOSPLIT, $0-80
+	MOVQ presence+0(FP), R8
+	MOVQ sign+8(FP), R9
+	MOVQ values+16(FP), DI
+	MOVQ room+24(FP), R14
+	MOVQ data+32(FP), SI
+	MOVQ n+40(FP), CX
+	MOVQ perm+48(FP), R12
+	MOVQ adv+56(FP), R13
+	MOVQ DI, R15
+	LEAQ -64(DI)(R14*1), R14
+	SHRQ $3, CX
+	VPXOR Y15, Y15, Y15
+
+pkloop:
+	TESTQ CX, CX
+	JZ   pkdone
+	CMPQ DI, R14
+	JA   pkdone
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y1
+	VPADDQ Y0, Y0, Y2
+	VPADDQ Y1, Y1, Y3
+	VPCMPEQQ Y2, Y15, Y2
+	VPCMPEQQ Y3, Y15, Y3
+	VMOVMSKPD Y2, AX
+	VMOVMSKPD Y3, BX
+	VMOVMSKPD Y0, R10
+	VMOVMSKPD Y1, R11
+	ANDL AX, R10
+	ANDL BX, R11
+	SHLL $4, R11
+	ORL  R10, R11
+	MOVB R11, (R9)
+	XORL $15, AX
+	XORL $15, BX
+	MOVL BX, DX
+	SHLL $4, DX
+	ORL  AX, DX
+	MOVB DL, (R8)
+	MOVL AX, R10
+	SHLL $5, R10
+	VMOVDQU (R12)(R10*1), Y4
+	VPERMD Y0, Y4, Y4
+	VMOVDQU Y4, (DI)
+	MOVBQZX (R13)(AX*1), R10
+	ADDQ R10, DI
+	MOVL BX, R11
+	SHLL $5, R11
+	VMOVDQU (R12)(R11*1), Y5
+	VPERMD Y1, Y5, Y5
+	VMOVDQU Y5, (DI)
+	MOVBQZX (R13)(BX*1), R11
+	ADDQ R11, DI
+	ADDQ $64, SI
+	INCQ R8
+	INCQ R9
+	DECQ CX
+	JMP  pkloop
+
+pkdone:
+	MOVQ n+40(FP), AX
+	SHLQ $3, CX
+	SUBQ CX, AX
+	MOVQ AX, done+64(FP)
+	SUBQ R15, DI
+	MOVQ DI, used+72(FP)
+	VZEROUPPER
+	RET

@@ -29,3 +29,11 @@ func leakyReLU(dst, x []float64, slope float64) { leakyReLUGeneric(dst, x, slope
 func actGrad(dst, g, x []float64, slope float64) { actGradGeneric(dst, g, x, slope) }
 
 func allFinite(data []float64) bool { return allFiniteGeneric(data) }
+
+func countZeroClasses(data []float64) (posZero, zero, one int) {
+	return countZeroClassesGeneric(data)
+}
+
+func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
+	return packMaskedGeneric(presence, sign, values, data, f32)
+}

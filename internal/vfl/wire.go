@@ -21,7 +21,15 @@ package vfl
 // wirecodec.go. Matrix payloads are written directly from
 // tensor.Dense.Data() (no intermediate copy) and decoded into
 // tensor.NewPooled buffers, so a round-trip touches each float exactly
-// once per direction.
+// once per direction. Each matrix travels in the cheapest, by exact byte
+// count, of five lossless layouts — since version 3 that includes the
+// masked one, which ships the half-zero critic logits a Dropout leaves
+// (the paper's most expensive message under the full-table real pass) at
+// a little over half their dense size.
+//
+// A frame is read into a buffer that runs at most wireReadAhead bytes
+// ahead of the payload bytes that have arrived, so a header alone cannot
+// make the receiver allocate its announced length.
 //
 // A single persistent connection carries many concurrent calls: requests
 // are sequence-numbered, responses may arrive in any order, and a demux
@@ -41,19 +49,29 @@ const (
 	// wireVersion is bumped on any incompatible frame-format change.
 	// Version 2: varint-coded shapes/lengths/indices, density-selected
 	// matrix layouts (one-hot, bitmap, index-list) and the delta-encoded
-	// snapshot transfer.
-	wireVersion = 2
+	// snapshot transfer. Version 3: the masked matrix layout, which a
+	// version-2 decoder rejects as an invalid layout byte — the bump makes a
+	// mixed pair fail at the first header instead of in the middle of a
+	// round.
+	wireVersion = 3
 	// wireHeaderLen is the fixed frame header size in bytes.
 	wireHeaderLen = 16
 	// wireMaxPayload bounds a single frame's payload so a corrupt or
-	// malicious length prefix cannot make the receiver allocate
+	// malicious length prefix cannot make the receiver read
 	// unboundedly. 1 GiB comfortably fits the paper-scale payloads
 	// (batch 500 x width 768 x 8 B = ~3 MB).
 	wireMaxPayload = 1 << 30
-	// wireMaxSparseElems bounds the dense expansion of the sparse matrix
-	// layouts (one-hot, bitmap, index-list), whose byte cost on the wire
-	// is far below 8 B/element: without a cap a tiny malicious frame could
-	// make the decoder allocate gigabytes. 2^22 elements (32 MiB of
+	// wireReadAhead bounds what a length prefix alone can make the receiver
+	// allocate: a payload buffer starts at most this long and then doubles
+	// as the bytes arrive, so a peer gets at most as much memory again as
+	// it has sent. 1 MiB is above every frame of a paper-scale round (the
+	// full-table pass of 5000 rows x 17 logits is 680 KB dense), which
+	// therefore still land in one buffer.
+	wireReadAhead = 1 << 20
+	// wireMaxSparseElems bounds the dense expansion of the compact matrix
+	// layouts (one-hot, bitmap, index-list, masked), whose byte cost on the
+	// wire is far below 8 B/element: without a cap a tiny malicious frame
+	// could make the decoder allocate gigabytes. 2^22 elements (32 MiB of
 	// float64) is an order of magnitude above the paper-scale payloads;
 	// larger matrices simply travel dense, where the payload length itself
 	// is the bound.
@@ -181,12 +199,34 @@ func readWireFrame(r io.Reader) (wireHeader, []byte, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	buf := getWireBuf(int(h.payloadLen))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		putWireBuf(buf)
+	buf, err := readWirePayload(r, int(h.payloadLen))
+	if err != nil {
 		return h, nil, fmt.Errorf("gtvwire: short payload for %s frame: %w", wireMethodName(h.method), err)
 	}
 	return h, buf, nil
+}
+
+// readWirePayload reads the n payload bytes a header announced into a frame
+// buffer. A recycled buffer with the room is used whole; otherwise the
+// buffer starts wireReadAhead long and doubles each time the peer has filled
+// it, so n is a promise the peer pays for byte by byte, not an allocation
+// made on its word.
+func readWirePayload(r io.Reader, n int) ([]byte, error) {
+	buf := getWireBuf(min(n, wireReadAhead))
+	buf = buf[:min(n, cap(buf))]
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			putWireBuf(buf)
+			return nil, err
+		}
+		if filled = len(buf); filled == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*filled))
+		copy(grown, buf)
+		putWireBuf(buf)
+		buf = grown
+	}
 }
 
 // wireBufPool recycles payload buffers between frames. Buffers are stored

@@ -2,6 +2,7 @@ package vfl
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -45,8 +46,8 @@ func (c *echoClient) Publish() (*encoding.Table, error) {
 }
 
 // wireBenchPayloads builds the payload shapes the codec picks distinct
-// layouts for, at the paper's batch-500 scale. Every pattern is
-// deterministic so runs are comparable.
+// layouts for, at the paper's batch-500 scale (and the one full-table
+// reply). Every pattern is deterministic so runs are comparable.
 func wireBenchPayloads(batch int) []struct {
 	name    string
 	payload *tensor.Dense
@@ -83,10 +84,24 @@ func wireBenchPayloads(batch int) []struct {
 			}
 		}
 	}
+	// Critic logits as a client's D_i^b block sends them — Linear, then
+	// LeakyReLU(0.2), then Dropout(0.5): a quarter +0, a quarter -0, half
+	// values, the masked layout's case. 17 columns is a wire-4c client's
+	// block; 5000 rows its reply in the full-table real pass.
+	logits := func(rows int) *tensor.Dense {
+		rng := rand.New(rand.NewSource(1))
+		act := tensor.LeakyReLU(tensor.Randn(rng, rows, 17, 0, 1), 0.2)
+		out, mask := tensor.Dropout(rng, act, 0.5)
+		act.Release()
+		mask.Release()
+		return out
+	}
 	return []struct {
 		name    string
 		payload *tensor.Dense
 	}{
+		{"rows=5000/logits-dropout", logits(5000)},
+		{fmt.Sprintf("batch=%d/logits-dropout", batch), logits(batch)},
 		{fmt.Sprintf("batch=%d/width=%d", batch, 64), dense(64)},
 		{fmt.Sprintf("batch=%d/width=%d", batch, 256), dense(256)},
 		{fmt.Sprintf("batch=%d/width=%d", batch, 768), dense(768)},
@@ -99,10 +114,11 @@ func wireBenchPayloads(batch int) []struct {
 // BenchmarkWireRoundTrip measures one full protocol call (matrix out,
 // matrix back) over TCP loopback on the gtvwire binary codec (f64 and the
 // opt-in f32 payload mode) across the payload classes the encoder picks
-// different layouts for: dense activations at three boundary widths,
-// one-hot CV batches, 0/1 masks (bitmap layout) and top-k sparsified
-// gradients (index-list layout). The wire_bytes/op metric is the measured
-// framed traffic per call, so the bytes on the wire sit next to latency.
+// different layouts for: post-dropout critic logits (masked layout), dense
+// activations at three boundary widths, one-hot CV batches, 0/1 masks
+// (bitmap layout) and top-k sparsified gradients (index-list layout). The
+// wire_bytes/op metric is the measured framed traffic per call, so the
+// bytes on the wire sit next to latency.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	const batch = 500
 	for _, tc := range wireBenchPayloads(batch) {

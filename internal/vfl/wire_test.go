@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/binfmt"
@@ -60,6 +63,86 @@ func TestWireHeaderRejectsGarbage(t *testing.T) {
 		if _, err := parseWireHeader(buf); err == nil {
 			t.Errorf("%s: parseWireHeader accepted a bad header", name)
 		}
+	}
+}
+
+// TestWireVersion2HeaderRefused: a version-2 peer cannot read the masked
+// layout, so a mixed pair must fail at the first header, not mid-round.
+func TestWireVersion2HeaderRefused(t *testing.T) {
+	var buf [wireHeaderLen]byte
+	wireHeader{payloadLen: 8, version: 2, kind: wireKindRequest, method: wireMethodInfo}.put(buf[:])
+	_, err := parseWireHeader(buf[:])
+	if err == nil || !strings.Contains(err.Error(), "unsupported frame version 2") {
+		t.Fatalf("version-2 header: %v", err)
+	}
+	if wireVersion != 3 {
+		t.Fatalf("wireVersion = %d, the masked layout shipped in 3", wireVersion)
+	}
+}
+
+// headerThenEOF serves one frame header and nothing else.
+type headerThenEOF struct{ hdr []byte }
+
+func (r *headerThenEOF) Read(p []byte) (int, error) {
+	if len(r.hdr) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.hdr)
+	r.hdr = r.hdr[n:]
+	return n, nil
+}
+
+// TestReadWireFrameAllocatesBehindArrivedBytes: sixteen bytes that claim the
+// largest payload the header check admits must not make the reader allocate
+// it — the buffer may run at most 1 MiB ahead of what has arrived.
+func TestReadWireFrameAllocatesBehindArrivedBytes(t *testing.T) {
+	var hdr [wireHeaderLen]byte
+	wireHeader{payloadLen: wireMaxPayload, version: wireVersion, kind: wireKindResponse, method: wireMethodForwardReal}.put(hdr[:])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readWireFrame(&headerThenEOF{hdr: hdr[:]})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "short payload") {
+		t.Fatalf("header then EOF: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Fatalf("a %d-byte header made readWireFrame allocate %d bytes", wireHeaderLen, grew)
+	}
+}
+
+// TestReadWireFrameGrowsWithArrivingBytes: a payload larger than the
+// read-ahead arrives whole through the growing buffer, a pooled buffer that
+// already has the room is used as it is, and a frame under the read-ahead
+// takes one buffer of exactly its size.
+func TestReadWireFrameGrowsWithArrivingBytes(t *testing.T) {
+	payload := make([]byte, 5<<20+123)
+	rand.New(rand.NewSource(5)).Read(payload)
+	frame := make([]byte, wireHeaderLen, wireHeaderLen+len(payload))
+	wireHeader{payloadLen: uint32(len(payload)), version: wireVersion, kind: wireKindResponse, method: wireMethodPublish}.put(frame)
+	frame = append(frame, payload...)
+	for _, pass := range []string{"growing", "pooled"} {
+		_, got, err := readWireFrame(iotest.OneByteReader(bytes.NewReader(frame)))
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s: payload changed on the way in", pass)
+		}
+		putWireBuf(got)
+	}
+	// Under the read-ahead nothing grows: one buffer of the payload's size at
+	// most (none when the pool has one).
+	small := append([]byte(nil), frame[:wireHeaderLen+600<<10]...)
+	wireHeader{payloadLen: 600 << 10, version: wireVersion, kind: wireKindResponse, method: wireMethodPublish}.put(small)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, got, err := readWireFrame(bytes.NewReader(small))
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(got, small[wireHeaderLen:]) {
+		t.Fatalf("600 KiB frame: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 700<<10 {
+		t.Fatalf("a 600 KiB frame allocated %d bytes: more than its one buffer", grew)
 	}
 }
 
@@ -175,12 +258,36 @@ func goldenWireFrames() map[string][]byte {
 	fixtures["restore_req.bin"] = frame(wireKindRequest, wireMethodRestore, 0, 23, enc.Buf)
 	enc.release()
 
+	// What a Dropout leaves of critic logits: zeros of both signs among the
+	// values — the masked layout. The NaN payload and the denormal are the
+	// bit patterns a value compare would lose.
+	enc = newWireEnc()
+	enc.matrix(goldenMaskedLogits(), false)
+	fixtures["logits_masked.bin"] = frame(wireKindResponse, wireMethodForwardReal, 0, 25, enc.Buf)
+	enc.release()
+
 	return fixtures
 }
 
+// goldenMaskedLogits is the 3x5 matrix behind logits_masked.bin.
+func goldenMaskedLogits() *tensor.Dense {
+	negZero := math.Copysign(0, -1)
+	return tensor.FromRows([][]float64{
+		{0.75, negZero, 0, -1.5, negZero},
+		{0, math.Float64frombits(0x7FF8000000C0FFEE), negZero, 0, 2.25},
+		{negZero, 0, 5e-324, negZero, -0.125},
+	})
+}
+
 // The values behind publish_resp.bin, configure_req.bin and restore_req.bin.
-// Those three frames were written by the encoder as it stood before the codec
-// moved onto internal/binfmt and must never be regenerated.
+// configure_req.bin, restore_req.bin and the spec list that opens
+// publish_resp.bin's payload were written by the encoder as it stood before
+// the codec moved onto internal/binfmt and must never be regenerated: wire
+// version 3 patched their version byte and nothing else. The table that
+// follows publish_resp.bin's spec list holds two +0 and is 12 bytes shorter
+// in the masked layout, so that tail (and the header's payload length) was
+// re-cut with version 3; TestWirePublishSpecsAreTheSharedCodec still pins
+// the prefix.
 var (
 	goldenSetup = Setup{
 		Plan:          Plan{DiscServer: 2, DiscClient: 1, GenServer: 1, GenClient: 2},
@@ -327,6 +434,24 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	wantSparse.Set(3, 7, 3)
 	if !m.Equal(wantSparse) {
 		t.Fatalf("decoded sparse gradient %v", m)
+	}
+	m.Release()
+
+	h, dec = read("logits_masked.bin")
+	if h.method != wireMethodForwardReal || h.seq != 25 {
+		t.Fatalf("masked fixture header %+v", h)
+	}
+	if raw, err := os.ReadFile(filepath.Join("testdata", "wire", "logits_masked.bin")); err != nil || raw[wireHeaderLen] != wireLayoutMasked {
+		t.Fatalf("masked fixture does not open with layout %d (%v)", wireLayoutMasked, err)
+	}
+	m = dec.matrix()
+	if err := dec.Finish(); err != nil {
+		t.Fatalf("decode masked: %v", err)
+	}
+	for i, v := range m.Data() {
+		if want := goldenMaskedLogits().Data()[i]; math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("masked fixture element %d: bits %016x, want %016x", i, math.Float64bits(v), math.Float64bits(want))
+		}
 	}
 	m.Release()
 
@@ -598,7 +723,7 @@ func TestWireSetupCodecRoundTrip(t *testing.T) {
 // possible cut point of a realistic payload.
 func TestWireDecRejectsTruncation(t *testing.T) {
 	// One matrix per layout so every decode path sees every cut point:
-	// dense, one-hot, bitmap (multi-hot 0/1), and sparse (index list).
+	// dense, one-hot, bitmap (multi-hot 0/1), sparse (index list) and masked.
 	sparse := tensor.New(3, 16)
 	sparse.Set(0, 4, 2.5)
 	sparse.Set(2, 11, -7)
@@ -607,13 +732,14 @@ func TestWireDecRejectsTruncation(t *testing.T) {
 	enc.matrix(tensor.FromRows([][]float64{{0, 1, 0}, {0, 0, 1}}), false)
 	enc.matrix(tensor.FromRows([][]float64{{1, 1, 0, 1}, {0, 1, 1, 1}}), false)
 	enc.matrix(sparse, false)
+	enc.matrix(goldenMaskedLogits(), false)
 	enc.ints([]int{3, 1, 4})
 	enc.VarString("hello")
 	full := append([]byte(nil), enc.Buf...)
 	enc.release()
 
 	decodeAll := func(dec *wireDec) {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 5; i++ {
 			if m := dec.matrix(); m != nil {
 				m.Release()
 			}
@@ -1154,11 +1280,13 @@ func TestWireBytesMatchesEstimate(t *testing.T) {
 	}
 	// Density-aware bounds. The estimate is a deliberately dense model
 	// (8 B/element for every payload matrix), while the wire picks layouts
-	// per frame: activations and gradients stay dense (so framing overhead
-	// pushes their measurement above the estimate), but one-hot CV batches
-	// compress to about a byte per row. The total therefore sits inside a
-	// sandwich: above half the dense estimate (dense traffic dominates this
-	// run), below 2x (framing overhead bounded).
+	// per frame: generator slices and gradients stay dense (so framing
+	// overhead pushes their measurement above the estimate), the critic
+	// logits a Dropout(0.5) has been over travel masked at a little over
+	// half that, and one-hot CV batches compress to about a byte per row.
+	// The total therefore sits inside a sandwich: above half the dense
+	// estimate (dense traffic dominates this run), below 2x (framing
+	// overhead bounded).
 	if 2*got <= est {
 		t.Fatalf("measured wire bytes %d under half the estimate %d — dense frames went missing", got, est)
 	}

@@ -3,9 +3,12 @@ package vfl
 // Payload codec for the gtvwire frame protocol (see wire.go for the frame
 // layout): internal/binfmt's Writer over a pooled byte buffer and its Reader
 // over a received payload, plus what is gtvwire's own — uvarint lengths,
-// zigzag ints, the matrix layouts and the ownership of the pooled tensors
-// they decode into. Malformed frames surface as one descriptive error
-// instead of a panic (FuzzWireFrameDecode holds the codec to that).
+// zigzag ints, the five matrix layouts, the cost-exact choice between them
+// and the ownership of the pooled tensors they decode into. Malformed
+// frames surface as one descriptive error instead of a panic
+// (FuzzWireFrameDecode holds the codec to that; FuzzWireMatrixRoundTrip
+// holds the matrix codec to bit-exact round trips under the shortest
+// admissible layout).
 
 import (
 	"bytes"
@@ -28,23 +31,35 @@ const (
 )
 
 // Matrix payload layouts: the first byte of every matrix field. The
-// encoder scans each matrix once and picks the cheapest faithful layout,
-// so layout choice is invisible to decoded values — every layout is
-// lossless for the matrices it admits (f32 element rounding excepted,
-// exactly as in the dense layout) and the sparse ones only apply when the
-// scan proves they reproduce the matrix bit-for-bit.
+// encoder counts each matrix's zero classes once (tensor.CountZeroClasses)
+// and picks the layout with the fewest bytes among those that reproduce the
+// matrix bit for bit, so layout choice is invisible to decoded values (f32
+// element rounding excepted, exactly as in the dense layout) and an encoding
+// is a pure function of the matrix. With n elements of elem bytes, z of them
+// +0, zz of them +0 or -0, after the layout byte and the two shape varints:
+//
+//	dense   any matrix                     1 + n*elem
+//	one-hot all +0/+1, <= 1 one per row    one varint per row
+//	bitmap  all +0/+1                      ceil(n/8)
+//	sparse  n <= 2^22                      1 + varint(n-z) + sum varint(index delta) + (n-z)*elem
+//	masked  n <= 2^22                      1 + 2*ceil(n/8) + (n-zz)*elem
+//
+// A 0/1 matrix takes one-hot if it can, else the bitmap; every other matrix
+// takes the cheapest of dense, sparse and masked, a tie going to the lower
+// layout number.
 const (
 	wireLayoutNil    = 0 // absent matrix (the old presence byte 0)
 	wireLayoutDense  = 1 // raw little-endian elements
 	wireLayoutOneHot = 2 // 0/1 matrix, at most one 1 per row: per-row index
 	wireLayoutBitmap = 3 // 0/1 matrix: row-major LSB-first bitmap
-	wireLayoutSparse = 4 // low density: delta-coded index list plus values
+	wireLayoutSparse = 4 // few elements that are not +0: delta-coded index list plus values
+	wireLayoutMasked = 5 // many zeros of either sign: presence and sign bit planes plus values
 )
 
-// Bit patterns the density scan classifies against. Comparing bits rather
-// than values keeps the scan lint-clean (no float ==) and strict: -0.0 and
-// denormals near 1 are NOT 0/1, so the bit-set layouts can materialize
-// exact +0.0/+1.0 on decode.
+// Bit patterns the encoders classify against. Comparing bits rather than
+// values keeps them lint-clean (no float ==) and strict: -0.0 and denormals
+// near 1 are NOT 0/1, so the bit-set layouts can materialize exact
+// +0.0/+1.0 on decode.
 const (
 	wireBitsZero = 0
 	wireBitsOne  = 0x3FF0000000000000
@@ -77,77 +92,83 @@ func (e *wireEnc) ints(v []int) {
 // matrix appends m's shape and elements under the cheapest faithful
 // layout: conditional vectors and hard Gumbel outputs (exactly one +1.0
 // per row) travel as per-row indices, 0/1 masks as bitmaps, top-k
-// sparsified gradients as delta-coded index lists, and everything else as
-// raw little-endian elements read directly from the tensor's backing
-// storage. f32 selects the lossy float32 element encoding for the layouts
-// that carry element bytes (dense, index-list); the bit-set layouts are
-// exact in either mode.
+// sparsified gradients as delta-coded index lists, what a Dropout leaves
+// (half zeros, half of those -0) as two bit planes and the surviving
+// values, and everything else as raw little-endian elements read directly
+// from the tensor's backing storage. f32 selects the lossy float32 element
+// encoding for the layouts that carry element bytes (dense, index-list,
+// masked); the bit-set layouts are exact in either mode.
 func (e *wireEnc) matrix(m *tensor.Dense, f32 bool) {
 	if m == nil {
 		e.U8(wireLayoutNil)
 		return
 	}
-	switch scanWireMatrix(m) {
-	case wireLayoutOneHot:
-		e.matrixOneHot(m)
-	case wireLayoutBitmap:
-		e.matrixBitmap(m)
-	case wireLayoutSparse:
-		e.matrixSparse(m, f32)
-	default:
+	data := m.Data()
+	n := len(data)
+	// Above the cap the compact layouts' decoders refuse the shape, and an
+	// empty matrix has nothing to choose between.
+	if n == 0 || n > wireMaxSparseElems {
 		e.matrixDense(m, f32)
+		return
+	}
+	zc := tensor.CountZeroClasses(data)
+	if zc.PosZero+zc.One == n {
+		if zc.One <= m.Rows() && oneHotRows(m) {
+			e.matrixOneHot(m)
+		} else {
+			e.matrixBitmap(m)
+		}
+		return
+	}
+	// Byte sizes past the header and element-size byte the three share.
+	elem := wireElemSize(f32)
+	nnz := n - zc.PosZero
+	dense := n * elem
+	masked := 2*((n+7)/8) + (n-zc.Zero)*elem
+	// The index list costs at least one delta byte per entry; its exact
+	// size takes a second pass, made only when that bound can still win.
+	sparse := binfmt.UvarintLen(uint64(nnz)) + nnz*(1+elem)
+	if sparse <= min(dense, masked) {
+		sparse += sparseDeltaExtraBytes(data)
+	}
+	switch {
+	case dense <= sparse && dense <= masked:
+		e.matrixDense(m, f32)
+	case sparse <= masked:
+		e.matrixSparse(m, f32, nnz)
+	default:
+		e.matrixMasked(m, f32, zc.Zero)
 	}
 }
 
-// scanWireMatrix classifies m's density in one pass over the raw bits:
-// all elements exactly +0.0/+1.0 with at most one 1 per row selects the
-// one-hot layout, any 0/1 mix the bitmap, at most a quarter nonzero the
-// index list, everything else (including matrices above the sparse
-// decode-allocation cap) the dense layout. The scan bails out to dense as
-// soon as a non-0/1 value and a quarter-density nonzero count have both
-// been seen, so dense activation payloads pay ~n/4 element reads, not a
-// full classification.
-func scanWireMatrix(m *tensor.Dense) byte {
-	data := m.Data()
-	n := len(data)
-	cols := m.Cols()
-	if n == 0 || n > wireMaxSparseElems {
-		return wireLayoutDense
-	}
-	cutoff := n / 4
-	nnz := 0
-	all01 := true
-	oneHot := cols > 0
-	rowNnz, rowEnd := 0, cols
-	for i, v := range data {
-		if i == rowEnd {
-			rowNnz, rowEnd = 0, rowEnd+cols
-		}
-		bits := math.Float64bits(v)
-		if bits == wireBitsZero {
-			continue
-		}
-		nnz++
-		if bits != wireBitsOne {
-			all01 = false
-			if nnz > cutoff {
-				return wireLayoutDense
+// oneHotRows reports whether every row of a 0/1 matrix holds at most one 1.
+func oneHotRows(m *tensor.Dense) bool {
+	for i := 0; i < m.Rows(); i++ {
+		ones := 0
+		for _, v := range m.RawRow(i) {
+			if math.Float64bits(v) == wireBitsOne {
+				ones++
 			}
 		}
-		rowNnz++
-		if rowNnz > 1 {
-			oneHot = false
+		if ones > 1 {
+			return false
 		}
 	}
-	switch {
-	case all01 && oneHot:
-		return wireLayoutOneHot
-	case all01:
-		return wireLayoutBitmap
-	case nnz <= cutoff:
-		return wireLayoutSparse
+	return true
+}
+
+// sparseDeltaExtraBytes is what the index list's delta varints cost beyond
+// one byte each.
+func sparseDeltaExtraBytes(data []float64) int {
+	extra, prev := 0, 0
+	for i, v := range data {
+		if math.Float64bits(v) == wireBitsZero {
+			continue
+		}
+		extra += binfmt.UvarintLen(uint64(i-prev)) - 1
+		prev = i
 	}
-	return wireLayoutDense
+	return extra
 }
 
 // matrixHeader appends what every present matrix starts with: the layout
@@ -158,15 +179,17 @@ func (e *wireEnc) matrixHeader(layout byte, m *tensor.Dense) {
 	e.Uvarint(uint64(m.Cols()))
 }
 
+// wireElemSize is the byte width of one carried element.
+func wireElemSize(f32 bool) int {
+	if f32 {
+		return wireElemF32
+	}
+	return wireElemF64
+}
+
 // elemSize appends the element-size byte of the layouts that carry element
 // bytes.
-func (e *wireEnc) elemSize(f32 bool) {
-	if f32 {
-		e.U8(wireElemF32)
-	} else {
-		e.U8(wireElemF64)
-	}
-}
+func (e *wireEnc) elemSize(f32 bool) { e.U8(byte(wireElemSize(f32))) }
 
 func (e *wireEnc) f32(v float64) { e.U32(math.Float32bits(float32(v))) }
 
@@ -236,22 +259,15 @@ func (e *wireEnc) matrixBitmap(m *tensor.Dense) {
 	}
 }
 
-// matrixSparse writes the nonzero elements as a delta-coded ascending
-// index list with their values — the layout top-k sparsified gradients
-// take, ~(1+elemSize) bytes per nonzero.
-func (e *wireEnc) matrixSparse(m *tensor.Dense, f32 bool) {
+// matrixSparse writes the nnz elements whose bits are not +0 as a
+// delta-coded ascending index list with their values — the layout top-k
+// sparsified gradients take, ~(1+elemSize) bytes per entry.
+func (e *wireEnc) matrixSparse(m *tensor.Dense, f32 bool, nnz int) {
 	e.matrixHeader(wireLayoutSparse, m)
 	e.elemSize(f32)
-	data := m.Data()
-	nnz := 0
-	for _, v := range data {
-		if math.Float64bits(v) != wireBitsZero {
-			nnz++
-		}
-	}
 	e.Uvarint(uint64(nnz))
 	prev := 0
-	for i, v := range data {
+	for i, v := range m.Data() {
 		if math.Float64bits(v) == wireBitsZero {
 			continue
 		}
@@ -265,6 +281,16 @@ func (e *wireEnc) matrixSparse(m *tensor.Dense, f32 bool) {
 			e.F64(v)
 		}
 	}
+}
+
+// matrixMasked writes the masked form (tensor.AppendMasked): a presence bit
+// and a sign bit per element, then the elements that are not among the zeros
+// of either sign — ~elemSize/2 + 1/4 bytes per element of a matrix fresh out
+// of a Dropout.
+func (e *wireEnc) matrixMasked(m *tensor.Dense, f32 bool, zeros int) {
+	e.matrixHeader(wireLayoutMasked, m)
+	e.elemSize(f32)
+	e.Buf = tensor.AppendMasked(e.Buf, m.Data(), zeros, wireElemSize(f32))
 }
 
 func (e *wireEnc) choices(cs []condvec.Choice) {
@@ -368,12 +394,14 @@ func (d *wireDec) matrixHot() (*tensor.Dense, []int) {
 		return d.matrixBitmap(rows, cols), nil
 	case wireLayoutSparse:
 		return d.matrixSparse(rows, cols), nil
+	case wireLayoutMasked:
+		return d.matrixMasked(rows, cols), nil
 	}
 	d.Failf("invalid matrix layout %d", layout)
 	return nil, nil
 }
 
-// sparseShape bounds the dense expansion of the sparse layouts, whose wire
+// sparseShape bounds the dense expansion of the compact layouts, whose wire
 // size is far below 8 B/element: without the cap a tiny frame could claim a
 // huge shape and make the decoder allocate gigabytes.
 func (d *wireDec) sparseShape(rows, cols uint64) (int, int) {
@@ -482,6 +510,28 @@ func (d *wireDec) matrixSparse(rows, cols uint64) *tensor.Dense {
 		data[pos] = v
 	}
 	return out
+}
+
+func (d *wireDec) matrixMasked(rows, cols uint64) *tensor.Dense {
+	r, c := d.sparseShape(rows, cols)
+	elem := d.elemSize()
+	plane := (r*c + 7) / 8
+	presence, sign := d.Take(plane), d.Take(plane)
+	if d.Err() != nil {
+		return nil
+	}
+	// The planes say how many elements follow; Take holds that to the bytes
+	// that are there.
+	present, err := tensor.MaskedPresent(r*c, presence, sign)
+	if err != nil {
+		d.Failf("%v", err)
+		return nil
+	}
+	values := d.Take(present * elem)
+	if d.Err() != nil {
+		return nil
+	}
+	return tensor.NewPooledMasked(r, c, presence, sign, values, elem)
 }
 
 func (d *wireDec) choices() []condvec.Choice {
