@@ -68,7 +68,9 @@ race:
 # bit for bit under the shortest layout that admits it), the stored
 # spec/transformer blob decoders of the gtvcol store, the blocked-matmul
 # kernel, the masked-form counting, pack and unpack kernels against their
-# element-at-a-time definition on both kernel paths, the gtvcol columnar
+# element-at-a-time definition on both kernel paths, the row-restricted
+# backward pass against the backward pass over every row (bit equality of
+# every parameter gradient, both kernel paths), the gtvcol columnar
 # file decoder (hostile bytes + encode/decode round-trip) and its block
 # parser against the parser it replaced (CRC-valid frames around fuzzed
 # payloads: accept/reject and every bit read out must agree), and the GMM
@@ -83,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoredBlobDecode -fuzztime $(FUZZTIME) ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzRestrictedBackward -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
@@ -100,10 +103,12 @@ ci:
 # unpack on each kernel path (tensor, autograd); one GMM fit, the streamed
 # encode, one gtvcol stripe write and 64-row gathers under three block-cache
 # budgets (gmm, encoding, coldata); gtvwire round trips per payload class with
-# framed bytes, the coordinator's shuffle step and the delayed-round fan-out
-# comparison (vfl). cmd/benchjson stamps the record with commit, Go version,
-# CPU model and GOMAXPROCS and echoes the raw output to stderr; the record
-# replaces BENCH_layers.json only when the run got that far.
+# framed bytes, the coordinator's shuffle step, the delayed-round fan-out
+# comparison and BackwardDisc after the faithful mode's full-table forward
+# pass, batch 500 in 5 000 and in 50 000 rows (vfl). cmd/benchjson stamps the
+# record with commit, Go version, CPU model and GOMAXPROCS and echoes the raw
+# output to stderr; the record replaces BENCH_layers.json only when the run
+# got that far.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -cpu 1 ./internal/tensor ./internal/autograd \
 		./internal/gmm ./internal/encoding ./internal/coldata ./internal/vfl \

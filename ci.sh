@@ -29,7 +29,8 @@
 # every fuzzer in the module (shared byte-layer reader, snapshot decoder,
 # wire frame decoder, wire matrix round trip under the cost-exact layout
 # chooser, stored spec/transformer blob decoders, matmul kernel, masked-form
-# pack/unpack kernels, gtvcol decoder and round trip, gtvcol block parser
+# pack/unpack kernels, row-restricted backward pass against the full one,
+# gtvcol decoder and round trip, gtvcol block parser
 # against the parser it replaced, GMM fit against its reference loops) so
 # decoder defenses and the bit-equality contracts regress loudly, not
 # silently.

@@ -276,6 +276,36 @@ func tileAccGroups(od []float64, p int, seed, a []float64, rowStride, kStride, k
 	}
 }
 
+// ActiveRowGroups returns, ascending, the rows of m whose part in a product
+// over m's rows cannot be left out: the four rows of every group
+// tileAccGroups takes together (rows 4g to 4g+3) in which some element is
+// not +0 bit for bit, and the Rows()%4 rows after the last whole group, which
+// the kernels take one at a time. The result reuses dst's storage.
+//
+// For x and m finite, MatMulTA(x, m) and m.SumRows() over these rows alone
+// (x's and m's, gathered in this order) are bit-identical to the products
+// over all rows: the rows kept form the same groups in the same order, and a
+// group left out would have added x·(+0) = ±0 to accumulators that start at
+// +0 and therefore never hold −0, which changes none of them. A row of −0
+// is kept; only the all-+0 rows a zero-filled scatter leaves are dropped.
+func (m *Dense) ActiveRowGroups(dst []int) []int {
+	dst = dst[:0]
+	whole := m.rows &^ 3
+	for r := 0; r < whole; r += 4 {
+		var set uint64
+		for _, v := range m.data[r*m.cols : (r+4)*m.cols] {
+			set |= math.Float64bits(v)
+		}
+		if set != 0 {
+			dst = append(dst, r, r+1, r+2, r+3)
+		}
+	}
+	for r := whole; r < m.rows; r++ {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // axpy4Generic is the row update both accumulating kernels are made of:
 // orow[j] += a0*b[j] + a1*b[p+j] + a2*b[2p+j] + a3*b[3p+j] for the four
 // consecutive length-p rows held in b, the products summed left to right.

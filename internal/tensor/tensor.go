@@ -241,15 +241,12 @@ func (m *Dense) AllClose(n *Dense, tol float64) bool {
 	return true
 }
 
+// AllFinite reports whether no element is NaN or infinite: the gate under
+// which multiplying by an exact zero may be skipped (see tileAccGroups).
+func (m *Dense) AllFinite() bool { return allFinite(m.data) }
+
 // HasNaN reports whether any element is NaN or infinite.
-func (m *Dense) HasNaN() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
-}
+func (m *Dense) HasNaN() bool { return !allFinite(m.data) }
 
 // Transpose returns the transpose of m, computed in cache-friendly 32x32
 // blocks (see kernels.go).

@@ -171,6 +171,9 @@ type LocalClient struct {
 	order rowOrder
 	// physIdx is the reusable scratch ForwardReal translates idx into.
 	physIdx []int
+	// activeRows is the reusable scratch BackwardDisc lists the real-branch
+	// gradient's active rows in.
+	activeRows []int
 	// fullReal is the encoded matrix in the current order, built by the
 	// first full-table ForwardReal after a shuffle and dropped by the next
 	// EndRound; nil until asked for and while the order is the identity.
@@ -200,6 +203,11 @@ type LocalClient struct {
 }
 
 var _ Client = (*LocalClient)(nil)
+
+// restrictRealBackward is true, and read-only: only the identity tests
+// (through export_test.go) ever clear it, to run the backward pass over every
+// row of the real branch and compare.
+var restrictRealBackward = true
 
 // NewLocalClient fits the client's feature encoders on its local table,
 // holding the encoded matrix in memory. coord must be shared by all
@@ -334,6 +342,13 @@ func checkGrad(what string, grad *tensor.Dense, out *ag.Value) error {
 		return fmt.Errorf("vfl: %s gradient %dx%d for a %dx%d forward output", what, grad.Rows(), grad.Cols(), rows, cols)
 	}
 	return nil
+}
+
+// missingForward is BackwardDisc's error for a branch whose forward output
+// is not retained. It names both ways to get there: a caller that repeats a
+// BackwardDisc that did complete must run the forward passes again.
+func missingForward(branch, forward string) error {
+	return fmt.Errorf("vfl: BackwardDisc has no retained %s output: %s has not run, or a completed BackwardDisc already consumed the forward state", branch, forward)
 }
 
 // SampleCV implements Client.
@@ -522,8 +537,11 @@ func (c *LocalClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	if err := c.configured(); err != nil {
 		return err
 	}
-	if c.lastSynthOut == nil || c.lastRealOut == nil {
-		return errors.New("vfl: BackwardDisc before forward passes")
+	if c.lastSynthOut == nil {
+		return missingForward("synthetic-branch", "ForwardSynthetic")
+	}
+	if c.lastRealOut == nil {
+		return missingForward("real-branch", "ForwardReal")
 	}
 	if err := checkGrad("synthetic-branch", gradSynth, c.lastSynthOut); err != nil {
 		return err
@@ -531,26 +549,43 @@ func (c *LocalClient) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
 	if err := checkGrad("real-branch", gradReal, c.lastRealOut); err != nil {
 		return err
 	}
+	// The full-table pass gets back a gradient that is +0 outside the batch
+	// the server selected; the real branch is then differentiated over the
+	// kernel groups that hold a batch row, which gives D_i^b the gradient bit
+	// for bit (tensor.ActiveRowGroups, ag.RestrictRows). With every group
+	// active — a gathered batch — the restriction is the branch itself.
+	realOut, realGrad := c.lastRealOut, gradReal
+	if restrictRealBackward {
+		c.activeRows = gradReal.ActiveRowGroups(c.activeRows)
+		if r, err := ag.RestrictRows(c.lastRealOut, c.activeRows); err == nil && r != c.lastRealOut {
+			realOut, realGrad = r, gradReal.GatherRows(c.activeRows)
+		}
+	}
 	// <output, grad> has exactly the requested gradients, so a single
 	// backward pass updates D_i^b from both branches.
 	proxy := ag.Add(
 		ag.SumAll(ag.Mul(c.lastSynthOut, ag.Const(gradSynth))),
-		ag.SumAll(ag.Mul(c.lastRealOut, ag.Const(gradReal))),
+		ag.SumAll(ag.Mul(realOut, ag.Const(realGrad))),
 	)
 	params := c.disc.Params()
 	grads := ag.Grad(proxy, params...)
 	c.discOpt.Step(params, grads)
 
-	// Recycle the whole critic-phase graph, including the generator forward
-	// retained by ForwardSynthetic. The Detach leaf inside proxy's graph
-	// shields the activation buffer the two graphs share.
+	// Recycle the whole critic-phase graph: the real branch as the forward
+	// recorded it (which proxy no longer reaches once it was restricted), and
+	// the generator forward retained by ForwardSynthetic. The Detach leaf
+	// inside proxy's graph shields the activation buffer the two graphs
+	// share.
 	var tape ag.Tape
-	tape.Track(proxy, c.lastDiscGen)
+	tape.Track(proxy, c.lastRealOut, c.lastDiscGen)
 	tape.Track(grads...)
 	tape.Release()
-	// The gathered real batch is a pooled buffer the backing handed us;
-	// the tape shields Const leaves, so it is returned explicitly now that
-	// the critic graph is gone.
+	// The gathered gradient rows and the gathered real batch are pooled
+	// buffers under Const leaves, which the tape shields; they are returned
+	// explicitly now that the critic graph is gone.
+	if realGrad != gradReal {
+		realGrad.Release()
+	}
 	if c.lastRealBuf != nil {
 		c.lastRealBuf.Release()
 		c.lastRealBuf = nil

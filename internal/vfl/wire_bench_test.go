@@ -151,6 +151,25 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
+// splitDataset generates a named dataset (seed 1) and splits its columns
+// over the clients in contiguous runs, as even as they divide.
+func splitDataset(b *testing.B, name string, rows, clients int) []*encoding.Table {
+	b.Helper()
+	d, err := datasets.Generate(name, datasets.Config{Rows: rows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assignment := make([]int, d.Table.Cols())
+	for j := range assignment {
+		assignment[j] = j * clients / len(assignment)
+	}
+	parts, err := d.Table.VerticalSplit(assignment, clients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return parts
+}
+
 // BenchmarkGTVTrainingRoundLatency is the fan-out's reason to exist: one
 // round of four clients with a simulated 2ms transport delay on every
 // client call — the deployment regime, where a round is network waits, not
@@ -163,19 +182,7 @@ func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
 	const numClients = 4
 	run := func(par int, binary bool) func(*testing.B) {
 		return func(b *testing.B) {
-			d, err := datasets.Generate("intrusion", datasets.Config{Rows: 300, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Contiguous runs of columns, as even as they divide.
-			assignment := make([]int, d.Table.Cols())
-			for j := range assignment {
-				assignment[j] = j * numClients / len(assignment)
-			}
-			parts, err := d.Table.VerticalSplit(assignment, numClients)
-			if err != nil {
-				b.Fatal(err)
-			}
+			parts := splitDataset(b, "intrusion", 300, numClients)
 			coord := NewShuffleCoordinator(7)
 			clients := make([]Client, numClients)
 			for i, part := range parts {
