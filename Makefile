@@ -67,8 +67,10 @@ race:
 # decoder and its matrix codec (a matrix built from the input must round-trip
 # bit for bit under the shortest layout that admits it), the stored
 # spec/transformer blob decoders of the gtvcol store, the blocked-matmul
-# kernel, the masked-form counting, pack and unpack kernels against their
-# element-at-a-time definition on both kernel paths, the row-restricted
+# kernel, the Adam step against the loop it replaced (bit equality of every
+# weight and moment, both kernel paths), the masked-form counting, pack and
+# unpack kernels against their element-at-a-time definition on both kernel
+# paths, the row-restricted
 # backward pass against the backward pass over every row (bit equality of
 # every parameter gradient, both kernel paths), the gtvcol columnar
 # file decoder (hostile bytes + encode/decode round-trip) and its block
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireMatrixRoundTrip -fuzztime $(FUZZTIME) ./internal/vfl
 	$(GO) test -run '^$$' -fuzz FuzzStoredBlobDecode -fuzztime $(FUZZTIME) ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzAdamStep -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzRestrictedBackward -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata

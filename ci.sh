@@ -14,7 +14,10 @@
 # proved-ops coverage stats, must match a fresh run — stats drift or new
 # findings fail here, after printing the findings in text form), build,
 # full tests (the lint fixture packages run even under
-# -short) plus vet and the self-test of the benchmark program —
+# -short), the Adam step's reference tests once more from a GOAMD64=v3
+# build (the first check of a reference loop on a build other than the
+# default one: its explicit float64 roundings must keep any toolchain from
+# fusing it), plus vet and the self-test of the benchmark program —
 # bench/_gtvbench hides from `./...` behind its underscore, so nothing else
 # would notice a refactor that stops it compiling — then the race detector
 # over the whole module in short mode
@@ -28,8 +31,9 @@
 # through their test-only switch — it fans out over). Last, a short-budget pass over
 # every fuzzer in the module (shared byte-layer reader, snapshot decoder,
 # wire frame decoder, wire matrix round trip under the cost-exact layout
-# chooser, stored spec/transformer blob decoders, matmul kernel, masked-form
-# pack/unpack kernels, row-restricted backward pass against the full one,
+# chooser, stored spec/transformer blob decoders, matmul kernel, Adam step
+# against the loop it replaced, masked-form pack/unpack kernels,
+# row-restricted backward pass against the full one,
 # gtvcol decoder and round trip, gtvcol block parser
 # against the parser it replaced, GMM fit against its reference loops) so
 # decoder defenses and the bit-equality contracts regress loudly, not
@@ -45,6 +49,7 @@ make lint-json
 git diff --exit-code -- LINT_findings.json || { make lint; exit 1; }
 go build ./...
 go test ./...
+GOAMD64=v3 go test -count=1 -run 'Adam' ./internal/tensor
 go vet ./bench/_gtvbench
 go test ./bench/_gtvbench
 go test -race -short ./...

@@ -195,9 +195,8 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 	case "MatMul", "MatMulTA", "MatMulTB":
 		v, _ := in.matmulLike(fn.Name(), pos, argShape(args, 0), argShape(args, 1))
 		return one(v), true
-	case "MatMulInto", "MatMulTAInto", "MatMulTBInto":
-		name := fn.Name()[:len(fn.Name())-len("Into")]
-		v, _ := in.matmulLike(name, pos, argShape(args, 1), argShape(args, 2))
+	case "MatMulInto":
+		v, _ := in.matmulLike("MatMul", pos, argShape(args, 1), argShape(args, 2))
 		in.intoDst(fn.Name(), pos, argShape(args, 0), v.shape.rows, v.shape.cols)
 		return one(v), true
 	case "Affine":

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	ag "repro/internal/autograd"
@@ -201,6 +202,52 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if !w.Data().AllClose(target, 1e-2) {
 		t.Fatalf("Adam converged to %v want %v", w.Data(), target)
+	}
+}
+
+// TestAdamStepRejectsMisshapenGradient: a gradient with its parameter's
+// element count but another shape (here the transpose) is refused with a
+// panic that names the parameter and both shapes, before any parameter —
+// the well-shaped one ahead of it included — or the step count moves.
+func TestAdamStepRejectsMisshapenGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	params := []*ag.Value{ag.Var(tensor.Randn(rng, 2, 2, 0, 1)), ag.Var(tensor.Randn(rng, 2, 3, 0, 1))}
+	before := []*tensor.Dense{params[0].Data().Clone(), params[1].Data().Clone()}
+	grads := []*ag.Value{ag.Const(tensor.Randn(rng, 2, 2, 0, 1)), ag.Const(tensor.Randn(rng, 3, 2, 0, 1))}
+	opt := NewAdam(0.1)
+	func() {
+		defer func() {
+			const want = "nn: Adam.Step param 1 is 2x3, its gradient 3x2"
+			if r := recover(); r != want {
+				t.Fatalf("panic %v, want %q", r, want)
+			}
+		}()
+		opt.Step(params, grads)
+	}()
+	for i, p := range params {
+		if !p.Data().Equal(before[i]) {
+			t.Errorf("param %d changed by a refused step", i)
+		}
+	}
+	if st := opt.StateFor(params); st.T != 0 || st.M[0] != nil {
+		t.Errorf("a refused step left step count %d and moments %v", st.T, st.M)
+	}
+}
+
+// TestAdamRestoreRejectsStepCount: a checkpoint's step count must leave a
+// next step with positive bias corrections and no overflow.
+func TestAdamRestoreRejectsStepCount(t *testing.T) {
+	params := []*ag.Value{ag.Var(tensor.New(1, 3))}
+	for _, bad := range []int{-1, math.MinInt, math.MaxInt} {
+		opt := NewAdam(0.1)
+		err := opt.Restore(params, AdamState{T: bad, M: make([]*tensor.Dense, 1), V: make([]*tensor.Dense, 1)})
+		if err == nil || !strings.Contains(err.Error(), "step count T") {
+			t.Errorf("T = %d: Restore returned %v, want an error naming the step count T", bad, err)
+		}
+	}
+	opt := NewAdam(0.1)
+	if err := opt.Restore(params, AdamState{T: math.MaxInt - 1, M: make([]*tensor.Dense, 1), V: make([]*tensor.Dense, 1)}); err != nil {
+		t.Errorf("T = MaxInt-1: %v", err)
 	}
 }
 

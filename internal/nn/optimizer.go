@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 
 	ag "repro/internal/autograd"
 	"repro/internal/tensor"
@@ -36,17 +36,22 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one update in place: params[i] is updated using grads[i]; the
-// two slices must be the same length and shape-aligned.
+// Step applies one update in place: params[i] is updated using grads[i]. The
+// two slices must be the same length and grads[i] must have params[i]'s
+// shape; Step panics before it updates anything if they do not.
 func (a *Adam) Step(params, grads []*ag.Value) {
 	if len(params) != len(grads) {
 		panic("nn: Adam.Step params/grads length mismatch")
 	}
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range params {
-		g := grads[i].Data()
+		pr, pc := p.Shape()
+		if gr, gc := grads[i].Shape(); gr != pr || gc != pc {
+			panic(fmt.Sprintf("nn: Adam.Step param %d is %dx%d, its gradient %dx%d", i, pr, pc, gr, gc))
+		}
+	}
+	a.t++
+	h := tensor.AdamHyper{LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WeightDecay: a.WeightDecay}
+	for i, p := range params {
 		w := p.Data()
 		m, ok := a.m[p]
 		if !ok {
@@ -58,17 +63,6 @@ func (a *Adam) Step(params, grads []*ag.Value) {
 			v = tensor.New(w.Rows(), w.Cols())
 			a.v[p] = v
 		}
-		// Weight decay is folded into the element loop (gk = g + wd*w)
-		// instead of materializing a decayed-gradient matrix per parameter.
-		md, vd, gd, wd := m.Data(), v.Data(), g.Data(), w.Data()
-		decay := a.WeightDecay
-		for k := range wd {
-			gk := gd[k] + decay*wd[k]
-			md[k] = a.Beta1*md[k] + (1-a.Beta1)*gk
-			vd[k] = a.Beta2*vd[k] + (1-a.Beta2)*gk*gk
-			mhat := md[k] / bc1
-			vhat := vd[k] / bc2
-			wd[k] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		tensor.AdamStep(w, grads[i].Data(), m, v, h, a.t)
 	}
 }

@@ -9,6 +9,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	ag "repro/internal/autograd"
 	"repro/internal/snap"
@@ -48,6 +49,12 @@ func (a *Adam) StateFor(params []*ag.Value) AdamState {
 // Restore reinstates a captured state for the given parameter list. The
 // moment matrices in st pass into the optimizer's ownership.
 func (a *Adam) Restore(params []*ag.Value, st AdamState) error {
+	// A negative count puts the next step at t <= 0, where the bias
+	// corrections 1-βᵗ are 0 (every weight turns NaN) or negative; the
+	// largest int has no next step.
+	if st.T < 0 || st.T == math.MaxInt {
+		return fmt.Errorf("nn: Adam state step count T = %d is out of range [0, %d)", st.T, math.MaxInt)
+	}
 	if len(st.M) != len(params) || len(st.V) != len(params) {
 		return fmt.Errorf("nn: Adam state holds %d/%d moments for %d params", len(st.M), len(st.V), len(params))
 	}

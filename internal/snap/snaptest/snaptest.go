@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,11 +27,13 @@ const (
 )
 
 // Walker reads one section payload the way its decoder does and records
-// where every u32 — a count, a dimension, a length — sits.
+// where every u32 — a count, a dimension, a length — and every Adam step
+// count sits.
 type Walker struct {
-	d    *snap.Dec
-	size int
-	u32s []int
+	d     *snap.Dec
+	size  int
+	u32s  []int
+	steps []int
 }
 
 // U32 reads a u32 and records its offset.
@@ -38,6 +41,10 @@ func (w *Walker) U32() uint32 {
 	w.u32s = append(w.u32s, w.size-w.d.Remaining())
 	return w.d.U32()
 }
+
+// hostileSteps are the step counts an optimizer must refuse: one whose next
+// step divides by 1-β⁰ = 0, and one with no next step.
+var hostileSteps = []int64{-1, math.MaxInt64}
 
 // Skip passes over n bytes of fixed-width fields; Rest over all that remain.
 func (w *Walker) Skip(n int) { w.d.Take(n) }
@@ -64,6 +71,7 @@ func (w *Walker) Params() {
 
 // Adam walks what nn.EncodeAdamState writes.
 func (w *Walker) Adam() {
+	w.steps = append(w.steps, w.size-w.d.Remaining())
 	w.Skip(8)
 	for n := w.U32(); n > 0; n-- {
 		w.Matrix()
@@ -127,8 +135,10 @@ func mustReject(t *testing.T, fresh func() func([]byte) error, image []byte, wha
 }
 
 // Hostile cuts image at every section boundary and at 200 evenly spaced
-// interior offsets, and sets every u32 its sections hold to 0xffffffff with
-// the section CRC made good, and requires Restore to reject each result.
+// interior offsets, sets every u32 its sections hold to 0xffffffff and every
+// Adam step count to -1 and to the largest int64, each with the section CRC
+// made good, and requires Restore to reject each result (a step count by
+// name).
 // layout walks the payload of each section id the image may hold; fresh
 // builds a same-seed trainer and returns its Restore.
 func Hostile(t *testing.T, image []byte, layout map[byte]func(*Walker), fresh func() func([]byte) error) {
@@ -163,9 +173,15 @@ func Hostile(t *testing.T, image []byte, layout map[byte]func(*Walker), fresh fu
 			img := damaged(image, sec, func(p []byte) { binary.LittleEndian.PutUint32(p[at:], 0xffffffff) })
 			mustReject(t, fresh, img, fmt.Sprintf("section id %d with the u32 at %d set to 0xffffffff", sec.id, at), "")
 		}
-		fields += len(w.u32s)
+		for _, at := range w.steps {
+			for _, step := range hostileSteps {
+				img := damaged(image, sec, func(p []byte) { binary.LittleEndian.PutUint64(p[at:], uint64(step)) })
+				mustReject(t, fresh, img, fmt.Sprintf("section id %d with the Adam step count at %d set to %d", sec.id, at, step), "step count")
+			}
+		}
+		fields += len(w.u32s) + len(w.steps)
 	}
-	t.Logf("%d-byte image: %d cuts and %d u32 fields in %d sections rejected", len(image), len(cuts), fields, len(secs))
+	t.Logf("%d-byte image: %d cuts and %d u32 and step-count fields in %d sections rejected", len(image), len(cuts), fields, len(secs))
 }
 
 // Fingerprint damages, one at a time, each value of the config fingerprint

@@ -10,7 +10,8 @@ import (
 // cache, the inner loops are unrolled four-wide, and rows of dst are
 // distributed across the persistent worker pool. The per-element operation
 // sequence is a pure function of the operand shapes — MatMul/MatMulTA add
-// ascending groups of four k, each group summed left to right, onto dst;
+// ascending groups of four k, each group summed left to right, onto a row
+// that starts at +0 (Affine: at the bias);
 // MatMulTB sums ascending k from zero; multiplies and adds are never fused —
 // so identical inputs always produce bitwise identical outputs (though
 // results may differ in low-order bits from a naive ikj loop).
@@ -62,7 +63,6 @@ func MatMul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := newPooledNoZero(a.rows, b.cols)
-	clear(out.data)
 	matmulAcc(out, a, b, nil)
 	return out
 }
@@ -73,8 +73,13 @@ func MatMulInto(dst, a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	checkDst(dst, a, b, a.rows, b.cols, "MatMulInto")
-	clear(dst.data)
+	if dst.rows != a.rows || dst.cols != b.cols {
+		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.rows, dst.cols, a.rows, b.cols))
+	}
+	if len(dst.data) > 0 && ((len(a.data) > 0 && &dst.data[0] == &a.data[0]) ||
+		(len(b.data) > 0 && &dst.data[0] == &b.data[0])) {
+		panic("tensor: MatMulInto dst must not alias an operand")
+	}
 	matmulAcc(dst, a, b, nil)
 	return dst
 }
@@ -87,21 +92,8 @@ func MatMulTA(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%dᵀ * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := newPooledNoZero(a.cols, b.cols)
-	clear(out.data)
 	matmulTAAcc(out, a, b)
 	return out
-}
-
-// MatMulTAInto computes dst = aᵀ*b, reusing dst's storage. dst must have
-// shape Cols(a) x Cols(b) and must not alias a or b.
-func MatMulTAInto(dst, a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch %dx%dᵀ * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	checkDst(dst, a, b, a.cols, b.cols, "MatMulTAInto")
-	clear(dst.data)
-	matmulTAAcc(dst, a, b)
-	return dst
 }
 
 // MatMulTB returns a*bᵀ without materializing the transpose: a is MxN, b is
@@ -116,17 +108,6 @@ func MatMulTB(a, b *Dense) *Dense {
 	return out
 }
 
-// MatMulTBInto computes dst = a*bᵀ, reusing dst's storage. dst must have
-// shape Rows(a) x Rows(b) and must not alias a or b.
-func MatMulTBInto(dst, a, b *Dense) *Dense {
-	if a.cols != b.cols {
-		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch %dx%d * %dx%dᵀ", a.rows, a.cols, b.rows, b.cols))
-	}
-	checkDst(dst, a, b, a.rows, b.rows, "MatMulTBInto")
-	runRows(kernelTask{kind: kernelMatMulTB, dst: dst, a: a, b: b}, a.rows, a.cols*b.rows)
-	return dst
-}
-
 // Affine returns a*b + bias with the 1xCols(b) bias row folded into the
 // matmul: every dst row starts from the bias and the product accumulates on
 // top, saving the broadcast-add pass and its intermediate.
@@ -138,38 +119,36 @@ func Affine(a, b, bias *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: Affine bias %dx%d, want 1x%d", bias.rows, bias.cols, b.cols))
 	}
 	out := newPooledNoZero(a.rows, b.cols)
-	if a.cols == 0 {
-		p := b.cols
-		for i := 0; i < a.rows; i++ {
-			copy(out.data[i*p:(i+1)*p], bias.data)
-		}
-		return out
-	}
 	matmulAcc(out, a, b, bias)
 	return out
 }
 
-func checkDst(dst, a, b *Dense, rows, cols int, op string) {
-	if dst.rows != rows || dst.cols != cols {
-		panic(fmt.Sprintf("tensor: %s dst %dx%d, want %dx%d", op, dst.rows, dst.cols, rows, cols))
-	}
+// matmulAcc sets dst = a*b with every row of dst starting from the
+// 1xCols(dst) row seed, fanning rows across the worker pool for large
+// products. A nil seed is a pooled row of +0: the first k tile copies it in,
+// as it copies an Affine's bias, so dst needs no zero fill of its own. A row
+// then holds exactly what a cleared one would — +0 when every group is
+// skipped, and +0 + −0 = +0 when the sum is −0. With no k there is no tile
+// to carry the seed, and the rows are filled here.
+func matmulAcc(dst, a, b, seed *Dense) {
 	if len(dst.data) == 0 {
 		return
 	}
-	if (len(a.data) > 0 && &dst.data[0] == &a.data[0]) ||
-		(len(b.data) > 0 && &dst.data[0] == &b.data[0]) {
-		panic("tensor: " + op + " dst must not alias an operand")
-	}
-}
-
-// matmulAcc adds a*b onto dst, fanning rows of dst across the worker pool for
-// large products. Each dst row starts from the 1xCols(dst) row seed, or, with
-// a nil seed, from what the caller put in dst.
-func matmulAcc(dst, a, b, seed *Dense) {
-	if len(dst.data) == 0 || a.cols == 0 {
+	if a.cols == 0 {
+		if seed == nil {
+			clear(dst.data)
+			return
+		}
+		for i := 0; i < dst.rows; i++ {
+			copy(dst.data[i*dst.cols:(i+1)*dst.cols], seed.data)
+		}
 		return
 	}
 	t := kernelTask{kind: kernelMatMulAcc, dst: dst, a: a, b: b, seed: seed, bFinite: allFinite(b.data)}
+	if seed == nil {
+		t.seed = NewPooled(1, dst.cols)
+		defer t.seed.Release()
+	}
 	runRows(t, a.rows, a.cols*b.cols)
 }
 
@@ -185,9 +164,11 @@ func matmulAcc(dst, a, b, seed *Dense) {
 // the same order.
 const matmulTATransposeThreshold = 1 << 15
 
-// matmulTAAcc adds aᵀ*b onto dst.
+// matmulTAAcc sets dst = aᵀ*b, every row starting from a pooled row of +0
+// on either path (see matmulAcc).
 func matmulTAAcc(dst, a, b *Dense) {
 	if len(dst.data) == 0 || a.rows == 0 {
+		clear(dst.data)
 		return
 	}
 	if len(a.data) >= matmulTATransposeThreshold && b.cols > narrowMaxCols {
@@ -196,8 +177,9 @@ func matmulTAAcc(dst, a, b *Dense) {
 		at.Release()
 		return
 	}
-	t := kernelTask{kind: kernelMatMulTAAcc, dst: dst, a: a, b: b, bFinite: allFinite(b.data)}
+	t := kernelTask{kind: kernelMatMulTAAcc, dst: dst, a: a, b: b, seed: NewPooled(1, dst.cols), bFinite: allFinite(b.data)}
 	runRows(t, a.cols, a.rows*b.cols)
+	t.seed.Release()
 }
 
 // kTile returns the k-dimension tile for dst rows p wide: the largest
@@ -227,16 +209,22 @@ func matmulAccRange(dst, a, b, seed *Dense, lo, hi int, bFinite bool) {
 	}
 }
 
-// matmulTAAccRange accumulates rows [lo,hi) of dst += aᵀ*b. dst row i is
-// a's column i, read with stride Cols(a); the b panel access pattern is
-// identical to matmulAccRange.
-func matmulTAAccRange(dst, a, b *Dense, lo, hi int, bFinite bool) {
+// matmulTAAccRange accumulates rows [lo,hi) of dst += aᵀ*b, the rows
+// starting from seed as in matmulAccRange. dst row i is a's column i, read
+// with stride Cols(a); the b panel access pattern is identical to
+// matmulAccRange.
+func matmulTAAccRange(dst, a, b, seed *Dense, lo, hi int, bFinite bool) {
 	kN, m, n := a.rows, a.cols, b.cols
 	ad, bd := a.data, b.data
+	var from []float64
+	if seed != nil {
+		from = seed.data
+	}
 	kc := kTile(n)
 	for kk := 0; kk < kN; kk += kc {
 		kend := min(kk+kc, kN)
-		tileAcc(dst.data, n, nil, ad[kk*m:], 1, m, kend-kk, bd[kk*n:kend*n], lo, hi, bFinite)
+		tileAcc(dst.data, n, from, ad[kk*m:], 1, m, kend-kk, bd[kk*n:kend*n], lo, hi, bFinite)
+		from = nil
 	}
 }
 

@@ -3,8 +3,8 @@ package tensor
 // amd64 side of the kernel layer: CPU detection, the declarations of the
 // AVX2 routines in kernels_amd64.s, and the entry points the portable code
 // calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu, leakyReLU,
-// actGrad, allFinite, countZeroClasses, packMasked), each of which picks the
-// vector routine or the Go loop it is bit-identical to.
+// actGrad, allFinite, countZeroClasses, packMasked, adamStep), each of which
+// picks the vector routine or the Go loop it is bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -55,6 +55,9 @@ func allFiniteAVX2(p *float64, n int) bool
 
 //go:noescape
 func countZeroClassesAVX2(p *float64, n int) (posZero, zero, one int)
+
+//go:noescape
+func adamStepAVX2(w, grad, m, v *float64, n int, decay, beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64, div1, div2 bool)
 
 //go:noescape
 func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
@@ -157,6 +160,16 @@ func countZeroClasses(data []float64) (posZero, zero, one int) {
 		return countZeroClassesAVX2(&data[0], len(data))
 	}
 	return countZeroClassesGeneric(data)
+}
+
+func adamStep(w, g, m, v []float64, c *adamCoefs) {
+	if n := len(w); useAsm && n >= vecMinLen {
+		_, _, _ = g[n-1], m[n-1], v[n-1]
+		adamStepAVX2(&w[0], &g[0], &m[0], &v[0], n, c.decay, c.beta1, c.oneMinusBeta1, c.beta2, c.oneMinusBeta2,
+			c.bc1, c.bc2, c.lr, c.eps, c.div1, c.div2)
+		return
+	}
+	adamStepGeneric(w, g, m, v, c)
 }
 
 // The MatMulTB tile: dotPanelRows rows of a against dotPanelCols rows of b

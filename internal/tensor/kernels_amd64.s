@@ -1,6 +1,7 @@
 // AVX2 routines behind the matmul kernels, the same-shape elementwise loop,
-// the activations and their gradient, and allFinite (see kernels_amd64.go for
-// the Go declarations and DESIGN.md "Kernel architecture" for the contract).
+// the activations and their gradient, allFinite and Adam's update (see
+// kernels_amd64.go for the Go declarations and DESIGN.md "Kernel
+// architecture" for the contract).
 //
 // The rule every routine here obeys: an output element sees exactly the
 // operation sequence of the Go loop it replaces. Vector lanes (and unrolled
@@ -797,6 +798,110 @@ zcdone:
 	MOVQ R8, posZero+16(FP)
 	MOVQ R9, zero+24(FP)
 	MOVQ R10, one+32(FP)
+	VZEROUPPER
+	RET
+
+// func adamStepAVX2(w, grad, m, v *float64, n int, decay, beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64, div1, div2 bool)
+//
+// adamStepGeneric four elements at a time, each lane one element: gk = g +
+// decay*w; m = beta1*m + oneMinusBeta1*gk; v = beta2*v +
+// (oneMinusBeta2*gk)*gk; m and v stored; then m/bc1 unless div1 is false,
+// v/bc2 unless div2 is false, and w -= (lr*m) / (sqrt(v) + eps). The two
+// flags are the same for every element, so their branches always go the
+// same way. Registers: DI w, SI g, DX m, R8 v, R9/R10 the flags, Y7..Y15 the
+// constants (whose low lanes serve the scalar tail).
+TEXT ·adamStepAVX2(SB), NOSPLIT, $0-114
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), R8
+	MOVQ n+32(FP), CX
+	VBROADCASTSD decay+40(FP), Y15
+	VBROADCASTSD beta1+48(FP), Y14
+	VBROADCASTSD oneMinusBeta1+56(FP), Y13
+	VBROADCASTSD beta2+64(FP), Y12
+	VBROADCASTSD oneMinusBeta2+72(FP), Y11
+	VBROADCASTSD bc1+80(FP), Y10
+	VBROADCASTSD bc2+88(FP), Y9
+	VBROADCASTSD lr+96(FP), Y8
+	VBROADCASTSD eps+104(FP), Y7
+	MOVBLZX div1+112(FP), R9
+	MOVBLZX div2+113(FP), R10
+	XORQ AX, AX
+
+adam4:
+	CMPQ CX, $4
+	JL   adam1
+	VMOVUPD (DI)(AX*1), Y0
+	VMULPD Y0, Y15, Y4
+	VMOVUPD (SI)(AX*1), Y1
+	VADDPD Y4, Y1, Y1
+	VMULPD (DX)(AX*1), Y14, Y2
+	VMULPD Y1, Y13, Y4
+	VADDPD Y4, Y2, Y2
+	VMULPD (R8)(AX*1), Y12, Y3
+	VMULPD Y1, Y11, Y5
+	VMULPD Y1, Y5, Y5
+	VADDPD Y5, Y3, Y3
+	VMOVUPD Y2, (DX)(AX*1)
+	VMOVUPD Y3, (R8)(AX*1)
+	TESTL R9, R9
+	JZ   adam4v
+	VDIVPD Y10, Y2, Y2
+
+adam4v:
+	TESTL R10, R10
+	JZ   adam4w
+	VDIVPD Y9, Y3, Y3
+
+adam4w:
+	VSQRTPD Y3, Y3
+	VADDPD Y7, Y3, Y3
+	VMULPD Y2, Y8, Y2
+	VDIVPD Y3, Y2, Y2
+	VSUBPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JMP  adam4
+
+adam1:
+	TESTQ CX, CX
+	JZ   adamdone
+	VMOVSD (DI)(AX*1), X0
+	VMULSD X0, X15, X4
+	VMOVSD (SI)(AX*1), X1
+	VADDSD X4, X1, X1
+	VMULSD (DX)(AX*1), X14, X2
+	VMULSD X1, X13, X4
+	VADDSD X4, X2, X2
+	VMULSD (R8)(AX*1), X12, X3
+	VMULSD X1, X11, X5
+	VMULSD X1, X5, X5
+	VADDSD X5, X3, X3
+	VMOVSD X2, (DX)(AX*1)
+	VMOVSD X3, (R8)(AX*1)
+	TESTL R9, R9
+	JZ   adam1v
+	VDIVSD X10, X2, X2
+
+adam1v:
+	TESTL R10, R10
+	JZ   adam1w
+	VDIVSD X9, X3, X3
+
+adam1w:
+	VSQRTSD X3, X3, X3
+	VADDSD X7, X3, X3
+	VMULSD X2, X8, X2
+	VDIVSD X3, X2, X2
+	VSUBSD X2, X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ $8, AX
+	DECQ CX
+	JMP  adam1
+
+adamdone:
 	VZEROUPPER
 	RET
 

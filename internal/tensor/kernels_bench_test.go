@@ -219,6 +219,32 @@ func BenchmarkAllFinite(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep is one optimizer update of D^t's first-layer weight at
+// the paper's configuration ((256+cv)·10 = 2820 rows of 256) and of a
+// 256-wide bias, CTGAN's hyperparameters at a step past the first exact-one
+// crossover, as every step after round 11 of paper-fed is: two divisions and
+// a square root an element.
+func BenchmarkAdamStep(b *testing.B) {
+	h := AdamHyper{LR: 2e-4, Beta1: 0.5, Beta2: 0.9, Eps: 1e-8, WeightDecay: 1e-6}
+	for _, sh := range []struct{ r, c int }{{2820, 256}, {1, 256}} {
+		for _, path := range KernelPaths() {
+			b.Run(fmt.Sprintf("%dx%d/%s", sh.r, sh.c, path), func(b *testing.B) {
+				UseKernelPath(b, path)
+				rng := rand.New(rand.NewSource(1))
+				w := Randn(rng, sh.r, sh.c, 0, 0.1)
+				g := Randn(rng, sh.r, sh.c, 0, 1)
+				m, v := New(sh.r, sh.c), New(sh.r, sh.c)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					AdamStep(w, g, m, v, h, 100)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.r*sh.c), "ns/element")
+			})
+		}
+	}
+}
+
 func BenchmarkBroadcastAdd(b *testing.B) {
 	for _, n := range []int{32, 128, 512, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -34,6 +34,8 @@ func countZeroClasses(data []float64) (posZero, zero, one int) {
 	return countZeroClassesGeneric(data)
 }
 
+func adamStep(w, g, m, v []float64, c *adamCoefs) { adamStepGeneric(w, g, m, v, c) }
+
 func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
 	return packMaskedGeneric(presence, sign, values, data, f32)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +62,100 @@ var pathShapes = []struct{ m, k, n int }{
 	{3, 5, 1}, {3, 5, 2}, {3, 5, 3}, {3, 5, 4}, {3, 5, 5}, {3, 5, 6}, {3, 5, 7}, {3, 5, 8}, {3, 5, 9},
 	{1, 1, 1}, {2, 8, 13}, {3, 8, 13}, {7, 9, 11}, {8, 16, 12}, {9, 17, 15}, {10, 255, 16}, {11, 256, 17},
 	{16, 257, 31}, {17, 259, 33}, {26, 513, 10}, {33, 64, 1}, {1, 64, 33},
+	{4, 0, 5}, {4, 0, 40}, // no k: dst is filled, there is no tile to start it
+}
+
+// zeroRowShapes are products whose rows start from the pooled zero row: no k
+// at all, one k, one group and one group and a k, widths either side of the
+// 32-column register limit and the paper's 256, and a MatMulTA whose operand
+// is large enough (40*1100 > 1<<15) to go through the transpose at a width
+// past the limit.
+var zeroRowShapes = []struct{ m, k, n int }{
+	{5, 0, 3}, {5, 0, 40}, {5, 1, 31}, {5, 4, 32}, {5, 5, 33}, {9, 300, 4}, {9, 300, 256},
+	{40, 1100, 32}, {40, 1100, 33},
+}
+
+// groupedMatMul is the operation sequence every accumulating product
+// promises, one element at a time: from +0, each ascending group of four k
+// summed left to right and then added on — left out when its four a are zero
+// and b is finite — and then the leftover k one by one, likewise.
+func groupedMatMul(a, b *Dense) *Dense {
+	bFinite := allFiniteGeneric(b.data)
+	n, p := a.cols, b.cols
+	out := New(a.rows, p)
+	for i := 0; i < a.rows; i++ {
+		ar := a.data[i*n : (i+1)*n]
+		for j := 0; j < p; j++ {
+			s, k := 0.0, 0
+			for ; k+3 < n; k += 4 {
+				if bFinite && ar[k] == 0 && ar[k+1] == 0 && ar[k+2] == 0 && ar[k+3] == 0 {
+					continue
+				}
+				s += ar[k]*b.data[k*p+j] + ar[k+1]*b.data[(k+1)*p+j] + ar[k+2]*b.data[(k+2)*p+j] + ar[k+3]*b.data[(k+3)*p+j]
+			}
+			for ; k < n; k++ {
+				if bFinite && ar[k] == 0 {
+					continue
+				}
+				s += ar[k] * b.data[k*p+j]
+			}
+			out.data[i*p+j] = s
+		}
+	}
+	return out
+}
+
+// saltZeroRows gives a (m×k) and b (k×n) the rows the zero-row start has to
+// get right: row 0's first group is zeros of both signs (skipped), row 1's
+// dot product with column 0 is a sum of −0 products (-1e-200 · 1e-200
+// underflows), which from a +0 start is +0, and the last row is all zero.
+func saltZeroRows(a, b *Dense) {
+	m, k, n := a.rows, a.cols, b.cols
+	if m < 3 || k == 0 {
+		return
+	}
+	copy(a.data[:min(4, k)], []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)})
+	for kk := 0; kk < k; kk++ {
+		a.data[k+kk] = -1e-200
+		b.data[kk*n] = 1e-200
+	}
+	clear(a.data[(m-1)*k:])
+}
+
+// dirtyPool leaves a NaN-filled slab of rows×cols on the free list, where the
+// next product of that size finds it: whatever dst does not overwrite shows.
+func dirtyPool(rows, cols int) {
+	d := newPooledNoZero(rows, cols)
+	for i := range d.data {
+		d.data[i] = math.NaN()
+	}
+	d.Release()
+}
+
+// TestZeroRowStart: MatMul, MatMulInto and MatMulTA (strided and
+// transposed) start every row from a pooled row of +0 instead of a cleared
+// dst, and land exactly where the cleared start did — the grouped reference
+// — on both paths: a skipped first group, an all-zero row, a −0 sum coming
+// out +0, no k at all, and a recycled dst full of NaN underneath.
+func TestZeroRowStart(t *testing.T) {
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		for _, sh := range zeroRowShapes {
+			a := Randn(rng, sh.m, sh.k, 0, 1)
+			b := Randn(rng, sh.k, sh.n, 0, 1)
+			saltZeroRows(a, b)
+			at := a.Transpose()
+			want := groupedMatMul(a, b)
+			if sh.m >= 3 && sh.k > 0 && math.Float64bits(want.data[sh.n]) != 0 {
+				t.Fatalf("%v: the salted −0 sum is %v in the reference, want +0", sh, want.data[sh.n])
+			}
+			dirtyPool(sh.m, sh.n)
+			requireSameBits(t, fmt.Sprintf("MatMul %v", sh), MatMul(a, b), want)
+			dirtyPool(sh.m, sh.n)
+			requireSameBits(t, fmt.Sprintf("MatMulTA %v", sh), MatMulTA(at, b), want)
+			requireSameBits(t, fmt.Sprintf("MatMulInto %v", sh), MatMulInto(Full(sh.m, sh.n, math.NaN()), a, b), want)
+		}
+	})
 }
 
 func TestKernelPathsBitIdentical(t *testing.T) {

@@ -112,9 +112,11 @@ func TestAffineMatchesMatMulAdd(t *testing.T) {
 }
 
 // FuzzMatMulAgainstNaive checks the three products against the textbook
-// loops on whichever path is live and, where the machine has both paths,
-// requires them to agree bit for bit (onBothPaths), also with a's zero
-// groups and a non-finite b in play.
+// loops on whichever path is live, MatMul and MatMulTA bit for bit against
+// the grouped sequence they promise (groupedMatMul), and, where the machine
+// has both paths, requires the paths to agree bit for bit (onBothPaths),
+// also with a's zero groups, the zero-row salting of saltZeroRows, no k at
+// all, and a non-finite b in play.
 func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(1), 3, 5, 7, uint8(0))
 	f.Add(int64(2), 1, 300, 1, uint8(1))
@@ -122,11 +124,17 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(4), 25, 64, 44, uint8(7))
 	f.Add(int64(5), 40, 1100, 17, uint8(1)) // a row that stays in registers over ten k tiles
 	f.Add(int64(6), 47, 900, 33, uint8(3))  // one column past that, and a large enough to transpose
+	f.Add(int64(7), 9, 7, 32, uint8(8))     // salted for the zero-row start, at the register limit
+	f.Add(int64(8), 40, 1099, 33, uint8(9)) // and past it, through MatMulTA's transpose
+	f.Add(int64(9), 6, 3, 40, uint8(16))    // no k
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, flags uint8) {
 		// Widths on both sides of the 32-column register limit, reductions of
 		// up to ten k tiles, and operands on both sides of MatMulTA's
 		// transpose threshold (48*1200 > 1<<15).
 		m, k, n = 1+abs(m)%48, 1+abs(k)%1200, 1+abs(n)%48
+		if flags&16 != 0 {
+			k = 0
+		}
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, m, k, 0, 1)
 		b := Randn(rng, k, n, 0, 1)
@@ -141,6 +149,12 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 					}
 				}
 			}
+		}
+		if flags&8 != 0 {
+			saltZeroRows(a, b)
+		}
+		if k == 0 {
+			flags &^= 6 // nowhere to put a non-finite b
 		}
 		if flags&6 == 0 { // all finite: the naive loops are the reference
 			if !MatMul(a, b).AllClose(naiveMatMul(a, b), 1e-9) {
@@ -161,6 +175,9 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 			b.Data()[rng.Intn(k*n)] = math.NaN()
 			c.Data()[rng.Intn(m*n)] = math.NaN()
 		}
+		want := groupedMatMul(a, b)
+		requireSameBits(t, "MatMul vs the grouped sequence", MatMul(a, b), want)
+		requireSameBits(t, "MatMulTA(aᵀ, b) vs the grouped sequence", MatMulTA(a.Transpose(), b), want)
 		if !HasAsmKernels {
 			return
 		}
@@ -285,17 +302,6 @@ func TestIntoVariantsAndReuse(t *testing.T) {
 		if got := MatMulInto(dst, a, b); !got.AllClose(naiveMatMul(a, b), 1e-9) {
 			t.Error("MatMulInto differs from naive reference")
 		}
-		at := a.Transpose()
-		ta := Full(9, 5, 42)
-		if got := MatMulTAInto(ta, at, b); !got.AllClose(naiveMatMulTA(at, b), 1e-9) {
-			t.Error("MatMulTAInto differs from naive reference")
-		}
-		ab := naiveMatMul(a, b) // 9x5
-		tb := Full(9, 17, 42)
-		if got := MatMulTBInto(tb, ab, b); !got.AllClose(naiveMatMulTB(ab, b), 1e-9) {
-			t.Error("MatMulTBInto differs from naive reference")
-		}
-
 		// TransposeInto + Reuse round trip.
 		scratch := Reuse(nil, a.Cols(), a.Rows())
 		tr := TransposeInto(scratch, a)

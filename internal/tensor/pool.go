@@ -188,7 +188,7 @@ type kernelTask struct {
 	kind    kernelKind
 	dst     *Dense
 	a, b    *Dense
-	seed    *Dense // kernelMatMulAcc only: the row every dst row starts from, or nil
+	seed    *Dense // kernelMatMulAcc and kernelMatMulTAAcc: the row every dst row starts from
 	bFinite bool
 	f       func(lo, hi int) // kernelFunc only
 	lo, hi  int
@@ -235,7 +235,7 @@ func runKernelRange(t kernelTask) {
 	case kernelMatMulAcc:
 		matmulAccRange(t.dst, t.a, t.b, t.seed, t.lo, t.hi, t.bFinite)
 	case kernelMatMulTAAcc:
-		matmulTAAccRange(t.dst, t.a, t.b, t.lo, t.hi, t.bFinite)
+		matmulTAAccRange(t.dst, t.a, t.b, t.seed, t.lo, t.hi, t.bFinite)
 	case kernelMatMulTB:
 		matmulTBRange(t.dst, t.a, t.b, t.lo, t.hi)
 	case kernelFunc:

@@ -3,7 +3,7 @@ package tensor
 import "testing"
 
 // TestShapeGuardPanics drives every shape-guard panic path in ops.go,
-// kernels.go, and pool.go with a minimal mismatched input and pins the
+// kernels.go, adam.go and pool.go with a minimal mismatched input and pins the
 // exact panic message — both operand shapes (or the offending index and
 // its bound) must be present, because the shapeflow lint rule and humans
 // alike triage these messages without a debugger.
@@ -68,16 +68,16 @@ func TestShapeGuardPanics(t *testing.T) {
 			func() { a := New(2, 2); MatMulInto(a, a, New(2, 2)) }},
 		{"MatMulTA", "tensor: MatMulTA shape mismatch 3x2ᵀ * 4x5",
 			func() { MatMulTA(New(3, 2), New(4, 5)) }},
-		{"MatMulTAInto inner", "tensor: MatMulTA shape mismatch 3x2ᵀ * 4x5",
-			func() { MatMulTAInto(New(2, 5), New(3, 2), New(4, 5)) }},
 		{"MatMulTB", "tensor: MatMulTB shape mismatch 2x3 * 5x4ᵀ",
 			func() { MatMulTB(New(2, 3), New(5, 4)) }},
-		{"MatMulTBInto inner", "tensor: MatMulTB shape mismatch 2x3 * 5x4ᵀ",
-			func() { MatMulTBInto(New(2, 5), New(2, 3), New(5, 4)) }},
 		{"Affine inner", "tensor: Affine shape mismatch 2x3 * 4x5",
 			func() { Affine(New(2, 3), New(4, 5), New(1, 5)) }},
 		{"Affine bias", "tensor: Affine bias 1x4, want 1x5",
 			func() { Affine(New(2, 3), New(3, 5), New(1, 4)) }},
+
+		// adam.go: the moments and the gradient must have the weight's shape.
+		{"AdamStep", "tensor: AdamStep shape mismatch w 2x3, g 3x2, m 2x3, v 2x3",
+			func() { AdamStep(New(2, 3), New(3, 2), New(2, 3), New(2, 3), AdamHyper{}, 1) }},
 
 		// pool.go: pooled constructors.
 		{"NewPooledOneHot count", "tensor: one-hot index count 1 does not match 2 rows",
