@@ -28,7 +28,10 @@ vet:
 # (every spawned goroutine needs a provable exit path), and cancelflow
 # (deadlines propagate into every blocking callee on the fan-out path) —
 # plus shapeflow, interprocedural tensor shape inference over //shape:
-# contracts that proves runtime shape panics unreachable.
+# contracts that proves runtime shape panics unreachable, and deadcode,
+# every function reachable from a main, an init, a package-level var or
+# an external interface (bench/_gtvbench, which lint cannot see, keeps
+# its callees through reasoned suppressions).
 # For people: findings as text, and -timing's per-rule cost table. ci.sh
 # runs the analysis once, through lint-json.
 lint:

@@ -7,9 +7,10 @@
 # how a second benchmark system beside bench/ and `make bench-layers` grows
 # back), the repo's own static analyzers (gtv-lint: lifetimes, determinism,
 # guarded fields, dropped errors, the privflow privacy-boundary taint
-# analysis, and the concurrency suite — lockorder, goroleak, cancelflow —
-# see DESIGN.md "Static analysis", "Privacy boundary", and "Concurrency
-# rules") run once, as a regenerate-and-diff of the committed
+# analysis, the concurrency suite — lockorder, goroleak, cancelflow — and
+# deadcode, reachability from the binaries; see DESIGN.md "Static
+# analysis", "Privacy boundary", "Concurrency rules" and "Reachability")
+# run once, as a regenerate-and-diff of the committed
 # LINT_findings.json (the machine-readable report, including shapeflow's
 # proved-ops coverage stats, must match a fresh run — stats drift or new
 # findings fail here, after printing the findings in text form), build,

@@ -74,9 +74,6 @@ func (a *CuriousServer) Observe(cv *tensor.Dense, rows []int) error {
 	return nil
 }
 
-// ObservedRows returns how many distinct row indices the server has seen.
-func (a *CuriousServer) ObservedRows() int { return len(a.observations) }
-
 // Reconstruction is the server's inferred table: for every observed row, a
 // set of inferred CV bit positions (one per categorical span, keeping the
 // most recent observation when a span was seen multiple times).

@@ -63,8 +63,8 @@ func TestReconstructKeepsLatestObservation(t *testing.T) {
 	if len(bits) != 1 || bits[0] != 1 {
 		t.Fatalf("reconstructed bits = %v want [1]", bits)
 	}
-	if a.ObservedRows() != 1 {
-		t.Fatalf("ObservedRows = %d", a.ObservedRows())
+	if len(a.observations) != 1 {
+		t.Fatalf("observed %d rows, want 1", len(a.observations))
 	}
 }
 

@@ -68,9 +68,6 @@ func (v *Value) Data() *tensor.Dense { return v.data }
 // Shape returns (rows, cols) of the underlying matrix.
 func (v *Value) Shape() (int, int) { return v.data.Shape() }
 
-// RequiresGrad reports whether gradients flow through this Value.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 // Detach returns a new constant leaf sharing v's data, cutting the graph.
 func (v *Value) Detach() *Value { return Const(v.data) }
 

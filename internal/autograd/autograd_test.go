@@ -9,6 +9,34 @@ import (
 	"repro/internal/tensor"
 )
 
+// Exp and Sigmoid are ops no model uses; they stay here as smooth ops
+// whose backward reads the op's own output, for the gradient checks.
+
+type expOp struct{}
+
+func (expOp) name() string { return "exp" }
+func (expOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
+	return []*Value{Mul(grad, output)}
+}
+
+// Exp returns the element-wise exponential of a.
+func Exp(a *Value) *Value {
+	return newValue(a.data.Apply(math.Exp), expOp{}, a)
+}
+
+type sigmoidOp struct{}
+
+func (sigmoidOp) name() string { return "sigmoid" }
+func (sigmoidOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
+	return []*Value{Mul(grad, Mul(output, AddScalar(Neg(output), 1)))}
+}
+
+// Sigmoid returns 1/(1+exp(-a)) element-wise.
+func Sigmoid(a *Value) *Value {
+	out := a.data.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+	return newValue(out, sigmoidOp{}, a)
+}
+
 // numericGrad estimates d f / d x with central finite differences.
 func numericGrad(f func() float64, x *tensor.Dense) *tensor.Dense {
 	const h = 1e-5

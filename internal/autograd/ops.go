@@ -151,18 +151,6 @@ func Sqrt(a *Value) *Value {
 	return newValue(a.data.Apply(math.Sqrt), sqrtOp{}, a)
 }
 
-type expOp struct{}
-
-func (expOp) name() string { return "exp" }
-func (expOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
-	return []*Value{Mul(grad, output)}
-}
-
-// Exp returns the element-wise exponential of a.
-func Exp(a *Value) *Value {
-	return newValue(a.data.Apply(math.Exp), expOp{}, a)
-}
-
 type logOp struct{}
 
 func (logOp) name() string { return "log" }
@@ -259,19 +247,6 @@ func (tanhOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 // Tanh returns the element-wise hyperbolic tangent of a.
 func Tanh(a *Value) *Value {
 	return newValue(a.data.Apply(math.Tanh), tanhOp{}, a)
-}
-
-type sigmoidOp struct{}
-
-func (sigmoidOp) name() string { return "sigmoid" }
-func (sigmoidOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
-	return []*Value{Mul(grad, Mul(output, AddScalar(Neg(output), 1)))}
-}
-
-// Sigmoid returns 1/(1+exp(-a)) element-wise.
-func Sigmoid(a *Value) *Value {
-	out := a.data.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	return newValue(out, sigmoidOp{}, a)
 }
 
 type softmaxOp struct{}

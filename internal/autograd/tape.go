@@ -31,12 +31,6 @@ import (
 // graphs in separate calls would double-free their shared interiors.
 type Tape struct{ roots []*Value }
 
-// NewTape returns an empty tape. Equivalent to declaring a zero Tape; the
-// constructor form exists so that acquisition sites are syntactically uniform
-// and recognizable (gtv-lint's tapelifetime rule pairs NewTape/zero-Tape
-// acquisitions with Release on every exit path).
-func NewTape() *Tape { return &Tape{} }
-
 // Track adds vs to the set of roots released by the next Release call.
 func (t *Tape) Track(vs ...*Value) { t.roots = append(t.roots, vs...) }
 

@@ -243,6 +243,8 @@ func (r *Reader) Close() error {
 }
 
 // CacheStats returns the block cache's counters.
+//
+//lint:ignore deadcode block-cache counters the cache tests assert on
 func (r *Reader) CacheStats() CacheStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -121,6 +121,8 @@ func (w *Writer) AppendRow(vals []float64) error {
 }
 
 // AppendRows buffers every row of m (m's column count must match).
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (w *Writer) AppendRows(m *tensor.Dense) error {
 	if w.closed {
 		return errClosed

@@ -144,7 +144,7 @@ func TestReindexAfterShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSampler: %v", err)
 	}
-	perm := tensor.Permutation(rng, 100)
+	perm := rng.Perm(100)
 	shuffled := tbl.ShuffleRows(perm)
 	if err := s.Reindex(perm); err != nil {
 		t.Fatalf("Reindex: %v", err)

@@ -152,6 +152,8 @@ func DefaultOptions() Options {
 // PaperOptions returns the paper-scale configuration: block width 256,
 // CTGAN's learning rate and five critic steps per round. It is roughly two
 // orders of magnitude more compute than DefaultOptions.
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func PaperOptions() Options {
 	o := DefaultOptions()
 	o.Rounds = 3000
@@ -364,6 +366,8 @@ func (g *GTV) Train(progress func(round int, dLoss, gLoss float64)) error {
 
 // Checkpoint writes a federation checkpoint into dir immediately and
 // returns its path.
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (g *GTV) Checkpoint(dir string) (string, error) {
 	return g.server.SaveCheckpoint(dir)
 }
@@ -373,6 +377,8 @@ func (g *GTV) Checkpoint(dir string) (string, error) {
 func (g *GTV) Rounds() int { return g.server.Rounds() }
 
 // TrainRound runs a single round (for callers driving their own loop).
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (g *GTV) TrainRound() (dLoss, gLoss float64, err error) {
 	return g.server.TrainRound()
 }
@@ -432,6 +438,8 @@ func NewCentralized(table *encoding.Table, opts Options) (*Centralized, error) {
 // client's categorical column ("control the class of generation", §2.2).
 // clientIdx names the owning client (in the order tables were passed to
 // New); column and categoryLabel refer to that client's schema.
+//
+//lint:ignore deadcode conditional synthesis, a capability README documents
 func (g *GTV) SynthesizeCondition(n, clientIdx int, column, categoryLabel string) (*encoding.Table, error) {
 	if clientIdx < 0 || clientIdx >= len(g.clients) {
 		return nil, fmt.Errorf("core: client %d out of range %d", clientIdx, len(g.clients))

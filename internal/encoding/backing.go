@@ -13,10 +13,6 @@ import (
 // in-core or out-of-core — bit-identically, since gtvcol round-trips
 // float64 bit patterns exactly.
 type Backing interface {
-	// Rows returns the number of encoded rows.
-	Rows() int
-	// Width returns the encoded width.
-	Width() int
 	// GatherRows returns a pooled batch whose row k is encoded row idx[k].
 	// The caller owns the result and must Release it when the training
 	// step is done with it.
@@ -56,12 +52,6 @@ type DenseBacking struct {
 //shape:in(N,W)
 func NewDenseBacking(m *tensor.Dense) *DenseBacking { return &DenseBacking{m: m} }
 
-// Rows implements Backing.
-func (b *DenseBacking) Rows() int { return b.m.Rows() }
-
-// Width implements Backing.
-func (b *DenseBacking) Width() int { return b.m.Cols() }
-
 // GatherRows implements Backing. The result comes from the tensor pool.
 //
 //shape:out(N,W)
@@ -88,6 +78,8 @@ func (b *DenseBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 }
 
 // Shuffle implements Backing.
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (b *DenseBacking) Shuffle(perm []int) error {
 	b.m = b.m.ShuffleRows(perm)
 	return nil

@@ -256,12 +256,6 @@ type colBacking struct {
 	idxBuf []int32
 }
 
-// Rows implements Backing.
-func (b *colBacking) Rows() int { return b.r.Rows() }
-
-// Width implements Backing.
-func (b *colBacking) Width() int { return b.r.Cols() }
-
 // GatherRows implements Backing: the batch is gathered straight from
 // cached compact blocks into a pooled matrix the caller must Release.
 //
@@ -330,6 +324,8 @@ func (b *colBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 }
 
 // Shuffle implements Backing by composing the permutation into the view.
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (b *colBacking) Shuffle(perm []int) error {
 	rows := b.r.Rows()
 	if len(perm) != rows {

@@ -334,8 +334,8 @@ func TestShuffleRowsKeepsAlignmentAcrossParties(t *testing.T) {
 		t.Fatalf("VerticalSplit: %v", err)
 	}
 	seed := int64(12345)
-	permA := tensor.Permutation(rand.New(rand.NewSource(seed)), tbl.Rows())
-	permB := tensor.Permutation(rand.New(rand.NewSource(seed)), tbl.Rows())
+	permA := rand.New(rand.NewSource(seed)).Perm(tbl.Rows())
+	permB := rand.New(rand.NewSource(seed)).Perm(tbl.Rows())
 	a := parts[0].ShuffleRows(permA)
 	b := parts[1].ShuffleRows(permB)
 	joined, err := ConcatColumns(a, b)

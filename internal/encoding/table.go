@@ -139,9 +139,6 @@ func NewStoredTable(specs []ColumnSpec, r *coldata.Reader) (*Table, error) {
 	return &Table{Specs: specs, src: r}, nil
 }
 
-// Stored reports whether the table is backed by an on-disk gtvcol file.
-func (t *Table) Stored() bool { return t.src != nil }
-
 // Close releases a stored table's reader and block cache; it is a no-op
 // for in-memory tables.
 func (t *Table) Close() error {

@@ -178,9 +178,6 @@ func (tr *Transformer) CategoricalSpans() []Span {
 	return out
 }
 
-// Specs returns the raw column specs the transformer was fitted on.
-func (tr *Transformer) Specs() []ColumnSpec { return tr.specs }
-
 // Transform encodes the table. rng drives the posterior mode sampling of
 // mode-specific normalization (CTGAN samples the mode rather than taking
 // the argmax).

@@ -59,23 +59,6 @@ func DefaultScale() Scale {
 	}
 }
 
-// SmokeScale returns a minimal configuration for tests: a handful of
-// rounds, two datasets, tiny networks.
-func SmokeScale() Scale {
-	return Scale{
-		Rows:      160,
-		Rounds:    4,
-		DiscSteps: 1,
-		BatchSize: 32,
-		BlockDim:  24,
-		NoiseDim:  8,
-		LR:        5e-4,
-		Repeats:   1,
-		Datasets:  []string{"loan", "adult"},
-		Seed:      1,
-	}
-}
-
 func (s *Scale) validate() error {
 	if s.Rows < 50 {
 		return fmt.Errorf("experiments: %d rows is too few", s.Rows)

@@ -400,19 +400,6 @@ func (p Posterior) SampleMode(rng *rand.Rand, x float64, scratch []float64) int 
 	return len(resp) - 1
 }
 
-// Responsibilities returns the posterior probability of each component for x.
-func (m *Model) Responsibilities(x float64) []float64 {
-	out := make([]float64, m.K())
-	m.Posterior().Responsibilities(x, out)
-	return out
-}
-
-// SampleMode is Posterior.SampleMode for a single draw; callers encoding a
-// whole column hold a Posterior instead.
-func (m *Model) SampleMode(rng *rand.Rand, x float64) int {
-	return m.Posterior().SampleMode(rng, x, make([]float64, m.K()))
-}
-
 // Normalize maps x into mode c's offset coordinate: (x-mean)/(4*std),
 // clipped to [-1, 1] as in CTGAN.
 func (m *Model) Normalize(x float64, c int) float64 {
@@ -434,24 +421,6 @@ func (m *Model) Denormalize(alpha float64, c int) float64 {
 		alpha = -1
 	}
 	return alpha*4*m.Stds[c] + m.Means[c]
-}
-
-// LogLikelihood returns the mean log-likelihood of data under the model.
-func (m *Model) LogLikelihood(data []float64) float64 {
-	var ll float64
-	for _, x := range data {
-		var p float64
-		for c := range m.Weights {
-			p += m.Weights[c] * math.Exp(logNormPDF(x, m.Means[c], m.Stds[c]))
-		}
-		ll += math.Log(math.Max(p, 1e-300))
-	}
-	return ll / float64(len(data))
-}
-
-func logNormPDF(x, mean, std float64) float64 {
-	d := (x - mean) / std
-	return -0.5*d*d - math.Log(std) - 0.5*math.Log(2*math.Pi)
 }
 
 // stdAbout returns the population standard deviation of data about mu.

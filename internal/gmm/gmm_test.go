@@ -141,8 +141,9 @@ func TestResponsibilitiesSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
+	post, r := m.Posterior(), make([]float64, m.K())
 	for _, x := range []float64{-5, 0, 5, 100} {
-		r := m.Responsibilities(x)
+		post.Responsibilities(x, r)
 		var sum float64
 		for _, p := range r {
 			sum += p
@@ -155,11 +156,12 @@ func TestResponsibilitiesSumToOne(t *testing.T) {
 
 func TestResponsibilitiesPickNearestMode(t *testing.T) {
 	m := &Model{Weights: []float64{0.5, 0.5}, Means: []float64{-5, 5}, Stds: []float64{1, 1}}
-	r := m.Responsibilities(-5)
+	post, r := m.Posterior(), make([]float64, m.K())
+	post.Responsibilities(-5, r)
 	if r[0] < 0.99 {
 		t.Fatalf("x=-5 responsibility for mode 0 = %v", r[0])
 	}
-	r = m.Responsibilities(5)
+	post.Responsibilities(5, r)
 	if r[1] < 0.99 {
 		t.Fatalf("x=5 responsibility for mode 1 = %v", r[1])
 	}
@@ -189,9 +191,10 @@ func TestNormalizeClips(t *testing.T) {
 func TestSampleModeFollowsPosterior(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := &Model{Weights: []float64{0.5, 0.5}, Means: []float64{-5, 5}, Stds: []float64{1, 1}}
+	post, scratch := m.Posterior(), make([]float64, m.K())
 	counts := [2]int{}
 	for i := 0; i < 200; i++ {
-		counts[m.SampleMode(rng, -5)]++
+		counts[post.SampleMode(rng, -5, scratch)]++
 	}
 	if counts[0] < 195 {
 		t.Fatalf("sampling for x=-5 picked mode 0 only %d/200 times", counts[0])
@@ -212,9 +215,22 @@ func TestLogLikelihoodImprovesOverSingleGaussian(t *testing.T) {
 	mu /= float64(len(data))
 	std := stdAbout(data, mu)
 	single := &Model{Weights: []float64{1}, Means: []float64{mu}, Stds: []float64{std}}
-	if fitted.LogLikelihood(data) <= single.LogLikelihood(data) {
+	if logLikelihood(fitted, data) <= logLikelihood(single, data) {
 		t.Fatal("mixture log-likelihood should beat a single Gaussian on bimodal data")
 	}
+}
+
+// logLikelihood returns the mean log-likelihood of data under m.
+func logLikelihood(m *Model, data []float64) float64 {
+	var ll float64
+	for _, x := range data {
+		var p float64
+		for c := range m.Weights {
+			p += m.Weights[c] * math.Exp(logNormPDF(x, m.Means[c], m.Stds[c]))
+		}
+		ll += math.Log(math.Max(p, 1e-300))
+	}
+	return ll / float64(len(data))
 }
 
 // Property: components are always sorted by mean, weights positive and

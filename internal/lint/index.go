@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -135,7 +136,8 @@ func (ix *Index) Static(info *types.Info, call *ast.CallExpr) *Func {
 }
 
 // Impls returns the module methods a call of interface method m can
-// dispatch to, in Named order.
+// dispatch to, in Named order, each once: a method promoted into several
+// named types is listed at the first of them.
 func (ix *Index) Impls(m *types.Func) []*Func {
 	if impls, ok := ix.impls[m]; ok {
 		return impls
@@ -151,7 +153,7 @@ func (ix *Index) Impls(m *types.Func) []*Func {
 			}
 			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, m.Pkg(), m.Name())
 			if fn, ok := obj.(*types.Func); ok {
-				if impl := ix.byObj[fn]; impl != nil {
+				if impl := ix.byObj[fn]; impl != nil && !slices.Contains(out, impl) {
 					out = append(out, impl)
 				}
 			}

@@ -3,9 +3,9 @@
 // enforces the invariants GTV's reproducibility and concurrency claims
 // rest on but the compiler cannot see: pooled-buffer and tape lifetimes,
 // seeded-randomness discipline, map-iteration determinism, float
-// comparison hygiene, mutex-guarded field access, and unchecked protocol
-// errors. See DESIGN.md ("Static analysis") for the rule catalog and how
-// to add a rule.
+// comparison hygiene, mutex-guarded field access, unchecked protocol
+// errors, and code no binary can reach. See DESIGN.md ("Static
+// analysis") for the rule catalog and how to add a rule.
 package lint
 
 import (
@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -135,6 +134,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerGoroLeak,
 		AnalyzerCancelFlow,
 		AnalyzerShapeFlow,
+		AnalyzerDeadCode,
 	}
 }
 
@@ -398,17 +398,3 @@ func outermostFuncBody(stack []ast.Node) *ast.BlockStmt {
 }
 
 var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
-
-// unquoteAll extracts the unquoted contents of every double-quoted string
-// in s (used by the test harness for // want "..." expectations).
-func unquoteAll(s string) []string {
-	var out []string
-	re := regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
-	for _, q := range re.FindAllString(s, -1) {
-		u, err := strconv.Unquote(q)
-		if err == nil {
-			out = append(out, u)
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,7 @@ var fixtureCases = []struct {
 	{"goroleak", "testdata/src/goroleak", "goroleak"},
 	{"cancelflow", "testdata/src/cancelflow", "cancelflow"},
 	{"shapeflow", "testdata/src/shapeflow", "shapeflow"},
+	{"deadcode", "testdata/src/deadcode", "deadcode"},
 }
 
 func TestAnalyzersOnFixtures(t *testing.T) {
@@ -99,6 +101,20 @@ func parseWants(t *testing.T, dir string) []*expectation {
 		}
 	}
 	return wants
+}
+
+// unquoteAll extracts the unquoted contents of every double-quoted string
+// in s (the // want "..." expectations).
+func unquoteAll(s string) []string {
+	var out []string
+	re := regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
+	for _, q := range re.FindAllString(s, -1) {
+		u, err := strconv.Unquote(q)
+		if err == nil {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // checkWants verifies findings against the dir's want comments: every

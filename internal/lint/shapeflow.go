@@ -85,21 +85,6 @@ type sfFieldAnn struct {
 	pos  token.Position
 }
 
-// names returns every symbolic name an annotation mentions.
-func (a *sfAnn) names() map[string]bool {
-	out := make(map[string]bool)
-	for _, cs := range [][]sfClause{a.ins, a.outs} {
-		for _, c := range cs {
-			for _, d := range c.dims {
-				for _, n := range d.names {
-					out[n] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ---- slot classification ----
 
 const (

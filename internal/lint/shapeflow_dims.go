@@ -322,18 +322,6 @@ func (t *sfTable) render(e linExpr) string {
 	return b.String()
 }
 
-// renderDim prints one dim for findings.
-func (t *sfTable) renderDim(d sfDim) string {
-	if d == dimTop {
-		return "?"
-	}
-	e, ok := t.resolveDim(d)
-	if !ok {
-		return "?"
-	}
-	return t.render(e)
-}
-
 // originOf returns the introduction hop of the first named or rigid dim in
 // d's resolved form, so findings can point back at the annotation that
 // pinned the dim. ok is false for anonymous or unknown dims.
@@ -384,5 +372,3 @@ func (t *sfTable) joinDim(a, b sfDim) sfDim {
 func (t *sfTable) joinShape(a, b sfShape) sfShape {
 	return sfShape{rows: t.joinDim(a.rows, b.rows), cols: t.joinDim(a.cols, b.cols)}
 }
-
-func (s sfShape) isTop() bool { return s.rows == dimTop && s.cols == dimTop }

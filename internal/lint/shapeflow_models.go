@@ -188,8 +188,6 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 		return one(matVal(argDim(args, 0), argDim(args, 1))), true
 	case "Randn", "RandUniform":
 		return one(matVal(argDim(args, 1), argDim(args, 2))), true
-	case "Reuse":
-		return one(matVal(argDim(args, 1), argDim(args, 2))), true
 	case "Scalar":
 		return one(matVal(in.c1(pos), in.c1(pos))), true
 	case "MatMul", "MatMulTA", "MatMulTB":
@@ -203,10 +201,6 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 		return one(in.affineModel(pos, argShape(args, 0), argShape(args, 1), argShape(args, 2))), true
 	case "Add", "Sub", "Mul", "Div":
 		return one(in.binModel(fn.Name(), pos, argShape(args, 0), argShape(args, 1))), true
-	case "AddInto", "SubInto", "MulInto", "DivInto":
-		v := in.binModel(fn.Name(), pos, argShape(args, 1), argShape(args, 2))
-		in.intoDst(fn.Name(), pos, argShape(args, 0), v.shape.rows, v.shape.cols)
-		return one(v), true
 	case "ReLU", "LeakyReLU":
 		a := argShape(args, 0)
 		return one(matVal(a.rows, a.cols)), true
@@ -220,11 +214,7 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 		return []sfVal{matVal(x.rows, x.cols), matVal(x.rows, x.cols)}, true
 	case "ConcatCols", "ConcatRows":
 		return one(in.concatModel(fn.Name(), call, args)), true
-	case "TransposeInto":
-		m := argShape(args, 1)
-		in.intoDst("TransposeInto", pos, argShape(args, 0), m.cols, m.rows)
-		return one(matVal(m.cols, m.rows)), true
-	case "FromRows", "Permutation":
+	case "FromRows":
 		return in.topResults(call), true
 	}
 	return nil, false
@@ -261,8 +251,6 @@ func (in *sfInterp) modelDenseMethod(call *ast.CallExpr, fn *types.Func, recv sf
 		return one(matVal(in.c1(pos), m.cols)), true
 	case "SumCols":
 		return one(matVal(m.rows, in.c1(pos))), true
-	case "RowL2Norms":
-		return one(matVal(m.rows, in.c1(pos))), true
 	case "SliceCols":
 		return one(matVal(m.rows, in.widthDim(pos, argDim(args, 0), argDim(args, 1)))), true
 	case "SliceRows":
@@ -275,11 +263,6 @@ func (in *sfInterp) modelDenseMethod(call *ast.CallExpr, fn *types.Func, recv sf
 		return one(matVal(m.cols, m.rows)), true
 	case "Reshape":
 		return one(matVal(argDim(args, 0), argDim(args, 1))), true
-	case "CopyInto":
-		dst := argShape(args, 0)
-		in.constrain(dst.rows, m.rows, pos, "CopyInto rows", nil)
-		in.constrain(dst.cols, m.cols, pos, "CopyInto cols", nil)
-		return one(matVal(m.rows, m.cols)), true
 	}
 	return nil, false
 }
@@ -301,7 +284,7 @@ func (in *sfInterp) modelAGFunc(call *ast.CallExpr, fn *types.Func, args []sfVal
 		return one(in.affineModel(pos, argShape(args, 0), argShape(args, 1), argShape(args, 2))), true
 	case "Add", "Sub", "Mul", "Div":
 		return one(in.binModel(fn.Name(), pos, argShape(args, 0), argShape(args, 1))), true
-	case "Neg", "Sqrt", "Exp", "Log", "ReLU", "Tanh", "Sigmoid", "SoftmaxRows", "Square", "LeakyReLU", "Dropout", "Scale", "AddScalar":
+	case "Neg", "Sqrt", "Log", "ReLU", "Tanh", "SoftmaxRows", "Square", "LeakyReLU", "Dropout", "Scale", "AddScalar":
 		a := argShape(args, 0)
 		return one(matVal(a.rows, a.cols)), true
 	case "Transpose":

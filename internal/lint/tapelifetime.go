@@ -170,10 +170,9 @@ func checkFuncLifetimes(p *Pass, info *types.Info, fn *ast.FuncDecl) {
 	}
 }
 
-// classifyAcquisition recognizes `x := tensor.NewPooled(...)`,
-// `x := autograd.NewTape()` and `x := autograd.Tape{}` forms (the two-result
-// `out, mask := tensor.Dropout(...)` is recognized where assignments are
-// collected).
+// classifyAcquisition recognizes `x := tensor.NewPooled(...)` and
+// `x := autograd.Tape{}` forms (the two-result `out, mask :=
+// tensor.Dropout(...)` is recognized where assignments are collected).
 func classifyAcquisition(info *types.Info, id *ast.Ident, rhs ast.Expr) *acquisition {
 	obj := defOrUse(info, id)
 	if obj == nil {
@@ -188,9 +187,6 @@ func classifyAcquisition(info *types.Info, id *ast.Ident, rhs ast.Expr) *acquisi
 		}
 		if isPkgFunc(info, v, "internal/coldata", "AcquireBlockBuf") {
 			return &acquisition{obj: obj, pos: id.Pos(), what: "coldata.AcquireBlockBuf buffer"}
-		}
-		if isPkgFunc(info, v, "internal/autograd", "NewTape") {
-			return &acquisition{obj: obj, pos: id.Pos(), what: "autograd tape", tape: true}
 		}
 	case *ast.CompositeLit:
 		if isTapeType(info.TypeOf(v)) {

@@ -27,7 +27,7 @@ func escapingBuffer() *tensor.Dense {
 }
 
 func leakConstructedTape(v *ag.Value) {
-	tape := ag.NewTape() // want "autograd tape is acquired here but never Released"
+	tape := ag.Tape{} // want "autograd tape is acquired here but never Released"
 	tape.Track(v)
 }
 

@@ -80,9 +80,6 @@ func NewFeaturizer(t *encoding.Table, target int) (*Featurizer, error) {
 	return f, nil
 }
 
-// Width returns the feature-vector width.
-func (f *Featurizer) Width() int { return f.width }
-
 // Range is a contiguous block of feature columns produced by one raw column.
 type Range struct {
 	// Column is the raw column index (never the target).

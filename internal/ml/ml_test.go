@@ -235,8 +235,8 @@ func TestFeaturizer(t *testing.T) {
 	if x.Rows() != 300 || len(y) != 300 {
 		t.Fatalf("transformed shape %dx%d labels %d", x.Rows(), x.Cols(), len(y))
 	}
-	if x.Cols() != f.Width() {
-		t.Fatalf("width mismatch %d vs %d", x.Cols(), f.Width())
+	if x.Cols() != f.width {
+		t.Fatalf("width mismatch %d vs %d", x.Cols(), f.width)
 	}
 	if f.NumClasses() != 2 {
 		t.Fatalf("NumClasses = %d", f.NumClasses())

@@ -371,11 +371,11 @@ func TestXORWithMLP(t *testing.T) {
 	opt := NewAdam(0.02)
 	opt.WeightDecay = 0
 	for i := 0; i < 2000; i++ {
-		pred := ag.Sigmoid(net.Forward(ag.Const(x), true))
+		pred := net.Forward(ag.Const(x), true)
 		loss := ag.MeanAll(ag.Square(ag.Sub(pred, ag.Const(y))))
 		opt.Step(net.Params(), Grads(loss, net))
 	}
-	pred := ag.Sigmoid(net.Forward(ag.Const(x), false)).Data()
+	pred := net.Forward(ag.Const(x), false).Data()
 	for i := 0; i < 4; i++ {
 		want := y.At(i, 0)
 		got := pred.At(i, 0)

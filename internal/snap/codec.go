@@ -23,21 +23,9 @@ var errSnap = errors.New("gtvsnap")
 // Enc appends one section payload to the Builder's buffer.
 type Enc struct{ binfmt.Writer }
 
-func (e *Enc) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.Buf = append(e.Buf, s...)
-}
-
 func (e *Enc) Bytes(b []byte) {
 	e.U32(uint32(len(b)))
 	e.Raw(b)
-}
-
-func (e *Enc) Ints(v []int) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(int64(x))
-	}
 }
 
 func (e *Enc) U64s(v []uint64) {
@@ -74,36 +62,10 @@ type Dec struct{ binfmt.Reader }
 // NewDec starts decoding one section payload.
 func NewDec(payload []byte) *Dec { return &Dec{binfmt.NewReader(payload, errSnap)} }
 
-func (d *Dec) Str() string { return string(d.Take(int(d.U32()))) }
-
 // Bytes returns a copy of a length-prefixed byte string (a copy, because
 // section payloads alias the decoded file image, which checkpoint loaders
 // discard after restoring).
 func (d *Dec) Bytes() []byte { return bytes.Clone(d.Take(int(d.U32()))) }
-
-func (d *Dec) Ints() []int {
-	n := d.Count(uint64(d.U32()), 8, "int")
-	if d.Err() != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.I64())
-	}
-	return out
-}
-
-func (d *Dec) U64s() []uint64 {
-	n := d.Count(uint64(d.U32()), 8, "uint64")
-	if d.Err() != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.U64()
-	}
-	return out
-}
 
 // Matrix decodes a matrix into a buffer drawn from the tensor free list
 // (every element is overwritten). Ownership passes to the caller; restore

@@ -183,15 +183,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// ReadFile loads and decodes a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
 // WriteFileAtomic durably replaces path with data: the bytes go to a
 // temporary file in the same directory, are synced, and the temp file is
 // renamed over path. A crash or write failure at any point leaves the

@@ -31,17 +31,20 @@ func goldenSnapshot() []byte {
 		e.I64(-42)
 		e.F64(3.5)
 		e.Bool(true)
-		e.Str("gtvsnap")
+		e.Bytes([]byte("gtvsnap"))
 		e.Bytes([]byte{1, 2, 3})
 	})
 	b.Section(2, func(e *Enc) {
-		e.Ints([]int{-1, 0, 7})
+		e.U32(3) // a length-prefixed int list
+		for _, v := range []int64{-1, 0, 7} {
+			e.I64(v)
+		}
 		e.U64s([]uint64{1, 1 << 40})
 		e.Matrix(tensor.FromRows([][]float64{{1, -2.5}, {0.125, 4096}}))
 		e.Matrix(nil)
 	})
 	b.Section(2, func(e *Enc) {
-		e.Str("repeated id")
+		e.Bytes([]byte("repeated id"))
 	})
 	return b.Bytes()
 }
@@ -105,8 +108,8 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if !d.Bool() {
 		t.Error("Bool = false, want true")
 	}
-	if got := d.Str(); got != "gtvsnap" {
-		t.Errorf("Str = %q, want gtvsnap", got)
+	if got := string(d.Bytes()); got != "gtvsnap" {
+		t.Errorf("Bytes = %q, want gtvsnap", got)
 	}
 	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v, want [1 2 3]", got)
@@ -119,13 +122,21 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Need(2): %v", err)
 	}
-	ints := d.Ints()
-	if len(ints) != 3 || ints[0] != -1 || ints[1] != 0 || ints[2] != 7 {
-		t.Errorf("Ints = %v, want [-1 0 7]", ints)
+	if n := d.U32(); n != 3 {
+		t.Errorf("int list length %d, want 3", n)
 	}
-	u64s := d.U64s()
-	if len(u64s) != 2 || u64s[0] != 1 || u64s[1] != 1<<40 {
-		t.Errorf("U64s = %v, want [1 1<<40]", u64s)
+	for _, want := range []int64{-1, 0, 7} {
+		if got := d.I64(); got != want {
+			t.Errorf("int list element %d, want %d", got, want)
+		}
+	}
+	if n := d.U32(); n != 2 {
+		t.Errorf("U64s length %d, want 2", n)
+	}
+	for _, want := range []uint64{1, 1 << 40} {
+		if got := d.U64(); got != want {
+			t.Errorf("U64s element %d, want %d", got, want)
+		}
 	}
 	m := d.Matrix()
 	if m == nil {
@@ -154,8 +165,8 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if len(reps) != 2 {
 		t.Fatalf("All(2) returned %d payloads, want 2", len(reps))
 	}
-	if got := NewDec(reps[1]).Str(); got != "repeated id" {
-		t.Errorf("repeated section Str = %q", got)
+	if got := string(NewDec(reps[1]).Bytes()); got != "repeated id" {
+		t.Errorf("repeated section Bytes = %q", got)
 	}
 }
 
@@ -251,12 +262,6 @@ func TestDecodeHeaderDefenses(t *testing.T) {
 // than the bytes behind it fails instead of allocating.
 func TestDecLengthBounds(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0x7f} // u32 length ~2^31 with no data behind it
-	if NewDec(huge).Ints() != nil {
-		t.Error("Ints accepted a length prefix exceeding the section")
-	}
-	if NewDec(huge).U64s() != nil {
-		t.Error("U64s accepted a length prefix exceeding the section")
-	}
 	if NewDec(huge).Bytes() != nil {
 		t.Error("Bytes accepted a length prefix exceeding the section")
 	}
@@ -272,6 +277,15 @@ func TestDecLengthBounds(t *testing.T) {
 
 // --- checkpoint files ---
 
+// readFile loads and decodes a snapshot file.
+func readFile(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(data)
+}
+
 func TestWriteReadFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := CheckpointPath(dir, 3)
@@ -279,9 +293,9 @@ func TestWriteReadFileRoundTrip(t *testing.T) {
 	if err := WriteFileAtomic(path, data); err != nil {
 		t.Fatalf("WriteFileAtomic: %v", err)
 	}
-	s, err := ReadFile(path)
+	s, err := readFile(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("readFile: %v", err)
 	}
 	if len(s.Sections) != 3 {
 		t.Fatalf("round-tripped %d sections, want 3", len(s.Sections))
@@ -319,7 +333,7 @@ func TestCrashSafetyPreservesPreviousCheckpoint(t *testing.T) {
 	}
 
 	next := NewBuilder(KindServer)
-	next.Section(1, func(e *Enc) { e.Str("the doomed successor") })
+	next.Section(1, func(e *Enc) { e.Bytes([]byte("the doomed successor")) })
 	err := writeFileAtomic(path, next.Bytes(), func(w io.Writer) io.Writer {
 		return &failAfter{w: w, n: 5}
 	})
@@ -334,7 +348,7 @@ func TestCrashSafetyPreservesPreviousCheckpoint(t *testing.T) {
 	if !bytes.Equal(got, previous) {
 		t.Fatal("previous checkpoint bytes changed after a failed write")
 	}
-	if _, err := ReadFile(path); err != nil {
+	if _, err := readFile(path); err != nil {
 		t.Fatalf("previous checkpoint no longer decodes: %v", err)
 	}
 	tmps, err := filepath.Glob(filepath.Join(dir, ".gtvsnap-*.tmp"))
@@ -358,9 +372,9 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	if err := WriteFileAtomic(path, b.Bytes()); err != nil {
 		t.Fatalf("second write: %v", err)
 	}
-	s, err := ReadFile(path)
+	s, err := readFile(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("readFile: %v", err)
 	}
 	if s.Kind != KindClient {
 		t.Fatalf("kind after replace = %d, want %d", s.Kind, KindClient)
@@ -425,10 +439,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		for _, sec := range s.Sections {
 			total += len(sec.Payload)
 			for _, decode := range []func(*Dec){
-				func(d *Dec) { d.Str() },
 				func(d *Dec) { d.Bytes() },
-				func(d *Dec) { d.Ints() },
-				func(d *Dec) { d.U64s() },
 				func(d *Dec) {
 					if m := d.Matrix(); m != nil {
 						m.Release()

@@ -69,6 +69,8 @@ func MatMul(a, b *Dense) *Dense {
 
 // MatMulInto computes dst = a*b, reusing dst's storage. dst must have shape
 // Rows(a) x Cols(b) and must not alias a or b.
+//
+//lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func MatMulInto(dst, a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))

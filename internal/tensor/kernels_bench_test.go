@@ -117,8 +117,8 @@ func BenchmarkElementwise(b *testing.B) {
 	for _, sh := range []struct{ r, c int }{{25, 3060}, {250, 256}, {1024, 1024}} {
 		for _, op := range []struct {
 			name string
-			into func(dst, x, y *Dense) *Dense
-		}{{"Add", AddInto}, {"Mul", MulInto}, {"Div", DivInto}} {
+			op   binOp
+		}{{"Add", binAdd}, {"Mul", binMul}, {"Div", binDiv}} {
 			for _, path := range KernelPaths() {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", op.name, sh.r, sh.c, path), func(b *testing.B) {
 					UseKernelPath(b, path)
@@ -129,7 +129,7 @@ func BenchmarkElementwise(b *testing.B) {
 					b.SetBytes(int64(3 * 8 * sh.r * sh.c))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						op.into(dst, x, y)
+						binInto(dst, x, y, op.op)
 					}
 				})
 			}
@@ -255,22 +255,6 @@ func BenchmarkBroadcastAdd(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Add(x, y).Release()
-			}
-		})
-	}
-}
-
-func BenchmarkBroadcastAddInto(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := Randn(rng, n, n, 0, 1)
-			y := Randn(rng, 1, n, 0, 1)
-			dst := New(n, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AddInto(dst, x, y)
 			}
 		})
 	}

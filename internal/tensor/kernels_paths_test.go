@@ -252,14 +252,9 @@ func TestElementwisePathsBitIdentical(t *testing.T) {
 		for _, op := range []struct {
 			name string
 			f    func(a, b *Dense) *Dense
-			into func(dst, a, b *Dense) *Dense
-		}{{"Add", Add, AddInto}, {"Sub", Sub, SubInto}, {"Mul", Mul, MulInto}, {"Div", Div, DivInto}} {
-			want := onBothPaths(t, op.name, func() *Dense { return op.f(x, y) })
+		}{{"Add", Add}, {"Sub", Sub}, {"Mul", Mul}, {"Div", Div}} {
+			onBothPaths(t, op.name, func() *Dense { return op.f(x, y) })
 			onBothPaths(t, op.name+" row", func() *Dense { return op.f(x, row) })
-			// dst aliasing either operand is part of the Into contract.
-			onBothPaths(t, op.name+"Into dst=a", func() *Dense { c := x.Clone(); return op.into(c, c, y) })
-			got := onBothPaths(t, op.name+"Into dst=b", func() *Dense { c := y.Clone(); return op.into(c, x, c) })
-			requireSameBits(t, op.name+"Into dst=b vs allocating", got, want)
 		}
 	}
 }

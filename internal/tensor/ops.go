@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 )
 
 // BroadcastOK reports whether a matrix of shape (br, bc) can be broadcast
@@ -31,19 +29,11 @@ const (
 )
 
 // checkBroadcast panics unless b can broadcast onto a. It is the single
-// definition of the broadcast-failure message, shared by the allocating
-// and into-destination binary paths (and mirrored statically by the
+// definition of the broadcast-failure message (mirrored statically by the
 // shapeflow lint rule).
 func checkBroadcast(a, b *Dense) {
 	if !BroadcastOK(a.rows, a.cols, b.rows, b.cols) {
 		panic(fmt.Sprintf("tensor: cannot broadcast %dx%d onto %dx%d", b.rows, b.cols, a.rows, a.cols))
-	}
-}
-
-func checkBinShapes(dst, a, b *Dense, op string) {
-	checkBroadcast(a, b)
-	if dst.rows != a.rows || dst.cols != a.cols {
-		panic(fmt.Sprintf("tensor: %s dst %dx%d, want %dx%d", op, dst.rows, dst.cols, a.rows, a.cols))
 	}
 }
 
@@ -152,33 +142,6 @@ func Mul(a, b *Dense) *Dense { return binInto(newBinDst(a, b, "Mul"), a, b, binM
 // Div returns the element-wise quotient a/b with b broadcast over a.
 func Div(a, b *Dense) *Dense { return binInto(newBinDst(a, b, "Div"), a, b, binDiv) }
 
-// AddInto computes dst = a+b with b broadcast over a. dst may alias a; it
-// may alias b only when b has a's full shape.
-func AddInto(dst, a, b *Dense) *Dense {
-	checkBinShapes(dst, a, b, "AddInto")
-	return binInto(dst, a, b, binAdd)
-}
-
-// SubInto computes dst = a-b under the aliasing rules of AddInto.
-func SubInto(dst, a, b *Dense) *Dense {
-	checkBinShapes(dst, a, b, "SubInto")
-	return binInto(dst, a, b, binSub)
-}
-
-// MulInto computes dst = a*b (element-wise) under the aliasing rules of
-// AddInto.
-func MulInto(dst, a, b *Dense) *Dense {
-	checkBinShapes(dst, a, b, "MulInto")
-	return binInto(dst, a, b, binMul)
-}
-
-// DivInto computes dst = a/b (element-wise) under the aliasing rules of
-// AddInto.
-func DivInto(dst, a, b *Dense) *Dense {
-	checkBinShapes(dst, a, b, "DivInto")
-	return binInto(dst, a, b, binDiv)
-}
-
 func newBinDst(a, b *Dense, op string) *Dense {
 	checkBroadcast(a, b)
 	return newPooledNoZero(a.rows, a.cols)
@@ -263,14 +226,6 @@ func (m *Dense) Sum() float64 {
 	return s
 }
 
-// Mean returns the mean of all elements; 0 for an empty matrix.
-func (m *Dense) Mean() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.data))
-}
-
 // SumRows returns a 1xC row vector with the sum over rows of each column.
 func (m *Dense) SumRows() *Dense {
 	out := NewPooled(1, m.cols)
@@ -319,16 +274,6 @@ func (m *Dense) Col(j int) []float64 {
 		out[i] = m.data[i*m.cols+j]
 	}
 	return out
-}
-
-// SetCol copies vals (length Rows) into column j.
-func (m *Dense) SetCol(j int, vals []float64) {
-	if len(vals) != m.rows {
-		panic(fmt.Sprintf("tensor: SetCol length %d want %d", len(vals), m.rows))
-	}
-	for i, v := range vals {
-		m.data[i*m.cols+j] = v
-	}
 }
 
 // ConcatCols horizontally concatenates the given matrices, which must all
@@ -452,24 +397,6 @@ func (m *Dense) ShuffleRows(perm []int) *Dense {
 	return m.GatherRows(perm)
 }
 
-// Permutation returns a random permutation of [0, n) drawn from rng.
-func Permutation(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
-}
-
-// RowL2Norms returns an Rx1 vector of the Euclidean norm of each row.
-func (m *Dense) RowL2Norms() *Dense {
-	out := newPooledNoZero(m.rows, 1)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += v * v
-		}
-		out.data[i] = math.Sqrt(s)
-	}
-	return out
-}
-
 // Norm returns the Frobenius norm of m.
 func (m *Dense) Norm() float64 {
 	var s float64
@@ -492,14 +419,5 @@ func (m *Dense) ArgmaxRows() []int {
 		}
 		out[i] = best
 	}
-	return out
-}
-
-// SortedCopy returns the elements of m sorted ascending (used by
-// quantile-based statistics).
-func (m *Dense) SortedCopy() []float64 {
-	out := make([]float64, len(m.data))
-	copy(out, m.data)
-	sort.Float64s(out)
 	return out
 }

@@ -36,6 +36,8 @@ func New(rows, cols int) *Dense {
 
 // FromSlice returns a matrix that adopts data as its backing storage.
 // len(data) must equal rows*cols. The slice is not copied.
+//
+//lint:ignore deadcode fixture constructor of the autograd tests
 func FromSlice(rows, cols int, data []float64) *Dense {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %dx%d", len(data), rows, cols))
@@ -44,6 +46,8 @@ func FromSlice(rows, cols int, data []float64) *Dense {
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.
+//
+//lint:ignore deadcode fixture constructor of most packages' tests
 func FromRows(rows [][]float64) *Dense {
 	if len(rows) == 0 {
 		return New(0, 0)
@@ -140,33 +144,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// CopyInto copies m into dst when dst's backing storage can hold it
-// (reshaping dst as needed) and allocates a fresh copy otherwise, so
-// callers with a scratch buffer avoid the allocation of Clone. It returns
-// the matrix holding the copy.
-func (m *Dense) CopyInto(dst *Dense) *Dense {
-	dst = Reuse(dst, m.rows, m.cols)
-	copy(dst.data, m.data)
-	return dst
-}
-
-// Reuse returns a rows x cols matrix, reusing scratch's backing storage
-// when its capacity suffices and allocating otherwise. The returned
-// matrix's contents are unspecified until overwritten; scratch (which may
-// be nil) must not be used again if it was absorbed.
-func Reuse(scratch *Dense, rows, cols int) *Dense {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative shape %dx%d", rows, cols))
-	}
-	n := rows * cols
-	if scratch != nil && cap(scratch.data) >= n {
-		scratch.rows, scratch.cols = rows, cols
-		scratch.data = scratch.data[:cap(scratch.data)][:n]
-		return scratch
-	}
-	return newPooledNoZero(rows, cols)
-}
-
 // CopyFrom copies src into m. Shapes must match.
 func (m *Dense) CopyFrom(src *Dense) {
 	if m.rows != src.rows || m.cols != src.cols {
@@ -214,6 +191,8 @@ func (m *Dense) Apply(f func(float64) float64) *Dense {
 }
 
 // Equal reports whether m and n have the same shape and identical elements.
+//
+//lint:ignore deadcode bit-identity oracle of the replay and determinism tests
 func (m *Dense) Equal(n *Dense) bool {
 	if m.rows != n.rows || m.cols != n.cols {
 		return false
@@ -229,6 +208,8 @@ func (m *Dense) Equal(n *Dense) bool {
 
 // AllClose reports whether m and n have the same shape and all elements
 // within tol of each other.
+//
+//lint:ignore deadcode tolerance oracle of the kernel and gradient tests
 func (m *Dense) AllClose(n *Dense, tol float64) bool {
 	if m.rows != n.rows || m.cols != n.cols {
 		return false
@@ -246,6 +227,8 @@ func (m *Dense) AllClose(n *Dense, tol float64) bool {
 func (m *Dense) AllFinite() bool { return allFinite(m.data) }
 
 // HasNaN reports whether any element is NaN or infinite.
+//
+//lint:ignore deadcode finite-output check of the training tests
 func (m *Dense) HasNaN() bool { return !allFinite(m.data) }
 
 // Transpose returns the transpose of m, computed in cache-friendly 32x32
@@ -254,18 +237,4 @@ func (m *Dense) Transpose() *Dense {
 	out := newPooledNoZero(m.cols, m.rows)
 	transposeBlocks(out, m)
 	return out
-}
-
-// TransposeInto writes the transpose of m into dst, which must have shape
-// Cols(m) x Rows(m) and must not alias m. Callers with a scratch buffer
-// (see Reuse) avoid the allocation of Transpose.
-func TransposeInto(dst, m *Dense) *Dense {
-	if dst.rows != m.cols || dst.cols != m.rows {
-		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d, want %dx%d", dst.rows, dst.cols, m.cols, m.rows))
-	}
-	if len(dst.data) > 0 && len(m.data) > 0 && &dst.data[0] == &m.data[0] {
-		panic("tensor: TransposeInto dst must not alias m")
-	}
-	transposeBlocks(dst, m)
-	return dst
 }

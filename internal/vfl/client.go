@@ -213,6 +213,8 @@ var restrictRealBackward = true
 // holding the encoded matrix in memory. coord must be shared by all
 // clients (and hidden from the server); seed drives encoder fitting and
 // local randomness.
+//
+//lint:ignore deadcode in-memory constructor the vfl, tensor and bench/_gtvbench tests use
 func NewLocalClient(table *encoding.Table, coord *ShuffleCoordinator, seed int64) (*LocalClient, error) {
 	return NewLocalClientStored(table, coord, seed, encoding.Storage{})
 }

@@ -17,9 +17,11 @@ import (
 type Interceptor func(method string, call func() (any, error)) (any, error)
 
 // Intercept wraps inner so that every one of its protocol calls funnels
-// through around. It is the one Client decorator: WithPolicy and
+// through around. It is the one Client decorator: the tests' WithPolicy and
 // FaultyTransport are each an Interceptor over it, and timing, tracing or
 // counting a federation's calls is one more.
+//
+//lint:ignore deadcode the Client decorator the hostile-reply, policy and fault tests are built on
 func Intercept(inner Client, around Interceptor) Client {
 	return &intercepted{inner: inner, around: around}
 }

@@ -3,6 +3,7 @@ package vfl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,15 @@ func resized(dRows, dCols int) func(any) any {
 	}
 }
 
+// onInfo rewrites a copy of an Info reply.
+func onInfo(f func(i *ClientInfo)) func(any) any {
+	return func(v any) any {
+		i := v.(ClientInfo)
+		f(&i)
+		return i
+	}
+}
+
 // onBatch rewrites a copy of a CV batch reply.
 func onBatch(f func(b *condvec.Batch)) func(any) any {
 	return func(v any) any {
@@ -115,7 +125,11 @@ func onBatch(f func(b *condvec.Batch)) func(any) any {
 // ConcatCols or matmul panic, and not a nil dereference inside a fan-out
 // goroutine, which no caller could recover. Every case is one Interceptor
 // rewriting one method's reply, in broadcast mode and with the faithful
-// full-table real pass.
+// full-table real pass. The Info cases fail NewServer itself: before the
+// check they were an nn shape panic (a negative CV width, or one whose sum
+// with client 0's wraps past math.MaxInt), a makeslice panic (1<<62), a
+// negative width accepted silently, and a row count that surfaced in round
+// one as a SampleCV reply error blaming another client.
 func TestHostileRepliesAreErrors(t *testing.T) {
 	matrix := []struct {
 		bad    string
@@ -160,6 +174,14 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 		}), -1, train},
 		hostileCase{"SampleCVFixed", "nil CV", onBatch(func(b *condvec.Batch) { b.CV = nil }), 0, cond},
 		hostileCase{"SampleCVFixed", "short idx", onBatch(func(b *condvec.Batch) { b.Rows = nil }), 0, cond},
+		hostileCase{"Info", "CVWidth -1000", onInfo(func(i *ClientInfo) { i.CVWidth = -1000 }), 1, train},
+		hostileCase{"Info", "CVWidth -1", onInfo(func(i *ClientInfo) { i.CVWidth = -1 }), 1, train},
+		hostileCase{"Info", "CVWidth 1<<62", onInfo(func(i *ClientInfo) { i.CVWidth = 1 << 62 }), 1, train},
+		hostileCase{"Info", "CVWidth MaxInt", onInfo(func(i *ClientInfo) { i.CVWidth = math.MaxInt }), 1, train},
+		hostileCase{"Info", "EncodedWidth -1", onInfo(func(i *ClientInfo) { i.EncodedWidth = -1 }), 1, train},
+		// A row count must be rewritten everywhere to pass the alignment check.
+		hostileCase{"Info", "Rows 0", onInfo(func(i *ClientInfo) { i.Rows = 0 }), -1, train},
+		hostileCase{"Info", "Rows -5", onInfo(func(i *ClientInfo) { i.Rows = -5 }), -1, train},
 		hostileCase{"Publish", "nil table", func(any) any { return (*encoding.Table)(nil) }, 1, synth},
 		hostileCase{"Publish", "a row short", func(v any) any {
 			tbl := v.(*encoding.Table)
@@ -197,10 +219,9 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 				cfg.BlockDim = 24
 				cfg.FaithfulRealPass = faithful
 				srv, err := NewServer(clients, cfg)
-				if err != nil {
-					t.Fatalf("NewServer: %v", err)
+				if err == nil {
+					err = tc.drive(srv)
 				}
-				err = tc.drive(srv)
 				var re *replyError
 				if !errors.As(err, &re) {
 					t.Fatalf("want a reply error, got: %v", err)

@@ -16,8 +16,8 @@ var ErrCallTimeout = errors.New("vfl: call timed out")
 
 // ErrTransient marks an error as a transient transport fault that is safe
 // to retry because the call never reached (or never returned from) the
-// client. FaultyTransport injects it; real transports surface the stdlib
-// equivalents that IsTransient also recognizes.
+// client. The tests' FaultyTransport injects it; real transports surface
+// the stdlib equivalents that IsTransient also recognizes.
 var ErrTransient = errors.New("vfl: transient transport error")
 
 // IsTransient reports whether an error looks like a transport-level fault
@@ -128,16 +128,4 @@ func attemptOnce[R any](timeout time.Duration, do func() (R, error)) (R, error) 
 		var zero R
 		return zero, fmt.Errorf("no reply within %v: %w", timeout, ErrCallTimeout)
 	}
-}
-
-// WithPolicy wraps a client so every call observes the policy's deadline
-// and transient-error retry — what WireClient applies to its own calls,
-// for any other Client: tests stack it on a FaultyTransport to exercise
-// retry, deadline and cancellation paths without a network, and
-// deployments can use it to harden a custom transport. name labels the
-// client in error messages.
-func WithPolicy(inner Client, name string, p CallPolicy) Client {
-	return Intercept(inner, func(method string, call func() (any, error)) (any, error) {
-		return callWithPolicy(p, fmt.Sprintf("%s on client %s", method, name), nil, call)
-	})
 }

@@ -79,6 +79,8 @@ type Config struct {
 // DefaultConfig returns a laptop-scale GTV configuration with the paper's
 // default partition D2_0 G0_2 (all FN blocks on the server, generator on
 // the server).
+//
+//lint:ignore deadcode test configuration of the vfl and tensor tests
 func DefaultConfig() Config {
 	return Config{
 		Plan:      Plan{DiscServer: 2, DiscClient: 0, GenServer: 0, GenClient: 2},
@@ -176,6 +178,11 @@ func (s *Server) fanOut(fn func(i int, c Client) error) error {
 	return fanClients(s.clients, s.cfg.Parallelism, fn)
 }
 
+// maxCVWidth bounds the federation's conditional-vector width. D^s is a
+// cvWidth x cvWidth layer, so at this width its weights alone are 32 GiB:
+// an Info reply claiming more is hostile or broken, not a table.
+const maxCVWidth = 1 << 16
+
 // NewServer performs the setup handshake: it collects client metadata,
 // computes the ratio vector and width splits, builds the top models and
 // configures every client's bottom models.
@@ -200,6 +207,10 @@ func NewServer(clients []Client, cfg Config) (*Server, error) {
 		info, err := c.Info()
 		if err != nil {
 			return fmt.Errorf("vfl: client %d info: %w", i, err)
+		}
+		if info.Rows <= 0 || info.EncodedWidth < 0 || info.CVWidth < 0 {
+			return &replyError{i, "Info", fmt.Sprintf("%d rows, encoded width %d, CV width %d",
+				info.Rows, info.EncodedWidth, info.CVWidth)}
 		}
 		s.infos[i] = info
 		featureCounts[i] = info.Features
@@ -228,6 +239,10 @@ func NewServer(clients []Client, cfg Config) (*Server, error) {
 	}
 	s.cvOffsets = make([]int, len(clients))
 	for i, info := range s.infos {
+		if info.CVWidth > maxCVWidth-s.cvWidth { // the sum cannot overflow
+			return nil, &replyError{i, "Info", fmt.Sprintf("CV width %d takes the federation's total past %d",
+				info.CVWidth, maxCVWidth)}
+		}
 		s.cvOffsets[i] = s.cvWidth
 		s.cvWidth += info.CVWidth
 	}
@@ -295,9 +310,6 @@ func (s *Server) CommStats() CommStats {
 	}
 	return stats
 }
-
-// SliceWidths exposes the generator boundary split (for tests/inspection).
-func (s *Server) SliceWidths() []int { return s.sliceWidths }
 
 // Train runs the full Algorithm 1 loop. The optional progress callback
 // receives (round, criticLoss, generatorLoss) once per round.
@@ -785,7 +797,7 @@ func (s *Server) topInputs(fakeVars, realVars []*ag.Value, globalCV *tensor.Dens
 // scatterRowsAccumulate maps gradients of selected rows back onto the full
 // row space, summing duplicates. The result is left to the collector on
 // purpose: it looks releasable once BackwardDisc has returned, but under a
-// call deadline (WithPolicy, WireClient) an attempt that timed out may still
+// call deadline (a WireClient's CallPolicy) an attempt that timed out may still
 // be encoding it while its retry returns, so it must not go back to the pool.
 func scatterRowsAccumulate(grad *tensor.Dense, idx []int, rows int) *tensor.Dense {
 	out := tensor.New(rows, grad.Cols())

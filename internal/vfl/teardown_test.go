@@ -80,7 +80,7 @@ func TestListenerCloseEndsConnGoroutines(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() { done <- ServeClientWire(lis, la) }()
-		proxy, err := DialWireClient("tcp", lis.Addr().String())
+		proxy, err := DialWireClientPolicy("tcp", lis.Addr().String(), CallPolicy{})
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}

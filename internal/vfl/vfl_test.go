@@ -204,7 +204,7 @@ func TestServerSetupWidths(t *testing.T) {
 	if math.Abs(r[0]-2.0/3) > 1e-12 || math.Abs(r[1]-1.0/3) > 1e-12 {
 		t.Fatalf("ratios = %v", r)
 	}
-	w := srv.SliceWidths()
+	w := srv.sliceWidths
 	if w[0]+w[1] != 64 {
 		t.Fatalf("slice widths %v do not sum to GenBlockDim", w)
 	}

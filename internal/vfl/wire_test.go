@@ -873,7 +873,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 func serveWire(t testing.TB, c Client) *WireClient {
 	t.Helper()
 	addr := serveWireListener(t, c)
-	proxy, err := DialWireClient("tcp", addr)
+	proxy, err := DialWireClientPolicy("tcp", addr, CallPolicy{})
 	if err != nil {
 		t.Fatalf("dial wire: %v", err)
 	}

@@ -75,12 +75,6 @@ func (w *wireByteCounters) addRecv(method byte, n int64) {
 
 var _ Client = (*WireClient)(nil)
 
-// DialWireClient connects to a remote GTV client over the binary wire with
-// the zero CallPolicy (no deadline, no retry).
-func DialWireClient(network, addr string) (*WireClient, error) {
-	return DialWireClientPolicy(network, addr, CallPolicy{})
-}
-
 // DialWireClientPolicy connects to a remote GTV client over the binary
 // wire and applies the policy to every subsequent call.
 func DialWireClientPolicy(network, addr string, p CallPolicy) (*WireClient, error) {
