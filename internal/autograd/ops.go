@@ -135,6 +135,22 @@ func AddScalar(a *Value, s float64) *Value {
 	return newValue(a.data.AddScalar(s), addScalarOp{}, a)
 }
 
+type addConstOp struct{}
+
+func (addConstOp) name() string { return "addConst" }
+func (addConstOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
+	return []*Value{grad}
+}
+
+// AddConst returns a+c for a constant c of a's shape: the bits of
+// Add(a, Const(c)), but the graph keeps no reference to c (the gradient with
+// respect to a is the incoming one, to any order), so the caller may Release
+// a pooled c as soon as AddConst returns. Under a Const leaf it would be
+// shielded from every tape and left to the collector.
+func AddConst(a *Value, c *tensor.Dense) *Value {
+	return newValue(tensor.Add(a.data, c), addConstOp{}, a)
+}
+
 // Square returns the element-wise square of a.
 func Square(a *Value) *Value { return Mul(a, a) }
 

@@ -311,12 +311,15 @@ func (c *Centralized) synthesize(n int, sampleCV func(batch int) (*condvec.Batch
 			return nil, err
 		}
 		noise := SampleNoise(c.rng.Rand, batch, c.cfg.NoiseDim)
-		in := ag.Const(tensor.ConcatCols(noise, cvb.CV))
-		raw := c.gen.Forward(in, false)
+		raw := c.gen.Forward(ag.ConcatCols(ag.Const(noise), ag.Const(cvb.CV)), false)
 		act := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, true)
 		for i := 0; i < batch; i++ {
 			copy(out.RawRow(done+i), act.Data().RawRow(i))
 		}
+		// The rows are copied out: the batch's graph and noise go back to the
+		// pool before the next batch draws from it.
+		ag.Release(act)
+		noise.Release()
 		done += batch
 	}
 	return c.transformer.Inverse(out)

@@ -54,10 +54,12 @@ func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard b
 	return ag.ConcatCols(parts...)
 }
 
-// gumbelSoftmax draws a (soft or hard) Gumbel-softmax sample per row.
+// gumbelSoftmax draws a (soft or hard) Gumbel-softmax sample per row. The
+// noise and the straight-through shift are pooled and go back as soon as
+// AddConst has added them; the graph holds neither.
 func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 	rows, cols := logits.Shape()
-	noise := tensor.New(rows, cols)
+	noise := tensor.NewPooledUninit(rows, cols)
 	data := noise.Data()
 	for i := range data {
 		u := rng.Float64()
@@ -66,18 +68,20 @@ func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 		}
 		data[i] = -math.Log(-math.Log(u))
 	}
-	soft := ag.SoftmaxRows(ag.Scale(ag.Add(logits, ag.Const(noise)), 1/GumbelTau))
+	perturbed := ag.AddConst(logits, noise)
+	noise.Release()
+	soft := ag.SoftmaxRows(ag.Scale(perturbed, 1/GumbelTau))
 	if !hard {
 		return soft
 	}
 	// Straight-through: output the argmax one-hot, but keep the soft sample
 	// in the graph so gradients still flow (hard = soft + (onehot - soft).detach()).
-	rowsMax := soft.Data().ArgmaxRows()
-	onehot := tensor.New(rows, cols)
-	for i, c := range rowsMax {
-		onehot.Set(i, c, 1)
-	}
-	return ag.Add(soft, ag.Const(tensor.Sub(onehot, soft.Data())))
+	onehot := tensor.NewPooledOneHot(rows, cols, soft.Data().ArgmaxRows())
+	shift := tensor.Sub(onehot, soft.Data())
+	onehot.Release()
+	hardOut := ag.AddConst(soft, shift)
+	shift.Release()
+	return hardOut
 }
 
 // ConditionLoss is the CTGAN conditioning term: the softmax cross-entropy
@@ -217,11 +221,19 @@ func NewDiscriminator(rng *rand.Rand, inDim, blockDim, nBlocks int) *nn.Sequenti
 	return nn.NewSequential(layers...)
 }
 
-// SampleNoise draws a batch of standard-normal noise rows.
+// SampleNoise draws a batch of standard-normal noise rows into a pooled
+// matrix, which the caller may Release once the generator has read it. The
+// draws are tensor.Randn(rng, batch, dim, 0, 1)'s: x*1+0 is x for every
+// value NormFloat64 returns, which is never -0.
 //
 //shape:in(B) in(D) out(B,D)
 func SampleNoise(rng *rand.Rand, batch, dim int) *tensor.Dense {
-	return tensor.Randn(rng, batch, dim, 0, 1)
+	out := tensor.NewPooledUninit(batch, dim)
+	data := out.Data()
+	for i := range data {
+		data[i] = rng.NormFloat64()
+	}
+	return out
 }
 
 // packRows implements PacGAN packing: it reshapes a batch of rows into

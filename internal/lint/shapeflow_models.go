@@ -282,7 +282,7 @@ func (in *sfInterp) modelAGFunc(call *ast.CallExpr, fn *types.Func, args []sfVal
 		return one(v), true
 	case "Affine":
 		return one(in.affineModel(pos, argShape(args, 0), argShape(args, 1), argShape(args, 2))), true
-	case "Add", "Sub", "Mul", "Div":
+	case "Add", "Sub", "Mul", "Div", "AddConst":
 		return one(in.binModel(fn.Name(), pos, argShape(args, 0), argShape(args, 1))), true
 	case "Neg", "Sqrt", "Log", "ReLU", "Tanh", "SoftmaxRows", "Square", "LeakyReLU", "Dropout", "Scale", "AddScalar":
 		a := argShape(args, 0)

@@ -664,24 +664,35 @@ func (c *LocalClient) GenerateRows(slice *tensor.Dense) error {
 	raw := c.gen.Forward(ag.Const(slice), false)
 	activated := gan.ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, true)
 	c.synthBuf = append(c.synthBuf, activated.Data())
+	// Only the activated rows outlive the call: the Detach leaf shields their
+	// buffer while the rest of the generator graph goes back to the pool.
+	ag.Release(activated, activated.Detach())
 	return nil
 }
 
-// Publish implements Client.
+// Publish implements Client. Every call consumes one publication seed,
+// including a call with nothing buffered: the server's discard after a
+// failed synthesis calls every client once, and every client that answers
+// must stay on its peers' seed.
 func (c *LocalClient) Publish() (*encoding.Table, error) {
+	seed := c.coord.PublicationSeed(c.pubCount)
+	c.pubCount++
 	if len(c.synthBuf) == 0 {
 		return nil, errors.New("vfl: nothing to publish")
 	}
 	enc := tensor.ConcatRows(c.synthBuf...)
-	c.synthBuf = nil
+	for _, m := range c.synthBuf {
+		m.Release()
+	}
+	clear(c.synthBuf)
+	c.synthBuf = c.synthBuf[:0]
 	decoded, err := c.transformer.Inverse(enc)
+	enc.Release()
 	if err != nil {
 		return nil, fmt.Errorf("vfl: decoding synthetic rows: %w", err)
 	}
 	// Shuffle before publication with the shared seed so the server cannot
 	// align published rows with the generator inputs it observed (§3.1.7).
-	seed := c.coord.PublicationSeed(c.pubCount)
-	c.pubCount++
 	perm := rand.New(rand.NewSource(seed)).Perm(decoded.Rows())
 	// The secret only orders the published rows (an order-only flow): the
 	// rows themselves are synthetic, and publishing a permutation of them

@@ -369,9 +369,9 @@ func (s *Server) pickContributor() int {
 }
 
 // embedCV places contributor p's local conditional vector into the global
-// CV coordinate space.
+// CV coordinate space, in a pooled matrix.
 func (s *Server) embedCV(local *tensor.Dense, p int) *tensor.Dense {
-	out := tensor.New(local.Rows(), s.cvWidth)
+	out := tensor.NewPooled(local.Rows(), s.cvWidth)
 	off := s.cvOffsets[p]
 	for i := 0; i < local.Rows(); i++ {
 		copy(out.RawRow(i)[off:off+local.Cols()], local.RawRow(i))
@@ -459,7 +459,9 @@ func (s *Server) checkCV(p int, method string, b *condvec.Batch, err error, batc
 
 // generatorForward runs steps 1-5 of Algorithm 1: draw the contributor's
 // CV from sampleCV, run the top generator and split the boundary output by
-// P_r.
+// P_r. A synthesis forward (train false) keeps nothing but the slices: the
+// graph, the noise and the embedded CV go back to the pool before it
+// returns, and globalCV and gtOut come back nil.
 func (s *Server) generatorForward(batch int, train bool, sampleCV cvSource) (p int, cvRows []int, globalCV *tensor.Dense, gtOut *ag.Value, slices []*tensor.Dense, err error) {
 	p, cvb, err := sampleCV(batch)
 	if err != nil {
@@ -476,6 +478,15 @@ func (s *Server) generatorForward(batch int, train bool, sampleCV cvSource) (p i
 	for _, sl := range slices {
 		rows, cols := sl.Rows(), sl.Cols()
 		s.comm.add(func(c *CommStats) { c.GenSlicesSent += matrixBytes(rows, cols) })
+	}
+	if !train {
+		// SplitCols copied the slices out. They themselves are never
+		// released: a WireClient attempt that timed out may still be
+		// encoding one (see scatterRowsAccumulate).
+		ag.Release(gtOut)
+		noise.Release()
+		globalCV.Release()
+		return p, cvb.Rows, nil, nil, slices, nil
 	}
 	return p, cvb.Rows, globalCV, gtOut, slices, nil
 }
@@ -686,6 +697,8 @@ func (s *Server) discStep() (float64, error) {
 	tape.Track(total, gtOut)
 	tape.Track(grads...)
 	tape.Release()
+	// The embedded CV sat under a Const leaf, which the tape shields.
+	globalCV.Release()
 	return lossVal, nil
 }
 
@@ -759,6 +772,7 @@ func (s *Server) genStep() (float64, error) {
 	tape.Track(grads...)
 	tape.Track(pgrads...)
 	tape.Release()
+	globalCV.Release()
 	return lossVal, nil
 }
 
@@ -853,17 +867,16 @@ func (s *Server) synthesize(n int, sampleCV cvSource) (*encoding.Table, []*encod
 			batch = n - done
 		}
 		_, _, _, _, slices, err := s.generatorForward(batch, false, sampleCV)
-		if err != nil {
-			return nil, nil, err
+		if err == nil {
+			err = s.fanOut(func(i int, c Client) error {
+				if err := c.GenerateRows(slices[i]); err != nil {
+					return fmt.Errorf("vfl: client %d generating: %w", i, err)
+				}
+				return nil
+			})
 		}
-		err = s.fanOut(func(i int, c Client) error {
-			if err := c.GenerateRows(slices[i]); err != nil {
-				return fmt.Errorf("vfl: client %d generating: %w", i, err)
-			}
-			return nil
-		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, s.discardSynthesis(err)
 		}
 		done += batch
 	}
@@ -887,4 +900,29 @@ func (s *Server) synthesize(n int, sampleCV cvSource) (*encoding.Table, []*encod
 		return nil, nil, fmt.Errorf("vfl: assembling synthetic table: %w", err)
 	}
 	return joined, parts, nil
+}
+
+// discardSynthesis is the error path of synthesize's batch loop. The
+// clients that generated a batch before the failure still buffer it, and
+// their next Publish would hand those rows to the next Synthesize, so every
+// client gets one Publish whose table is dropped. Publish consumes a
+// publication seed with or without rows, so every client the discard
+// reaches moves on by one seed and stays aligned with its peers. A client
+// that had nothing buffered refuses that Publish, which is expected. A
+// client the discard cannot reach may still hold rows, so its error is
+// appended to cause.
+func (s *Server) discardSynthesis(cause error) error {
+	// The callback records instead of failing: one client the discard
+	// cannot reach must not stop it from reaching the others.
+	unreached := make([]error, len(s.clients)+1)
+	unreached[len(s.clients)] = s.fanOut(func(i int, c Client) error {
+		if _, err := c.Publish(); IsTransient(err) {
+			unreached[i] = fmt.Errorf("client %d: %w", i, err)
+		}
+		return nil
+	})
+	if err := errors.Join(unreached...); err != nil {
+		return fmt.Errorf("%w (discarding the rows buffered so far also failed: %v)", cause, err)
+	}
+	return cause
 }
