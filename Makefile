@@ -75,7 +75,10 @@ race:
 # unpack kernels against their element-at-a-time definition on both kernel
 # paths, the row-restricted
 # backward pass against the backward pass over every row (bit equality of
-# every parameter gradient, both kernel paths), the gtvcol columnar
+# every parameter gradient, both kernel paths), Log and Exp against
+# math.Log and math.Exp (bit equality on both kernel paths, on the input's
+# bit patterns and on a view of them spread over Exp's finite range), the
+# gtvcol columnar
 # file decoder (hostile bytes + encode/decode round-trip) and its block
 # parser against the parser it replaced (CRC-valid frames around fuzzed
 # payloads: accept/reject and every bit read out must agree), and the GMM
@@ -92,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAdamStep -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzRestrictedBackward -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzLogExp -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
@@ -105,8 +109,9 @@ ci:
 # Per-package micro-benchmarks of the layers under a training round, one
 # thread like the repository's benchmark (bench/run.sh, the end-to-end door):
 # every matmul variant on each kernel path with GFLOP/s, elementwise ops,
-# backward passes, and the zero-class scan and the masked form's pack and
-# unpack on each kernel path (tensor, autograd); one GMM fit, the streamed
+# backward passes, the zero-class scan and the masked form's pack and unpack,
+# and Log and Exp on each kernel path, and the Gumbel-softmax's SoftmaxRows
+# (tensor, autograd); one GMM fit, the streamed
 # encode, one gtvcol stripe write and 64-row gathers under three block-cache
 # budgets (gmm, encoding, coldata); gtvwire round trips per payload class with
 # framed bytes, the coordinator's shuffle step, the delayed-round fan-out

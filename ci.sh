@@ -34,8 +34,8 @@
 # wire frame decoder, wire matrix round trip under the cost-exact layout
 # chooser, stored spec/transformer blob decoders, matmul kernel, Adam step
 # against the loop it replaced, masked-form pack/unpack kernels,
-# row-restricted backward pass against the full one,
-# gtvcol decoder and round trip, gtvcol block parser
+# row-restricted backward pass against the full one, Log and Exp against
+# math.Log and math.Exp, gtvcol decoder and round trip, gtvcol block parser
 # against the parser it replaced, GMM fit against its reference loops) so
 # decoder defenses and the bit-equality contracts regress loudly, not
 # silently.

@@ -76,3 +76,20 @@ func BenchmarkFullPassStep(b *testing.B) {
 		tape.Release()
 	}
 }
+
+// BenchmarkSoftmaxRows is the softmax of a Gumbel-softmax one-hot span at
+// wire-4c's synthesis batch: 500 rows 2, 5 and 10 wide (an adult column's
+// categories), forward only, as synthesis runs it, in ns an element.
+func BenchmarkSoftmaxRows(b *testing.B) {
+	for _, width := range []int{2, 5, 10} {
+		b.Run(fmt.Sprintf("500x%d", width), func(b *testing.B) {
+			x := Const(tensor.Randn(rand.New(rand.NewSource(1)), 500, width, 0, 5))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Release(SoftmaxRows(x))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*500*width), "ns/element")
+		})
+	}
+}

@@ -176,7 +176,10 @@ func (logOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 
 // Log returns the element-wise natural logarithm of a.
 func Log(a *Value) *Value {
-	return newValue(a.data.Apply(math.Log), logOp{}, a)
+	rows, cols := a.data.Shape()
+	out := tensor.NewPooledUninit(rows, cols)
+	tensor.Log(out.Data(), a.data.Data())
+	return newValue(out, logOp{}, a)
 }
 
 // ---- activations ----
@@ -274,10 +277,13 @@ func (softmaxOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	return []*Value{Mul(output, Sub(grad, dot))}
 }
 
-// SoftmaxRows applies a numerically stable softmax independently to each row.
+// SoftmaxRows applies a numerically stable softmax independently to each row:
+// exp(v − max) over the row, each divided by the row's left-to-right sum. The
+// rows of a one-hot span are 2 to 10 wide, so every row's v − max is written
+// first and the whole matrix takes one tensor.Exp call.
 func SoftmaxRows(a *Value) *Value {
 	rows, cols := a.data.Shape()
-	out := tensor.NewPooled(rows, cols)
+	out := tensor.NewPooledUninit(rows, cols)
 	for i := 0; i < rows; i++ {
 		src := a.data.RawRow(i)
 		dst := out.RawRow(i)
@@ -287,10 +293,15 @@ func SoftmaxRows(a *Value) *Value {
 				maxv = v
 			}
 		}
-		var sum float64
 		for j, v := range src {
-			e := math.Exp(v - maxv)
-			dst[j] = e
+			dst[j] = v - maxv
+		}
+	}
+	tensor.Exp(out.Data(), out.Data())
+	for i := 0; i < rows; i++ {
+		dst := out.RawRow(i)
+		var sum float64
+		for _, e := range dst {
 			sum += e
 		}
 		for j := range dst {

@@ -8,7 +8,6 @@ package gan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -56,7 +55,9 @@ func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard b
 
 // gumbelSoftmax draws a (soft or hard) Gumbel-softmax sample per row. The
 // noise and the straight-through shift are pooled and go back as soon as
-// AddConst has added them; the graph holds neither.
+// AddConst has added them; the graph holds neither. Every u is drawn first,
+// in row-major order and redrawn while it is 0, and then the whole buffer
+// becomes −log(−log u) through two tensor.Log calls.
 func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 	rows, cols := logits.Shape()
 	noise := tensor.NewPooledUninit(rows, cols)
@@ -66,7 +67,13 @@ func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 		for u <= 0 {
 			u = rng.Float64()
 		}
-		data[i] = -math.Log(-math.Log(u))
+		data[i] = u
+	}
+	for range 2 {
+		tensor.Log(data, data)
+		for i, v := range data {
+			data[i] = -v
+		}
 	}
 	perturbed := ag.AddConst(logits, noise)
 	noise.Release()

@@ -12,6 +12,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+
+	"repro/internal/tensor"
 )
 
 // minStd keeps component standard deviations strictly positive so densities
@@ -208,8 +210,9 @@ var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 //	log w + (-0.5*d*d - log σ - 0.5*log 2π),  d = (x-μ)/σ
 //
 // per cell: every operation and its order are the same, so the results are
-// too, bit for bit. This is the package's single posterior routine — the EM
-// E-step, Responsibilities and mode sampling all go through it.
+// too, bit for bit. The k exponentials are one tensor.Exp call, which
+// returns math.Exp's bits. This is the package's single posterior routine —
+// the EM E-step, Responsibilities and mode sampling all go through it.
 func posterior(x float64, means, stds, logW, logStd, out []float64) (maxLog, sum float64) {
 	maxLog = math.Inf(-1)
 	for c := range out {
@@ -221,8 +224,10 @@ func posterior(x float64, means, stds, logW, logStd, out []float64) (maxLog, sum
 		}
 	}
 	for c, l := range out {
-		p := math.Exp(l - maxLog)
-		out[c] = p
+		out[c] = l - maxLog
+	}
+	tensor.Exp(out, out)
+	for _, p := range out {
 		sum += p
 	}
 	for c := range out {

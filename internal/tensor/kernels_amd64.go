@@ -1,21 +1,37 @@
 package tensor
 
 // amd64 side of the kernel layer: CPU detection, the declarations of the
-// AVX2 routines in kernels_amd64.s, and the entry points the portable code
-// calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu, leakyReLU,
-// actGrad, allFinite, countZeroClasses, packMasked, adamStep), each of which
-// picks the vector routine or the Go loop it is bit-identical to.
+// AVX2 routines in kernels_amd64.s and exp_amd64.s, and the entry points the
+// portable code calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu,
+// leakyReLU, actGrad, allFinite, countZeroClasses, packMasked, adamStep,
+// logSlice, expSlice), each of which picks the vector routine or the Go loop
+// it is bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
 // export_test.go) ever flip it.
 var useAsm = cpuHasAVX2()
 
+// hasFMA is the CPU's FMA bit. math.Exp takes its fused branch exactly where
+// the CPU has AVX and FMA, and expAVX2 is that branch, so the vector Exp runs
+// only where useAsm (which implies AVX) and hasFMA both hold.
+var hasFMA = cpuHasFMA()
+
+func expVector() bool { return useAsm && hasFMA }
+
 // vecMinLen is the shortest row worth a call into the vector routines: one
 // full 4-lane vector. Below it the Go loop is used; the result is the same.
 const vecMinLen = 4
 
 func cpuHasAVX2() bool
+
+func cpuHasFMA() bool
+
+//go:noescape
+func logAVX2(dst, x *float64, n int) (done int)
+
+//go:noescape
+func expAVX2(dst, x *float64, n int) (done int)
 
 //go:noescape
 func axpy4AVX2(dst, b *float64, n int, a0, a1, a2, a3 float64)
@@ -265,4 +281,37 @@ func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
 	_, _ = presence[len(data)/8-1], sign[len(data)/8-1]
 	done, used := packMaskedAVX2(&presence[0], &sign[0], &values[0], len(values), &data[0], len(data)&^7, &maskedLeftPack, &maskedAdvance)
 	return used + packMaskedGeneric(presence[done/8:], sign[done/8:], values[used:], data[done:], false)
+}
+
+// logSlice and expSlice give whole groups of four to the vector routine,
+// which stops at the first group holding a lane its sequence does not cover
+// (one archLog or archExp sends down a branch of its own) and reports how
+// far it got. That group goes to math one element at a time, the routine
+// resumes after it, and the last len%4 elements go to math too.
+func logSlice(dst, x []float64) {
+	i, n := 0, len(x)
+	if useAsm {
+		for n-i >= vecMinLen {
+			i += logAVX2(&dst[i], &x[i], n-i)
+			if n-i >= vecMinLen {
+				logGeneric(dst[i:i+vecMinLen], x[i:i+vecMinLen])
+				i += vecMinLen
+			}
+		}
+	}
+	logGeneric(dst[i:], x[i:])
+}
+
+func expSlice(dst, x []float64) {
+	i, n := 0, len(x)
+	if expVector() {
+		for n-i >= vecMinLen {
+			i += expAVX2(&dst[i], &x[i], n-i)
+			if n-i >= vecMinLen {
+				expGeneric(dst[i:i+vecMinLen], x[i:i+vecMinLen])
+				i += vecMinLen
+			}
+		}
+	}
+	expGeneric(dst[i:], x[i:])
 }

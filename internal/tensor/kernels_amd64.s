@@ -1,5 +1,5 @@
 // AVX2 routines behind the matmul kernels, the same-shape elementwise loop,
-// the activations and their gradient, allFinite and Adam's update (see
+// the activations and their gradient, allFinite, Adam's update and Log (see
 // kernels_amd64.go for the Go declarations and DESIGN.md "Kernel
 // architecture" for the contract).
 //
@@ -10,9 +10,18 @@
 // is no FMA anywhere in this file, because a fused multiply-add skips the
 // rounding of the product and would change low-order bits. Tails use the
 // scalar VEX forms of the same instructions, so a lane and a tail element
-// round identically.
+// round identically. (logAVX2 replaces no Go loop: its lanes run math.Log's
+// own amd64 sequence, and it leaves tails to math.Log itself.)
 
 #include "textflag.h"
+
+// VEC4 lays down four copies of one float64 at byte offset off of a constant
+// table: a 32-byte operand a packed instruction can read in place.
+#define VEC4(sym, off, val) \
+	DATA sym<>+off(SB)/8, val; \
+	DATA sym<>+off+8(SB)/8, val; \
+	DATA sym<>+off+16(SB)/8, val; \
+	DATA sym<>+off+24(SB)/8, val
 
 // The four same-shape elementwise routines: dst[i] = a[i] OP b[i], i in
 // [0,n). dst may be a or b themselves (each vector is loaded before it is
@@ -985,5 +994,125 @@ pkdone:
 	MOVQ AX, done+64(FP)
 	SUBQ R15, DI
 	MOVQ DI, used+72(FP)
+	VZEROUPPER
+	RET
+
+// logAVX2's constants, each a 32-byte vector: the literals of log_amd64.s
+// (so the assembler rounds them to the same bits), the frexp masks, and the
+// two values that turn an exponent field into k exactly.
+VEC4(logconst, 0, $0x7FF0000000000000)   // +Inf
+VEC4(logconst, 32, $0x000FFFFFFFFFFFFF)  // mantissa field
+VEC4(logconst, 64, $0.5)
+VEC4(logconst, 96, $0x4330000000000000)  // 2^52
+VEC4(logconst, 128, $0x43300000000003FE) // 2^52 + 0x3FE
+VEC4(logconst, 160, $7.07106781186547524401e-01) // HSqrt2
+VEC4(logconst, 192, $1.0)
+VEC4(logconst, 224, $2.0)
+VEC4(logconst, 256, $6.666666666666735130e-01)   // L1
+VEC4(logconst, 288, $3.999999999940941908e-01)   // L2
+VEC4(logconst, 320, $2.857142874366239149e-01)   // L3
+VEC4(logconst, 352, $2.222219843214978396e-01)   // L4
+VEC4(logconst, 384, $1.818357216161805012e-01)   // L5
+VEC4(logconst, 416, $1.531383769920937332e-01)   // L6
+VEC4(logconst, 448, $1.479819860511658591e-01)   // L7
+VEC4(logconst, 480, $6.93147180369123816490e-01) // Ln2Hi
+VEC4(logconst, 512, $1.90821492927058770002e-10) // Ln2Lo
+GLOBL logconst<>(SB), RODATA|NOPTR, $544
+
+#define LOG_POSINF logconst<>+0(SB)
+#define LOG_MANT logconst<>+32(SB)
+#define LOG_HALF logconst<>+64(SB)
+#define LOG_TWO52 logconst<>+96(SB)
+#define LOG_TWO52BIAS logconst<>+128(SB)
+#define LOG_HSQRT2 logconst<>+160(SB)
+#define LOG_ONE logconst<>+192(SB)
+#define LOG_TWO logconst<>+224(SB)
+#define LOG_L1 logconst<>+256(SB)
+#define LOG_L2 logconst<>+288(SB)
+#define LOG_L3 logconst<>+320(SB)
+#define LOG_L4 logconst<>+352(SB)
+#define LOG_L5 logconst<>+384(SB)
+#define LOG_L6 logconst<>+416(SB)
+#define LOG_L7 logconst<>+448(SB)
+#define LOG_LN2HI logconst<>+480(SB)
+#define LOG_LN2LO logconst<>+512(SB)
+
+// func logAVX2(dst, x *float64, n int) (done int)
+//
+// math.Log's amd64 routine (archLog, $GOROOT/src/math/log_amd64.s) on four
+// lanes, instruction for instruction: frexp by bit masks (so a positive
+// denormal goes the way it goes there), k -= 1 and f1 *= 2 under the
+// CMPSD-NLT mask !(HSqrt2 < f1), f = f1-1, s = f/(2+f), the two polynomials
+// in s⁴, and k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f). Groups of four
+// are taken while n allows; the routine stops before a group with a lane
+// archLog sends down a branch of its own — ±0, a negative, +Inf or NaN,
+// i.e. bits that are not in (0, +Inf) as integers — and returns how many
+// elements it wrote. k is exact either way: archLog converts the int32
+// e−0x3FE, this the difference of 2^52+e and 2^52+0x3FE. Registers: Y13
+// HSqrt2 (NLT's first operand must be a register), Y14 zero, Y15 +Inf.
+TEXT ·logAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	VPXOR Y14, Y14, Y14
+	VMOVUPD LOG_POSINF, Y15
+	VMOVUPD LOG_HSQRT2, Y13
+
+logloop:
+	CMPQ CX, $4
+	JL   logdone
+	VMOVUPD (SI)(AX*8), Y0
+	VPCMPGTQ Y14, Y0, Y8
+	VPCMPGTQ Y0, Y15, Y9
+	VPAND Y9, Y8, Y8
+	VMOVMSKPD Y8, BX
+	CMPQ BX, $15
+	JNE  logdone
+	VANDPD LOG_MANT, Y0, Y1
+	VORPD LOG_HALF, Y1, Y1
+	VPSRLQ $52, Y0, Y2
+	VPOR LOG_TWO52, Y2, Y2
+	VSUBPD LOG_TWO52BIAS, Y2, Y2
+	VCMPPD $5, Y1, Y13, Y8
+	VANDPD LOG_ONE, Y8, Y8
+	VSUBPD Y8, Y2, Y2
+	VADDPD LOG_ONE, Y8, Y8
+	VMULPD Y8, Y1, Y1
+	VSUBPD LOG_ONE, Y1, Y1
+	VADDPD LOG_TWO, Y1, Y8
+	VDIVPD Y8, Y1, Y3
+	VMULPD Y3, Y3, Y4
+	VMULPD Y4, Y4, Y5
+	VMULPD LOG_L7, Y5, Y6
+	VADDPD LOG_L5, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD LOG_L3, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD LOG_L1, Y6, Y6
+	VMULPD Y6, Y4, Y4
+	VMULPD LOG_L6, Y5, Y6
+	VADDPD LOG_L4, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD LOG_L2, Y6, Y6
+	VMULPD Y6, Y5, Y5
+	VADDPD Y5, Y4, Y4
+	VMULPD LOG_HALF, Y1, Y7
+	VMULPD Y1, Y7, Y7
+	VADDPD Y7, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VMULPD LOG_LN2LO, Y2, Y6
+	VADDPD Y6, Y3, Y3
+	VSUBPD Y3, Y7, Y7
+	VSUBPD Y1, Y7, Y7
+	VMULPD LOG_LN2HI, Y2, Y2
+	VSUBPD Y7, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ $4, AX
+	SUBQ $4, CX
+	JMP  logloop
+
+logdone:
+	MOVQ AX, done+24(FP)
 	VZEROUPPER
 	RET

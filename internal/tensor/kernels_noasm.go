@@ -39,3 +39,12 @@ func adamStep(w, g, m, v []float64, c *adamCoefs) { adamStepGeneric(w, g, m, v, 
 func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
 	return packMaskedGeneric(presence, sign, values, data, f32)
 }
+
+// hasFMA and expVector exist for the same reason as useAsm.
+var hasFMA = false
+
+func expVector() bool { return false }
+
+func logSlice(dst, x []float64) { logGeneric(dst, x) }
+
+func expSlice(dst, x []float64) { expGeneric(dst, x) }

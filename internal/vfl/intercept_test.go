@@ -1,9 +1,12 @@
 package vfl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -331,4 +334,106 @@ func TestWireRejectsMisshapedGradients(t *testing.T) {
 	if tbl, err := proxy.Publish(); err != nil || tbl.Rows() != batch {
 		t.Fatalf("the served client did not survive the bad frames: %v", err)
 	}
+}
+
+// panicOn wraps a client so that method's calls panic before they reach it:
+// a bug no shape check anticipated, in the one place it can hurt most.
+func panicOn(inner Client, method string) Client {
+	return Intercept(inner, func(m string, call func() (any, error)) (any, error) {
+		if m == method {
+			panic("injected " + m + " panic")
+		}
+		return call()
+	})
+}
+
+// captureLog collects what the log package writes for the rest of the test.
+func captureLog(t *testing.T) *bytes.Buffer {
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return &buf
+}
+
+// requireLoggedOnce checks that the panic's error was logged exactly once,
+// with the stack of the goroutine that panicked.
+func requireLoggedOnce(t *testing.T, logged *bytes.Buffer, text string) {
+	t.Helper()
+	if n := strings.Count(logged.String(), text); n != 1 || !strings.Contains(logged.String(), "panicOn") {
+		t.Fatalf("want %q logged once with the stack through panicOn, logged %d times:\n%s", text, n, logged)
+	}
+}
+
+// TestClientPanicIsAnError: a panic inside one client's BackwardDisc must
+// cost the round an error naming the client and the method, both on the
+// sequential fan-out and inside fanClients' worker goroutines, where an
+// unrecovered panic ends the server process.
+func TestClientPanicIsAnError(t *testing.T) {
+	for _, parallelism := range []int{1, 0} {
+		t.Run(fmt.Sprintf("parallelism %d", parallelism), func(t *testing.T) {
+			logged := captureLog(t)
+			tables := threeClientTables(t, 60, 17)
+			coord := NewShuffleCoordinator(99)
+			clients := make([]Client, len(tables))
+			for i, tab := range tables {
+				clients[i] = newLocal(t, tab, coord, int64(i+1))
+			}
+			clients[1] = panicOn(clients[1], "BackwardDisc")
+			cfg := DefaultConfig()
+			cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
+			cfg.Rounds = 1
+			cfg.DiscSteps = 1
+			cfg.BatchSize = 16
+			cfg.NoiseDim = 8
+			cfg.BlockDim = 24
+			cfg.Parallelism = parallelism
+			srv, err := NewServer(clients, cfg)
+			if err != nil {
+				t.Fatalf("NewServer: %v", err)
+			}
+			_, _, err = srv.TrainRound()
+			var pe *panicError
+			if !errors.As(err, &pe) || pe.client != 1 || pe.method != "BackwardDisc" {
+				t.Fatalf("want client 1's BackwardDisc panic as an error, got: %v", err)
+			}
+			want := "vfl: client 1 BackwardDisc panicked: injected BackwardDisc panic"
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error text should say %q: %v", want, err)
+			}
+			requireLoggedOnce(t, logged, want)
+		})
+	}
+}
+
+// TestWirePanicIsAnErrorFrame is the client half: a panic inside a served
+// client's step runs in a per-request goroutine of the serve loop, where it
+// would end the gtv-client process. It must come back as an error frame, and
+// the same connection must answer the next call.
+func TestWirePanicIsAnErrorFrame(t *testing.T) {
+	logged := captureLog(t)
+	ta, _ := twoClientTables(t, 60, 41)
+	lc := newLocal(t, ta, NewShuffleCoordinator(55), 1)
+	proxy := serveWire(t, panicOn(lc, "BackwardDisc"))
+	const sliceW, discW, batch = 8, 16, 8
+	if err := proxy.Configure(Setup{
+		Plan: Plan{DiscServer: 2, GenClient: 2}, SliceWidth: sliceW, GenBlockWidth: sliceW,
+		DiscWidth: discW, LR: 1e-3, Seed: 5,
+	}); err != nil {
+		t.Fatalf("Configure: %v", err)
+	}
+	if _, err := proxy.ForwardSynthetic(tensor.New(batch, sliceW), PhaseDiscriminator); err != nil {
+		t.Fatalf("ForwardSynthetic: %v", err)
+	}
+	if _, err := proxy.ForwardReal([]int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+		t.Fatalf("ForwardReal: %v", err)
+	}
+	err := proxy.BackwardDisc(tensor.New(batch, discW), tensor.New(batch, discW))
+	want := "gtvwire: BackwardDisc panicked: injected BackwardDisc panic"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want an error frame saying %q, got: %v", want, err)
+	}
+	if info, err := proxy.Info(); err != nil || info.Rows != 60 {
+		t.Fatalf("the connection did not answer after the panic: %+v, %v", info, err)
+	}
+	requireLoggedOnce(t, logged, want)
 }

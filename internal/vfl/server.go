@@ -3,7 +3,9 @@ package vfl
 import (
 	"errors"
 	"fmt"
+	"log"
 	"math"
+	"runtime/debug"
 	"sort"
 
 	ag "repro/internal/autograd"
@@ -178,6 +180,37 @@ func (s *Server) fanOut(fn func(i int, c Client) error) error {
 	return fanClients(s.clients, s.cfg.Parallelism, fn)
 }
 
+// guardCalls wraps client i so that a panic inside one of its protocol calls
+// becomes that call's error, a *panicError naming the client and the method,
+// with the stack logged once. Most calls run in fanClients' goroutines, where
+// no caller can recover a panic and it would end the server process.
+func guardCalls(i int, c Client) Client {
+	return Intercept(c, func(method string, call func() (any, error)) (out any, err error) {
+		defer stopPanic(&err, func(v any) error { return &panicError{i, method, v} })
+		return call()
+	})
+}
+
+// panicError is a protocol call that panicked instead of returning.
+type panicError struct {
+	client int
+	method string
+	value  any
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("vfl: client %d %s panicked: %v", e.client, e.method, e.value)
+}
+
+// stopPanic, deferred by a protocol step, turns a panic in the step into
+// *err = describe(the panic value) and logs that error with the stack.
+func stopPanic(err *error, describe func(v any) error) {
+	if v := recover(); v != nil {
+		*err = describe(v)
+		log.Printf("%v\n%s", *err, debug.Stack())
+	}
+}
+
 // maxCVWidth bounds the federation's conditional-vector width. D^s is a
 // cvWidth x cvWidth layer, so at this width its weights alone are 32 GiB:
 // an Info reply claiming more is hostile or broken, not a table.
@@ -196,8 +229,11 @@ func NewServer(clients []Client, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		rng:     rng.New(cfg.Seed),
-		clients: clients,
+		clients: make([]Client, len(clients)),
 		infos:   make([]ClientInfo, len(clients)),
+	}
+	for i, c := range clients {
+		s.clients[i] = guardCalls(i, c)
 	}
 	if cfg.GradTopK > 0 {
 		s.topkEF = make([][3]*tensor.Dense, len(clients))

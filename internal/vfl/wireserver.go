@@ -178,7 +178,7 @@ func serveWireConn(conn net.Conn, c Client) {
 func serveWireRequest(c Client, cw *wireConnWriter, slices *wireSliceTracker, snaps *wireSnapCache, h wireHeader, payload []byte) {
 	dec := newWireDec(payload)
 	enc := newWireEnc()
-	err := dispatchWireMethod(c, slices, snaps, h.method, h.flags&wireFlagF32 != 0, dec, enc)
+	err := dispatchGuarded(c, slices, snaps, h.method, h.flags&wireFlagF32 != 0, dec, enc)
 	putWireBuf(payload)
 	kind := byte(wireKindResponse)
 	if err != nil {
@@ -199,6 +199,17 @@ func serveWireRequest(c Client, cw *wireConnWriter, slices *wireSliceTracker, sn
 	//lint:ignore errdrop the read loop handles the dead connection
 	_ = cw.writeFrame(rh, enc.Buf)
 	enc.release()
+}
+
+// dispatchGuarded is dispatchWireMethod with a panic in the protocol step
+// turned into the call's error, and so into an error frame, with the stack
+// logged once. The request runs in a goroutine of its own, where a panic
+// would end the gtv-client process; the connection goes on serving.
+func dispatchGuarded(c Client, slices *wireSliceTracker, snaps *wireSnapCache, method byte, f32 bool, dec *wireDec, enc *wireEnc) (err error) {
+	defer stopPanic(&err, func(v any) error {
+		return fmt.Errorf("gtvwire: %s panicked: %v", wireMethodName(method), v)
+	})
+	return dispatchWireMethod(c, slices, snaps, method, f32, dec, enc)
 }
 
 // dispatchWireMethod decodes the method's arguments, invokes the protocol
