@@ -3,11 +3,12 @@
 // kernels_amd64.s holds the rule that no routine fuses a multiply and an add,
 // because the Go loops those routines replace never do. This file is the one
 // exception, and it replaces no Go loop: its specification is archExp
-// ($GOROOT/src/math/exp_amd64.s), which on a CPU with AVX and FMA
-// (math.useFMA) runs a branch of VFNMADD231SD and VFMADD213SD. expAVX2 is that
-// branch, four lanes wide, with the same fused instructions in the same
-// order; on a CPU without FMA math.Exp runs separately rounded products
-// instead, and expSlice does not call this routine there (kernels_amd64.go).
+// ($GOROOT/src/math/exp_amd64.s), which where math.useFMA holds (AVX and FMA,
+// as internal/cpu and GODEBUG report them) runs a branch of VFNMADD231SD and
+// VFMADD213SD. expAVX2 is that branch, four lanes wide, with the same fused
+// instructions in the same order; elsewhere math.Exp runs separately rounded
+// products instead, and expSlice does not call this routine (hasFMA,
+// kernels_amd64.go).
 // See DESIGN.md "Kernel architecture", the libm contract.
 
 #include "textflag.h"
@@ -25,8 +26,7 @@
 	DATA sym<>+off+12(SB)/4, val
 
 // The literals of exp_amd64.s (so the assembler rounds them to the same
-// bits), each a 32-byte vector, then three int32 vectors for the biased
-// exponent's range checks.
+// bits), each a 32-byte vector, then the exponent bias as an int32 vector.
 VEC4(expconst, 0, $7.09782712893384e+02)     // Overflow
 VEC4(expconst, 32, $-1.7976931348623157e+308) // -MaxFloat64
 VEC4(expconst, 64, $1.4426950408889634073599246810018920)       // LOG2E
@@ -43,9 +43,7 @@ VEC4(expconst, 384, $0.5)
 VEC4(expconst, 416, $1.0)
 VEC4(expconst, 448, $2.0)
 INT4(expconst, 480, $0x3FF)
-INT4(expconst, 496, $-53)
-INT4(expconst, 512, $0x7FE)
-GLOBL expconst<>(SB), RODATA|NOPTR, $528
+GLOBL expconst<>(SB), RODATA|NOPTR, $496
 
 #define EXP_OVERFLOW expconst<>+0(SB)
 #define EXP_NEGMAX expconst<>+32(SB)
@@ -63,20 +61,6 @@ GLOBL expconst<>(SB), RODATA|NOPTR, $528
 #define EXP_ONE expconst<>+416(SB)
 #define EXP_TWO expconst<>+448(SB)
 #define EXP_BIAS expconst<>+480(SB)
-#define EXP_MINUS53 expconst<>+496(SB)
-#define EXP_MAXBIASED expconst<>+512(SB)
-
-// func cpuHasFMA() bool
-//
-// CPUID.1:ECX bit 12.
-TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	SHRL $12, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
-	RET
 
 // func expAVX2(dst, x *float64, n int) (done int)
 //
@@ -84,17 +68,20 @@ TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
 // rounding CVTSD2SL does, and the same integer-indefinite result out of
 // int32 range), x − k·LN2U and − k·LN2L fused, ×1/16, the Taylor chain in
 // VFMADD213PD, four squarings of the form x·(2+x), the last fused with +1,
-// and the ldexp multiply by the float64 whose bits are (k+0x3FF)<<52. Where
-// the biased exponent k+0x3FF is below −52, archExp returns +0 and so does
-// the lane (its mask zeroes the product). Groups of four are taken while n
-// allows; the routine stops before a group with a lane archExp finishes
-// elsewhere — NaN or ±Inf, x above Overflow, a biased exponent of −52…0
-// (archExp's denormal multiply) or at least 0x7FF (its overflow) — and
-// returns how many elements it wrote. X15 holds int32 zeros. A group is
-// loaded lane by lane: gmm.posterior stores its k shifted logits one at a
-// time just before the call, and a 32-byte load of four 8-byte stores still
-// in flight cannot be forwarded and waits for them (one GMM fit took 700
-// against 645 ms that way; a bulk Exp runs at the same speed either way).
+// and the ldexp multiply by the float64 whose bits are (k+0x3FF)<<52. Groups
+// of four are taken while n allows; the routine stops before a group with a
+// lane archExp finishes elsewhere — NaN or ±Inf, x above Overflow, or a
+// biased exponent k+0x3FF of 0 or below (archExp's denormal multiply, or its
+// +0) — and returns how many elements it wrote. The one biased exponent above
+// 0x7FE that x ≤ Overflow allows is 0x7FF (x from about 709.44): archExp
+// returns +Inf there, and so does the lane, whose multiplier's bits are
+// +Inf's. X15 holds int32 zeros.
+//
+// A group is loaded lane by lane: gmm.posterior stores its k shifted logits
+// one at a time just before the call, and a 32-byte load of four 8-byte
+// stores still in flight cannot be forwarded and waits for them (one GMM fit
+// took 700 against 645 ms that way; a bulk Exp runs at the same speed either
+// way).
 TEXT ·expAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -116,16 +103,12 @@ exploop:
 	VMULPD EXP_LOG2E, Y0, Y1
 	VCVTPD2DQY Y1, X2
 	VPADDD EXP_BIAS, X2, X3
-	VPCMPGTD EXP_MINUS53, X3, X4
-	VPCMPGTD X15, X3, X5
-	VPCMPGTD EXP_MAXBIASED, X3, X6
-	VPANDN X4, X5, X5
-	VPOR X6, X5, X5
-	VMOVMSKPS X5, BX
+	VPCMPGTD X15, X3, X4
+	VMOVMSKPS X4, BX
 	VMOVMSKPD Y8, DX
-	XORQ $15, DX
-	ORQ  BX, DX
-	JNZ  expdone
+	ANDQ BX, DX
+	CMPQ DX, $15
+	JNE  expdone
 	VCVTDQ2PD X2, Y1
 	VFNMADD231PD EXP_LN2U, Y1, Y0
 	VFNMADD231PD EXP_LN2L, Y1, Y0
@@ -150,8 +133,6 @@ exploop:
 	VPMOVSXDQ X3, Y5
 	VPSLLQ $52, Y5, Y5
 	VMULPD Y5, Y0, Y0
-	VPMOVSXDQ X4, Y4
-	VANDPD Y4, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
 	SUBQ $4, CX

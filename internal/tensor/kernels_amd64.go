@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // amd64 side of the kernel layer: CPU detection, the declarations of the
 // AVX2 routines in kernels_amd64.s and exp_amd64.s, and the entry points the
 // portable code calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu,
@@ -12,10 +14,13 @@ package tensor
 // export_test.go) ever flip it.
 var useAsm = cpuHasAVX2()
 
-// hasFMA is the CPU's FMA bit. math.Exp takes its fused branch exactly where
-// the CPU has AVX and FMA, and expAVX2 is that branch, so the vector Exp runs
-// only where useAsm (which implies AVX) and hasFMA both hold.
-var hasFMA = cpuHasFMA()
+// hasFMA says whether math.Exp runs its fused branch, which is what expAVX2
+// computes; the vector Exp runs only where useAsm and hasFMA both hold.
+// math.Exp decides from internal/cpu's AVX and FMA bits (math.useFMA), which
+// GODEBUG=cpu.avx=off or cpu.fma=off clear on a CPU that has them, so hasFMA
+// asks math.Exp itself rather than CPUID: on this input the fused branch
+// returns these bits and the other branch the bits one below.
+var hasFMA = math.Float64bits(math.Exp(math.Float64frombits(0xc033efd23abc0b07))) == 0x3e22dc37e59be80b
 
 func expVector() bool { return useAsm && hasFMA }
 
@@ -24,8 +29,6 @@ func expVector() bool { return useAsm && hasFMA }
 const vecMinLen = 4
 
 func cpuHasAVX2() bool
-
-func cpuHasFMA() bool
 
 //go:noescape
 func logAVX2(dst, x *float64, n int) (done int)
@@ -283,35 +286,25 @@ func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
 	return used + packMaskedGeneric(presence[done/8:], sign[done/8:], values[used:], data[done:], false)
 }
 
-// logSlice and expSlice give whole groups of four to the vector routine,
+// vecSlice gives whole groups of four to vec (logAVX2 or expAVX2) when on,
 // which stops at the first group holding a lane its sequence does not cover
 // (one archLog or archExp sends down a branch of its own) and reports how
-// far it got. That group goes to math one element at a time, the routine
-// resumes after it, and the last len%4 elements go to math too.
-func logSlice(dst, x []float64) {
+// far it got. That group goes to scalar (the math loop) one element at a
+// time, vec resumes after it, and the last len%4 elements go to scalar too.
+func vecSlice(dst, x []float64, on bool, vec func(dst, x *float64, n int) int, scalar func(dst, x []float64)) {
 	i, n := 0, len(x)
-	if useAsm {
+	if on {
 		for n-i >= vecMinLen {
-			i += logAVX2(&dst[i], &x[i], n-i)
+			i += vec(&dst[i], &x[i], n-i)
 			if n-i >= vecMinLen {
-				logGeneric(dst[i:i+vecMinLen], x[i:i+vecMinLen])
+				scalar(dst[i:i+vecMinLen], x[i:i+vecMinLen])
 				i += vecMinLen
 			}
 		}
 	}
-	logGeneric(dst[i:], x[i:])
+	scalar(dst[i:], x[i:])
 }
 
-func expSlice(dst, x []float64) {
-	i, n := 0, len(x)
-	if expVector() {
-		for n-i >= vecMinLen {
-			i += expAVX2(&dst[i], &x[i], n-i)
-			if n-i >= vecMinLen {
-				expGeneric(dst[i:i+vecMinLen], x[i:i+vecMinLen])
-				i += vecMinLen
-			}
-		}
-	}
-	expGeneric(dst[i:], x[i:])
-}
+func logSlice(dst, x []float64) { vecSlice(dst, x, useAsm, logAVX2, logGeneric) }
+
+func expSlice(dst, x []float64) { vecSlice(dst, x, expVector(), expAVX2, expGeneric) }

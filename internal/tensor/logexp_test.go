@@ -1,11 +1,15 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +29,8 @@ var logSpecials = []float64{
 	math.Float64frombits(0xFFF8000000000001), math.SmallestNonzeroFloat64, 0x1p-1030,
 }
 
-// expSpecials: NaN and the infinities, the overflow band around 709.78, the
+// expSpecials: NaN and the infinities, the overflow band around 709.78 (709.7
+// is below Overflow with a biased exponent of 0x7FF, +Inf in a lane), the
 // band archExp finishes with a denormal multiply (biased exponent −52…0),
 // the band it sends to +0, and x·LOG2E past int32 (CVTSD2SL's
 // integer-indefinite result).
@@ -167,14 +172,15 @@ var expBranchTable = []struct{ x, fma, noFMA uint64 }{
 
 // TestExpFollowsMathsBranch pins what Exp promises where math.Exp itself
 // depends on the CPU. On amd64, math.Exp runs its FMA branch exactly where
-// the CPU has AVX and FMA; on the table's inputs the two branches differ, so
-// the table says which one this CPU ran. The FMA bit Exp reads must agree
-// with it wherever the vector kernels run (AVX2 implies AVX), the vector Exp
-// must be on exactly where useAsm and that bit hold, and on every kernel path
-// Exp must return math.Exp's bits. On an FMA machine that shows the vector
-// routine is the FMA branch. No test here can stand in for a CPU without
-// FMA: there the vector Exp is off and both paths call math.Exp, which this
-// test cannot run.
+// internal/cpu reports AVX and FMA; on the table's inputs the two branches
+// differ, so the table says which one this process ran. hasFMA must agree
+// with it, the vector Exp must be on exactly where useAsm and hasFMA hold,
+// and on every kernel path Exp must return math.Exp's bits. On an FMA
+// machine that shows the vector routine is the FMA branch;
+// TestExpUnderGODEBUG runs this test again with the branch switched off.
+// GODEBUG only clears math's view of the CPU, so no test here can stand in
+// for a CPU without FMA, where the vector Exp is off and both paths call
+// math.Exp.
 func TestExpFollowsMathsBranch(t *testing.T) {
 	x := make([]float64, len(expBranchTable))
 	for i, row := range expBranchTable {
@@ -194,9 +200,10 @@ func TestExpFollowsMathsBranch(t *testing.T) {
 		if fused != 0 && fused != len(expBranchTable) {
 			t.Fatalf("math.Exp took the FMA branch on %d of %d inputs", fused, len(expBranchTable))
 		}
-		if HasAsmKernels && hasFMA != (fused > 0) {
-			t.Fatalf("CPUID's FMA bit is %v, math.Exp's branch says %v", hasFMA, fused > 0)
+		if hasFMA != (fused > 0) {
+			t.Fatalf("hasFMA is %v, math.Exp's branch says %v", hasFMA, fused > 0)
 		}
+		t.Logf("math.Exp runs its FMA branch: %v", fused > 0)
 	}
 	EachKernelPath(t, func(t *testing.T) {
 		if want := useAsm && hasFMA; expVector() != want {
@@ -204,6 +211,27 @@ func TestExpFollowsMathsBranch(t *testing.T) {
 		}
 		checkLogExp(t, "Exp", Exp, math.Exp, x)
 	})
+}
+
+// TestExpUnderGODEBUG runs TestExpFollowsMathsBranch in a child process
+// under each GODEBUG setting that turns math.Exp's FMA branch off on a CPU
+// that has it. The child must see math.Exp's other branch, and Exp must
+// follow it there.
+func TestExpUnderGODEBUG(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("math.Exp has no CPU-dependent branch on " + runtime.GOARCH)
+	}
+	for _, setting := range []string{"cpu.fma=off", "cpu.avx=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestExpFollowsMathsBranch$", "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+strings.TrimPrefix(os.Getenv("GODEBUG")+","+setting, ","))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GODEBUG=%s: %v\n%s", setting, err, out)
+		}
+		if !bytes.Contains(out, []byte("math.Exp runs its FMA branch: false")) {
+			t.Fatalf("GODEBUG=%s: the child did not report math.Exp's non-FMA branch:\n%s", setting, out)
+		}
+	}
 }
 
 // FuzzLogExp reads the input as little-endian float64s and checks Log and
