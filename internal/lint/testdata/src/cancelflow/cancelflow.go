@@ -145,3 +145,36 @@ func goodCallback(clients []Client) error {
 		return c.Step()
 	})
 }
+
+// ---- where cancelflow and lockorder classify blocking differently ----
+
+func fanOut(n int, fn func(int) error) error {
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// A send inside a select is the select's concern, and awaiting
+// cancellation is the point; a sleep in a select clause still blocks the
+// callback (lockorder leaves calls inside a select alone).
+func selectCallback(ctx context.Context, ch chan int) error {
+	return fanOut(2, func(i int) error {
+		select {
+		case ch <- i:
+			time.Sleep(time.Millisecond) // want "fanOut callback performs time.Sleep directly"
+		case <-ctx.Done():
+		}
+		<-ctx.Done()
+		return nil
+	})
+}
+
+// Ranging over a channel is not a cancelflow concern (lockorder reports it
+// under a lock).
+func goodDrain(ctx context.Context, ch chan int) {
+	for range ch {
+	}
+}

@@ -3,6 +3,7 @@
 package lockorder
 
 import (
+	"context"
 	"net"
 	"sync"
 	"time"
@@ -144,4 +145,35 @@ type cache struct {
 func (s *cache) goodRead(a *alpha) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+}
+
+// ---- where lockorder and cancelflow classify blocking differently ----
+
+// Awaiting cancellation is still a wait: under a lock it blocks every
+// contender until the context ends (cancelflow exempts it).
+func (c *conn) badDoneWait(ctx context.Context) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	<-ctx.Done() // want "channel receive \\(ctx.Done\\(\\)\\) while conn.badDoneWait holds conn.mu"
+}
+
+// Ranging over a channel waits for every value and for the close
+// (cancelflow does not look at range statements).
+func (c *conn) badDrain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for range c.ch { // want "range over channel \\(c.ch\\) while conn.badDrain holds conn.mu"
+	}
+}
+
+// A select with a default never blocks, and lockorder leaves what runs in
+// its clauses to the select (cancelflow still reports a sleep there).
+func (c *conn) goodSleepInSelect() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.ch:
+		time.Sleep(time.Millisecond)
+	default:
+	}
 }

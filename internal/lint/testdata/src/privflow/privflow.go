@@ -94,3 +94,104 @@ func Publish(p *party) []float64 {
 	//lint:ignore privflow fixture demonstrates an audited, sanctioned disclosure
 	return p.table
 }
+
+// ---- call shapes: one sink per way a call can reach its callee ----
+
+// rowIDs is a named slice of row indices.
+type rowIDs []int
+
+// head returns the first index; it is called below through a method value.
+func (r rowIDs) head() []int {
+	return r[:1]
+}
+
+// SendConverted leaks the indices through a conversion, which passes its
+// operand's taint on.
+//
+//privacy:sink converted indices
+func SendConverted(p *party) rowIDs {
+	return rowIDs(p.idx) // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendConverted`
+}
+
+// SendAppended leaks through the append builtin.
+//
+//privacy:sink appended indices
+func SendAppended(p *party) []int {
+	return append([]int{0}, p.idx...) // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendAppended`
+}
+
+// SendCopied leaks through the copy builtin, which taints its destination.
+//
+//privacy:sink copied indices
+func SendCopied(p *party) []int {
+	out := make([]int, len(p.idx))
+	copy(out, p.idx)
+	return out // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendCopied`
+}
+
+// firstOf is generic; an explicit instantiation still reaches its summary.
+func firstOf[T any](xs []T) []T {
+	return xs[:1]
+}
+
+// SendFirst leaks through an explicitly instantiated generic call.
+//
+//privacy:sink first index
+func SendFirst(p *party) []int {
+	return firstOf[int](p.idx) // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendFirst`
+}
+
+// SendViaMethodValue calls a method through a variable: an unknown
+// callee, whose result carries the taint of the receiver it captured.
+//
+//privacy:sink head index read through a method value
+func SendViaMethodValue(p *party) []int {
+	f := rowIDs(p.idx).head
+	return f() // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendViaMethodValue`
+}
+
+// pack collects a head and a variadic tail.
+func pack(head int, rest ...int) []int {
+	return append([]int{head}, rest...)
+}
+
+// SendPackedArgs passes an index as an extra variadic argument.
+//
+//privacy:sink indices packed as variadic arguments
+func SendPackedArgs(p *party) []int {
+	return pack(0, 1, p.idx[0]) // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendPackedArgs`
+}
+
+// SendPackedSpread spreads the indices into the variadic tail.
+//
+//privacy:sink indices spread into the variadic tail
+func SendPackedSpread(p *party) []int {
+	return pack(0, p.idx...) // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendPackedSpread`
+}
+
+// rowSource has two implementations: a call through it takes the union
+// of both summaries, so the leaky one is enough.
+type rowSource interface {
+	pick() []int
+}
+
+type leakySource struct{ p *party }
+
+func (s leakySource) pick() []int {
+	return s.p.idx
+}
+
+type emptySource struct{}
+
+func (emptySource) pick() []int {
+	return nil
+}
+
+// SendPicked reads rows through the interface.
+//
+//privacy:sink rows picked through an interface
+func SendPicked(s rowSource) []int {
+	return s.pick() // want `privacy source "matching-row indices" returned from privacy sink privflow\.SendPicked`
+}
+
+var _ = []rowSource{leakySource{}, emptySource{}}

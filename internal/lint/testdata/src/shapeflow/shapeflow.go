@@ -120,3 +120,100 @@ func Orphan(m *tensor.Dense) *tensor.Dense { // want "exported shape-bearing fun
 type Holder struct {
 	M *tensor.Dense // want "exported tensor field Holder.M needs a //shape:"
 }
+
+// ---- call shapes: one site per way a call can reach its callee ----
+
+// dense is a named matrix type; converting to it is not an op.
+type dense tensor.Dense
+
+// ViaConversion round-trips x through a conversion, whose result is
+// untracked, so BadProj's mismatch goes unseen here.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaConversion(x, w *tensor.Dense) *tensor.Dense {
+	y := (*tensor.Dense)((*dense)(x))
+	return tensor.MatMul(y, w)
+}
+
+// ViaBuiltins gathers operands with append and copy: the list they build
+// is untracked, and so is the width len reads off it.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaBuiltins(x, w *tensor.Dense) *tensor.Dense {
+	xs := append([]*tensor.Dense{}, x)
+	ys := make([]*tensor.Dense, len(xs))
+	copy(ys, xs)
+	return tensor.MatMul(ys[0], w)
+}
+
+// genericMM is generic in an unused parameter; its summary still exports
+// the MatMul inner-dim equation.
+func genericMM[T any](a, b *tensor.Dense, tag T) *tensor.Dense {
+	return tensor.MatMul(a, b)
+}
+
+// ViaInstantiation reaches genericMM through an explicit instantiation.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaInstantiation(x, w *tensor.Dense) *tensor.Dense {
+	return genericMM[int](x, w, 0) // want "shape mismatch: MatMul inner dims: D1 vs B"
+}
+
+// ViaMethodValue calls Clone through a variable: an unknown callee, so
+// the result is untracked and no mismatch is seen.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaMethodValue(x, w *tensor.Dense) *tensor.Dense {
+	clone := x.Clone
+	return tensor.MatMul(clone(), w)
+}
+
+// firstOf returns its first operand; the variadic tail forms no slot.
+func firstOf(a *tensor.Dense, rest ...*tensor.Dense) *tensor.Dense {
+	return a
+}
+
+// ViaVariadicArgs passes extra variadic arguments.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaVariadicArgs(x, w *tensor.Dense) *tensor.Dense {
+	return tensor.MatMul(firstOf(x, w, w), w) // want "shape mismatch: MatMul inner dims: D1 vs B"
+}
+
+// ViaVariadicSpread spreads a slice into the variadic tail.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaVariadicSpread(x, w *tensor.Dense) *tensor.Dense {
+	ws := []*tensor.Dense{w, w}
+	return tensor.MatMul(firstOf(x, ws...), w) // want "shape mismatch: MatMul inner dims: D1 vs B"
+}
+
+// layer has two implementations, each restating the interface contract.
+type layer interface {
+	//shape:in(B,D) out(B,D)
+	apply(x *tensor.Dense) *tensor.Dense
+}
+
+type scaler struct{}
+
+//shape:in(B,D) out(B,D)
+func (scaler) apply(x *tensor.Dense) *tensor.Dense {
+	return x.Scale(2)
+}
+
+type cloner struct{}
+
+//shape:in(B,D) out(B,D)
+func (cloner) apply(x *tensor.Dense) *tensor.Dense {
+	return x.Clone()
+}
+
+// ViaInterface calls through layer: the interface contract shapes the
+// result whichever implementation runs.
+//
+//shape:in(B,D1) in(B,D2) out(B,D2)
+func ViaInterface(l layer, x, w *tensor.Dense) *tensor.Dense {
+	return tensor.MatMul(l.apply(x), w) // want "shape mismatch: MatMul inner dims: D1 vs B"
+}
+
+var _ = []layer{scaler{}, cloner{}}
