@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
@@ -63,9 +62,6 @@ type pfAnnotation struct {
 // plus the taint state privflow keeps for it.
 type pfFunc struct {
 	*Func
-	// inputObjs holds the receiver (if any) followed by the parameters, in
-	// summary input-bit order; unnamed inputs are nil placeholders.
-	inputObjs []types.Object
 	// sink is set when the function's outputs are server-visible, either by
 	// direct annotation or because it implements an annotated interface
 	// method.
@@ -180,38 +176,11 @@ func (a *pf) bindOne(pos token.Pos, kind, desc string, obj types.Object, isStruc
 
 func (a *pf) collectFuncs() {
 	for _, fn := range a.pass.Index.Funcs {
-		f := &pfFunc{Func: fn, inputObjs: collectInputs(fn.pkg.Info, fn.decl)}
+		f := &pfFunc{Func: fn}
 		f.sum = &summary{results: make([]taintVal, fn.obj.Type().(*types.Signature).Results().Len())}
 		a.funcs[fn.obj] = f
 		a.funcList = append(a.funcList, f)
 	}
-}
-
-// collectInputs returns the receiver (if any) then parameters of a
-// declaration, as type-checker objects in input-bit order.
-func collectInputs(info *types.Info, fd *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if len(field.Names) == 0 {
-				out = append(out, nil)
-				continue
-			}
-			for _, name := range field.Names {
-				if name.Name == "_" {
-					out = append(out, nil)
-					continue
-				}
-				out = append(out, info.Defs[name])
-			}
-		}
-	}
-	addFields(fd.Recv)
-	addFields(fd.Type.Params)
-	return out
 }
 
 // implsOf returns the analysis state of the module implementations of an
@@ -263,9 +232,11 @@ func (a *pf) analyzeFunc(f *pfFunc, report bool) {
 		info:  f.pkg.Info,
 		state: make(map[types.Object]taintVal),
 	}
-	for i, obj := range f.inputObjs {
-		if obj != nil && i < 64 {
-			in.state[obj] = taintVal{inputs: 1 << uint(i)}
+	// The summary's input bits follow the input slots: receiver, then
+	// parameters.
+	for i, v := range inputs(f.obj.Type().(*types.Signature)) {
+		if i < 64 {
+			in.state[v] = taintVal{inputs: 1 << uint(i)}
 		}
 	}
 	// Local fixpoint: weak updates make the state monotone, so a few

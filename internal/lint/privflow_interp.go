@@ -421,14 +421,11 @@ func (in *interp) sinkCheckPtrWrite(lhs ast.Expr, t taintVal) {
 	if obj == nil {
 		return
 	}
-	// Writes through the receiver are internal state, not replies: start
-	// after it.
-	start := 0
-	if sig := in.fn.obj.Type().(*types.Signature); sig.Recv() != nil {
-		start = 1
-	}
-	for i := start; i < len(in.fn.inputObjs); i++ {
-		if in.fn.inputObjs[i] != nil && in.fn.inputObjs[i] == obj {
+	// Writes through the receiver are internal state, not replies: look at
+	// the parameters only.
+	params := in.fn.obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if params.At(i) == obj {
 			if _, ok := obj.Type().(*types.Pointer); ok {
 				in.reportSinkFlow(lhs.Pos(), t, "written to the reply of")
 			}
@@ -618,59 +615,59 @@ func (in *interp) evalSelector(x *ast.SelectorExpr) taintVal {
 
 // evalCall returns the per-result taints of a call expression.
 func (in *interp) evalCall(call *ast.CallExpr) []taintVal {
-	nres := callResultCount(in.info, call)
-	// Type conversion: taint passes through.
-	if tv, ok := in.info.Types[call.Fun]; ok && tv.IsType() {
-		return []taintVal{in.evalExprList(call.Args)}
+	c := classifyCall(in.info, call)
+	if c.builtin != nil {
+		return in.evalBuiltin(c.builtin, call, c.nres)
 	}
-	callee := calleeObject(in.info, call)
-	if b, ok := callee.(*types.Builtin); ok {
-		return in.evalBuiltin(b, call, nres)
+	// The receiver operand of a call that is no method call is the called
+	// expression itself: a function value carries the taint of what it
+	// captured, and a conversion's type carries none.
+	fun := c.recv
+	if fun == nil {
+		fun = call.Fun
 	}
-	fnObj, _ := callee.(*types.Func)
-	if fnObj != nil {
-		if ann := in.a.anns[fnObj]; ann != nil {
+	recv := in.evalExpr(fun)
+	args := make([]taintVal, len(call.Args))
+	for i, arg := range call.Args {
+		args[i] = in.evalExpr(arg)
+	}
+	var targets []*pfFunc
+	if c.fn != nil {
+		if ann := in.a.anns[c.fn]; ann != nil {
 			switch ann.kind {
 			case annSanitizer:
-				in.evalExprList(call.Args)
-				in.evalRecv(call)
-				return make([]taintVal, nres)
+				return make([]taintVal, c.nres)
 			case annSource:
-				in.evalExprList(call.Args)
-				in.evalRecv(call)
 				t := taintVal{srcs: []*srcTaint{{ann: ann, path: []PathHop{in.hop(call.Pos())}}}}
-				return replicate(t, nres)
+				return replicate(t, c.nres)
 			}
 		}
-		if isInterfaceMethod(fnObj) {
-			return in.evalIfaceCall(call, fnObj, nres)
-		}
-		if target := in.a.funcs[fnObj]; target != nil {
-			out := make([]taintVal, nres)
-			in.applySummary(call, target, out)
-			return out
-		}
-	}
-	return in.evalUnknownCall(call, nres)
-}
-
-// evalRecv evaluates a method call's receiver expression for effects.
-func (in *interp) evalRecv(call *ast.CallExpr) taintVal {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := in.info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			return in.evalExpr(sel.X)
+		if isInterfaceMethod(c.fn) {
+			// Interface dispatch reaches the union of the module
+			// implementations.
+			targets = in.a.implsOf(c.fn)
+		} else if f := in.a.funcs[c.fn]; f != nil {
+			targets = []*pfFunc{f}
 		}
 	}
-	// Method value called through a variable: the variable's taint stands
-	// in for the captured receiver.
-	return in.evalExpr(call.Fun)
+	if len(targets) == 0 {
+		return in.evalUnknownCall(call, recv, args, c.nres)
+	}
+	ops := operands(c.fn.Type().(*types.Signature), recv, args, func(a, b taintVal) taintVal {
+		u, _ := a.union(b)
+		return u
+	})
+	out := make([]taintVal, c.nres)
+	for _, target := range targets {
+		in.applySummary(call, target, ops, out)
+	}
+	return out
 }
 
-// applySummary maps a callee's summary through this call site's operands,
-// merging the per-result taints into out.
-func (in *interp) applySummary(call *ast.CallExpr, target *pfFunc, out []taintVal) {
-	ops := in.operandTaints(call, target)
-	hop := PathHop{Func: in.fn.name, Pos: in.pos(call.Pos())}
+// applySummary maps a callee's summary through this call site's operands
+// (in the callee's input slots), merging the per-result taints into out.
+func (in *interp) applySummary(call *ast.CallExpr, target *pfFunc, ops, out []taintVal) {
+	hop := in.hop(call.Pos())
 	for r := range out {
 		if r >= len(target.sum.results) {
 			break
@@ -680,9 +677,9 @@ func (in *interp) applySummary(call *ast.CallExpr, target *pfFunc, out []taintVa
 			continue
 		}
 		var t taintVal
-		for i := range target.inputObjs {
-			if i < 64 && st.inputs&(1<<uint(i)) != 0 && i < len(ops) {
-				t, _ = t.union(ops[i])
+		for i, op := range ops {
+			if i < 64 && st.inputs&(1<<uint(i)) != 0 {
+				t, _ = t.union(op)
 			}
 		}
 		for _, s := range st.srcs {
@@ -693,50 +690,6 @@ func (in *interp) applySummary(call *ast.CallExpr, target *pfFunc, out []taintVa
 		}
 		out[r], _ = out[r].union(t)
 	}
-}
-
-// operandTaints evaluates the call's receiver and arguments into the
-// callee's input-bit order.
-func (in *interp) operandTaints(call *ast.CallExpr, target *pfFunc) []taintVal {
-	ops := make([]taintVal, len(target.inputObjs))
-	sig := target.obj.Type().(*types.Signature)
-	off := 0
-	if sig.Recv() != nil {
-		if len(ops) > 0 {
-			ops[0] = in.evalRecv(call)
-		}
-		off = 1
-	}
-	nparams := sig.Params().Len()
-	for k, arg := range call.Args {
-		t := in.evalExpr(arg)
-		idx := off + k
-		if k >= nparams { // extra variadic arguments fold into the last slot
-			idx = off + nparams - 1
-		}
-		if idx >= 0 && idx < len(ops) {
-			ops[idx], _ = ops[idx].union(t)
-		}
-	}
-	return ops
-}
-
-// evalIfaceCall dispatches an interface method call to the union of its
-// module implementations; with none known, it degrades to the conservative
-// unknown-call rule.
-func (in *interp) evalIfaceCall(call *ast.CallExpr, m *types.Func, nres int) []taintVal {
-	impls := in.a.implsOf(m)
-	if len(impls) == 0 {
-		return in.evalUnknownCall(call, nres)
-	}
-	out := make([]taintVal, nres)
-	for _, impl := range impls {
-		in.applySummary(call, impl, out)
-	}
-	// The receiver and arguments are still evaluated once for effects.
-	in.evalRecv(call)
-	in.evalExprList(call.Args)
-	return out
 }
 
 // evalBuiltin models the language builtins.
@@ -762,10 +715,10 @@ func (in *interp) evalBuiltin(b *types.Builtin, call *ast.CallExpr, nres int) []
 // module (stdlib, function values): every result carries the union of the
 // receiver and argument taints, and writable reference arguments (&x,
 // pointers, slices — the PutUint64/rand.Read shape) absorb that union.
-func (in *interp) evalUnknownCall(call *ast.CallExpr, nres int) []taintVal {
-	u := in.evalRecv(call)
-	for _, arg := range call.Args {
-		u, _ = u.union(in.evalExpr(arg))
+func (in *interp) evalUnknownCall(call *ast.CallExpr, recv taintVal, args []taintVal, nres int) []taintVal {
+	u := recv
+	for _, t := range args {
+		u, _ = u.union(t)
 	}
 	if !u.isZero() {
 		for _, arg := range call.Args {
@@ -809,21 +762,6 @@ func writableRefRoot(info *types.Info, arg ast.Expr) types.Object {
 		return obj
 	}
 	return nil
-}
-
-// callResultCount returns how many values a call yields.
-func callResultCount(info *types.Info, call *ast.CallExpr) int {
-	tv, ok := info.Types[call]
-	if !ok || tv.Type == nil {
-		return 1
-	}
-	if tup, ok := tv.Type.(*types.Tuple); ok {
-		return tup.Len()
-	}
-	if basic, ok := tv.Type.(*types.Basic); ok && basic.Kind() == types.Invalid {
-		return 0
-	}
-	return 1
 }
 
 func replicate(t taintVal, n int) []taintVal {

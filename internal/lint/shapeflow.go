@@ -125,20 +125,19 @@ func slotKind(t types.Type) int {
 }
 
 // shapeSlots lists the shape-bearing parameter and result slots of a
-// signature, in declaration order. vars[i] is the slot's *types.Var. The
-// variadic parameter (a slice) never forms a slot.
-func shapeSlots(tuple *types.Tuple, variadic bool) (kinds []int, vars []*types.Var) {
+// signature, in declaration order. at[i] is the slot's index in tuple.
+// The variadic parameter (a slice) never forms a slot.
+func shapeSlots(tuple *types.Tuple, variadic bool) (kinds, at []int) {
 	for i := 0; i < tuple.Len(); i++ {
-		v := tuple.At(i)
 		if variadic && i == tuple.Len()-1 {
 			continue
 		}
-		if k := slotKind(v.Type()); k != slotNone {
+		if k := slotKind(tuple.At(i).Type()); k != slotNone {
 			kinds = append(kinds, k)
-			vars = append(vars, v)
+			at = append(at, i)
 		}
 	}
-	return kinds, vars
+	return kinds, at
 }
 
 // ---- parsing ----
@@ -283,44 +282,22 @@ type sfSummary struct {
 	// atomOf[i] is the first atom index of input slot i (receiver first,
 	// then params); matrix slots own two consecutive atoms (rows, cols),
 	// int slots one, other inputs none (-1).
-	atomOf []int
-	kinds  []int
-	// recvSlot marks slot 0 as the method receiver.
-	recvSlot bool
-	atoms    int
-	eqs      []sumEq
-	results  []sumResult
+	atomOf  []int
+	kinds   []int
+	atoms   int
+	eqs     []sumEq
+	results []sumResult
 }
 
 // topSummaryFor builds the all-unknown summary for a signature (used for
-// recursion and as a safe fallback).
+// recursion and as a safe fallback): no atoms, no equations, untracked
+// results.
 func topSummaryFor(sig *types.Signature) *sfSummary {
-	s := &sfSummary{recvSlot: sig.Recv() != nil}
-	inputs := inputSlots(sig)
-	for _, k := range inputs {
-		s.atomOf = append(s.atomOf, -1)
-		s.kinds = append(s.kinds, k)
-	}
+	s := &sfSummary{}
 	for i := 0; i < sig.Results().Len(); i++ {
 		s.results = append(s.results, sumResult{kind: slotKind(sig.Results().At(i).Type())})
 	}
 	return s
-}
-
-// inputSlots classifies receiver-then-params of a signature.
-func inputSlots(sig *types.Signature) []int {
-	var kinds []int
-	if sig.Recv() != nil {
-		kinds = append(kinds, slotKind(sig.Recv().Type()))
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Variadic() && i == sig.Params().Len()-1 {
-			kinds = append(kinds, slotNone)
-			continue
-		}
-		kinds = append(kinds, slotKind(sig.Params().At(i).Type()))
-	}
-	return kinds
 }
 
 // opStat accumulates unification outcomes at one op site.

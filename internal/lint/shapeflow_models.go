@@ -15,7 +15,7 @@ import (
 
 // modelCall dispatches one call against the op models. ok is false when
 // the callee is not a modeled tensor/autograd operation.
-func (in *sfInterp) modelCall(call *ast.CallExpr, fn *types.Func, recv sfVal, hasRecv bool, args []sfVal) ([]sfVal, bool) {
+func (in *sfInterp) modelCall(call *ast.CallExpr, fn *types.Func, recv sfVal, args []sfVal) ([]sfVal, bool) {
 	inTensor := pkgPathSuffix(fn, "internal/tensor")
 	inAG := pkgPathSuffix(fn, "internal/autograd")
 	if !inTensor && !inAG {
@@ -215,7 +215,7 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 	case "ConcatCols", "ConcatRows":
 		return one(in.concatModel(fn.Name(), call, args)), true
 	case "FromRows":
-		return in.topResults(call), true
+		return one(topVal), true
 	}
 	return nil, false
 }
