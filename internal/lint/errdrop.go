@@ -92,33 +92,10 @@ func returnsError(info *types.Info, call *ast.CallExpr) bool {
 // errDropExempt lists the never-meaningfully-fails targets: the fmt
 // package and in-memory buffer writers.
 func errDropExempt(info *types.Info, call *ast.CallExpr) bool {
-	obj := calleeObject(info, call)
-	fn, ok := obj.(*types.Func)
+	fn, ok := calleeObject(info, call).(*types.Func)
 	if !ok {
 		return false
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-		return true
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	switch recvTypeString(sig.Recv().Type()) {
-	case "strings.Builder", "bytes.Buffer":
-		return true
-	}
-	return false
-}
-
-// recvTypeString renders a receiver type as "pkg.Name" without pointers.
-func recvTypeString(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	pkg, typ := methodOf(fn)
+	return pkg == "fmt" || pkg+"."+typ == "strings.Builder" || pkg+"."+typ == "bytes.Buffer"
 }

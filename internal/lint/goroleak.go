@@ -148,21 +148,9 @@ func hasWGCall(info *types.Info, block *ast.BlockStmt, method string) bool {
 		if !ok {
 			return true
 		}
-		fn, ok := calleeObject(info, call).(*types.Func)
-		if !ok || fn.Name() != method {
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return true
-		}
-		recv := sig.Recv().Type()
-		if p, ok := recv.Underlying().(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil &&
-			n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "WaitGroup" {
-			found = true
+		if fn, ok := calleeObject(info, call).(*types.Func); ok && fn.Name() == method {
+			pkg, typ := methodOf(fn)
+			found = pkg == "sync" && typ == "WaitGroup"
 		}
 		return !found
 	})
