@@ -103,32 +103,18 @@ func guardAnnotation(field *ast.Field) string {
 	return ""
 }
 
-// locksMutex reports whether body contains a call of the form
-// <base>.<mutex>.Lock() or <base>.<mutex>.RLock(), comparing the base
-// expression syntactically (receiver chains like s.comm match s.comm).
+// locksMutex reports whether body acquires the mutex <base>.<mutex>
+// (Lock or RLock), comparing the base expression syntactically (receiver
+// chains like s.comm match s.comm).
 func locksMutex(info *types.Info, body *ast.BlockStmt, base, mutex string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		mu, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok || mu.Sel.Name != mutex {
-			return true
-		}
-		if types.ExprString(mu.X) == base {
-			found = true
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			op, recv := classifyLockCall(info, call)
+			mu, ok := recv.(*ast.SelectorExpr)
+			found = op == lockAcquire && ok && mu.Sel.Name == mutex && lockBaseExpr(mu) == base
 		}
 		return !found
 	})
-	_ = info
 	return found
 }
