@@ -38,11 +38,16 @@ lint:
 	$(GO) run ./cmd/gtv-lint -timing ./...
 
 # Machine-readable findings for tooling; exit status 1 (findings exist)
-# still writes the report, only a lint crash (exit 2) fails the target.
+# still writes the report, anything else (exit 2: a load error or a lint
+# crash) fails the target and leaves LINT_findings.json as it was. The
+# binary is built first because `go run` reports every non-zero exit as 1;
+# the report goes to a .tmp file renamed only on success.
 # No -timing: the report is committed and drift-checked by ci.sh, so it
 # must be byte-deterministic (wall times are not).
 lint-json:
-	$(GO) run ./cmd/gtv-lint -json ./... > LINT_findings.json || [ $$? -eq 1 ]
+	$(GO) build -o .lint_build/gtv-lint ./cmd/gtv-lint
+	.lint_build/gtv-lint -json ./... > LINT_findings.json.tmp; [ $$? -le 1 ]
+	mv LINT_findings.json.tmp LINT_findings.json
 
 # bench/_gtvbench is outside ./... (the underscore hides it from the go
 # tool's package patterns and from gtv-lint's walk), so it is vetted and

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/lint"
@@ -61,6 +62,9 @@ func run(args []string, stdout *os.File) (int, error) {
 			a := lint.AnalyzerByName(strings.TrimSpace(name))
 			if a == nil {
 				return 2, fmt.Errorf("unknown rule %q (try -list)", name)
+			}
+			if slices.Contains(analyzers, a) {
+				return 2, fmt.Errorf("rule %q named twice in -only", a.Name)
 			}
 			analyzers = append(analyzers, a)
 		}

@@ -149,3 +149,19 @@ func TestRuleSubsetRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyRejectsRepeatedRule: a rule named twice in -only is a usage
+// error, like an unknown one, not a run that reports its findings twice.
+func TestOnlyRejectsRepeatedRule(t *testing.T) {
+	root := pinTestModule(t)
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	for _, only := range []string{"floateq,floateq", "floateq,errdrop, floateq"} {
+		if code, err := run([]string{"-root", root, "-only", only}, out); code != 2 || err == nil {
+			t.Errorf("-only %s: exit %d, error %v; want exit 2 and a usage error", only, code, err)
+		}
+	}
+}
