@@ -117,8 +117,10 @@ ci:
 # backward passes, the zero-class scan and the masked form's pack and unpack,
 # and Log and Exp on each kernel path, and the Gumbel-softmax's SoftmaxRows
 # (tensor, autograd); one GMM fit, the streamed
-# encode, one gtvcol stripe write and 64-row gathers under three block-cache
-# budgets (gmm, encoding, coldata); gtvwire round trips per payload class with
+# encode and the two-party column split, the sampler's index built from a
+# table in memory and from its gtvcol file, one gtvcol stripe write and
+# 64-row gathers under three block-cache budgets (gmm, encoding, condvec,
+# coldata); gtvwire round trips per payload class with
 # framed bytes, the coordinator's shuffle step, the delayed-round fan-out
 # comparison and BackwardDisc after the faithful mode's full-table forward
 # pass, batch 500 in 5 000 and in 50 000 rows (vfl). cmd/benchjson stamps the
@@ -127,6 +129,6 @@ ci:
 # got that far.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -cpu 1 ./internal/tensor ./internal/autograd \
-		./internal/gmm ./internal/encoding ./internal/coldata ./internal/vfl \
+		./internal/gmm ./internal/encoding ./internal/condvec ./internal/coldata ./internal/vfl \
 		| $(GO) run ./cmd/benchjson > BENCH_layers.json.tmp
 	mv BENCH_layers.json.tmp BENCH_layers.json

@@ -50,6 +50,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, DefaultOptions()); err == nil {
 		t.Fatal("expected error for no tables")
 	}
+	d, err := datasets.Generate("loan", datasets.Config{Rows: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFromAssignment(d.Table, make([]int, d.Table.Cols()), -1, DefaultOptions()); err == nil {
+		t.Fatal("expected error for a negative client count")
+	}
 }
 
 func TestGTVEndToEndOnDataset(t *testing.T) {

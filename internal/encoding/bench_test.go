@@ -37,3 +37,26 @@ func BenchmarkTransformTo(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
+
+// BenchmarkVerticalSplit splits 500 k adult rows between two parties the way
+// core.NewFromAssignment does, contiguous runs of columns: the copy every
+// federation's set-up starts with.
+func BenchmarkVerticalSplit(b *testing.B) {
+	const rows = 500_000
+	d, err := datasets.Generate("adult", datasets.Config{Rows: rows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assignment := make([]int, d.Table.Cols())
+	for j := range assignment {
+		assignment[j] = 2 * j / len(assignment)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Table.VerticalSplit(assignment, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}

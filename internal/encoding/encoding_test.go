@@ -322,6 +322,9 @@ func TestVerticalSplitErrors(t *testing.T) {
 	if _, err := tbl.VerticalSplit([]int{0, 5, 1}, 2); err == nil {
 		t.Fatal("expected invalid-party error")
 	}
+	if _, err := tbl.VerticalSplit([]int{0, 0, 0}, -1); err == nil {
+		t.Fatal("expected negative-party-count error")
+	}
 }
 
 func TestShuffleRowsKeepsAlignmentAcrossParties(t *testing.T) {

@@ -228,19 +228,27 @@ func (t *Table) ColumnByName(name string) int {
 	return -1
 }
 
-// SelectColumns returns a new Table containing the given columns, in order.
+// SelectColumns returns a new Table containing the given columns, in order
+// (a column may repeat). The copy is one pass over the rows into a matrix of
+// exactly rows x len(cols): a party's table lives as long as its federation,
+// so it is not rounded up to a pooled slab class.
 func (t *Table) SelectColumns(cols []int) (*Table, error) {
 	d := t.mustDense("SelectColumns")
 	specs := make([]ColumnSpec, len(cols))
-	mats := make([]*tensor.Dense, len(cols))
 	for i, j := range cols {
 		if j < 0 || j >= t.Cols() {
 			return nil, fmt.Errorf("encoding: column index %d out of range %d", j, t.Cols())
 		}
 		specs[i] = t.Specs[j]
-		mats[i] = d.SliceCols(j, j+1)
 	}
-	return &Table{Specs: specs, Data: tensor.ConcatCols(mats...)}, nil
+	out := tensor.New(d.Rows(), len(cols))
+	for i := 0; i < d.Rows(); i++ {
+		src, dst := d.RawRow(i), out.RawRow(i)
+		for k, j := range cols {
+			dst[k] = src[j]
+		}
+	}
+	return &Table{Specs: specs, Data: out}, nil
 }
 
 // SliceRows returns a new Table with rows [from, to).
@@ -284,6 +292,9 @@ func ConcatColumns(tables ...*Table) (*Table, error) {
 func (t *Table) VerticalSplit(assignment []int, numParties int) ([]*Table, error) {
 	if len(assignment) != t.Cols() {
 		return nil, fmt.Errorf("encoding: assignment length %d for %d columns", len(assignment), t.Cols())
+	}
+	if numParties < 0 {
+		return nil, fmt.Errorf("encoding: negative party count %d", numParties)
 	}
 	colsPer := make([][]int, numParties)
 	for j, p := range assignment {

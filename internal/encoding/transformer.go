@@ -303,19 +303,30 @@ func CategoryFrequencies(t *Table, j int) ([]float64, error) {
 	if j < 0 || j >= len(t.Specs) || t.Specs[j].Kind != KindCategorical {
 		return nil, fmt.Errorf("encoding: column %d is not categorical", j)
 	}
-	freq := make([]float64, t.Specs[j].NumCategories())
+	counts := make([]int, t.Specs[j].NumCategories())
 	// Column (not Data.At) so stored tables count straight from their
 	// compact categorical blocks.
 	for _, v := range t.Column(j) {
-		freq[int(v)]++
+		counts[int(v)]++
 	}
-	n := float64(t.Rows())
-	if n > 0 {
-		for k := range freq {
-			freq[k] /= n
+	return Frequencies(counts, t.Rows()), nil
+}
+
+// Frequencies turns per-category row counts of a rows-row table into
+// frequencies, float64(count) / float64(rows) each (all zero for an empty
+// table). Both conversions are exact below 2^53, so callers that count by
+// other means get CategoryFrequencies' bits.
+//
+//privacy:sanitizer per-column category frequencies (aggregate)
+func Frequencies(counts []int, rows int) []float64 {
+	freq := make([]float64, len(counts))
+	for k, c := range counts {
+		freq[k] = float64(c)
+		if rows > 0 {
+			freq[k] /= float64(rows)
 		}
 	}
-	return freq, nil
+	return freq
 }
 
 func argmax(xs []float64) int {

@@ -104,6 +104,15 @@ func resized(dRows, dCols int) func(any) any {
 	}
 }
 
+// poisoned rewrites a matrix reply as a copy with one element set to v.
+func poisoned(v float64) func(any) any {
+	return func(r any) any {
+		m := r.(*tensor.Dense).Clone()
+		m.Set(m.Rows()/2, m.Cols()-1, v)
+		return m
+	}
+}
+
 // onInfo rewrites a copy of an Info reply.
 func onInfo(f func(i *ClientInfo)) func(any) any {
 	return func(v any) any {
@@ -126,9 +135,11 @@ func onBatch(f func(b *condvec.Batch)) func(any) any {
 // client that answers with an absent or mis-shaped matrix, batch or table
 // must cost the round an error naming the client and the method — not a
 // ConcatCols or matmul panic, and not a nil dereference inside a fan-out
-// goroutine, which no caller could recover. Every case is one Interceptor
-// rewriting one method's reply, in broadcast mode and with the faithful
-// full-table real pass. The Info cases fail NewServer itself: before the
+// goroutine, which no caller could recover. A matrix with one NaN or +Inf
+// is refused too: before the check, the round's losses came back NaN with
+// no error (the forwards) or the next round's did (BackwardGen). Every case
+// is one Interceptor rewriting one method's reply, in broadcast mode and
+// with the faithful full-table real pass. The Info cases fail NewServer itself: before the
 // check they were an nn shape panic (a negative CV width, or one whose sum
 // with client 0's wraps past math.MaxInt), a makeslice panic (1<<62), a
 // negative width accepted silently, and a row count that surfaced in round
@@ -142,6 +153,8 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 		{"rows+1", resized(1, 0)},
 		{"cols+3", resized(0, 3)},
 		{"nil", func(any) any { return (*tensor.Dense)(nil) }},
+		{"NaN", poisoned(math.NaN())},
+		{"+Inf", poisoned(math.Inf(1))},
 	}
 	type hostileCase struct {
 		method, bad string

@@ -2,6 +2,7 @@ package vfl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,9 +57,16 @@ func restrictFederation(t *testing.T, binary bool, topK float64, wrap func(i int
 
 // sameBits reports the first element whose bits differ: unlike Dense.Equal
 // it takes two NaNs with one payload for equal, which is what "the same
-// non-finite weights" means.
+// non-finite weights" means. Two absent matrices (the Adam moments of a
+// model never stepped) are the same.
 func sameBits(t *testing.T, what string, got, want *tensor.Dense) {
 	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: present in one run only", what)
+		}
+		return
+	}
 	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
 		t.Fatalf("%s: %dx%d against %dx%d", what, got.Rows(), got.Cols(), want.Rows(), want.Cols())
 	}
@@ -153,55 +161,72 @@ func TestRestrictedBackwardLeavesFederationUnchanged(t *testing.T) {
 	}
 }
 
-// TestRestrictedBackwardUnderHostileLogits puts a non-finite row into the
-// server's gradients through the Interceptor harness: client 1's ForwardReal
-// replies are rewritten (a copy: its own forward state stays finite) so that
-// every fifth row is NaN, or holds both infinities. The rows the server
-// selects among them come back to every client as non-finite gradient rows;
-// the first critic step back-propagates them through finite state, every
-// later one through the NaN weights that step left. Both must end where the
-// full backward ends, bit for bit, NaN payloads included.
-func TestRestrictedBackwardUnderHostileLogits(t *testing.T) {
-	poison := func(vals ...float64) func(any) any {
-		return func(v any) any {
-			m := v.(*tensor.Dense).Clone()
-			for i := 0; i < m.Rows(); i += 5 {
-				for j, row := 0, m.RawRow(i); j < len(row); j++ {
-					row[j] = vals[j%len(vals)]
-				}
-			}
-			return m
+// poisonedGradients is a client whose BackwardDisc receives, in place of
+// the server's real-branch gradient, a copy with every fifth row holding
+// vals: the gradients a server whose arithmetic has gone non-finite sends.
+type poisonedGradients struct {
+	Client
+	vals []float64
+	hit  *bool
+}
+
+func (p poisonedGradients) BackwardDisc(gradSynth, gradReal *tensor.Dense) error {
+	g := gradReal.Clone()
+	for i := 0; i < g.Rows(); i += 5 {
+		for j, row := 0, g.RawRow(i); j < len(row); j++ {
+			row[j] = p.vals[j%len(p.vals)]
 		}
 	}
-	for name, mutate := range map[string]func(any) any{
-		"nan-rows": poison(math.NaN()),
-		"inf-rows": poison(math.Inf(1), math.Inf(-1)),
+	*p.hit = true
+	return p.Client.BackwardDisc(gradSynth, g)
+}
+
+// TestRestrictedBackwardUnderHostileLogits runs a federation whose clients
+// get non-finite gradient rows: every fifth row NaN, or holding both
+// infinities. Those rows used to come from hostile logits, a client's
+// ForwardReal reply with such rows, passed through the server's arithmetic;
+// the server now refuses a non-finite reply (TestHostileRepliesAreErrors),
+// so the rows are written into each client's real-branch gradient on its way
+// in, over either transport. The first critic step back-propagates them
+// through finite state and leaves every D_i^b non-finite; the server then
+// refuses the next reply. Both runs must stop at that same error with the
+// state the full backward leaves, bit for bit, NaN payloads included.
+func TestRestrictedBackwardUnderHostileLogits(t *testing.T) {
+	for name, vals := range map[string][]float64{
+		"nan-rows": {math.NaN()},
+		"inf-rows": {math.Inf(1), math.Inf(-1)},
 	} {
 		for _, binary := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/binary=%v", name, binary), func(t *testing.T) {
-				train := func(full bool) (*Server, []*LocalClient) {
+				train := func(full bool) (*Server, []*LocalClient, error) {
 					if full {
 						FullRealBackward(t)
 					}
 					hit := false
-					srv, locals := restrictFederation(t, binary, 0, func(i int, c Client) Client {
-						if i != 1 {
-							return c
-						}
-						return hostile(c, "ForwardReal", mutate, &hit)
+					srv, locals := restrictFederation(t, binary, 0, func(_ int, c Client) Client {
+						return poisonedGradients{c, vals, &hit}
 					})
-					for round := 0; round < 2; round++ {
-						if _, _, err := srv.TrainRound(); err != nil {
-							t.Fatalf("TrainRound: %v", err)
-						}
+					// Sequential fan-out: the failing step must stop at the
+					// same client, with the same calls made, in both runs.
+					srv.cfg.Parallelism = 1
+					var err error
+					for round := 0; round < 2 && err == nil; round++ {
+						_, _, err = srv.TrainRound()
 					}
 					if !hit {
-						t.Fatal("no ForwardReal reply was rewritten")
+						t.Fatal("no gradient was rewritten")
 					}
-					return srv, locals
+					return srv, locals, err
 				}
-				rs, rc := train(false)
-				fs, fc := train(true)
+				rs, rc, rerr := train(false)
+				if !restrictedSomeFullTablePass(rc, 24) {
+					t.Fatal("no client's full-table backward was restricted: the run does not test the restriction")
+				}
+				fs, fc, ferr := train(true)
+				var re *replyError
+				if !errors.As(rerr, &re) || re.problem != "non-finite element" || rerr.Error() != fmt.Sprint(ferr) {
+					t.Fatalf("want both runs refused at the same non-finite reply, got %v (restricted) and %v (full)", rerr, ferr)
+				}
 				assertFederationsSame(t, rs, fs, rc, fc)
 				if rc[0].disc.Params()[0].Data().AllFinite() {
 					t.Fatal("the poisoned rows never reached a client's weights: the run does not test non-finite gradients")
