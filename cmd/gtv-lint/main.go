@@ -1,9 +1,9 @@
 // Command gtv-lint runs the repo's domain-specific static analyzers (see
 // internal/lint and DESIGN.md "Static analysis" / "Privacy boundary")
-// over the module and exits non-zero on any finding. It is wired into
-// ci.sh via `make lint`, and `make lint-json` captures machine-readable
-// findings. Every run loads the module and runs the selected rules through
-// lint.Run, the same call the package's own tests make.
+// over the module and exits non-zero on any finding. ci.sh runs it through
+// `make lint-json`, which captures machine-readable findings; `make lint`
+// prints them as text. Every run loads the module and runs the selected
+// rules through lint.Run, the same call the package's own tests make.
 //
 // Usage:
 //
