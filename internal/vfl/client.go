@@ -3,7 +3,6 @@ package vfl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	ag "repro/internal/autograd"
 	"repro/internal/condvec"
@@ -646,7 +645,11 @@ func (c *LocalClient) EndRound(round int) error {
 	case round != c.order.shuffles:
 		return fmt.Errorf("vfl: EndRound for round %d on a client that has completed %d", round, c.order.shuffles)
 	}
-	c.order = c.coord.orderAfter(c.order, c.table.Rows(), round+1)
+	order, err := c.coord.orderAfter(c.order, c.table.Rows(), round+1)
+	if err != nil {
+		return err
+	}
+	c.order = order
 	c.dropFullReal()
 	return nil
 }
@@ -693,7 +696,10 @@ func (c *LocalClient) Publish() (*encoding.Table, error) {
 	}
 	// Shuffle before publication with the shared seed so the server cannot
 	// align published rows with the generator inputs it observed (§3.1.7).
-	perm := rand.New(rand.NewSource(seed)).Perm(decoded.Rows())
+	perm, err := publicationOrder(seed, decoded.Rows())
+	if err != nil {
+		return nil, err
+	}
 	// The secret only orders the published rows (an order-only flow): the
 	// rows themselves are synthetic, and publishing a permutation of them
 	// reveals neither the secret nor any real row (§3.1.7).
@@ -710,9 +716,5 @@ func (c *LocalClient) Table() *encoding.Table {
 	if c.order.view == nil {
 		return c.table
 	}
-	idx := make([]int, len(c.order.view))
-	for k, p := range c.order.view {
-		idx[k] = int(p)
-	}
-	return c.table.GatherRows(idx)
+	return c.table.GatherRows(ints(c.order.view))
 }

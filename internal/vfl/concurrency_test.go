@@ -2,7 +2,9 @@ package vfl
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,5 +275,31 @@ func TestFanClientsEmptyAndOversizedLimit(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("calls = %d", calls)
+	}
+}
+
+// TestFanOutPanicIsAnError: a panic in server code inside a fan-out
+// closure, outside any client call, must come back as an error naming the
+// client index on the sequential path and inside the worker goroutines,
+// where an unrecovered panic ends the process.
+func TestFanOutPanicIsAnError(t *testing.T) {
+	for _, parallelism := range []int{1, 0} {
+		t.Run(fmt.Sprintf("parallelism %d", parallelism), func(t *testing.T) {
+			logged := captureLog(t)
+			err := fanClients(make([]Client, 3), parallelism, func(i int, _ Client) error {
+				if i == 1 {
+					var rows []int
+					_ = rows[i]
+				}
+				return nil
+			})
+			want := "vfl: server step for client 1 panicked: runtime error: index out of range [1] with length 0"
+			if err == nil || err.Error() != want {
+				t.Fatalf("want %q, got: %v", want, err)
+			}
+			if n := strings.Count(logged.String(), want); n != 1 || !strings.Contains(logged.String(), "TestFanOutPanicIsAnError") {
+				t.Fatalf("want %q logged once with the panicking closure's stack, logged %d times:\n%s", want, n, logged)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -16,6 +17,10 @@ import (
 // calls finish on their own — bounding their duration is the transport
 // policy's job, see CallPolicy), and the error for the lowest client index
 // that failed is returned.
+//
+// fn is server code: a panic in it outside any client call (guardCalls
+// takes those) becomes the error of its client index on either path,
+// rather than ending the process from a worker goroutine.
 func fanClients(clients []Client, parallelism int, fn func(i int, c Client) error) error {
 	n := len(clients)
 	if n == 0 {
@@ -27,7 +32,7 @@ func fanClients(clients []Client, parallelism int, fn func(i int, c Client) erro
 	}
 	if p == 1 {
 		for i, c := range clients {
-			if err := fn(i, c); err != nil {
+			if err := fanCall(fn, i, c); err != nil {
 				return err
 			}
 		}
@@ -55,7 +60,7 @@ func fanClients(clients []Client, parallelism int, fn func(i int, c Client) erro
 					return
 				default:
 				}
-				if err := fn(i, clients[i]); err != nil {
+				if err := fanCall(fn, i, clients[i]); err != nil {
 					errs[i] = err
 					once.Do(func() { close(quit) })
 				}
@@ -69,4 +74,13 @@ func fanClients(clients []Client, parallelism int, fn func(i int, c Client) erro
 		}
 	}
 	return nil
+}
+
+// fanCall runs fn(i, c) and turns a panic in it into an error naming the
+// client index.
+func fanCall(fn func(i int, c Client) error, i int, c Client) (err error) {
+	defer stopPanic(&err, func(v any) error {
+		return fmt.Errorf("vfl: server step for client %d panicked: %v", i, v)
+	})
+	return fn(i, c)
 }

@@ -3,6 +3,8 @@ package vfl
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 )
@@ -50,9 +52,9 @@ type ShuffleCoordinator struct {
 	mu sync.Mutex
 	// last memoizes the most recently computed order.
 	last rowOrder // guarded by mu
-	// rnd is reseeded for every shuffle, so a round allocates the two new
+	// src is reseeded for every shuffle, so a round allocates the two new
 	// index arrays and nothing else.
-	rnd *rand.Rand // guarded by mu
+	src rand.Source64 // guarded by mu
 }
 
 // NewShuffleCoordinator returns a coordinator for the given shared secret.
@@ -89,17 +91,20 @@ func (c *ShuffleCoordinator) derive(namespace byte, round int) int64 {
 // Restore passes the identity and replays from the start. Whatever the
 // starting point, the result depends on (secret, rows, shuffles) only, so
 // a memoized order is as good as a computed one.
-func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) rowOrder {
+func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) (rowOrder, error) {
 	if shuffles == 0 {
-		return rowOrder{}
+		return rowOrder{}, nil
+	}
+	if err := checkShuffleRows(rows); err != nil {
+		return rowOrder{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.last.shuffles == shuffles && len(c.last.view) == rows {
-		return c.last
+		return c.last, nil
 	}
-	if c.rnd == nil {
-		c.rnd = rand.New(rand.NewSource(0))
+	if c.src == nil {
+		c.src = rand.NewSource(0).(rand.Source64)
 	}
 	// Only the final view is handed out, so a replay of several rounds
 	// ping-pongs between two arrays and the spare one becomes pos.
@@ -109,8 +114,8 @@ func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) rowOr
 		if next == nil {
 			next = make([]int32, rows)
 		}
-		c.rnd.Seed(c.SeedForRound(round))
-		shuffleView(next, view, c.rnd)
+		c.src.Seed(c.SeedForRound(round))
+		shuffleView(next, view, c.src)
 		if round > from.shuffles {
 			// from.view belongs to its holders; only our own arrays recycle.
 			spare = view
@@ -125,23 +130,137 @@ func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) rowOr
 		pos[p] = int32(k)
 	}
 	c.last = rowOrder{shuffles: shuffles, view: view, pos: pos}
-	return c.last
+	return c.last, nil
+}
+
+// checkShuffleRows refuses a table the shuffle cannot order: its draws are
+// Int31n's, and its orders are int32 row indices.
+func checkShuffleRows(rows int) error {
+	if rows > math.MaxInt32 {
+		return fmt.Errorf("vfl: %d rows exceed the int32 row-index space of the shuffle", rows)
+	}
+	return nil
+}
+
+// publicationOrder is the order Publish ships rows synthetic rows in,
+// rand.New(rand.NewSource(seed)).Perm(rows), drawn by shuffleView.
+// privflow gives an index no taint, so an order built by index swaps does
+// not inherit the seed's; the order is a source in its own right.
+//
+//privacy:source publication order derived from the shared shuffle secret
+func publicationOrder(seed int64, rows int) ([]int, error) {
+	if err := checkShuffleRows(rows); err != nil {
+		return nil, err
+	}
+	perm := make([]int32, rows)
+	shuffleView(perm, nil, rand.NewSource(seed).(rand.Source64))
+	return ints(perm), nil
+}
+
+// ints widens row indices to the []int the table methods take.
+func ints(rows []int32) []int {
+	out := make([]int, len(rows))
+	for k, r := range rows {
+		out[k] = int(r)
+	}
+	return out
 }
 
 // shuffleView writes into next the view one shuffle after prev (nil = the
-// identity): next[k] = prev[perm[k]] for perm = r.Perm(len(next)), i.e. new
-// row k holds old row perm[k]. It is math/rand's inside-out Fisher–Yates
-// run directly over prev — the same r.Intn(i+1) draws, storing prev[i]
-// where Perm stores i — so no permutation is materialised and every order
-// is the one rand.Perm-based shuffling produced.
-func shuffleView(next, prev []int32, r *rand.Rand) {
-	for i := range next {
-		j := r.Intn(i + 1)
-		next[i] = next[j]
-		if prev != nil {
-			next[j] = prev[i]
-		} else {
-			next[j] = int32(i)
+// identity): next[k] = prev[perm[k]] for perm = rand.New(src).Perm(len(next)),
+// i.e. new row k holds old row perm[k], where src is freshly seeded. It is
+// math/rand's inside-out Fisher–Yates run directly over prev — the same
+// Intn(i+1) draws, storing prev[i] where Perm stores i — so no permutation
+// is materialised and every order is the one rand.Perm-based shuffling
+// produced. The draws come from a fibStream, not through rand.Rand, and
+// are taken a block ahead of the swaps, so that the swaps' random loads
+// overlap instead of waiting on the draw chain.
+func shuffleView(next, prev []int32, src rand.Source64) {
+	var s fibStream
+	s.seed(src)
+	var js [shuffleBlock]uint32
+	for lo := 0; lo < len(next); lo += shuffleBlock {
+		block := js[:min(shuffleBlock, len(next)-lo)]
+		s.fill(block, lo)
+		if prev == nil {
+			for k, j := range block {
+				next[lo+k] = next[j]
+				next[j] = int32(lo + k)
+			}
+			continue
+		}
+		for k, j := range block {
+			next[lo+k] = next[j]
+			next[j] = prev[lo+k]
 		}
 	}
+}
+
+// shuffleBlock is how many draws shuffleView takes ahead of its swaps.
+const shuffleBlock = 256
+
+// math/rand's rngSource is the additive lagged Fibonacci generator
+// x_m = x_{m−fibLen} + x_{m−fibTap} (mod 2⁶⁴), and Go 1 compatibility
+// freezes the stream it produces.
+const (
+	fibLen = 607
+	fibTap = 273
+)
+
+// fibStream continues a seeded rngSource's Uint64 stream in-package: it
+// reads the source's first fibLen values and computes every later one by
+// the recurrence, fibLen at a time, with no call per value. vec[k] holds
+// the latest x_m with m ≡ k (mod fibLen); vec[next] is the next to draw.
+type fibStream struct {
+	vec  [fibLen]uint64
+	next int
+}
+
+// seed starts the stream at src's next value; src must be an rngSource,
+// the Source64 rand.NewSource returns.
+func (s *fibStream) seed(src rand.Source64) {
+	for k := range s.vec {
+		s.vec[k] = src.Uint64()
+	}
+	s.next = 0
+}
+
+// advance replaces vec with the stream's next fibLen values. x_{m−fibTap}
+// is last cycle's vec[k+fibLen−fibTap] for k < fibTap and this cycle's
+// vec[k−fibTap] from there on.
+func (s *fibStream) advance() {
+	v := &s.vec
+	for k := 0; k < fibTap; k++ {
+		v[k] += v[k+fibLen-fibTap]
+	}
+	for k := fibTap; k < fibLen; k++ {
+		v[k] += v[k-fibTap]
+	}
+	s.next = 0
+}
+
+// fill sets js[k] to what rand.Rand.Int31n(lo+k+1) returns at the same
+// stream position, for every k, consuming the same values; lo+len(js) must
+// not exceed 2³¹−1. Int31n draws v = Int63()>>32, the value's bits 62..32,
+// until v < n·⌊2³¹/n⌋, and answers v%n. That bound holds exactly when
+// v − v%n ≤ 2³¹ − n, so one unsigned division both decides and answers.
+// For a power of two nothing is rejected and v%n is Int31n's mask.
+func (s *fibStream) fill(js []uint32, lo int) {
+	v, next := &s.vec, s.next
+	for k := range js {
+		n := uint32(lo + k + 1)
+		for {
+			if next == fibLen {
+				s.advance()
+				next = 0
+			}
+			x := uint32(v[next]>>32) & math.MaxInt32
+			next++
+			if q := x % n; x-q <= 1<<31-n {
+				js[k] = q
+				break
+			}
+		}
+	}
+	s.next = next
 }

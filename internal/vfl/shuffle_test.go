@@ -344,10 +344,11 @@ func TestConcurrentEndRoundSharesOneOrder(t *testing.T) {
 
 // BenchmarkShuffleCoordinatorStep times the whole per-round cost of
 // training-with-shuffling for a federation's in-process clients at the
-// rows-cold size: one fused Fisher–Yates over the previous view plus the
-// inverse pass. It allocates the new view and pos — two int32 arrays of rows
-// — and, besides the 17-byte hash input of the seed derivation, nothing
-// else.
+// rows-cold size: the reseed, one fused Fisher–Yates over the previous view
+// with its draws computed in-package a block ahead of the swaps, and the
+// inverse pass. It allocates the new view and pos — two int32 arrays of
+// rows — and nothing else per round: the source is reused, and the
+// stream's values and the block of draws live on the stack.
 func BenchmarkShuffleCoordinatorStep(b *testing.B) {
 	const rows = 500_000
 	coord := NewShuffleCoordinator(42)
@@ -355,7 +356,10 @@ func BenchmarkShuffleCoordinatorStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		order = coord.orderAfter(order, rows, order.shuffles+1)
+		var err error
+		if order, err = coord.orderAfter(order, rows, order.shuffles+1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(order.view) != rows {
 		b.Fatalf("order over %d rows", len(order.view))

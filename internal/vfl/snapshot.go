@@ -191,7 +191,11 @@ func (c *LocalClient) Restore(state []byte) error {
 	if err := c.discOpt.Restore(c.disc.Params(), st.discOpt); err != nil {
 		return err
 	}
-	c.order = c.coord.orderAfter(rowOrder{}, c.table.Rows(), st.shuffles)
+	order, err := c.coord.orderAfter(rowOrder{}, c.table.Rows(), st.shuffles)
+	if err != nil {
+		return err
+	}
+	c.order = order
 	c.pubCount = st.pubCount
 	return nil
 }
