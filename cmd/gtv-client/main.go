@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/encoding"
 	"repro/internal/vfl"
 )
 
@@ -65,13 +64,11 @@ func run(args []string) error {
 	}
 	local := parts[*clientIdx]
 
-	coord := vfl.NewShuffleCoordinator(*secret)
-	st := encoding.Storage{
-		Dir:        *dataDir,
-		Name:       fmt.Sprintf("client-%d", *clientIdx),
-		CacheBytes: int64(*blockCache) << 20,
-	}
-	client, err := vfl.NewLocalClientStored(local, coord, *seed+int64(*clientIdx)*1000, st)
+	opts := core.DefaultOptions()
+	opts.Seed = *seed
+	opts.DataDir = *dataDir
+	opts.BlockCacheMB = *blockCache
+	client, err := core.NewClient(local, *clientIdx, vfl.NewShuffleCoordinator(*secret), opts)
 	if err != nil {
 		return err
 	}

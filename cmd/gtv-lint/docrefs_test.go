@@ -40,6 +40,9 @@ import (
 //   - Every `-flag` token names a flag some cmd/ binary or the benchmark
 //     program defines with fs.X("name", …) or fs.XVar(p, "name", …), or a
 //     go tool flag; `make t` names a Makefile target.
+//   - In a table whose second column is headed "Where", a row whose first
+//     cell starts with `-flag` lists in that column exactly the `gtv-x`
+//     commands under cmd/ that define the flag.
 //   - A metric of BENCHMARK.json or a stats key of LINT_findings.json
 //     resolves as itself; any other dotted name whose last part holds an
 //     underscore is taken for one and fails.
@@ -81,6 +84,7 @@ type refIndex struct {
 	tests    map[string]bool            // Test, Fuzz and Benchmark functions anywhere
 	files    []string                   // slash paths from the module root
 	flags    map[string]bool
+	flagCmds map[string]map[string]bool // flag → the cmd/ binaries defining it
 	targets  map[string]bool
 	items    map[string]bool // "12", "1(a)"
 	keys     map[string]bool // metric names and lint stats keys
@@ -122,7 +126,8 @@ func buildRefIndex(dir string) (*refIndex, error) {
 		pkgs: map[string][]*lint.Package{}, dirOf: map[*lint.Package]string{},
 		std: map[string]bool{}, named: map[string][]*types.TypeName{},
 		testDecl: map[string]map[string]bool{}, tests: map[string]bool{},
-		flags: map[string]bool{}, targets: map[string]bool{}, keys: map[string]bool{},
+		flags: map[string]bool{}, flagCmds: map[string]map[string]bool{},
+		targets: map[string]bool{}, keys: map[string]bool{},
 		root: loader.ModuleRoot,
 	}
 	byPath := map[string]*lint.Package{}
@@ -189,7 +194,11 @@ func buildRefIndex(dir string) (*refIndex, error) {
 			return err
 		}
 		if definesFlags {
-			ix.addFlags(f)
+			command := ""
+			if strings.HasPrefix(rel, "cmd/") {
+				command = strings.Split(rel, "/")[1]
+			}
+			ix.addFlags(f, command)
 		} else {
 			addImports(f)
 			ix.addTestDecls(filepath.ToSlash(filepath.Dir(rel)), f)
@@ -236,8 +245,8 @@ func buildRefIndex(dir string) (*refIndex, error) {
 }
 
 // addFlags records the name of every fs.X("name", …) and fs.XVar(p,
-// "name", …) call in f.
-func (ix *refIndex) addFlags(f *ast.File) {
+// "name", …) call in f, and that command (if not "") defines it.
+func (ix *refIndex) addFlags(f *ast.File, command string) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -254,6 +263,12 @@ func (ix *refIndex) addFlags(f *ast.File) {
 			if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				name, _ := strconv.Unquote(lit.Value)
 				ix.flags[name] = true
+				if command != "" {
+					if ix.flagCmds[name] == nil {
+						ix.flagCmds[name] = map[string]bool{}
+					}
+					ix.flagCmds[name][command] = true
+				}
 				break
 			}
 		}
@@ -329,6 +344,8 @@ var (
 	fileExtRE   = regexp.MustCompile(`^[\w./-]+\.(go|s|json|md|sh|bin|mod)$`)
 	writtenRE   = regexp.MustCompile(`\.(?:gtvcol|gtvsnap)$`)
 	commandRE   = regexp.MustCompile(`^gtv-[a-z]+$`)
+	rowFlagRE   = regexp.MustCompile("^`-([a-z][a-z0-9_-]*)")
+	rowCmdRE    = regexp.MustCompile("`(gtv-[a-z]+)`")
 )
 
 // checkDoc returns every finding in one doc. proposals is ROADMAP.md's
@@ -357,6 +374,7 @@ func checkDoc(ix *refIndex, doc, text string, proposals bool) []docFinding {
 			}
 			add(m[0], tok, "a measurement belongs in EXPERIMENTS.md or a BENCH_*.json")
 		}
+		out = append(out, whereColumns(ix, doc, text)...)
 	}
 	for _, m := range spanRE.FindAllStringSubmatchIndex(text, -1) {
 		span := strings.Join(strings.Fields(text[m[2]:m[3]]), " ")
@@ -366,6 +384,53 @@ func checkDoc(ix *refIndex, doc, text string, proposals bool) []docFinding {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].line < out[j].line })
 	return out
+}
+
+// whereColumns checks every flag row of a table whose second column is
+// headed "Where": the commands that column lists must be exactly the cmd/
+// binaries that define the flag.
+func whereColumns(ix *refIndex, doc, text string) []docFinding {
+	var out []docFinding
+	where := false
+	for n, line := range strings.Split(text, "\n") {
+		cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			where = false
+			continue
+		}
+		if strings.TrimSpace(cells[2]) == "Where" {
+			where = true
+		}
+		m := rowFlagRE.FindStringSubmatch(strings.TrimSpace(cells[1]))
+		if !where || m == nil {
+			continue
+		}
+		listed := map[string]bool{}
+		for _, c := range rowCmdRE.FindAllStringSubmatch(cells[2], -1) {
+			listed[c[1]] = true
+		}
+		defined := ix.flagCmds[m[1]]
+		for _, c := range sortedKeys(listed) {
+			if !defined[c] {
+				out = append(out, docFinding{doc, n + 1, "-" + m[1], c + " does not define this flag"})
+			}
+		}
+		for _, c := range sortedKeys(defined) {
+			if !listed[c] {
+				out = append(out, docFinding{doc, n + 1, "-" + m[1], "defined by " + c + ", which the Where column does not list"})
+			}
+		}
+	}
+	return out
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // citations returns a finding for every ROADMAP citation in text that
@@ -591,6 +656,8 @@ func TestDocReferencesFixture(t *testing.T) {
 			"doc.md:22: PR 7: history belongs in CHANGES.md",
 			"doc.md:23: 12 ms: a measurement belongs in EXPERIMENTS.md or a BENCH_*.json",
 			"doc.md:24: 3×: a measurement belongs in EXPERIMENTS.md or a BENCH_*.json",
+			"doc.md:33: -wire-f32: gtv-client does not define this flag",
+			"doc.md:34: -data-dir: defined by gtv-client, which the Where column does not list",
 		}},
 		{true, []string{
 			"doc.md:12: nosuch.go: no such file",

@@ -14,8 +14,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/encoding"
-	"repro/internal/snap"
 	"repro/internal/vfl"
 )
 
@@ -62,90 +62,60 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	opts := core.DefaultOptions()
+	opts.Plan = plan
+	opts.Rounds = *rounds
+	opts.DiscSteps = *discSteps
+	opts.BatchSize = *batch
+	opts.BlockDim = *block
+	opts.NoiseDim = *noise
+	opts.LR = *lr
+	opts.Pac = *pac
+	opts.DPLogitNoise = *dpNoise
+	opts.Seed = *seed
+	opts.Parallelism = *parallel
+	opts.CallPolicy = vfl.CallPolicy{Timeout: *callTO, MaxAttempts: 1 + *callTries, Backoff: *callWait}
+	opts.WireFloat32 = *wireF32
+	opts.WireTopK = *wireTopK
+	opts.WireDelta = *wireDelta
+	opts.FaithfulRealPass = *faithful
+	opts.CheckpointDir = *ckptDir
+	opts.CheckpointEvery = *ckptEvery
+	opts.Resume = *resume
 
-	policy := vfl.CallPolicy{
-		Timeout:     *callTO,
-		MaxAttempts: 1 + *callTries,
-		Backoff:     *callWait,
-	}
 	addrs := strings.Split(*clientsArg, ",")
-	clients := make([]vfl.Client, len(addrs))
-	for i, addr := range addrs {
-		addr = strings.TrimSpace(addr)
-		proxy, err := vfl.DialWireClientPolicy("tcp", addr, policy)
-		if err != nil {
-			return err
-		}
-		proxy.SetFloat32(*wireF32)
-		proxy.SetDelta(*wireDelta)
-		//lint:ignore errdrop teardown of a finished training connection, nothing left to lose
-		defer func() { _ = proxy.Close() }()
-		clients[i] = proxy
-		fmt.Printf("connected to client %d at %s\n", i, addr)
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-
-	cfg := vfl.Config{
-		Plan:             plan,
-		Rounds:           *rounds,
-		DiscSteps:        *discSteps,
-		BatchSize:        *batch,
-		NoiseDim:         *noise,
-		BlockDim:         *block,
-		LR:               *lr,
-		Pac:              *pac,
-		DPLogitNoise:     *dpNoise,
-		Seed:             *seed,
-		FaithfulRealPass: *faithful,
-		Parallelism:      *parallel,
-		GradTopK:         *wireTopK,
-	}
-	server, err := vfl.NewServer(clients, cfg)
+	g, err := core.Dial(addrs, opts)
 	if err != nil {
 		return err
 	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-		if *resume {
-			r, ok, err := server.RestoreLatestCheckpoint(*ckptDir)
-			if err != nil {
-				return err
-			}
-			if ok {
-				fmt.Printf("resumed from checkpoint at round %d\n", r)
-			}
-		}
+	//lint:ignore errdrop teardown of finished training connections, nothing left to lose
+	defer func() { _ = g.Close() }()
+	fmt.Printf("connected to clients %s\n", strings.Join(addrs, ", "))
+	if g.Rounds() > 0 {
+		fmt.Printf("resumed from checkpoint at round %d\n", g.Rounds())
 	}
-	fmt.Printf("training %s for %d rounds, P_r=%v\n", plan.Name(), *rounds, server.Ratios())
-	err = snap.TrainWithCheckpoints(*ckptDir, *ckptEvery, server.Train, func(round int, dLoss, gLoss float64) {
+	fmt.Printf("training %s for %d rounds, P_r=%v\n", plan.Name(), *rounds, g.Ratios())
+	err = g.Train(func(round int, dLoss, gLoss float64) {
 		if *every > 0 && (round+1)%*every == 0 {
 			fmt.Printf("round %4d  critic %.4f  generator %.4f\n", round+1, dLoss, gLoss)
 		}
-	}, server.SaveCheckpoint, server.Rounds)
+	})
 	if err != nil {
 		return err
 	}
 
 	// Estimated payload bytes next to the measured framed bytes.
-	fmt.Printf("communication: %s\n", server.CommStats())
+	fmt.Printf("communication: %s\n", g.CommStats())
 
-	synth, err := server.Synthesize(*synthRows)
+	synth, err := g.Synthesize(*synthRows)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*synthOut)
-	if err != nil {
-		return fmt.Errorf("creating %s: %w", *synthOut, err)
-	}
-	if err := encoding.WriteCSV(f, synth); err != nil {
-		_ = f.Close() //lint:ignore errdrop the write error is the one worth reporting
+	if err := encoding.WriteCSVFile(*synthOut, synth); err != nil {
 		return err
-	}
-	// A failed Close on a written file can mean the synthetic data never
-	// reached disk, so it is propagated rather than deferred away.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", *synthOut, err)
 	}
 	fmt.Printf("wrote %d synthetic rows (%d columns) to %s\n", synth.Rows(), synth.Cols(), *synthOut)
 	return nil

@@ -22,7 +22,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/ml"
-	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/vfl"
 )
@@ -182,47 +181,22 @@ func run(args []string, stdout io.Writer) error {
 	// keeps -skip-eval runs' peak memory bounded by training, not by an
 	// n-row synthesis no one looks at.
 	wantSynth := !*skipEval || *synthOut != ""
-	var synth *encoding.Table
 	// Construction (split, GMM fit, encode, gtvcol write or open, sampler) is
 	// billed as set-up; the training clock starts once it is done.
 	setupStart := time.Now()
-	var trainStart time.Time
-	setupDone := func() {
-		fmt.Fprintf(stdout, "setup: %s\n", time.Since(setupStart))
-		trainStart = time.Now()
-	}
+	var (
+		m      model
+		kind   = "centralized"
+		banner string // printed after the set-up line
+		// inverse puts federated synthesis back in the table's column order.
+		inverse []int
+	)
 	if *centralized {
 		c, err := core.NewCentralized(train, opts)
 		if err != nil {
 			return err
 		}
-		setupDone()
-		//lint:ignore errdrop teardown of the data plane at exit
-		defer func() { _ = c.Close() }()
-		if *ckptDir != "" {
-			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-				return fmt.Errorf("checkpoint dir: %w", err)
-			}
-			if *resume {
-				r, ok, err := c.RestoreLatestCheckpoint(*ckptDir)
-				if err != nil {
-					return err
-				}
-				if ok {
-					fmt.Fprintf(stdout, "resumed centralized training at round %d\n", r)
-				}
-			}
-		}
-		err = snap.TrainWithCheckpoints(*ckptDir, *ckptEvery, c.Train, progress, c.SaveCheckpoint, c.Round)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "training: %d rounds in %s\n", *rounds, time.Since(trainStart))
-		if wantSynth {
-			if synth, err = c.Synthesize(train.Rows()); err != nil {
-				return err
-			}
-		}
+		m = c
 	} else {
 		plan, err := vfl.ParsePlan(*planArg)
 		if err != nil {
@@ -237,38 +211,36 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		setupDone()
-		//lint:ignore errdrop teardown of finished loopback transports, nothing left to lose
-		defer func() { _ = g.Close() }()
-		fmt.Fprintf(stdout, "GTV %s with %d clients over %q transport, P_r=%v\n", plan.Name(), *clients, *wire, g.Ratios())
-		if *resume && g.Rounds() > 0 {
-			fmt.Fprintf(stdout, "resumed federated training at round %d\n", g.Rounds())
+		m, kind = g, "federated"
+		banner = fmt.Sprintf("GTV %s with %d clients over %q transport, P_r=%v\n", plan.Name(), *clients, *wire, g.Ratios())
+		inverse = make([]int, len(assignment))
+		for pos, col := range core.ColumnOrder(assignment, *clients) {
+			inverse[col] = pos
 		}
-		if err := g.Train(progress); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "training: %d rounds in %s\n", *rounds, time.Since(trainStart))
+	}
+	//lint:ignore errdrop teardown of the data plane and finished loopback transports at exit
+	defer func() { _ = m.Close() }()
+	fmt.Fprintf(stdout, "setup: %s\n%s", time.Since(setupStart), banner)
+	if m.Rounds() > 0 {
+		fmt.Fprintf(stdout, "resumed %s training at round %d\n", kind, m.Rounds())
+	}
+	trainStart := time.Now()
+	if err := m.Train(progress); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "training: %d rounds in %s\n", *rounds, time.Since(trainStart))
+	if g, ok := m.(*core.GTV); ok {
 		// Estimate (8 B/element payload model) and, on a network transport,
 		// the measured framed bytes side by side.
 		fmt.Fprintf(stdout, "communication: %s\n", g.CommStats())
-		if wantSynth {
-			if synth, err = g.Synthesize(train.Rows()); err != nil {
-				return err
-			}
-			// The synthetic column order follows the assignment; restore the
-			// original order for evaluation and output.
-			order := make([]int, 0, train.Cols())
-			for p := 0; p < *clients; p++ {
-				for j, owner := range assignment {
-					if owner == p {
-						order = append(order, j)
-					}
-				}
-			}
-			inverse := make([]int, len(order))
-			for pos, col := range order {
-				inverse[col] = pos
-			}
+	}
+	var synth *encoding.Table
+	if wantSynth {
+		var err error
+		if synth, err = m.Synthesize(train.Rows()); err != nil {
+			return err
+		}
+		if inverse != nil {
 			if synth, err = synth.SelectColumns(inverse); err != nil {
 				return err
 			}
@@ -290,20 +262,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *synthOut != "" {
-		f, err := os.Create(*synthOut)
-		if err != nil {
-			return fmt.Errorf("creating %s: %w", *synthOut, err)
-		}
-		if err := encoding.WriteCSV(f, synth); err != nil {
-			_ = f.Close() //lint:ignore errdrop the write error is the one worth reporting
+		if err := encoding.WriteCSVFile(*synthOut, synth); err != nil {
 			return err
-		}
-		// A failed Close on a written file can mean the synthetic data never
-		// reached disk, so it is propagated rather than deferred away.
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing %s: %w", *synthOut, err)
 		}
 		fmt.Fprintf(stdout, "synthetic data written to %s\n", *synthOut)
 	}
 	return nil
+}
+
+// model is what run drives once set-up is done: *core.GTV or
+// *core.Centralized.
+type model interface {
+	Train(progress func(round int, dLoss, gLoss float64)) error
+	Rounds() int
+	Synthesize(n int) (*encoding.Table, error)
+	Close() error
 }

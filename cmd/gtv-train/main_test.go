@@ -101,3 +101,14 @@ func TestCentralizedResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("resumed run's CSV (%d bytes) differs from the uninterrupted run's (%d bytes)", len(got), len(want))
 	}
 }
+
+// TestRunResumeNeedsCheckpointDir: -resume without -checkpoint-dir is an
+// error, not a run from scratch.
+func TestRunResumeNeedsCheckpointDir(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-centralized", "-dataset", "loan", "-rows", "100", "-rounds", "1", "-batch", "16",
+		"-block", "8", "-noise", "4", "-log-every", "0", "-skip-eval", "-resume"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+		t.Fatalf("run -resume without -checkpoint-dir: %v", err)
+	}
+}

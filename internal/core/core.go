@@ -15,8 +15,8 @@
 //	_ = g.Train(nil)
 //	synthetic, _ := g.Synthesize(table.Rows())
 //
-// The centralized CTGAN baseline from the paper's evaluation is available
-// as core.NewCentralized.
+// core.Dial builds it over clients in other processes; the paper's
+// centralized CTGAN baseline is core.NewCentralized.
 package core
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/gan"
-	"repro/internal/snap"
 	"repro/internal/vfl"
 )
 
@@ -67,10 +66,10 @@ type Options struct {
 	// vfl.Config.Parallelism). Training results are bit-identical across
 	// settings.
 	Parallelism int
-	// Transport selects how the server reaches the clients: "local" (or
+	// Transport selects how New's server reaches the clients: "local" (or
 	// empty) drives them in-process; "binary" serves each client on a TCP
 	// loopback listener over the gtvwire frame protocol (see DESIGN.md
-	// "Wire protocol") and drives it through a vfl.WireClient —
+	// "Wire protocol") and dials it as Dial dials a remote one —
 	// byte-for-byte the traffic a multi-machine deployment exchanges.
 	// Training results are bit-identical across transports (float32 mode
 	// aside). Call Close to tear the loopback listeners down.
@@ -97,15 +96,15 @@ type Options struct {
 	// value imposes nothing.
 	CallPolicy vfl.CallPolicy
 	// CheckpointDir, when set, makes Train write an atomic gtvsnap
-	// checkpoint of the whole federation (server state plus every client's
-	// bottom-model blob) into this directory every CheckpointEvery rounds
-	// and after the final round. See DESIGN.md "Checkpoint format".
+	// checkpoint of the trainer (for a federation, server state plus every
+	// client's bottom-model blob) into this directory every CheckpointEvery
+	// rounds and after the final round. See DESIGN.md "Checkpoint format".
 	CheckpointDir string
 	// CheckpointEvery is the round interval between checkpoints; 0 means
 	// every round.
 	CheckpointEvery int
-	// Resume makes New restore the newest checkpoint in CheckpointDir (if
-	// any) before training, continuing the original run byte-identically.
+	// Resume makes New, Dial and NewCentralized restore the newest checkpoint
+	// in CheckpointDir (if any), continuing the original run byte-identically.
 	Resume bool
 	// DataDir, when set, moves each party's encoded training matrix into
 	// a gtvcol columnar file under this directory (<party>.enc.gtvcol);
@@ -188,111 +187,188 @@ func (o Options) vflConfig() vfl.Config {
 // GTV is a configured vertical-federated tabular GAN.
 type GTV struct {
 	server  *vfl.Server
-	clients []*vfl.LocalClient
+	ckpt    checkpoints
+	clients []*vfl.LocalClient // New's; Dial's run elsewhere
 
-	ckptDir   string
-	ckptEvery int
-
-	// Loopback plumbing for the binary transport; empty for "local".
+	// Loopback listeners for New's binary transport; gtvwire proxies.
 	listeners []net.Listener
 	proxies   []io.Closer
 }
 
 // New builds a GTV system from pre-partitioned client tables (all with the
 // same number of aligned rows). With the binary Transport in the options,
-// each client is served on its own TCP loopback listener and the server
-// drives the resulting proxies; call Close when done.
+// each client is served on its own TCP loopback listener and reached the
+// way Dial reaches a remote one; call Close when done.
 func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
 	if len(clientTables) == 0 {
 		return nil, errors.New("core: no client tables")
 	}
-	coord := vfl.NewShuffleCoordinator(opts.ShuffleSecret)
-	clients := make([]*vfl.LocalClient, len(clientTables))
-	ifaces := make([]vfl.Client, len(clientTables))
-	for i, t := range clientTables {
-		c, err := vfl.NewLocalClientStored(t, coord, opts.Seed+int64(i)*1000,
-			opts.storage(fmt.Sprintf("client-%d", i)))
-		if err != nil {
-			return nil, fmt.Errorf("core: client %d: %w", i, err)
+	switch opts.Transport {
+	case "", "local":
+		if opts.WireFloat32 {
+			return nil, errors.New("core: WireFloat32 requires the binary transport")
 		}
+		if opts.WireDelta {
+			return nil, errors.New("core: WireDelta requires the binary transport")
+		}
+	case "binary":
+	default:
+		return nil, fmt.Errorf("core: unknown transport %q (want local or binary)", opts.Transport)
+	}
+	g := &GTV{}
+	coord := vfl.NewShuffleCoordinator(opts.ShuffleSecret)
+	clients := make([]vfl.Client, len(clientTables))
+	for i, t := range clientTables {
+		c, err := NewClient(t, i, coord, opts)
+		if err != nil {
+			return nil, g.fail(fmt.Errorf("core: client %d: %w", i, err))
+		}
+		g.clients = append(g.clients, c)
 		clients[i] = c
-		ifaces[i] = c
 	}
-	g := &GTV{clients: clients}
-	if err := g.connectTransport(ifaces, opts); err != nil {
-		return nil, err
+	if opts.Transport != "binary" {
+		return g.start(clients, opts)
 	}
-	server, err := vfl.NewServer(ifaces, opts.vflConfig())
+	addrs := make([]string, len(g.clients))
+	for i, c := range g.clients {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, g.fail(fmt.Errorf("core: client %d listener: %w", i, err))
+		}
+		g.listeners = append(g.listeners, lis)
+		//lint:ignore goroleak serve-loop daemon: it exits when Close shuts the listener, which also closes every served connection
+		go func() {
+			//lint:ignore errdrop the serve loop ends when Close shuts the listener
+			_ = vfl.ServeClientWire(lis, c)
+		}()
+		addrs[i] = lis.Addr().String()
+	}
+	return g.dial(addrs, opts)
+}
+
+// NewClient builds client i of a federation over its columns; all clients
+// share coord's shuffle secret. It is the one place that derives a
+// client's seed and gtvcol file name from the options.
+func NewClient(table *encoding.Table, i int, coord *vfl.ShuffleCoordinator, opts Options) (*vfl.LocalClient, error) {
+	return vfl.NewLocalClientStored(table, coord, opts.Seed+int64(i)*1000,
+		opts.storage(fmt.Sprintf("client-%d", i)))
+}
+
+// Dial builds a GTV system over clients served elsewhere (as gtv-client
+// does), one address per client in order, under the options' CallPolicy,
+// WireFloat32 and WireDelta; the rest is New's. Transport is ignored, and
+// ClientTables and SynthesizeCondition see no clients.
+func Dial(addrs []string, opts Options) (*GTV, error) {
+	return (&GTV{}).dial(addrs, opts)
+}
+
+// dial connects a gtvwire proxy to each address and starts over them.
+func (g *GTV) dial(addrs []string, opts Options) (*GTV, error) {
+	clients := make([]vfl.Client, len(addrs))
+	for i, addr := range addrs {
+		wc, err := vfl.DialWireClientPolicy("tcp", addr, opts.CallPolicy)
+		if err != nil {
+			return nil, g.fail(fmt.Errorf("core: dialing client %d: %w", i, err))
+		}
+		wc.SetFloat32(opts.WireFloat32)
+		wc.SetDelta(opts.WireDelta)
+		g.proxies = append(g.proxies, wc)
+		clients[i] = wc
+	}
+	return g.start(clients, opts)
+}
+
+// start is the assembly step New and Dial share: the server over clients,
+// then the checkpoint options.
+func (g *GTV) start(clients []vfl.Client, opts Options) (*GTV, error) {
+	server, err := vfl.NewServer(clients, opts.vflConfig())
 	if err != nil {
-		_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-		return nil, fmt.Errorf("core: server setup: %w", err)
+		return nil, g.fail(fmt.Errorf("core: server setup: %w", err))
 	}
 	g.server = server
-	g.ckptDir = opts.CheckpointDir
-	g.ckptEvery = opts.CheckpointEvery
-	if opts.CheckpointDir != "" {
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-			return nil, fmt.Errorf("core: checkpoint dir: %w", err)
-		}
-		if opts.Resume {
-			// A successful restore sets the server's round counter, which
-			// makes Train continue from the checkpoint instead of round
-			// zero; an empty directory trains from scratch.
-			if _, _, err := server.RestoreLatestCheckpoint(opts.CheckpointDir); err != nil {
-				_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-				return nil, fmt.Errorf("core: resume: %w", err)
-			}
-		}
+	if g.ckpt, err = openCheckpoints(server, opts); err != nil {
+		return nil, g.fail(err)
 	}
 	return g, nil
 }
 
-// connectTransport replaces each in-process client in ifaces with a
-// gtvwire proxy when opts.Transport asks for the binary transport, serving
-// the real client on a TCP loopback listener. For the local transport it
-// is a no-op.
-func (g *GTV) connectTransport(ifaces []vfl.Client, opts Options) error {
-	switch opts.Transport {
-	case "", "local":
-		if opts.WireFloat32 {
-			return errors.New("core: WireFloat32 requires the binary transport")
+// fail closes everything g has built so far and returns err.
+func (g *GTV) fail(err error) error {
+	_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
+	return err
+}
+
+// trainer is what the checkpoint options drive: *vfl.Server and
+// *gan.Centralized.
+type trainer interface {
+	Train(progress func(round int, dLoss, gLoss float64)) error
+	Rounds() int
+	SaveCheckpoint(dir string) (string, error)
+	RestoreLatestCheckpoint(dir string) (rounds int, ok bool, err error)
+}
+
+// checkpoints runs one trainer under the options' checkpoint settings.
+type checkpoints struct {
+	t     trainer
+	dir   string
+	every int
+}
+
+// openCheckpoints, the step New, Dial and NewCentralized share, creates
+// CheckpointDir and, with Resume, restores its newest checkpoint into t.
+func openCheckpoints(t trainer, opts Options) (checkpoints, error) {
+	c := checkpoints{t: t, dir: opts.CheckpointDir, every: opts.CheckpointEvery}
+	if c.dir == "" {
+		if opts.Resume {
+			return c, errors.New("core: Resume is set but CheckpointDir is empty: there is no checkpoint to resume from")
 		}
-		if opts.WireDelta {
-			return errors.New("core: WireDelta requires the binary transport")
-		}
-		return nil
-	case "binary":
-	default:
-		return fmt.Errorf("core: unknown transport %q (want local or binary)", opts.Transport)
+		return c, nil
 	}
-	for i, c := range ifaces {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-			return fmt.Errorf("core: client %d listener: %w", i, err)
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return c, fmt.Errorf("core: checkpoint dir: %w", err)
+	}
+	if opts.Resume {
+		if _, _, err := t.RestoreLatestCheckpoint(c.dir); err != nil {
+			return c, fmt.Errorf("core: resume: %w", err)
 		}
-		g.listeners = append(g.listeners, lis)
-		serve := c
-		//lint:ignore goroleak serve-loop daemon: it exits when Close shuts the listener, which also closes every served connection
-		go func() {
-			//lint:ignore errdrop the serve loop ends when Close shuts the listener
-			_ = vfl.ServeClientWire(lis, serve)
-		}()
-		wc, err := vfl.DialWireClientPolicy("tcp", lis.Addr().String(), opts.CallPolicy)
-		if err != nil {
-			_ = g.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
-			return fmt.Errorf("core: dialing client %d: %w", i, err)
+	}
+	return c, nil
+}
+
+// train is the cadence every trainer shares: progress (which may be nil)
+// sees each round, then every `every` rounds (0 means every round) a
+// checkpoint goes into dir, and once more after an off-interval last
+// round. After a failed write no further one is attempted, and that first
+// failure is what train returns once the rounds are done.
+func (c checkpoints) train(progress func(round int, dLoss, gLoss float64)) error {
+	if c.dir == "" {
+		return c.t.Train(progress)
+	}
+	every := max(c.every, 1)
+	var saveErr error
+	err := c.t.Train(func(round int, dLoss, gLoss float64) {
+		if progress != nil {
+			progress(round, dLoss, gLoss)
 		}
-		wc.SetFloat32(opts.WireFloat32)
-		wc.SetDelta(opts.WireDelta)
-		ifaces[i] = wc
-		g.proxies = append(g.proxies, wc)
+		if saveErr == nil && (round+1)%every == 0 {
+			_, saveErr = c.t.SaveCheckpoint(c.dir)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if saveErr != nil {
+		return fmt.Errorf("checkpointing: %w", saveErr)
+	}
+	if c.t.Rounds()%every != 0 {
+		if _, err := c.t.SaveCheckpoint(c.dir); err != nil {
+			return fmt.Errorf("final checkpoint: %w", err)
+		}
 	}
 	return nil
 }
 
-// Close tears down the loopback transport (proxies first, then the
+// Close tears down the transport (proxies first, then the loopback
 // listeners their serve loops accept on) and releases every client's
 // encoded-data backing (file handles and block caches when a DataDir is
 // configured). It is safe to call more than once.
@@ -330,6 +406,21 @@ func NewFromAssignment(table *encoding.Table, assignment []int, numClients int, 
 	return New(parts, opts)
 }
 
+// ColumnOrder returns the layout of the table a federation built by
+// NewFromAssignment synthesizes: the original column at each position,
+// party 0's columns first, each party's in table order.
+func ColumnOrder(assignment []int, numClients int) []int {
+	order := make([]int, 0, len(assignment))
+	for p := 0; p < numClients; p++ {
+		for j, owner := range assignment {
+			if owner == p {
+				order = append(order, j)
+			}
+		}
+	}
+	return order
+}
+
 // EvenAssignment distributes numCols columns across numClients parties in
 // contiguous runs, preserving column order (the paper's neural-network
 // partition experiment setup). Leftover columns go to the earliest parties.
@@ -354,14 +445,11 @@ func EvenAssignment(numCols, numClients int) ([]int, error) {
 	return out, nil
 }
 
-// Train runs the full training loop. The optional progress callback
-// receives (round, criticLoss, generatorLoss). With CheckpointDir set, a
-// checkpoint is written every CheckpointEvery rounds and after the final
-// round; a failed write ends checkpointing, not training, and is reported
-// once the rounds are done (snap.TrainWithCheckpoints).
+// Train runs the full training loop under the options' checkpoint
+// settings. The optional progress callback receives (round, criticLoss,
+// generatorLoss).
 func (g *GTV) Train(progress func(round int, dLoss, gLoss float64)) error {
-	return snap.TrainWithCheckpoints(g.ckptDir, g.ckptEvery, g.server.Train, progress,
-		g.server.SaveCheckpoint, g.server.Rounds)
+	return g.ckpt.train(progress)
 }
 
 // Checkpoint writes a federation checkpoint into dir immediately and
@@ -373,7 +461,7 @@ func (g *GTV) Checkpoint(dir string) (string, error) {
 }
 
 // Rounds returns the number of completed training rounds — non-zero right
-// after New when Options.Resume restored a checkpoint.
+// after New or Dial when Options.Resume restored a checkpoint.
 func (g *GTV) Rounds() int { return g.server.Rounds() }
 
 // TrainRound runs a single round (for callers driving their own loop).
@@ -413,11 +501,14 @@ func (g *GTV) Ratios() []float64 { return g.server.Ratios() }
 // CommStats returns the accumulated server<->client payload accounting.
 func (g *GTV) CommStats() vfl.CommStats { return g.server.CommStats() }
 
-// Centralized re-exports the baseline so downstream code only imports core.
-type Centralized = gan.Centralized
+// Centralized is the baseline under the options' checkpoint settings.
+type Centralized struct {
+	*gan.Centralized
+	ckpt checkpoints
+}
 
 // NewCentralized builds the paper's centralized CTGAN baseline with
-// hyper-parameters matching the given options.
+// hyper-parameters and checkpoint settings matching the given options.
 func NewCentralized(table *encoding.Table, opts Options) (*Centralized, error) {
 	cfg := gan.Config{
 		Rounds:     opts.Rounds,
@@ -431,7 +522,21 @@ func NewCentralized(table *encoding.Table, opts Options) (*Centralized, error) {
 		Pac:        opts.Pac,
 		Seed:       opts.Seed,
 	}
-	return gan.NewCentralizedStored(table, cfg, opts.storage("central"))
+	c, err := gan.NewCentralizedStored(table, cfg, opts.storage("central"))
+	if err != nil {
+		return nil, err
+	}
+	ckpt, err := openCheckpoints(c, opts)
+	if err != nil {
+		_ = c.Close() //lint:ignore errdrop setup already failed, the teardown error adds nothing
+		return nil, err
+	}
+	return &Centralized{Centralized: c, ckpt: ckpt}, nil
+}
+
+// Train runs the training loop as GTV.Train does.
+func (c *Centralized) Train(progress func(round int, dLoss, gLoss float64)) error {
+	return c.ckpt.train(progress)
 }
 
 // SynthesizeCondition generates n rows conditioned on one category of one

@@ -372,3 +372,10 @@ func TestTrainCheckpointCadence(t *testing.T) {
 		})
 	}
 }
+
+func TestColumnOrder(t *testing.T) {
+	// 4 columns, assignment (1,0,1,0): party 0's columns 1 and 3 come first.
+	if got, want := ColumnOrder([]int{1, 0, 1, 0}, 2), []int{1, 3, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("ColumnOrder = %v, want %v", got, want)
+	}
+}

@@ -4,8 +4,23 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 )
+
+// WriteCSVFile writes the table to a new file at path with WriteCSV. A
+// failed Close can mean the data never reached disk, so it is reported.
+func WriteCSVFile(path string, t *Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("encoding: creating %s: %w", path, err)
+	}
+	err = WriteCSV(f, t)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("encoding: closing %s: %w", path, cerr)
+	}
+	return err
+}
 
 // WriteCSV writes the table with a header row. Categorical cells are
 // rendered with their category labels; numeric cells with full float

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -69,7 +70,6 @@ func (s *Scale) options(plan vfl.Plan, enlargedGen bool, seed int64) core.Option
 	o.BlockDim = s.BlockDim
 	o.LR = s.LR
 	o.Seed = seed
-	o.Parallelism = s.ClientParallelism
 	if enlargedGen {
 		o.GenBlockDim = 3 * s.BlockDim
 	}
@@ -90,24 +90,6 @@ func splitDataset(name string, s *Scale, seed int64) (*datasets.Dataset, *encodi
 	return d, train, test, nil
 }
 
-// reorderForAssignment returns the column order produced when a table is
-// vertically split by assignment and re-concatenated party by party, plus
-// the new index of the target column.
-func reorderForAssignment(assignment []int, numClients, target int) (order []int, newTarget int) {
-	for p := 0; p < numClients; p++ {
-		for j, owner := range assignment {
-			if owner != p {
-				continue
-			}
-			if j == target {
-				newTarget = len(order)
-			}
-			order = append(order, j)
-		}
-	}
-	return order, newTarget
-}
-
 // runGTVCell trains a GTV system on the train split under the given column
 // assignment and returns the full metric set.
 func runGTVCell(dsName string, assignment []int, numClients int, opts core.Options, s *Scale, seed int64) (CellResult, error) {
@@ -115,12 +97,15 @@ func runGTVCell(dsName string, assignment []int, numClients int, opts core.Optio
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiments: dataset %s: %w", dsName, err)
 	}
-	order, newTarget := reorderForAssignment(assignment, numClients, d.Target)
+	order := core.ColumnOrder(assignment, numClients)
+	newTarget := slices.Index(order, d.Target)
 
 	gtv, err := core.NewFromAssignment(train, assignment, numClients, opts)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiments: building GTV on %s: %w", dsName, err)
 	}
+	//lint:ignore errdrop teardown of a finished in-memory federation
+	defer func() { _ = gtv.Close() }()
 	if err := gtv.Train(nil); err != nil {
 		return CellResult{}, fmt.Errorf("experiments: training GTV on %s: %w", dsName, err)
 	}
@@ -156,6 +141,8 @@ func runCentralizedCell(dsName string, opts core.Options, s *Scale, seed int64) 
 	if err != nil {
 		return CellResult{}, fmt.Errorf("experiments: building baseline on %s: %w", dsName, err)
 	}
+	//lint:ignore errdrop teardown of a finished in-memory baseline
+	defer func() { _ = c.Close() }()
 	if err := c.Train(nil); err != nil {
 		return CellResult{}, fmt.Errorf("experiments: training baseline on %s: %w", dsName, err)
 	}

@@ -32,10 +32,6 @@ type Scale struct {
 	Repeats int
 	// Parallelism bounds concurrently-running cells (0 = NumCPU).
 	Parallelism int
-	// ClientParallelism bounds how many clients each GTV server drives
-	// concurrently per round (0 = all, 1 = sequential); results are
-	// bit-identical across settings, so it is purely a throughput knob.
-	ClientParallelism int
 	// Datasets selects the datasets to run on (default: all five).
 	Datasets []string
 	// Seed is the base random seed.

@@ -74,20 +74,6 @@ type testError struct{}
 
 func (*testError) Error() string { return "test error" }
 
-func TestReorderForAssignment(t *testing.T) {
-	// 4 columns, assignment (1,0,1,0), target 2.
-	order, newTarget := reorderForAssignment([]int{1, 0, 1, 0}, 2, 2)
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v want %v", order, want)
-		}
-	}
-	if newTarget != 3 {
-		t.Fatalf("newTarget = %d want 3", newTarget)
-	}
-}
-
 func TestRandomEvenAssignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, err := randomEvenAssignment(rng, 11, 3)

@@ -161,8 +161,8 @@ func NewCentralizedStored(table *encoding.Table, cfg Config, st encoding.Storage
 // for stored trainers; a no-op in memory).
 func (c *Centralized) Close() error { return c.data.Close() }
 
-// Round returns the number of completed training rounds.
-func (c *Centralized) Round() int { return c.round }
+// Rounds returns the number of completed training rounds.
+func (c *Centralized) Rounds() int { return c.round }
 
 // Train runs the full WGAN-GP loop, continuing from the current round
 // counter (0 on a fresh trainer, k after restoring a round-k checkpoint).

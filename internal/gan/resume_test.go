@@ -106,8 +106,8 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 	if got := weightBytes(t, resumed); !bytes.Equal(got, want) {
 		t.Fatal("resumed run weights differ from uninterrupted same-seed run")
 	}
-	if resumed.Round() != cfg.Rounds {
-		t.Fatalf("resumed round counter %d, want %d", resumed.Round(), cfg.Rounds)
+	if resumed.Rounds() != cfg.Rounds {
+		t.Fatalf("resumed round counter %d, want %d", resumed.Rounds(), cfg.Rounds)
 	}
 	if got := synthCSV(t, resumed, 48); !bytes.Equal(got, wantSynth) {
 		t.Fatal("resumed run synthesizes different data than uninterrupted same-seed run")

@@ -11,7 +11,6 @@ package gan
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -165,27 +164,12 @@ func (c *Centralized) Restore(data []byte) error {
 // SaveCheckpoint atomically writes the current state into dir, named by
 // the completed round count, and returns the file path.
 func (c *Centralized) SaveCheckpoint(dir string) (string, error) {
-	path := snap.CheckpointPath(dir, c.round)
-	if err := snap.WriteFileAtomic(path, c.Snapshot()); err != nil {
-		return "", err
-	}
-	return path, nil
+	return snap.SaveCheckpoint(dir, c.round, c.Snapshot())
 }
 
 // RestoreLatestCheckpoint finds the newest checkpoint in dir and restores
 // it. ok is false when dir holds no checkpoint (the caller trains from
 // scratch).
 func (c *Centralized) RestoreLatestCheckpoint(dir string) (rounds int, ok bool, err error) {
-	path, _, ok, err := snap.LatestCheckpoint(dir)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, true, err
-	}
-	if err := c.Restore(data); err != nil {
-		return 0, true, fmt.Errorf("gan: restoring %s: %w", path, err)
-	}
-	return c.round, true, nil
+	return snap.RestoreLatest(dir, c.Restore, c.Rounds)
 }

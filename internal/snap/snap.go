@@ -267,43 +267,30 @@ func LatestCheckpoint(dir string) (path string, rounds int, ok bool, err error) 
 	return filepath.Join(dir, last), rounds, true, nil
 }
 
-// TrainWithCheckpoints runs train under the checkpoint cadence every
-// trainer shares: each round is passed on to progress (which may be nil),
-// then every `every` rounds (0 means every round) save writes a checkpoint
-// into dir, and once more after the last round when it fell off the
-// interval. A failed save does not stop training: no further save is
-// attempted, and that first failure is what the call returns once train
-// has. rounds reports the completed round count. An empty dir is plain
-// train(progress).
-func TrainWithCheckpoints(dir string, every int,
-	train func(progress func(round int, dLoss, gLoss float64)) error,
-	progress func(round int, dLoss, gLoss float64),
-	save func(dir string) (string, error), rounds func() int) error {
-	if dir == "" {
-		return train(progress)
+// SaveCheckpoint atomically writes image, a trainer's state after rounds
+// completed rounds, into dir under CheckpointPath and returns that path.
+func SaveCheckpoint(dir string, rounds int, image []byte) (string, error) {
+	path := CheckpointPath(dir, rounds)
+	if err := WriteFileAtomic(path, image); err != nil {
+		return "", err
 	}
-	if every <= 0 {
-		every = 1
+	return path, nil
+}
+
+// RestoreLatest reads the newest checkpoint in dir (LatestCheckpoint),
+// hands its bytes to restore and returns the trainer's rounds afterwards.
+// ok is false when dir holds none (the caller trains from scratch).
+func RestoreLatest(dir string, restore func(image []byte) error, rounds func() int) (int, bool, error) {
+	path, _, ok, err := LatestCheckpoint(dir)
+	if err != nil || !ok {
+		return 0, ok, err
 	}
-	var saveErr error
-	err := train(func(round int, dLoss, gLoss float64) {
-		if progress != nil {
-			progress(round, dLoss, gLoss)
-		}
-		if saveErr == nil && (round+1)%every == 0 {
-			_, saveErr = save(dir)
-		}
-	})
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return 0, true, err
 	}
-	if saveErr != nil {
-		return fmt.Errorf("checkpointing: %w", saveErr)
+	if err := restore(data); err != nil {
+		return 0, true, fmt.Errorf("gtvsnap: restoring %s: %w", path, err)
 	}
-	if rounds()%every != 0 {
-		if _, err := save(dir); err != nil {
-			return fmt.Errorf("final checkpoint: %w", err)
-		}
-	}
-	return nil
+	return rounds(), true, nil
 }

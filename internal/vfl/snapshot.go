@@ -19,7 +19,6 @@ package vfl
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	ag "repro/internal/autograd"
 	"repro/internal/nn"
@@ -517,27 +516,12 @@ func (s *Server) SaveCheckpoint(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	path := snap.CheckpointPath(dir, s.round)
-	if err := snap.WriteFileAtomic(path, data); err != nil {
-		return "", err
-	}
-	return path, nil
+	return snap.SaveCheckpoint(dir, s.round, data)
 }
 
 // RestoreLatestCheckpoint finds the newest checkpoint in dir and restores
 // it across the federation. ok is false when dir holds no checkpoint (the
 // caller trains from scratch).
 func (s *Server) RestoreLatestCheckpoint(dir string) (rounds int, ok bool, err error) {
-	path, _, ok, err := snap.LatestCheckpoint(dir)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, true, err
-	}
-	if err := s.Restore(data); err != nil {
-		return 0, true, fmt.Errorf("vfl: restoring %s: %w", path, err)
-	}
-	return s.round, true, nil
+	return snap.RestoreLatest(dir, s.Restore, s.Rounds)
 }
