@@ -501,7 +501,7 @@ func (g *GTV) Ratios() []float64 { return g.server.Ratios() }
 // CommStats returns the accumulated server<->client payload accounting.
 func (g *GTV) CommStats() vfl.CommStats { return g.server.CommStats() }
 
-// Centralized is the baseline under the options' checkpoint settings.
+// Centralized is gan.Centralized run under the options' checkpoint settings.
 type Centralized struct {
 	*gan.Centralized
 	ckpt checkpoints
