@@ -115,7 +115,7 @@ func initModel(rng *rand.Rand, data []float64, k int, std float64) *Model {
 	}
 	for c := 0; c < k; c++ {
 		// A small jitter separates identical quantiles in discrete-heavy data.
-		m.Means[c] = ranked[at[c]] + rng.NormFloat64()*std*1e-3
+		m.Means[c] = ranked[at[c]] + float64(rng.NormFloat64()*std*1e-3)
 		m.Stds[c] = std
 		m.Weights[c] = 1 / float64(k)
 	}
@@ -211,13 +211,15 @@ var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 //
 // per cell: every operation and its order are the same, so the results are
 // too, bit for bit. The k exponentials are one tensor.Exp call, which
-// returns math.Exp's bits. This is the package's single posterior routine —
-// the EM E-step, Responsibilities and mode sampling all go through it.
+// returns math.Exp's bits. The product is rounded before it is subtracted
+// (float64), so no build fuses the two. This is the package's definition of
+// the posterior; the E-step and Posterior.Block reach it through posteriors,
+// its block form.
 func posterior(x float64, means, stds, logW, logStd, out []float64) (maxLog, sum float64) {
 	maxLog = math.Inf(-1)
 	for c := range out {
 		d := (x - means[c]) / stds[c]
-		l := logW[c] + ((-0.5*d*d - logStd[c]) - halfLog2Pi)
+		l := logW[c] + ((float64(-0.5*d*d) - logStd[c]) - halfLog2Pi)
 		out[c] = l
 		if l > maxLog {
 			maxLog = l
@@ -234,6 +236,22 @@ func posterior(x float64, means, stds, logW, logStd, out []float64) (maxLog, sum
 		out[c] /= sum
 	}
 	return maxLog, sum
+}
+
+// posteriors is posterior over a block of values: value i's posteriors go to
+// resp[i*k:(i+1)*k] (k = len(logW)), its largest logit and shifted sum to
+// maxLog[i] and sum[i] unless those are nil. tensor.GMMPosteriors takes the
+// values its vector routine covers — whole groups of four, k up to 12, on
+// AVX2 — and posterior the rest one at a time; every value's bits are
+// posterior's either way.
+func posteriors(xs, means, stds, logW, logStd, resp, maxLog, sum []float64) {
+	k := len(logW)
+	for i := tensor.GMMPosteriors(resp, maxLog, sum, xs, means, stds, logW, logStd, halfLog2Pi); i < len(xs); i++ {
+		ml, s := posterior(xs[i], means, stds, logW, logStd, resp[i*k:i*k+k])
+		if maxLog != nil {
+			maxLog[i], sum[i] = ml, s
+		}
+	}
 }
 
 // logParams fills logW and logStd with the logs of m's weights and stds.
@@ -265,41 +283,63 @@ func newEM(data []float64, m *Model) *em {
 	}
 }
 
+// eStepBlock is how many rows the E-step takes through posteriors and
+// tensor.Log at a time.
+const eStepBlock = 64
+
 // eStep fills resp with posterior responsibilities and returns the mean
-// log-likelihood of the data under the current model.
+// log-likelihood of the data under the current model. Row by row it adds
+// maxLog + log(sum), as the per-row loop did; the block only batches the
+// posteriors and the logs.
 func (e *em) eStep() float64 {
 	m, k := e.m, e.m.K()
 	m.logParams(e.logW, e.logStd)
 	var ll float64
-	for i, x := range e.data {
-		maxLog, sum := posterior(x, m.Means, m.Stds, e.logW, e.logStd, e.resp[i*k:i*k+k])
-		ll += maxLog + math.Log(sum)
+	var maxLog, logSum [eStepBlock]float64
+	for lo := 0; lo < len(e.data); lo += eStepBlock {
+		xs := e.data[lo:min(lo+eStepBlock, len(e.data))]
+		ml, ls := maxLog[:len(xs)], logSum[:len(xs)]
+		posteriors(xs, m.Means, m.Stds, e.logW, e.logStd, e.resp[lo*k:(lo+len(xs))*k], ml, ls)
+		tensor.Log(ls, ls)
+		for i, l := range ls {
+			ll += ml[i] + l
+		}
 	}
 	return ll / float64(len(e.data))
 }
 
 // mStep re-estimates weights, means and stds from responsibilities in two
 // passes over the rows. Every component's sums still add its terms in
-// ascending row order, so they equal the sums of a pass per component.
+// ascending row order, so they equal the sums of a pass per component; each
+// product is rounded before it is added. The loops are the definition;
+// tensor.GMMSums and tensor.GMMSpread run them four components to a vector
+// where they can.
 func (e *em) mStep() {
 	m, k := e.m, e.m.K()
 	nk, mu, va := e.nk, e.mu, e.va
-	for c := range nk {
-		nk[c], mu[c], va[c] = 0, 0, 0
-	}
-	for i, x := range e.data {
-		for c, r := range e.resp[i*k : i*k+k] {
-			nk[c] += r
-			mu[c] += r * x
+	if !tensor.GMMSums(nk, mu, e.resp, e.data) {
+		for c := range nk {
+			nk[c], mu[c] = 0, 0
+		}
+		for i, x := range e.data {
+			for c, r := range e.resp[i*k : i*k+k] {
+				nk[c] += r
+				mu[c] += float64(r * x)
+			}
 		}
 	}
 	for c := range mu {
 		mu[c] /= nk[c] // meaningless for a dead component, which the last loop skips
 	}
-	for i, x := range e.data {
-		for c, r := range e.resp[i*k : i*k+k] {
-			d := x - mu[c]
-			va[c] += r * d * d
+	if !tensor.GMMSpread(va, mu, e.resp, e.data) {
+		for c := range va {
+			va[c] = 0
+		}
+		for i, x := range e.data {
+			for c, r := range e.resp[i*k : i*k+k] {
+				d := x - mu[c]
+				va[c] += float64(r * d * d)
+			}
 		}
 	}
 	n := float64(len(e.data))
@@ -382,18 +422,18 @@ func (m *Model) Posterior() Posterior {
 	return p
 }
 
-// Responsibilities writes the posterior probability of each component for x
-// into out, whose length must be the model's K.
-func (p Posterior) Responsibilities(x float64, out []float64) {
-	posterior(x, p.m.Means, p.m.Stds, p.logW, p.logStd, out[:len(p.logW)])
+// Block writes the posterior probability of each component for every value
+// of xs into out, value i's K of them at out[i*K:(i+1)*K]. out needs room for
+// len(xs)·K values.
+func (p Posterior) Block(xs, out []float64) {
+	posteriors(xs, p.m.Means, p.m.Stds, p.logW, p.logStd, out[:len(xs)*len(p.logW)], nil, nil)
 }
 
-// SampleMode draws a component index from the posterior over components
-// given x, as CTGAN does when encoding training rows. scratch needs room
-// for K values and is overwritten.
-func (p Posterior) SampleMode(rng *rand.Rand, x float64, scratch []float64) int {
-	resp := scratch[:len(p.logW)]
-	p.Responsibilities(x, resp)
+// DrawMode draws a component index from resp, one value's posterior as Block
+// wrote it, as CTGAN does when encoding training rows: one rng.Float64, and
+// the first component whose running sum of posteriors exceeds it, or the
+// last.
+func DrawMode(rng *rand.Rand, resp []float64) int {
 	u := rng.Float64()
 	var cum float64
 	for c, r := range resp {
@@ -408,7 +448,7 @@ func (p Posterior) SampleMode(rng *rand.Rand, x float64, scratch []float64) int 
 // Normalize maps x into mode c's offset coordinate: (x-mean)/(4*std),
 // clipped to [-1, 1] as in CTGAN.
 func (m *Model) Normalize(x float64, c int) float64 {
-	a := (x - m.Means[c]) / (4 * m.Stds[c])
+	a := (x - m.Means[c]) / float64(4*m.Stds[c])
 	if a > 1 {
 		return 1
 	}
@@ -425,7 +465,7 @@ func (m *Model) Denormalize(alpha float64, c int) float64 {
 	} else if alpha < -1 {
 		alpha = -1
 	}
-	return alpha*4*m.Stds[c] + m.Means[c]
+	return float64(alpha*4*m.Stds[c]) + m.Means[c]
 }
 
 // stdAbout returns the population standard deviation of data about mu.
@@ -433,7 +473,7 @@ func stdAbout(data []float64, mu float64) float64 {
 	var va float64
 	for _, v := range data {
 		d := v - mu
-		va += d * d
+		va += float64(d * d)
 	}
 	return math.Sqrt(va / float64(len(data)))
 }

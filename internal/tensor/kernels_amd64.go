@@ -3,11 +3,11 @@ package tensor
 import "math"
 
 // amd64 side of the kernel layer: CPU detection, the declarations of the
-// AVX2 routines in kernels_amd64.s and exp_amd64.s, and the entry points the
-// portable code calls (tileAcc, axpy4, axpy1, matmulTBRange, binSame, relu,
-// leakyReLU, actGrad, allFinite, countZeroClasses, packMasked, adamStep,
-// logSlice, expSlice), each of which picks the vector routine or the Go loop
-// it is bit-identical to.
+// AVX2 routines in kernels_amd64.s, exp_amd64.s and mixture_amd64.s, and the
+// entry points the portable code calls (tileAcc, axpy4, axpy1, matmulTBRange,
+// binSame, relu, leakyReLU, actGrad, allFinite, countZeroClasses, packMasked,
+// adamStep, logSlice, expSlice, gmmPosteriors, gmmSums, gmmSpread), each of
+// which picks the vector routine or the Go loop it is bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -77,6 +77,18 @@ func countZeroClassesAVX2(p *float64, n int) (posZero, zero, one int)
 
 //go:noescape
 func adamStepAVX2(w, grad, m, v *float64, n int, decay, beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64, div1, div2 bool)
+
+//go:noescape
+func gmmLogitsAVX2(s, maxLog, x *float64, n, k int, means, stds, logW, logStd *float64, halfLog2Pi float64)
+
+//go:noescape
+func gmmNormalizeAVX2(resp, sum, s *float64, n, k int)
+
+//go:noescape
+func gmmSumsAVX2(nk, mu, resp, x *float64, n, k int, mask *[gmmMaxK]uint64)
+
+//go:noescape
+func gmmSpreadAVX2(va, mu, resp, x *float64, n, k int, mask *[gmmMaxK]uint64)
 
 //go:noescape
 func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
@@ -286,25 +298,95 @@ func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {
 	return used + packMaskedGeneric(presence[done/8:], sign[done/8:], values[used:], data[done:], false)
 }
 
-// vecSlice gives whole groups of four to vec (logAVX2 or expAVX2) when on,
-// which stops at the first group holding a lane its sequence does not cover
-// (one archLog or archExp sends down a branch of its own) and reports how
-// far it got. That group goes to scalar (the math loop) one element at a
-// time, vec resumes after it, and the last len%4 elements go to scalar too.
-func vecSlice(dst, x []float64, on bool, vec func(dst, x *float64, n int) int, scalar func(dst, x []float64)) {
+// vecSlice gives whole groups of four to logAVX2, or expAVX2 when exp is
+// set, if on. The routine stops at the first group holding a lane its
+// sequence does not cover (one archLog or archExp sends down a branch of its
+// own) and reports how far it got. That group goes to the math loop
+// (logGeneric or expGeneric) one element at a time, the routine resumes after
+// it, and the last len%4 elements go to the math loop too. The calls are
+// direct, not through function values, so dst and x do not escape: a caller's
+// stack scratch stays on the stack.
+func vecSlice(dst, x []float64, on, exp bool) {
 	i, n := 0, len(x)
-	if on {
-		for n-i >= vecMinLen {
-			i += vec(&dst[i], &x[i], n-i)
-			if n-i >= vecMinLen {
-				scalar(dst[i:i+vecMinLen], x[i:i+vecMinLen])
-				i += vecMinLen
-			}
+	for on && n-i >= vecMinLen {
+		if exp {
+			i += expAVX2(&dst[i], &x[i], n-i)
+		} else {
+			i += logAVX2(&dst[i], &x[i], n-i)
+		}
+		if n-i >= vecMinLen {
+			mathSlice(dst[i:i+vecMinLen], x[i:i+vecMinLen], exp)
+			i += vecMinLen
 		}
 	}
-	scalar(dst[i:], x[i:])
+	mathSlice(dst[i:], x[i:], exp)
 }
 
-func logSlice(dst, x []float64) { vecSlice(dst, x, useAsm, logAVX2, logGeneric) }
+func mathSlice(dst, x []float64, exp bool) {
+	if exp {
+		expGeneric(dst, x)
+	} else {
+		logGeneric(dst, x)
+	}
+}
 
-func expSlice(dst, x []float64) { vecSlice(dst, x, expVector(), expAVX2, expGeneric) }
+func logSlice(dst, x []float64) { vecSlice(dst, x, useAsm, false) }
+
+func expSlice(dst, x []float64) { vecSlice(dst, x, expVector(), true) }
+
+// gmmPosteriors is GMMPosteriors: whole blocks of gmmBlock values (the last
+// one shorter, a multiple of four) through the logits routine, one Exp and
+// the normalizing routine, with the block's logits in a stack scratch.
+func gmmPosteriors(resp, maxLog, sum, x, means, stds, logW, logStd []float64, halfLog2Pi float64) int {
+	k, n := len(logW), len(x)&^3
+	if !useAsm || k == 0 || k > gmmMaxK || n == 0 {
+		return 0
+	}
+	_, _, _, _ = resp[n*k-1], means[k-1], stds[k-1], logStd[k-1]
+	var s [gmmBlock * gmmMaxK]float64
+	var ml, sm [gmmBlock]float64
+	for lo := 0; lo < n; lo += gmmBlock {
+		b := min(gmmBlock, n-lo)
+		gmmLogitsAVX2(&s[0], &ml[0], &x[lo], b, k, &means[0], &stds[0], &logW[0], &logStd[0], halfLog2Pi)
+		expSlice(s[:b*k], s[:b*k])
+		gmmNormalizeAVX2(&resp[lo*k], &sm[0], &s[0], b, k)
+		if maxLog != nil {
+			copy(maxLog[lo:lo+b], ml[:b])
+		}
+		if sum != nil {
+			copy(sum[lo:lo+b], sm[:b])
+		}
+	}
+	return n
+}
+
+func gmmSums(nk, mu, resp, x []float64) bool {
+	k, n := len(nk), len(x)
+	if !useAsm || k == 0 || k > gmmMaxK || n == 0 {
+		return false
+	}
+	_, _ = mu[k-1], resp[n*k-1]
+	mask := gmmMask(k)
+	gmmSumsAVX2(&nk[0], &mu[0], &resp[0], &x[0], n, k, &mask)
+	return true
+}
+
+func gmmSpread(va, mu, resp, x []float64) bool {
+	k, n := len(va), len(x)
+	if !useAsm || k == 0 || k > gmmMaxK || n == 0 {
+		return false
+	}
+	_, _ = mu[k-1], resp[n*k-1]
+	mask := gmmMask(k)
+	gmmSpreadAVX2(&va[0], &mu[0], &resp[0], &x[0], n, k, &mask)
+	return true
+}
+
+// gmmMask is the M-step routines' load and store mask: all ones on the k
+// components of a twelve-wide window, zero past them.
+func gmmMask(k int) (m [gmmMaxK]uint64) {
+	for c := 0; c < k; c++ {
+		m[c] = ^uint64(0)
+	}
+	return m
+}

@@ -48,3 +48,12 @@ func expVector() bool { return false }
 func logSlice(dst, x []float64) { logGeneric(dst, x) }
 
 func expSlice(dst, x []float64) { expGeneric(dst, x) }
+
+// The mixture routines cover nothing here: gmm runs its own loops.
+func gmmPosteriors(resp, maxLog, sum, x, means, stds, logW, logStd []float64, halfLog2Pi float64) int {
+	return 0
+}
+
+func gmmSums(nk, mu, resp, x []float64) bool { return false }
+
+func gmmSpread(va, mu, resp, x []float64) bool { return false }

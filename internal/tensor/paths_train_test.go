@@ -2,11 +2,16 @@ package tensor_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/gan"
+	"repro/internal/gmm"
 	"repro/internal/tensor"
 	"repro/internal/vfl"
 )
@@ -129,5 +134,80 @@ func TestFederatedFaithfulPassBytesSameOnBothKernelPaths(t *testing.T) {
 	}
 	if asm, goPath := state("asm"), state("go"); !bytes.Equal(asm, goPath) {
 		t.Fatal("two federated rounds left different bytes on the asm and go kernel paths")
+	}
+}
+
+// TestFitSameOnBothKernelPaths is step 1 of Algorithm 1 on both paths: a GMM
+// fit of one column, a transformer fitted and streamed through TransformTo,
+// and a cold OpenOrEncode into a store of three stripes, on adult rows with
+// continuous, mixed and categorical columns. The fitted model's bits, the
+// encoded rows, the generator's next draw and the .enc.gtvcol file must be
+// the same on the vector path (the mixture routines, the blocked Exp and Log)
+// as on the Go path (the per-value posterior and mStep's loops).
+func TestFitSameOnBothKernelPaths(t *testing.T) {
+	if !tensor.HasAsmKernels {
+		t.Skip("no vector kernels on this build/CPU")
+	}
+	const rows = 1500 // not a multiple of four, so blocks end in a per-value tail
+	d, err := datasets.Generate("adult", datasets.Config{Rows: rows, Seed: 3})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	tbl := d.Table
+	col := -1
+	for j, spec := range tbl.Specs {
+		if spec.Kind == encoding.KindContinuous {
+			col = j
+			break
+		}
+	}
+	if col < 0 {
+		t.Fatal("adult has no continuous column")
+	}
+	cfg := gmm.DefaultConfig()
+	state := func(path string) []byte {
+		tensor.UseKernelPath(t, path)
+		var out []byte
+		f64s := func(xs []float64) {
+			for _, x := range xs {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		m, err := gmm.Fit(rng, tbl.Column(col), cfg)
+		if err != nil {
+			t.Fatalf("Fit: %v", err)
+		}
+		f64s(m.Weights)
+		f64s(m.Means)
+		f64s(m.Stds)
+		tr, err := encoding.FitTransformer(rng, tbl, cfg)
+		if err != nil {
+			t.Fatalf("FitTransformer: %v", err)
+		}
+		err = tr.TransformTo(rng, tbl, func(row []float64) error {
+			f64s(row)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("TransformTo: %v", err)
+		}
+		out = binary.LittleEndian.AppendUint64(out, uint64(rng.Int63()))
+		st := encoding.Storage{Dir: t.TempDir(), Name: "client-0", BlockRows: 600}
+		_, backing, err := encoding.OpenOrEncode(st, tbl, 9, cfg)
+		if err != nil {
+			t.Fatalf("OpenOrEncode: %v", err)
+		}
+		if err := backing.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		file, err := os.ReadFile(st.EncPath())
+		if err != nil {
+			t.Fatalf("reading the store: %v", err)
+		}
+		return append(out, file...)
+	}
+	if asm, goPath := state("asm"), state("go"); !bytes.Equal(asm, goPath) {
+		t.Fatal("fit, encode and store bytes differ between the asm and go kernel paths")
 	}
 }
