@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzFitMatchesReference -fuzztime $(FUZZTIME) ./internal/gmm
+	$(GO) test -run '^$$' -fuzz FuzzPosteriorBlock -fuzztime $(FUZZTIME) ./internal/gmm
 
 # ci.sh is the one CI definition; the targets above are its steps.
 ci:

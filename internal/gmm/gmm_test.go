@@ -290,3 +290,33 @@ func BenchmarkFit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPosterior computes the posteriors of 4 096 values under a
+// ten-component model, the E-step's shape, one value at a time through
+// posterior and in block form through posteriors (the vector routine where
+// this build and CPU have it). ns/value is the wall time per value.
+func BenchmarkPosterior(b *testing.B) {
+	const n, k = 4096, 10
+	xs := twoModeData(rand.New(rand.NewSource(12)), n)
+	m := &Model{Weights: make([]float64, k), Means: make([]float64, k), Stds: make([]float64, k)}
+	for c := range m.Weights {
+		m.Weights[c], m.Means[c], m.Stds[c] = 1.0/k, float64(c)-4.5, 1+float64(c)/10
+	}
+	logW, logStd := make([]float64, k), make([]float64, k)
+	m.logParams(logW, logStd)
+	resp, maxLog, sum := make([]float64, n*k), make([]float64, n), make([]float64, n)
+	for _, form := range []string{"per-value", "block"} {
+		b.Run(form, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if form == "block" {
+					posteriors(xs, m.Means, m.Stds, logW, logStd, resp, maxLog, sum)
+					continue
+				}
+				for j, x := range xs {
+					maxLog[j], sum[j] = posterior(x, m.Means, m.Stds, logW, logStd, resp[j*k:j*k+k])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+		})
+	}
+}
