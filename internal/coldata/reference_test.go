@@ -1,12 +1,15 @@
 package coldata
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/tensor"
 )
 
@@ -477,4 +480,229 @@ func TestSparseDeltaOverflowRejected(t *testing.T) {
 		}
 		checkBlockAgainstReference(t, tc.layout, count, tc.payload)
 	}
+}
+
+// The block encoder as it stood before blocks were classified by bit masks:
+// chooseLayout and encodePayload verbatim, renamed, over scanBlockReference
+// (writer_test.go). appendBlock must frame exactly the bytes this frames.
+
+// appendBlockReference encodes vals as one framed block.
+func appendBlockReference(dst []byte, vals []float64) []byte {
+	layout, s := chooseLayoutReference(vals)
+	return appendFrame(dst, layout, len(vals), encodePayloadReference(nil, layout, s, vals))
+}
+
+// chooseLayoutReference runs the bit-exact cost scan and returns the cheapest
+// layout for vals together with its exact payload byte count. Ties break
+// toward the lower layout id, which makes encoding deterministic.
+func chooseLayoutReference(vals []float64) (byte, blockStats) {
+	s := scanBlockReference(vals)
+	costs := [numLayouts]int{}
+	for l := range costs {
+		costs[l] = -1 // ineligible
+	}
+	costs[layoutDense] = 8 * s.n
+	if s.allSame && s.n > 0 {
+		costs[layoutConst] = 8
+	}
+	if s.allZeroOne {
+		costs[layoutBitmap] = (s.n + 7) / 8
+	}
+	if s.nonzeroOnes {
+		costs[layoutSparseOnes] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes
+	}
+	costs[layoutSparse] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
+	if s.allIntegral && s.n > 0 {
+		w := forWidth(uint64(s.maxI - s.minI))
+		costs[layoutFOR] = binfmt.UvarintLen(zigzag(s.minI)) + 1 + w*s.n
+	}
+	best := layoutDense
+	for l := byte(0); l < numLayouts; l++ {
+		if costs[l] >= 0 && costs[l] < costs[best] {
+			best = l
+		}
+	}
+	return best, s
+}
+
+func encodePayloadReference(dst []byte, layout byte, s blockStats, vals []float64) []byte {
+	switch layout {
+	case layoutConst:
+		dst = binary.LittleEndian.AppendUint64(dst, s.firstBits)
+	case layoutBitmap:
+		bits := make([]byte, (len(vals)+7)/8)
+		for i, v := range vals {
+			if math.Float64bits(v) == oneBits {
+				bits[i/8] |= 1 << uint(i%8)
+			}
+		}
+		dst = append(dst, bits...)
+	case layoutSparseOnes, layoutSparse:
+		dst = appendUvarint(dst, uint64(s.nnz))
+		prev := -1
+		for i, v := range vals {
+			if math.Float64bits(v) == 0 {
+				continue
+			}
+			if prev < 0 {
+				dst = appendUvarint(dst, uint64(i))
+			} else {
+				dst = appendUvarint(dst, uint64(i-prev))
+			}
+			prev = i
+		}
+		if layout == layoutSparse {
+			for _, v := range vals {
+				if b := math.Float64bits(v); b != 0 {
+					dst = binary.LittleEndian.AppendUint64(dst, b)
+				}
+			}
+		}
+	case layoutFOR:
+		w := forWidth(uint64(s.maxI - s.minI))
+		dst = appendUvarint(dst, zigzag(s.minI))
+		dst = append(dst, byte(w))
+		for _, v := range vals {
+			d := uint64(int64(v) - s.minI)
+			switch w {
+			case 1:
+				dst = append(dst, byte(d))
+			case 2:
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(d))
+			case 4:
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+			default:
+				dst = binary.LittleEndian.AppendUint64(dst, d)
+			}
+		}
+	default: // layoutDense
+		for _, v := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// blockPalette is the values the appendBlock tests draw nonzeros from: the
+// two bit patterns the masks test for and their neighbours, the specials
+// every layout must carry exactly, the integers either side of FOR's range,
+// and the tanh-range scalars of an encoded continuous column.
+var blockPalette = []float64{
+	1, // the one-hot cell, listed first so a short prefix is all ones
+	math.Copysign(0, -1),
+	math.Float64frombits(oneBits + 1), math.Float64frombits(oneBits - 1),
+	math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff0000000000001), // NaNs with payloads
+	math.Inf(1), math.Inf(-1),
+	2, 7, -300, 1 << 40,
+	float64(maxExactInt), -float64(maxExactInt), float64(maxExactInt) + 2,
+	math.SmallestNonzeroFloat64, math.Float64frombits(0x800fffffffffffff), // subnormals
+	0.75, -0.3125, math.Tanh(0.1), -math.Tanh(2.5),
+}
+
+// paletteBlock draws n values: +0 with probability 1 - density, otherwise
+// one of the first reach palette entries (reach 0: tanh-range values only).
+func paletteBlock(rng *rand.Rand, n int, density float64, reach int) []float64 {
+	vals := make([]float64, n)
+	for i := range vals {
+		switch {
+		case rng.Float64() >= density:
+		case reach == 0:
+			vals[i] = math.Tanh(rng.NormFloat64())
+		default:
+			vals[i] = blockPalette[rng.Intn(reach)]
+		}
+	}
+	return vals
+}
+
+// checkAppendBlock requires appendBlock and appendBlockReference to frame the
+// same bytes for vals, and returns the layout they chose.
+func checkAppendBlock(t *testing.T, vals []float64) byte {
+	t.Helper()
+	got, want := appendBlock(nil, vals), appendBlockReference(nil, vals)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d values, first %v: appendBlock framed %d bytes (layout %d), the reference %d (layout %d)",
+			len(vals), vals[:min(len(vals), 8)], len(got), got[0], len(want), want[0])
+	}
+	return got[0]
+}
+
+// TestAppendBlockMatchesReference frames blocks of every length to 200 and
+// either side of the 64-value word and block boundaries, at densities from
+// all-zero to all-nonzero, and requires the reference's bytes.
+func TestAppendBlockMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := []int{DefaultBlockRows - 1, DefaultBlockRows, DefaultBlockRows + 1}
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	// reach 1: ones only; 2: and -0; 12: and the small integers; 15: and
+	// FOR's range ends; 0: tanh-range values; the whole palette.
+	reaches := []int{1, 2, 12, 15, 0, len(blockPalette)}
+	layouts := map[byte]bool{}
+	for _, n := range lengths {
+		for _, density := range []float64{0, 0.02, 0.3, 0.7, 0.98, 1} {
+			for _, reach := range reaches {
+				if n > 1000 && reach != 1 && reach != len(blockPalette) && density != 0.02 {
+					continue // the long blocks take the shapes of a store's columns
+				}
+				layouts[checkAppendBlock(t, paletteBlock(rng, n, density, reach))] = true
+			}
+		}
+		for _, v := range blockPalette {
+			same := make([]float64, n)
+			for i := range same {
+				same[i] = v
+			}
+			layouts[checkAppendBlock(t, same)] = true
+			if n > 1 {
+				// The first value differs from every other.
+				same[0] = 0
+				checkAppendBlock(t, same)
+				same[0], same[n-1] = v, 0
+				checkAppendBlock(t, same)
+			}
+		}
+	}
+	if len(layouts) != int(numLayouts) {
+		t.Fatalf("blocks cover layouts %v, want all %d", layouts, numLayouts)
+	}
+}
+
+// FuzzAppendBlockMatchesReference turns the fuzzed bytes into a block of
+// values and requires appendBlock to frame the reference's bytes for it. A
+// byte below 0x80 is a palette entry (+0 when it indexes past the
+// palette), 0xff followed by eight bytes is those bits as a value, and any
+// other byte from 0x80 up repeats the value before it (+0 at the start) up
+// to 127 times, so short inputs still reach long, sparse blocks.
+func FuzzAppendBlockMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xfe, 40, 0xfe, 0, 0xc0})
+	f.Add([]byte{0xff, 1, 2, 3, 4, 5, 6, 7, 8, 0x90, 1, 0x81, 3})
+	f.Add(bytes.Repeat([]byte{0xfe, 0}, 300))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vals []float64
+		for len(data) > 0 && len(vals) < 2*DefaultBlockRows {
+			b := data[0]
+			data = data[1:]
+			switch {
+			case b == 0xff && len(data) >= 8:
+				vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+				data = data[8:]
+			case b >= 0x80:
+				prev := 0.0
+				if len(vals) > 0 {
+					prev = vals[len(vals)-1]
+				}
+				for k := 0; k <= int(b&0x7f); k++ {
+					vals = append(vals, prev)
+				}
+			case int(b) < len(blockPalette):
+				vals = append(vals, blockPalette[b])
+			default:
+				vals = append(vals, 0)
+			}
+		}
+		checkAppendBlock(t, vals)
+	})
 }
