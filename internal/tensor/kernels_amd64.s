@@ -810,6 +810,78 @@ zcdone:
 	VZEROUPPER
 	RET
 
+// CLASSIFY4 is one vector of classifyBitsAVX2: the four values at off(SI)
+// set bits sh to sh+3 of R8 where they are +0 and of R9 where they are 1.0,
+// and their differences from the first value are ORed into Y12.
+#define CLASSIFY4(off, sh) \
+	VMOVDQU off(SI), Y0; \
+	VPCMPEQQ Y0, Y15, Y1; \
+	VPCMPEQQ Y0, Y14, Y2; \
+	VPXOR Y0, Y13, Y0; \
+	VPOR Y0, Y12, Y12; \
+	VMOVMSKPD Y1, AX; \
+	VMOVMSKPD Y2, BX; \
+	SHLQ $sh, AX; \
+	SHLQ $sh, BX; \
+	ORQ AX, R8; \
+	ORQ BX, R9
+
+// func classifyBitsAVX2(nz, one *uint64, data *float64, words int, first uint64) (same bool)
+//
+// classifyBitsGeneric over words whole 64-value words, four values to a
+// compare. VPCMPEQQ against zero and against the bits of 1.0 leaves all ones
+// in a matching lane, VMOVMSKPD gathers the four lanes' top bits into a
+// nibble, and sixteen nibbles make a word; the +0 word, inverted, is the
+// nonzero word. Every value's XOR with the first is ORed into Y12, which is
+// all zero at the end exactly when every value had the first's bits.
+TEXT ·classifyBitsAVX2(SB), NOSPLIT, $0-41
+	MOVQ nz+0(FP), DI
+	MOVQ one+8(FP), DX
+	MOVQ data+16(FP), SI
+	MOVQ words+24(FP), CX
+	VPBROADCASTQ first+32(FP), Y13
+	MOVQ $0x3FF0000000000000, R11
+	VMOVQ R11, X14
+	VPBROADCASTQ X14, Y14
+	VPXOR Y15, Y15, Y15
+	VPXOR Y12, Y12, Y12
+
+cbword:
+	TESTQ CX, CX
+	JZ   cbdone
+	XORQ R8, R8
+	XORQ R9, R9
+	CLASSIFY4(0, 0)
+	CLASSIFY4(32, 4)
+	CLASSIFY4(64, 8)
+	CLASSIFY4(96, 12)
+	CLASSIFY4(128, 16)
+	CLASSIFY4(160, 20)
+	CLASSIFY4(192, 24)
+	CLASSIFY4(224, 28)
+	CLASSIFY4(256, 32)
+	CLASSIFY4(288, 36)
+	CLASSIFY4(320, 40)
+	CLASSIFY4(352, 44)
+	CLASSIFY4(384, 48)
+	CLASSIFY4(416, 52)
+	CLASSIFY4(448, 56)
+	CLASSIFY4(480, 60)
+	NOTQ R8
+	MOVQ R8, (DI)
+	MOVQ R9, (DX)
+	ADDQ $8, DI
+	ADDQ $8, DX
+	ADDQ $512, SI
+	DECQ CX
+	JMP  cbword
+
+cbdone:
+	VPTEST Y12, Y12
+	SETEQ same+40(FP)
+	VZEROUPPER
+	RET
+
 // func adamStepAVX2(w, grad, m, v *float64, n int, decay, beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64, div1, div2 bool)
 //
 // adamStepGeneric four elements at a time, each lane one element: gk = g +

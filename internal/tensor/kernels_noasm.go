@@ -34,6 +34,10 @@ func countZeroClasses(data []float64) (posZero, zero, one int) {
 	return countZeroClassesGeneric(data)
 }
 
+func classifyBits(nz, one []uint64, data []float64, first uint64) bool {
+	return classifyBitsGeneric(nz, one, data, first)
+}
+
 func adamStep(w, g, m, v []float64, c *adamCoefs) { adamStepGeneric(w, g, m, v, c) }
 
 func packMasked(presence, sign, values []byte, data []float64, f32 bool) int {

@@ -66,6 +66,46 @@ func countZeroClassesGeneric(data []float64) (posZero, zero, one int) {
 	return posZero, zero, one
 }
 
+// ClassifyBits classifies every value of data by its bits, 64 to a word,
+// LSB first: bit i of nz[w] is set when data[64w+i] is not +0, bit i of
+// one[w] when it is +1.0, and the bits past the last value are zero. nz and
+// one must hold (len(data)+63)/64 words; words beyond those are not written.
+// It reports whether every value has the bits of the first (true for no
+// values). gtvcol's block encoder is its one caller
+// (internal/coldata/coldata.go), which takes a block's layout and payload
+// from the two words instead of testing each value again.
+func ClassifyBits(nz, one []uint64, data []float64) (allSame bool) {
+	if len(data) == 0 {
+		return true
+	}
+	words := (len(data) + 63) / 64
+	return classifyBits(nz[:words], one[:words], data, math.Float64bits(data[0]))
+}
+
+// classifyBitsGeneric is the loop classifyBits must agree with. Like
+// packMaskedGeneric it has no branch on a value's class (in a one-hot column
+// a zero-or-one branch is a coin toss): both bits are shifted in at the top
+// of their words, and every value's difference from first is ORed into one
+// word that is zero at the end exactly when all of them had first's bits.
+func classifyBitsGeneric(nz, one []uint64, data []float64, first uint64) bool {
+	var diff uint64
+	for w := 0; len(data) > 0; w++ {
+		chunk := data[:min(64, len(data))]
+		data = data[len(chunk):]
+		var z, o uint64
+		for _, v := range chunk {
+			b := math.Float64bits(v)
+			diff |= b ^ first
+			x := b ^ bitsOne
+			z = z>>1 | (b|-b)&(1<<63)  // top bit set unless b is 0
+			o = o>>1 | ^(x|-x)&(1<<63) // top bit set only if x is 0
+		}
+		short := 64 - uint(len(chunk))
+		nz[w], one[w] = z>>short, o>>short
+	}
+	return diff == 0
+}
+
 // maskedF32 reports whether elem, the byte width of a carried element, is
 // float32's; the only other width is float64's.
 func maskedF32(elem int) bool {

@@ -222,6 +222,90 @@ func FuzzMaskedPackUnpack(f *testing.F) {
 	})
 }
 
+// classifyReference is ClassifyBits a value at a time, under branches: the
+// routine's definition.
+func classifyReference(data []float64) (nz, one []uint64, same bool) {
+	words := (len(data) + 63) / 64
+	nz, one, same = make([]uint64, words), make([]uint64, words), true
+	for i, v := range data {
+		b := math.Float64bits(v)
+		if b != 0 {
+			nz[i/64] |= 1 << (uint(i) % 64)
+		}
+		if b == bitsOne {
+			one[i/64] |= 1 << (uint(i) % 64)
+		}
+		if b != math.Float64bits(data[0]) {
+			same = false
+		}
+	}
+	return nz, one, same
+}
+
+// checkClassifyBits holds ClassifyBits to the reference for one input, on the
+// kernel path the test runs on, and requires the word past the last one it
+// owns to be left as it was.
+func checkClassifyBits(t *testing.T, data []float64) {
+	t.Helper()
+	wantNZ, wantOne, wantSame := classifyReference(data)
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	nz, one := make([]uint64, len(wantNZ)+1), make([]uint64, len(wantOne)+1)
+	for i := range nz {
+		nz[i], one[i] = sentinel, sentinel
+	}
+	same := ClassifyBits(nz, one, data)
+	if same != wantSame {
+		t.Fatalf("n=%d: ClassifyBits reports allSame %v, want %v", len(data), same, wantSame)
+	}
+	for w := range wantNZ {
+		if nz[w] != wantNZ[w] || one[w] != wantOne[w] {
+			t.Fatalf("n=%d word %d: nonzero %016x ones %016x, want %016x %016x", len(data), w, nz[w], one[w], wantNZ[w], wantOne[w])
+		}
+	}
+	if nz[len(wantNZ)] != sentinel || one[len(wantOne)] != sentinel {
+		t.Fatalf("n=%d: ClassifyBits wrote past its %d words", len(data), len(wantNZ))
+	}
+}
+
+// TestClassifyBitsMatchesDefinition: every length to 260 at densities from
+// all-zero to no zero, starts off the vector alignment, a block of one value
+// and the same block with one value changed, first, last or between, on
+// both kernel paths.
+func TestClassifyBitsMatchesDefinition(t *testing.T) {
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		for n := 0; n <= 260; n++ {
+			for _, zeroFrac := range []float64{0, 0.5, 0.9, 1} {
+				data := maskedData(rng, n, zeroFrac)
+				for i := range data {
+					if rng.Intn(3) == 0 {
+						data[i] = 1 // the other bit pattern the words name
+					}
+				}
+				checkClassifyBits(t, data)
+			}
+		}
+		backing := maskedData(rng, 300, 0.5)
+		for start := 1; start < 4; start++ {
+			checkClassifyBits(t, backing[start:start+260])
+		}
+		for _, v := range maskedAlphabet {
+			for _, n := range []int{1, 4, 63, 64, 65, 128, 200} {
+				data := make([]float64, n)
+				for i := range data {
+					data[i] = v
+				}
+				checkClassifyBits(t, data)
+				for _, at := range []int{0, n / 2, n - 1} {
+					data[at] = math.Float64frombits(math.Float64bits(v) ^ 1)
+					checkClassifyBits(t, data)
+					data[at] = v
+				}
+			}
+		}
+	})
+}
+
 // The zero-class scan and the two directions of the masked form at the
 // shape of the wire-4c full-pass reply: 5000 x 17 critic logits through
 // LeakyReLU and Dropout(0.5), a quarter +0, a quarter -0, half values.
@@ -243,6 +327,31 @@ func BenchmarkCountZeroClasses(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if zc := CountZeroClasses(x.data); zc.Zero == 0 {
 					b.Fatal("no zeros counted")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClassifyBits classifies one default-height gtvcol block (64Ki
+// values) shaped like a column of an encoded one-hot group: one value in
+// four a 1.0, the rest +0.
+func BenchmarkClassifyBits(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	data := make([]float64, 1<<16)
+	for i := range data {
+		if rng.Intn(4) == 0 {
+			data[i] = 1
+		}
+	}
+	nz, one := make([]uint64, len(data)/64), make([]uint64, len(data)/64)
+	for _, path := range KernelPaths() {
+		b.Run("onehot/"+path, func(b *testing.B) {
+			UseKernelPath(b, path)
+			b.SetBytes(int64(8 * len(data)))
+			for i := 0; i < b.N; i++ {
+				if ClassifyBits(nz, one, data) {
+					b.Fatal("a mixed block classified as all one value")
 				}
 			}
 		})
