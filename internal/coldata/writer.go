@@ -32,6 +32,7 @@ type Writer struct {
 	stripe []float64
 	stride int
 
+	enc       blockEncoder
 	blockBuf  []byte
 	blockLens []uint32 // stripe-major, cols per stripe
 	metaNames []string
@@ -61,6 +62,7 @@ func Create(path string, cols, blockRows int) (*Writer, error) {
 		cols: cols, blockRows: blockRows,
 		stripe:    make([]float64, (blockRows+stridePad)*cols),
 		stride:    blockRows + stridePad,
+		enc:       newBlockEncoder(blockRows),
 		metaBlobs: map[string][]byte{},
 	}
 	var hdr [headerSize]byte
@@ -165,7 +167,7 @@ func (w *Writer) flushStripe() error {
 		return nil
 	}
 	for j := 0; j < w.cols; j++ {
-		w.blockBuf = appendBlock(w.blockBuf[:0], w.stripe[j*w.stride:j*w.stride+rows])
+		w.blockBuf = w.enc.appendBlock(w.blockBuf[:0], w.stripe[j*w.stride:j*w.stride+rows])
 		if err := w.write(w.blockBuf); err != nil {
 			return err
 		}
