@@ -4,13 +4,15 @@
 set -eux
 
 make vet
-# gmm's Go loops define the encoded bits on every build, so no compiler may
-# fuse them: arm64 turns x*y + z into one instruction unless the product is
-# written float64(x*y). -a defeats the build cache, which prints no listing
-# for a cached package; the first grep proves a listing came out.
+# gmm's and tensor's Go loops define the encoded bits and the kernels' bits
+# on every build, so no compiler may fuse them: arm64 turns x*y + z into one
+# instruction unless the product is written float64(x*y). -a defeats the
+# build cache, which prints no listing for a cached package; the first two
+# greps prove both listings came out.
 asm=$(mktemp)
-GOARCH=arm64 go build -a -gcflags=-S ./internal/gmm 2>"$asm"
+GOARCH=arm64 go build -a -gcflags=-S ./internal/gmm ./internal/tensor 2>"$asm"
 grep -q 'gmm\.posterior STEXT' "$asm"
+grep -q 'tensor\.axpy4Generic STEXT' "$asm"
 if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$asm"; then exit 1; fi
 rm "$asm"
 # gofmt, except the lint fixtures, which are malformed on purpose.

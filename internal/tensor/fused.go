@@ -57,8 +57,10 @@ func Dropout(rng *rand.Rand, x *Dense, keep float64) (out, mask *Dense) {
 	for i, v := range x.data {
 		// u-keep is negative exactly when u < keep (a difference of two
 		// distinct floats never rounds to zero), so its sign bit selects the
-		// scale without a branch the predictor cannot learn.
-		below := math.Float64bits(rng.Float64()-keep) >> 63
+		// scale without a branch the predictor cannot learn. The draw is
+		// rounded before the subtraction: arm64 would fuse rng.Float64's
+		// scaling product into it.
+		below := math.Float64bits(float64(rng.Float64())-keep) >> 63
 		m := math.Float64frombits(scale & -below)
 		md[i] = m
 		od[i] = v * m

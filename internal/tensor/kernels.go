@@ -299,11 +299,14 @@ func (m *Dense) ActiveRowGroups(dst []int) []int {
 // axpy4Generic is the row update both accumulating kernels are made of:
 // orow[j] += a0*b[j] + a1*b[p+j] + a2*b[2p+j] + a3*b[3p+j] for the four
 // consecutive length-p rows held in b, the products summed left to right.
+// Each product is written float64(x*y) so that no compiler fuses it into the
+// add (arm64 would); the loop indexes b0 rather than ranging over its values
+// to stay inside the inliner's budget, so axpy4 still inlines it.
 func axpy4Generic(orow, b []float64, a0, a1, a2, a3 float64) {
 	p := len(orow)
 	b0, b1, b2, b3 := b[:p], b[p:2*p], b[2*p:3*p], b[3*p:4*p]
-	for j, bv := range b0 {
-		orow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	for j := range b0 {
+		orow[j] += float64(a0*b0[j]) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
 	}
 }
 
@@ -311,7 +314,7 @@ func axpy4Generic(orow, b []float64, a0, a1, a2, a3 float64) {
 func axpy1Generic(orow, brow []float64, av float64) {
 	brow = brow[:len(orow)]
 	for j, bv := range brow {
-		orow[j] += av * bv
+		orow[j] += float64(av * bv)
 	}
 }
 
@@ -333,10 +336,10 @@ func matmulTBRangeGeneric(dst, a, b *Dense, lo, hi int) {
 			b3 := bd[(j+3)*n : (j+4)*n]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -344,7 +347,7 @@ func matmulTBRangeGeneric(dst, a, b *Dense, lo, hi int) {
 			brow := bd[j*n : (j+1)*n]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}

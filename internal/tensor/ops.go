@@ -184,7 +184,7 @@ func (m *Dense) AxpyInPlace(alpha float64, src *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: AxpyInPlace shape mismatch %dx%d vs %dx%d", m.rows, m.cols, src.rows, src.cols))
 	}
 	for i, v := range src.data {
-		m.data[i] += alpha * v
+		m.data[i] += float64(alpha * v)
 	}
 	return m
 }
@@ -401,7 +401,7 @@ func (m *Dense) ShuffleRows(perm []int) *Dense {
 func (m *Dense) Norm() float64 {
 	var s float64
 	for _, v := range m.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

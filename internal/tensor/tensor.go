@@ -82,7 +82,7 @@ func Full(rows, cols int, v float64) *Dense {
 func Randn(rng *rand.Rand, rows, cols int, mean, std float64) *Dense {
 	out := New(rows, cols)
 	for i := range out.data {
-		out.data[i] = rng.NormFloat64()*std + mean
+		out.data[i] = float64(rng.NormFloat64()*std) + mean
 	}
 	return out
 }
@@ -91,7 +91,7 @@ func Randn(rng *rand.Rand, rows, cols int, mean, std float64) *Dense {
 func RandUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *Dense {
 	out := New(rows, cols)
 	for i := range out.data {
-		out.data[i] = lo + rng.Float64()*(hi-lo)
+		out.data[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return out
 }
