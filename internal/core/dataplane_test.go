@@ -1,12 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/encoding"
+	"repro/internal/gmm"
 )
 
 // synthBits flattens a synthesized table into the exact float64 bit
@@ -31,6 +37,26 @@ func sameBits(t *testing.T, label string, a, b []uint64) {
 		if a[i] != b[i] {
 			t.Fatalf("%s: synthesized value %d differs between runs (bit patterns %x vs %x)", label, i, a[i], b[i])
 		}
+	}
+}
+
+// bitsDigest is the hex sha256 of float64 bit patterns, little-endian.
+func bitsDigest(bits []uint64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, u := range bits {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// requireDigest fails unless got is the pinned digest. Like every sha256 pin
+// in the repo it holds within one amd64 build; callers skip elsewhere.
+func requireDigest(t *testing.T, label, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s: sha256 %s, want %s", label, got, want)
 	}
 }
 
@@ -107,6 +133,87 @@ func TestDataPlaneByteIdentityCentralized(t *testing.T) {
 	sameBits(t, "streamed vs cached-rerun", freshBits, cachedBits)
 	sameCheckpoint(t, "in-memory vs streamed", memCkpt, freshCkpt)
 	sameCheckpoint(t, "streamed vs cached-rerun", freshCkpt, cachedCkpt)
+
+	// The in-memory run pinned to bytes, so a change to the in-memory data
+	// plane cannot move all three runs together. Computed while that plane
+	// still held a dense encoded matrix.
+	if runtime.GOARCH == "amd64" {
+		ckptSum := sha256.Sum256(memCkpt)
+		requireDigest(t, "in-memory checkpoint", hex.EncodeToString(ckptSum[:]), "9154c7d185ad9edb959e378c20134d9b71d57c6a33a3703fa32f6f78fe6e177d")
+		requireDigest(t, "in-memory synthesis", bitsDigest(memBits), "a4015eb1bf3584e05180668928a814d46707d7c764144f581adc6e611c40e25a")
+	}
+}
+
+// TestEncodedMatrixPins pins the encoded matrix each party of a two-client
+// split of every stand-in dataset trains on, read back through the
+// party's data plane, to a sha256 of its float64 bits. The seeds are the
+// ones NewClient derives (opts.Seed + 1000·i). The digests were computed
+// while the in-memory data plane still held a dense encoded matrix; they
+// hold within one amd64 build.
+func TestEncodedMatrixPins(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are pinned for amd64 float arithmetic")
+	}
+	want := map[string][2]string{
+		"loan": {
+			"47affeda5354042d06dfd34d29ac331c24447786dffc443af9a2496741b2feb9",
+			"df29c74e68f6ecbe2a98d67316da73725a041fb304436f87cd748e3977825ac7",
+		},
+		"adult": {
+			"9d61417ba2fc22677a699f1c424d3f273eaea0212a8b90fc068ccc9ce7904a63",
+			"5cade6d70af27e87219b018568c9aa6fe25bb4d0fcb314306beb8535cd647cd3",
+		},
+		"covtype": {
+			"7967f8e6ca8ae269b8b4e14614586402dcd101061f1cf2ae1358841032c74de4",
+			"ab6e9b176b6bcf6e2a235c7656e05ae8149559c508209648c58df37874ee3e96",
+		},
+		"intrusion": {
+			"cedfb27cf42dcd7b3ec4611813bcd443cef2314c8dafffdf1b4fd9e044963a94",
+			"04fbf38da7f7b08d976b8e3060fc98865ad1f6bd9e9d5d3f36f5a74bc4ea54c9",
+		},
+		"credit": {
+			"b192c3b0ceb0d554b8f17671e163c9304b698c307a5008b248888c390a339ea0",
+			"6f33eb56f79cda6776201f46fe77b76b01b0567dc76864675d1bed845d78013c",
+		},
+	}
+	opts := DefaultOptions()
+	for _, name := range datasets.Names() {
+		d, err := datasets.Generate(name, datasets.Config{Rows: 300, Seed: 31})
+		if err != nil {
+			t.Fatalf("Generate(%s): %v", name, err)
+		}
+		assignment, err := EvenAssignment(d.Table.Cols(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := d.Table.VerticalSplit(assignment, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			_, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, opts.Seed+int64(i)*1000, gmm.DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s client %d: %v", name, i, err)
+			}
+			idx := make([]int, part.Rows())
+			for k := range idx {
+				idx[k] = k
+			}
+			m, err := backing.GatherRows(idx)
+			if err != nil {
+				t.Fatalf("%s client %d: %v", name, i, err)
+			}
+			bits := make([]uint64, 0, len(m.Data()))
+			for _, v := range m.Data() {
+				bits = append(bits, math.Float64bits(v))
+			}
+			m.Release()
+			if err := backing.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireDigest(t, fmt.Sprintf("%s client %d", name, i), bitsDigest(bits), want[name][i])
+		}
+	}
 }
 
 // TestDataPlaneByteIdentityFederated is the same property for GTV proper:
