@@ -117,7 +117,8 @@ type Options struct {
 	// holds; blocks are held in their on-disk form, so that is about as
 	// many MiB of the party's .enc.gtvcol file, and batched training runs
 	// at in-memory speed while the file fits. 0 selects the coldata
-	// default (256 MiB). Only meaningful with DataDir.
+	// default (256 MiB). Only meaningful with DataDir: without one, the
+	// encoded matrix is an in-memory image whose cache is unbounded.
 	BlockCacheMB int
 }
 

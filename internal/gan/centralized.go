@@ -93,8 +93,8 @@ type Centralized struct {
 	rng         *rng.Rand
 	transformer *encoding.Transformer
 	sampler     *condvec.Sampler
-	// data serves the encoded real rows: an in-memory matrix for
-	// NewCentralized, a block-cached gtvcol reader for NewCentralizedStored.
+	// data serves the encoded real rows from a gtvcol image: in memory for
+	// NewCentralized, the store's file for NewCentralizedStored.
 	data  encoding.Backing
 	specs []encoding.ColumnSpec
 
@@ -109,7 +109,7 @@ type Centralized struct {
 }
 
 // NewCentralized fits the feature encoders on the table and builds the
-// GAN, holding the encoded matrix in memory.
+// GAN, holding the encoded matrix as an in-memory gtvcol image.
 //
 //lint:ignore deadcode in-memory constructor the gan and tensor tests use
 func NewCentralized(table *encoding.Table, cfg Config) (*Centralized, error) {
@@ -157,8 +157,8 @@ func NewCentralizedStored(table *encoding.Table, cfg Config, st encoding.Storage
 	return c, nil
 }
 
-// Close releases the encoded-data backing (file handles and block cache
-// for stored trainers; a no-op in memory).
+// Close releases the encoded-data backing: its block cache, and the file
+// handle of a stored trainer.
 func (c *Centralized) Close() error { return c.data.Close() }
 
 // Rounds returns the number of completed training rounds.

@@ -98,14 +98,12 @@ func assertMatchesReference(t *testing.T, label string, c *LocalClient, ref *phy
 	if full == nil {
 		t.Fatalf("%s: full-table pass after a shuffle built no ordered matrix", label)
 	}
-	whole, owned, err := ref.data.Dense(nil)
+	whole, err := ref.data.Dense(nil)
 	if err != nil {
 		t.Fatalf("%s: reference Dense: %v", label, err)
 	}
 	assertMatrixBitEqual(t, label+": full-table matrix", full, whole)
-	if owned {
-		whole.Release()
-	}
+	whole.Release()
 	if _, err := c.ForwardReal(nil); err != nil {
 		t.Fatalf("%s: second ForwardReal(nil): %v", label, err)
 	}
