@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/gmm"
+	"repro/internal/tensor"
 )
 
 // synthBits flattens a synthesized table into the exact float64 bit
@@ -212,6 +214,95 @@ func TestEncodedMatrixPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireDigest(t, fmt.Sprintf("%s client %d", name, i), bitsDigest(bits), want[name][i])
+		}
+	}
+}
+
+// TestDenseAndTransformPins pins, for each party of the same two-client
+// splits as TestEncodedMatrixPins, the two other ways out of the encoder:
+// the backing expanded whole (Backing.Dense(nil)) and the matrix
+// Transformer.Transform encodes from its own stream (a generator seeded
+// with the party's seed, not its EncodeSeed), each as a sha256 of its
+// float64 bits. A Dense digest equals the party's TestEncodedMatrixPins
+// digest: a whole expansion and a gather of every row in order are one
+// matrix. They hold within one amd64 build.
+func TestDenseAndTransformPins(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are pinned for amd64 float arithmetic")
+	}
+	want := map[string][2][2]string{
+		"loan": {
+			{"47affeda5354042d06dfd34d29ac331c24447786dffc443af9a2496741b2feb9",
+				"aa58afa40139a3916657341463085c9ee54cdc7b97dbeca7c1b64dc591d162b5"},
+			{"df29c74e68f6ecbe2a98d67316da73725a041fb304436f87cd748e3977825ac7",
+				"2ebd981ad539c43daebde7a1d54a9b8799584e3c23355641056c921e3be55e51"},
+		},
+		"adult": {
+			{"9d61417ba2fc22677a699f1c424d3f273eaea0212a8b90fc068ccc9ce7904a63",
+				"bae419dbe9cc4b6611ced1059d6804b2460922f9d44c8b82ec4ccdfc1f887e39"},
+			{"5cade6d70af27e87219b018568c9aa6fe25bb4d0fcb314306beb8535cd647cd3",
+				"cef13b44cad8d1e645cf0b050d126005e50edf145cded91099b6ef724cdf7b13"},
+		},
+		"covtype": {
+			{"7967f8e6ca8ae269b8b4e14614586402dcd101061f1cf2ae1358841032c74de4",
+				"bdaafa54183ae27e25818c9547ebc2b5b35b02c2db86886f9afa6eb9895ae1f0"},
+			{"ab6e9b176b6bcf6e2a235c7656e05ae8149559c508209648c58df37874ee3e96",
+				"fb692593ce1dbe6d2569cd028cf6a4dad328f12dc28621d5d84fc2dfc77479e4"},
+		},
+		"intrusion": {
+			{"cedfb27cf42dcd7b3ec4611813bcd443cef2314c8dafffdf1b4fd9e044963a94",
+				"38bca11e4a77b824d7cbbd3377f58fd684d13cfba95ac079c70901d883d5e0e3"},
+			{"04fbf38da7f7b08d976b8e3060fc98865ad1f6bd9e9d5d3f36f5a74bc4ea54c9",
+				"b493eff2623a38f154475e97e2ff12edf80f98e72099a0b1c1915ce39eab453b"},
+		},
+		"credit": {
+			{"b192c3b0ceb0d554b8f17671e163c9304b698c307a5008b248888c390a339ea0",
+				"e2cc0a6b99b5c5c9ed3592375d715a447aca82d3ab0433977be964ccb559e677"},
+			{"6f33eb56f79cda6776201f46fe77b76b01b0567dc76864675d1bed845d78013c",
+				"b0ceb067a4552a672c277749c90ebd8bd031b03807d15035c68f213d1a083e1c"},
+		},
+	}
+	matrixDigest := func(m *tensor.Dense) string {
+		bits := make([]uint64, 0, len(m.Data()))
+		for _, v := range m.Data() {
+			bits = append(bits, math.Float64bits(v))
+		}
+		return bitsDigest(bits)
+	}
+	opts := DefaultOptions()
+	for _, name := range datasets.Names() {
+		d, err := datasets.Generate(name, datasets.Config{Rows: 300, Seed: 31})
+		if err != nil {
+			t.Fatalf("Generate(%s): %v", name, err)
+		}
+		assignment, err := EvenAssignment(d.Table.Cols(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := d.Table.VerticalSplit(assignment, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			seed := opts.Seed + int64(i)*1000
+			tr, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, seed, gmm.DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s client %d: %v", name, i, err)
+			}
+			dense, err := backing.Dense(nil)
+			if err != nil {
+				t.Fatalf("%s client %d: Dense: %v", name, i, err)
+			}
+			requireDigest(t, fmt.Sprintf("%s client %d Dense", name, i), matrixDigest(dense), want[name][i][0])
+			dense.Release()
+			if err := backing.Close(); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := tr.Transform(rand.New(rand.NewSource(seed)), part)
+			if err != nil {
+				t.Fatalf("%s client %d: Transform: %v", name, i, err)
+			}
+			requireDigest(t, fmt.Sprintf("%s client %d Transform", name, i), matrixDigest(enc), want[name][i][1])
 		}
 	}
 }
