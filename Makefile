@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireMatrixRoundTrip -fuzztime $(FUZZTIME) ./internal/vfl
 	$(GO) test -run '^$$' -fuzz FuzzShuffleView -fuzztime $(FUZZTIME) ./internal/vfl
 	$(GO) test -run '^$$' -fuzz FuzzStoredBlobDecode -fuzztime $(FUZZTIME) ./internal/encoding
+	$(GO) test -run '^$$' -fuzz FuzzSpanCodedImage -fuzztime $(FUZZTIME) ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzAdamStep -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor

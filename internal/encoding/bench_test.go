@@ -1,6 +1,7 @@
 package encoding_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -83,4 +84,55 @@ func BenchmarkVerticalSplit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}
+
+// BenchmarkBackingGatherRows gathers 64 uniform rows from each party of a
+// two-client adult split at 500 k rows, the batch a rows-warm round draws:
+// each party's store on disk behind an 8 MiB block cache, which holds the
+// whole file, warmed before the timer. The span codes are gathered and
+// expanded to encoded rows.
+func BenchmarkBackingGatherRows(b *testing.B) {
+	const rows, batch = 500_000, 64
+	d, err := datasets.Generate("adult", datasets.Config{Rows: rows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	for i, cols := range [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}} {
+		t, err := d.Table.SelectColumns(cols)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := encoding.Storage{Dir: dir, Name: fmt.Sprintf("client-%d", i), CacheBytes: 8 << 20}
+		_, backing, err := encoding.OpenOrEncode(st, t, int64(1+1000*i), gmm.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(st.Name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			idx := make([]int, batch)
+			gather := func() {
+				for k := range idx {
+					idx[k] = rng.Intn(rows)
+				}
+				m, err := backing.GatherRows(idx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+			for w := 0; w < 64; w++ {
+				gather()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				gather()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/row")
+		})
+		if err := backing.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -58,9 +58,10 @@ func storedBlobTransformer(t testing.TB, tbl *Table) *Transformer {
 // on — the specs blob, the fitted-transformer blob and the encode
 // fingerprint — to bytes. golden.gtvcol is a coldata-level fixture and
 // carries none of them, and TestEncodePathsMatchReference compares against
-// the package's own encoder. The constants were computed with the encoders
-// as they stood before the blob codec moved onto internal/binfmt; like every
-// bit contract in the repo the fitted one holds within one amd64 build.
+// the package's own encoder. The constants are those of codec version 2,
+// whose specs and transformer blobs differ from version 1's in the leading
+// version byte alone; like every bit contract in the repo the fitted one
+// holds within one amd64 build.
 func TestStoredBlobGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are pinned for amd64 float arithmetic")
@@ -70,9 +71,9 @@ func TestStoredBlobGolden(t *testing.T) {
 		name, want string
 		blob       []byte
 	}{
-		{"specs", "1f9a85e1147cddf8ec82f40cac053b081f028f50b1ef77caf01b5cd8c79a2e46", encodeSpecs(tbl.Specs)},
-		{"transformer", "8d499e3df5d7b967c727275e33ea0bc54019fae5245e9e7ad5de14d5b2238912", storedBlobTransformer(t, tbl).encodeBinary()},
-		{"fingerprint", "6b63b98f36ba7951ba08679434ca3c0c5a1ab9cf527d8903c69de189bcd300e2", encodeFingerprint(7, gmm.DefaultConfig(), tbl.Rows(), tbl.Specs)},
+		{"specs", "28b8546b4b5f8a349794883581ca99a17db88c2d5d2e649d7ca5f00e94316830", encodeSpecs(tbl.Specs)},
+		{"transformer", "c81077355b12a78454683b9acb55ff1d50c36d2f0fb06427cc33d347e40145c7", storedBlobTransformer(t, tbl).encodeBinary()},
+		{"fingerprint", "5a6bead444c3d0c36cfe058713b9fc021cf3609d3286b5814713a88e3e6413d5", encodeFingerprint(7, gmm.DefaultConfig(), tbl.Rows(), tbl.Specs)},
 	} {
 		sum := sha256.Sum256(c.blob)
 		if got := hex.EncodeToString(sum[:]); got != c.want {

@@ -175,16 +175,18 @@ func (tr *Transformer) CategoricalSpans() []Span {
 }
 
 // Transform encodes the table into one in-memory matrix: TransformTo's
-// rows, collected. rng drives the posterior mode sampling of mode-specific
-// normalization (CTGAN samples the mode rather than taking the argmax).
+// span-coded rows, each expanded to its one-hot form. rng drives the
+// posterior mode sampling of mode-specific normalization (CTGAN samples the
+// mode rather than taking the argmax).
 //
 //shape:out(R,W)
 //lint:ignore deadcode bench/_gtvbench (ROADMAP 1(i))
 func (tr *Transformer) Transform(rng *rand.Rand, t *Table) (*tensor.Dense, error) {
 	out := tensor.New(t.Rows(), tr.width)
 	i := 0
-	err := tr.TransformTo(rng, t, func(row []float64) error {
-		copy(out.RawRow(i), row)
+	err := tr.TransformTo(rng, t, func(code []float64) error {
+		// The encoder's codes are in range by construction.
+		expandRow(tr.spans, code, out.RawRow(i))
 		i++
 		return nil
 	})
@@ -194,24 +196,25 @@ func (tr *Transformer) Transform(rng *rand.Rand, t *Table) (*tensor.Dense, error
 	return out, nil
 }
 
-// TransformTo streams the encoded rows through emit in row order without
-// ever materializing the full encoded matrix; the row slice is reused, so
-// emit must copy what it keeps. OpenOrEncode feeds a coldata.Writer this
-// way. A chunk at a time, it first computes the posteriors of every
-// continuous cell, a column at a time (chunkState.fill), then draws the
-// modes row by row — one rng draw per continuous or mixed-continuous cell
-// in row-major order, the order the per-cell loop drew in, from posteriors
-// with the per-cell loop's bits.
-func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(row []float64) error) error {
+// TransformTo streams the table's span-coded rows through emit in row order
+// without ever materializing the encoded matrix; the row slice is reused,
+// so emit must copy what it keeps. A span-coded row holds one value per
+// span, in span order: a scalar span's value, and for a one-hot span the
+// index of its hot column. expandRow turns it into the encoded row.
+// OpenOrEncode feeds a coldata.Writer this way. A chunk at a time, it first
+// computes the posteriors of every continuous cell, a column at a time
+// (chunkState.fill), then draws the modes row by row — one rng draw per
+// continuous or mixed-continuous cell in row-major order, the order the
+// per-cell loop drew in, from posteriors with the per-cell loop's bits.
+func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(code []float64) error) error {
 	if len(t.Specs) != len(tr.specs) {
 		return fmt.Errorf("encoding: table has %d columns, transformer fitted on %d", len(t.Specs), len(tr.specs))
 	}
-	buf := make([]float64, tr.width)
+	buf := make([]float64, len(tr.spans))
 	st := tr.newChunkState()
 	return t.scanChunks(func(first int, rows [][]float64) error {
 		st.fill(tr, rows)
 		for r, row := range rows {
-			clear(buf)
 			if err := tr.encodeRow(rng, first+r, r, row, buf, st); err != nil {
 				return err
 			}
@@ -221,6 +224,30 @@ func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(row []flo
 		}
 		return nil
 	})
+}
+
+// expandRow writes the encoded row that the span-coded row code stands for
+// into dst, which must hold the spans' total width and be zero: a scalar
+// span's value at its Start, a one-hot span's 1.0 at its Start plus its
+// code. It returns the first span whose code is not an integer in
+// [0, Width) (as the encoder writes it: −0 is not 0), or −1; it never
+// writes outside a span.
+func expandRow(spans []Span, code, dst []float64) int {
+	for s, sp := range spans {
+		c := code[s]
+		if sp.Type == SpanScalar {
+			dst[sp.Start] = c
+			continue
+		}
+		// A NaN, an infinity, a fraction or −0 fails the round trip
+		// through int: the encoder writes a code's own bits.
+		h := int(c)
+		if h < 0 || h >= sp.Width || math.Float64bits(float64(h)) != math.Float64bits(c) {
+			return s
+		}
+		dst[sp.Start+h] = 1
+	}
+	return -1
 }
 
 // chunkState holds one chunk's posteriors for an encode call. Per column j
@@ -287,11 +314,12 @@ func (st *chunkState) drawMode(rng *rand.Rand, j, k int) int {
 	return gmm.DrawMode(rng, st.resp[j][c*k:c*k+k])
 }
 
-// encodeRow encodes row i, the chunk's row r, into dst (len tr.width,
-// pre-zeroed), drawing each continuous cell's mode from st. A continuous
-// cell that normalizes to a non-finite value is an error naming its column.
+// encodeRow writes the span-coded form of row i, the chunk's row r, into
+// dst (one value per span), drawing each continuous cell's mode from st. A
+// continuous cell that normalizes to a non-finite value is an error naming
+// its column.
 func (tr *Transformer) encodeRow(rng *rand.Rand, i, r int, row, dst []float64, st *chunkState) error {
-	off := 0
+	s := 0
 	for j := range tr.cols {
 		enc := &tr.cols[j]
 		v := row[j]
@@ -301,29 +329,30 @@ func (tr *Transformer) encodeRow(rng *rand.Rand, i, r int, row, dst []float64, s
 			if k < 0 || k >= enc.spec.NumCategories() {
 				return fmt.Errorf("encoding: row %d column %q invalid category %v", i, enc.spec.Name, v)
 			}
-			dst[off+k] = 1
+			dst[s] = float64(k)
+			s++
+			continue
 		case KindContinuous:
 			mode := st.drawMode(rng, j, enc.mixture.K())
-			dst[off] = enc.mixture.Normalize(v, mode)
-			dst[off+1+mode] = 1
+			dst[s] = enc.mixture.Normalize(v, mode)
+			dst[s+1] = float64(mode)
 		case KindMixed:
 			if slot := st.slot[j][r]; slot >= 0 {
-				dst[off] = 0
-				dst[off+1+slot] = 1
+				dst[s] = 0
+				dst[s+1] = float64(slot)
 			} else {
 				mode := st.drawMode(rng, j, enc.mixture.K())
-				dst[off] = enc.mixture.Normalize(v, mode)
-				dst[off+1+len(enc.spec.SpecialValues)+mode] = 1
+				dst[s] = enc.mixture.Normalize(v, mode)
+				dst[s+1] = float64(len(enc.spec.SpecialValues) + mode)
 			}
 		}
 		// A finite value can still normalize past float64 (a mixture fitted
 		// to values whose squares overflow): refuse it here, by column,
-		// rather than let a trainer meet the NaN. (A categorical column's
-		// first cell is 0 or 1.)
-		if a := dst[off]; math.IsNaN(a) || math.IsInf(a, 0) {
+		// rather than let a trainer meet the NaN.
+		if a := dst[s]; math.IsNaN(a) || math.IsInf(a, 0) {
 			return fmt.Errorf("encoding: row %d column %q: value %v normalizes to %v", i, enc.spec.Name, v, a)
 		}
-		off += enc.width()
+		s += 2
 	}
 	return nil
 }
