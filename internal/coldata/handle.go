@@ -150,9 +150,15 @@ func (h *blockHandle) parsePayload() error {
 			return corruptf("FOR body %d bytes for %d rows of width %d", len(rest), h.count, w)
 		}
 		h.forW, h.forOff = w, len(p)-len(rest)
-		for i := 0; i < h.count; i++ {
-			if _, ok := h.forValue(i); !ok {
-				return corruptf("FOR value out of exact-integer range")
+		// A delta narrower than 8 bytes is under 2^(8w): from a minimum at
+		// least that far below the bound, every value is exact, and the
+		// walk (a load's whole cost on a block of small codes) would only
+		// say so again.
+		if w == 8 || h.forMin > maxExactInt-(int64(1)<<(8*w)-1) {
+			for i := 0; i < h.count; i++ {
+				if _, ok := h.forValue(i); !ok {
+					return corruptf("FOR value out of exact-integer range")
+				}
 			}
 		}
 	default: // layoutDense

@@ -390,6 +390,10 @@ func blockCases() []struct {
 		{"for-2", block(300, func(i int) float64 { return float64(-400 + 7*i) })},
 		{"for-4", block(300, func(i int) float64 { return float64(i * 100003) })},
 		{"for-8", block(300, func(i int) float64 { return float64(int64(i) * (1 << 40)) })},
+		// Minimums at the last one a width's every delta is exact from, so
+		// a flip in the minimum or a delta crosses the range's end.
+		{"for-1-at-the-range-end", block(300, func(i int) float64 { return float64(maxExactInt - 255 + int64(i%256)) })},
+		{"for-2-at-the-range-end", block(300, func(i int) float64 { return float64(maxExactInt - 65535 + int64(i*219)) })},
 		{"dense", block(257, func(i int) float64 { return 0.5 + 1/float64(i+1) })},
 		{"one-row", block(1, func(int) float64 { return 4.5 })},
 	}
