@@ -43,13 +43,20 @@ func run(w io.Writer, rounds int) error {
 		}
 	}
 
+	// Each party's columns, split once: the federation trains on them and
+	// the avg-client metric compares the synthetic parts against them.
+	realParts, err := d.Table.VerticalSplit(assignment, 4)
+	if err != nil {
+		return err
+	}
+
 	for _, enlarged := range []bool{false, true} {
 		opts := core.DefaultOptions()
 		opts.Rounds = rounds
 		if enlarged {
 			opts.GenBlockDim = 3 * opts.BlockDim
 		}
-		g, err := core.NewFromAssignment(d.Table, assignment, 4, opts)
+		g, err := core.New(realParts, opts)
 		if err != nil {
 			return err
 		}
@@ -65,7 +72,6 @@ func run(w io.Writer, rounds int) error {
 		if err != nil {
 			return err
 		}
-		realParts := g.ClientTables()
 		avg, err := stats.AvgClientDiff(realParts, parts)
 		if err != nil {
 			return err

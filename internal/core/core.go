@@ -197,9 +197,10 @@ type GTV struct {
 }
 
 // New builds a GTV system from pre-partitioned client tables (all with the
-// same number of aligned rows). With the binary Transport in the options,
-// each client is served on its own TCP loopback listener and reached the
-// way Dial reaches a remote one; call Close when done.
+// same number of aligned rows). The tables are read during construction
+// only: no party keeps its raw rows. With the binary Transport in the
+// options, each client is served on its own TCP loopback listener and
+// reached the way Dial reaches a remote one; call Close when done.
 func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
 	if len(clientTables) == 0 {
 		return nil, errors.New("core: no client tables")
@@ -258,7 +259,7 @@ func NewClient(table *encoding.Table, i int, coord *vfl.ShuffleCoordinator, opts
 // Dial builds a GTV system over clients served elsewhere (as gtv-client
 // does), one address per client in order, under the options' CallPolicy,
 // WireFloat32 and WireDelta; the rest is New's. Transport is ignored, and
-// ClientTables and SynthesizeCondition see no clients.
+// SynthesizeCondition sees no clients.
 func Dial(addrs []string, opts Options) (*GTV, error) {
 	return (&GTV{}).dial(addrs, opts)
 }
@@ -481,19 +482,6 @@ func (g *GTV) Synthesize(n int) (*encoding.Table, error) {
 // synthetic slice (needed by the Avg-client/Across-client metrics).
 func (g *GTV) SynthesizeParts(n int) (*encoding.Table, []*encoding.Table, error) {
 	return g.server.SynthesizeParts(n)
-}
-
-// ClientTables returns the clients' current (shuffled) local tables. The
-// column order matches the order client tables were passed to New. After
-// the first round each call builds re-ordered copies (clients keep their
-// rows in place and train through a row-order view), so call it once per
-// evaluation, not per row.
-func (g *GTV) ClientTables() []*encoding.Table {
-	out := make([]*encoding.Table, len(g.clients))
-	for i, c := range g.clients {
-		out[i] = c.Table()
-	}
-	return out
 }
 
 // Ratios exposes the feature-ratio vector P_r.

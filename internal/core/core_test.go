@@ -4,9 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datasets"
 	"repro/internal/encoding"
@@ -100,9 +103,13 @@ func TestGTVEndToEndOnDataset(t *testing.T) {
 	if joined.Data.HasNaN() {
 		t.Fatal("synthetic data contains NaN")
 	}
-	// Synthetic data must be schema-valid and statistically comparable.
-	clientTables := g.ClientTables()
-	avg, err := stats.AvgClientDiff(clientTables, parts)
+	// Synthetic data must be schema-valid and statistically comparable to
+	// each party's own columns.
+	realParts, err := d.Table.VerticalSplit(assignment, 2)
+	if err != nil {
+		t.Fatalf("VerticalSplit: %v", err)
+	}
+	avg, err := stats.AvgClientDiff(realParts, parts)
 	if err != nil {
 		t.Fatalf("AvgClientDiff on synthetic parts: %v", err)
 	}
@@ -454,4 +461,68 @@ func TestUnencodableColumnIsNamed(t *testing.T) {
 			t.Errorf("%s: run ended in %v, want an encoding error naming column \"huge\"", c.name, err)
 		}
 	}
+}
+
+// TestNewHoldsNoRawRows: the parts handed to New can be collected as soon
+// as New returns, while the federation, kept alive, still trains a round
+// and synthesizes.
+func TestNewHoldsNoRawRows(t *testing.T) {
+	for _, transport := range []string{"local", "binary"} {
+		t.Run(transport, func(t *testing.T) {
+			var freed atomic.Int32
+			g := newOverDroppedParts(t, transport, &freed)
+			defer g.Close()
+			for try := 0; freed.Load() < 2; try++ {
+				if try == 100 {
+					t.Fatalf("%d of 2 parts collected: a live party still holds the rest", freed.Load())
+				}
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if _, _, err := g.TrainRound(); err != nil {
+				t.Fatalf("TrainRound: %v", err)
+			}
+			synth, err := g.Synthesize(16)
+			if err != nil {
+				t.Fatalf("Synthesize: %v", err)
+			}
+			if synth.Rows() != 16 {
+				t.Fatalf("synthesized %d rows, want 16", synth.Rows())
+			}
+			runtime.KeepAlive(g)
+		})
+	}
+}
+
+// newOverDroppedParts builds a two-party federation over a split of a
+// generated table, with a finalizer on each part's Data that counts into
+// freed, and returns without keeping the parts.
+func newOverDroppedParts(t *testing.T, transport string, freed *atomic.Int32) *GTV {
+	t.Helper()
+	d, err := datasets.Generate("loan", datasets.Config{Rows: 120, Seed: 13})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	assignment, err := EvenAssignment(d.Table.Cols(), 2)
+	if err != nil {
+		t.Fatalf("EvenAssignment: %v", err)
+	}
+	parts, err := d.Table.VerticalSplit(assignment, 2)
+	if err != nil {
+		t.Fatalf("VerticalSplit: %v", err)
+	}
+	for _, p := range parts {
+		runtime.SetFinalizer(p.Data, func(*tensor.Dense) { freed.Add(1) })
+	}
+	opts := DefaultOptions()
+	opts.Transport = transport
+	opts.DiscSteps = 1
+	opts.BlockDim = 16
+	opts.NoiseDim = 8
+	opts.BatchSize = 20
+	g, err := New(parts, opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return g
 }

@@ -176,10 +176,11 @@ func GradientPenalty(rng *rand.Rand, realIn, fakeIn *tensor.Dense, critic func(*
 }
 
 // interpolate returns x̂ = real*ε + fake*(1-ε) with one ε ~ U[0,1) per row,
-// drawn in row order; both products are rounded before they are added (the
-// conversions forbid a fused multiply-add). The matrix becomes a Var leaf,
-// which no tape releases, so it is the one buffer built here and it is not
-// taken from the pool.
+// drawn in row order; both products are rounded before they are added, and
+// ε (Float64's inlined scale by 2⁻⁶³) before 1-ε (the conversions forbid a
+// fused multiply-add). The matrix becomes a Var leaf, which no tape
+// releases, so it is the one buffer built here and it is not taken from
+// the pool.
 //
 //shape:in(B,C) in(B,C) out(B,C)
 func interpolate(rng *rand.Rand, realIn, fakeIn *tensor.Dense) *tensor.Dense {
@@ -189,7 +190,7 @@ func interpolate(rng *rand.Rand, realIn, fakeIn *tensor.Dense) *tensor.Dense {
 	}
 	out := tensor.New(rows, cols)
 	for i := 0; i < rows; i++ {
-		eps := rng.Float64()
+		eps := float64(rng.Float64())
 		rest := 1 - eps
 		realRow, fakeRow, dst := realIn.RawRow(i), fakeIn.RawRow(i), out.RawRow(i)
 		for j, r := range realRow {

@@ -145,13 +145,14 @@ type Client interface {
 // training table, its feature encoders, the bottom generator and
 // discriminator, and their optimizer state.
 type LocalClient struct {
-	// table is the client's vertical slice of the real training data; the
-	// server must never observe its values. It, the sampler's row index
-	// and data stay in the row order they were built in for the life of
-	// the client: training-with-shuffling is order, applied at the
-	// boundary (see rowOrder).
-	//privacy:source client raw table
-	table       *encoding.Table
+	// specs and rows are all the client keeps of its raw table, which
+	// construction reads once (to fit and encode, and to count categories)
+	// and does not retain. The sampler's row index and data stay in the row
+	// order they were built in for the life of the client:
+	// training-with-shuffling is order, applied at the boundary (see
+	// rowOrder).
+	specs       []encoding.ColumnSpec
+	rows        int
 	transformer *encoding.Transformer
 	sampler     *condvec.Sampler
 	// data serves the transformed real table (same rows, encoded columns)
@@ -224,8 +225,8 @@ func NewLocalClient(table *encoding.Table, coord *ShuffleCoordinator, seed int64
 // a bounded block cache (a matching cached file skips fitting and
 // encoding). Encoding always draws from the dedicated EncodeSeed stream,
 // so stored and in-memory clients train bit-identically from the same
-// seed. The raw table stays wherever the caller put it; only the encoded
-// matrix — the rows × encoded-width blow-up — moves out of core.
+// seed. The table is read during construction only: the client keeps its
+// column specs and row count, never its rows.
 func NewLocalClientStored(table *encoding.Table, coord *ShuffleCoordinator, seed int64, st encoding.Storage) (*LocalClient, error) {
 	if table.Rows() == 0 || table.Cols() == 0 {
 		return nil, errors.New("vfl: client table is empty")
@@ -244,7 +245,8 @@ func NewLocalClientStored(table *encoding.Table, coord *ShuffleCoordinator, seed
 		return nil, fmt.Errorf("vfl: building client CV sampler: %w", err)
 	}
 	return &LocalClient{
-		table:       table,
+		specs:       table.Specs,
+		rows:        table.Rows(),
 		transformer: tr,
 		sampler:     sampler,
 		data:        data,
@@ -267,10 +269,10 @@ func (c *LocalClient) Close() error {
 // Info implements Client.
 func (c *LocalClient) Info() (ClientInfo, error) {
 	return ClientInfo{
-		Features:     c.table.Cols(),
+		Features:     len(c.specs),
 		EncodedWidth: c.transformer.Width(),
 		CVWidth:      c.sampler.Width(),
-		Rows:         c.table.Rows(),
+		Rows:         c.rows,
 	}, nil
 }
 
@@ -412,10 +414,9 @@ func (c *LocalClient) toPhysical(idx []int) ([]int, error) {
 		c.physIdx = make([]int, len(idx))
 	}
 	phys := c.physIdx[:len(idx)]
-	rows := c.table.Rows()
 	for k, i := range idx {
-		if i < 0 || i >= rows {
-			return nil, fmt.Errorf("vfl: real row index %d out of range %d", i, rows)
+		if i < 0 || i >= c.rows {
+			return nil, fmt.Errorf("vfl: real row index %d out of range %d", i, c.rows)
 		}
 		if c.order.view != nil {
 			i = int(c.order.view[i])
@@ -436,7 +437,7 @@ func (c *LocalClient) dropFullReal() {
 // ResolveCondition maps a column name and category label of this client's
 // table to the (span index, category index) SampleCVFixed expects.
 func (c *LocalClient) ResolveCondition(column, categoryLabel string) (spanIdx, category int, err error) {
-	return gan.ResolveCondition(c.table.Specs, c.sampler, column, categoryLabel)
+	return gan.ResolveCondition(c.specs, c.sampler, column, categoryLabel)
 }
 
 // ForwardSynthetic implements Client.
@@ -637,7 +638,7 @@ func (c *LocalClient) EndRound(round int) error {
 	case round != c.order.shuffles:
 		return fmt.Errorf("vfl: EndRound for round %d on a client that has completed %d", round, c.order.shuffles)
 	}
-	order, err := c.coord.orderAfter(c.order, c.table.Rows(), round+1)
+	order, err := c.coord.orderAfter(c.order, c.rows, round+1)
 	if err != nil {
 		return err
 	}
@@ -697,16 +698,4 @@ func (c *LocalClient) Publish() (*encoding.Table, error) {
 	// reveals neither the secret nor any real row (§3.1.7).
 	//lint:ignore privflow the shuffle secret determines row order only, never row values (§3.1.7)
 	return decoded.ShuffleRows(perm), nil
-}
-
-// Table exposes the client's (current, possibly shuffled) local table for
-// evaluation code. Production deployments would not export this; the
-// experiment harness uses it to compute real-vs-synthetic metrics. Once a
-// shuffle has happened every call materialises a re-ordered copy, so this
-// is for evaluation, never for the training path.
-func (c *LocalClient) Table() *encoding.Table {
-	if c.order.view == nil {
-		return c.table
-	}
-	return c.table.GatherRows(ints(c.order.view))
 }

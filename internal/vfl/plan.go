@@ -107,7 +107,9 @@ func SplitWidths(total int, ratios []float64) ([]int, error) {
 	remainders := make([]float64, n)
 	assigned := 0
 	for i, r := range ratios {
-		exact := r * float64(total)
+		// Rounded before the subtraction below: arm64 would otherwise fuse
+		// the product into it, and the tie-break would differ by build.
+		exact := float64(r * float64(total))
 		widths[i] = int(exact)
 		remainders[i] = exact - float64(widths[i])
 		assigned += widths[i]

@@ -122,7 +122,7 @@ func assertFederationsSame(t *testing.T, rs, fs *Server, rc, fc []*LocalClient) 
 // got a full-table gradient (more rows than a batch) and left rows out of it.
 func restrictedSomeFullTablePass(clients []*LocalClient, batch int) bool {
 	for _, c := range clients {
-		if n := len(c.activeRows); n > batch && n < c.table.Rows() {
+		if n := len(c.activeRows); n > batch && n < c.rows {
 			return true
 		}
 	}

@@ -145,7 +145,8 @@ func TestSnapshotOverWire(t *testing.T) {
 	}
 	assertParamsEqual(t, "restored gen", locals[0].gen, fresh[0].gen)
 	assertParamsEqual(t, "restored disc", locals[0].disc, fresh[0].disc)
-	a, b := locals[0].Table().Data, fresh[0].Table().Data
+	raw := threeClientTables(t, 120, 17)[0] // the table newThreeClientSystem gives client 0
+	a, b := OrderedTable(locals[0], raw).Data, OrderedTable(fresh[0], raw).Data
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		t.Fatalf("restored table shape %dx%d, want %dx%d", b.Rows(), b.Cols(), a.Rows(), a.Cols())
 	}

@@ -27,6 +27,9 @@ func assertMatrixBitEqual(t *testing.T, label string, a, b *tensor.Dense) {
 // into the new order, shuffles the encoded matrix and rewrites the CV
 // index. The row-order view must be indistinguishable from it.
 type physicalReference struct {
+	// raw is the table as built, the one the client under test was built
+	// over; table is raw in the reference's current order.
+	raw     *encoding.Table
 	table   *encoding.Table
 	data    encoding.Backing
 	sampler *condvec.Sampler
@@ -44,7 +47,7 @@ func newPhysicalReference(t *testing.T, table *encoding.Table, seed int64, st en
 	if err != nil {
 		t.Fatalf("reference NewSampler: %v", err)
 	}
-	return &physicalReference{table: table, data: data, sampler: sampler, rng: rng.New(seed)}
+	return &physicalReference{raw: table, table: table, data: data, sampler: sampler, rng: rng.New(seed)}
 }
 
 func (r *physicalReference) endRound(t *testing.T, coord *ShuffleCoordinator, round int) {
@@ -64,7 +67,7 @@ func (r *physicalReference) endRound(t *testing.T, coord *ShuffleCoordinator, ro
 // for server-supplied positions and the full-table matrix.
 func assertMatchesReference(t *testing.T, label string, c *LocalClient, ref *physicalReference) {
 	t.Helper()
-	assertMatrixBitEqual(t, label+": Table()", c.Table().Data, ref.table.Data)
+	assertMatrixBitEqual(t, label+": OrderedTable", OrderedTable(c, ref.raw).Data, ref.table.Data)
 
 	got, err := c.SampleCV(37, false)
 	if err != nil {
@@ -155,6 +158,7 @@ func TestRowOrderViewMatchesPhysicalShuffle(t *testing.T) {
 				}
 				return c
 			}
+			before := ta.Data.Clone()
 			coord := NewShuffleCoordinator(secret)
 			c := newClient(coord, "client")
 			ref := newPhysicalReference(t, ta, seed, storage("reference"))
@@ -166,9 +170,7 @@ func TestRowOrderViewMatchesPhysicalShuffle(t *testing.T) {
 				ref.endRound(t, coord, round)
 				assertMatchesReference(t, "trained", c, ref)
 			}
-			if c.table != ta {
-				t.Fatal("training rearranged the client's raw table")
-			}
+			assertMatrixBitEqual(t, "caller's table after training", ta.Data, before)
 
 			// Two restored clients: one replays the order on a coordinator
 			// of its own, one picks up the order its peer already holds.

@@ -190,7 +190,7 @@ func (c *LocalClient) Restore(state []byte) error {
 	if err := c.discOpt.Restore(c.disc.Params(), st.discOpt); err != nil {
 		return err
 	}
-	order, err := c.coord.orderAfter(rowOrder{}, c.table.Rows(), st.shuffles)
+	order, err := c.coord.orderAfter(rowOrder{}, c.rows, st.shuffles)
 	if err != nil {
 		return err
 	}

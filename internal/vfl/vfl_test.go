@@ -278,9 +278,10 @@ func TestEndToEndLearnsCrossClientCorrelation(t *testing.T) {
 		t.Fatalf("synthetic across-client correlation ratio = %v, cross-client structure lost", eta)
 	}
 	// All clients remained row-aligned through shuffles.
-	for _, c := range clients {
-		if c.Table().Rows() != 600 {
-			t.Fatalf("client table rows changed to %d", c.Table().Rows())
+	ta, tb := twoClientTables(t, 600, 7) // the tables newTestSystem splits
+	for i, raw := range []*encoding.Table{ta, tb} {
+		if n := OrderedTable(clients[i], raw).Rows(); n != 600 {
+			t.Fatalf("client table rows changed to %d", n)
 		}
 	}
 }
@@ -294,8 +295,8 @@ func TestShuffleKeepsClientsAligned(t *testing.T) {
 	// cross-client relationship is not exact; instead track a synthetic ID:
 	// row i of A pairs with row i of B. After identical-seed shuffles the
 	// permutation must be identical on both sides.
-	origA := ca.Table().Data.Clone()
-	origB := cb.Table().Data.Clone()
+	origA := OrderedTable(ca, ta).Data.Clone()
+	origB := OrderedTable(cb, tb).Data.Clone()
 	for round := 0; round < 3; round++ {
 		if err := ca.EndRound(round); err != nil {
 			t.Fatalf("EndRound A: %v", err)
@@ -304,8 +305,8 @@ func TestShuffleKeepsClientsAligned(t *testing.T) {
 			t.Fatalf("EndRound B: %v", err)
 		}
 	}
-	// Table() materialises the shuffled table; take each once.
-	nowA, nowB := ca.Table().Data, cb.Table().Data
+	// OrderedTable materialises the shuffled table; take each once.
+	nowA, nowB := OrderedTable(ca, ta).Data, OrderedTable(cb, tb).Data
 	// The order is the composition of the three per-round permutations, each
 	// drawn exactly as rand.Perm draws it (new row k holds old row perm[k]):
 	// this pins the coordinator's fused shuffle to math/rand's sequence.
