@@ -11,9 +11,10 @@ make vet
 # cached package; the STEXT greps prove the listings came out.
 asm=$(mktemp)
 GOARCH=arm64 go build -a -gcflags=-S ./internal/autograd ./internal/binfmt \
-	./internal/coldata ./internal/condvec ./internal/core ./internal/encoding \
-	./internal/gan ./internal/gmm ./internal/nn ./internal/rng ./internal/snap \
-	./internal/tensor ./internal/vfl 2>"$asm"
+	./internal/coldata ./internal/condvec ./internal/core ./internal/datasets \
+	./internal/encoding ./internal/gan ./internal/gmm ./internal/nn ./internal/rng \
+	./internal/snap ./internal/tensor ./internal/vfl 2>"$asm"
+grep -q 'datasets\.dot STEXT' "$asm"
 grep -q 'gmm\.posterior STEXT' "$asm"
 grep -q 'tensor\.axpy4Generic STEXT' "$asm"
 grep -q 'vfl\.SplitWidths STEXT' "$asm"

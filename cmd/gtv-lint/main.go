@@ -11,7 +11,7 @@
 //	gtv-lint ./...        # same
 //	gtv-lint internal/vfl # only report findings under these path prefixes
 //	gtv-lint -list        # print the rule catalog
-//	gtv-lint -only floateq,maporder
+//	gtv-lint -only floateq,errdrop
 //	gtv-lint -json        # machine-readable findings on stdout
 package main
 

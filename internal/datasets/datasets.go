@@ -225,7 +225,7 @@ func fillColumn(rng *rand.Rand, data *tensor.Dense, j int, f featureDef, z *tens
 			zi := z.RawRow(i)
 			best, bestScore := 0, math.Inf(-1)
 			for c := 0; c < f.categories; c++ {
-				s := dot(w.RawRow(c), zi) + gumbel(rng)*0.7
+				s := dot(w.RawRow(c), zi) + float64(gumbel(rng)*0.7)
 				if s > bestScore {
 					best, bestScore = c, s
 				}
@@ -235,8 +235,8 @@ func fillColumn(rng *rand.Rand, data *tensor.Dense, j int, f featureDef, z *tens
 	case encoding.KindContinuous:
 		w := randUnit(rng)
 		for i := 0; i < rows; i++ {
-			v := dot(w, z.RawRow(i)) + rng.NormFloat64()*f.noise
-			data.Set(i, j, v*f.scale+f.offset)
+			v := dot(w, z.RawRow(i)) + float64(rng.NormFloat64()*f.noise)
+			data.Set(i, j, float64(v*f.scale)+f.offset)
 		}
 	case encoding.KindMixed:
 		w := randUnit(rng)
@@ -245,7 +245,7 @@ func fillColumn(rng *rand.Rand, data *tensor.Dense, j int, f featureDef, z *tens
 		// a logistic threshold calibrated to specialProb.
 		scores := make([]float64, rows)
 		for i := 0; i < rows; i++ {
-			scores[i] = dot(wSpecial, z.RawRow(i)) + rng.NormFloat64()*0.6
+			scores[i] = dot(wSpecial, z.RawRow(i)) + float64(rng.NormFloat64()*0.6)
 		}
 		threshold := quantile(scores, f.specialProb)
 		for i := 0; i < rows; i++ {
@@ -257,11 +257,11 @@ func fillColumn(rng *rand.Rand, data *tensor.Dense, j int, f featureDef, z *tens
 				data.Set(i, j, s)
 				continue
 			}
-			v := dot(w, z.RawRow(i)) + rng.NormFloat64()*f.noise
-			v = v*f.scale + f.offset
+			v := dot(w, z.RawRow(i)) + float64(rng.NormFloat64()*f.noise)
+			v = float64(v*f.scale) + f.offset
 			// Keep the continuous part clear of the special values.
 			if v <= 0 {
-				v = f.offset/4 + math.Abs(v)/8 + 1
+				v = float64(f.offset/4) + float64(math.Abs(v)/8) + 1
 			}
 			data.Set(i, j, v)
 		}
@@ -283,7 +283,7 @@ func fillTarget(rng *rand.Rand, data *tensor.Dense, j int, priors []float64, z *
 			zi := z.RawRow(i)
 			best, bestScore := 0, math.Inf(-1)
 			for c := 0; c < k; c++ {
-				s := dot(w.RawRow(c), zi) + bias[c] + gumbel(rng)*0.5
+				s := dot(w.RawRow(c), zi) + bias[c] + float64(gumbel(rng)*0.5)
 				if s > bestScore {
 					best, bestScore = c, s
 				}
@@ -304,7 +304,7 @@ func fillTarget(rng *rand.Rand, data *tensor.Dense, j int, priors []float64, z *
 			if math.Abs(got-want) > 0.004 {
 				done = false
 			}
-			bias[c] += 0.5 * (math.Log(want+1e-6) - math.Log(got+1e-6))
+			bias[c] += float64(0.5 * (math.Log(want+1e-6) - math.Log(got+1e-6)))
 		}
 		if done {
 			break
@@ -379,7 +379,7 @@ func (d *Dataset) TrainTestSplit(rng *rand.Rand, testFrac float64) (train, test 
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -400,7 +400,7 @@ func randUnit(rng *rand.Rand) []float64 {
 	var n float64
 	for i := range v {
 		v[i] = rng.NormFloat64()
-		n += v[i] * v[i]
+		n += float64(v[i] * v[i])
 	}
 	n = math.Sqrt(n)
 	for i := range v {

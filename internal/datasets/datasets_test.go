@@ -201,6 +201,28 @@ func TestTrainTestSplitStratified(t *testing.T) {
 	if countClass(train) == 0 || countClass(test) == 0 {
 		t.Fatal("stratified split lost the minority class")
 	}
+
+	// The split depends on the seed alone. covtype's seven classes each
+	// take one permutation from the caller's stream, so drawing them in map
+	// order would pair classes with permutations differently from one call
+	// to the next.
+	cov, err := Generate("covtype", Config{Rows: 700, Seed: 6})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	split := func() *encoding.Table {
+		train, _, err := cov.TrainTestSplit(rand.New(rand.NewSource(1)), 0.2)
+		if err != nil {
+			t.Fatalf("TrainTestSplit: %v", err)
+		}
+		return train
+	}
+	want := split()
+	for i := 0; i < 20; i++ {
+		if !split().Data.Equal(want.Data) {
+			t.Fatalf("same-seed split %d differs from the first", i+1)
+		}
+	}
 }
 
 func TestTrainTestSplitErrors(t *testing.T) {

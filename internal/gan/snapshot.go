@@ -30,10 +30,10 @@ const (
 
 // centralizedState names everything a centralized checkpoint captures.
 // Fields reference the live trainer; encode/decode below serialize every
-// one of them, and the snapstate lint rule fails the build if a field is
-// added here without being wired through both.
-//
-//snap:state
+// one of them. A field added here without being wired through both fails
+// TestResumeReplayByteIdentical if it is trajectory state, and
+// TestRestoreRejectsConfigDrift or TestRestoreRejectsHostileImages if it
+// pins the configuration or the meta layout.
 type centralizedState struct {
 	// cfg is fingerprinted (Rounds excepted, so a resumed run may extend
 	// training) and verified on restore: resuming under different

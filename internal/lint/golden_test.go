@@ -16,7 +16,6 @@ var goldenOnlyDirs = []struct{ rule, dir string }{
 	{"privflow", "privflowann"},
 	{"shapeflow", "shapeflowann"},
 	{"floateq", "suppressbad"},
-	{"snapstate", "snapstatebad"},
 	{"", "archsplit"},
 	{"", "exttest"},
 }
@@ -28,31 +27,11 @@ var goldenOnlyDirs = []struct{ rule, dir string }{
 // (all_<dir>.txt, which also pins which suppressions count as unused when
 // every rule ran). The files were cut from the driver of PR 20.
 func TestFixtureFindingsGolden(t *testing.T) {
-	type goldenCase struct{ name, dir, importPath, rule string }
-	var cases []goldenCase
-	seen := make(map[string]bool)
-	add := func(rule, dir, importPath string) {
-		base := filepath.Base(dir)
-		if rule != "" {
-			cases = append(cases, goldenCase{rule + "_" + base, dir, importPath, rule})
-		}
-		if !seen[dir] {
-			seen[dir] = true
-			cases = append(cases, goldenCase{"all_" + base, dir, importPath, ""})
-		}
-	}
-	for _, tc := range fixtureCases {
-		add(tc.rule, tc.dir, tc.importPath)
-	}
-	for _, tc := range goldenOnlyDirs {
-		add(tc.rule, "testdata/src/"+tc.dir, tc.dir)
-	}
-
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			pkg, err := loader.LoadDir(tc.dir, tc.importPath)
 			if err != nil {
@@ -73,6 +52,71 @@ func TestFixtureFindingsGolden(t *testing.T) {
 				t.Errorf("findings differ from testdata/golden/%s.txt\n--- got\n%s--- want\n%s", tc.name, got, want)
 			}
 		})
+	}
+}
+
+// goldenCase is one golden file: the fixture package it renders and the
+// rule it runs under ("" for the whole registry).
+type goldenCase struct{ name, dir, importPath, rule string }
+
+// goldenCases lists the golden files TestFixtureFindingsGolden reads: every
+// fixture package under its own rule and once under the whole registry.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	seen := make(map[string]bool)
+	add := func(rule, dir, importPath string) {
+		base := filepath.Base(dir)
+		if rule != "" {
+			cases = append(cases, goldenCase{rule + "_" + base, dir, importPath, rule})
+		}
+		if !seen[dir] {
+			seen[dir] = true
+			cases = append(cases, goldenCase{"all_" + base, dir, importPath, ""})
+		}
+	}
+	for _, tc := range fixtureCases {
+		add(tc.rule, tc.dir, tc.importPath)
+	}
+	for _, tc := range goldenOnlyDirs {
+		add(tc.rule, "testdata/src/"+tc.dir, tc.dir)
+	}
+	return cases
+}
+
+// TestEveryFixtureIsRun keeps the fixture tree and the case tables in
+// step: every package directory under testdata/src is named by
+// fixtureCases or goldenOnlyDirs, and every file under testdata/golden is
+// one TestFixtureFindingsGolden reads. A rule deleted without its fixtures,
+// or a fixture added without a case, fails here rather than sitting
+// unread.
+func TestEveryFixtureIsRun(t *testing.T) {
+	named := make(map[string]bool)
+	read := make(map[string]bool)
+	for _, tc := range goldenCases() {
+		named[tc.dir] = true
+		read[tc.name+".txt"] = true
+	}
+	err := filepath.WalkDir("testdata/src", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+			return err
+		}
+		if dir := filepath.ToSlash(filepath.Dir(path)); !named[dir] {
+			named[dir] = true // report each directory once
+			t.Errorf("fixture package %s is named by neither fixtureCases nor goldenOnlyDirs", dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range golden {
+		if !read[e.Name()] {
+			t.Errorf("testdata/golden/%s is read by no TestFixtureFindingsGolden case", e.Name())
+		}
 	}
 }
 

@@ -2,10 +2,10 @@
 // built only on the stdlib go/ast, go/parser and go/types packages. It
 // enforces the invariants GTV's reproducibility and concurrency claims
 // rest on but the compiler cannot see: pooled-buffer and tape lifetimes,
-// seeded-randomness discipline, map-iteration determinism, float
-// comparison hygiene, mutex-guarded field access, unchecked protocol
-// errors, and code no binary can reach. See DESIGN.md ("Static
-// analysis") for the rule catalog and how to add a rule.
+// seeded-randomness discipline, float comparison hygiene, lock order and
+// goroutine exits, unchecked protocol errors, the privacy boundary, tensor
+// shapes, and code no binary can reach. See DESIGN.md ("Static analysis")
+// for the rule catalog and how to add a rule.
 package lint
 
 import (
@@ -14,7 +14,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -124,12 +123,9 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerTapeLifetime,
 		AnalyzerGlobalRand,
-		AnalyzerMapOrder,
 		AnalyzerFloatEq,
-		AnalyzerLockedField,
 		AnalyzerErrDrop,
 		AnalyzerPrivFlow,
-		AnalyzerSnapState,
 		AnalyzerLockOrder,
 		AnalyzerGoroLeak,
 		AnalyzerCancelFlow,
@@ -291,13 +287,6 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }
 
-// isOrderInsensitive reports whether t's underlying type is an integer or
-// boolean basic type (accumulations over these are order-independent).
-func isOrderInsensitive(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsInteger|types.IsBoolean|types.IsUnsigned) != 0
-}
-
 // calleeObject resolves the object a call expression invokes (function,
 // method, or builtin), or nil when it cannot (calls through function
 // values, conversions). An explicit instantiation (f[T](...)) resolves to
@@ -451,21 +440,6 @@ func walkStack(root ast.Node, fn func(stack []ast.Node) bool) {
 	})
 }
 
-// enclosingFuncBody returns the body of the innermost FuncDecl or FuncLit
-// on the stack (excluding the last element itself if it is the function),
-// or nil.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			return f.Body
-		case *ast.FuncLit:
-			return f.Body
-		}
-	}
-	return nil
-}
-
 // outermostFuncBody returns the body of the outermost enclosing FuncDecl.
 func outermostFuncBody(stack []ast.Node) *ast.BlockStmt {
 	for i := 0; i < len(stack); i++ {
@@ -475,5 +449,3 @@ func outermostFuncBody(stack []ast.Node) *ast.BlockStmt {
 	}
 	return nil
 }
-
-var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)

@@ -21,13 +21,10 @@ var fixtureCases = []struct {
 	{"tapelifetime", "testdata/src/tapelifetime", "tapelifetime"},
 	{"globalrand", "testdata/src/globalrand", "globalrand"},
 	{"globalrand", "testdata/src/cmd/globalrandcmd", "cmd/globalrandcmd"},
-	{"maporder", "testdata/src/maporder", "maporder"},
 	{"floateq", "testdata/src/floateq", "floateq"},
-	{"lockedfield", "testdata/src/lockedfield", "lockedfield"},
 	{"errdrop", "testdata/src/errdrop", "errdrop"},
 	{"floateq", "testdata/src/suppress", "suppress"},
 	{"privflow", "testdata/src/privflow", "privflow"},
-	{"snapstate", "testdata/src/snapstate", "snapstate"},
 	{"lockorder", "testdata/src/lockorder", "lockorder"},
 	{"goroleak", "testdata/src/goroleak", "goroleak"},
 	{"cancelflow", "testdata/src/cancelflow", "cancelflow"},
@@ -376,27 +373,6 @@ func TestPrivFlowPaths(t *testing.T) {
 		if !strings.Contains(rendered, h.Func) {
 			t.Errorf("PathString() %q is missing hop %q", rendered, h.Func)
 		}
-	}
-}
-
-// TestSnapStateSkipNeedsReason covers the empty //snap:skip form, which a
-// want comment cannot annotate inline (trailing text after the directive
-// would parse as the skip reason), mirroring TestMalformedSuppressions.
-func TestSnapStateSkipNeedsReason(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir("testdata/src/snapstatebad", "snapstatebad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, _ := Run([]*Package{pkg}, []*Analyzer{AnalyzerSnapState})
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
-	}
-	if !strings.Contains(findings[0].Msg, "//snap:skip needs a reason") {
-		t.Errorf("finding %q, want a missing-reason report", findings[0].Msg)
 	}
 }
 

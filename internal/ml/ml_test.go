@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/datasets"
@@ -340,5 +341,27 @@ func TestEvaluateOnDataset(t *testing.T) {
 	}
 	if avg.AUC < 0.6 {
 		t.Fatalf("average AUC = %v, features should predict the target", avg.AUC)
+	}
+	// The average sums the classifiers in name order, so it is the same
+	// bits on every run; a sum in map order would differ in the last place
+	// on most runs. Four seeds give four sets of scores to sum.
+	names := make([]string, 0, len(per))
+	for name := range per {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for seed := int64(1); seed <= 4; seed++ {
+		if seed > 1 {
+			if per, avg, err = UtilityScores(train, test, d.Target, seed); err != nil {
+				t.Fatalf("UtilityScores(seed %d): %v", seed, err)
+			}
+		}
+		var want Scores
+		for _, name := range names {
+			want = want.Add(per[name])
+		}
+		if want = want.Scale(1 / float64(len(per))); avg != want {
+			t.Fatalf("seed %d: average %+v is not the name-ordered mean %+v", seed, avg, want)
+		}
 	}
 }

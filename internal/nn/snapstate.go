@@ -19,9 +19,8 @@ import (
 // AdamState is the serializable trajectory state of one Adam optimizer,
 // aligned index-for-index with a parameter list in Params() order.
 // Entries of M and V are nil for parameters Step has not touched yet
-// (lazily-created moments), and that nilness round-trips.
-//
-//snap:state
+// (lazily-created moments), and that nilness round-trips. A field left out
+// of EncodeAdamState or DecodeAdamState fails the resume-replay tests.
 type AdamState struct {
 	// T is the step count; the bias corrections depend on it.
 	T int

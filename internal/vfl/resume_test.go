@@ -2,6 +2,8 @@ package vfl
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
@@ -120,10 +122,13 @@ func TestResumeReplayParallelismIndependent(t *testing.T) {
 // TestSnapshotOverWire round-trips the new Snapshot/Restore methods
 // through the gtvwire binary transport: the blob fetched over the wire is
 // byte-equal to the one taken in-process, and restoring through the proxy
-// reinstates the remote client's state (weights and replayed row order).
+// reinstates the remote client's state (weights, publication count and
+// replayed row order). The origin synthesizes once before the snapshot, so
+// the publication count it carries is not the fresh client's zero.
 func TestSnapshotOverWire(t *testing.T) {
 	srv, locals := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 1 })
 	trainRounds(t, srv, "origin")
+	synthCSVBytes(t, srv, "origin", 8)
 
 	direct, err := locals[0].Snapshot()
 	if err != nil {
@@ -145,6 +150,9 @@ func TestSnapshotOverWire(t *testing.T) {
 	}
 	assertParamsEqual(t, "restored gen", locals[0].gen, fresh[0].gen)
 	assertParamsEqual(t, "restored disc", locals[0].disc, fresh[0].disc)
+	if got, want := fresh[0].pubCount, locals[0].pubCount; got != want || want == 0 {
+		t.Fatalf("restored publication count %d, want the origin's %d (> 0)", got, want)
+	}
 	raw := threeClientTables(t, 120, 17)[0] // the table newThreeClientSystem gives client 0
 	a, b := OrderedTable(locals[0], raw).Data, OrderedTable(fresh[0], raw).Data
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
@@ -160,8 +168,10 @@ func TestSnapshotOverWire(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatch pins the guard rails: a client blob cannot
-// restore into a server slot, and a client that has already trained
-// refuses restoration (the shuffle replay would double-apply).
+// restore into a server slot, a blob from a client of another layout is
+// refused by the widths it records (before any weight is read), and a
+// client that has already trained refuses restoration (the shuffle replay
+// would double-apply).
 func TestRestoreRejectsMismatch(t *testing.T) {
 	srv, locals := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 1 })
 	trainRounds(t, srv, "origin")
@@ -181,6 +191,16 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	_, fresh := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = 1 })
 	if err := fresh[0].Restore(srvData); err == nil {
 		t.Fatal("client Restore accepted a server snapshot")
+	}
+	// Clients 0 and 1 differ in both the data width and the slice width.
+	other, err := locals[1].Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	want := fmt.Sprintf("checkpoint widths %d/%d do not match configured %d/%d",
+		locals[1].transformer.Width(), locals[1].setup.SliceWidth, fresh[0].transformer.Width(), fresh[0].setup.SliceWidth)
+	if err := fresh[0].Restore(other); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("client 0 Restore of client 1's blob = %v, want an error containing %q", err, want)
 	}
 	if err := locals[0].Restore(blob); err == nil {
 		t.Fatal("Restore accepted a client that has already trained")

@@ -169,8 +169,7 @@ type Server struct {
 	// outbound gradient tensors: 0 = disc synthetic, 1 = disc real (after
 	// any faithful-pass scatter), 2 = generator. Entries are shape-lazily
 	// allocated; fan-out goroutines touch disjoint client indices only.
-	//
-	//snap:state error-feedback accumulators (secSTopKEF)
+	// Checkpoints carry them in section secSTopKEF.
 	topkEF [][3]*tensor.Dense
 }
 

@@ -55,11 +55,11 @@ const (
 	secSTopKEF   = 11 // GradTopK error-feedback accumulators
 )
 
-// clientState names everything a client checkpoint blob captures. The
-// snapstate lint rule fails the build if a field is added here without
-// being wired through both encodeClient and decodeClient.
-//
-//snap:state
+// clientState names everything a client checkpoint blob captures. A field
+// added here without being wired through both encode and decode fails
+// TestResumeReplayByteIdentical if it is trajectory state;
+// TestSnapshotOverWire and TestRestoreRejectsMismatch hold the publication
+// count and the two widths.
 type clientState struct {
 	// shuffles and pubCount are replay counters: together with the
 	// coordinator's seed derivations they determine the current row order
@@ -200,10 +200,11 @@ func (c *LocalClient) Restore(state []byte) error {
 }
 
 // serverState names everything a server checkpoint captures beyond the
-// per-client blobs. The snapstate lint rule fails the build if a field is
-// added here without being wired through both encode and decode.
-//
-//snap:state
+// per-client blobs. A field added here without being wired through both
+// encode and decode fails TestResumeReplayByteIdentical or
+// TestTopKResumeByteIdentical if it is trajectory state, and
+// TestRestoreRejectsHostileImages if it pins the configuration or the meta
+// layout.
 type serverState struct {
 	// cfg is fingerprinted (Rounds and Parallelism excepted: extending
 	// training and changing the fan-out bound are both trajectory-neutral)
