@@ -4,21 +4,22 @@
 set -eux
 
 make vet
-# The training path's Go loops define the encoded bits, the kernels' bits
-# and the trajectory on every build, so no compiler may fuse them: arm64
-# turns x*y + z into one instruction unless the product is written
+# The Go loops define the encoded bits, the kernels' bits, the trajectory
+# and every reported metric on every build, so no compiler may fuse them:
+# arm64 turns x*y + z into one instruction unless the product is written
 # float64(x*y). -a defeats the build cache, which prints no listing for a
 # cached package; the STEXT greps prove the listings came out.
 asm=$(mktemp)
-GOARCH=arm64 go build -a -gcflags=-S ./internal/autograd ./internal/binfmt \
-	./internal/coldata ./internal/condvec ./internal/core ./internal/datasets \
-	./internal/encoding ./internal/gan ./internal/gmm ./internal/nn ./internal/rng \
-	./internal/snap ./internal/tensor ./internal/vfl 2>"$asm"
+GOARCH=arm64 go build -a -gcflags=-S ./... 2>"$asm"
 grep -q 'datasets\.dot STEXT' "$asm"
 grep -q 'gmm\.posterior STEXT' "$asm"
 grep -q 'tensor\.axpy4Generic STEXT' "$asm"
 grep -q 'vfl\.SplitWidths STEXT' "$asm"
 grep -q 'gan\.interpolate STEXT' "$asm"
+grep -q 'ml\.meanStd STEXT' "$asm"
+grep -q 'stats\.JSD STEXT' "$asm"
+grep -q 'shapley\.SplitByImportance STEXT' "$asm"
+grep -q 'main\.buildCustomers STEXT' "$asm"
 if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$asm"; then exit 1; fi
 rm "$asm"
 # gofmt, except the lint fixtures, which are malformed on purpose.

@@ -66,6 +66,16 @@ func TestRunRejectsBadDataset(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTooFewRows: a table too small to hold every target class
+// twice is an error naming the dataset and the minimum, not a panic.
+func TestRunRejectsTooFewRows(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-dataset", "adult", "-rows", "1"}, &out)
+	if want := "datasets: adult needs at least 4 rows"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("-rows 1: error %v, want one containing %q", err, want)
+	}
+}
+
 // TestCentralizedResumeMatchesUninterrupted: -centralized trained for k
 // rounds with -checkpoint-dir, then resumed with -resume to n rounds,
 // writes the same synthetic CSV, byte for byte, as one uninterrupted

@@ -30,7 +30,7 @@ func buildCustomers(n int, seed int64) (bank, shop *encoding.Table, err error) {
 	for i := 0; i < n; i++ {
 		wealth := rng.NormFloat64()
 		// Bank: income, credit score band, default flag.
-		income := 50 + 25*wealth + rng.NormFloat64()*8
+		income := 50 + float64(25*wealth) + float64(rng.NormFloat64()*8)
 		band := 0.0
 		if wealth > 0.4 {
 			band = 2
@@ -38,16 +38,16 @@ func buildCustomers(n int, seed int64) (bank, shop *encoding.Table, err error) {
 			band = 1
 		}
 		deflt := 0.0
-		if wealth+rng.NormFloat64()*0.7 < -1.1 {
+		if wealth+float64(rng.NormFloat64()*0.7) < -1.1 {
 			deflt = 1
 		}
 		bankData.Set(i, 0, income)
 		bankData.Set(i, 1, band)
 		bankData.Set(i, 2, deflt)
 		// Shop: monthly spend, premium membership, returns count.
-		spend := 120 + 80*wealth + rng.NormFloat64()*30
+		spend := 120 + float64(80*wealth) + float64(rng.NormFloat64()*30)
 		premium := 0.0
-		if wealth+rng.NormFloat64()*0.5 > 0.6 {
+		if wealth+float64(rng.NormFloat64()*0.5) > 0.6 {
 			premium = 1
 		}
 		returns := float64(rng.Intn(3))

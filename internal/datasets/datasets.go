@@ -166,6 +166,10 @@ func Generate(name string, cfg Config) (*Dataset, error) {
 	if cfg.Rows <= 0 {
 		return nil, fmt.Errorf("datasets: rows %d must be positive", cfg.Rows)
 	}
+	// fillTarget gives every class at least two rows.
+	if minRows := 2 * len(sc.priors); cfg.Rows < minRows {
+		return nil, fmt.Errorf("datasets: %s needs at least %d rows (two per target class), got %d", name, minRows, cfg.Rows)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Latent factors per row.

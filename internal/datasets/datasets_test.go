@@ -1,8 +1,10 @@
 package datasets
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
@@ -41,6 +43,42 @@ func TestGenerateUnknownName(t *testing.T) {
 func TestGenerateInvalidRows(t *testing.T) {
 	if _, err := Generate("adult", Config{Rows: 0, Seed: 1}); err == nil {
 		t.Fatal("expected error for zero rows")
+	}
+}
+
+// TestGenerateTooFewRows: below two rows per target class Generate returns
+// an error naming the dataset and the minimum, at every such size, and at
+// the minimum itself it builds the table with every class present twice.
+func TestGenerateTooFewRows(t *testing.T) {
+	for _, name := range Names() {
+		sc, err := schemaFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minRows := 2 * len(sc.priors)
+		want := fmt.Sprintf("datasets: %s needs at least %d rows", name, minRows)
+		for rows := 1; rows < minRows; rows++ {
+			_, err := Generate(name, Config{Rows: rows, Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s at %d rows: error %v, want one containing %q", name, rows, err, want)
+			}
+		}
+		d, err := Generate(name, Config{Rows: minRows, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s at %d rows: %v", name, minRows, err)
+		}
+		counts := map[float64]int{}
+		for i := 0; i < minRows; i++ {
+			counts[d.Table.Data.At(i, d.Target)]++
+		}
+		if len(counts) != len(sc.priors) {
+			t.Fatalf("%s at %d rows: %d classes present, want %d", name, minRows, len(counts), len(sc.priors))
+		}
+		for c, n := range counts {
+			if n != 2 {
+				t.Fatalf("%s at %d rows: class %v has %d rows, want 2", name, minRows, c, n)
+			}
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ func meanStd(xs []float64) (float64, float64) {
 	var va float64
 	for _, v := range xs {
 		d := v - mu
-		va += d * d
+		va += float64(d * d)
 	}
 	return mu, math.Sqrt(va / float64(len(xs)))
 }

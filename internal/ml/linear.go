@@ -56,7 +56,7 @@ func (m *LogisticRegression) Fit(x *tensor.Dense, y []int, numClasses int) error
 		gb := probs.MeanRows()
 		m.w.AxpyInPlace(-m.LR, gw)
 		for c := 0; c < numClasses; c++ {
-			m.b[c] -= m.LR * gb.At(0, c)
+			m.b[c] -= float64(m.LR * gb.At(0, c))
 		}
 	}
 	return nil
@@ -140,7 +140,7 @@ func (m *LinearSVM) Fit(x *tensor.Dense, y []int, numClasses int) error {
 					// Subgradient of hinge: -sign * x.
 					gRow := gw.Data()
 					for j, v := range row {
-						gRow[j*numClasses+c] -= sign * v
+						gRow[j*numClasses+c] -= float64(sign * v)
 					}
 					gb[c] -= sign
 				}
@@ -151,7 +151,7 @@ func (m *LinearSVM) Fit(x *tensor.Dense, y []int, numClasses int) error {
 		gw.AxpyInPlace(lambda, m.w)
 		m.w.AxpyInPlace(-m.LR, gw)
 		for c := 0; c < numClasses; c++ {
-			m.b[c] -= m.LR * gb[c] * inv
+			m.b[c] -= float64(m.LR * gb[c] * inv)
 		}
 	}
 	return nil

@@ -92,7 +92,7 @@ func BinaryAUC(scores []float64, y []int) float64 {
 			rankSum += ranks[i]
 		}
 	}
-	return (rankSum - pos*(pos+1)/2) / (pos * neg)
+	return (rankSum - float64(pos*(pos+1)/2)) / (pos * neg)
 }
 
 // MacroAUC returns the macro-averaged one-vs-rest AUC for a probability

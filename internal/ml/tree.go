@@ -129,7 +129,7 @@ func (t *DecisionTree) bestSplit(x *tensor.Dense, y []int, idx []int, parentCoun
 				continue
 			}
 			nl, nr := float64(k+1), n-float64(k+1)
-			gain := parentGini - (nl*gini(leftCounts, nl)+nr*gini(rightCounts, nr))/n
+			gain := parentGini - (float64(nl*gini(leftCounts, nl))+float64(nr*gini(rightCounts, nr)))/n
 			if gain > bestGain {
 				bestGain = gain
 				bestFeature = f
@@ -180,7 +180,7 @@ func gini(counts []float64, n float64) float64 {
 	s := 1.0
 	for _, c := range counts {
 		p := c / n
-		s -= p * p
+		s -= float64(p * p)
 	}
 	return s
 }

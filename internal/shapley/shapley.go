@@ -159,7 +159,7 @@ func SplitByImportance(ranked []int, frac float64) (head, tail []int, err error)
 	if frac <= 0 || frac >= 1 {
 		return nil, nil, fmt.Errorf("shapley: fraction %v out of (0,1)", frac)
 	}
-	n := int(float64(len(ranked))*frac + 0.5)
+	n := int(float64(float64(len(ranked))*frac) + 0.5)
 	if n < 1 {
 		n = 1
 	}

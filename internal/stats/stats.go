@@ -34,7 +34,7 @@ func JSD(p, q []float64) (float64, error) {
 	var d float64
 	for i := range pn {
 		m := (pn[i] + qn[i]) / 2
-		d += 0.5*klTerm(pn[i], m) + 0.5*klTerm(qn[i], m)
+		d += float64(0.5*klTerm(pn[i], m)) + float64(0.5*klTerm(qn[i], m))
 	}
 	// Clamp tiny negative rounding noise.
 	if d < 0 {
@@ -96,7 +96,7 @@ func Wasserstein1(a, b []float64) (float64, error) {
 		}
 		fa := float64(ia) / float64(len(as))
 		fb := float64(ib) / float64(len(bs))
-		dist += math.Abs(fa-fb) * (next - x)
+		dist += float64(math.Abs(fa-fb) * (next - x))
 	}
 	return dist, nil
 }
@@ -250,7 +250,7 @@ func Pearson(a, b []float64) float64 {
 	}
 	var cov float64
 	for i := range a {
-		cov += (a[i] - ma) * (b[i] - mb)
+		cov += float64((a[i] - ma) * (b[i] - mb))
 	}
 	cov /= n
 	return cov / (sa * sb)
@@ -320,12 +320,12 @@ func CorrelationRatio(cat, cont []float64, k int) float64 {
 	for c := 0; c < k; c++ {
 		if counts[c] > 0 {
 			d := sums[c]/counts[c] - grand
-			ssBetween += counts[c] * d * d
+			ssBetween += float64(counts[c] * d * d)
 		}
 	}
 	for i := range cont {
 		d := cont[i] - grand
-		ssTotal += d * d
+		ssTotal += float64(d * d)
 	}
 	if ssTotal < 1e-12 {
 		return 0
@@ -447,7 +447,7 @@ func meanStd(xs []float64) (float64, float64) {
 	var va float64
 	for _, v := range xs {
 		d := v - mu
-		va += d * d
+		va += float64(d * d)
 	}
 	return mu, math.Sqrt(va / float64(len(xs)))
 }

@@ -24,25 +24,23 @@ import (
 
 const (
 	// panelFloats is the size of the b panel (a k tile of rows, each as wide
-	// as dst) that the accumulating kernels revisit for every dst row before
-	// moving on: 16 KiB, so that it stays in a 32 or 48 KiB L1d beside the
-	// dst row being updated. The vector row update runs at the rate the
-	// panel can be read: with a 256-row panel, streamed from L2, the 25x3060
-	// · 3060x256 product reached ≈ 14 GFLOP/s, with this one ≈ 18.
+	// as the columns updated at once: the whole dst row on the Go path, one
+	// chunk of it on the vector path) that the accumulating kernels revisit
+	// for every dst row before moving on: 16 KiB, so that it can stay in a
+	// 32 or 48 KiB L1d beside the row being updated.
 	panelFloats = 2048
-	// matmulKC caps the k tile for narrow dst rows.
+	// matmulKC caps the k tile for rows (or chunks) of up to eight columns.
 	matmulKC = 256
 	// transposeBlock tiles Transpose into 32x32 sub-blocks (8 KiB working
 	// set) so the strided writes stay within a few cache lines.
 	transposeBlock = 32
-	// narrowMaxCols is the widest dst row the accumulating kernels treat as
-	// narrow: eight 4-lane vector registers, which is what the row update of
-	// kernels_amd64.s holds a row in across a whole k tile, and the width up
-	// to which MatMulTA never transposes. Both rules read the operand shapes
-	// and nothing else: the 12-to-18-column client models of a four-party
-	// split and the 32-column default block are on this side, the paper's
-	// 256-column blocks on the other.
-	narrowMaxCols = 32
+	// chunkMaxCols is the widest run of dst columns the vector row update
+	// of kernels_amd64.s holds in registers across a k tile: eight 4-lane
+	// vectors. The vector path cuts a wider row into chunks of at most this
+	// many columns, so the 12-to-18-column client models of a four-party
+	// split and the 32-column default block take one chunk, a 256-column
+	// block eight.
+	chunkMaxCols = 32
 )
 
 // allFiniteGeneric reports whether every element of data is finite: NaN and
@@ -154,29 +152,14 @@ func matmulAcc(dst, a, b, seed *Dense) {
 	runRows(t, a.rows, a.cols*b.cols)
 }
 
-// matmulTATransposeThreshold: below it (operand fits L2) the strided-column
-// kernel wins by skipping the copy; above it the column walk thrashes and a
-// blocked transpose into a pooled scratch followed by the contiguous kernel
-// is faster — provided dst rows are wider than narrowMaxCols. Up to that
-// width an element of a feeds at most 32 multiply-adds, fewer than moving it
-// costs, and the strided kernel wins at every width of a (the weight gradient
-// of a tall, narrow activation, 5000x17 against 5000x17, by 2x; measured up
-// to 3060 columns). The path depends only on the operand shapes, so outputs
-// stay a pure function of the inputs, and both paths run the same groups in
-// the same order.
-const matmulTATransposeThreshold = 1 << 15
-
 // matmulTAAcc sets dst = aᵀ*b, every row starting from a pooled row of +0
-// on either path (see matmulAcc).
+// (see matmulAcc). dst row i is a's column i, read in place with stride
+// Cols(a), at every shape: a transpose of a into a contiguous copy first
+// did not pay for the copy at any measured shape (EXPERIMENTS.md "One row
+// kernel for every width").
 func matmulTAAcc(dst, a, b *Dense) {
 	if len(dst.data) == 0 || a.rows == 0 {
 		clear(dst.data)
-		return
-	}
-	if len(a.data) >= matmulTATransposeThreshold && b.cols > narrowMaxCols {
-		at := a.Transpose()
-		matmulAcc(dst, at, b, nil)
-		at.Release()
 		return
 	}
 	t := kernelTask{kind: kernelMatMulTAAcc, dst: dst, a: a, b: b, seed: NewPooled(1, dst.cols), bFinite: allFinite(b.data)}
@@ -188,45 +171,35 @@ func matmulTAAcc(dst, a, b *Dense) {
 // multiple of four rows of b that fits panelFloats, between one unroll group
 // and matmulKC. Every tile but the last is a whole number of groups, so the
 // groups — and with them each element's operation sequence — are the same
-// for any tile size.
+// for any tile size, and each path may size its tiles for the columns it
+// updates at once: the Go loops for the whole row, the vector path for one
+// chunk of it.
 func kTile(p int) int {
 	return max(4, min(panelFloats/p&^3, matmulKC))
 }
 
-// matmulAccRange accumulates rows [lo,hi) of dst += a*b, one k tile after the
-// other so that the tile's b panel is read from cache by every row. The rows
-// start from seed when there is one: it rides along with the first tile.
+// matmulAccRange sets rows [lo,hi) of dst to seed + a*b.
 func matmulAccRange(dst, a, b, seed *Dense, lo, hi int, bFinite bool) {
-	n, p := a.cols, b.cols
-	ad, bd := a.data, b.data
-	var from []float64
-	if seed != nil {
-		from = seed.data
-	}
-	kc := kTile(p)
-	for kk := 0; kk < n; kk += kc {
-		kend := min(kk+kc, n)
-		tileAcc(dst.data, p, from, ad[kk:], n, 1, kend-kk, bd[kk*p:kend*p], lo, hi, bFinite)
-		from = nil
-	}
+	tileAcc(dst.data, b.cols, seed.data, a.data, a.cols, 1, a.cols, b.data, lo, hi, bFinite)
 }
 
-// matmulTAAccRange accumulates rows [lo,hi) of dst += aᵀ*b, the rows
-// starting from seed as in matmulAccRange. dst row i is a's column i, read
-// with stride Cols(a); the b panel access pattern is identical to
-// matmulAccRange.
+// matmulTAAccRange sets rows [lo,hi) of dst to seed + aᵀ*b: dst row i
+// weighs b's rows by a's column i, read with stride Cols(a).
 func matmulTAAccRange(dst, a, b, seed *Dense, lo, hi int, bFinite bool) {
-	kN, m, n := a.rows, a.cols, b.cols
-	ad, bd := a.data, b.data
-	var from []float64
-	if seed != nil {
-		from = seed.data
-	}
-	kc := kTile(n)
+	tileAcc(dst.data, b.cols, seed.data, a.data, 1, a.cols, a.rows, b.data, lo, hi, bFinite)
+}
+
+// tileAccGeneric adds the products of all kN rows of b (p columns each) to
+// rows [lo,hi) of dst, one k tile after the other so that the tile's b panel
+// is read from cache by every row. The rows start from seed when there is
+// one: it rides along with the first tile. Row i weighs b's row k by
+// a[i*rowStride+k*kStride].
+func tileAccGeneric(od []float64, p int, seed, a []float64, rowStride, kStride, kN int, b []float64, lo, hi int, bFinite bool) {
+	kc := kTile(p)
 	for kk := 0; kk < kN; kk += kc {
 		kend := min(kk+kc, kN)
-		tileAcc(dst.data, n, from, ad[kk*m:], 1, m, kend-kk, bd[kk*n:kend*n], lo, hi, bFinite)
-		from = nil
+		tileAccGroups(od, p, seed, a[kk*kStride:], rowStride, kStride, kend-kk, b[kk*p:kend*p], lo, hi, bFinite)
+		seed = nil
 	}
 }
 
@@ -253,7 +226,7 @@ func tileAccGroups(od []float64, p int, seed, a []float64, rowStride, kStride, k
 			if bFinite && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			axpy4(orow, b[k*p:(k+4)*p], a0, a1, a2, a3)
+			axpy4Generic(orow, b[k*p:(k+4)*p], a0, a1, a2, a3)
 		}
 		for ; k < kn; k, at = k+1, at+kStride {
 			av := a[at]
@@ -261,7 +234,7 @@ func tileAccGroups(od []float64, p int, seed, a []float64, rowStride, kStride, k
 			if bFinite && av == 0 {
 				continue
 			}
-			axpy1(orow, b[k*p:(k+1)*p], av)
+			axpy1Generic(orow, b[k*p:(k+1)*p], av)
 		}
 	}
 }
@@ -301,7 +274,7 @@ func (m *Dense) ActiveRowGroups(dst []int) []int {
 // consecutive length-p rows held in b, the products summed left to right.
 // Each product is written float64(x*y) so that no compiler fuses it into the
 // add (arm64 would); the loop indexes b0 rather than ranging over its values
-// to stay inside the inliner's budget, so axpy4 still inlines it.
+// to stay inside the inliner's budget, so tileAccGroups inlines it.
 func axpy4Generic(orow, b []float64, a0, a1, a2, a3 float64) {
 	p := len(orow)
 	b0, b1, b2, b3 := b[:p], b[p:2*p], b[2*p:3*p], b[3*p:4*p]

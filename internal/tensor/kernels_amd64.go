@@ -4,11 +4,11 @@ import "math"
 
 // amd64 side of the kernel layer: CPU detection, the declarations of the
 // AVX2 routines in kernels_amd64.s, exp_amd64.s and mixture_amd64.s, and the
-// entry points the portable code calls (tileAcc, axpy4, axpy1, matmulTBRange,
-// binSame, relu, leakyReLU, actGrad, allFinite, countZeroClasses,
-// classifyBits, packMasked, adamStep, logSlice, expSlice, gmmPosteriors,
-// gmmSums, gmmSpread), each of which picks the vector routine or the Go loop
-// it is bit-identical to.
+// entry points the portable code calls (tileAcc, matmulTBRange, binSame,
+// relu, leakyReLU, actGrad, allFinite, countZeroClasses, classifyBits,
+// packMasked, adamStep, logSlice, expSlice, gmmPosteriors, gmmSums,
+// gmmSpread), each of which picks the vector routine or the Go loop it is
+// bit-identical to.
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -38,13 +38,7 @@ func logAVX2(dst, x *float64, n int) (done int)
 func expAVX2(dst, x *float64, n int) (done int)
 
 //go:noescape
-func axpy4AVX2(dst, b *float64, n int, a0, a1, a2, a3 float64)
-
-//go:noescape
-func axpy1AVX2(dst, b *float64, n int, a float64)
-
-//go:noescape
-func rowAccNarrowAVX2(dst, seed, a *float64, stride, kn int, b *float64, p int, bFinite bool)
+func rowAccAVX2(dst, seed, a *float64, stride, kn int, b *float64, ldb, p int, bFinite bool)
 
 //go:noescape
 func vecReLUAVX2(dst, x *float64, n int)
@@ -97,44 +91,42 @@ func gmmSpreadAVX2(va, mu, resp, x *float64, n, k int, mask *[gmmMaxK]uint64)
 //go:noescape
 func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
 
-// tileAcc adds a k tile's contribution to rows [lo,hi) of dst (see
-// tileAccGroups, the loop it must agree with bit for bit). Rows of vecMinLen
-// to narrowMaxCols columns take one call each that keeps the row in registers
-// for the whole tile; wider ones go group by group through axpy4.
-func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kn int, b []float64, lo, hi int, bFinite bool) {
-	if !useAsm || p < vecMinLen || p > narrowMaxCols {
-		tileAccGroups(od, p, seed, a, rowStride, kStride, kn, b, lo, hi, bFinite)
+// tileAcc adds the products of all kN rows of b to rows [lo,hi) of dst (see
+// tileAccGeneric, the loop it must agree with bit for bit). A row of
+// vecMinLen or more columns is cut into the fewest chunks of at most
+// chunkMaxCols: whole vectors each, spread evenly, the last chunk ending in
+// the row's partial vector if it has one, so that the overlapping last vector
+// of rowAccAVX2 stays inside its chunk and no column is taken from dst twice.
+// The chunks run one after the other, each over k tiles sized for its width;
+// within a tile every row takes one call that keeps its chunk in registers
+// across the whole tile. A row of up to chunkMaxCols columns is one chunk.
+func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kN int, b []float64, lo, hi int, bFinite bool) {
+	if !useAsm || p < vecMinLen {
+		tileAccGeneric(od, p, seed, a, rowStride, kStride, kN, b, lo, hi, bFinite)
 		return
 	}
-	_ = b[kn*p-1]
-	for i := lo; i < hi; i++ {
-		orow := od[i*p : (i+1)*p]
-		from := orow
-		if seed != nil {
-			from = seed[:p]
+	if kN == 0 || lo >= hi {
+		return
+	}
+	_, _ = b[kN*p-1], a[(hi-1)*rowStride+(kN-1)*kStride]
+	vecs := (p + 3) / 4
+	chunks := (vecs + chunkMaxCols/4 - 1) / (chunkMaxCols / 4)
+	for c := 0; c < chunks; c++ {
+		c0, c1 := 4*(vecs*c/chunks), min(4*(vecs*(c+1)/chunks), p)
+		kc, from := kTile(c1-c0), seed
+		for kk := 0; kk < kN; kk += kc {
+			kn, bt := min(kc, kN-kk), b[kk*p+c0:]
+			for i := lo; i < hi; i++ {
+				orow := od[i*p+c0 : i*p+c1]
+				src := orow
+				if from != nil {
+					src = from[c0:c1]
+				}
+				rowAccAVX2(&orow[0], &src[0], &a[i*rowStride+kk*kStride], kStride, kn, &bt[0], p, c1-c0, bFinite)
+			}
+			from = nil
 		}
-		arow := a[i*rowStride:]
-		_ = arow[(kn-1)*kStride]
-		rowAccNarrowAVX2(&orow[0], &from[0], &arow[0], kStride, kn, &b[0], p, bFinite)
 	}
-}
-
-func axpy4(orow, b []float64, a0, a1, a2, a3 float64) {
-	if p := len(orow); useAsm && p >= vecMinLen {
-		_ = b[4*p-1]
-		axpy4AVX2(&orow[0], &b[0], p, a0, a1, a2, a3)
-		return
-	}
-	axpy4Generic(orow, b, a0, a1, a2, a3)
-}
-
-func axpy1(orow, brow []float64, av float64) {
-	if p := len(orow); useAsm && p >= vecMinLen {
-		_ = brow[p-1]
-		axpy1AVX2(&orow[0], &brow[0], p, av)
-		return
-	}
-	axpy1Generic(orow, brow, av)
 }
 
 func binSame(od, ad, bd []float64, op binOp) {

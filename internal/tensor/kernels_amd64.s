@@ -57,24 +57,25 @@ DONE: \
 	VZEROUPPER; \
 	RET
 
-// The narrow-row accumulator, rowAccNarrowAVX2, is one prologue and eight
-// copies of the same loop, one per number of 4-lane vectors a dst row of 4 to
-// 32 columns needs. Registers, set up by the prologue:
+// The row accumulator, rowAccAVX2, is one prologue and eight copies of the
+// same loop, one per number of 4-lane vectors a row (or a chunk of a wider
+// row) of 4 to 32 columns needs. Registers, set up by the prologue:
 //
 //	DI  dst row            SI  b row k            R8  b row k+3
-//	DX  bytes per b row    R9, R10  the same two b rows at the last vector
+//	DX  ldb*8, bytes from one b row to the next
+//	R9, R10  the same two b rows at the last vector
 //	BX  a[k]               R11 bytes between a[k] and a[k+1], R13 three times that
 //	R12 byte offset of the last vector, (p-4)*8
 //	CX  counter            AX  scratch (the seed row while LOADS runs)
 //
 // Vectors 0..n-2 sit at offsets 0, 32, ...; the last one sits at (p-4)*8
 // whatever p is, so for a width that is not a multiple of four it overlaps
-// its neighbour instead of running past the row. The shared columns are then
-// accumulated twice, in two registers, from the same loads by the same
-// instructions — lanes are independent outputs — and stored twice with the
-// same bits.
+// its neighbour instead of running past the p columns. The shared columns
+// are then accumulated twice, in two registers, from the same loads by the
+// same instructions — lanes are independent outputs — and stored twice with
+// the same bits.
 //
-// NV is one vector's share of one group of four k: the axpy4 sequence
+// NV is one vector's share of one group of four k: the axpy4Generic sequence
 // ((a0*b0 + a1*b1) + a2*b2) + a3*b3, then the add onto the accumulator that
 // stands in for dst. B0/B3 are the registers holding b rows k and k+3 for
 // this vector, Y12..Y15 the four a values. NT is the k tail, acc += a*b.
@@ -168,13 +169,13 @@ DONE: \
 #define STORES7 SFULL6; VMOVUPD Y6, (DI)(R12*1)
 #define STORES8 SFULL7; VMOVUPD Y7, (DI)(R12*1)
 
-// NARROW is the loop for one vector count: the groups of four k, then up to
+// ROWACC is the loop for one vector count: the groups of four k, then up to
 // three single k, each behind the exact-zero test of the Go loop — a group
 // is skipped when b is finite and all four a are ±0 (their bit patterns
 // ORed together and shifted clear of the sign are zero), a single k
 // likewise. A skip leaves the accumulators as they are, which is what not
 // touching dst was.
-#define NARROW(LOADS, GROUP, TAIL, STORES, LG, LGDO, LGNEXT, LT, LTLOOP, LTDO, LTNEXT, LDONE) \
+#define ROWACC(LOADS, GROUP, TAIL, STORES, LG, LGDO, LGNEXT, LT, LTLOOP, LTDO, LTNEXT, LDONE) \
 	LOADS; \
 	MOVQ kn+32(FP), CX; \
 	SHRQ $2, CX; \
@@ -186,7 +187,7 @@ LG: \
 	ORQ  (BX)(R13*1), AX; \
 	SHLQ $1, AX; \
 	JNZ  LGDO; \
-	CMPB bFinite+56(FP), $0; \
+	CMPB bFinite+64(FP), $0; \
 	JNE  LGNEXT; \
 LGDO: \
 	VBROADCASTSD (BX), Y12; \
@@ -210,7 +211,7 @@ LTLOOP: \
 	MOVQ (BX), AX; \
 	SHLQ $1, AX; \
 	JNZ  LTDO; \
-	CMPB bFinite+56(FP), $0; \
+	CMPB bFinite+64(FP), $0; \
 	JNE  LTNEXT; \
 LTDO: \
 	VBROADCASTSD (BX), Y12; \
@@ -264,143 +265,25 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpy4AVX2(dst, b *float64, n int, a0, a1, a2, a3 float64)
+// func rowAccAVX2(dst, seed, a *float64, stride, kn int, b *float64, ldb, p int, bFinite bool)
 //
-// dst[j] += a0*b[j] + a1*b[n+j] + a2*b[2n+j] + a3*b[3n+j], j in [0,n): the
-// three inner adds left to right, then the add onto dst.
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a0+24(FP), Y12
-	VBROADCASTSD a1+32(FP), Y13
-	VBROADCASTSD a2+40(FP), Y14
-	VBROADCASTSD a3+48(FP), Y15
-	LEAQ (CX*8), DX
-	LEAQ (SI)(DX*1), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	XORQ AX, AX
-	CMPQ CX, $8
-	JL   axpy4tail4
-
-axpy4loop8:
-	VMULPD (SI)(AX*1), Y12, Y0
-	VMULPD (R8)(AX*1), Y13, Y1
-	VMULPD 32(SI)(AX*1), Y12, Y4
-	VMULPD 32(R8)(AX*1), Y13, Y5
-	VADDPD Y1, Y0, Y0
-	VADDPD Y5, Y4, Y4
-	VMULPD (R9)(AX*1), Y14, Y2
-	VMULPD 32(R9)(AX*1), Y14, Y6
-	VADDPD Y2, Y0, Y0
-	VADDPD Y6, Y4, Y4
-	VMULPD (R10)(AX*1), Y15, Y3
-	VMULPD 32(R10)(AX*1), Y15, Y7
-	VADDPD Y3, Y0, Y0
-	VADDPD Y7, Y4, Y4
-	VMOVUPD (DI)(AX*1), Y8
-	VMOVUPD 32(DI)(AX*1), Y9
-	VADDPD Y0, Y8, Y8
-	VADDPD Y4, Y9, Y9
-	VMOVUPD Y8, (DI)(AX*1)
-	VMOVUPD Y9, 32(DI)(AX*1)
-	ADDQ $64, AX
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JGE  axpy4loop8
-
-axpy4tail4:
-	CMPQ CX, $4
-	JL   axpy4tail1
-	VMULPD (SI)(AX*1), Y12, Y0
-	VMULPD (R8)(AX*1), Y13, Y1
-	VADDPD Y1, Y0, Y0
-	VMULPD (R9)(AX*1), Y14, Y2
-	VADDPD Y2, Y0, Y0
-	VMULPD (R10)(AX*1), Y15, Y3
-	VADDPD Y3, Y0, Y0
-	VMOVUPD (DI)(AX*1), Y8
-	VADDPD Y0, Y8, Y8
-	VMOVUPD Y8, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $4, CX
-
-axpy4tail1:
-	TESTQ CX, CX
-	JZ   axpy4done
-	VMULSD (SI)(AX*1), X12, X0
-	VMULSD (R8)(AX*1), X13, X1
-	VADDSD X1, X0, X0
-	VMULSD (R9)(AX*1), X14, X2
-	VADDSD X2, X0, X0
-	VMULSD (R10)(AX*1), X15, X3
-	VADDSD X3, X0, X0
-	VMOVSD (DI)(AX*1), X8
-	VADDSD X0, X8, X8
-	VMOVSD X8, (DI)(AX*1)
-	ADDQ $8, AX
-	DECQ CX
-	JMP  axpy4tail1
-
-axpy4done:
-	VZEROUPPER
-	RET
-
-// func axpy1AVX2(dst, b *float64, n int, a float64)
-//
-// dst[j] += a*b[j], j in [0,n).
-TEXT ·axpy1AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y12
-	XORQ AX, AX
-
-axpy1loop4:
-	CMPQ CX, $4
-	JL   axpy1tail1
-	VMULPD (SI)(AX*1), Y12, Y0
-	VMOVUPD (DI)(AX*1), Y8
-	VADDPD Y0, Y8, Y8
-	VMOVUPD Y8, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $4, CX
-	JMP  axpy1loop4
-
-axpy1tail1:
-	TESTQ CX, CX
-	JZ   axpy1done
-	VMULSD (SI)(AX*1), X12, X0
-	VMOVSD (DI)(AX*1), X8
-	VADDSD X0, X8, X8
-	VMOVSD X8, (DI)(AX*1)
-	ADDQ $8, AX
-	DECQ CX
-	JMP  axpy1tail1
-
-axpy1done:
-	VZEROUPPER
-	RET
-
-// func rowAccNarrowAVX2(dst, seed, a *float64, stride, kn int, b *float64, p int, bFinite bool)
-//
-// One dst row of p columns (4 <= p <= 32) against kn rows of b: the row is
-// read once from seed into registers, every group of four k and every
-// leftover k adds onto it there in ascending order, and it is written to dst
-// once. a[k] is a[k*stride].
-TEXT ·rowAccNarrowAVX2(SB), NOSPLIT, $0-57
+// p columns of one dst row (4 <= p <= 32) against kn rows of b, ldb apart:
+// the p columns are read once from seed into registers, every group of four
+// k and every leftover k adds onto them there in ascending order, and they
+// are written to dst once. a[k] is a[k*stride].
+TEXT ·rowAccAVX2(SB), NOSPLIT, $0-65
 	MOVQ dst+0(FP), DI
 	MOVQ a+16(FP), BX
 	MOVQ stride+24(FP), R11
 	SHLQ $3, R11
 	LEAQ (R11)(R11*2), R13
 	MOVQ b+40(FP), SI
-	MOVQ p+48(FP), DX
-	LEAQ -4(DX), R12
+	MOVQ p+56(FP), CX
+	LEAQ -4(CX), R12
 	SHLQ $3, R12
-	LEAQ 3(DX), CX
+	ADDQ $3, CX
 	SHRQ $2, CX
+	MOVQ ldb+48(FP), DX
 	SHLQ $3, DX
 	LEAQ (DX)(DX*2), R8
 	ADDQ SI, R8
@@ -408,38 +291,38 @@ TEXT ·rowAccNarrowAVX2(SB), NOSPLIT, $0-57
 	LEAQ (R8)(R12*1), R10
 	MOVQ seed+8(FP), AX
 	CMPQ CX, $4
-	JGT  narrowhi
-	JEQ  narrow4
+	JGT  rowhi
+	JEQ  row4
 	CMPQ CX, $2
-	JGT  narrow3
-	JEQ  narrow2
-	NARROW(LOADS1, GROUP1, TAIL1, STORES1, n1g, n1gdo, n1gnext, n1t, n1tloop, n1tdo, n1tnext, n1done)
+	JGT  row3
+	JEQ  row2
+	ROWACC(LOADS1, GROUP1, TAIL1, STORES1, n1g, n1gdo, n1gnext, n1t, n1tloop, n1tdo, n1tnext, n1done)
 
-narrow2:
-	NARROW(LOADS2, GROUP2, TAIL2, STORES2, n2g, n2gdo, n2gnext, n2t, n2tloop, n2tdo, n2tnext, n2done)
+row2:
+	ROWACC(LOADS2, GROUP2, TAIL2, STORES2, n2g, n2gdo, n2gnext, n2t, n2tloop, n2tdo, n2tnext, n2done)
 
-narrow3:
-	NARROW(LOADS3, GROUP3, TAIL3, STORES3, n3g, n3gdo, n3gnext, n3t, n3tloop, n3tdo, n3tnext, n3done)
+row3:
+	ROWACC(LOADS3, GROUP3, TAIL3, STORES3, n3g, n3gdo, n3gnext, n3t, n3tloop, n3tdo, n3tnext, n3done)
 
-narrow4:
-	NARROW(LOADS4, GROUP4, TAIL4, STORES4, n4g, n4gdo, n4gnext, n4t, n4tloop, n4tdo, n4tnext, n4done)
+row4:
+	ROWACC(LOADS4, GROUP4, TAIL4, STORES4, n4g, n4gdo, n4gnext, n4t, n4tloop, n4tdo, n4tnext, n4done)
 
-narrowhi:
+rowhi:
 	CMPQ CX, $6
-	JGT  narrow78
-	JEQ  narrow6
-	NARROW(LOADS5, GROUP5, TAIL5, STORES5, n5g, n5gdo, n5gnext, n5t, n5tloop, n5tdo, n5tnext, n5done)
+	JGT  row78
+	JEQ  row6
+	ROWACC(LOADS5, GROUP5, TAIL5, STORES5, n5g, n5gdo, n5gnext, n5t, n5tloop, n5tdo, n5tnext, n5done)
 
-narrow6:
-	NARROW(LOADS6, GROUP6, TAIL6, STORES6, n6g, n6gdo, n6gnext, n6t, n6tloop, n6tdo, n6tnext, n6done)
+row6:
+	ROWACC(LOADS6, GROUP6, TAIL6, STORES6, n6g, n6gdo, n6gnext, n6t, n6tloop, n6tdo, n6tnext, n6done)
 
-narrow78:
+row78:
 	CMPQ CX, $7
-	JGT  narrow8
-	NARROW(LOADS7, GROUP7, TAIL7, STORES7, n7g, n7gdo, n7gnext, n7t, n7tloop, n7tdo, n7tnext, n7done)
+	JGT  row8
+	ROWACC(LOADS7, GROUP7, TAIL7, STORES7, n7g, n7gdo, n7gnext, n7t, n7tloop, n7tdo, n7tnext, n7done)
 
-narrow8:
-	NARROW(LOADS8, GROUP8, TAIL8, STORES8, n8g, n8gdo, n8gnext, n8t, n8tloop, n8tdo, n8tnext, n8done)
+row8:
+	ROWACC(LOADS8, GROUP8, TAIL8, STORES8, n8g, n8gdo, n8gnext, n8t, n8tloop, n8tdo, n8tnext, n8done)
 
 // func vecReLUAVX2(dst, x *float64, n int)
 //

@@ -27,6 +27,8 @@ var benchShapes = []benchShape{
 	{25, 256, 3060}, // its input gradient, 25x256 · (3060x256)ᵀ (MatMulTB)
 	{3060, 25, 256}, // its weight gradient, (25x3060)ᵀ · 25x256 (MatMulTA)
 	{5000, 17, 17}, {5000, 40, 17}, {5000, 16, 16}, {500, 17, 17}, {17, 5000, 17},
+	{64, 90, 64}, {64, 33, 35}, // the rows-* generator's layers at batch 64
+	{250, 154, 256}, {250, 420, 33}, // paper-scale generator layers at batch 250
 }
 
 // benchProduct benchmarks op over every shape and path. mk builds the two

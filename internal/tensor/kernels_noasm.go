@@ -10,13 +10,9 @@ package tensor
 // nothing to switch to it stays false.
 var useAsm = false
 
-func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kn int, b []float64, lo, hi int, bFinite bool) {
-	tileAccGroups(od, p, seed, a, rowStride, kStride, kn, b, lo, hi, bFinite)
+func tileAcc(od []float64, p int, seed, a []float64, rowStride, kStride, kN int, b []float64, lo, hi int, bFinite bool) {
+	tileAccGeneric(od, p, seed, a, rowStride, kStride, kN, b, lo, hi, bFinite)
 }
-
-func axpy4(orow, b []float64, a0, a1, a2, a3 float64) { axpy4Generic(orow, b, a0, a1, a2, a3) }
-
-func axpy1(orow, brow []float64, av float64) { axpy1Generic(orow, brow, av) }
 
 func matmulTBRange(dst, a, b *Dense, lo, hi int) { matmulTBRangeGeneric(dst, a, b, lo, hi) }
 

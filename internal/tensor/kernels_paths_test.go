@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -49,9 +50,9 @@ func requireSameBits(t *testing.T, what string, got, want *Dense) {
 // (no vector, exactly one and two, and each tail length), reduction lengths
 // around the unroll group and the k tile, row counts around the 8-row
 // MatMulTB panel, and the tall-narrow products of a full-table real pass
-// (dst rows that fit the registers: widths around each vector count up to the
-// 32-column limit and one past it, k with and without a tail, a k of several
-// tiles as the weight gradient has after its transpose).
+// (dst rows that fit the registers: widths around each vector count up to
+// one chunk's 32 columns and one past it, k with and without a tail, a k of
+// several tiles as a weight gradient has).
 var pathShapes = []struct{ m, k, n int }{
 	{5000, 17, 17}, {5000, 40, 17}, {17, 5000, 17}, {500, 16, 16}, {40, 13, 12}, {40, 18, 18},
 	{9, 7, 20}, {9, 21, 24}, {9, 6, 27}, {9, 9, 28}, {9, 11, 31}, {9, 300, 32}, {9, 300, 33},
@@ -66,10 +67,9 @@ var pathShapes = []struct{ m, k, n int }{
 }
 
 // zeroRowShapes are products whose rows start from the pooled zero row: no k
-// at all, one k, one group and one group and a k, widths either side of the
-// 32-column register limit and the paper's 256, and a MatMulTA whose operand
-// is large enough (40*1100 > 1<<15) to go through the transpose at a width
-// past the limit.
+// at all, one k, one group and one group and a k, widths either side of one
+// chunk's 32 columns and the paper's 256, and a long MatMulTA either side of
+// the chunk width.
 var zeroRowShapes = []struct{ m, k, n int }{
 	{5, 0, 3}, {5, 0, 40}, {5, 1, 31}, {5, 4, 32}, {5, 5, 33}, {9, 300, 4}, {9, 300, 256},
 	{40, 1100, 32}, {40, 1100, 33},
@@ -132,11 +132,11 @@ func dirtyPool(rows, cols int) {
 	d.Release()
 }
 
-// TestZeroRowStart: MatMul, MatMulInto and MatMulTA (strided and
-// transposed) start every row from a pooled row of +0 instead of a cleared
-// dst, and land exactly where the cleared start did — the grouped reference
-// — on both paths: a skipped first group, an all-zero row, a −0 sum coming
-// out +0, no k at all, and a recycled dst full of NaN underneath.
+// TestZeroRowStart: MatMul, MatMulInto and MatMulTA start every row from a
+// pooled row of +0 instead of a cleared dst, and land exactly where the
+// cleared start did — the grouped reference — on both paths: a skipped first
+// group, an all-zero row, a −0 sum coming out +0, no k at all, and a
+// recycled dst full of NaN underneath.
 func TestZeroRowStart(t *testing.T) {
 	EachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(30))
@@ -217,17 +217,16 @@ func TestKernelPathsZeroGroups(t *testing.T) {
 	}
 }
 
-// TestMatMulTAIsMatMulOfTheTranspose: MatMulTA reads a's columns in place or
-// transposes a first, as the operand shapes decide, and either way must run
-// exactly the groups MatMul runs on the transposed operand — shapes on both
-// sides of the size threshold and of the narrow-dst rule, on both paths.
+// TestMatMulTAIsMatMulOfTheTranspose: MatMulTA reads a's columns in place and
+// must run exactly the groups MatMul runs on the transposed operand — large
+// and small operands, dst rows of one chunk and of several, on both paths.
 func TestMatMulTAIsMatMulOfTheTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sh := range []struct{ k, m, n int }{
-		{5000, 17, 17}, // large a, narrow dst: strided
-		{5000, 17, 40}, // large a, dst past the limit: transposed
+		{5000, 17, 17}, // large a, one chunk
+		{5000, 17, 40}, // large a, two chunks
 		{1100, 40, 32}, {1100, 40, 33},
-		{100, 17, 17}, {300, 50, 64}, // below the threshold
+		{100, 17, 17}, {300, 50, 64}, // small a
 	} {
 		a := Randn(rng, sh.k, sh.m, 0, 1)
 		b := Randn(rng, sh.k, sh.n, 0, 1)
@@ -286,21 +285,27 @@ func TestAllFinitePathsAgree(t *testing.T) {
 	})
 }
 
-// TestNarrowRowPathMatchesGenericUpdates drives the tileAcc entry point
-// directly, the vector path against the Go path — where tileAccGroups runs
-// the groups through axpy4Generic and axpy1Generic: every dst width from 1 to
-// 33 (below the first vector, every vector count with every overlap of the
-// last vector, and one past the register limit), reduction lengths around the
-// unroll group and the k tile and one of many tiles' worth, a read along its
-// rows (MatMul) and down its columns (MatMulTA), the middle rows of a
-// five-row dst, with and without a seed row, zero groups and zero single k
-// (of both signs) in a, and a finite and a non-finite b with the matching
-// bFinite.
-func TestNarrowRowPathMatchesGenericUpdates(t *testing.T) {
+// TestRowPathMatchesGenericUpdates drives the tileAcc entry point directly,
+// the vector path against the Go path — where tileAccGeneric runs k tiles of
+// tileAccGroups, and those the groups through axpy4Generic and axpy1Generic:
+// every dst width from 1 to 70 (below the first vector, every vector count
+// with every overlap of the last vector, one chunk, and every split into two
+// and three chunks), the widths either side of 96, 128 and 256, and the
+// paper's 2820, reduction lengths around the unroll group and the k tile and
+// one of many tiles' worth, a read along its rows (MatMul) and down its
+// columns (MatMulTA), the middle rows of a five-row dst, with and without a
+// seed row, zero groups and zero single k (of both signs) in a, and a finite
+// and a non-finite b with the matching bFinite.
+func TestRowPathMatchesGenericUpdates(t *testing.T) {
+	var widths []int
+	for p := 1; p <= 70; p++ {
+		widths = append(widths, p)
+	}
+	widths = append(widths, 95, 96, 97, 127, 128, 129, 255, 256, 257, 2820)
 	rng := rand.New(rand.NewSource(25))
 	negZero := math.Copysign(0, -1)
 	const rows, lo, hi = 5, 1, 4
-	for p := 1; p <= 33; p++ {
+	for _, p := range widths {
 		for _, kn := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 5000} {
 			for _, byColumn := range []bool{false, true} {
 				rowStride, kStride := kn, 1 // a is rows x kn
@@ -326,8 +331,9 @@ func TestNarrowRowPathMatchesGenericUpdates(t *testing.T) {
 						*at(tail) = negZero
 					}
 				}
+				base := Randn(rng, kn, p, 0, 1).data
 				for _, special := range []float64{1, math.Inf(1), math.NaN(), 5e-324} {
-					b := Randn(rng, kn, p, 0, 1).data
+					b := slices.Clone(base)
 					b[rng.Intn(len(b))] = special
 					b[rng.Intn(len(b))] = negZero
 					bFinite := allFiniteGeneric(b)

@@ -123,15 +123,21 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(3), 33, 257, 31, uint8(2))
 	f.Add(int64(4), 25, 64, 44, uint8(7))
 	f.Add(int64(5), 40, 1100, 17, uint8(1)) // a row that stays in registers over ten k tiles
-	f.Add(int64(6), 47, 900, 33, uint8(3))  // one column past that, and a large enough to transpose
-	f.Add(int64(7), 9, 7, 32, uint8(8))     // salted for the zero-row start, at the register limit
-	f.Add(int64(8), 40, 1099, 33, uint8(9)) // and past it, through MatMulTA's transpose
+	f.Add(int64(6), 47, 900, 33, uint8(3))  // one column past that: two chunks
+	f.Add(int64(7), 9, 7, 32, uint8(8))     // salted for the zero-row start, at one chunk's limit
+	f.Add(int64(8), 40, 1099, 33, uint8(9)) // and past it, a long MatMulTA
 	f.Add(int64(9), 6, 3, 40, uint8(16))    // no k
+	// n is one more than the value given: dst rows 64 wide (two whole
+	// chunks), 65 and 97 (three and four, the last ending in a partial
+	// vector), 256 (eight) and 257.
+	f.Add(int64(10), 25, 300, 63, uint8(1))
+	f.Add(int64(11), 17, 257, 64, uint8(2))
+	f.Add(int64(12), 33, 90, 96, uint8(9))
+	f.Add(int64(13), 10, 1100, 255, uint8(0))
+	f.Add(int64(14), 48, 154, 256, uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, flags uint8) {
-		// Widths on both sides of the 32-column register limit, reductions of
-		// up to ten k tiles, and operands on both sides of MatMulTA's
-		// transpose threshold (48*1200 > 1<<15).
-		m, k, n = 1+abs(m)%48, 1+abs(k)%1200, 1+abs(n)%48
+		// Widths of one to ten chunks, and reductions of up to ten k tiles.
+		m, k, n = 1+abs(m)%48, 1+abs(k)%1200, 1+abs(n)%300
 		if flags&16 != 0 {
 			k = 0
 		}
@@ -185,8 +191,8 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 		onBothPaths(t, "Affine", func() *Dense { return Affine(a, b, bias) })
 		onBothPaths(t, "MatMulTA", func() *Dense { return MatMulTA(a, c) })
 		onBothPaths(t, "MatMulTB", func() *Dense { return MatMulTB(a, d) })
-		// The long reduction through MatMulTA as well, strided or transposed
-		// as the shapes decide: the same groups in the same order as MatMul.
+		// The long reduction through MatMulTA as well: the same groups in the
+		// same order as MatMul.
 		at := a.Transpose()
 		requireSameBits(t, "MatMulTA(aᵀ, b) vs MatMul(a, b)",
 			onBothPaths(t, "MatMulTA long", func() *Dense { return MatMulTA(at, b) }), MatMul(a, b))
@@ -236,10 +242,11 @@ func TestMatMulPropagatesNonFinite(t *testing.T) {
 		if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
 			t.Errorf("MatMul unrolled group: got %v, want NaN", got)
 		}
-		// Nor may the routine that keeps a narrow dst row in registers and
-		// tests the groups itself: a zero group and a zero leftover k, each
-		// against an infinity, at every width it serves and one either side.
-		for p := 3; p <= 33; p++ {
+		// Nor may the row routine, which keeps a chunk of a dst row in
+		// registers and tests the groups itself: a zero group and a zero
+		// leftover k, each against an infinity, at every width from below
+		// its first vector to three chunks.
+		for p := 3; p <= 70; p++ {
 			a := New(1, 6)
 			a.Set(0, 4, 1)
 			for _, at := range [][2]int{{1, 0}, {5, p - 1}} { // in the group, in the k tail

@@ -68,8 +68,8 @@ func TestTrainingBytesSameOnBothKernelPaths(t *testing.T) {
 
 // TestFederatedFaithfulPassBytesSameOnBothKernelPaths is the federated twin:
 // three clients with both halves of both networks on their side (plan
-// D0_2 G0_2) at block 37, so each D_i^b is 12 or 13 columns wide — every row
-// of the narrow matmul path ends in an overlapping last vector — and the
+// D0_2 G0_2) at block 37, so each D_i^b is 12 or 13 columns wide — one chunk
+// of the row path, ending in an overlapping last vector — and the
 // full-table real pass, which pushes all 150 rows of the two non-contributing
 // clients through them every critic step. Two rounds on the vector path and
 // on the Go path must leave the same snapshot: server and client weights,

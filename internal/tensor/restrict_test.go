@@ -202,8 +202,7 @@ func TestRestrictedBackwardMatchesFull(t *testing.T) {
 		{name: "weight-spoiled-after-forward-falls-back", rows: 48, in: 7, width: 13, blocks: 2, active: 3, inject: injLateWeight, wantUnrestricted: true},
 		{name: "narrow-scalar-width", rows: 50, in: 3, width: 2, blocks: 2, active: 4, wantRestricted: true},
 		{name: "wide-rows", rows: 50, in: 40, width: 45, blocks: 2, active: 4, wantRestricted: true},
-		// 1100 x 40 is past matmulTATransposeThreshold with rows wider than
-		// narrowMaxCols: the full pass transposes, the restricted one does not.
+		// A long weight gradient (1100 rows) with dst rows of two chunks.
 		{name: "transposed-weight-gradient", rows: 1100, in: 40, width: 40, blocks: 2, active: 30, wantRestricted: true},
 	}
 	tensor.EachKernelPath(t, func(t *testing.T) {
@@ -234,8 +233,8 @@ func TestRestrictedBackwardMatchesFullRandom(t *testing.T) {
 }
 
 // restrictCaseFromFuzz maps fuzzer input to a case: up to 90 rows, widths
-// from the scalar loops (below 4 columns) to past the narrow-row path (above
-// 32), 1–3 blocks, and any combination of injections.
+// from the scalar loops (below 4 columns) to past one chunk of the row path
+// (above 32), 1–3 blocks, and any combination of injections.
 func restrictCaseFromFuzz(seed int64, shape uint16, blocks, active, inject uint8) *restrictCase {
 	rows := int(shape % 91)
 	in := 1 + int(shape>>7)%41
