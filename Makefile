@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race fuzz ci bench-layers
+.PHONY: all build vet lint lint-json test race fuzz ci bench-layers profile
 
 # Per-fuzzer budget for the `fuzz` target; `make fuzz FUZZTIME=1m` hunts longer.
 FUZZTIME ?= 5s
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaskedPackUnpack -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzRestrictedBackward -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzLogExp -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzInt31nDraws -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzColFileDecode -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
@@ -76,3 +77,39 @@ bench-layers:
 		./internal/gmm ./internal/encoding ./internal/condvec ./internal/coldata ./internal/vfl \
 		| $(GO) run ./cmd/benchjson > BENCH_layers.json.tmp
 	mv BENCH_layers.json.tmp BENCH_layers.json
+
+# CPU profiles of gtv-train at each bench/ workload's shape
+# (bench/_gtvbench/workloads.go), on one thread, split by the phase labels
+# gtv-train sets (setup, train, synth) into a stamped BENCH_profile.json: per
+# workload, phase and order (flat, cum), pprof's top 20 functions with their
+# shares of the phase's samples (cmd/benchjson -pprof). How the runs differ
+# from bench/'s:
+#   - gtv-train trains on an 80 % split, so -rows is 1.25 times the
+#     workload's rows and training sees the workload's row count;
+#   - it synthesizes train.Rows() rows in one call (bench/: synthN per call);
+#   - it runs the rounds once, untimed, with no warm-up rounds and no
+#     repeated set-up;
+#   - rows-warm opens the store the rows-cold run before it wrote, which is
+#     its cold first run;
+#   - in wire-4c the loopback clients' serving goroutines, which set-up
+#     starts, keep the setup label while they serve the rounds.
+PROFILE_DIR := .profile_build
+PROFILE_WORKLOADS := paper-fed wire-4c rows-cold rows-warm
+PROFILE_COMMON := -dataset adult -seed 1 -log-every 0 -skip-eval -synth-out /dev/null
+PROFILE_paper-fed := -rows 50000 -clients 2 -plan D2_0G0_2 -rounds 24 -disc-steps 5 -batch 250 -block 256 -noise 128 -lr 2e-4 -pac 10
+PROFILE_wire-4c := -rows 6250 -clients 4 -plan D0_2G0_2 -rounds 100 -batch 500 -pac 10 -faithful-real-pass -wire binary
+PROFILE_rows-cold := -rows 625000 -clients 2 -plan D2_0G0_2 -rounds 400 -data-dir $(PROFILE_DIR)/store
+PROFILE_rows-warm := $(PROFILE_rows-cold) -block-cache 8
+
+profile:
+	rm -rf $(PROFILE_DIR)
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/gtv-train ./cmd/gtv-train
+	$(foreach w,$(PROFILE_WORKLOADS),GOMAXPROCS=1 $(PROFILE_DIR)/gtv-train $(PROFILE_COMMON) $(PROFILE_$(w)) \
+		-cpuprofile $(PROFILE_DIR)/$(w).prof > $(PROFILE_DIR)/$(w).log &&) true
+	for w in $(PROFILE_WORKLOADS); do for p in setup train synth; do for o in flat cum; do \
+		echo "profile: $$w $$p $$o"; \
+		$(GO) tool pprof -top -relative_percentages -unit=ms -nodecount=20 -tagfocus=phase=$$p \
+			$$(test $$o = cum && echo -cum) $(PROFILE_DIR)/gtv-train $(PROFILE_DIR)/$$w.prof 2>/dev/null; \
+	done; done; done | GOMAXPROCS=1 $(GO) run ./cmd/benchjson -pprof > BENCH_profile.json.tmp
+	mv BENCH_profile.json.tmp BENCH_profile.json

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -191,13 +192,15 @@ func run(args []string, stdout io.Writer) error {
 		// inverse puts federated synthesis back in the table's column order.
 		inverse []int
 	)
-	if *centralized {
-		c, err := core.NewCentralized(train, opts)
-		if err != nil {
-			return err
+	err := phase("setup", func() error {
+		if *centralized {
+			c, err := core.NewCentralized(train, opts)
+			if err != nil {
+				return err
+			}
+			m = c
+			return nil
 		}
-		m = c
-	} else {
 		plan, err := vfl.ParsePlan(*planArg)
 		if err != nil {
 			return err
@@ -217,6 +220,10 @@ func run(args []string, stdout io.Writer) error {
 		for pos, col := range core.ColumnOrder(assignment, *clients) {
 			inverse[col] = pos
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	//lint:ignore errdrop teardown of the data plane and finished loopback transports at exit
 	defer func() { _ = m.Close() }()
@@ -225,7 +232,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "resumed %s training at round %d\n", kind, m.Rounds())
 	}
 	trainStart := time.Now()
-	if err := m.Train(progress); err != nil {
+	if err := phase("train", func() error { return m.Train(progress) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "training: %d rounds in %s\n", *rounds, time.Since(trainStart))
@@ -236,14 +243,18 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var synth *encoding.Table
 	if wantSynth {
-		var err error
-		if synth, err = m.Synthesize(train.Rows()); err != nil {
-			return err
-		}
-		if inverse != nil {
-			if synth, err = synth.SelectColumns(inverse); err != nil {
+		err := phase("synth", func() error {
+			var err error
+			if synth, err = m.Synthesize(train.Rows()); err != nil {
 				return err
 			}
+			if inverse != nil {
+				synth, err = synth.SelectColumns(inverse)
+			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
 
@@ -268,6 +279,17 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "synthetic data written to %s\n", *synthOut)
 	}
 	return nil
+}
+
+// phase runs f under the pprof label phase=name, so that a -cpuprofile
+// splits into set-up, training and synthesis (`go tool pprof
+// -tagfocus=phase=train`). Goroutines f starts carry the label too: the
+// loopback clients of -wire binary, started during set-up, stay labelled
+// setup while they serve the rounds.
+func phase(name string, f func() error) error {
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { err = f() })
+	return err
 }
 
 // model is what run drives once set-up is done: *core.GTV or

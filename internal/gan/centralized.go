@@ -193,7 +193,7 @@ func (c *Centralized) Train(progress func(round int, dLoss, gLoss float64)) erro
 
 // generate runs the generator on a fresh batch, returning the activated
 // output, the raw output and the CV batch used.
-func (c *Centralized) generate(batch int, hard bool) (*ag.Value, *ag.Value, *condvec.Batch, error) {
+func (c *Centralized) generate(batch int) (*ag.Value, *ag.Value, *condvec.Batch, error) {
 	cvb, err := c.sampler.Sample(c.rng.Rand, batch)
 	if err != nil {
 		return nil, nil, nil, err
@@ -204,14 +204,14 @@ func (c *Centralized) generate(batch int, hard bool) (*ag.Value, *ag.Value, *con
 	// it would be shielded and lost to the collector every step.
 	in := ag.ConcatCols(ag.Const(noise), ag.Const(cvb.CV))
 	raw := c.gen.Forward(in, true)
-	activated := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, hard)
+	activated := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand)
 	return activated, raw, cvb, nil
 }
 
 // trainDiscStep performs one WGAN-GP critic update.
 func (c *Centralized) trainDiscStep() (float64, error) {
 	batch := c.cfg.BatchSize
-	fake, _, cvb, err := c.generate(batch, false)
+	fake, _, cvb, err := c.generate(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -252,7 +252,7 @@ func (c *Centralized) trainDiscStep() (float64, error) {
 // trainGenStep performs one generator update (Wasserstein + conditioning).
 func (c *Centralized) trainGenStep() (float64, error) {
 	batch := c.cfg.BatchSize
-	fake, raw, cvb, err := c.generate(batch, false)
+	fake, raw, cvb, err := c.generate(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -312,13 +312,14 @@ func (c *Centralized) synthesize(n int, sampleCV func(batch int) (*condvec.Batch
 		}
 		noise := SampleNoise(c.rng.Rand, batch, c.cfg.NoiseDim)
 		raw := c.gen.Forward(ag.ConcatCols(ag.Const(noise), ag.Const(cvb.CV)), false)
-		act := ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, true)
+		act := SampleOutput(raw.Data(), c.transformer.Spans(), c.rng.Rand)
 		for i := 0; i < batch; i++ {
-			copy(out.RawRow(done+i), act.Data().RawRow(i))
+			copy(out.RawRow(done+i), act.RawRow(i))
 		}
-		// The rows are copied out: the batch's graph and noise go back to the
-		// pool before the next batch draws from it.
-		ag.Release(act)
+		// The rows are copied out: the batch's graph, sample and noise go back
+		// to the pool before the next batch draws from it.
+		ag.Release(raw)
+		act.Release()
 		noise.Release()
 		done += batch
 	}

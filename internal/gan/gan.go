@@ -8,6 +8,7 @@ package gan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -26,13 +27,12 @@ const GumbelTau = 0.2
 const GradientPenaltyWeight = 10.0
 
 // ActivateOutput applies the per-span output activations to a generator's
-// raw output: tanh on scalar (mode offset) spans and Gumbel-softmax on
-// one-hot spans. rng draws the Gumbel noise; pass hard=false during
-// training (soft, differentiable samples) and hard=true at synthesis time
-// (the decoded table argmaxes anyway, so hard sampling just sharpens).
+// raw output during training: tanh on scalar (mode offset) spans and a soft,
+// differentiable Gumbel-softmax sample on one-hot spans, whose noise rng
+// draws. Synthesis, which does not differentiate, takes SampleOutput.
 //
 //shape:in(B,W) out(B,W)
-func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard bool) *ag.Value {
+func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand) *ag.Value {
 	_, cols := raw.Shape()
 	parts := make([]*ag.Value, 0, len(spans))
 	covered := 0
@@ -43,7 +43,7 @@ func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard b
 		case encoding.SpanScalar:
 			parts = append(parts, ag.Tanh(slice))
 		case encoding.SpanOneHot:
-			parts = append(parts, gumbelSoftmax(slice, rng, hard))
+			parts = append(parts, gumbelSoftmax(slice, rng))
 		}
 	}
 	if covered != cols {
@@ -53,21 +53,17 @@ func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand, hard b
 	return ag.ConcatCols(parts...)
 }
 
-// gumbelSoftmax draws a (soft or hard) Gumbel-softmax sample per row. The
-// noise and the straight-through shift are pooled and go back as soon as
-// AddConst has added them; the graph holds neither. Every u is drawn first,
-// in row-major order and redrawn while it is 0, and then the whole buffer
-// becomes −log(−log u) through two tensor.Log calls.
-func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
+// gumbelSoftmax draws a soft Gumbel-softmax sample per row. The noise is
+// pooled and goes back as soon as AddConst has added it; the graph does not
+// hold it. Every u is drawn first, in row-major order and redrawn while it
+// is 0, and then the whole buffer becomes −log(−log u) through two
+// tensor.Log calls.
+func gumbelSoftmax(logits *ag.Value, rng *rand.Rand) *ag.Value {
 	rows, cols := logits.Shape()
 	noise := tensor.NewPooledUninit(rows, cols)
 	data := noise.Data()
 	for i := range data {
-		u := rng.Float64()
-		for u <= 0 {
-			u = rng.Float64()
-		}
-		data[i] = u
+		data[i] = gumbelUniform(rng)
 	}
 	for range 2 {
 		tensor.Log(data, data)
@@ -77,18 +73,102 @@ func gumbelSoftmax(logits *ag.Value, rng *rand.Rand, hard bool) *ag.Value {
 	}
 	perturbed := ag.AddConst(logits, noise)
 	noise.Release()
-	soft := ag.SoftmaxRows(ag.Scale(perturbed, 1/GumbelTau))
-	if !hard {
-		return soft
+	return ag.SoftmaxRows(ag.Scale(perturbed, 1/GumbelTau))
+}
+
+// gumbelUniform is the u of one Gumbel draw: rng.Float64, redrawn while 0.
+func gumbelUniform(rng *rand.Rand) float64 {
+	u := rng.Float64()
+	for u <= 0 {
+		u = rng.Float64()
 	}
-	// Straight-through: output the argmax one-hot, but keep the soft sample
-	// in the graph so gradients still flow (hard = soft + (onehot - soft).detach()).
-	onehot := tensor.NewPooledOneHot(rows, cols, soft.Data().ArgmaxRows())
-	shift := tensor.Sub(onehot, soft.Data())
-	onehot.Release()
-	hardOut := ag.AddConst(soft, shift)
-	shift.Release()
-	return hardOut
+	return u
+}
+
+// SampleOutput is the synthesis-time activation of a generator's raw output:
+// tanh on scalar spans, and on one-hot spans the hard Gumbel-softmax sample,
+// the one-hot of the soft sample's first argmax. It has no autograd graph but
+// keeps the bits of the straight-through form it replaces (soft +
+// (one-hot − soft)): per one-hot span it draws every u from rng first, row
+// by row, then per element −log(−log u) through tensor.Log, logits + noise,
+// × 1/τ, the row max, tensor.Exp of the difference, the division by the
+// left-to-right row sum, and s + (h − s). The result is one pooled matrix,
+// the caller's to release.
+//
+//shape:in(B,W) out(B,W)
+func SampleOutput(raw *tensor.Dense, spans []encoding.Span, rng *rand.Rand) *tensor.Dense {
+	rows, cols := raw.Shape()
+	covered := 0
+	for _, sp := range spans {
+		covered += sp.Width
+	}
+	if covered != cols {
+		panic("gan: spans do not cover generator output")
+	}
+	out := tensor.NewPooledUninit(rows, cols)
+	for _, sp := range spans {
+		switch sp.Type {
+		case encoding.SpanScalar:
+			for i := 0; i < rows; i++ {
+				dst := out.RawRow(i)[sp.Start:sp.End()]
+				for j, v := range raw.RawRow(i)[sp.Start:sp.End()] {
+					dst[j] = math.Tanh(v)
+				}
+			}
+		case encoding.SpanOneHot:
+			for i := 0; i < rows; i++ {
+				u := out.RawRow(i)[sp.Start:sp.End()]
+				for j := range u {
+					u[j] = gumbelUniform(rng)
+				}
+			}
+			for i := 0; i < rows; i++ {
+				hardGumbelRow(out.RawRow(i)[sp.Start:sp.End()], raw.RawRow(i)[sp.Start:sp.End()])
+			}
+		}
+	}
+	return out
+}
+
+// hardGumbelRow turns one row's uniforms u, in place, into the hard sample
+// of the logits' Gumbel-softmax (see SampleOutput).
+func hardGumbelRow(u, logits []float64) {
+	for range 2 {
+		tensor.Log(u, u)
+		for j, v := range u {
+			u[j] = -v
+		}
+	}
+	maxv := math.Inf(-1)
+	for j, g := range u {
+		v := (logits[j] + g) * (1 / GumbelTau)
+		u[j] = v
+		if v > maxv {
+			maxv = v
+		}
+	}
+	for j, v := range u {
+		u[j] = v - maxv
+	}
+	tensor.Exp(u, u)
+	var sum float64
+	for _, e := range u {
+		sum += e
+	}
+	best := 0
+	for j := range u {
+		u[j] /= sum
+		if u[j] > u[best] {
+			best = j
+		}
+	}
+	for j, s := range u {
+		var h float64
+		if j == best {
+			h = 1
+		}
+		u[j] = s + (h - s)
+	}
 }
 
 // ConditionLoss is the CTGAN conditioning term: the softmax cross-entropy

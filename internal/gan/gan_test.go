@@ -22,7 +22,7 @@ func TestActivateOutputSpans(t *testing.T) {
 		{Start: 4, Width: 1, Type: encoding.SpanScalar},
 	}
 	raw := ag.Const(tensor.Randn(rng, 8, 5, 0, 3))
-	out := ActivateOutput(raw, spans, rng, false)
+	out := ActivateOutput(raw, spans, rng)
 	if r, c := out.Shape(); r != 8 || c != 5 {
 		t.Fatalf("shape %dx%d", r, c)
 	}
@@ -48,15 +48,16 @@ func TestActivateOutputSpans(t *testing.T) {
 	}
 }
 
-func TestActivateOutputHardIsOneHot(t *testing.T) {
+func TestSampleOutputIsOneHot(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	spans := []encoding.Span{{Start: 0, Width: 4, Type: encoding.SpanOneHot}}
-	raw := ag.Const(tensor.Randn(rng, 10, 4, 0, 1))
-	out := ActivateOutput(raw, spans, rng, true)
+	raw := tensor.Randn(rng, 10, 4, 0, 1)
+	out := SampleOutput(raw, spans, rng)
+	defer out.Release()
 	for i := 0; i < 10; i++ {
 		ones, zeros := 0, 0
 		for j := 0; j < 4; j++ {
-			switch out.Data().At(i, j) {
+			switch out.At(i, j) {
 			case 1:
 				ones++
 			case 0:
@@ -64,9 +65,66 @@ func TestActivateOutputHardIsOneHot(t *testing.T) {
 			}
 		}
 		if ones != 1 || zeros != 3 {
-			t.Fatalf("hard sample row %d not one-hot: %v", i, out.Data().RawRow(i))
+			t.Fatalf("hard sample row %d not one-hot: %v", i, out.RawRow(i))
 		}
 	}
+}
+
+// straightThroughSample is the synthesis sample as the autograd graph formed
+// it before SampleOutput: ActivateOutput's soft sample per one-hot span,
+// then soft + (one-hot of its argmax − soft).
+func straightThroughSample(raw *tensor.Dense, spans []encoding.Span, rng *rand.Rand) *tensor.Dense {
+	in := ag.Const(raw)
+	parts := make([]*ag.Value, 0, len(spans))
+	for _, sp := range spans {
+		slice := ag.SliceCols(in, sp.Start, sp.End())
+		if sp.Type == encoding.SpanScalar {
+			parts = append(parts, ag.Tanh(slice))
+			continue
+		}
+		soft := gumbelSoftmax(slice, rng)
+		rows, cols := soft.Shape()
+		onehot := tensor.NewPooledOneHot(rows, cols, soft.Data().ArgmaxRows())
+		shift := tensor.Sub(onehot, soft.Data())
+		parts = append(parts, ag.AddConst(soft, shift))
+	}
+	return ag.ConcatCols(parts...).Data()
+}
+
+// TestSampleOutputMatchesStraightThrough: SampleOutput's bits, and the draws
+// it leaves rng at, are the straight-through graph's, on both kernel paths,
+// for scalar spans and one-hot spans from 2 to 12 wide (Log and Exp with and
+// without a vector group, and its tail), with logits large enough that rows
+// saturate to exact zeros and ones.
+func TestSampleOutputMatchesStraightThrough(t *testing.T) {
+	var spans []encoding.Span
+	start := 0
+	for w := 2; w <= 12; w++ {
+		spans = append(spans, encoding.Span{Start: start, Width: 1, Type: encoding.SpanScalar},
+			encoding.Span{Start: start + 1, Width: w, Type: encoding.SpanOneHot})
+		start += 1 + w
+	}
+	for _, path := range []string{"asm", "go"} {
+		if !tensor.SetKernelPath(path) {
+			continue
+		}
+		for _, scale := range []float64{1, 40} {
+			raw := tensor.Randn(rand.New(rand.NewSource(6)), 37, start, 0, scale)
+			gotRng, wantRng := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+			got := SampleOutput(raw, spans, gotRng)
+			want := straightThroughSample(raw, spans, wantRng)
+			for i, w := range want.Data() {
+				if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s path, scale %v: element %d = %v, the straight-through graph %v", path, scale, i, g, w)
+				}
+			}
+			if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+				t.Fatalf("%s path: the two samples leave rng at different draws", path)
+			}
+			got.Release()
+		}
+	}
+	tensor.SetKernelPath("asm")
 }
 
 func TestActivateOutputCoverageMismatchPanics(t *testing.T) {
@@ -76,7 +134,7 @@ func TestActivateOutputCoverageMismatchPanics(t *testing.T) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(3))
-	ActivateOutput(ag.Const(tensor.New(2, 5)), []encoding.Span{{Start: 0, Width: 2, Type: encoding.SpanScalar}}, rng, false)
+	ActivateOutput(ag.Const(tensor.New(2, 5)), []encoding.Span{{Start: 0, Width: 2, Type: encoding.SpanScalar}}, rng)
 }
 
 func TestActivateOutputIsDifferentiable(t *testing.T) {
@@ -86,7 +144,7 @@ func TestActivateOutputIsDifferentiable(t *testing.T) {
 		{Start: 1, Width: 3, Type: encoding.SpanOneHot},
 	}
 	x := ag.Var(tensor.Randn(rng, 4, 4, 0, 1))
-	out := ActivateOutput(x, spans, rng, false)
+	out := ActivateOutput(x, spans, rng)
 	g := ag.Grad(ag.SumAll(ag.Square(out)), x)[0]
 	if g.Data().Norm() == 0 {
 		t.Fatal("no gradient through activations")

@@ -6,7 +6,7 @@ import "testing"
 // useAsm after start-up.
 
 // HasAsmKernels reports whether this build and CPU have vector kernels.
-var HasAsmKernels = useAsm
+var HasAsmKernels = asmKernels
 
 // KernelPaths names the kernel paths this machine can run: always "go", and
 // "asm" where HasAsmKernels.
@@ -22,10 +22,9 @@ func KernelPaths() []string {
 // parallel.
 func UseKernelPath(tb testing.TB, path string) {
 	tb.Helper()
-	if path == "asm" && !HasAsmKernels {
+	if !SetKernelPath(path) {
 		tb.Skip("no vector kernels on this build/CPU")
 	}
-	useAsm = path == "asm"
 	tb.Cleanup(func() { useAsm = HasAsmKernels })
 }
 

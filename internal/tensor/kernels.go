@@ -144,7 +144,7 @@ func matmulAcc(dst, a, b, seed *Dense) {
 		}
 		return
 	}
-	t := kernelTask{kind: kernelMatMulAcc, dst: dst, a: a, b: b, seed: seed, bFinite: allFinite(b.data)}
+	t := kernelTask{kind: kernelMatMulAcc, dst: dst, a: a, b: b, seed: seed, bFinite: zeroSkip(a.data, b.data)}
 	if seed == nil {
 		t.seed = NewPooled(1, dst.cols)
 		defer t.seed.Release()
@@ -162,9 +162,23 @@ func matmulTAAcc(dst, a, b *Dense) {
 		clear(dst.data)
 		return
 	}
-	t := kernelTask{kind: kernelMatMulTAAcc, dst: dst, a: a, b: b, seed: NewPooled(1, dst.cols), bFinite: allFinite(b.data)}
+	t := kernelTask{kind: kernelMatMulTAAcc, dst: dst, a: a, b: b, seed: NewPooled(1, dst.cols), bFinite: zeroSkip(a.data, b.data)}
 	runRows(t, a.cols, a.rows*b.cols)
 	t.seed.Release()
+}
+
+// zeroSkip is the bFinite of a product of a and b: whether the kernels may
+// skip a's all-±0 groups, which holds when b is finite (0·Inf is NaN). The
+// scan of b decides only whether a's ±0 may be skipped, so when a has none
+// the answer cannot change a bit; where b is the larger operand, a is
+// counted first, and a dense a leaves b unscanned and every product formed.
+func zeroSkip(a, b []float64) bool {
+	if len(b) > len(a) {
+		if _, zero, _ := countZeroClasses(a); zero == 0 {
+			return false
+		}
+	}
+	return allFinite(b)
 }
 
 // kTile returns the k-dimension tile for dst rows p wide: the largest

@@ -7,8 +7,9 @@ import "math"
 // entry points the portable code calls (tileAcc, matmulTBRange, binSame,
 // relu, leakyReLU, actGrad, allFinite, countZeroClasses, classifyBits,
 // packMasked, adamStep, logSlice, expSlice, gmmPosteriors, gmmSums,
-// gmmSpread), each of which picks the vector routine or the Go loop it is
-// bit-identical to.
+// gmmSpread, int31nDraws), each of which picks the vector routine or the Go
+// loop it is bit-identical to. (The mixture routines and int31nDraws pick the
+// routine or nothing: their callers run the Go loops themselves.)
 
 // useAsm is true when the CPU and the OS support AVX2. It is decided once at
 // start-up and read-only afterwards; only the path-equivalence tests (through
@@ -87,6 +88,9 @@ func gmmSumsAVX2(nk, mu, resp, x *float64, n, k int, mask *[gmmMaxK]uint64)
 
 //go:noescape
 func gmmSpreadAVX2(va, mu, resp, x *float64, n, k int, mask *[gmmMaxK]uint64)
+
+//go:noescape
+func int31nAVX2(js *uint32, xs *uint64, n, lo int) (done int)
 
 //go:noescape
 func packMaskedAVX2(presence, sign, values *byte, room int, data *float64, n int, perm *[16][8]uint32, adv *[16]uint8) (done, used int)
@@ -397,4 +401,12 @@ func gmmMask(k int) (m [gmmMaxK]uint64) {
 		m[c] = ^uint64(0)
 	}
 	return m
+}
+
+func int31nDraws(js []uint32, xs []uint64, lo int) int {
+	n := min(len(js), len(xs))
+	if !useAsm || n < vecMinLen {
+		return 0
+	}
+	return int31nAVX2(&js[0], &xs[0], n, lo)
 }

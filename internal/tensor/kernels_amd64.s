@@ -1,7 +1,7 @@
 // AVX2 routines behind the matmul kernels, the same-shape elementwise loop,
-// the activations and their gradient, allFinite, Adam's update and Log (see
-// kernels_amd64.go for the Go declarations and DESIGN.md "Kernel
-// architecture" for the contract).
+// the activations and their gradient, allFinite, Adam's update, Log and the
+// shuffle's Int31n draws (see kernels_amd64.go for the Go declarations and
+// DESIGN.md "Kernel architecture" for the contract).
 //
 // The rule every routine here obeys: an output element sees exactly the
 // operation sequence of the Go loop it replaces. Vector lanes (and unrolled
@@ -11,7 +11,9 @@
 // rounding of the product and would change low-order bits. Tails use the
 // scalar VEX forms of the same instructions, so a lane and a tail element
 // round identically. (logAVX2 replaces no Go loop: its lanes run math.Log's
-// own amd64 sequence, and it leaves tails to math.Log itself.)
+// own amd64 sequence, and it leaves tails to math.Log itself. int31nAVX2
+// computes its Go loop's integer remainders in float64 operations that are
+// all exact, and leaves tails to the caller's loop.)
 
 #include "textflag.h"
 
@@ -1069,5 +1071,89 @@ logloop:
 
 logdone:
 	MOVQ AX, done+24(FP)
+	VZEROUPPER
+	RET
+
+// The draws routine's constants: the four lanes' offsets from lo, the step
+// between groups, 2³¹, the VPERMD index that gathers the high halves of four
+// qwords into the low four dwords, and the mask that clears bit 63's copy.
+DATA drawconst<>+0(SB)/8, $1.0
+DATA drawconst<>+8(SB)/8, $2.0
+DATA drawconst<>+16(SB)/8, $3.0
+DATA drawconst<>+24(SB)/8, $4.0
+VEC4(drawconst, 32, $4.0)
+VEC4(drawconst, 64, $0x41E0000000000000) // 2^31
+DATA drawconst<>+96(SB)/8, $0x0000000300000001
+DATA drawconst<>+104(SB)/8, $0x0000000700000005
+DATA drawconst<>+112(SB)/8, $0x0000000300000001
+DATA drawconst<>+120(SB)/8, $0x0000000700000005
+DATA drawconst<>+128(SB)/8, $0x7FFFFFFF7FFFFFFF
+DATA drawconst<>+136(SB)/8, $0x7FFFFFFF7FFFFFFF
+GLOBL drawconst<>(SB), RODATA|NOPTR, $144
+
+#define DRAW_OFFSETS drawconst<>+0(SB)
+#define DRAW_STEP drawconst<>+32(SB)
+#define DRAW_TWO31 drawconst<>+64(SB)
+#define DRAW_HIGH drawconst<>+96(SB)
+#define DRAW_MASK drawconst<>+128(SB)
+
+// func int31nAVX2(js *uint32, xs *uint64, n, lo int) (done int)
+//
+// int31nDrawsGeneric's groups of four, lane k of a group bound to
+// b = lo+k+1, in float64. Every step is exact:
+//   - v, bits 62..32 of xs[k], is below 2³¹ and b is at most 2³¹−1, so
+//     both convert to doubles exactly;
+//   - truncating the correctly rounded v/b gives ⌊v/b⌋ itself: the quotient
+//     is never below ⌊v/b⌋, which is a double, and it lies at least 1/b below
+//     ⌊v/b⌋+1, while half an ulp of ⌊v/b⌋+1 is at most (v+b)/b·2⁻⁵³ < 1/b
+//     (v+b < 2³²), so it never rounds up to ⌊v/b⌋+1;
+//   - q·b ≤ v, and v − q·b and v − r are integers below 2³¹, so the product
+//     and both differences are exact and r = v − q·b is v%b;
+//   - the acceptance v − r ≤ 2³¹ − b (CMPPD LE) compares exact integers.
+// So the remainder needs no fix-up, and as every instruction is one
+// correctly rounded IEEE operation (no FMA), the bits do not depend on the
+// CPU. A group with a lane Int31n would reject ends the routine before any
+// of it is stored. Registers: Y15 the four bounds, Y14 the step, Y13 2³¹,
+// Y12 the VPERMD index, X11 the mask.
+TEXT ·int31nAVX2(SB), NOSPLIT, $0-40
+	MOVQ js+0(FP), DI
+	MOVQ xs+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ lo+24(FP), AX
+	VCVTSI2SDQ AX, X15, X15
+	VBROADCASTSD X15, Y15
+	VADDPD DRAW_OFFSETS, Y15, Y15
+	VMOVUPD DRAW_STEP, Y14
+	VMOVUPD DRAW_TWO31, Y13
+	VMOVDQU DRAW_HIGH, Y12
+	VMOVDQU DRAW_MASK, X11
+	XORQ AX, AX
+
+drawloop:
+	CMPQ CX, $4
+	JL   drawdone
+	VMOVDQU (SI)(AX*8), Y0
+	VPERMD Y0, Y12, Y0
+	VPAND X11, X0, X0
+	VCVTDQ2PD X0, Y0
+	VDIVPD Y15, Y0, Y1
+	VROUNDPD $3, Y1, Y1
+	VMULPD Y15, Y1, Y1
+	VSUBPD Y1, Y0, Y2
+	VSUBPD Y2, Y0, Y0
+	VSUBPD Y15, Y13, Y1
+	VCMPPD $2, Y1, Y0, Y0
+	VMOVMSKPD Y0, BX
+	CMPQ BX, $15
+	JNE  drawdone
+	VCVTTPD2DQY Y2, X2
+	VMOVDQU X2, (DI)(AX*4)
+	VADDPD Y14, Y15, Y15
+	ADDQ $4, AX
+	SUBQ $4, CX
+	JMP  drawloop
+
+drawdone:
+	MOVQ AX, done+32(FP)
 	VZEROUPPER
 	RET

@@ -57,3 +57,6 @@ func gmmPosteriors(resp, maxLog, sum, x, means, stds, logW, logStd []float64, ha
 func gmmSums(nk, mu, resp, x []float64) bool { return false }
 
 func gmmSpread(va, mu, resp, x []float64) bool { return false }
+
+// No draws routine either: the shuffle's own loop answers every draw.
+func int31nDraws(js []uint32, xs []uint64, lo int) int { return 0 }

@@ -274,6 +274,40 @@ func TestMatMulPropagatesNonFinite(t *testing.T) {
 	})
 }
 
+// TestZeroSkipLeftToDenseA: where b is the larger operand and a holds no ±0,
+// the products do not scan b for NaN and ±Inf, since no group of a could be
+// skipped. Against a b holding them, every product must still be the
+// unskipped Go loop's, bit for bit, on both paths; a with zero groups keeps
+// the scan (TestMatMulPropagatesNonFinite, TestKernelPathsZeroGroups).
+func TestZeroSkipLeftToDenseA(t *testing.T) {
+	EachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, sh := range []struct{ m, k, n int }{{3, 9, 2}, {3, 9, 4}, {2, 13, 7}, {5, 64, 33}, {4, 21, 70}} {
+			a := Randn(rng, sh.m, sh.k, 0, 1)
+			if _, zero, _ := countZeroClasses(a.data); zero != 0 {
+				t.Fatalf("a holds %d zeros", zero)
+			}
+			at := a.Transpose()
+			for _, special := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				b := Randn(rng, sh.k, sh.n, 0, 1)
+				b.Set(0, 0, special)
+				b.Set(sh.k-1, sh.n-1, special)
+				b.Set(sh.k/2, sh.n/2, special)
+				bias := Randn(rng, 1, sh.n, 0, 1)
+				unskipped := func(seed *Dense) *Dense {
+					want := New(sh.m, sh.n)
+					tileAccGeneric(want.data, sh.n, seed.data, a.data, sh.k, 1, sh.k, b.data, 0, sh.m, false)
+					return want
+				}
+				want := unskipped(New(1, sh.n))
+				requireSameBits(t, "MatMul", MatMul(a, b), want)
+				requireSameBits(t, "MatMulTA", MatMulTA(at, b), want)
+				requireSameBits(t, "Affine", Affine(a, b, bias), unskipped(bias))
+			}
+		}
+	})
+}
+
 // TestMatMulDeterministic: identical inputs must give bitwise identical
 // outputs, run to run — the fixed tiled summation order is part of the
 // kernel contract (same-seed training depends on it).

@@ -456,7 +456,7 @@ func (c *LocalClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tenso
 		// activated output is retained so BackwardDisc can recycle the
 		// generator forward graph along with the critic's.
 		raw := c.gen.Forward(ag.Const(slice), true)
-		activated := gan.ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, false)
+		activated := gan.ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand)
 		c.lastSliceVar = nil
 		c.lastRawGen = nil
 		c.lastDiscGen = activated
@@ -466,7 +466,7 @@ func (c *LocalClient) ForwardSynthetic(slice *tensor.Dense, phase Phase) (*tenso
 		// slice so the gradient can flow back to the server's G^t.
 		c.lastSliceVar = ag.Var(slice)
 		c.lastRawGen = c.gen.Forward(c.lastSliceVar, true)
-		activated := gan.ActivateOutput(c.lastRawGen, c.transformer.Spans(), c.rng.Rand, false)
+		activated := gan.ActivateOutput(c.lastRawGen, c.transformer.Spans(), c.rng.Rand)
 		c.lastSynthOut = c.disc.Forward(activated, true)
 	default:
 		return nil, fmt.Errorf("vfl: invalid phase %d", phase)
@@ -658,11 +658,10 @@ func (c *LocalClient) GenerateRows(slice *tensor.Dense) error {
 		return err
 	}
 	raw := c.gen.Forward(ag.Const(slice), false)
-	activated := gan.ActivateOutput(raw, c.transformer.Spans(), c.rng.Rand, true)
-	c.synthBuf = append(c.synthBuf, activated.Data())
-	// Only the activated rows outlive the call: the Detach leaf shields their
-	// buffer while the rest of the generator graph goes back to the pool.
-	ag.Release(activated, activated.Detach())
+	c.synthBuf = append(c.synthBuf, gan.SampleOutput(raw.Data(), c.transformer.Spans(), c.rng.Rand))
+	// Only the sampled rows outlive the call: the generator graph goes back
+	// to the pool.
+	ag.Release(raw)
 	return nil
 }
 

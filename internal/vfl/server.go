@@ -545,6 +545,9 @@ func (s *Server) drawDPNoise(rows, cols int) *tensor.Dense {
 
 // perturb applies a pre-drawn DP noise matrix to an incoming intermediate
 // logit matrix (the local-DP protection of §3.3; see Config.DPLogitNoise).
+// The noise is drawn at the logits' shape.
+//
+//shape:in(B,W) in(B,W) out(B,W)
 func perturb(m, noise *tensor.Dense) *tensor.Dense {
 	if noise == nil {
 		return m

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // rowOrder is the row order a client trains in after some number of
@@ -245,9 +247,19 @@ func (s *fibStream) advance() {
 // until v < n·⌊2³¹/n⌋, and answers v%n. That bound holds exactly when
 // v − v%n ≤ 2³¹ − n, so one unsigned division both decides and answers.
 // For a power of two nothing is rejected and v%n is Int31n's mask.
+// tensor.Int31nDraws answers whole groups of four from the stretch of vec
+// left before the next refill, where it has a vector routine; the loop here
+// takes the draw it stopped at — a group with a rejected value, the last
+// draws short of a group, the draws that cross a refill — and everything
+// where it has none.
 func (s *fibStream) fill(js []uint32, lo int) {
 	v, next := &s.vec, s.next
-	for k := range js {
+	for k := 0; k < len(js); k++ {
+		done := tensor.Int31nDraws(js[k:], v[next:], lo+k)
+		k, next = k+done, next+done
+		if k == len(js) {
+			break
+		}
 		n := uint32(lo + k + 1)
 		for {
 			if next == fibLen {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // shuffleViewReference is the parent's shuffleView, kept verbatim as the
@@ -69,54 +71,87 @@ func firstDiff(a, b []int32) int {
 // a shuffled view, on several seeds (negative, zero and beyond 2³¹ among
 // them), every order equals the reference's and rand.Perm's.
 func TestFastShuffleMatchesMathRand(t *testing.T) {
-	sizes := []int{1, 2, 3, 4, 5, 255, 256, 257, 606, 607, 608, 609, 1 << 16, 500_000}
-	seeds := []int64{0, 1, -7, 42, 1<<31 - 1, 1 << 40, math.MinInt64, NewShuffleCoordinator(9).SeedForRound(3)}
-	for _, rows := range sizes {
-		for si, seed := range seeds {
-			if rows == 500_000 && si > 2 {
-				break
+	eachKernelPath(t, func(t *testing.T) {
+		sizes := []int{1, 2, 3, 4, 5, 255, 256, 257, 606, 607, 608, 609, 1 << 16, 500_000}
+		seeds := []int64{0, 1, -7, 42, 1<<31 - 1, 1 << 40, math.MinInt64, NewShuffleCoordinator(9).SeedForRound(3)}
+		for _, rows := range sizes {
+			for si, seed := range seeds {
+				if rows == 500_000 && si > 2 {
+					break
+				}
+				prev := requireSameView(t, seed, nil, rows)
+				requireSameView(t, seed^0x5eed, prev, rows)
 			}
-			prev := requireSameView(t, seed, nil, rows)
-			requireSameView(t, seed^0x5eed, prev, rows)
 		}
+	})
+}
+
+// eachKernelPath runs f once per kernel path this build and CPU have, as a
+// subtest, and restores the start-up path after each.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	for _, path := range []string{"asm", "go"} {
+		t.Run(path, func(t *testing.T) {
+			if !tensor.SetKernelPath(path) {
+				t.Skip("no vector kernels on this build/CPU")
+			}
+			t.Cleanup(func() { tensor.SetKernelPath("asm") })
+			f(t)
+		})
 	}
 }
 
-// TestInt31nMatchesMathRand draws from one stream with fibStream.fill, one
-// value at a time, and from the same stream through rand.Rand.Int31n, cycling through bounds where
-// Int31n's rejection fires about half (2³⁰+1) and a quarter (3·2²⁹) of the
-// time, the largest bound (2³¹−1), small bounds and powers of two. Every
-// answer must be equal, and both sides must consume the same values.
+// TestInt31nMatchesMathRand draws from one stream with fibStream.fill and
+// from the same stream through rand.Rand.Int31n, on both kernel paths.
+// First one value at a time, cycling through bounds where Int31n's rejection
+// fires about half (2³⁰+1) and a quarter (3·2²⁹) of the time, the largest
+// bound (2³¹−1), small bounds and powers of two; then fills of 0 to 9
+// values, and of lengths that span one or several 607-value refills, from
+// bounds near 2³⁰, 3·2²⁹, 2³¹−1 and 1, so that the vector groups meet
+// rejections, the refill and their tails everywhere. Every answer must be
+// equal, and both sides must consume the same values.
 func TestInt31nMatchesMathRand(t *testing.T) {
-	bounds := []uint32{1<<30 + 1, 3 << 29, 1<<31 - 1, 1, 2, 3, 7, 1 << 20, 1 << 30}
-	const draws = 30_000
-	for _, seed := range []int64{3, 1 << 33} {
-		var s fibStream
-		s.seed(newSource64(seed))
-		r := rand.New(rand.NewSource(seed))
-		draw := func(n uint32) uint32 {
-			var j [1]uint32
-			s.fill(j[:], int(n)-1)
-			return j[0]
-		}
-		consumed := 0
-		for k := 0; k < draws; k++ {
-			n := bounds[k%len(bounds)]
-			before := s.next
-			if got, want := draw(n), uint32(r.Int31n(int32(n))); got != want {
-				t.Fatalf("seed %d, draw %d: Int31n(%d) drawn in-package = %d, through rand.Rand %d", seed, k, n, got, want)
+	eachKernelPath(t, func(t *testing.T) {
+		bounds := []uint32{1<<30 + 1, 3 << 29, 1<<31 - 1, 1, 2, 3, 7, 1 << 20, 1 << 30}
+		const draws = 30_000
+		for _, seed := range []int64{3, 1 << 33} {
+			var s fibStream
+			s.seed(newSource64(seed))
+			r := rand.New(rand.NewSource(seed))
+			draw := func(n uint32) uint32 {
+				var j [1]uint32
+				s.fill(j[:], int(n)-1)
+				return j[0]
 			}
-			consumed += (s.next - before + fibLen) % fibLen
-		}
-		if consumed <= draws {
-			t.Fatalf("seed %d: %d values for %d draws: the rejection never fired", seed, consumed, draws)
-		}
-		for k := 0; k < 3*fibLen; k++ {
-			if got, want := draw(1<<31-1), uint32(r.Int31n(1<<31-1)); got != want {
-				t.Fatalf("seed %d: the streams part %d draws after the mixed bounds", seed, k)
+			consumed := 0
+			for k := 0; k < draws; k++ {
+				n := bounds[k%len(bounds)]
+				before := s.next
+				if got, want := draw(n), uint32(r.Int31n(int32(n))); got != want {
+					t.Fatalf("seed %d, draw %d: Int31n(%d) drawn in-package = %d, through rand.Rand %d", seed, k, n, got, want)
+				}
+				consumed += (s.next - before + fibLen) % fibLen
+			}
+			if consumed <= draws {
+				t.Fatalf("seed %d: %d values for %d draws: the rejection never fired", seed, consumed, draws)
+			}
+			for _, lo := range []int{1<<30 - 3, 3<<29 + 1, 1<<31 - 1 - 2000, 0} {
+				for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 606, 607, 608, 2000} {
+					js := make([]uint32, n)
+					s.fill(js, lo)
+					for k, got := range js {
+						if want := uint32(r.Int31n(int32(lo + k + 1))); got != want {
+							t.Fatalf("seed %d, fill of %d from bound %d: draw %d = %d, through rand.Rand %d", seed, n, lo+1, k, got, want)
+						}
+					}
+				}
+			}
+			for k := 0; k < 3*fibLen; k++ {
+				if got, want := draw(1<<31-1), uint32(r.Int31n(1<<31-1)); got != want {
+					t.Fatalf("seed %d: the streams part %d draws after the mixed bounds", seed, k)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestShuffleKeyIs31Bits pins a finding, not a wish: rngSource.Seed
@@ -151,7 +186,7 @@ func TestShuffleRefusesInt32Overflow(t *testing.T) {
 }
 
 // FuzzShuffleView: any seed and up to 4 096 rows, from the identity or
-// from a shuffled view, give the reference's order.
+// from a shuffled view, give the reference's order on both kernel paths.
 func FuzzShuffleView(f *testing.F) {
 	f.Add(int64(1), uint16(607), false)
 	f.Add(int64(-3), uint16(4096), true)
@@ -163,6 +198,11 @@ func FuzzShuffleView(f *testing.F) {
 			prev = make([]int32, n)
 			shuffleViewReference(prev, nil, rand.New(rand.NewSource(^seed)))
 		}
-		requireSameView(t, seed, prev, n)
+		for _, path := range []string{"asm", "go"} {
+			if tensor.SetKernelPath(path) {
+				requireSameView(t, seed, prev, n)
+			}
+		}
+		tensor.SetKernelPath("asm")
 	})
 }
