@@ -34,6 +34,11 @@ type rowOrder struct {
 	// pos is view's inverse, physical to logical.
 	//privacy:source inverse row order derived from the shared shuffle secret
 	pos []int32
+	// holders counts, under the coordinator's lock, who holds view and pos:
+	// the coordinator's memo and every client whose current order this is.
+	// The last to give the order up hands both arrays to the coordinator's
+	// spares. nil for the identity.
+	holders *int
 }
 
 // ShuffleCoordinator derives the shared per-round shuffle seeds of
@@ -54,9 +59,13 @@ type ShuffleCoordinator struct {
 	mu sync.Mutex
 	// last memoizes the most recently computed order.
 	last rowOrder // guarded by mu
-	// src is reseeded for every shuffle, so a round allocates the two new
-	// index arrays and nothing else.
+	// src is reseeded for every shuffle.
 	src rand.Source64 // guarded by mu
+	// spares holds the arrays of orders no one holds any more; the next
+	// order is drawn into them, so a round allocates nothing while they
+	// last. A garbage collection empties the pool by its second cycle, so
+	// spares never add to the live heap.
+	spares sync.Pool
 }
 
 // NewShuffleCoordinator returns a coordinator for the given shared secret.
@@ -87,12 +96,13 @@ func (c *ShuffleCoordinator) derive(namespace byte, round int) int64 {
 }
 
 // orderAfter returns the order of rows rows after shuffles end-of-round
-// shuffles. from is an order the caller already holds over the same rows
-// with no more shuffles than that (the zero rowOrder, the identity, always
-// qualifies): EndRound passes its current order and pays one O(rows) step,
-// Restore passes the identity and replays from the start. Whatever the
-// starting point, the result depends on (secret, rows, shuffles) only, so
-// a memoized order is as good as a computed one.
+// shuffles, which the caller holds from then on in place of from. from is
+// the order the caller holds, over the same rows with no more shuffles than
+// that (the zero rowOrder, the identity, always qualifies): EndRound passes
+// its current order and pays one O(rows) step, Restore passes the identity
+// and replays from the start. Whatever the starting point, the result
+// depends on (secret, rows, shuffles) only, so a memoized order is as good
+// as a computed one. The caller must not read from's arrays afterwards.
 func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) (rowOrder, error) {
 	if shuffles == 0 {
 		return rowOrder{}, nil
@@ -103,6 +113,8 @@ func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) (rowO
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.last.shuffles == shuffles && len(c.last.view) == rows {
+		*c.last.holders++
+		c.release(from)
 		return c.last, nil
 	}
 	if c.src == nil {
@@ -114,7 +126,7 @@ func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) (rowO
 	for round := from.shuffles; round < shuffles; round++ {
 		next := spare
 		if next == nil {
-			next = make([]int32, rows)
+			next = c.spare(rows)
 		}
 		c.src.Seed(c.SeedForRound(round))
 		shuffleView(next, view, c.src)
@@ -126,13 +138,37 @@ func (c *ShuffleCoordinator) orderAfter(from rowOrder, rows, shuffles int) (rowO
 	}
 	pos := spare
 	if pos == nil {
-		pos = make([]int32, rows)
+		pos = c.spare(rows)
 	}
 	for k, p := range view {
 		pos[p] = int32(k)
 	}
-	c.last = rowOrder{shuffles: shuffles, view: view, pos: pos}
+	c.release(c.last)
+	c.release(from)
+	holders := 2 // the memo and the caller
+	c.last = rowOrder{shuffles: shuffles, view: view, pos: pos, holders: &holders}
 	return c.last, nil
+}
+
+// spare returns an array of rows row indices, with any contents: a spare
+// of that length, or a new one.
+func (c *ShuffleCoordinator) spare(rows int) []int32 {
+	if a, ok := c.spares.Get().([]int32); ok && len(a) == rows {
+		return a
+	}
+	return make([]int32, rows)
+}
+
+// release gives up one hold on o; the last hands its arrays to the spares.
+// c.mu must be held.
+func (c *ShuffleCoordinator) release(o rowOrder) {
+	if o.holders == nil {
+		return
+	}
+	if *o.holders--; *o.holders == 0 {
+		c.spares.Put(o.view)
+		c.spares.Put(o.pos)
+	}
 }
 
 // checkShuffleRows refuses a table the shuffle cannot order: its draws are

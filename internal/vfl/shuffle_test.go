@@ -2,6 +2,8 @@ package vfl
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -342,12 +344,55 @@ func TestConcurrentEndRoundSharesOneOrder(t *testing.T) {
 	}
 }
 
+// TestSpareOrdersOnlyWhenUnheld: of two holders of one coordinator's
+// orders, one runs two rounds ahead while the other still holds the order
+// they started from, then catches up. The lagging holder's order must stay
+// intact while the leader draws two orders, and every order must equal a
+// fresh coordinator's replay, whichever spares it was drawn into.
+func TestSpareOrdersOnlyWhenUnheld(t *testing.T) {
+	const rows = 1000
+	coord := NewShuffleCoordinator(21)
+	replay := func(shuffles int) rowOrder {
+		o, err := NewShuffleCoordinator(21).orderAfter(rowOrder{}, rows, shuffles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	same := func(what string, got, want rowOrder) {
+		t.Helper()
+		if got.shuffles != want.shuffles || !slices.Equal(got.view, want.view) || !slices.Equal(got.pos, want.pos) {
+			t.Fatalf("%s: order after %d shuffles differs from the replay", what, want.shuffles)
+		}
+	}
+	step := func(o rowOrder, shuffles int) rowOrder {
+		next, err := coord.orderAfter(o, rows, shuffles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	var lead, lag rowOrder
+	for s := 0; s < 12; s += 2 {
+		lead = step(lead, s+1)
+		lead = step(lead, s+2)
+		same("the lagging holder's order", lag, replay(s))
+		lag = step(lag, s+2)
+		same("the leader's order", lead, replay(s+2))
+		same("the caught-up order", lag, replay(s+2))
+		if s%4 == 2 {
+			runtime.GC() // now and then a collection empties the spares
+		}
+	}
+}
+
 // BenchmarkShuffleCoordinatorStep times the whole per-round cost of
 // training-with-shuffling for a federation's in-process clients at the
 // rows-cold size: the reseed, one fused Fisher–Yates over the previous view
 // with its draws computed in-package a block ahead of the swaps, and the
-// inverse pass. It allocates the new view and pos — two int32 arrays of
-// rows — and nothing else per round: the source is reused, and the
+// inverse pass. The new view and pos — two int32 arrays of rows — are drawn
+// into the spares the order before last left, so a round allocates only
+// after a collection has emptied them: the source is reused, and the
 // stream's values and the block of draws live on the stack.
 func BenchmarkShuffleCoordinatorStep(b *testing.B) {
 	const rows = 500_000
