@@ -89,85 +89,104 @@ func gumbelUniform(rng *rand.Rand) float64 {
 // tanh on scalar spans, and on one-hot spans the hard Gumbel-softmax sample,
 // the one-hot of the soft sample's first argmax. It has no autograd graph but
 // keeps the bits of the straight-through form it replaces (soft +
-// (one-hot − soft)): per one-hot span it draws every u from rng first, row
-// by row, then per element −log(−log u) through tensor.Log, logits + noise,
-// × 1/τ, the row max, tensor.Exp of the difference, the division by the
-// left-to-right row sum, and s + (h − s). The result is one pooled matrix,
-// the caller's to release.
+// (one-hot − soft)): it draws every one-hot span's u from rng, span after
+// span, row by row, and then per element −log(−log u) through tensor.Log,
+// logits + noise, × 1/τ, the row max, tensor.Exp of the difference, the
+// division by the left-to-right row sum, and s + (h − s). The noise is one
+// pooled scratch holding each span's rows × width block in turn, so that
+// Log and Exp take all of it at once; the result is one pooled matrix, the
+// caller's to release.
 //
 //shape:in(B,W) out(B,W)
 func SampleOutput(raw *tensor.Dense, spans []encoding.Span, rng *rand.Rand) *tensor.Dense {
 	rows, cols := raw.Shape()
-	covered := 0
+	covered, hot := 0, 0
 	for _, sp := range spans {
 		covered += sp.Width
+		if sp.Type == encoding.SpanOneHot {
+			hot += sp.Width
+		}
 	}
 	if covered != cols {
 		panic("gan: spans do not cover generator output")
 	}
-	out := tensor.NewPooledUninit(rows, cols)
+	scratch := tensor.NewPooledUninit(rows, hot)
+	g := scratch.Data()
+	for i := range g {
+		g[i] = gumbelUniform(rng)
+	}
+	for range 2 {
+		tensor.Log(g, g)
+		for i, v := range g {
+			g[i] = -v
+		}
+	}
+	// Each row of each span: the perturbed, scaled logits less their max.
+	blocks := g
 	for _, sp := range spans {
-		switch sp.Type {
-		case encoding.SpanScalar:
-			for i := 0; i < rows; i++ {
-				dst := out.RawRow(i)[sp.Start:sp.End()]
+		if sp.Type != encoding.SpanOneHot {
+			continue
+		}
+		for i := 0; i < rows; i++ {
+			seg, logits := blocks[i*sp.Width:(i+1)*sp.Width], raw.RawRow(i)[sp.Start:sp.End()]
+			maxv := math.Inf(-1)
+			for j, noise := range seg {
+				v := (logits[j] + noise) * (1 / GumbelTau)
+				seg[j] = v
+				if v > maxv {
+					maxv = v
+				}
+			}
+			for j, v := range seg {
+				seg[j] = v - maxv
+			}
+		}
+		blocks = blocks[rows*sp.Width:]
+	}
+	tensor.Exp(g, g)
+	out := tensor.NewPooledUninit(rows, cols)
+	blocks = g
+	for _, sp := range spans {
+		for i := 0; i < rows; i++ {
+			dst := out.RawRow(i)[sp.Start:sp.End()]
+			switch sp.Type {
+			case encoding.SpanScalar:
 				for j, v := range raw.RawRow(i)[sp.Start:sp.End()] {
 					dst[j] = math.Tanh(v)
 				}
-			}
-		case encoding.SpanOneHot:
-			for i := 0; i < rows; i++ {
-				u := out.RawRow(i)[sp.Start:sp.End()]
-				for j := range u {
-					u[j] = gumbelUniform(rng)
-				}
-			}
-			for i := 0; i < rows; i++ {
-				hardGumbelRow(out.RawRow(i)[sp.Start:sp.End()], raw.RawRow(i)[sp.Start:sp.End()])
+			case encoding.SpanOneHot:
+				hardSample(dst, blocks[i*sp.Width:(i+1)*sp.Width])
 			}
 		}
+		if sp.Type == encoding.SpanOneHot {
+			blocks = blocks[rows*sp.Width:]
+		}
 	}
+	scratch.Release()
 	return out
 }
 
-// hardGumbelRow turns one row's uniforms u, in place, into the hard sample
-// of the logits' Gumbel-softmax (see SampleOutput).
-func hardGumbelRow(u, logits []float64) {
-	for range 2 {
-		tensor.Log(u, u)
-		for j, v := range u {
-			u[j] = -v
-		}
-	}
-	maxv := math.Inf(-1)
-	for j, g := range u {
-		v := (logits[j] + g) * (1 / GumbelTau)
-		u[j] = v
-		if v > maxv {
-			maxv = v
-		}
-	}
-	for j, v := range u {
-		u[j] = v - maxv
-	}
-	tensor.Exp(u, u)
+// hardSample writes into dst the hard sample of one row's softmax, given
+// its exponentials e: s = e / Σe (summed left to right), and s + (h − s)
+// with h the one-hot of s's first argmax.
+func hardSample(dst, e []float64) {
 	var sum float64
-	for _, e := range u {
-		sum += e
+	for _, v := range e {
+		sum += v
 	}
 	best := 0
-	for j := range u {
-		u[j] /= sum
-		if u[j] > u[best] {
+	for j := range e {
+		e[j] /= sum
+		if e[j] > e[best] {
 			best = j
 		}
 	}
-	for j, s := range u {
+	for j, s := range e {
 		var h float64
 		if j == best {
 			h = 1
 		}
-		u[j] = s + (h - s)
+		dst[j] = s + (h - s)
 	}
 }
 
