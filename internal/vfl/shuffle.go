@@ -63,8 +63,8 @@ type ShuffleCoordinator struct {
 	src rand.Source64 // guarded by mu
 	// spares holds the arrays of orders no one holds any more; the next
 	// order is drawn into them, so a round allocates nothing while they
-	// last. A garbage collection empties the pool by its second cycle, so
-	// spares never add to the live heap.
+	// last. Two garbage collections empty the pool, so the heap that is
+	// live after them holds no spare.
 	spares sync.Pool
 }
 
