@@ -55,34 +55,33 @@ func ActivateOutput(raw *ag.Value, spans []encoding.Span, rng *rand.Rand) *ag.Va
 
 // gumbelSoftmax draws a soft Gumbel-softmax sample per row. The noise is
 // pooled and goes back as soon as AddConst has added it; the graph does not
-// hold it. Every u is drawn first, in row-major order and redrawn while it
-// is 0, and then the whole buffer becomes −log(−log u) through two
-// tensor.Log calls.
+// hold it.
 func gumbelSoftmax(logits *ag.Value, rng *rand.Rand) *ag.Value {
 	rows, cols := logits.Shape()
 	noise := tensor.NewPooledUninit(rows, cols)
-	data := noise.Data()
-	for i := range data {
-		data[i] = gumbelUniform(rng)
-	}
-	for range 2 {
-		tensor.Log(data, data)
-		for i, v := range data {
-			data[i] = -v
-		}
-	}
+	gumbelNoise(noise.Data(), rng)
 	perturbed := ag.AddConst(logits, noise)
 	noise.Release()
 	return ag.SoftmaxRows(ag.Scale(perturbed, 1/GumbelTau))
 }
 
-// gumbelUniform is the u of one Gumbel draw: rng.Float64, redrawn while 0.
-func gumbelUniform(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u <= 0 {
-		u = rng.Float64()
+// gumbelNoise fills g with Gumbel noise in order: every u is drawn first,
+// redrawn while it is 0, and then the whole buffer becomes −log(−log u)
+// through two tensor.Log calls.
+func gumbelNoise(g []float64, rng *rand.Rand) {
+	for i := range g {
+		u := rng.Float64()
+		for u <= 0 {
+			u = rng.Float64()
+		}
+		g[i] = u
 	}
-	return u
+	for range 2 {
+		tensor.Log(g, g)
+		for i, v := range g {
+			g[i] = -v
+		}
+	}
 }
 
 // SampleOutput is the synthesis-time activation of a generator's raw output:
@@ -112,15 +111,7 @@ func SampleOutput(raw *tensor.Dense, spans []encoding.Span, rng *rand.Rand) *ten
 	}
 	scratch := tensor.NewPooledUninit(rows, hot)
 	g := scratch.Data()
-	for i := range g {
-		g[i] = gumbelUniform(rng)
-	}
-	for range 2 {
-		tensor.Log(g, g)
-		for i, v := range g {
-			g[i] = -v
-		}
-	}
+	gumbelNoise(g, rng)
 	// Each row of each span: the perturbed, scaled logits less their max.
 	blocks := g
 	for _, sp := range spans {
