@@ -11,7 +11,7 @@ var asmKernels = useAsm
 // must not run in parallel, and they set "asm" again when they end, which
 // restores the start-up choice. Production code never calls it.
 //
-//lint:ignore deadcode kernel-path switch of the vfl path-equivalence tests
+//lint:ignore deadcode kernel-path switch of the vfl and gan path-equivalence tests
 func SetKernelPath(path string) bool {
 	switch {
 	case path == "go":
