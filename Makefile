@@ -80,7 +80,9 @@ bench-layers:
 
 # CPU profiles of gtv-train at each bench/ workload's shape
 # (bench/_gtvbench/workloads.go), on one thread, split by the phase labels
-# gtv-train sets (setup, train, synth) into a stamped BENCH_profile.json: per
+# gtv-train sets (setup, train, synth) and the label core.New gives the
+# loopback clients' serve loops (serve: wire-4c's client side, empty
+# elsewhere) into a stamped BENCH_profile.json: per
 # workload, phase and order (flat, cum), pprof's top 20 functions with their
 # shares of the phase's samples (cmd/benchjson -pprof). How the runs differ
 # from bench/'s:
@@ -91,8 +93,8 @@ bench-layers:
 #     repeated set-up;
 #   - rows-warm opens the store the rows-cold run before it wrote, which is
 #     its cold first run;
-#   - in wire-4c the loopback clients' serving goroutines, which set-up
-#     starts, keep the setup label while they serve the rounds.
+#   - in wire-4c the clients' work in the rounds and in synthesis is the
+#     serve phase, and train and synth hold the server's side only.
 PROFILE_DIR := .profile_build
 PROFILE_WORKLOADS := paper-fed wire-4c rows-cold rows-warm
 PROFILE_COMMON := -dataset adult -seed 1 -log-every 0 -skip-eval -synth-out /dev/null
@@ -107,7 +109,7 @@ profile:
 	$(GO) build -o $(PROFILE_DIR)/gtv-train ./cmd/gtv-train
 	$(foreach w,$(PROFILE_WORKLOADS),GOMAXPROCS=1 $(PROFILE_DIR)/gtv-train $(PROFILE_COMMON) $(PROFILE_$(w)) \
 		-cpuprofile $(PROFILE_DIR)/$(w).prof > $(PROFILE_DIR)/$(w).log &&) true
-	for w in $(PROFILE_WORKLOADS); do for p in setup train synth; do for o in flat cum; do \
+	for w in $(PROFILE_WORKLOADS); do for p in setup train serve synth; do for o in flat cum; do \
 		echo "profile: $$w $$p $$o"; \
 		$(GO) tool pprof -top -relative_percentages -unit=ms -nodecount=20 -tagfocus=phase=$$p \
 			$$(test $$o = cum && echo -cum) $(PROFILE_DIR)/gtv-train $(PROFILE_DIR)/$$w.prof 2>/dev/null; \
