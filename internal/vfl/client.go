@@ -228,9 +228,6 @@ func NewLocalClient(table *encoding.Table, coord *ShuffleCoordinator, seed int64
 // seed. The table is read during construction only: the client keeps its
 // column specs and row count, never its rows.
 func NewLocalClientStored(table *encoding.Table, coord *ShuffleCoordinator, seed int64, st encoding.Storage) (*LocalClient, error) {
-	if table.Rows() == 0 || table.Cols() == 0 {
-		return nil, errors.New("vfl: client table is empty")
-	}
 	if coord == nil {
 		return nil, errors.New("vfl: client requires a shuffle coordinator")
 	}
