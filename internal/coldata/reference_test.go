@@ -511,8 +511,6 @@ func chooseLayoutReference(vals []float64) (byte, blockStats) {
 	}
 	if s.allZeroOne {
 		costs[layoutBitmap] = (s.n + 7) / 8
-	}
-	if s.nonzeroOnes {
 		costs[layoutSparseOnes] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes
 	}
 	costs[layoutSparse] = binfmt.UvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
