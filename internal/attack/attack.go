@@ -234,10 +234,18 @@ func RunShufflingAblation(tables []*encoding.Table, cfg Config) (*AblationResult
 		adversary := NewCuriousServer(cvWidth)
 
 		offsets := make([]int, len(work))
+		// pos[i][r] is the position row r of tables[i] has been shuffled
+		// to. As in a LocalClient, the samplers keep the order they were
+		// built in, and the rows they draw leave through pos.
+		pos := make([][]int, len(work))
 		off := 0
 		for i, s := range workSamplers {
 			offsets[i] = off
 			off += s.Width()
+			pos[i] = make([]int, work[i].Rows())
+			for r := range pos[i] {
+				pos[i][r] = r
+			}
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			p := rng.Intn(len(work))
@@ -252,6 +260,9 @@ func RunShufflingAblation(tables []*encoding.Table, cfg Config) (*AblationResult
 			for i := 0; i < cfg.Batch; i++ {
 				copy(global.RawRow(i)[offsets[p]:offsets[p]+workSamplers[p].Width()], batch.CV.RawRow(i))
 			}
+			for k, r := range batch.Rows {
+				batch.Rows[k] = pos[p][r]
+			}
 			if err := adversary.Observe(global, batch.Rows); err != nil {
 				return 0, err
 			}
@@ -260,8 +271,13 @@ func RunShufflingAblation(tables []*encoding.Table, cfg Config) (*AblationResult
 				for i := range work {
 					perm := rand.New(rand.NewSource(seed)).Perm(work[i].Rows())
 					work[i] = work[i].ShuffleRows(perm)
-					if err := workSamplers[i].Reindex(perm); err != nil {
-						return 0, err
+					// Position perm[k] moves to k.
+					inv := make([]int, len(perm))
+					for k, old := range perm {
+						inv[old] = k
+					}
+					for r, at := range pos[i] {
+						pos[i][r] = inv[at]
 					}
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/encoding"
@@ -36,7 +37,19 @@ func categoryFrequenciesReference(t *encoding.Table, j int) ([]float64, error) {
 	return freq, nil
 }
 
-func newSamplerReference(t *encoding.Table, tr *encoding.Transformer) (*Sampler, error) {
+// referenceSampler is the Sampler as it stood before its row index became
+// category codes and a rank: per span, one int32 row list grouped by
+// category (ascending rows within a group), catOff[i][c] the start of
+// category c's group, with a trailing end sentinel.
+type referenceSampler struct {
+	spans           []encoding.Span
+	width, numRows  int
+	probs, rawProbs [][]float64
+	catRows, catOff [][]int32
+	offsets         []int
+}
+
+func newSamplerReference(t *encoding.Table, tr *encoding.Transformer) (*referenceSampler, error) {
 	if t.Rows() == 0 {
 		return nil, errors.New("condvec: empty table")
 	}
@@ -44,7 +57,7 @@ func newSamplerReference(t *encoding.Table, tr *encoding.Transformer) (*Sampler,
 		return nil, fmt.Errorf("condvec: %d rows exceed the int32 row-index space", t.Rows())
 	}
 	spans := tr.CategoricalSpans()
-	s := &Sampler{
+	s := &referenceSampler{
 		spans:    spans,
 		numRows:  t.Rows(),
 		probs:    make([][]float64, len(spans)),
@@ -102,6 +115,75 @@ func newSamplerReference(t *encoding.Table, tr *encoding.Transformer) (*Sampler,
 	return s, nil
 }
 
+// candidates returns the (possibly empty) row group matching category cat
+// of span i.
+func (s *referenceSampler) candidates(i, cat int) []int32 {
+	return s.catRows[i][s.catOff[i][cat]:s.catOff[i][cat+1]]
+}
+
+// sample is Sample (probs) and SampleSynthesis (rawProbs) as they were:
+// both returned a row per CV.
+func (s *referenceSampler) sample(rng *rand.Rand, batch int, probs [][]float64) *Batch {
+	cv := tensor.New(batch, s.width)
+	rows := make([]int, batch)
+	choices := make([]Choice, batch)
+	hot := make([]int, batch)
+	for b := 0; b < batch; b++ {
+		if len(s.spans) == 0 {
+			rows[b] = rng.Intn(s.numRows)
+			choices[b] = Choice{Span: -1, Category: -1}
+			hot[b] = -1
+			continue
+		}
+		span := rng.Intn(len(s.spans))
+		cat := sampleDiscrete(rng, probs[span])
+		candidates := s.candidates(span, cat)
+		if len(candidates) == 0 {
+			rows[b] = rng.Intn(s.numRows)
+		} else {
+			rows[b] = int(candidates[rng.Intn(len(candidates))])
+		}
+		cv.Set(b, s.offsets[span]+cat, 1)
+		choices[b] = Choice{Span: span, Category: cat}
+		hot[b] = s.offsets[span] + cat
+	}
+	return &Batch{CV: cv, Rows: rows, Choices: choices, Hot: hot}
+}
+
+// sampleFixed is SampleFixed as it was, with a row per CV.
+func (s *referenceSampler) sampleFixed(rng *rand.Rand, batch, spanIdx, category int) *Batch {
+	cv := tensor.New(batch, s.width)
+	rows := make([]int, batch)
+	choices := make([]Choice, batch)
+	hot := make([]int, batch)
+	candidates := s.candidates(spanIdx, category)
+	for b := 0; b < batch; b++ {
+		cv.Set(b, s.offsets[spanIdx]+category, 1)
+		if len(candidates) > 0 {
+			rows[b] = int(candidates[rng.Intn(len(candidates))])
+		} else {
+			rows[b] = rng.Intn(s.numRows)
+		}
+		choices[b] = Choice{Span: spanIdx, Category: category}
+		hot[b] = s.offsets[spanIdx] + category
+	}
+	return &Batch{CV: cv, Rows: rows, Choices: choices, Hot: hot}
+}
+
+// reindex is Reindex as it was: every list entry renamed through the
+// inverse permutation, each group keeping its pre-shuffle order.
+func (s *referenceSampler) reindex(perm []int) {
+	inv := make([]int, len(perm))
+	for k, old := range perm {
+		inv[old] = k
+	}
+	for _, lst := range s.catRows {
+		for k, old := range lst {
+			lst[k] = int32(inv[old])
+		}
+	}
+}
+
 // requireSameFloats compares bit patterns, span by span.
 func requireSameFloats(t *testing.T, what string, got, want [][]float64) {
 	t.Helper()
@@ -122,8 +204,11 @@ func requireSameFloats(t *testing.T, what string, got, want [][]float64) {
 
 // oracleTable builds a rows-row table whose categorical columns have the
 // given category counts (each drawn from the first used of them), followed
-// by one continuous column.
-func oracleTable(t *testing.T, rows int, cats []int, used []int) *encoding.Table {
+// by one continuous column. fill picks the layout of the categories:
+// "skewed" (random, half the rows category 0), "sorted" (ascending, so each
+// used category fills whole blocks) or "constant" (every row holds
+// category used-1).
+func oracleTable(t *testing.T, rows int, cats, used []int, fill string) *encoding.Table {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(rows)))
 	data := tensor.New(rows, len(cats)+1)
@@ -139,8 +224,16 @@ func oracleTable(t *testing.T, rows int, cats []int, used []int) *encoding.Table
 	for i := 0; i < rows; i++ {
 		row := data.RawRow(i)
 		for j := range cats {
-			// Skewed, so groups differ in size.
-			row[j] = float64(r.Intn(used[j]) * r.Intn(2))
+			switch fill {
+			case "skewed":
+				row[j] = float64(r.Intn(used[j]) * r.Intn(2))
+			case "sorted":
+				row[j] = float64(i * used[j] / rows)
+			case "constant":
+				row[j] = float64(used[j] - 1)
+			default:
+				t.Fatalf("unknown fill %q", fill)
+			}
 		}
 		row[len(cats)] = r.NormFloat64()
 	}
@@ -151,22 +244,93 @@ func oracleTable(t *testing.T, rows int, cats []int, used []int) *encoding.Table
 	return tbl
 }
 
+// requireSameIndex holds got's index to want's row lists: the count of
+// every category of every span, and its u-th row for every u. It also
+// bounds the index's size: the codes' width a row, the rank's quarter byte
+// a row, and a rank row of rounding.
+func requireSameIndex(t *testing.T, what string, got *Sampler, want *referenceSampler) {
+	t.Helper()
+	if len(got.index) != len(want.catOff) {
+		t.Fatalf("%s: %d span indexes, reference %d", what, len(got.index), len(want.catOff))
+	}
+	for i := range got.index {
+		x := &got.index[i]
+		off := want.catOff[i]
+		if x.cats() != len(off)-1 {
+			t.Fatalf("%s: span %d indexes %d categories, reference %d", what, i, x.cats(), len(off)-1)
+		}
+		for c := 0; c < x.cats(); c++ {
+			group := want.catRows[i][off[c]:off[c+1]]
+			if n := x.count(c); n != len(group) {
+				t.Fatalf("%s: span %d category %d counts %d rows, reference %d", what, i, c, n, len(group))
+			}
+			for u, r := range group {
+				if g := x.row(c, u); g != int(r) {
+					t.Fatalf("%s: span %d category %d row %d is %d, reference %d", what, i, c, u, g, r)
+				}
+			}
+		}
+		rows := want.numRows
+		if size := len(x.codes) + 4*len(x.rank); size > rows*x.width+rows/4+8*x.cats() {
+			t.Fatalf("%s: span %d index is %d bytes for %d rows of %d-byte codes and %d categories", what, i, size, rows, x.width, x.cats())
+		}
+	}
+}
+
+// requireSameDraws runs one draw of the sampler and of the reference from
+// equal generators and wants equal CVs, choices and hot positions, the
+// reference's rows from a training draw and none from a synthesis draw,
+// and both generators left at the same point.
+func requireSameDraws(t *testing.T, what string, training bool, got func(*rand.Rand) (*Batch, error), want func(*rand.Rand) *Batch) {
+	t.Helper()
+	gotRng, wantRng := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	g, err := got(gotRng)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	w := want(wantRng)
+	if !reflect.DeepEqual(g.CV.Data(), w.CV.Data()) || g.CV.Cols() != w.CV.Cols() {
+		t.Fatalf("%s: CVs differ from the reference", what)
+	}
+	if !reflect.DeepEqual(g.Choices, w.Choices) || !reflect.DeepEqual(g.Hot, w.Hot) {
+		t.Fatalf("%s: choices or hot positions differ from the reference", what)
+	}
+	if training && !reflect.DeepEqual(g.Rows, w.Rows) {
+		t.Fatalf("%s: rows %v, reference %v", what, g.Rows, w.Rows)
+	}
+	if !training && g.Rows != nil {
+		t.Fatalf("%s: a synthesis batch carries %d rows", what, len(g.Rows))
+	}
+	if a, b := gotRng.Int63(), wantRng.Int63(); a != b {
+		t.Fatalf("%s: the generator is left elsewhere than the reference leaves it", what)
+	}
+}
+
 func TestNewSamplerMatchesReference(t *testing.T) {
 	cases := []struct {
 		name       string
 		rows       int
 		cats, used []int
+		fill       string
 	}{
 		// Category 3 of the first column and categories 7..9 of the third
-		// are in no row; the second column has one category.
-		{"mixed", 1000, []int{5, 1, 10}, []int{3, 1, 7}},
-		{"no categorical column", 300, nil, nil},
-		{"one row", 1, []int{2, 3}, []int{2, 3}},
-		// Past 256 categories the codes are four bytes wide.
-		{"wide", 700, []int{4, 300}, []int{4, 300}},
+		// are in no row; the second column has one category. 1000 rows are
+		// no multiple of any of the three columns' blocks (128, 64 and 256
+		// rows).
+		{"mixed", 1000, []int{5, 1, 10}, []int{3, 1, 7}, "skewed"},
+		{"no categorical column", 300, nil, nil, "skewed"},
+		{"one row", 1, []int{2, 3}, []int{2, 3}, "skewed"},
+		// One block and one row past it.
+		{"ragged last block", 65, []int{4}, []int{4}, "skewed"},
+		// Each category fills whole 64-row blocks.
+		{"sorted", 2000, []int{3, 4}, []int{3, 2}, "sorted"},
+		{"one category in every row", 500, []int{4, 1}, []int{2, 1}, "constant"},
+		// Past 256 categories the codes are two bytes wide, past 65 536 four.
+		{"wide", 700, []int{4, 300}, []int{4, 300}, "skewed"},
+		{"widest", 300, []int{1<<16 + 5}, []int{1<<16 + 5}, "sorted"},
 	}
 	for _, tc := range cases {
-		tbl := oracleTable(t, tc.rows, tc.cats, tc.used)
+		tbl := oracleTable(t, tc.rows, tc.cats, tc.used, tc.fill)
 		tr, err := encoding.FitTransformer(rand.New(rand.NewSource(1)), tbl, gmm.DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: FitTransformer: %v", tc.name, err)
@@ -201,9 +365,7 @@ func TestNewSamplerMatchesReference(t *testing.T) {
 			}
 			requireSameFloats(t, what+": probs", got.probs, want.probs)
 			requireSameFloats(t, what+": rawProbs", got.rawProbs, want.rawProbs)
-			if !reflect.DeepEqual(got.catRows, want.catRows) || !reflect.DeepEqual(got.catOff, want.catOff) {
-				t.Fatalf("%s: row index differs from the reference", what)
-			}
+			requireSameIndex(t, what, got, want)
 			if !reflect.DeepEqual(got.spans, want.spans) || !reflect.DeepEqual(got.offsets, want.offsets) ||
 				got.width != want.width || got.numRows != want.numRows {
 				t.Fatalf("%s: layout differs from the reference", what)
@@ -216,5 +378,40 @@ func TestNewSamplerMatchesReference(t *testing.T) {
 			}
 			requireSameFloats(t, what+": rawProbs against CategoryFrequencies", got.rawProbs, freqs)
 		}
+
+		got, err := NewSampler(tbl, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDraws(t, tc.name+"/Sample", true,
+			func(r *rand.Rand) (*Batch, error) { return got.Sample(r, 300) },
+			func(r *rand.Rand) *Batch { return want.sample(r, 300, want.probs) })
+		requireSameDraws(t, tc.name+"/SampleSynthesis", false,
+			func(r *rand.Rand) (*Batch, error) { return got.SampleSynthesis(r, 300) },
+			func(r *rand.Rand) *Batch { return want.sample(r, 300, want.rawProbs) })
+		for i, sp := range want.spans {
+			// Every category of the narrow columns, absent ones included
+			// (their draws are uniform rows); the widest column's first few.
+			for c := 0; c < min(sp.Width, 12); c++ {
+				requireSameDraws(t, fmt.Sprintf("%s/SampleFixed(%d,%d)", tc.name, i, c), false,
+					func(r *rand.Rand) (*Batch, error) { return got.SampleFixed(r, 40, i, c) },
+					func(r *rand.Rand) *Batch { return want.sampleFixed(r, 40, i, c) })
+			}
+		}
+
+		// Reindex keeps each category's rows; the old one kept a group in
+		// its pre-shuffle order, the index lists rows ascending.
+		perm := rand.New(rand.NewSource(int64(tc.rows))).Perm(tc.rows)
+		if err := got.Reindex(perm); err != nil {
+			t.Fatal(err)
+		}
+		want.reindex(perm)
+		for i := range want.catRows {
+			for c := 0; c+1 < len(want.catOff[i]); c++ {
+				group := want.catRows[i][want.catOff[i][c]:want.catOff[i][c+1]]
+				sort.Slice(group, func(a, b int) bool { return group[a] < group[b] })
+			}
+		}
+		requireSameIndex(t, tc.name+"/Reindex", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -82,6 +83,8 @@ func TestClientGuardsRejectServerInput(t *testing.T) {
 		{"Configure/generator block width 0", configure(func(s *Setup) { s.GenBlockWidth = 0 }), "invalid widths"},
 		{"Configure/learning rate 0", configure(func(s *Setup) { s.LR = 0 }), "invalid learning rate"},
 		{"Configure/learning rate -1e-3", configure(func(s *Setup) { s.LR = -1e-3 }), "invalid learning rate"},
+		{"Configure/learning rate NaN", configure(func(s *Setup) { s.LR = math.NaN() }), "invalid learning rate"},
+		{"Configure/learning rate +Inf", configure(func(s *Setup) { s.LR = math.Inf(1) }), "invalid learning rate"},
 		{"ForwardReal/row index past the table", realIndex(rows), "out of range"},
 		{"ForwardReal/negative row index", realIndex(-1), "out of range"},
 		{"ForwardSynthetic/no slice", func(t *testing.T) error {

@@ -180,6 +180,10 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 		hostileCase{"SampleCV", "CV cols+3", onBatch(func(b *condvec.Batch) { b.CV = tensor.New(b.CV.Rows(), b.CV.Cols()+3) }), -1, train},
 		hostileCase{"SampleCV", "CV rows-1", onBatch(func(b *condvec.Batch) { b.CV = tensor.New(b.CV.Rows()-1, b.CV.Cols()) }), -1, synth},
 		hostileCase{"SampleCV", "short idx", onBatch(func(b *condvec.Batch) { b.Rows = b.Rows[1:] }), -1, train},
+		hostileCase{"SampleCV", "no idx", onBatch(func(b *condvec.Batch) { b.Rows = nil }), -1, train},
+		// A synthesis batch names no real rows; one that does is refused,
+		// even with every index inside the table.
+		hostileCase{"SampleCV", "synthesis carries idx", onBatch(func(b *condvec.Batch) { b.Rows = make([]int, b.CV.Rows()) }), -1, synth},
 		hostileCase{"SampleCV", "idx past the table", onBatch(func(b *condvec.Batch) {
 			b.Rows = append([]int(nil), b.Rows...)
 			b.Rows[3] = 1 << 20
@@ -189,7 +193,7 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 			b.Rows[0] = -1
 		}), -1, train},
 		hostileCase{"SampleCVFixed", "nil CV", onBatch(func(b *condvec.Batch) { b.CV = nil }), 0, cond},
-		hostileCase{"SampleCVFixed", "short idx", onBatch(func(b *condvec.Batch) { b.Rows = nil }), 0, cond},
+		hostileCase{"SampleCVFixed", "carries idx", onBatch(func(b *condvec.Batch) { b.Rows = make([]int, b.CV.Rows()) }), 0, cond},
 		hostileCase{"Info", "CVWidth -1000", onInfo(func(i *ClientInfo) { i.CVWidth = -1000 }), 1, train},
 		hostileCase{"Info", "CVWidth -1", onInfo(func(i *ClientInfo) { i.CVWidth = -1 }), 1, train},
 		hostileCase{"Info", "CVWidth 1<<62", onInfo(func(i *ClientInfo) { i.CVWidth = 1 << 62 }), 1, train},

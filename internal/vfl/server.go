@@ -459,7 +459,7 @@ func (s *Server) contributorCV(synthesis bool) cvSource {
 	return func(batch int) (int, *condvec.Batch, error) {
 		p := s.pickContributor()
 		cvb, err := s.clients[p].SampleCV(batch, synthesis)
-		return p, cvb, s.checkCV(p, "SampleCV", cvb, err, batch)
+		return p, cvb, s.checkCV(p, "SampleCV", cvb, err, batch, !synthesis)
 	}
 }
 
@@ -468,15 +468,17 @@ func (s *Server) contributorCV(synthesis bool) cvSource {
 func (s *Server) fixedCV(p, spanIdx, category int) cvSource {
 	return func(batch int) (int, *condvec.Batch, error) {
 		cvb, err := s.clients[p].SampleCVFixed(batch, spanIdx, category)
-		return p, cvb, s.checkCV(p, "SampleCVFixed", cvb, err, batch)
+		return p, cvb, s.checkCV(p, "SampleCVFixed", cvb, err, batch, false)
 	}
 }
 
 // checkCV passes a failed CV call on with the client named, and otherwise
-// checks the batch: the CV matrix against the width client p declared, one
-// row index per CV, and every index inside the table — the server gathers
-// full-pass logits and scatters their gradients by those indices.
-func (s *Server) checkCV(p int, method string, b *condvec.Batch, err error, batch int) error {
+// checks the batch: the CV matrix against the width client p declared and,
+// for training, one row index per CV, every index inside the table — the
+// server gathers full-pass logits and scatters their gradients by those
+// indices. A synthesis batch must carry no index: the server has no use
+// for one, and §3.1.5 sanctions idx_p for training only.
+func (s *Server) checkCV(p int, method string, b *condvec.Batch, err error, batch int, training bool) error {
 	if err != nil {
 		return fmt.Errorf("client %d %s: %w", p, method, err)
 	}
@@ -485,6 +487,12 @@ func (s *Server) checkCV(p int, method string, b *condvec.Batch, err error, batc
 	}
 	if err := checkMatrix(p, method, b.CV, batch, s.infos[p].CVWidth); err != nil {
 		return err
+	}
+	if !training {
+		if len(b.Rows) != 0 {
+			return &replyError{p, method, fmt.Sprintf("%d row indices in a synthesis batch", len(b.Rows))}
+		}
+		return nil
 	}
 	if len(b.Rows) != batch {
 		return &replyError{p, method, fmt.Sprintf("%d row indices for a batch of %d", len(b.Rows), batch)}

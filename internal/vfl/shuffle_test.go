@@ -26,13 +26,17 @@ func assertMatrixBitEqual(t *testing.T, label string, a, b *tensor.Dense) {
 
 // physicalReference is training-with-shuffling the way it was first
 // built, kept as a test-only oracle: every round it copies the raw table
-// into the new order, shuffles the encoded matrix and rewrites the CV
-// index. The row-order view must be indistinguishable from it.
+// into the new order and shuffles the encoded matrix. Its CV index stays
+// over the table as built, and the rows it draws move to where the
+// round permutations, composed here, have taken them. The row-order view
+// must be indistinguishable from it.
 type physicalReference struct {
 	// raw is the table as built, the one the client under test was built
-	// over; table is raw in the reference's current order.
+	// over; table is raw in the reference's current order, and at[k] is
+	// the row of raw now at position k.
 	raw     *encoding.Table
 	table   *encoding.Table
+	at      []int
 	data    encoding.Backing
 	sampler *condvec.Sampler
 	rng     *rng.Rand
@@ -49,7 +53,11 @@ func newPhysicalReference(t *testing.T, table *encoding.Table, seed int64, st en
 	if err != nil {
 		t.Fatalf("reference NewSampler: %v", err)
 	}
-	return &physicalReference{raw: table, table: table, data: data, sampler: sampler, rng: rng.New(seed)}
+	at := make([]int, table.Rows())
+	for k := range at {
+		at[k] = k
+	}
+	return &physicalReference{raw: table, table: table, at: at, data: data, sampler: sampler, rng: rng.New(seed)}
 }
 
 func (r *physicalReference) endRound(t *testing.T, coord *ShuffleCoordinator, round int) {
@@ -59,9 +67,32 @@ func (r *physicalReference) endRound(t *testing.T, coord *ShuffleCoordinator, ro
 	if err := r.data.Shuffle(perm); err != nil {
 		t.Fatalf("reference Shuffle: %v", err)
 	}
-	if err := r.sampler.Reindex(perm); err != nil {
-		t.Fatalf("reference Reindex: %v", err)
+	at := make([]int, len(perm))
+	for k, p := range perm {
+		at[k] = r.at[p]
 	}
+	r.at = at
+}
+
+// sample draws the reference's idx_p: the CV index's rows of the table as
+// built, at their current positions. A sampler without categorical columns
+// draws positions uniformly instead, which need no moving.
+func (r *physicalReference) sample(t *testing.T, batch int) *condvec.Batch {
+	t.Helper()
+	b, err := r.sampler.Sample(r.rng.Rand, batch)
+	if err != nil {
+		t.Fatalf("reference Sample: %v", err)
+	}
+	if r.sampler.NumSpans() > 0 {
+		pos := make([]int, len(r.at))
+		for k, row := range r.at {
+			pos[row] = k
+		}
+		for k, row := range b.Rows {
+			b.Rows[k] = pos[row]
+		}
+	}
+	return b
 }
 
 // assertMatchesReference compares everything row order can reach: the
@@ -75,10 +106,7 @@ func assertMatchesReference(t *testing.T, label string, c *LocalClient, ref *phy
 	if err != nil {
 		t.Fatalf("%s: SampleCV: %v", label, err)
 	}
-	want, err := ref.sampler.Sample(ref.rng.Rand, 37)
-	if err != nil {
-		t.Fatalf("%s: reference Sample: %v", label, err)
-	}
+	want := ref.sample(t, 37)
 	for k := range want.Rows {
 		if got.Rows[k] != want.Rows[k] || got.Hot[k] != want.Hot[k] {
 			t.Fatalf("%s: sample %d drew row %d (hot %d), reference row %d (hot %d)",

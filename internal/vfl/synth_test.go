@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/condvec"
+	"repro/internal/encoding"
 	"repro/internal/tensor"
 )
 
@@ -166,6 +168,45 @@ func BenchmarkGenerateRows(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.batch), "ns/row")
+		})
+	}
+}
+
+// TestSynthesisCVCarriesNoRows: a synthesis batch, free or conditioned,
+// names no real row (the server has no use for one, and §3.1.5 sanctions
+// idx_p for training only), while the client's generator still makes every
+// row draw it made when the batch carried rows, so the stream and every
+// synthesized table after it stay where they were. Each pin is the
+// generator's next value after the call, read when the rows were sent.
+func TestSynthesisCVCarriesNoRows(t *testing.T) {
+	ta, tb := twoClientTables(t, 90, 3)
+	for _, tc := range []struct {
+		name string
+		tab  *encoding.Table
+		call func(*LocalClient) (*condvec.Batch, error)
+		next int64
+	}{
+		{"SampleCV", ta, func(c *LocalClient) (*condvec.Batch, error) { return c.SampleCV(40, true) }, 7106649208377273357},
+		{"SampleCV, no categorical column", tb, func(c *LocalClient) (*condvec.Batch, error) { return c.SampleCV(40, true) }, 2952464700226241308},
+		{"SampleCVFixed", ta, func(c *LocalClient) (*condvec.Batch, error) { return c.SampleCVFixed(40, 0, 1) }, 2952464700226241308},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLocal(t, tc.tab, NewShuffleCoordinator(1), 5)
+			t.Cleanup(func() { c.Close() })
+			// After a shuffle, rows would be moved to their positions.
+			if err := c.EndRound(0); err != nil {
+				t.Fatal(err)
+			}
+			b, err := tc.call(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Rows) != 0 {
+				t.Errorf("a synthesis batch carries %d row indices", len(b.Rows))
+			}
+			if next := c.rng.Int63(); next != tc.next {
+				t.Errorf("the generator's next value is %d, want %d", next, tc.next)
+			}
 		})
 	}
 }
