@@ -19,6 +19,27 @@ import (
 	"repro/internal/vfl"
 )
 
+// loanSplit generates a loan table, keeps only cols when any are given, and
+// assigns its columns evenly to the given number of parties.
+func loanSplit(t *testing.T, rows int, seed int64, parties int, cols ...int) (*encoding.Table, []int) {
+	t.Helper()
+	d, err := datasets.Generate("loan", datasets.Config{Rows: rows, Seed: seed})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	table := d.Table
+	if len(cols) > 0 {
+		if table, err = table.SelectColumns(cols); err != nil {
+			t.Fatalf("SelectColumns: %v", err)
+		}
+	}
+	assignment, err := EvenAssignment(table.Cols(), parties)
+	if err != nil {
+		t.Fatalf("EvenAssignment: %v", err)
+	}
+	return table, assignment
+}
+
 func TestEvenAssignment(t *testing.T) {
 	tests := []struct {
 		cols, clients int
