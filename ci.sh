@@ -35,5 +35,8 @@ make test
 # The Adam step's reference tests from a GOAMD64=v3 build: its explicit
 # float64 roundings must keep any toolchain from fusing the reference loop.
 GOAMD64=v3 go test -count=1 -run 'Adam' ./internal/tensor
+# The determinism matrix from the same build must reproduce the goldens the
+# default build pinned: the compiler's fusion axis of every trajectory.
+GOAMD64=v3 go test -count=1 -run '^TestDeterminismMatrix$' ./internal/core
 make race
 make fuzz

@@ -7,11 +7,11 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/snap"
 	"repro/internal/vfl"
@@ -19,21 +19,14 @@ import (
 
 // assemblyTables returns a small two-client split of one loan table;
 // every call makes fresh tables.
-func assemblyTables(t *testing.T) (*datasets.Dataset, []*encoding.Table) {
+func assemblyTables(t *testing.T) (*encoding.Table, []*encoding.Table) {
 	t.Helper()
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 120, Seed: 13})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
-	tables, err := d.Table.VerticalSplit(assignment, 2)
+	table, assignment := loanSplit(t, 120, 13, 2)
+	tables, err := table.VerticalSplit(assignment, 2)
 	if err != nil {
 		t.Fatalf("VerticalSplit: %v", err)
 	}
-	return d, tables
+	return table, tables
 }
 
 func assemblyOptions() Options {
@@ -119,8 +112,9 @@ func TestDialMatchesLoopback(t *testing.T) {
 			gotCkpt, gotSynth := run(func(o Options, tables []*encoding.Table) (*GTV, error) {
 				return Dial(serveClients(t, tables, o), o)
 			})
-			sameCheckpoint(t, "Dial vs New(binary)", wantCkpt, gotCkpt)
-			sameBits(t, "Dial vs New(binary)", wantSynth, gotSynth)
+			if !bytes.Equal(gotCkpt, wantCkpt) || !slices.Equal(gotSynth, wantSynth) {
+				t.Fatal("Dial's checkpoint or synthesis differs from New(binary)'s")
+			}
 		})
 	}
 }
@@ -214,8 +208,8 @@ func TestResumeNeedsCheckpointDir(t *testing.T) {
 			return New(tables, opts)
 		}},
 		{"NewCentralized", func() (interface{ Close() error }, error) {
-			d, _ := assemblyTables(t)
-			return NewCentralized(d.Table, opts)
+			table, _ := assemblyTables(t)
+			return NewCentralized(table, opts)
 		}},
 		{"Dial", func() (interface{ Close() error }, error) {
 			_, tables := assemblyTables(t)

@@ -89,19 +89,12 @@ func TestGTVEndToEndOnDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GAN training in -short mode")
 	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 400, Seed: 1})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
+	table, assignment := loanSplit(t, 400, 1, 2)
 	opts := DefaultOptions()
 	opts.Rounds = 25
 	opts.BlockDim = 48
 	opts.NoiseDim = 16
-	g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+	g, err := NewFromAssignment(table, assignment, 2, opts)
 	if err != nil {
 		t.Fatalf("NewFromAssignment: %v", err)
 	}
@@ -115,8 +108,8 @@ func TestGTVEndToEndOnDataset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SynthesizeParts: %v", err)
 	}
-	if joined.Rows() != 200 || joined.Cols() != d.Table.Cols() {
-		t.Fatalf("synthetic shape %dx%d want 200x%d", joined.Rows(), joined.Cols(), d.Table.Cols())
+	if joined.Rows() != 200 || joined.Cols() != table.Cols() {
+		t.Fatalf("synthetic shape %dx%d want 200x%d", joined.Rows(), joined.Cols(), table.Cols())
 	}
 	if len(parts) != 2 {
 		t.Fatalf("parts = %d", len(parts))
@@ -126,7 +119,7 @@ func TestGTVEndToEndOnDataset(t *testing.T) {
 	}
 	// Synthetic data must be schema-valid and statistically comparable to
 	// each party's own columns.
-	realParts, err := d.Table.VerticalSplit(assignment, 2)
+	realParts, err := table.VerticalSplit(assignment, 2)
 	if err != nil {
 		t.Fatalf("VerticalSplit: %v", err)
 	}
@@ -177,70 +170,17 @@ func TestPaperOptionsShape(t *testing.T) {
 	}
 }
 
-func TestGTVDeterministicPerSeed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("GAN training in -short mode")
-	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 200, Seed: 9})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
-	train := func() [][]float64 {
-		opts := DefaultOptions()
-		opts.Rounds = 4
-		opts.BlockDim = 32
-		opts.NoiseDim = 16
-		opts.BatchSize = 32
-		g, err := NewFromAssignment(d.Table, assignment, 2, opts)
-		if err != nil {
-			t.Fatalf("NewFromAssignment: %v", err)
-		}
-		if err := g.Train(nil); err != nil {
-			t.Fatalf("Train: %v", err)
-		}
-		synth, err := g.Synthesize(30)
-		if err != nil {
-			t.Fatalf("Synthesize: %v", err)
-		}
-		rows := make([][]float64, synth.Rows())
-		for i := range rows {
-			rows[i] = append([]float64(nil), synth.Data.RawRow(i)...)
-		}
-		return rows
-	}
-	a := train()
-	b := train()
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("row %d col %d differs between identically-seeded runs", i, j)
-			}
-		}
-	}
-}
-
 func TestGTVCommStatsExposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GAN training in -short mode")
 	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 150, Seed: 10})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
+	table, assignment := loanSplit(t, 150, 10, 2)
 	opts := DefaultOptions()
 	opts.Rounds = 1
 	opts.BlockDim = 32
 	opts.NoiseDim = 16
 	opts.BatchSize = 32
-	g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+	g, err := NewFromAssignment(table, assignment, 2, opts)
 	if err != nil {
 		t.Fatalf("NewFromAssignment: %v", err)
 	}
@@ -256,19 +196,12 @@ func TestSynthesizeCondition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GAN training in -short mode")
 	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 300, Seed: 11})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
+	table, assignment := loanSplit(t, 300, 11, 2)
 	opts := DefaultOptions()
 	opts.Rounds = 350
 	opts.BlockDim = 48
 	opts.NoiseDim = 16
-	g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+	g, err := NewFromAssignment(table, assignment, 2, opts)
 	if err != nil {
 		t.Fatalf("NewFromAssignment: %v", err)
 	}
@@ -316,14 +249,7 @@ func TestSynthesizeCondition(t *testing.T) {
 // failed write no further attempt — training runs to the end and the first
 // failure is what Train reports.
 func TestTrainCheckpointCadence(t *testing.T) {
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 60, Seed: 12})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
+	table, assignment := loanSplit(t, 60, 12, 2)
 	tests := []struct {
 		name          string
 		every, rounds int
@@ -353,7 +279,7 @@ func TestTrainCheckpointCadence(t *testing.T) {
 			opts.BatchSize = 16
 			opts.CheckpointDir = dir
 			opts.CheckpointEvery = tc.every
-			g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+			g, err := NewFromAssignment(table, assignment, 2, opts)
 			if err != nil {
 				t.Fatalf("NewFromAssignment: %v", err)
 			}
@@ -520,15 +446,8 @@ func TestNewHoldsNoRawRows(t *testing.T) {
 // freed, and returns without keeping the parts.
 func newOverDroppedParts(t *testing.T, transport string, freed *atomic.Int32) *GTV {
 	t.Helper()
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 120, Seed: 13})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
-	parts, err := d.Table.VerticalSplit(assignment, 2)
+	table, assignment := loanSplit(t, 120, 13, 2)
+	parts, err := table.VerticalSplit(assignment, 2)
 	if err != nil {
 		t.Fatalf("VerticalSplit: %v", err)
 	}

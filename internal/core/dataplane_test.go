@@ -31,18 +31,6 @@ func synthBits(t *testing.T, synth *encoding.Table) []uint64 {
 	return bits
 }
 
-func sameBits(t *testing.T, label string, a, b []uint64) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: synthesized %d values, want %d", label, len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: synthesized value %d differs between runs (bit patterns %x vs %x)", label, i, a[i], b[i])
-		}
-	}
-}
-
 // bitsDigest is the hex sha256 of float64 bit patterns, little-endian.
 func bitsDigest(bits []uint64) string {
 	h := sha256.New()
@@ -54,96 +42,45 @@ func bitsDigest(bits []uint64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// denseDigest is bitsDigest of a matrix's elements in row-major order.
+func denseDigest(m *tensor.Dense) string {
+	bits := make([]uint64, 0, len(m.Data()))
+	for _, v := range m.Data() {
+		bits = append(bits, math.Float64bits(v))
+	}
+	return bitsDigest(bits)
+}
+
+// eachPinnedPart calls f for each party of a two-client split of every
+// stand-in dataset (300 rows, seed 31), with the seed NewClient derives for
+// it (opts.Seed + 1000·i).
+func eachPinnedPart(t *testing.T, f func(name string, i int, part *encoding.Table, seed int64)) {
+	t.Helper()
+	for _, name := range datasets.Names() {
+		d, err := datasets.Generate(name, datasets.Config{Rows: 300, Seed: 31})
+		if err != nil {
+			t.Fatalf("Generate(%s): %v", name, err)
+		}
+		assignment, err := EvenAssignment(d.Table.Cols(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := d.Table.VerticalSplit(assignment, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			f(name, i, part, DefaultOptions().Seed+int64(i)*1000)
+		}
+	}
+}
+
 // requireDigest fails unless got is the pinned digest. Like every sha256 pin
 // in the repo it holds within one amd64 build; callers skip elsewhere.
 func requireDigest(t *testing.T, label, got, want string) {
 	t.Helper()
 	if got != want {
 		t.Errorf("%s: sha256 %s, want %s", label, got, want)
-	}
-}
-
-func sameCheckpoint(t *testing.T, label string, a, b []byte) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: checkpoint sizes differ (%d vs %d bytes)", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: checkpoint byte %d differs between runs", label, i)
-		}
-	}
-}
-
-// TestDataPlaneByteIdentityCentralized is the streamed-equals-resident
-// property for the centralized trainer: with the same seed, training from
-// the in-memory encoded matrix, from a freshly encoded gtvcol file, and
-// from a cached gtvcol file (fit/transform skipped entirely) must produce
-// byte-identical model checkpoints and byte-identical synthetic output.
-func TestDataPlaneByteIdentityCentralized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("GAN training in -short mode")
-	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 300, Seed: 11})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	run := func(dataDir string) ([]uint64, []byte) {
-		opts := DefaultOptions()
-		opts.Rounds = 4
-		opts.BlockDim = 32
-		opts.NoiseDim = 16
-		opts.BatchSize = 32
-		opts.DataDir = dataDir
-		opts.BlockCacheMB = 1
-		c, err := NewCentralized(d.Table, opts)
-		if err != nil {
-			t.Fatalf("NewCentralized(dataDir=%q): %v", dataDir, err)
-		}
-		defer func() {
-			if err := c.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		}()
-		if err := c.Train(nil); err != nil {
-			t.Fatalf("Train(dataDir=%q): %v", dataDir, err)
-		}
-		ckptDir := t.TempDir()
-		path, err := c.SaveCheckpoint(ckptDir)
-		if err != nil {
-			t.Fatalf("SaveCheckpoint: %v", err)
-		}
-		ckpt, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("reading checkpoint: %v", err)
-		}
-		synth, err := c.Synthesize(40)
-		if err != nil {
-			t.Fatalf("Synthesize(dataDir=%q): %v", dataDir, err)
-		}
-		return synthBits(t, synth), ckpt
-	}
-
-	memBits, memCkpt := run("")
-	dir := t.TempDir()
-	freshBits, freshCkpt := run(dir) // encodes train.enc.gtvcol
-	if _, err := os.Stat(dir + "/central.enc.gtvcol"); err != nil {
-		t.Fatalf("expected encoded store on disk: %v", err)
-	}
-	cachedBits, cachedCkpt := run(dir) // reuses it via fingerprint
-
-	sameBits(t, "in-memory vs streamed", memBits, freshBits)
-	sameBits(t, "streamed vs cached-rerun", freshBits, cachedBits)
-	sameCheckpoint(t, "in-memory vs streamed", memCkpt, freshCkpt)
-	sameCheckpoint(t, "streamed vs cached-rerun", freshCkpt, cachedCkpt)
-
-	// The in-memory run pinned to bytes, so a change to the in-memory data
-	// plane cannot move all three runs together. Computed while that plane
-	// still held a dense encoded matrix.
-	if runtime.GOARCH == "amd64" {
-		ckptSum := sha256.Sum256(memCkpt)
-		requireDigest(t, "in-memory checkpoint", hex.EncodeToString(ckptSum[:]), "9154c7d185ad9edb959e378c20134d9b71d57c6a33a3703fa32f6f78fe6e177d")
-		requireDigest(t, "in-memory synthesis", bitsDigest(memBits), "a4015eb1bf3584e05180668928a814d46707d7c764144f581adc6e611c40e25a")
 	}
 }
 
@@ -215,63 +152,44 @@ func TestEncodedMatrixPins(t *testing.T) {
 				"6ea1a49855c9c64a2ff1f1575f9202bf36694b4ac32814266998c330cf64de85"},
 		},
 	}
-	opts := DefaultOptions()
-	for _, name := range datasets.Names() {
-		d, err := datasets.Generate(name, datasets.Config{Rows: 300, Seed: 31})
+	eachPinnedPart(t, func(name string, i int, part *encoding.Table, seed int64) {
+		_, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, seed, gmm.DefaultConfig())
 		if err != nil {
-			t.Fatalf("Generate(%s): %v", name, err)
+			t.Fatalf("%s client %d: %v", name, i, err)
 		}
-		assignment, err := EvenAssignment(d.Table.Cols(), 2)
+		idx := make([]int, part.Rows())
+		for k := range idx {
+			idx[k] = k
+		}
+		m, err := backing.GatherRows(idx)
 		if err != nil {
+			t.Fatalf("%s client %d: %v", name, i, err)
+		}
+		requireDigest(t, fmt.Sprintf("%s client %d", name, i), denseDigest(m), want[name][i])
+		m.Release()
+		if err := backing.Close(); err != nil {
 			t.Fatal(err)
 		}
-		parts, err := d.Table.VerticalSplit(assignment, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, part := range parts {
-			_, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, opts.Seed+int64(i)*1000, gmm.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s client %d: %v", name, i, err)
-			}
-			idx := make([]int, part.Rows())
-			for k := range idx {
-				idx[k] = k
-			}
-			m, err := backing.GatherRows(idx)
-			if err != nil {
-				t.Fatalf("%s client %d: %v", name, i, err)
-			}
-			bits := make([]uint64, 0, len(m.Data()))
-			for _, v := range m.Data() {
-				bits = append(bits, math.Float64bits(v))
-			}
-			m.Release()
-			if err := backing.Close(); err != nil {
-				t.Fatal(err)
-			}
-			requireDigest(t, fmt.Sprintf("%s client %d", name, i), bitsDigest(bits), want[name][i])
 
-			st := encoding.Storage{Dir: t.TempDir(), Name: fmt.Sprintf("client-%d", i)}
-			if _, backing, err = encoding.OpenOrEncode(st, part, opts.Seed+int64(i)*1000, gmm.DefaultConfig()); err != nil {
-				t.Fatalf("%s client %d: %v", name, i, err)
-			}
-			if err := backing.Close(); err != nil {
+		st := encoding.Storage{Dir: t.TempDir(), Name: fmt.Sprintf("client-%d", i)}
+		if _, backing, err = encoding.OpenOrEncode(st, part, seed, gmm.DefaultConfig()); err != nil {
+			t.Fatalf("%s client %d: %v", name, i, err)
+		}
+		if err := backing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := encoding.WriteRawTable(st, part, "pins"); err != nil {
+			t.Fatalf("%s client %d: %v", name, i, err)
+		}
+		for k, path := range []string{st.EncPath(), st.RawPath()} {
+			data, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := encoding.WriteRawTable(st, part, "pins"); err != nil {
-				t.Fatalf("%s client %d: %v", name, i, err)
-			}
-			for k, path := range []string{st.EncPath(), st.RawPath()} {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := sha256.Sum256(data)
-				requireDigest(t, filepath.Base(path)+" of "+name, hex.EncodeToString(sum[:]), wantFiles[name][i][k])
-			}
+			sum := sha256.Sum256(data)
+			requireDigest(t, filepath.Base(path)+" of "+name, hex.EncodeToString(sum[:]), wantFiles[name][i][k])
 		}
-	}
+	})
 }
 
 // TestDenseAndTransformPins pins, for each party of the same two-client
@@ -318,111 +236,24 @@ func TestDenseAndTransformPins(t *testing.T) {
 				"b0ceb067a4552a672c277749c90ebd8bd031b03807d15035c68f213d1a083e1c"},
 		},
 	}
-	matrixDigest := func(m *tensor.Dense) string {
-		bits := make([]uint64, 0, len(m.Data()))
-		for _, v := range m.Data() {
-			bits = append(bits, math.Float64bits(v))
-		}
-		return bitsDigest(bits)
-	}
-	opts := DefaultOptions()
-	for _, name := range datasets.Names() {
-		d, err := datasets.Generate(name, datasets.Config{Rows: 300, Seed: 31})
+	eachPinnedPart(t, func(name string, i int, part *encoding.Table, seed int64) {
+		tr, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, seed, gmm.DefaultConfig())
 		if err != nil {
-			t.Fatalf("Generate(%s): %v", name, err)
+			t.Fatalf("%s client %d: %v", name, i, err)
 		}
-		assignment, err := EvenAssignment(d.Table.Cols(), 2)
+		dense, err := backing.Dense(nil)
 		if err != nil {
+			t.Fatalf("%s client %d: Dense: %v", name, i, err)
+		}
+		requireDigest(t, fmt.Sprintf("%s client %d Dense", name, i), denseDigest(dense), want[name][i][0])
+		dense.Release()
+		if err := backing.Close(); err != nil {
 			t.Fatal(err)
 		}
-		parts, err := d.Table.VerticalSplit(assignment, 2)
+		enc, err := tr.Transform(rand.New(rand.NewSource(seed)), part)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s client %d: Transform: %v", name, i, err)
 		}
-		for i, part := range parts {
-			seed := opts.Seed + int64(i)*1000
-			tr, backing, err := encoding.OpenOrEncode(encoding.Storage{}, part, seed, gmm.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s client %d: %v", name, i, err)
-			}
-			dense, err := backing.Dense(nil)
-			if err != nil {
-				t.Fatalf("%s client %d: Dense: %v", name, i, err)
-			}
-			requireDigest(t, fmt.Sprintf("%s client %d Dense", name, i), matrixDigest(dense), want[name][i][0])
-			dense.Release()
-			if err := backing.Close(); err != nil {
-				t.Fatal(err)
-			}
-			enc, err := tr.Transform(rand.New(rand.NewSource(seed)), part)
-			if err != nil {
-				t.Fatalf("%s client %d: Transform: %v", name, i, err)
-			}
-			requireDigest(t, fmt.Sprintf("%s client %d Transform", name, i), matrixDigest(enc), want[name][i][1])
-		}
-	}
-}
-
-// TestDataPlaneByteIdentityFederated is the same property for GTV proper:
-// every client draws batches through its gtvcol store and the federated
-// trajectory must not move by a single bit.
-func TestDataPlaneByteIdentityFederated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("GAN training in -short mode")
-	}
-	d, err := datasets.Generate("loan", datasets.Config{Rows: 240, Seed: 12})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	assignment, err := EvenAssignment(d.Table.Cols(), 2)
-	if err != nil {
-		t.Fatalf("EvenAssignment: %v", err)
-	}
-	run := func(dataDir string) ([]uint64, []byte) {
-		opts := DefaultOptions()
-		opts.Rounds = 3
-		opts.BlockDim = 32
-		opts.NoiseDim = 16
-		opts.BatchSize = 32
-		opts.DataDir = dataDir
-		opts.BlockCacheMB = 1
-		g, err := NewFromAssignment(d.Table, assignment, 2, opts)
-		if err != nil {
-			t.Fatalf("NewFromAssignment(dataDir=%q): %v", dataDir, err)
-		}
-		if err := g.Train(nil); err != nil {
-			t.Fatalf("Train(dataDir=%q): %v", dataDir, err)
-		}
-		ckptDir := t.TempDir()
-		path, err := g.Checkpoint(ckptDir)
-		if err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-		ckpt, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("reading checkpoint: %v", err)
-		}
-		synth, err := g.Synthesize(30)
-		if err != nil {
-			t.Fatalf("Synthesize(dataDir=%q): %v", dataDir, err)
-		}
-		bits := synthBits(t, synth)
-		if err := g.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		return bits, ckpt
-	}
-
-	memBits, memCkpt := run("")
-	dir := t.TempDir()
-	freshBits, freshCkpt := run(dir)
-	if _, err := os.Stat(dir + "/client-0.enc.gtvcol"); err != nil {
-		t.Fatalf("expected client-0 encoded store on disk: %v", err)
-	}
-	cachedBits, cachedCkpt := run(dir)
-
-	sameBits(t, "in-memory vs streamed", memBits, freshBits)
-	sameBits(t, "streamed vs cached-rerun", freshBits, cachedBits)
-	sameCheckpoint(t, "in-memory vs streamed", memCkpt, freshCkpt)
-	sameCheckpoint(t, "streamed vs cached-rerun", freshCkpt, cachedCkpt)
+		requireDigest(t, fmt.Sprintf("%s client %d Transform", name, i), denseDigest(enc), want[name][i][1])
+	})
 }

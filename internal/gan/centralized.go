@@ -2,6 +2,7 @@ package gan
 
 import (
 	"fmt"
+	"math"
 
 	ag "repro/internal/autograd"
 	"repro/internal/condvec"
@@ -73,6 +74,10 @@ func (c *Config) validate() error {
 	}
 	if c.GenBlocks < 0 || c.DiscBlocks < 0 {
 		return fmt.Errorf("gan: negative block counts %d/%d", c.GenBlocks, c.DiscBlocks)
+	}
+	// Before the default, which NaN passes.
+	if math.IsNaN(c.LR) || math.IsInf(c.LR, 0) {
+		return fmt.Errorf("gan: LR %v is not finite", c.LR)
 	}
 	if c.LR <= 0 {
 		c.LR = 2e-4

@@ -3,6 +3,7 @@ package gan
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ag "repro/internal/autograd"
@@ -336,6 +337,13 @@ func TestConfigValidate(t *testing.T) {
 	cfg = DefaultConfig()
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+	for _, lr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.LR = lr
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "gan: LR") {
+			t.Errorf("LR %v: validate = %v, want an error naming LR", lr, err)
+		}
 	}
 }
 

@@ -4,10 +4,11 @@ package gan
 // complete training trajectory state — round counter, RNG stream, both
 // networks' weights and both Adam optimizers — so that restoring it into a
 // freshly built same-config trainer continues training byte-identically
-// (TestResumeReplayByteIdentical holds it to that). The feature encoders,
-// CV sampler and encoded table are deliberately NOT captured: they are
-// deterministic functions of (table, seed) replayed by NewCentralized, so
-// the snapshot stays model-sized instead of dataset-sized.
+// (the resumed cells of core's TestDeterminismMatrix hold it to that). The
+// feature encoders, CV sampler and encoded table are deliberately NOT
+// captured: they are deterministic functions of (table, seed) replayed by
+// NewCentralized, so the snapshot stays model-sized instead of
+// dataset-sized.
 
 import (
 	"fmt"
@@ -31,9 +32,10 @@ const (
 // centralizedState names everything a centralized checkpoint captures.
 // Fields reference the live trainer; encode/decode below serialize every
 // one of them. A field added here without being wired through both fails
-// TestResumeReplayByteIdentical if it is trajectory state, and
-// TestRestoreRejectsConfigDrift or TestRestoreRejectsHostileImages if it
-// pins the configuration or the meta layout.
+// the resumed cells of core's TestDeterminismMatrix if it is trajectory
+// state, and TestRestoreRejectsConfigDrift or
+// TestRestoreRejectsHostileImages if it pins the configuration or the meta
+// layout.
 type centralizedState struct {
 	// cfg is fingerprinted (Rounds excepted, so a resumed run may extend
 	// training) and verified on restore: resuming under different

@@ -131,6 +131,23 @@ func onBatch(f func(b *condvec.Batch)) func(any) any {
 	}
 }
 
+// smallServer builds the federation the interceptor tests drive: three
+// clients over threeClientTables, each passed through wrap, under a
+// one-round D1_1 G1_1 config that mutate may adjust.
+func smallServer(t *testing.T, wrap func(i int, c Client) Client, mutate func(*Config)) (*Server, error) {
+	tables := threeClientTables(t, 60, 17)
+	coord := NewShuffleCoordinator(99)
+	clients := make([]Client, len(tables))
+	for i, tab := range tables {
+		clients[i] = wrap(i, newLocal(t, tab, coord, int64(i+1)))
+	}
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
+	cfg.Rounds, cfg.DiscSteps, cfg.BatchSize, cfg.NoiseDim, cfg.BlockDim = 1, 1, 16, 8, 24
+	mutate(&cfg)
+	return NewServer(clients, cfg)
+}
+
 // TestHostileRepliesAreErrors is the server half of the trust boundary: a
 // client that answers with an absent or mis-shaped matrix, batch or table
 // must cost the round an error naming the client and the method — not a
@@ -219,26 +236,13 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%s/%s", mode, tc.method, tc.bad), func(t *testing.T) {
-				tables := threeClientTables(t, 60, 17)
-				coord := NewShuffleCoordinator(99)
-				clients := make([]Client, len(tables))
-				hits := make([]bool, len(tables))
-				for i, tab := range tables {
-					lc := newLocal(t, tab, coord, int64(i+1))
-					clients[i] = lc
+				hits := make([]bool, 3)
+				srv, err := smallServer(t, func(i int, c Client) Client {
 					if tc.target < 0 || tc.target == i {
-						clients[i] = hostile(lc, tc.method, tc.mutate, &hits[i])
+						return hostile(c, tc.method, tc.mutate, &hits[i])
 					}
-				}
-				cfg := DefaultConfig()
-				cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
-				cfg.Rounds = 1
-				cfg.DiscSteps = 1
-				cfg.BatchSize = 16
-				cfg.NoiseDim = 8
-				cfg.BlockDim = 24
-				cfg.FaithfulRealPass = faithful
-				srv, err := NewServer(clients, cfg)
+					return c
+				}, func(c *Config) { c.FaithfulRealPass = faithful })
 				if err == nil {
 					err = tc.drive(srv)
 				}
@@ -262,27 +266,64 @@ func TestHostileRepliesAreErrors(t *testing.T) {
 	}
 }
 
+// TestClientErrorsKeepTheirCause: an error a client returns reaches the
+// caller naming the client, with the client's own error as its cause
+// (errors.Is), from each call site where dropping the wrapping would leave
+// a later check to fail the round with a reply error of its own. The
+// generator step's ForwardSynthetic is a round's second one.
+func TestClientErrorsKeepTheirCause(t *testing.T) {
+	cause := errors.New("injected client failure")
+	train := func(s *Server) error { _, _, err := s.TrainRound(); return err }
+	synth := func(s *Server) error { _, err := s.Synthesize(40); return err }
+	for _, tc := range []struct {
+		method string
+		nth    int
+		drive  func(*Server) error
+	}{
+		{"ForwardReal", 1, train},
+		{"ForwardSynthetic", 2, train},
+		{"BackwardGen", 1, train},
+		{"Publish", 1, synth},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			calls := 0
+			srv, err := smallServer(t, func(i int, c Client) Client {
+				if i != 1 {
+					return c
+				}
+				return Intercept(c, func(m string, call func() (any, error)) (any, error) {
+					if m == tc.method {
+						if calls++; calls == tc.nth {
+							return nil, cause
+						}
+					}
+					return call()
+				})
+			}, func(*Config) {})
+			if err != nil {
+				t.Fatalf("NewServer: %v", err)
+			}
+			if err := tc.drive(srv); !errors.Is(err, cause) || !strings.Contains(err.Error(), "client 1 ") {
+				t.Fatalf("want client 1's own %s error as the cause, got: %v", tc.method, err)
+			}
+		})
+	}
+}
+
 // TestHostileNilReplyOverWire is the case the network makes cheapest: over
 // gtvwire an absent matrix is a one-byte reply (the nil layout tag), which
 // WireClient hands back as (nil, nil). The server must turn it into the
 // same typed error as in process.
 func TestHostileNilReplyOverWire(t *testing.T) {
-	ta, tb := twoClientTables(t, 60, 23)
-	coord := NewShuffleCoordinator(7)
-	la := newLocal(t, ta, coord, 1)
-	lb := newLocal(t, tb, coord, 2)
 	var hit bool
-	remote := hostile(lb, "ForwardSynthetic", func(any) any { return (*tensor.Dense)(nil) }, &hit)
-	pb := serveWire(t, remote)
-
-	cfg := DefaultConfig()
-	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
-	cfg.Rounds = 1
-	cfg.DiscSteps = 1
-	cfg.BatchSize = 16
-	cfg.NoiseDim = 8
-	cfg.BlockDim = 16
-	srv, err := NewServer([]Client{serveWire(t, la), pb}, cfg)
+	proxies := make([]*WireClient, 3)
+	srv, err := smallServer(t, func(i int, c Client) Client {
+		if i == 1 {
+			c = hostile(c, "ForwardSynthetic", func(any) any { return (*tensor.Dense)(nil) }, &hit)
+		}
+		proxies[i] = serveWire(t, c)
+		return proxies[i]
+	}, func(*Config) {})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -291,7 +332,7 @@ func TestHostileNilReplyOverWire(t *testing.T) {
 	if !errors.As(err, &re) || re.client != 1 || re.method != "ForwardSynthetic" || !hit {
 		t.Fatalf("want client 1's ForwardSynthetic reply refused, got: %v", err)
 	}
-	if got := pb.counters.recvBy[wireMethodForwardSynthetic].Load(); got != wireHeaderLen+1 {
+	if got := proxies[1].counters.recvBy[wireMethodForwardSynthetic].Load(); got != wireHeaderLen+1 {
 		t.Fatalf("the refused reply was a %d-byte frame, want the header and one byte", got)
 	}
 }
@@ -389,22 +430,12 @@ func TestClientPanicIsAnError(t *testing.T) {
 	for _, parallelism := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallelism %d", parallelism), func(t *testing.T) {
 			logged := captureLog(t)
-			tables := threeClientTables(t, 60, 17)
-			coord := NewShuffleCoordinator(99)
-			clients := make([]Client, len(tables))
-			for i, tab := range tables {
-				clients[i] = newLocal(t, tab, coord, int64(i+1))
-			}
-			clients[1] = panicOn(clients[1], "BackwardDisc")
-			cfg := DefaultConfig()
-			cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
-			cfg.Rounds = 1
-			cfg.DiscSteps = 1
-			cfg.BatchSize = 16
-			cfg.NoiseDim = 8
-			cfg.BlockDim = 24
-			cfg.Parallelism = parallelism
-			srv, err := NewServer(clients, cfg)
+			srv, err := smallServer(t, func(i int, c Client) Client {
+				if i == 1 {
+					return panicOn(c, "BackwardDisc")
+				}
+				return c
+			}, func(c *Config) { c.Parallelism = parallelism })
 			if err != nil {
 				t.Fatalf("NewServer: %v", err)
 			}

@@ -103,6 +103,15 @@ func (c *Config) validate() error {
 	if c.Rounds <= 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("vfl: rounds %d and batch size %d must be positive", c.Rounds, c.BatchSize)
 	}
+	// Before the defaults and range checks, which NaN passes.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LR", c.LR}, {"DPLogitNoise", c.DPLogitNoise}, {"GradTopK", c.GradTopK}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("vfl: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.DiscSteps <= 0 {
 		c.DiscSteps = 1
 	}

@@ -56,8 +56,8 @@ const (
 )
 
 // clientState names everything a client checkpoint blob captures. A field
-// added here without being wired through both encode and decode fails
-// TestResumeReplayByteIdentical if it is trajectory state;
+// added here without being wired through both encode and decode fails the
+// resumed cells of core's TestDeterminismMatrix if it is trajectory state;
 // TestSnapshotOverWire and TestRestoreRejectsMismatch hold the publication
 // count and the two widths.
 type clientState struct {
@@ -201,8 +201,8 @@ func (c *LocalClient) Restore(state []byte) error {
 
 // serverState names everything a server checkpoint captures beyond the
 // per-client blobs. A field added here without being wired through both
-// encode and decode fails TestResumeReplayByteIdentical or
-// TestTopKResumeByteIdentical if it is trajectory state, and
+// encode and decode fails the resumed cells of core's TestDeterminismMatrix
+// if it is trajectory state, and
 // TestRestoreRejectsHostileImages if it pins the configuration or the meta
 // layout.
 type serverState struct {

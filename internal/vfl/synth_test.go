@@ -98,7 +98,6 @@ func TestSynthesisReusesBuffers(t *testing.T) {
 // in-process clients and the same clients over gtvwire, for two successive
 // calls: the second runs on buffers the first returned to the pool, which is
 // where a release of something still in use would show.
-// TestTopKCrossTransportEquivalence compares trained weights only.
 func TestSynthesisTransportIndependent(t *testing.T) {
 	build := func(t *testing.T, wire bool) *Server {
 		tables := threeClientTables(t, 120, 17)

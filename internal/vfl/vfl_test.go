@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -376,6 +377,19 @@ func TestNewServerValidation(t *testing.T) {
 	ca := newLocal(t, ta, NewShuffleCoordinator(1), 1)
 	if _, err := NewServer([]Client{ca}, cfg); err == nil {
 		t.Fatal("expected config validation error")
+	}
+	// A non-finite option is the server's own misconfiguration: refused
+	// by name before any client is configured with it.
+	for name, set := range map[string]func(*Config){
+		"LR":           func(c *Config) { c.LR = math.NaN() },
+		"DPLogitNoise": func(c *Config) { c.DPLogitNoise = math.NaN() },
+		"GradTopK":     func(c *Config) { c.GradTopK = math.NaN() },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := NewServer([]Client{ca}, cfg); err == nil || !strings.Contains(err.Error(), "vfl: "+name+" NaN") {
+			t.Errorf("%s NaN: NewServer = %v, want an error naming %s", name, err, name)
+		}
 	}
 }
 
