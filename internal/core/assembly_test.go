@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -112,9 +111,8 @@ func TestDialMatchesLoopback(t *testing.T) {
 			gotCkpt, gotSynth := run(func(o Options, tables []*encoding.Table) (*GTV, error) {
 				return Dial(serveClients(t, tables, o), o)
 			})
-			if !bytes.Equal(gotCkpt, wantCkpt) || !slices.Equal(gotSynth, wantSynth) {
-				t.Fatal("Dial's checkpoint or synthesis differs from New(binary)'s")
-			}
+			sameCheckpoint(t, "Dial vs New(binary)", wantCkpt, gotCkpt)
+			sameBits(t, "Dial vs New(binary)", wantSynth, gotSynth)
 		})
 	}
 }

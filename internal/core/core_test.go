@@ -466,3 +466,42 @@ func newOverDroppedParts(t *testing.T, transport string, freed *atomic.Int32) *G
 	}
 	return g
 }
+
+func TestGTVDeterministicPerSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GAN training in -short mode")
+	}
+	table, assignment := loanSplit(t, 200, 9, 2)
+	train := func() [][]float64 {
+		opts := DefaultOptions()
+		opts.Rounds = 4
+		opts.BlockDim = 32
+		opts.NoiseDim = 16
+		opts.BatchSize = 32
+		g, err := NewFromAssignment(table, assignment, 2, opts)
+		if err != nil {
+			t.Fatalf("NewFromAssignment: %v", err)
+		}
+		if err := g.Train(nil); err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		synth, err := g.Synthesize(30)
+		if err != nil {
+			t.Fatalf("Synthesize: %v", err)
+		}
+		rows := make([][]float64, synth.Rows())
+		for i := range rows {
+			rows[i] = append([]float64(nil), synth.Data.RawRow(i)...)
+		}
+		return rows
+	}
+	a := train()
+	b := train()
+	for i := range a {
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				t.Fatalf("row %d col %d differs between identically-seeded runs", i, j)
+			}
+		}
+	}
+}

@@ -257,3 +257,156 @@ func TestDenseAndTransformPins(t *testing.T) {
 		requireDigest(t, fmt.Sprintf("%s client %d Transform", name, i), denseDigest(enc), want[name][i][1])
 	})
 }
+
+func sameBits(t *testing.T, label string, a, b []uint64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: synthesized %d values, want %d", label, len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: synthesized value %d differs between runs (bit patterns %x vs %x)", label, i, a[i], b[i])
+		}
+	}
+}
+
+func sameCheckpoint(t *testing.T, label string, a, b []byte) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: checkpoint sizes differ (%d vs %d bytes)", label, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: checkpoint byte %d differs between runs", label, i)
+		}
+	}
+}
+
+// TestDataPlaneByteIdentityCentralized is the streamed-equals-resident
+// property for the centralized trainer: with the same seed, training from
+// the in-memory encoded matrix, from a freshly encoded gtvcol file, and
+// from a cached gtvcol file (fit/transform skipped entirely) must produce
+// byte-identical model checkpoints and byte-identical synthetic output.
+func TestDataPlaneByteIdentityCentralized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GAN training in -short mode")
+	}
+	d, err := datasets.Generate("loan", datasets.Config{Rows: 300, Seed: 11})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	run := func(dataDir string) ([]uint64, []byte) {
+		opts := DefaultOptions()
+		opts.Rounds = 4
+		opts.BlockDim = 32
+		opts.NoiseDim = 16
+		opts.BatchSize = 32
+		opts.DataDir = dataDir
+		opts.BlockCacheMB = 1
+		c, err := NewCentralized(d.Table, opts)
+		if err != nil {
+			t.Fatalf("NewCentralized(dataDir=%q): %v", dataDir, err)
+		}
+		defer func() {
+			if err := c.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+		if err := c.Train(nil); err != nil {
+			t.Fatalf("Train(dataDir=%q): %v", dataDir, err)
+		}
+		ckptDir := t.TempDir()
+		path, err := c.SaveCheckpoint(ckptDir)
+		if err != nil {
+			t.Fatalf("SaveCheckpoint: %v", err)
+		}
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading checkpoint: %v", err)
+		}
+		synth, err := c.Synthesize(40)
+		if err != nil {
+			t.Fatalf("Synthesize(dataDir=%q): %v", dataDir, err)
+		}
+		return synthBits(t, synth), ckpt
+	}
+
+	memBits, memCkpt := run("")
+	dir := t.TempDir()
+	freshBits, freshCkpt := run(dir) // encodes train.enc.gtvcol
+	if _, err := os.Stat(dir + "/central.enc.gtvcol"); err != nil {
+		t.Fatalf("expected encoded store on disk: %v", err)
+	}
+	cachedBits, cachedCkpt := run(dir) // reuses it via fingerprint
+
+	sameBits(t, "in-memory vs streamed", memBits, freshBits)
+	sameBits(t, "streamed vs cached-rerun", freshBits, cachedBits)
+	sameCheckpoint(t, "in-memory vs streamed", memCkpt, freshCkpt)
+	sameCheckpoint(t, "streamed vs cached-rerun", freshCkpt, cachedCkpt)
+
+	// The in-memory run pinned to bytes, so a change to the in-memory data
+	// plane cannot move all three runs together. Computed while that plane
+	// still held a dense encoded matrix.
+	if runtime.GOARCH == "amd64" {
+		ckptSum := sha256.Sum256(memCkpt)
+		requireDigest(t, "in-memory checkpoint", hex.EncodeToString(ckptSum[:]), "9154c7d185ad9edb959e378c20134d9b71d57c6a33a3703fa32f6f78fe6e177d")
+		requireDigest(t, "in-memory synthesis", bitsDigest(memBits), "a4015eb1bf3584e05180668928a814d46707d7c764144f581adc6e611c40e25a")
+	}
+}
+
+// TestDataPlaneByteIdentityFederated is the same property for GTV proper:
+// every client draws batches through its gtvcol store and the federated
+// trajectory must not move by a single bit.
+func TestDataPlaneByteIdentityFederated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GAN training in -short mode")
+	}
+	table, assignment := loanSplit(t, 240, 12, 2)
+	run := func(dataDir string) ([]uint64, []byte) {
+		opts := DefaultOptions()
+		opts.Rounds = 3
+		opts.BlockDim = 32
+		opts.NoiseDim = 16
+		opts.BatchSize = 32
+		opts.DataDir = dataDir
+		opts.BlockCacheMB = 1
+		g, err := NewFromAssignment(table, assignment, 2, opts)
+		if err != nil {
+			t.Fatalf("NewFromAssignment(dataDir=%q): %v", dataDir, err)
+		}
+		if err := g.Train(nil); err != nil {
+			t.Fatalf("Train(dataDir=%q): %v", dataDir, err)
+		}
+		ckptDir := t.TempDir()
+		path, err := g.Checkpoint(ckptDir)
+		if err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading checkpoint: %v", err)
+		}
+		synth, err := g.Synthesize(30)
+		if err != nil {
+			t.Fatalf("Synthesize(dataDir=%q): %v", dataDir, err)
+		}
+		bits := synthBits(t, synth)
+		if err := g.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		return bits, ckpt
+	}
+
+	memBits, memCkpt := run("")
+	dir := t.TempDir()
+	freshBits, freshCkpt := run(dir)
+	if _, err := os.Stat(dir + "/client-0.enc.gtvcol"); err != nil {
+		t.Fatalf("expected client-0 encoded store on disk: %v", err)
+	}
+	cachedBits, cachedCkpt := run(dir)
+
+	sameBits(t, "in-memory vs streamed", memBits, freshBits)
+	sameBits(t, "streamed vs cached-rerun", freshBits, cachedBits)
+	sameCheckpoint(t, "in-memory vs streamed", memCkpt, freshCkpt)
+	sameCheckpoint(t, "streamed vs cached-rerun", freshCkpt, cachedCkpt)
+}

@@ -263,3 +263,43 @@ func TestFanOutPanicIsAnError(t *testing.T) {
 		})
 	}
 }
+
+// TestSequentialConcurrentEquivalence is the core determinism guarantee of
+// the concurrent server: training with all clients fanned out must be
+// bit-identical — every model weight on every party, and the CommStats
+// totals — to the sequential path from the same seed, in every protocol
+// mode (broadcast, faithful real pass, DP logit noise).
+func TestSequentialConcurrentEquivalence(t *testing.T) {
+	variants := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"broadcast", nil},
+		{"faithful", func(c *Config) { c.FaithfulRealPass = true }},
+		{"dp-noise", func(c *Config) { c.DPLogitNoise = 0.3 }},
+	}
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			seq, seqClients := newThreeClientSystem(t, 1, v.mutate)
+			con, conClients := newThreeClientSystem(t, 0, v.mutate)
+			if err := seq.Train(nil); err != nil {
+				t.Fatalf("sequential Train: %v", err)
+			}
+			if err := con.Train(nil); err != nil {
+				t.Fatalf("concurrent Train: %v", err)
+			}
+			assertParamsEqual(t, "G^t", seq.gTop, con.gTop)
+			assertParamsEqual(t, "D^t", seq.dTop, con.dTop)
+			assertParamsEqual(t, "D^s", seq.dS, con.dS)
+			for i := range seqClients {
+				assertParamsEqual(t, "client gen", seqClients[i].gen, conClients[i].gen)
+				assertParamsEqual(t, "client disc", seqClients[i].disc, conClients[i].disc)
+			}
+			if seq.CommStats() != con.CommStats() {
+				t.Fatalf("CommStats diverge:\n sequential %s\n concurrent %s",
+					seq.CommStats(), con.CommStats())
+			}
+		})
+	}
+}

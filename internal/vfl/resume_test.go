@@ -191,3 +191,88 @@ func TestRestoreRejectsHostileImages(t *testing.T) {
 	// fingerprint.
 	snaptest.Fingerprint(t, image, secSMeta, 4*8, srv.cfg.fingerprint(), fresh)
 }
+
+// assertSystemsEqual compares every model of two federations exactly:
+// the server's top models and each client's bottom models.
+func assertSystemsEqual(t *testing.T, a, b *Server, ca, cb []*LocalClient) {
+	t.Helper()
+	assertParamsEqual(t, "gTop", a.gTop, b.gTop)
+	assertParamsEqual(t, "dTop", a.dTop, b.dTop)
+	assertParamsEqual(t, "dS", a.dS, b.dS)
+	for i := range ca {
+		assertParamsEqual(t, "client gen", ca[i].gen, cb[i].gen)
+		assertParamsEqual(t, "client disc", ca[i].disc, cb[i].disc)
+	}
+}
+
+// TestResumeReplayByteIdentical kills federated training at round k,
+// checkpoints the whole federation (server state plus per-client blobs
+// fetched over the Client interface), restores it into a freshly built
+// same-seed federation, trains to completion, and requires the final
+// weights of every party and the CommStats accounting to equal an
+// uninterrupted same-seed run exactly. This is the strongest statement the
+// snapshot format can make: nothing the trajectory depends on — RNG
+// streams, Adam moments, shuffle progress, round counters — escaped it.
+func TestResumeReplayByteIdentical(t *testing.T) {
+	const fullRounds, cutAt = 4, 2
+
+	srvFull, clientsFull := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = fullRounds })
+	trainRounds(t, srvFull, "full")
+	wantStats := srvFull.CommStats()
+
+	// Interrupted run: train to the cut point and checkpoint to disk.
+	dir := t.TempDir()
+	srvA, _ := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = cutAt })
+	trainRounds(t, srvA, "interrupted")
+	if _, err := srvA.SaveCheckpoint(dir); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+
+	// Fresh same-seed federation, restored from disk, trained to the end.
+	srvB, clientsB := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = fullRounds })
+	rounds, ok, err := srvB.RestoreLatestCheckpoint(dir)
+	if err != nil {
+		t.Fatalf("RestoreLatestCheckpoint: %v", err)
+	}
+	if !ok || rounds != cutAt {
+		t.Fatalf("RestoreLatestCheckpoint = (%d, %v), want (%d, true)", rounds, ok, cutAt)
+	}
+	trainRounds(t, srvB, "resumed")
+
+	assertSystemsEqual(t, srvFull, srvB, clientsFull, clientsB)
+	if gotStats := srvB.CommStats(); gotStats != wantStats {
+		t.Fatalf("resumed CommStats %v differ from uninterrupted %v", gotStats, wantStats)
+	}
+	if srvB.Rounds() != fullRounds {
+		t.Fatalf("resumed round counter %d, want %d", srvB.Rounds(), fullRounds)
+	}
+	wantSynth := synthCSVBytes(t, srvFull, "full", 40)
+	if gotSynth := synthCSVBytes(t, srvB, "resumed", 40); !bytes.Equal(gotSynth, wantSynth) {
+		t.Fatal("resumed federation synthesizes different data than uninterrupted same-seed run")
+	}
+}
+
+// TestResumeReplayParallelismIndependent checkpoints under sequential
+// fan-out and resumes under full concurrency: Parallelism is excluded
+// from the fingerprint because training is bit-identical across fan-out
+// bounds, and resume must preserve that.
+func TestResumeReplayParallelismIndependent(t *testing.T) {
+	const fullRounds, cutAt = 3, 1
+
+	srvFull, clientsFull := newThreeClientSystem(t, 1, func(c *Config) { c.Rounds = fullRounds })
+	trainRounds(t, srvFull, "full")
+
+	dir := t.TempDir()
+	srvA, _ := newThreeClientSystem(t, 1, func(c *Config) { c.Rounds = cutAt })
+	trainRounds(t, srvA, "interrupted")
+	if _, err := srvA.SaveCheckpoint(dir); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+
+	srvB, clientsB := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = fullRounds })
+	if _, ok, err := srvB.RestoreLatestCheckpoint(dir); err != nil || !ok {
+		t.Fatalf("RestoreLatestCheckpoint = (ok %v, err %v)", ok, err)
+	}
+	trainRounds(t, srvB, "resumed")
+	assertSystemsEqual(t, srvFull, srvB, clientsFull, clientsB)
+}

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -112,5 +113,98 @@ func TestGradTopKConfigValidation(t *testing.T) {
 	cfg.GradTopK = 0.1
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("GradTopK=0.1 rejected: %v", err)
+	}
+}
+
+// TestTopKCrossTransportEquivalence trains two identically-seeded systems —
+// one on in-process clients, one over gtvwire TCP loopback — and requires
+// byte-identical final weights, dense and with gradient sparsification on,
+// in broadcast mode and with the faithful full-table real pass. The wire
+// must be invisible to the learning process, and the compressor lives in
+// the Server, before any transport encoding, so the (lossy) trajectory
+// must not depend on how gradients travel either.
+func TestTopKCrossTransportEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("networked GAN training in -short mode")
+	}
+	build := func(t *testing.T, binary bool, topK float64, faithful bool) *Server {
+		ta, tb := twoClientTables(t, 120, 51)
+		coord := NewShuffleCoordinator(66)
+		la := newLocal(t, ta, coord, 1)
+		lb := newLocal(t, tb, coord, 2)
+		clients := []Client{la, lb}
+		if binary {
+			clients = []Client{serveWire(t, la), serveWire(t, lb)}
+		}
+		cfg := DefaultConfig()
+		cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+		cfg.Rounds = 2
+		cfg.DiscSteps = 2
+		cfg.BatchSize = 32
+		cfg.NoiseDim = 16
+		cfg.BlockDim = 32
+		cfg.GradTopK = topK
+		cfg.FaithfulRealPass = faithful
+		srv, err := NewServer(clients, cfg)
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		if err := srv.Train(nil); err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		return srv
+	}
+	for _, topK := range []float64{0, 0.25} {
+		for _, faithful := range []bool{false, true} {
+			t.Run(fmt.Sprintf("topk=%v/faithful=%v", topK, faithful), func(t *testing.T) {
+				local := build(t, false, topK, faithful)
+				wire := build(t, true, topK, faithful)
+				assertParamsEqual(t, "gTop", local.gTop, wire.gTop)
+				assertParamsEqual(t, "dTop", local.dTop, wire.dTop)
+				assertParamsEqual(t, "dS", local.dS, wire.dS)
+			})
+		}
+	}
+}
+
+// TestTopKResumeByteIdentical reruns the checkpoint/resume byte-identity
+// property with gradient sparsification on: the error-feedback accumulators
+// are trajectory state (secSTopKEF), so a mid-run restore must continue to
+// exactly the uninterrupted run's weights.
+func TestTopKResumeByteIdentical(t *testing.T) {
+	const fullRounds, cutAt = 4, 2
+	withTopK := func(rounds int) func(*Config) {
+		return func(c *Config) {
+			c.Rounds = rounds
+			c.GradTopK = 0.25
+		}
+	}
+
+	srvFull, clientsFull := newThreeClientSystem(t, 0, withTopK(fullRounds))
+	trainRounds(t, srvFull, "full")
+
+	dir := t.TempDir()
+	srvA, _ := newThreeClientSystem(t, 0, withTopK(cutAt))
+	trainRounds(t, srvA, "interrupted")
+	if _, err := srvA.SaveCheckpoint(dir); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+
+	srvB, clientsB := newThreeClientSystem(t, 0, withTopK(fullRounds))
+	rounds, ok, err := srvB.RestoreLatestCheckpoint(dir)
+	if err != nil {
+		t.Fatalf("RestoreLatestCheckpoint: %v", err)
+	}
+	if !ok || rounds != cutAt {
+		t.Fatalf("RestoreLatestCheckpoint = (%d, %v), want (%d, true)", rounds, ok, cutAt)
+	}
+	trainRounds(t, srvB, "resumed")
+	assertSystemsEqual(t, srvFull, srvB, clientsFull, clientsB)
+
+	// The sparsification fraction is part of the config fingerprint: the
+	// same checkpoint must not restore into a dense (top-k off) server.
+	srvC, _ := newThreeClientSystem(t, 0, func(c *Config) { c.Rounds = fullRounds })
+	if _, ok, err := srvC.RestoreLatestCheckpoint(dir); err == nil && ok {
+		t.Fatal("top-k checkpoint restored into a server with top-k off")
 	}
 }
