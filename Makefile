@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzColRoundTrip -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzBlockParse -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzAppendBlockMatchesReference -fuzztime $(FUZZTIME) ./internal/coldata
+	$(GO) test -run '^$$' -fuzz FuzzBlockCodes -fuzztime $(FUZZTIME) ./internal/coldata
 	$(GO) test -run '^$$' -fuzz FuzzFitMatchesReference -fuzztime $(FUZZTIME) ./internal/gmm
 	$(GO) test -run '^$$' -fuzz FuzzPosteriorBlock -fuzztime $(FUZZTIME) ./internal/gmm
 
@@ -94,6 +95,12 @@ bench-layers:
 #     repeated set-up;
 #   - rows-warm opens the store the rows-cold run before it wrote, which is
 #     its cold first run;
+#   - rows-warm's set-up phase is merged from that run and
+#     PROFILE_WARM_OPENS more warm opens of the same store (pprof merges the
+#     profiles it is given): one open is a few 10 ms samples, too few to
+#     rank functions. The extra runs train one round and synthesize
+#     nothing, so they add almost no train or synth samples, and only the
+#     setup tables read them;
 #   - in wire-4c the clients' work in the rounds and in synthesis is the
 #     serve phase, and train and synth hold the server's side only.
 PROFILE_DIR := .profile_build
@@ -103,6 +110,7 @@ PROFILE_paper-fed := -rows 50000 -clients 2 -plan D2_0G0_2 -rounds 24 -disc-step
 PROFILE_wire-4c := -rows 6250 -clients 4 -plan D0_2G0_2 -rounds 100 -batch 500 -pac 10 -faithful-real-pass -wire binary
 PROFILE_rows-cold := -rows 625000 -clients 2 -plan D2_0G0_2 -rounds 400 -data-dir $(PROFILE_DIR)/store
 PROFILE_rows-warm := $(PROFILE_rows-cold) -block-cache 8
+PROFILE_WARM_OPENS := 50
 
 profile:
 	rm -rf $(PROFILE_DIR)
@@ -110,9 +118,15 @@ profile:
 	$(GO) build -o $(PROFILE_DIR)/gtv-train ./cmd/gtv-train
 	$(foreach w,$(PROFILE_WORKLOADS),GOMAXPROCS=1 $(PROFILE_DIR)/gtv-train $(PROFILE_COMMON) $(PROFILE_$(w)) \
 		-cpuprofile $(PROFILE_DIR)/$(w).prof > $(PROFILE_DIR)/$(w).log &&) true
+	for i in $$(seq $(PROFILE_WARM_OPENS)); do \
+		GOMAXPROCS=1 $(PROFILE_DIR)/gtv-train -dataset adult -seed 1 -log-every 0 -skip-eval $(PROFILE_rows-warm) -rounds 1 \
+			-cpuprofile $(PROFILE_DIR)/rows-warm-open-$$i.prof > /dev/null || exit 1; \
+	done
 	for w in $(PROFILE_WORKLOADS); do for p in setup train serve synth; do for o in flat cum; do \
 		echo "profile: $$w $$p $$o"; \
+		profs=$(PROFILE_DIR)/$$w.prof; \
+		if [ $$w.$$p = rows-warm.setup ]; then profs="$$profs $(PROFILE_DIR)/rows-warm-open-*.prof"; fi; \
 		$(GO) tool pprof -top -relative_percentages -unit=ms -nodecount=20 -tagfocus=phase=$$p \
-			$$(test $$o = cum && echo -cum) $(PROFILE_DIR)/gtv-train $(PROFILE_DIR)/$$w.prof 2>/dev/null; \
+			$$(test $$o = cum && echo -cum) $(PROFILE_DIR)/gtv-train $$profs 2>/dev/null; \
 	done; done; done | GOMAXPROCS=1 $(GO) run ./cmd/benchjson -pprof > BENCH_profile.json.tmp
 	mv BENCH_profile.json.tmp BENCH_profile.json

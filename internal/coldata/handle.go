@@ -2,6 +2,7 @@ package coldata
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 )
@@ -55,7 +56,7 @@ const skipStride = 32
 // uvarintAt decodes the uvarint at b[p] of a stream parseSparse has
 // validated, returning it and the offset after it. It checks nothing, and
 // is small enough to inline into the two loops that walk such a stream:
-// find, which is what a cache hit on a sparse block costs, and fill. A
+// find, which is what a cache hit on a sparse block costs, and expand. A
 // sparse block's index stream is one uvarint per nonzero, the first its
 // row, each later one the gap (at least 1) from the nonzero before; gaps
 // under 128 are a single byte, and that is most of a one-hot column. (The
@@ -322,25 +323,199 @@ func (h *blockHandle) lookup(group []uint64, base int, col []float64, stride int
 	}
 }
 
+// rowCursor walks a block's rows in order, a run of them at a time. With
+// expand it is the one per-layout decode behind fill (Reader.Column and
+// ScanStripes) and codes (Reader.Codes): a layout's own loop each, with
+// at()'s values.
+type rowCursor struct {
+	h   *blockHandle
+	row int // the first row the next run expands
+	// Sparse layouts: nonzero k, the next one not yet written, lies at row
+	// nzRow, and its delta ends at offset p of the index stream.
+	k, nzRow, p int
+}
+
+func (h *blockHandle) cursor() rowCursor {
+	c := rowCursor{h: h}
+	if (h.layout == layoutSparseOnes || h.layout == layoutSparse) && h.nnz > 0 {
+		c.nzRow, c.p = uvarintAt(h.indexStream(), 0)
+	}
+	return c
+}
+
+// expand writes c's next len(dst) rows to dst, which must not run past the
+// block's count, each as E(v) of the value v at() reads. For E = int64 the
+// caller has checked that every float the block stores (the const, dense
+// and sparse values) is an integer in int64's range.
+func expand[E float64 | int64](c *rowCursor, dst []E) {
+	h, lo := c.h, c.row
+	c.row += len(dst)
+	switch h.layout {
+	case layoutConst:
+		v := E(math.Float64frombits(h.constBits))
+		for i := range dst {
+			dst[i] = v
+		}
+	case layoutBitmap:
+		// Row by row to a byte boundary, then a byte's eight rows at a time.
+		bit := func(r int) E { return E(h.payload[r>>3] >> (r & 7) & 1) }
+		i := 0
+		for ; i < len(dst) && (lo+i)&7 != 0; i++ {
+			dst[i] = bit(lo + i)
+		}
+		for ; i+8 <= len(dst); i += 8 {
+			b, d := h.payload[(lo+i)>>3], dst[i:i+8]
+			d[0], d[1], d[2], d[3] = E(b&1), E(b>>1&1), E(b>>2&1), E(b>>3&1)
+			d[4], d[5], d[6], d[7] = E(b>>4&1), E(b>>5&1), E(b>>6&1), E(b>>7)
+		}
+		for ; i < len(dst); i++ {
+			dst[i] = bit(lo + i)
+		}
+	case layoutSparseOnes, layoutSparse:
+		clear(dst)
+		stream := h.indexStream()
+		for c.k < h.nnz && c.nzRow < c.row {
+			dst[c.nzRow-lo] = E(h.sparseValue(c.k))
+			if c.k++; c.k < h.nnz {
+				var d int
+				d, c.p = uvarintAt(stream, c.p)
+				c.nzRow += d
+			}
+		}
+	case layoutFOR:
+		// parsePayload has checked that every value is exact, so each is
+		// forValue's sum.
+		body, base := h.payload[h.forOff:], h.forMin
+		switch h.forW {
+		case 1:
+			body = body[lo : lo+len(dst)]
+			for i, d := range body {
+				dst[i] = E(base + int64(d))
+			}
+		case 2:
+			body = body[2*lo : 2*(lo+len(dst))]
+			for i := range dst {
+				dst[i] = E(base + int64(binary.LittleEndian.Uint16(body[2*i:])))
+			}
+		case 4:
+			body = body[4*lo : 4*(lo+len(dst))]
+			for i := range dst {
+				dst[i] = E(base + int64(binary.LittleEndian.Uint32(body[4*i:])))
+			}
+		default:
+			body = body[8*lo : 8*(lo+len(dst))]
+			for i := range dst {
+				dst[i] = E(base + int64(binary.LittleEndian.Uint64(body[8*i:])))
+			}
+		}
+	default:
+		body := h.payload[8*lo : 8*(lo+len(dst))]
+		for i := range dst {
+			dst[i] = E(math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
+		}
+	}
+}
+
+// runRows is how many rows a strided fill or a code decode expands at a
+// time: a run stays in L1 between the loop that decodes it and the loop
+// that stores it.
+const runRows = 256
+
 // fill writes the block's count rows to dst[0], dst[stride], dst[2*stride]
 // and so on. Every one of those cells is written (zeros included), so dst
 // may be uninitialized pooled memory.
 func (h *blockHandle) fill(dst []float64, stride int) {
-	switch h.layout {
-	case layoutSparseOnes, layoutSparse:
-		for i := 0; i < h.count; i++ {
-			dst[i*stride] = 0
-		}
-		stream := h.indexStream()
-		for k, row, p := 0, 0, 0; k < h.nnz; k++ {
-			var d int
-			d, p = uvarintAt(stream, p)
-			row += d
-			dst[row*stride] = h.sparseValue(k)
-		}
-	default:
-		for i := 0; i < h.count; i++ {
-			dst[i*stride] = h.at(i)
+	c := h.cursor()
+	if stride == 1 {
+		expand(&c, dst[:h.count])
+		return
+	}
+	var buf [runRows]float64
+	for lo := 0; lo < h.count; lo += runRows {
+		run := buf[:min(runRows, h.count-lo)]
+		expand(&c, run)
+		out := dst[lo*stride:]
+		for i, v := range run {
+			out[i*stride] = v
 		}
 	}
+}
+
+// codes writes the block's count rows to dst as category codes, width (1, 2
+// or 4) little-endian bytes a row. A row whose value is not an integer in
+// [0, cats) — as an encoder writes it: −0 is not 0 — is an error naming
+// it as file row base plus its row in the block.
+func (h *blockHandle) codes(dst []byte, width, cats, base int) error {
+	ok := h.storesIntegers()
+	c := h.cursor()
+	var buf [runRows]int64
+	for lo := 0; ok && lo < h.count; lo += runRows {
+		run := buf[:min(runRows, h.count-lo)]
+		expand(&c, run)
+		ok = packCodes(run, dst[lo*width:], width, cats)
+	}
+	if ok {
+		return nil
+	}
+	i := 0
+	for isCode(h.at(i), cats) {
+		i++
+	}
+	return fmt.Errorf("row %d holds %v, not a category code below %d", base+i, h.at(i), cats)
+}
+
+// storesIntegers reports whether every float the block stores (a const
+// block's value, a dense block's rows, a sparse block's nonzeros) is a
+// non-negative integer below 2^63 with its own bits, as a code is; the
+// other layouts hold integers only.
+func (h *blockHandle) storesIntegers() bool {
+	var bits []byte // the stored float64s
+	switch h.layout {
+	case layoutConst, layoutDense:
+		bits = h.payload
+	case layoutSparse:
+		bits = h.payload[h.valOff:]
+	}
+	for k := 0; k < len(bits); k += 8 {
+		if !isCode(math.Float64frombits(binary.LittleEndian.Uint64(bits[k:])), math.MaxInt64) {
+			return false
+		}
+	}
+	return true
+}
+
+// isCode reports whether v is an integer in [0, cats): a NaN, an infinity
+// or a fraction fails the round trip through int, and −0 the sign test.
+func isCode(v float64, cats int) bool {
+	k := int(v)
+	//lint:ignore floateq the int round trip is the intended exactness test
+	return uint(k) < uint(cats) && float64(k) == v && !math.Signbit(v)
+}
+
+// packCodes stores run's codes in dst, width little-endian bytes each, and
+// reports whether all of them are below cats (one test of their maximum: a
+// negative code is a huge uint64).
+func packCodes(run []int64, dst []byte, width, cats int) bool {
+	var hi uint64
+	switch width {
+	case 1:
+		dst = dst[:len(run)]
+		for i, v := range run {
+			hi = max(hi, uint64(v))
+			dst[i] = byte(v)
+		}
+	case 2:
+		dst = dst[:2*len(run)]
+		for i, v := range run {
+			hi = max(hi, uint64(v))
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
+		}
+	default:
+		dst = dst[:4*len(run)]
+		for i, v := range run {
+			hi = max(hi, uint64(v))
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		}
+	}
+	return hi < uint64(cats)
 }

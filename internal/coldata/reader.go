@@ -346,6 +346,38 @@ func (r *Reader) Column(j int) ([]float64, error) {
 	return out, nil
 }
 
+// Codes decodes column j as category codes below cats into dst, width (1,
+// 2 or 4) little-endian bytes a row, Rows()*width bytes in all. Like
+// Column it reads past the block cache. A CRC-valid file can hold any
+// value, so a row that is not an integer in [0, cats) is an error naming
+// it.
+func (r *Reader) Codes(j, cats, width int, dst []byte) error {
+	if j < 0 || j >= r.cols {
+		return fmt.Errorf("coldata: column %d out of range %d", j, r.cols)
+	}
+	if width != 1 && width != 2 && width != 4 {
+		return fmt.Errorf("coldata: code width %d", width)
+	}
+	if len(dst) != r.rows*width {
+		return fmt.Errorf("coldata: %d code bytes for %d rows of width %d", len(dst), r.rows, width)
+	}
+	var h blockHandle
+	for s := 0; s < r.stripes; s++ {
+		buf := AcquireBlockBuf(int(r.blockLen[s*r.cols+j]))
+		err := r.readBlock(&h, buf, s, j)
+		if err == nil {
+			if err = h.codes(dst[s*r.blockRows*width:], width, cats, s*r.blockRows); err != nil {
+				err = fmt.Errorf("coldata: column %d: %w", j, err)
+			}
+		}
+		buf.Release()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // expandBlock reads block (s, j) past the cache — sequential readers would
 // only evict the gathers' working set — and writes its rows to dst[0],
 // dst[stride], and so on. h is the caller's scratch, reused from block to

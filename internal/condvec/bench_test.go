@@ -28,8 +28,9 @@ func adult(b *testing.B, rows int) (*encoding.Table, *encoding.Transformer) {
 }
 
 // BenchmarkNewSampler builds the training-by-sampling index over 500 k adult
-// rows from the table in memory and from its gtvcol file (-data-dir), and
-// reports the index's size in bytes per row per categorical span.
+// rows from the table in memory, from its gtvcol file (-data-dir) and from
+// the code columns of its encoded image, and reports the index's size in
+// bytes per row per categorical span.
 func BenchmarkNewSampler(b *testing.B) {
 	const rows = 500_000
 	table, tr := adult(b, rows)
@@ -46,15 +47,31 @@ func BenchmarkNewSampler(b *testing.B) {
 			b.Error(err)
 		}
 	})
+	// The image a party trains on: the table's encoded store, whose span
+	// code columns NewImageSampler decodes.
+	enc := encoding.Storage{Dir: st.Dir, Name: "central"}
+	imageTr, image, err := encoding.OpenOrEncode(enc, table, 1, gmm.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		if err := image.Close(); err != nil {
+			b.Error(err)
+		}
+	})
 	for _, c := range []struct {
 		name  string
-		table *encoding.Table
-	}{{"memory", table}, {"stored", stored}} {
+		build func() (*Sampler, error)
+	}{
+		{"memory", func() (*Sampler, error) { return NewSampler(table, tr) }},
+		{"stored", func() (*Sampler, error) { return NewSampler(stored, tr) }},
+		{"image", func() (*Sampler, error) { return NewImageSampler(&image, imageTr) }},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s *Sampler
 			for i := 0; i < b.N; i++ {
-				if s, err = NewSampler(c.table, tr); err != nil {
+				if s, err = c.build(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -147,10 +147,14 @@ func (x *spanIndex) code(r int) int {
 // count returns the number of rows of category c.
 func (x *spanIndex) count(c int) int { return int(x.rank[c*(x.blocks+1)+x.blocks]) }
 
-// rerank counts the codes into the rank, block by block.
+// rerank counts the codes into the rank, block by block. One-byte codes
+// are counted into four tallies in turn, so that runs of one category do
+// not make each increment wait on the one before; the tallies are folded
+// in at every block boundary.
 func (x *spanIndex) rerank() {
 	counts := make([]int32, x.cats())
 	stride := x.blocks + 1
+	var tally [4][256]int32
 	for k := 0; k <= x.blocks; k++ {
 		for c, n := range counts {
 			x.rank[c*stride+k] = n
@@ -160,8 +164,19 @@ func (x *spanIndex) rerank() {
 		}
 		first, end := k<<x.shift, min((k+1)<<x.shift, x.rows)
 		if x.width == 1 {
-			for _, c := range x.codes[first:end] {
-				counts[c]++
+			codes := x.codes[first:end]
+			for ; len(codes) >= 4; codes = codes[4:] {
+				tally[0][codes[0]]++
+				tally[1][codes[1]]++
+				tally[2][codes[2]]++
+				tally[3][codes[3]]++
+			}
+			for _, c := range codes {
+				tally[0][c]++
+			}
+			for c := range counts {
+				counts[c] += tally[0][c] + tally[1][c] + tally[2][c] + tally[3][c]
+				tally[0][c], tally[1][c], tally[2][c], tally[3][c] = 0, 0, 0, 0
 			}
 			continue
 		}
@@ -266,44 +281,76 @@ func nthBit(mask uint64, n int) int {
 }
 
 // NewSampler builds a sampler from a party's raw table and its fitted
-// transformer. Tables without categorical columns yield a zero-width
-// sampler whose Sample returns empty CVs and uniform row indices.
-//
-// The index is built in one pass over the table, which keeps every row's
-// category as a code; counting the codes block by block then gives the
-// rank and the category frequencies. No column is copied out of the table,
-// in memory or stored.
+// transformer, reading every row's category from the table in one pass.
+// Tables without categorical columns yield a zero-width sampler whose
+// Sample returns empty CVs and uniform row indices.
 func NewSampler(t *encoding.Table, tr *encoding.Transformer) (*Sampler, error) {
-	if t.Rows() == 0 {
+	spans := tr.CategoricalSpans()
+	for i, sp := range spans {
+		if sp.Column < 0 || sp.Column >= len(t.Specs) || t.Specs[sp.Column].Kind != encoding.KindCategorical {
+			return nil, fmt.Errorf("condvec: span %d: encoding: column %d is not categorical", i, sp.Column)
+		}
+		if n := t.Specs[sp.Column].NumCategories(); n != sp.Width {
+			return nil, fmt.Errorf("condvec: span %d: column %d has %d categories, the span %d", i, sp.Column, n, sp.Width)
+		}
+	}
+	return newSampler(t.Rows(), spans, func(index []spanIndex) error {
+		return t.ScanRows(func(r int, row []float64) error {
+			for i, sp := range spans {
+				index[i].set(r, int(row[sp.Column]))
+			}
+			return nil
+		})
+	})
+}
+
+// NewImageSampler builds a sampler from a party's encoded image and the
+// transformer that laid it out: each categorical span's codes are its
+// image column, decoded block by block past the block cache, so a party
+// draws its rows from the image it gathers them from. A code that is not a
+// category of its span is an error naming the image and raw columns.
+func NewImageSampler(data *encoding.Backing, tr *encoding.Transformer) (*Sampler, error) {
+	var cols []int // the image column of each categorical span
+	for s, sp := range tr.Spans() {
+		if sp.Categorical {
+			cols = append(cols, s)
+		}
+	}
+	return newSampler(data.Rows(), tr.CategoricalSpans(), func(index []spanIndex) error {
+		for i, s := range cols {
+			if err := data.SpanCodes(s, index[i].width, index[i].codes); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// newSampler is the one index builder: fill writes every row's category
+// code of each span into its index, then counting the codes block by
+// block gives the rank and the category frequencies.
+func newSampler(rows int, spans []encoding.Span, fill func(index []spanIndex) error) (*Sampler, error) {
+	if rows == 0 {
 		return nil, errors.New("condvec: empty table")
 	}
-	if t.Rows() > math.MaxInt32 {
-		return nil, fmt.Errorf("condvec: %d rows exceed the int32 row-index space", t.Rows())
+	if rows > math.MaxInt32 {
+		return nil, fmt.Errorf("condvec: %d rows exceed the int32 row-index space", rows)
 	}
-	spans := tr.CategoricalSpans()
 	s := &Sampler{
 		spans:    spans,
-		numRows:  t.Rows(),
+		numRows:  rows,
 		probs:    make([][]float64, len(spans)),
 		rawProbs: make([][]float64, len(spans)),
 		index:    make([]spanIndex, len(spans)),
 		offsets:  make([]int, len(spans)),
 	}
-	for i, sp := range spans {
-		if sp.Column < 0 || sp.Column >= len(t.Specs) || t.Specs[sp.Column].Kind != encoding.KindCategorical {
-			return nil, fmt.Errorf("condvec: span %d: encoding: column %d is not categorical", i, sp.Column)
-		}
-		s.index[i] = newSpanIndex(t.Rows(), t.Specs[sp.Column].NumCategories())
-	}
 	if len(spans) == 0 {
 		return s, nil
 	}
-	if err := t.ScanRows(func(r int, row []float64) error {
-		for i, sp := range spans {
-			s.index[i].set(r, int(row[sp.Column]))
-		}
-		return nil
-	}); err != nil {
+	for i, sp := range spans {
+		s.index[i] = newSpanIndex(rows, sp.Width)
+	}
+	if err := fill(s.index); err != nil {
 		return nil, fmt.Errorf("condvec: reading categories: %w", err)
 	}
 	for i, sp := range spans {
@@ -315,12 +362,12 @@ func NewSampler(t *encoding.Table, tr *encoding.Transformer) (*Sampler, error) {
 		for c := range counts {
 			counts[c] = s.index[i].count(c)
 		}
-		freq := encoding.Frequencies(counts, t.Rows())
+		freq := encoding.Frequencies(counts, rows)
 		// Log-frequency sampling: p_k proportional to log(1 + count_k).
 		probs := make([]float64, len(freq))
 		var total float64
 		for k, f := range freq {
-			probs[k] = math.Log1p(f * float64(t.Rows()))
+			probs[k] = math.Log1p(f * float64(rows))
 			total += probs[k]
 		}
 		if total <= 0 {

@@ -280,6 +280,30 @@ func (b *Backing) expand(p int, code, dst []float64) error {
 	return nil
 }
 
+// Rows returns the image's row count.
+//
+//privacy:sanitizer table shape metadata (row count)
+func (b *Backing) Rows() int { return b.r.Rows() }
+
+// SpanCodes decodes image column s, one-hot span s's hot indices, into dst
+// as width-byte little-endian codes (see coldata.Reader.Codes), reading
+// past the block cache. A value that is not a column of the span is an
+// error naming the image column and the raw column it encodes. The codes
+// are in file row order, so a shuffled backing refuses.
+func (b *Backing) SpanCodes(s, width int, dst []byte) error {
+	if s < 0 || s >= len(b.tr.spans) || b.tr.spans[s].Type != SpanOneHot {
+		return fmt.Errorf("encoding: encoded column %d is not a one-hot span", s)
+	}
+	if b.view != nil {
+		return errors.New("encoding: span codes of a shuffled backing")
+	}
+	sp := b.tr.spans[s]
+	if err := b.r.Codes(s, sp.Width, width, dst); err != nil {
+		return fmt.Errorf("encoding: encoded column %d (column %q): %w", s, b.tr.specs[sp.Column].Name, err)
+	}
+	return nil
+}
+
 // GatherRows returns a batch whose row k is encoded row idx[k]: the span
 // codes are gathered straight from cached compact blocks and expanded into
 // a zeroed pooled matrix the caller must Release when the training step is

@@ -258,26 +258,14 @@ func (t *Table) ColumnByName(name string) int {
 }
 
 // SelectColumns returns a new Table containing the given columns, in order
-// (a column may repeat). The copy is one pass over the rows into a matrix of
-// exactly rows x len(cols): a party's table lives as long as its federation,
-// so it is not rounded up to a pooled slab class.
+// (a column may repeat): VerticalSplit's one-party case.
 func (t *Table) SelectColumns(cols []int) (*Table, error) {
-	d := t.mustDense("SelectColumns")
-	specs := make([]ColumnSpec, len(cols))
-	for i, j := range cols {
+	for _, j := range cols {
 		if j < 0 || j >= t.Cols() {
 			return nil, fmt.Errorf("encoding: column index %d out of range %d", j, t.Cols())
 		}
-		specs[i] = t.Specs[j]
 	}
-	out := tensor.New(d.Rows(), len(cols))
-	for i := 0; i < d.Rows(); i++ {
-		src, dst := d.RawRow(i), out.RawRow(i)
-		for k, j := range cols {
-			dst[k] = src[j]
-		}
-	}
-	return &Table{Specs: specs, Data: out}, nil
+	return t.selectParts([][]int{cols})[0], nil
 }
 
 // SliceRows returns a new Table with rows [from, to).
@@ -332,16 +320,47 @@ func (t *Table) VerticalSplit(assignment []int, numParties int) ([]*Table, error
 		}
 		colsPer[p] = append(colsPer[p], j)
 	}
-	out := make([]*Table, numParties)
-	for p := range out {
-		if len(colsPer[p]) == 0 {
+	for p, cols := range colsPer {
+		if len(cols) == 0 {
 			return nil, fmt.Errorf("encoding: party %d owns no columns", p)
 		}
-		sub, err := t.SelectColumns(colsPer[p])
-		if err != nil {
-			return nil, err
-		}
-		out[p] = sub
 	}
-	return out, nil
+	return t.selectParts(colsPer), nil
+}
+
+// selectParts returns one Table per column list, holding those columns of
+// t in that order, from one pass over t's rows: each row is read once and
+// scattered to every part. A part's matrix is exactly rows x len(cols): a
+// party's table lives as long as its federation's set-up, so it is not
+// rounded up to a pooled slab class. The column indices must be in range.
+func (t *Table) selectParts(colsPer [][]int) []*Table {
+	d := t.mustDense("SelectColumns")
+	rows, width := d.Rows(), d.Cols()
+	out := make([]*Table, len(colsPer))
+	type part struct {
+		cols []int
+		dst  []float64
+	}
+	parts := make([]part, len(colsPer))
+	for p, cols := range colsPer {
+		specs := make([]ColumnSpec, len(cols))
+		for k, j := range cols {
+			specs[k] = t.Specs[j]
+		}
+		m := tensor.New(rows, len(cols))
+		out[p], parts[p] = &Table{Specs: specs, Data: m}, part{cols: cols, dst: m.Data()}
+	}
+	src := d.Data()
+	for i := 0; i < rows; i++ {
+		row := src[i*width : (i+1)*width]
+		for p := range parts {
+			pt := &parts[p]
+			w := len(pt.cols)
+			dst := pt.dst[i*w : i*w+w]
+			for k, j := range pt.cols {
+				dst[k] = row[j]
+			}
+		}
+	}
+	return out
 }

@@ -136,7 +136,7 @@ func NewCentralizedStored(table *encoding.Table, cfg Config, st encoding.Storage
 	if err != nil {
 		return nil, fmt.Errorf("gan: encoding table: %w", err)
 	}
-	sampler, err := condvec.NewSampler(table, tr)
+	sampler, err := condvec.NewImageSampler(&data, tr)
 	if err != nil {
 		//lint:ignore errdrop the sampler error is the one worth reporting
 		_ = data.Close()

@@ -238,7 +238,7 @@ func NewLocalClientStored(table *encoding.Table, coord *ShuffleCoordinator, seed
 	if err != nil {
 		return nil, fmt.Errorf("vfl: encoding client table: %w", err)
 	}
-	sampler, err := condvec.NewSampler(table, tr)
+	sampler, err := condvec.NewImageSampler(&data, tr)
 	if err != nil {
 		//lint:ignore errdrop the sampler error is the one worth reporting
 		_ = data.Close()
