@@ -339,7 +339,8 @@ func (r *Reader) Column(j int) ([]float64, error) {
 	out := make([]float64, r.rows)
 	var h blockHandle
 	for s := 0; s < r.stripes; s++ {
-		if err := r.expandBlock(&h, s, j, out[s*r.blockRows:], 1); err != nil {
+		dst := out[s*r.blockRows:]
+		if err := r.readPast(&h, s, j, func() error { h.fill(dst, 1); return nil }); err != nil {
 			return nil, err
 		}
 	}
@@ -363,14 +364,12 @@ func (r *Reader) Codes(j, cats, width int, dst []byte) error {
 	}
 	var h blockHandle
 	for s := 0; s < r.stripes; s++ {
-		buf := AcquireBlockBuf(int(r.blockLen[s*r.cols+j]))
-		err := r.readBlock(&h, buf, s, j)
-		if err == nil {
-			if err = h.codes(dst[s*r.blockRows*width:], width, cats, s*r.blockRows); err != nil {
-				err = fmt.Errorf("coldata: column %d: %w", j, err)
+		err := r.readPast(&h, s, j, func() error {
+			if err := h.codes(dst[s*r.blockRows*width:], width, cats, s*r.blockRows); err != nil {
+				return fmt.Errorf("coldata: column %d: %w", j, err)
 			}
-		}
-		buf.Release()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
@@ -378,18 +377,17 @@ func (r *Reader) Codes(j, cats, width int, dst []byte) error {
 	return nil
 }
 
-// expandBlock reads block (s, j) past the cache — sequential readers would
-// only evict the gathers' working set — and writes its rows to dst[0],
-// dst[stride], and so on. h is the caller's scratch, reused from block to
+// readPast reads block (s, j) past the cache — sequential readers would
+// only evict the gathers' working set — into h and calls use, while h's
+// bytes are still held. h is the caller's scratch, reused from block to
 // block for its skip table's capacity.
-func (r *Reader) expandBlock(h *blockHandle, s, j int, dst []float64, stride int) error {
+func (r *Reader) readPast(h *blockHandle, s, j int, use func() error) error {
 	buf := AcquireBlockBuf(int(r.blockLen[s*r.cols+j]))
 	defer buf.Release()
 	if err := r.readBlock(h, buf, s, j); err != nil {
 		return err
 	}
-	h.fill(dst, stride)
-	return nil
+	return use()
 }
 
 // scanResult carries one decoded stripe from the prefetch goroutine.
@@ -405,7 +403,8 @@ func (r *Reader) decodeStripe(s int) (*tensor.Dense, error) {
 	m := tensor.NewPooledUninit(rows, r.cols)
 	var h blockHandle
 	for j := 0; j < r.cols; j++ {
-		if err := r.expandBlock(&h, s, j, m.Data()[j:], r.cols); err != nil {
+		dst := m.Data()[j:]
+		if err := r.readPast(&h, s, j, func() error { h.fill(dst, r.cols); return nil }); err != nil {
 			m.Release()
 			return nil, err
 		}
