@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race fuzz ci bench-layers profile
+.PHONY: all build vet lint lint-json test race fuzz ci bench-layers profile cover
 
 # Per-fuzzer budget for the `fuzz` target; `make fuzz FUZZTIME=1m` hunts longer.
 FUZZTIME ?= 5s
@@ -20,14 +20,14 @@ vet:
 # gtv-lint's rules (`gtv-lint -list` prints them), findings as text plus the
 # per-rule cost table.
 lint:
-	$(GO) run ./cmd/gtv-lint -timing ./...
+	$(GO) run ./cmd/gtv-lint -timing
 
 # The committed, drift-checked report. No -timing: it must be
 # byte-deterministic. Exit 1 (findings) still writes it; a load error or a
 # crash fails the target and leaves LINT_findings.json as it was.
 lint-json:
 	$(GO) build -o .lint_build/gtv-lint ./cmd/gtv-lint
-	.lint_build/gtv-lint -json ./... > LINT_findings.json.tmp; [ $$? -le 1 ]
+	.lint_build/gtv-lint -json > LINT_findings.json.tmp; [ $$? -le 1 ]
 	mv LINT_findings.json.tmp LINT_findings.json
 
 # bench/_gtvbench hides from ./... behind its underscore, so it is vetted and
@@ -86,7 +86,7 @@ bench-layers:
 # loopback clients' serve loops (serve: wire-4c's client side, empty
 # elsewhere) into a stamped BENCH_profile.json: per
 # workload, phase and order (flat, cum), pprof's top 20 functions with their
-# shares of the phase's samples (cmd/benchjson -pprof). How the runs differ
+# shares of the phase's samples (cmd/benchjson). How the runs differ
 # from bench/'s:
 #   - gtv-train trains on an 80 % split, so -rows is 1.25 times the
 #     workload's rows and training sees the workload's row count;
@@ -128,5 +128,29 @@ profile:
 		if [ $$w.$$p = rows-warm.setup ]; then profs="$$profs $(PROFILE_DIR)/rows-warm-open-*.prof"; fi; \
 		$(GO) tool pprof -top -relative_percentages -unit=ms -nodecount=20 -tagfocus=phase=$$p \
 			$$(test $$o = cum && echo -cum) $(PROFILE_DIR)/gtv-train $$profs 2>/dev/null; \
-	done; done; done | GOMAXPROCS=1 $(GO) run ./cmd/benchjson -pprof > BENCH_profile.json.tmp
+	done; done; done | GOMAXPROCS=1 $(GO) run ./cmd/benchjson > BENCH_profile.json.tmp
 	mv BENCH_profile.json.tmp BENCH_profile.json
+
+# The coverage census (DESIGN.md "Coverage census"): per function, the
+# share of its statements the tests ran and the share the four workloads
+# ran, into a stamped COVER.json (cmd/benchjson). The workload half is
+# gtv-train built with -cover at `make profile`'s shapes, at GOMAXPROCS 1
+# as bench/ runs them, with the store in COVER_DIR and two rounds each:
+# coverage is a set, not a time, and the instrumented binary is never timed.
+# rows-warm reopens the store rows-cold wrote. A reference record, not a
+# gate: concurrent tests move its margins.
+COVER_DIR := .cover_build
+
+cover:
+	rm -rf $(COVER_DIR)
+	mkdir -p $(COVER_DIR)/tests $(COVER_DIR)/workloads
+	$(GO) test -count=1 -cover -coverpkg=./... ./... -args -test.gocoverdir=$(CURDIR)/$(COVER_DIR)/tests
+	$(GO) build -cover -coverpkg=./... -o $(COVER_DIR)/gtv-train ./cmd/gtv-train
+	$(foreach w,$(PROFILE_WORKLOADS),GOMAXPROCS=1 GOCOVERDIR=$(COVER_DIR)/workloads $(COVER_DIR)/gtv-train $(PROFILE_COMMON) \
+		$(subst $(PROFILE_DIR)/,$(COVER_DIR)/,$(PROFILE_$(w))) -rounds 2 > /dev/null &&) true
+	$(GO) tool covdata func -i=$(COVER_DIR)/tests > $(COVER_DIR)/tests.txt
+	$(GO) tool covdata func -i=$(COVER_DIR)/workloads > $(COVER_DIR)/workloads.txt
+	$(GO) list ./... > $(COVER_DIR)/packages.txt
+	for h in tests workloads packages; do echo "cover: $$h"; cat $(COVER_DIR)/$$h.txt; done \
+		| $(GO) run ./cmd/benchjson > COVER.json.tmp
+	mv COVER.json.tmp COVER.json

@@ -27,6 +27,10 @@ test -z "$(gofmt -l . | grep -v /testdata/)"
 # No Go file at the module root: a root package is how a second benchmark
 # system beside bench/ grows back.
 test -z "$(ls ./*.go 2>/dev/null)"
+# Every fuzzer in a tracked test file has its line in `make fuzz`.
+for f in $(git grep -hoE '^func Fuzz[A-Za-z0-9_]+' -- '*_test.go' | cut -c6-); do
+	grep -q -- "-fuzz $f " Makefile
+done
 make lint-json
 # The committed report must match a fresh run; on drift, print the findings.
 git diff --exit-code -- LINT_findings.json || { make lint; exit 1; }

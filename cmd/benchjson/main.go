@@ -1,31 +1,39 @@
-// Command benchjson converts `go test -bench` output on stdin into a JSON
+// Command benchjson converts a measurement transcript on stdin into a JSON
 // array on stdout: first a stamp saying where the run was measured, then
-// one object per benchmark result. It backs `make bench-layers`, which
-// records the per-package micro-benchmarks in BENCH_layers.json.
+// one object per result. The input's first header line picks the reader:
 //
-// With -pprof it reads `go tool pprof -top -relative_percentages -unit=ms`
-// tables instead, each after a line `profile: <workload> <phase> <order>`,
-// and writes the stamp and one object per table. It backs `make profile`,
-// which records BENCH_profile.json.
+//   - `goos: …` starts `go test -bench` output, one object per benchmark
+//     result. It backs `make bench-layers`, which records the per-package
+//     micro-benchmarks in BENCH_layers.json.
+//   - `profile: <workload> <phase> <order>` starts a `go tool pprof -top
+//     -relative_percentages -unit=ms` table, one object per table. It backs
+//     `make profile`, which records BENCH_profile.json.
+//   - `cover: tests` starts the coverage census: `go tool covdata func`
+//     output per half (`cover: tests`, `cover: workloads`), then the
+//     module's import paths (`cover: packages`). One object per function
+//     gives the share of its statements each half ran, and one per package
+//     neither half counted names it whole. It backs `make cover`, which
+//     records COVER.json.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path"
 	"runtime"
 	"strconv"
 	"strings"
 )
 
-// stamp is the first record of a run: the commit and toolchain from the
-// environment benchjson runs in (the same checkout and `go` as the `go
-// test` it is piped from), the goos/goarch/cpu header `go test` prints per
-// package, and the GOMAXPROCS the benchmarks ran at, which `go test`
-// appends to every name as -N unless N is 1.
+// stamp is the first record of a run: the commit, toolchain and machine of
+// the environment benchjson runs in (the checkout, `go` and host of the
+// run it is piped from), and the GOMAXPROCS the run used: benchjson's own
+// for the profiles and the census, and for benchmarks the -N `go test`
+// appends to every name unless N is 1.
 type stamp struct {
 	Commit     string `json:"commit"`
 	GoVersion  string `json:"go_version"`
@@ -71,52 +79,86 @@ type profileRow struct {
 	CumPct  float64 `json:"cum_pct"`
 }
 
+// coverFunc is one function of the coverage census: where it is declared
+// and the share of its statements the tests and the workloads ran.
+type coverFunc struct {
+	Pos          string  `json:"pos"`
+	Func         string  `json:"func"`
+	TestsPct     float64 `json:"tests_pct"`
+	WorkloadsPct float64 `json:"workloads_pct"`
+}
+
+// coverPackage is a package neither half of the census counted: no
+// instrumented binary linked it, so none of its functions has a record.
+type coverPackage struct {
+	Package string `json:"package"`
+}
+
 func main() {
-	pprofTables := flag.Bool("pprof", false, "read pprof -top tables, each after a `profile: <workload> <phase> <order>` line, instead of go test -bench output")
-	flag.Parse()
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var records []any
-	if *pprofTables {
-		records = readProfiles(sc)
-	} else {
-		records = readBenchmarks(sc)
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
+	if err := run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-// readProfiles parses the -pprof input. The profiles were taken on this
-// machine and toolchain, at the GOMAXPROCS benchjson runs at, which the
-// stamp reports.
-func readProfiles(sc *bufio.Scanner) []any {
-	st := stamp{Commit: commit(), GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+func run(in io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	records, err := read(sc)
+	if err == nil {
+		err = sc.Err()
+	}
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(records)
+}
+
+// read hands the input, from its first header line on, to the reader that
+// line names. An input without one has no run to stamp and is the JSON
+// null.
+func read(sc *bufio.Scanner) ([]any, error) {
+	for line, ok := scan(sc); ok; line, ok = scan(sc) {
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			return readBenchmarks(line, sc), nil
+		case strings.HasPrefix(line, "profile: "):
+			return readProfiles(line, sc)
+		case strings.HasPrefix(line, "cover: "):
+			return readCover(line, sc)
+		}
+	}
+	return nil, nil
+}
+
+// scan returns sc's next line.
+func scan(sc *bufio.Scanner) (string, bool) {
+	ok := sc.Scan()
+	return sc.Text(), ok
+}
+
+func hostStamp() stamp {
+	return stamp{Commit: commit(), GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		CPU: cpuModel(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	records := []any{st}
+}
+
+// readProfiles parses pprof tables, each after its `profile:` line.
+func readProfiles(first string, sc *bufio.Scanner) ([]any, error) {
+	records := []any{hostStamp()}
 	var cur *profileTop
 	inTable := false
-	for sc.Scan() {
-		line := sc.Text()
+	for line, ok := first, true; ok; line, ok = scan(sc) {
 		fields := strings.Fields(line)
 		if v, ok := strings.CutPrefix(line, "profile: "); ok {
 			f := strings.Fields(v)
 			if len(f) != 3 {
-				fmt.Fprintf(os.Stderr, "benchjson: malformed %q\n", line)
-				os.Exit(1)
+				return nil, fmt.Errorf("malformed %q", line)
 			}
 			cur = &profileTop{Workload: f[0], Phase: f[1], Order: f[2], Top: []profileRow{}}
 			records = append(records, cur)
 			inTable = false
-		} else if cur == nil {
-			continue
 		} else if _, v, ok := strings.Cut(line, "Total samples = "); ok {
 			cur.SamplesMs, _ = millis(strings.Fields(v)[0])
 		} else if len(fields) >= 5 && fields[0] == "flat" && fields[1] == "flat%" {
@@ -127,13 +169,58 @@ func readProfiles(sc *bufio.Scanner) []any {
 			flatPct, err1 := strconv.ParseFloat(strings.TrimSuffix(fields[1], "%"), 64)
 			cumPct, err2 := strconv.ParseFloat(strings.TrimSuffix(fields[4], "%"), 64)
 			if !ok1 || !ok2 || err1 != nil || err2 != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: malformed pprof row %q\n", line)
-				os.Exit(1)
+				return nil, fmt.Errorf("malformed pprof row %q", line)
 			}
 			cur.Top = append(cur.Top, profileRow{Func: strings.Join(fields[5:], " "), FlatMs: flat, FlatPct: flatPct, CumMs: cum, CumPct: cumPct})
 		}
 	}
-	return records
+	return records, nil
+}
+
+// readCover parses the census: `covdata func` output after `cover: tests`
+// and after `cover: workloads`, then the module's import paths after
+// `cover: packages`. A function a half's binaries did not link reads 0 %
+// there.
+func readCover(first string, sc *bufio.Scanner) ([]any, error) {
+	records := []any{hostStamp()}
+	funcs := map[string]*coverFunc{}
+	counted := map[string]bool{}
+	half := ""
+	for line, ok := first, true; ok; line, ok = scan(sc) {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "cover: "):
+			half = strings.TrimPrefix(line, "cover: ")
+			if half != "tests" && half != "workloads" && half != "packages" {
+				return nil, fmt.Errorf("unknown census half %q", line)
+			}
+		case len(f) == 0 || f[0] == "total":
+		case half == "packages":
+			if !counted[f[0]] {
+				records = append(records, coverPackage{Package: f[0]})
+			}
+		default:
+			pct, err := strconv.ParseFloat(strings.TrimSuffix(f[len(f)-1], "%"), 64)
+			if len(f) != 3 || err != nil {
+				return nil, fmt.Errorf("malformed covdata row %q", line)
+			}
+			pos := strings.TrimSuffix(f[0], ":")
+			file, _, _ := strings.Cut(pos, ":")
+			counted[path.Dir(file)] = true
+			cf := funcs[pos]
+			if cf == nil {
+				cf = &coverFunc{Pos: pos, Func: f[1]}
+				funcs[pos] = cf
+				records = append(records, cf)
+			}
+			if half == "tests" {
+				cf.TestsPct = pct
+			} else {
+				cf.WorkloadsPct = pct
+			}
+		}
+	}
+	return records, nil
 }
 
 // millis parses a pprof -unit=ms duration: "910ms", or "0" for none.
@@ -157,24 +244,17 @@ func cpuModel() string {
 }
 
 // readBenchmarks parses go test -bench output.
-func readBenchmarks(sc *bufio.Scanner) []any {
-	st := stamp{Commit: commit(), GoVersion: runtime.Version(), GOMAXPROCS: 1}
+func readBenchmarks(first string, sc *bufio.Scanner) []any {
+	st := hostStamp()
+	st.GOMAXPROCS = 1
 	var results []result
-	for sc.Scan() {
-		line := sc.Text()
+	for line, ok := first, true; ok; line, ok = scan(sc) {
 		fmt.Fprintln(os.Stderr, line) // pass through for the operator
-		if v, ok := strings.CutPrefix(line, "goos: "); ok {
-			st.GOOS = v
-		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
-			st.GOARCH = v
-		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
-			st.CPU = v
-		} else if r, ok := parse(line); ok {
+		if r, ok := parse(line); ok {
 			results = append(results, r)
 		}
 	}
-	// An input without results has no run to stamp and stays the JSON null
-	// it always was.
+	// An input without results has no run to stamp and is the JSON null.
 	var records []any
 	if len(results) > 0 {
 		name := results[0].Name

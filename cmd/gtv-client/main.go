@@ -40,7 +40,7 @@ func run(args []string) error {
 		numClients = fs.Int("num-clients", 2, "total clients in the federation")
 		secret     = fs.Int64("secret", 0x67747673, "shared shuffle secret (must match every client; never give it to the server)")
 		seed       = fs.Int64("seed", 1, "dataset seed (must match every client)")
-		dataDir    = fs.String("data-dir", "", "keep this client's encoded matrix in a gtvcol columnar file under this directory (flat-memory training; reruns reuse it)")
+		dataDir    = fs.String("data-dir", "", "keep this client's encoded matrix in a gtvcol columnar file under this directory (flat-memory training; a rerun with the same seed, GMM config, row count and schema reuses it and trains on the stored rows)")
 		blockCache = fs.Int("block-cache", 0, "block cache budget in MiB (0 = 256): bounds the bytes held, about as many bytes of the gtvcol file; only with -data-dir")
 	)
 	if err := fs.Parse(args); err != nil {

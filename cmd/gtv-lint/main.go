@@ -8,8 +8,6 @@
 // Usage:
 //
 //	gtv-lint              # analyze the whole module
-//	gtv-lint ./...        # same
-//	gtv-lint internal/vfl # only report findings under these path prefixes
 //	gtv-lint -list        # print the rule catalog
 //	gtv-lint -only floateq,errdrop
 //	gtv-lint -json        # machine-readable findings on stdout
@@ -20,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
@@ -47,6 +44,9 @@ func run(args []string, stdout *os.File) (int, error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
+	}
+	if fs.NArg() > 0 {
+		return 2, fmt.Errorf("unexpected argument %q: every run lints the whole module under -root", fs.Arg(0))
 	}
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -93,26 +93,8 @@ func run(args []string, stdout *os.File) (int, error) {
 		fmt.Fprint(os.Stderr, timings.Summary())
 	}
 
-	// Positional arguments filter reported paths; "./..." (or none) means
-	// everything.
-	var prefixes []string
-	for _, arg := range fs.Args() {
-		if arg == "./..." || arg == "..." || arg == "." {
-			prefixes = nil
-			break
-		}
-		prefixes = append(prefixes, filepath.Clean(strings.TrimPrefix(arg, "./")))
-	}
-	var shown []lint.Finding
-	for _, f := range findings {
-		if len(prefixes) > 0 && !matchesAny(f.Pos.Filename, prefixes) {
-			continue
-		}
-		shown = append(shown, f)
-	}
-
 	if *jsonOut {
-		doc := report{Count: len(shown), Rules: names, Findings: shown, Stats: stats}
+		doc := report{Count: len(findings), Rules: names, Findings: findings, Stats: stats}
 		if timings != nil {
 			doc.TimingsMs = timings.Milliseconds()
 		}
@@ -121,19 +103,19 @@ func run(args []string, stdout *os.File) (int, error) {
 		if err := enc.Encode(doc); err != nil {
 			return 2, err
 		}
-		if len(shown) > 0 {
+		if len(findings) > 0 {
 			return 1, nil
 		}
 		return 0, nil
 	}
-	for _, f := range shown {
+	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
 		if p := f.PathString(); p != "" {
 			fmt.Fprintln(stdout, p)
 		}
 	}
-	if len(shown) > 0 {
-		fmt.Fprintf(stdout, "gtv-lint: %d finding(s)\n", len(shown))
+	if len(findings) > 0 {
+		fmt.Fprintf(stdout, "gtv-lint: %d finding(s)\n", len(findings))
 		return 1, nil
 	}
 	return 0, nil
@@ -151,13 +133,4 @@ type report struct {
 	Findings  []lint.Finding
 	Stats     map[string]int     `json:",omitempty"`
 	TimingsMs map[string]float64 `json:",omitempty"`
-}
-
-func matchesAny(path string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if path == p || strings.HasPrefix(path, p+string(filepath.Separator)) {
-			return true
-		}
-	}
-	return false
 }

@@ -165,3 +165,19 @@ func TestOnlyRejectsRepeatedRule(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsPositionalArguments: every run lints the whole module, so a
+// path argument is a usage error, not a filter that is silently ignored.
+func TestRejectsPositionalArguments(t *testing.T) {
+	root := pinTestModule(t)
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	for _, args := range [][]string{{"./..."}, {"-json", "sub"}} {
+		if code, err := run(append([]string{"-root", root}, args...), out); code != 2 || err == nil {
+			t.Errorf("%v: exit %d, error %v; want exit 2 and a usage error", args, code, err)
+		}
+	}
+}

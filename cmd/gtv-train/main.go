@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		ckptDir     = fs.String("checkpoint-dir", "", "write atomic gtvsnap checkpoints into this directory")
 		ckptEvery   = fs.Int("checkpoint-every", 1, "rounds between checkpoints when -checkpoint-dir is set")
 		resume      = fs.Bool("resume", false, "restore the newest checkpoint in -checkpoint-dir before training")
-		dataDir     = fs.String("data-dir", "", "keep each party's encoded matrix in a gtvcol columnar file under this directory (flat-memory out-of-core training; reruns reuse the files)")
+		dataDir     = fs.String("data-dir", "", "keep each party's encoded matrix in a gtvcol columnar file under this directory (flat-memory out-of-core training; a rerun with the same seed, GMM config, row count and schema reuses the files and trains on the stored rows)")
 		blockCache  = fs.Int("block-cache", 0, "block cache budget per party in MiB (0 = 256): bounds the bytes held, about as many bytes of the party's gtvcol file; only with -data-dir")
 		skipEval    = fs.Bool("skip-eval", false, "skip the similarity/utility evaluation after training")
 	)

@@ -45,7 +45,6 @@ type op interface {
 	// unwanted side is a whole product). At least one entry is true. need
 	// is only valid for the duration of the call.
 	backward(inputs []*Value, output, grad *Value, need []bool) []*Value
-	name() string
 }
 
 // Var returns a differentiable leaf holding d. The matrix is used directly
@@ -142,8 +141,8 @@ func GradWithSeed(y, seed *Value, xs ...*Value) []*Value {
 		}
 		contribs := node.op.backward(node.inputs, node, g, need)
 		if len(contribs) != len(node.inputs) {
-			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs",
-				node.op.name(), len(contribs), len(node.inputs)))
+			panic(fmt.Sprintf("autograd: op %T returned %d gradients for %d inputs",
+				node.op, len(contribs), len(node.inputs)))
 		}
 		for j, in := range node.inputs {
 			if !need[j] || contribs[j] == nil {
@@ -152,8 +151,8 @@ func GradWithSeed(y, seed *Value, xs ...*Value) []*Value {
 			ir, ic := in.Shape()
 			gr, gc := contribs[j].Shape()
 			if ir != gr || ic != gc {
-				panic(fmt.Sprintf("autograd: op %s produced gradient %dx%d for input %dx%d",
-					node.op.name(), gr, gc, ir, ic))
+				panic(fmt.Sprintf("autograd: op %T produced gradient %dx%d for input %dx%d",
+					node.op, gr, gc, ir, ic))
 			}
 			if prev, ok := st.grads[in]; ok {
 				st.grads[in] = Add(prev, contribs[j])

@@ -14,7 +14,6 @@ import (
 
 type expOp struct{}
 
-func (expOp) name() string { return "exp" }
 func (expOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	return []*Value{Mul(grad, output)}
 }
@@ -26,7 +25,6 @@ func Exp(a *Value) *Value {
 
 type sigmoidOp struct{}
 
-func (sigmoidOp) name() string { return "sigmoid" }
 func (sigmoidOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	return []*Value{Mul(grad, Mul(output, AddScalar(Neg(output), 1)))}
 }

@@ -21,7 +21,6 @@ import (
 
 type refLeakyOp struct{ slope float64 }
 
-func (refLeakyOp) name() string { return "refLeaky" }
 func (o refLeakyOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	mask := inputs[0].data.Apply(func(v float64) float64 {
 		if v > 0 {
@@ -44,7 +43,6 @@ func refLeakyReLU(a *Value, slope float64) *Value {
 
 type refReLUOp struct{}
 
-func (refReLUOp) name() string { return "refReLU" }
 func (refReLUOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	return refLeakyOp{slope: 0}.backward(inputs, nil, grad, nil)
 }

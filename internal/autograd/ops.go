@@ -15,7 +15,6 @@ import (
 
 type addOp struct{}
 
-func (addOp) name() string { return "add" }
 func (addOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	out := make([]*Value, 2)
 	for i, in := range inputs {
@@ -34,7 +33,6 @@ func Add(a, b *Value) *Value {
 
 type subOp struct{}
 
-func (subOp) name() string { return "sub" }
 func (subOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	out := make([]*Value, 2)
 	if need[0] {
@@ -55,7 +53,6 @@ func Sub(a, b *Value) *Value {
 
 type mulOp struct{}
 
-func (mulOp) name() string { return "mul" }
 func (mulOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	a, b := inputs[0], inputs[1]
 	out := make([]*Value, 2)
@@ -77,7 +74,6 @@ func Mul(a, b *Value) *Value {
 
 type divOp struct{}
 
-func (divOp) name() string { return "div" }
 func (divOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	a, b := inputs[0], inputs[1]
 	out := make([]*Value, 2)
@@ -101,7 +97,6 @@ func Div(a, b *Value) *Value {
 
 type negOp struct{}
 
-func (negOp) name() string { return "neg" }
 func (negOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Neg(grad)}
 }
@@ -113,7 +108,6 @@ func Neg(a *Value) *Value {
 
 type scaleOp struct{ s float64 }
 
-func (scaleOp) name() string { return "scale" }
 func (o scaleOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Scale(grad, o.s)}
 }
@@ -125,7 +119,6 @@ func Scale(a *Value, s float64) *Value {
 
 type addScalarOp struct{}
 
-func (addScalarOp) name() string { return "addScalar" }
 func (addScalarOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{grad}
 }
@@ -137,7 +130,6 @@ func AddScalar(a *Value, s float64) *Value {
 
 type addConstOp struct{}
 
-func (addConstOp) name() string { return "addConst" }
 func (addConstOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{grad}
 }
@@ -156,7 +148,6 @@ func Square(a *Value) *Value { return Mul(a, a) }
 
 type sqrtOp struct{}
 
-func (sqrtOp) name() string { return "sqrt" }
 func (sqrtOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// d/dx sqrt(x) = 1 / (2*sqrt(x)) = 1/(2*output).
 	return []*Value{Div(grad, Scale(output, 2))}
@@ -169,7 +160,6 @@ func Sqrt(a *Value) *Value {
 
 type logOp struct{}
 
-func (logOp) name() string { return "log" }
 func (logOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Div(grad, inputs[0])}
 }
@@ -199,7 +189,6 @@ type actGradOp struct {
 	x     *tensor.Dense
 }
 
-func (actGradOp) name() string { return "actGrad" }
 func (o actGradOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{actGrad(grad, o.x, o.slope)}
 }
@@ -210,7 +199,6 @@ func actGrad(g *Value, x *tensor.Dense, slope float64) *Value {
 
 type reluOp struct{}
 
-func (reluOp) name() string { return "relu" }
 func (reluOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{actGrad(grad, inputs[0].data, 0)}
 }
@@ -222,7 +210,6 @@ func ReLU(a *Value) *Value {
 
 type leakyReLUOp struct{ slope float64 }
 
-func (leakyReLUOp) name() string { return "leakyrelu" }
 func (o leakyReLUOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{actGrad(grad, inputs[0].data, o.slope)}
 }
@@ -242,7 +229,6 @@ type dropoutOp struct {
 	owned bool
 }
 
-func (*dropoutOp) name() string { return "dropout" }
 func (o *dropoutOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{newValue(tensor.Mul(grad.data, o.mask), &dropoutOp{mask: o.mask}, grad)}
 }
@@ -257,7 +243,6 @@ func Dropout(a *Value, rng *rand.Rand, keep float64) *Value {
 
 type tanhOp struct{}
 
-func (tanhOp) name() string { return "tanh" }
 func (tanhOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// d tanh = 1 - tanh^2, expressed on the output so it stays differentiable.
 	return []*Value{Mul(grad, AddScalar(Neg(Square(output)), 1))}
@@ -270,7 +255,6 @@ func Tanh(a *Value) *Value {
 
 type softmaxOp struct{}
 
-func (softmaxOp) name() string { return "softmaxRows" }
 func (softmaxOp) backward(_ []*Value, output, grad *Value, _ []bool) []*Value {
 	// dL/dx = y * (g - sum_j g_j y_j), row-wise.
 	dot := SumCols(Mul(grad, output)) // Rx1
@@ -315,7 +299,6 @@ func SoftmaxRows(a *Value) *Value {
 
 type matmulOp struct{}
 
-func (matmulOp) name() string { return "matmul" }
 func (matmulOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// dA = G·Bᵀ and dB = Aᵀ·G via the fused kernels: no transpose is ever
 	// materialized, and the fused ops' own backwards close over {MatMul,
@@ -339,7 +322,6 @@ func MatMul(a, b *Value) *Value {
 
 type matmulTAOp struct{}
 
-func (matmulTAOp) name() string { return "matmulTA" }
 func (matmulTAOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// y = aᵀ·b with a KxM and b KxN, G MxN: dA = B·Gᵀ (KxM), dB = A·G (KxN).
 	a, b := inputs[0], inputs[1]
@@ -361,7 +343,6 @@ func MatMulTA(a, b *Value) *Value {
 
 type matmulTBOp struct{}
 
-func (matmulTBOp) name() string { return "matmulTB" }
 func (matmulTBOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	// y = a·bᵀ with a MxN and b PxN, G MxP: dA = G·B (MxN), dB = Gᵀ·A (PxN).
 	a, b := inputs[0], inputs[1]
@@ -383,7 +364,6 @@ func MatMulTB(a, b *Value) *Value {
 
 type affineOp struct{}
 
-func (affineOp) name() string { return "affine" }
 func (affineOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	x, w := inputs[0], inputs[1]
 	out := make([]*Value, 3)
@@ -408,7 +388,6 @@ func Affine(x, w, bias *Value) *Value {
 
 type transposeOp struct{}
 
-func (transposeOp) name() string { return "transpose" }
 func (transposeOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Transpose(grad)}
 }
@@ -422,7 +401,6 @@ func Transpose(a *Value) *Value {
 
 type expandOp struct{}
 
-func (expandOp) name() string { return "expand" }
 func (expandOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{reduceTo(grad, ar, ac)}
@@ -435,7 +413,6 @@ func Expand(a *Value, rows, cols int) *Value {
 
 type sumAllOp struct{}
 
-func (sumAllOp) name() string { return "sumAll" }
 func (sumAllOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
@@ -460,7 +437,6 @@ func MeanAll(a *Value) *Value {
 
 type sumRowsOp struct{}
 
-func (sumRowsOp) name() string { return "sumRows" }
 func (sumRowsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
@@ -482,7 +458,6 @@ func MeanRows(a *Value) *Value {
 
 type sumColsOp struct{}
 
-func (sumColsOp) name() string { return "sumCols" }
 func (sumColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, ac := inputs[0].Shape()
 	return []*Value{Expand(grad, ar, ac)}
@@ -495,7 +470,6 @@ func SumCols(a *Value) *Value {
 
 type concatColsOp struct{ widths []int }
 
-func (concatColsOp) name() string { return "concatCols" }
 func (o concatColsOp) backward(_ []*Value, _, grad *Value, need []bool) []*Value {
 	out := make([]*Value, len(o.widths))
 	off := 0
@@ -521,7 +495,6 @@ func ConcatCols(vs ...*Value) *Value {
 
 type sliceColsOp struct{ from, to int }
 
-func (sliceColsOp) name() string { return "sliceCols" }
 func (o sliceColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	_, ac := inputs[0].Shape()
 	return []*Value{PadCols(grad, o.from, ac)}
@@ -534,7 +507,6 @@ func SliceCols(a *Value, from, to int) *Value {
 
 type padColsOp struct{ left, total int }
 
-func (padColsOp) name() string { return "padCols" }
 func (o padColsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	_, ac := inputs[0].Shape()
 	return []*Value{SliceCols(grad, o.left, o.left+ac)}
@@ -556,7 +528,6 @@ func PadCols(a *Value, left, total int) *Value {
 
 type gatherRowsOp struct{ idx []int }
 
-func (gatherRowsOp) name() string { return "gatherRows" }
 func (o gatherRowsOp) backward(inputs []*Value, _, grad *Value, _ []bool) []*Value {
 	ar, _ := inputs[0].Shape()
 	return []*Value{ScatterRows(grad, o.idx, ar)}
@@ -574,7 +545,6 @@ type scatterRowsOp struct {
 	rows int
 }
 
-func (scatterRowsOp) name() string { return "scatterRows" }
 func (o scatterRowsOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{GatherRows(grad, o.idx)}
 }
@@ -609,7 +579,6 @@ func RowL2Norm(a *Value, eps float64) *Value {
 
 type reshapeOp struct{ fromRows, fromCols int }
 
-func (reshapeOp) name() string { return "reshape" }
 func (o reshapeOp) backward(_ []*Value, _, grad *Value, _ []bool) []*Value {
 	return []*Value{Reshape(grad, o.fromRows, o.fromCols)}
 }

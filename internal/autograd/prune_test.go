@@ -80,7 +80,6 @@ func TestGradientPenaltySubsetIsBitIdentical(t *testing.T) {
 // was told.
 type probeOp struct{ seen *[][]bool }
 
-func (probeOp) name() string { return "probe" }
 func (o probeOp) backward(inputs []*Value, _, grad *Value, need []bool) []*Value {
 	*o.seen = append(*o.seen, append([]bool(nil), need...))
 	out := make([]*Value, len(inputs))

@@ -58,7 +58,7 @@ func RestrictRows(y *Value, rows []int) (*Value, error) {
 			finite = finite && !math.IsNaN(o.slope) && !math.IsInf(o.slope, 0)
 		case *dropoutOp:
 		default:
-			return nil, fmt.Errorf("%w: %s mixes rows or is not on the list", ErrNotRowWise, v.op.name())
+			return nil, fmt.Errorf("%w: %T mixes rows or is not on the list", ErrNotRowWise, v.op)
 		}
 	}
 	if !finite {

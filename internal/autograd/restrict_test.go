@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,13 +50,13 @@ func TestRestrictRowsGraph(t *testing.T) {
 		t.Fatalf("RestrictRows: (%p, %v) for input %p", r, err, y)
 	}
 	for full, part := y, r; full.op != nil; full, part = full.inputs[0], part.inputs[0] {
-		sameBits(t, full.op.name()+" rows", part.data, full.data.GatherRows(rows))
+		sameBits(t, fmt.Sprintf("%T rows", full.op), part.data, full.data.GatherRows(rows))
 		if fm, ok := full.op.(*dropoutOp); ok {
 			sameBits(t, "mask rows", part.op.(*dropoutOp).mask, fm.mask.GatherRows(rows))
 		}
 		for i := 1; i < len(full.inputs); i++ {
 			if part.inputs[i] != full.inputs[i] {
-				t.Fatalf("%s input %d is a copy, want the parameter itself", full.op.name(), i)
+				t.Fatalf("%T input %d is a copy, want the parameter itself", full.op, i)
 			}
 		}
 	}

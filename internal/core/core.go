@@ -111,9 +111,12 @@ type Options struct {
 	// DataDir, when set, moves each party's encoded training matrix into
 	// a gtvcol columnar file under this directory (<party>.enc.gtvcol);
 	// batches are gathered through a bounded block cache, so resident
-	// memory stays flat regardless of dataset size, and a rerun with the
-	// same data, seed and GMM config reuses the file without re-fitting or
-	// re-encoding. Training is bit-identical with or without a DataDir.
+	// memory stays flat regardless of dataset size. The file is keyed by
+	// the seed, the GMM config, the row count and the schema, not by the
+	// rows: a rerun with rows of the same shape reuses it without
+	// re-fitting or re-encoding and trains on the stored image, not on the
+	// table it was handed. Training is bit-identical with or without a
+	// DataDir.
 	DataDir string
 	// BlockCacheMB bounds, in MiB, the bytes each party's block cache
 	// holds; blocks are held in their on-disk form, so that is about as

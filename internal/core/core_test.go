@@ -114,7 +114,7 @@ func TestGTVEndToEndOnDataset(t *testing.T) {
 	if len(parts) != 2 {
 		t.Fatalf("parts = %d", len(parts))
 	}
-	if joined.Data.HasNaN() {
+	if !joined.Data.AllFinite() {
 		t.Fatal("synthetic data contains NaN")
 	}
 	// Synthetic data must be schema-valid and statistically comparable to

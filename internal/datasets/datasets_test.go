@@ -27,7 +27,7 @@ func TestGenerateAllDatasets(t *testing.T) {
 			if d.Table.Specs[d.Target].Kind != encoding.KindCategorical {
 				t.Fatal("target must be categorical")
 			}
-			if d.Table.Data.HasNaN() {
+			if !d.Table.Data.AllFinite() {
 				t.Fatal("generated data contains NaN/Inf")
 			}
 		})

@@ -30,20 +30,6 @@ const (
 	KindMixed
 )
 
-// String returns a human-readable kind name.
-func (k ColumnKind) String() string {
-	switch k {
-	case KindCategorical:
-		return "categorical"
-	case KindContinuous:
-		return "continuous"
-	case KindMixed:
-		return "mixed"
-	default:
-		return fmt.Sprintf("ColumnKind(%d)", int(k))
-	}
-}
-
 // ColumnSpec describes one raw column.
 type ColumnSpec struct {
 	Name string

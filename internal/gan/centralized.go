@@ -63,24 +63,23 @@ func (c *Config) validate() error {
 	if c.Rounds <= 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("gan: rounds %d and batch size %d must be positive", c.Rounds, c.BatchSize)
 	}
-	if c.DiscSteps <= 0 {
-		c.DiscSteps = 1
-	}
-	if c.NoiseDim <= 0 {
-		c.NoiseDim = 64
-	}
-	if c.BlockDim <= 0 {
-		c.BlockDim = 256
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"DiscSteps", c.DiscSteps}, {"NoiseDim", c.NoiseDim}, {"BlockDim", c.BlockDim}} {
+		if f.v <= 0 {
+			return fmt.Errorf("gan: %s %d must be positive", f.name, f.v)
+		}
 	}
 	if c.GenBlocks < 0 || c.DiscBlocks < 0 {
 		return fmt.Errorf("gan: negative block counts %d/%d", c.GenBlocks, c.DiscBlocks)
 	}
-	// Before the default, which NaN passes.
+	// NaN fails every comparison, so it is refused by name.
 	if math.IsNaN(c.LR) || math.IsInf(c.LR, 0) {
 		return fmt.Errorf("gan: LR %v is not finite", c.LR)
 	}
 	if c.LR <= 0 {
-		c.LR = 2e-4
+		return fmt.Errorf("gan: LR %v must be positive", c.LR)
 	}
 	if c.Pac <= 0 {
 		c.Pac = 1

@@ -70,7 +70,7 @@ func TestCentralizedTrainsAndSynthesizes(t *testing.T) {
 	if synth.Rows() != 600 || synth.Cols() != 2 {
 		t.Fatalf("synthetic shape %dx%d", synth.Rows(), synth.Cols())
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("synthetic data contains NaN")
 	}
 	// The categorical marginal must be roughly recovered (70/30).
@@ -118,7 +118,7 @@ func TestCentralizedOnDatasetSmoke(t *testing.T) {
 	if synth.Rows() != 100 || synth.Cols() != d.Table.Cols() {
 		t.Fatalf("synthetic shape %dx%d", synth.Rows(), synth.Cols())
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("synthetic data contains NaN")
 	}
 	// Schema validity: synthetic data must decode into the same specs.
@@ -179,7 +179,7 @@ func TestCentralizedAllContinuousTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if synth.Rows() != 64 || synth.Data.HasNaN() {
+	if synth.Rows() != 64 || !synth.Data.AllFinite() {
 		t.Fatalf("bad synthesis: %dx%d", synth.Rows(), synth.Cols())
 	}
 }
@@ -240,7 +240,7 @@ func TestCentralizedPacTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("NaN in pac-trained synthesis")
 	}
 }

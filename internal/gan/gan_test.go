@@ -347,6 +347,27 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesNonPositive: a zero or negative size or rate is refused
+// by name; validate supplies no default of its own for any of them.
+func TestConfigRefusesNonPositive(t *testing.T) {
+	for name, set := range map[string]func(*Config, int){
+		"DiscSteps": func(c *Config, v int) { c.DiscSteps = v },
+		"NoiseDim":  func(c *Config, v int) { c.NoiseDim = v },
+		"BlockDim":  func(c *Config, v int) { c.BlockDim = v },
+		"LR":        func(c *Config, v int) { c.LR = float64(v) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, v := range []int{0, -1} {
+				cfg := DefaultConfig()
+				set(&cfg, v)
+				if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "gan: "+name+" ") {
+					t.Errorf("%s %d: validate = %v, want an error naming %s", name, v, err, name)
+				}
+			}
+		})
+	}
+}
+
 func TestSampleNoiseShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := SampleNoise(rng, 5, 8)

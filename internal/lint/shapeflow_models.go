@@ -97,12 +97,6 @@ func (in *sfInterp) binModel(op string, pos token.Pos, a, b sfShape) sfVal {
 	return matVal(a.rows, a.cols)
 }
 
-// intoDst pins an Into-variant destination to the computed shape.
-func (in *sfInterp) intoDst(op string, pos token.Pos, dst sfShape, r, c sfDim) {
-	in.constrain(dst.rows, r, pos, op+" dst rows", nil)
-	in.constrain(dst.cols, c, pos, op+" dst cols", nil)
-}
-
 // concatModel handles ConcatCols/ConcatRows width/height arithmetic over
 // an explicit argument list: the shared dim unifies pairwise, the
 // concatenated dim is the symbolic sum.
@@ -192,10 +186,6 @@ func (in *sfInterp) modelTensorFunc(call *ast.CallExpr, fn *types.Func, args []s
 		return one(matVal(in.c1(pos), in.c1(pos))), true
 	case "MatMul", "MatMulTA", "MatMulTB":
 		v, _ := in.matmulLike(fn.Name(), pos, argShape(args, 0), argShape(args, 1))
-		return one(v), true
-	case "MatMulInto":
-		v, _ := in.matmulLike("MatMul", pos, argShape(args, 1), argShape(args, 2))
-		in.intoDst(fn.Name(), pos, argShape(args, 0), v.shape.rows, v.shape.cols)
 		return one(v), true
 	case "Affine":
 		return one(in.affineModel(pos, argShape(args, 0), argShape(args, 1), argShape(args, 2))), true

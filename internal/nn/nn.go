@@ -3,7 +3,8 @@
 // CTGAN-style residual and discriminator blocks used by GTV, sequential
 // composition, and the Adam optimizer.
 //
-// All layers implement the Layer interface. Randomness (weight
+// The layers implement the Layer interface, except Dropout, which only
+// DiscBlock applies. Randomness (weight
 // initialization, dropout masks) is drawn from an explicit *rand.Rand so
 // training runs are reproducible and there are no mutable globals.
 package nn
@@ -166,19 +167,6 @@ func (l LeakyReLU) Forward(x *ag.Value, _ bool) *ag.Value { return ag.LeakyReLU(
 // Params implements Layer.
 func (LeakyReLU) Params() []*ag.Value { return nil }
 
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct{}
-
-var _ Layer = Tanh{}
-
-// Forward implements Layer.
-//
-//shape:in(B,D) out(B,D)
-func (Tanh) Forward(x *ag.Value, _ bool) *ag.Value { return ag.Tanh(x) }
-
-// Params implements Layer.
-func (Tanh) Params() []*ag.Value { return nil }
-
 // Dropout zeroes each element with probability P during training and
 // rescales the survivors by 1/(1-P) (inverted dropout). It is the identity
 // at evaluation time.
@@ -186,8 +174,6 @@ type Dropout struct {
 	P   float64
 	rng *rand.Rand
 }
-
-var _ Layer = (*Dropout)(nil)
 
 // NewDropout returns a Dropout layer drawing masks from rng.
 func NewDropout(rng *rand.Rand, p float64) *Dropout {
@@ -197,7 +183,7 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 	return &Dropout{P: p, rng: rng}
 }
 
-// Forward implements Layer.
+// Forward applies the mask when train is set and is the identity otherwise.
 //
 //shape:in(B,D) out(B,D)
 func (d *Dropout) Forward(x *ag.Value, train bool) *ag.Value {
@@ -206,9 +192,6 @@ func (d *Dropout) Forward(x *ag.Value, train bool) *ag.Value {
 	}
 	return ag.Dropout(x, d.rng, 1-d.P)
 }
-
-// Params implements Layer.
-func (d *Dropout) Params() []*ag.Value { return nil }
 
 // Sequential chains layers in order.
 type Sequential struct {

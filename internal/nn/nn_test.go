@@ -363,7 +363,7 @@ func TestXORWithMLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	net := NewSequential(
 		NewLinear(rng, 2, 16),
-		Tanh{},
+		ReLU{},
 		NewLinear(rng, 16, 1),
 	)
 	x := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})

@@ -160,27 +160,6 @@ func (m *Dense) Reshape(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: m.data}
 }
 
-// String renders the matrix for debugging; large matrices are abbreviated.
-func (m *Dense) String() string {
-	const maxRender = 8
-	if m.rows <= maxRender && m.cols <= maxRender {
-		s := fmt.Sprintf("Dense(%dx%d)[", m.rows, m.cols)
-		for i := 0; i < m.rows; i++ {
-			if i > 0 {
-				s += "; "
-			}
-			for j := 0; j < m.cols; j++ {
-				if j > 0 {
-					s += " "
-				}
-				s += fmt.Sprintf("%.4g", m.At(i, j))
-			}
-		}
-		return s + "]"
-	}
-	return fmt.Sprintf("Dense(%dx%d)", m.rows, m.cols)
-}
-
 // Apply returns a new matrix with f applied to every element.
 func (m *Dense) Apply(f func(float64) float64) *Dense {
 	out := newPooledNoZero(m.rows, m.cols)
@@ -225,11 +204,6 @@ func (m *Dense) AllClose(n *Dense, tol float64) bool {
 // AllFinite reports whether no element is NaN or infinite: the gate under
 // which multiplying by an exact zero may be skipped (see tileAccGroups).
 func (m *Dense) AllFinite() bool { return allFinite(m.data) }
-
-// HasNaN reports whether any element is NaN or infinite.
-//
-//lint:ignore deadcode finite-output check of the training tests
-func (m *Dense) HasNaN() bool { return !allFinite(m.data) }
 
 // Transpose returns the transpose of m, computed in cache-friendly 32x32
 // blocks (see kernels.go).

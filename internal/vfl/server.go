@@ -103,7 +103,7 @@ func (c *Config) validate() error {
 	if c.Rounds <= 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("vfl: rounds %d and batch size %d must be positive", c.Rounds, c.BatchSize)
 	}
-	// Before the defaults and range checks, which NaN passes.
+	// Before the range checks, which NaN passes.
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -112,20 +112,19 @@ func (c *Config) validate() error {
 			return fmt.Errorf("vfl: %s %v is not finite", f.name, f.v)
 		}
 	}
-	if c.DiscSteps <= 0 {
-		c.DiscSteps = 1
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"DiscSteps", c.DiscSteps}, {"NoiseDim", c.NoiseDim}, {"BlockDim", c.BlockDim}} {
+		if f.v <= 0 {
+			return fmt.Errorf("vfl: %s %d must be positive", f.name, f.v)
+		}
 	}
-	if c.NoiseDim <= 0 {
-		c.NoiseDim = 64
-	}
-	if c.BlockDim <= 0 {
-		c.BlockDim = 256
+	if c.LR <= 0 {
+		return fmt.Errorf("vfl: LR %v must be positive", c.LR)
 	}
 	if c.GenBlockDim <= 0 {
 		c.GenBlockDim = c.BlockDim
-	}
-	if c.LR <= 0 {
-		c.LR = 2e-4
 	}
 	if c.Pac <= 0 {
 		c.Pac = 1

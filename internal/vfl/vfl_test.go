@@ -260,7 +260,7 @@ func TestEndToEndLearnsCrossClientCorrelation(t *testing.T) {
 	if joined.Rows() != 600 || joined.Cols() != 3 {
 		t.Fatalf("synthetic shape %dx%d", joined.Rows(), joined.Cols())
 	}
-	if joined.Data.HasNaN() {
+	if !joined.Data.AllFinite() {
 		t.Fatal("synthetic data has NaN")
 	}
 	// Marginal check: the 70/30 categorical split must roughly survive.
@@ -393,6 +393,27 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesNonPositive: a zero or negative size or rate is refused
+// by name; validate supplies no default of its own for any of them.
+func TestConfigRefusesNonPositive(t *testing.T) {
+	for name, set := range map[string]func(*Config, int){
+		"DiscSteps": func(c *Config, v int) { c.DiscSteps = v },
+		"NoiseDim":  func(c *Config, v int) { c.NoiseDim = v },
+		"BlockDim":  func(c *Config, v int) { c.BlockDim = v },
+		"LR":        func(c *Config, v int) { c.LR = float64(v) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, v := range []int{0, -1} {
+				cfg := DefaultConfig()
+				set(&cfg, v)
+				if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "vfl: "+name+" ") {
+					t.Errorf("%s %d: validate = %v, want an error naming %s", name, v, err, name)
+				}
+			}
+		})
+	}
+}
+
 func TestClientErrorsBeforeConfigure(t *testing.T) {
 	ta, _ := twoClientTables(t, 50, 3)
 	c := newLocal(t, ta, NewShuffleCoordinator(1), 1)
@@ -513,7 +534,7 @@ func TestGTVWithoutCategoricalColumns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if synth.Rows() != 40 || synth.Cols() != 3 || synth.Data.HasNaN() {
+	if synth.Rows() != 40 || synth.Cols() != 3 || !synth.Data.AllFinite() {
 		t.Fatalf("bad synthesis %dx%d", synth.Rows(), synth.Cols())
 	}
 }
@@ -645,7 +666,7 @@ func TestPacTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("NaN in pac-trained synthesis")
 	}
 }

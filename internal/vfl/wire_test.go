@@ -377,7 +377,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 	}
 	// The fixture values are exactly representable in float32.
 	if !m.Equal(want) {
-		t.Fatalf("f32 decoded %v", m)
+		t.Fatalf("f32 decoded %v", m.Data())
 	}
 	m.Release()
 
@@ -416,7 +416,7 @@ func TestWireGoldenFramesDecode(t *testing.T) {
 		t.Fatalf("decode mask: %v", err)
 	}
 	if !m.Equal(tensor.FromRows([][]float64{{1, 0, 1, 1, 0}, {0, 1, 0, 1, 1}})) {
-		t.Fatalf("decoded mask %v", m)
+		t.Fatalf("decoded mask %v", m.Data())
 	}
 	m.Release()
 
@@ -928,7 +928,7 @@ func TestWireEndToEndTraining(t *testing.T) {
 	if synth.Rows() != 50 || synth.Cols() != 3 {
 		t.Fatalf("synthetic shape %dx%d", synth.Rows(), synth.Cols())
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("synthetic data has NaN")
 	}
 }
@@ -998,7 +998,7 @@ func TestWireFloat32Training(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize with f32 payloads: %v", err)
 	}
-	if synth.Data.HasNaN() {
+	if !synth.Data.AllFinite() {
 		t.Fatal("f32 payload mode produced NaN")
 	}
 }
