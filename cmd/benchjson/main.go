@@ -139,6 +139,7 @@ func scan(sc *bufio.Scanner) (string, bool) {
 	return sc.Text(), ok
 }
 
+// hostStamp describes the checkout, toolchain and machine benchjson runs on.
 func hostStamp() stamp {
 	return stamp{Commit: commit(), GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		CPU: cpuModel(), GOMAXPROCS: runtime.GOMAXPROCS(0)}

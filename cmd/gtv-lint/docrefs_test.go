@@ -93,7 +93,7 @@ type refIndex struct {
 
 // goToolFlags are the go command's own flags (build, test, list, tool
 // pprof) as the docs show them in command lines.
-var goToolFlags = []string{"bench", "benchmem", "count", "cpu", "deps", "export", "fuzz",
+var goToolFlags = []string{"bench", "benchmem", "count", "cover", "coverpkg", "cpu", "deps", "export", "fuzz",
 	"fuzztime", "gcflags", "ldflags", "race", "run", "sample_index", "short", "top", "v"}
 
 var (

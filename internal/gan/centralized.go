@@ -74,7 +74,7 @@ func (c *Config) validate() error {
 	if c.GenBlocks < 0 || c.DiscBlocks < 0 {
 		return fmt.Errorf("gan: negative block counts %d/%d", c.GenBlocks, c.DiscBlocks)
 	}
-	// NaN fails every comparison, so it is refused by name.
+	// Before the sign check, which NaN passes.
 	if math.IsNaN(c.LR) || math.IsInf(c.LR, 0) {
 		return fmt.Errorf("gan: LR %v is not finite", c.LR)
 	}

@@ -4,9 +4,9 @@
 // composition, and the Adam optimizer.
 //
 // The layers implement the Layer interface, except Dropout, which only
-// DiscBlock applies. Randomness (weight
-// initialization, dropout masks) is drawn from an explicit *rand.Rand so
-// training runs are reproducible and there are no mutable globals.
+// DiscBlock applies. Randomness (weight initialization, dropout masks) is
+// drawn from an explicit *rand.Rand so training runs are reproducible and
+// there are no mutable globals.
 package nn
 
 import (
