@@ -110,7 +110,7 @@ PROFILE_paper-fed := -rows 50000 -clients 2 -plan D2_0G0_2 -rounds 24 -disc-step
 PROFILE_wire-4c := -rows 6250 -clients 4 -plan D0_2G0_2 -rounds 100 -batch 500 -pac 10 -faithful-real-pass -wire binary
 PROFILE_rows-cold := -rows 625000 -clients 2 -plan D2_0G0_2 -rounds 400 -data-dir $(PROFILE_DIR)/store
 PROFILE_rows-warm := $(PROFILE_rows-cold) -block-cache 8
-PROFILE_WARM_OPENS := 50
+PROFILE_WARM_OPENS := 150
 
 profile:
 	rm -rf $(PROFILE_DIR)

@@ -58,7 +58,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	parts, err := d.Table.VerticalSplit(assignment, *numClients)
+	// The party's columns are copied out of the generated table only if
+	// its -data-dir store misses.
+	parts, err := d.Table.DeferredSplit(assignment, *numClients)
 	if err != nil {
 		return err
 	}
@@ -78,6 +80,6 @@ func run(args []string) error {
 		return fmt.Errorf("listening on %s: %w", *listen, err)
 	}
 	fmt.Printf("gtv-client %d/%d serving %d columns of %s on %s\n",
-		*clientIdx, *numClients, local.Cols(), *dataset, lis.Addr())
+		*clientIdx, *numClients, len(local.Schema()), *dataset, lis.Addr())
 	return vfl.ServeClientWire(lis, client)
 }

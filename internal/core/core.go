@@ -114,9 +114,9 @@ type Options struct {
 	// memory stays flat regardless of dataset size. The file is keyed by
 	// the seed, the GMM config, the row count and the schema, not by the
 	// rows: a rerun with rows of the same shape reuses it without
-	// re-fitting or re-encoding and trains on the stored image, not on the
-	// table it was handed. Training is bit-identical with or without a
-	// DataDir.
+	// re-fitting or re-encoding, reads none of its rows and trains on the
+	// stored image, not on the table it was handed. Training is
+	// bit-identical with or without a DataDir.
 	DataDir string
 	// BlockCacheMB bounds, in MiB, the bytes each party's block cache
 	// holds; blocks are held in their on-disk form, so that is about as
@@ -203,11 +203,22 @@ type GTV struct {
 
 // New builds a GTV system from pre-partitioned client tables (all with the
 // same number of aligned rows). The tables are read during construction
-// only: no party keeps its raw rows. With the binary Transport in the
-// options, each client is served on its own TCP loopback listener and
-// reached the way Dial reaches a remote one; call Close when done.
+// only: no party keeps its raw rows, and a party whose DataDir store
+// matches reads none of them. With the binary Transport in the options,
+// each client is served on its own TCP loopback listener and reached the
+// way Dial reaches a remote one; call Close when done.
 func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
-	if len(clientTables) == 0 {
+	parties := make([]encoding.Source, len(clientTables))
+	for i, t := range clientTables {
+		parties[i] = t
+	}
+	return newOver(parties, opts)
+}
+
+// newOver is New over each party's source: NewFromAssignment's parts load
+// their rows only if their store misses.
+func newOver(parties []encoding.Source, opts Options) (*GTV, error) {
+	if len(parties) == 0 {
 		return nil, errors.New("core: no client tables")
 	}
 	switch opts.Transport {
@@ -224,9 +235,9 @@ func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
 	}
 	g := &GTV{}
 	coord := vfl.NewShuffleCoordinator(opts.ShuffleSecret)
-	clients := make([]vfl.Client, len(clientTables))
-	for i, t := range clientTables {
-		c, err := NewClient(t, i, coord, opts)
+	clients := make([]vfl.Client, len(parties))
+	for i, src := range parties {
+		c, err := NewClient(src, i, coord, opts)
 		if err != nil {
 			return nil, g.fail(fmt.Errorf("core: client %d: %w", i, err))
 		}
@@ -259,9 +270,10 @@ func New(clientTables []*encoding.Table, opts Options) (*GTV, error) {
 
 // NewClient builds client i of a federation over its columns; all clients
 // share coord's shuffle secret. It is the one place that derives a
-// client's seed and gtvcol file name from the options.
-func NewClient(table *encoding.Table, i int, coord *vfl.ShuffleCoordinator, opts Options) (*vfl.LocalClient, error) {
-	return vfl.NewLocalClientStored(table, coord, opts.Seed+int64(i)*1000,
+// client's seed and gtvcol file name from the options. The source's rows
+// are loaded only if the client's store misses.
+func NewClient(src encoding.Source, i int, coord *vfl.ShuffleCoordinator, opts Options) (*vfl.LocalClient, error) {
+	return vfl.NewLocalClientStored(src, coord, opts.Seed+int64(i)*1000,
 		opts.storage(fmt.Sprintf("client-%d", i)))
 }
 
@@ -408,13 +420,16 @@ func (g *GTV) Close() error {
 
 // NewFromAssignment vertically splits a single logical table across
 // numClients parties (assignment[j] = owning party of column j) and builds
-// the GTV system.
+// the GTV system. The split is deferred (encoding.DeferredSplit): a
+// federation whose every party's DataDir store matches reads none of its
+// rows, and otherwise the first party that misses copies every party's
+// columns in one pass.
 func NewFromAssignment(table *encoding.Table, assignment []int, numClients int, opts Options) (*GTV, error) {
-	parts, err := table.VerticalSplit(assignment, numClients)
+	parts, err := table.DeferredSplit(assignment, numClients)
 	if err != nil {
 		return nil, fmt.Errorf("core: splitting table: %w", err)
 	}
-	return New(parts, opts)
+	return newOver(parts, opts)
 }
 
 // ColumnOrder returns the layout of the table a federation built by

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -223,4 +225,104 @@ func TestImageCodeGuard(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWarmOpenCopiesNoRow builds a federation into a data directory, then
+// again over the same table behind a 1 MiB block cache. Both parties' stores
+// match, so the second construction reads none of the table's rows: it must
+// allocate less than the one copy of the parties' raw columns that a split
+// makes.
+func TestWarmOpenCopiesNoRow(t *testing.T) {
+	d, err := datasets.Generate("adult", datasets.Config{Rows: 20000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assignment, err := EvenAssignment(d.Table.Cols(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.DataDir = t.TempDir()
+	opts.BlockCacheMB = 1
+	build := func() {
+		g, err := NewFromAssignment(d.Table, assignment, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	split := uint64(d.Table.Rows() * d.Table.Cols() * 8)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm construction allocated %d bytes; a split copies %d", got, split)
+	if got >= split {
+		t.Fatalf("a warm construction allocated %d bytes, no less than the %d bytes of a split of the raw columns", got, split)
+	}
+}
+
+// TestPartialHitReencodesOnlyTheMiss builds a federation into a data
+// directory, trains two rounds and checkpoints, then deletes
+// client-1.enc.gtvcol and does it again. Client 0's store matches and must
+// not be rewritten; client 1 loads its columns, and must write an image
+// byte-identical to the first one; and the second checkpoint must equal the
+// first.
+func TestPartialHitReencodesOnlyTheMiss(t *testing.T) {
+	table, assignment := loanSplit(t, 240, 12, 2)
+	dir := t.TempDir()
+	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("client-%d.enc.gtvcol", i)) }
+	run := func() []byte {
+		opts := DefaultOptions()
+		opts.Rounds = 2
+		opts.BlockDim = 16
+		opts.NoiseDim = 8
+		opts.BatchSize = 20
+		opts.DataDir = dir
+		g, err := NewFromAssignment(table, assignment, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := g.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		if err := g.Train(nil); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := g.Checkpoint(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	cold := run()
+	kept, err := os.Stat(path(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(path(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path(1)); err != nil {
+		t.Fatal(err)
+	}
+	partial := run()
+	if now, err := os.Stat(path(0)); err != nil || !now.ModTime().Equal(kept.ModTime()) || now.Size() != kept.Size() {
+		t.Fatalf("client 0's matching store was rewritten (%v)", err)
+	}
+	if again, err := os.ReadFile(path(1)); err != nil || !bytes.Equal(again, image) {
+		t.Fatalf("client 1's re-encoded store differs from the cold one (%v)", err)
+	}
+	sameCheckpoint(t, "cold vs partial hit", cold, partial)
 }

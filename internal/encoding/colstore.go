@@ -418,17 +418,19 @@ func (b *Backing) Close() error { return b.r.Close() }
 // backing. The encoded matrix is always a span-coded gtvcol image (see
 // Backing), written stripe by stripe as the rows are encoded, never held
 // whole. With storage enabled it reuses <Name>.enc.gtvcol when the recorded
-// fingerprint matches (skipping GMM fitting and encoding entirely), or
-// encodes into it once and atomically installs the file for the next run.
+// fingerprint matches (skipping GMM fitting and encoding entirely, and
+// reading only src's schema and row count), or loads src's rows, encodes
+// them into it once and atomically installs the file for the next run.
 // With storage disabled the image is a byte slice, read through an
 // unbounded block cache. Every path consumes the dedicated EncodeSeed
 // stream, so in-memory, freshly encoded and cache-hit runs all train
 // bit-identically from the same seed.
-func OpenOrEncode(st Storage, t *Table, seed int64, cfg gmm.Config) (*Transformer, Backing, error) {
-	fp := encodeFingerprint(seed, cfg, t.Rows(), t.Specs)
+func OpenOrEncode(st Storage, src Source, seed int64, cfg gmm.Config) (*Transformer, Backing, error) {
+	rows := src.Rows()
+	fp := encodeFingerprint(seed, cfg, rows, src.Schema())
 	if st.Enabled() {
 		if r, err := coldata.Open(st.EncPath(), st.CacheBytes); err == nil {
-			if bytes.Equal(r.Meta(metaFingerprint), fp) && r.Rows() == t.Rows() {
+			if bytes.Equal(r.Meta(metaFingerprint), fp) && r.Rows() == rows {
 				if tr, err := decodeTransformer(r.Meta(metaTransformer)); err == nil && len(tr.spans) == r.Cols() {
 					return tr, Backing{r: r, tr: tr}, nil
 				}
@@ -439,7 +441,7 @@ func OpenOrEncode(st Storage, t *Table, seed int64, cfg gmm.Config) (*Transforme
 			_ = r.Close()
 		}
 	}
-	tr, fill, err := fitEncoder(t, seed, cfg, fp)
+	tr, fill, err := fitEncoder(src.Load(), seed, cfg, fp)
 	if err != nil {
 		return nil, Backing{}, err
 	}
@@ -450,7 +452,7 @@ func OpenOrEncode(st Storage, t *Table, seed int64, cfg gmm.Config) (*Transforme
 		}
 	} else {
 		var img []byte
-		if img, err = writeImage(len(tr.spans), st.BlockRows, t.Rows(), fill); err == nil {
+		if img, err = writeImage(len(tr.spans), st.BlockRows, rows, fill); err == nil {
 			// Unbounded: the image itself bounds what the cache can hold.
 			r, err = coldata.NewReader(bytes.NewReader(img), int64(len(img)), math.MaxInt64)
 		}

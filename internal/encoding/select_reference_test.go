@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -95,6 +96,66 @@ func TestSelectColumnsMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameTable(t, fmt.Sprintf("%d rows, party %d", rows, p), parts[p], want)
+		}
+	}
+}
+
+// TestDeferredSplitMatchesVerticalSplit holds DeferredSplit's parts to
+// VerticalSplit's: before any row is copied, each part answers the same
+// schema and the row count, allocating less than the copy; each loads the
+// same table bit for bit; and the split behind them runs once however many
+// parties ask, in whatever order and from however many goroutines: every
+// Load returns the first one's tables, and once they exist, loading every
+// part again allocates nothing.
+func TestDeferredSplitMatchesVerticalSplit(t *testing.T) {
+	assignment := []int{1, 0, 2, 1, 0, 1}
+	for _, rows := range []int{1, 257, 1001} {
+		tbl := wideTable(t, rows)
+		want, err := tbl.VerticalSplit(assignment, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts []Source
+		deferred := allocatedBy(func() { parts, err = tbl.DeferredSplit(assignment, 3) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copied := uint64(rows * tbl.Cols() * 8); rows > 1 && deferred >= copied {
+			t.Fatalf("%d rows: DeferredSplit allocated %d bytes before any Load, no less than the %d-byte copy", rows, deferred, copied)
+		}
+		for p, part := range parts {
+			if !reflect.DeepEqual(part.Schema(), want[p].Specs) || part.Rows() != rows {
+				t.Fatalf("%d rows, party %d: schema %+v and %d rows, VerticalSplit's %+v and %d", rows, p, part.Schema(), part.Rows(), want[p].Specs, rows)
+			}
+		}
+		loaded := make([][]*Table, 8)
+		var wg sync.WaitGroup
+		for g := range loaded {
+			loaded[g] = make([]*Table, len(parts))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range parts {
+					p := (g + k) % len(parts)
+					loaded[g][p] = parts[p].Load()
+				}
+			}()
+		}
+		wg.Wait()
+		for p := range parts {
+			requireSameTable(t, fmt.Sprintf("%d rows, party %d", rows, p), loaded[0][p], want[p])
+			for g := range loaded {
+				if loaded[g][p] != loaded[0][p] {
+					t.Fatalf("%d rows, party %d: goroutine %d loaded another table: the split ran twice", rows, p, g)
+				}
+			}
+		}
+		if again := allocatedBy(func() {
+			for _, part := range parts {
+				part.Load()
+			}
+		}); again != 0 {
+			t.Fatalf("%d rows: loading every part again allocated %d bytes", rows, again)
 		}
 	}
 }

@@ -3,10 +3,9 @@
 // CTGAN-style residual and discriminator blocks used by GTV, sequential
 // composition, and the Adam optimizer.
 //
-// The layers implement the Layer interface, except Dropout, which only
-// DiscBlock applies. Randomness (weight initialization, dropout masks) is
-// drawn from an explicit *rand.Rand so training runs are reproducible and
-// there are no mutable globals.
+// The layers implement the Layer interface. Randomness (weight
+// initialization, dropout masks) is drawn from an explicit *rand.Rand so
+// training runs are reproducible and there are no mutable globals.
 package nn
 
 import (
@@ -167,32 +166,6 @@ func (l LeakyReLU) Forward(x *ag.Value, _ bool) *ag.Value { return ag.LeakyReLU(
 // Params implements Layer.
 func (LeakyReLU) Params() []*ag.Value { return nil }
 
-// Dropout zeroes each element with probability P during training and
-// rescales the survivors by 1/(1-P) (inverted dropout). It is the identity
-// at evaluation time.
-type Dropout struct {
-	P   float64
-	rng *rand.Rand
-}
-
-// NewDropout returns a Dropout layer drawing masks from rng.
-func NewDropout(rng *rand.Rand, p float64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %v out of [0,1)", p))
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Forward applies the mask when train is set and is the identity otherwise.
-//
-//shape:in(B,D) out(B,D)
-func (d *Dropout) Forward(x *ag.Value, train bool) *ag.Value {
-	if !train || d.P <= 0 {
-		return x
-	}
-	return ag.Dropout(x, d.rng, 1-d.P)
-}
-
 // Sequential chains layers in order.
 type Sequential struct {
 	Layers []Layer
@@ -259,11 +232,13 @@ func (r *ResidualBlock) Params() []*ag.Value {
 func (r *ResidualBlock) OutWidth() int { return r.FC.Out() + r.FC.In() }
 
 // DiscBlock is the CTGAN discriminator block: Linear -> LeakyReLU(0.2) ->
-// Dropout(0.5).
+// Dropout(0.5). The dropout is inverted: while training, each activation
+// is zeroed with probability 0.5 and the survivors doubled, from masks drawn
+// from rng; at evaluation time it is the identity.
 type DiscBlock struct {
-	FC   *Linear
-	Act  LeakyReLU
-	Drop *Dropout
+	FC  *Linear
+	Act LeakyReLU
+	rng *rand.Rand
 }
 
 var _ Layer = (*DiscBlock)(nil)
@@ -271,9 +246,9 @@ var _ Layer = (*DiscBlock)(nil)
 // NewDiscBlock returns a discriminator block mapping in features to out.
 func NewDiscBlock(rng *rand.Rand, in, out int) *DiscBlock {
 	return &DiscBlock{
-		FC:   NewLinear(rng, in, out),
-		Act:  LeakyReLU{Slope: 0.2},
-		Drop: NewDropout(rng, 0.5),
+		FC:  NewLinear(rng, in, out),
+		Act: LeakyReLU{Slope: 0.2},
+		rng: rng,
 	}
 }
 
@@ -281,7 +256,11 @@ func NewDiscBlock(rng *rand.Rand, in, out int) *DiscBlock {
 //
 //shape:in(B,Din) out(B,Dout)
 func (d *DiscBlock) Forward(x *ag.Value, train bool) *ag.Value {
-	return d.Drop.Forward(d.Act.Forward(d.FC.Forward(x, train), train), train)
+	h := d.Act.Forward(d.FC.Forward(x, train), train)
+	if !train {
+		return h
+	}
+	return ag.Dropout(h, d.rng, 0.5)
 }
 
 // Params implements Layer.

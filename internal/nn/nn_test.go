@@ -120,27 +120,37 @@ func TestBatchNormGradient(t *testing.T) {
 	}
 }
 
-func TestDropout(t *testing.T) {
+// TestDiscBlockDropout: while training, every output of the block is 0 or
+// twice the activation (Linear then LeakyReLU) it would output in eval mode,
+// about half of them 0; in eval mode the block outputs the activation
+// itself.
+func TestDiscBlockDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d := NewDropout(rng, 0.5)
-	x := ag.Const(tensor.Full(100, 100, 1))
+	d := NewDiscBlock(rng, 100, 100)
+	x := ag.Const(tensor.Randn(rng, 100, 100, 0, 1))
+	act := d.Act.Forward(d.FC.Forward(x, false), false)
 	yTrain := d.Forward(x, true)
-	zeros := 0
-	for _, v := range yTrain.Data().Data() {
+	zeros, nonzero := 0, 0
+	for i, v := range yTrain.Data().Data() {
+		a := act.Data().Data()[i]
+		if a == 0 {
+			continue
+		}
+		nonzero++
 		switch v {
 		case 0:
 			zeros++
-		case 2:
+		case 2 * a:
 			// kept and rescaled by 1/(1-0.5)
 		default:
-			t.Fatalf("dropout produced value %v, want 0 or 2", v)
+			t.Fatalf("dropout produced %v for activation %v, want 0 or %v", v, a, 2*a)
 		}
 	}
-	frac := float64(zeros) / 10000
+	frac := float64(zeros) / float64(nonzero)
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("dropout zero fraction = %v, want ~0.5", frac)
 	}
-	if yEval := d.Forward(x, false); !yEval.Data().Equal(x.Data()) {
+	if yEval := d.Forward(x, false); !yEval.Data().Equal(act.Data()) {
 		t.Fatal("dropout must be identity in eval mode")
 	}
 }
