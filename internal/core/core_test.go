@@ -467,6 +467,46 @@ func newOverDroppedParts(t *testing.T, transport string, freed *atomic.Int32) *G
 	return g
 }
 
+// TestNewFromAssignmentHoldsNoSource: a federation built by
+// NewFromAssignment keeps neither its deferred parts nor the table they
+// split, whether it loaded them (in memory, or a cold data directory) or
+// not (the same directory again, where both stores hit), while it still
+// trains a round.
+func TestNewFromAssignmentHoldsNoSource(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, dataDir string }{{"in-memory", ""}, {"cold", dir}, {"warm", dir}} {
+		var freed atomic.Int32
+		g := func() *GTV {
+			table, assignment := loanSplit(t, 120, 13, 2)
+			runtime.SetFinalizer(table.Data, func(*tensor.Dense) { freed.Add(1) })
+			opts := DefaultOptions()
+			opts.DiscSteps = 1
+			opts.BlockDim = 16
+			opts.NoiseDim = 8
+			opts.BatchSize = 20
+			opts.DataDir = c.dataDir
+			g, err := NewFromAssignment(table, assignment, 2, opts)
+			if err != nil {
+				t.Fatalf("%s: NewFromAssignment: %v", c.name, err)
+			}
+			return g
+		}()
+		for try := 0; freed.Load() < 1; try++ {
+			if try == 100 {
+				t.Fatalf("%s: the split table was not collected: a live party still holds its source", c.name)
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+		if _, _, err := g.TrainRound(); err != nil {
+			t.Fatalf("%s: TrainRound: %v", c.name, err)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", c.name, err)
+		}
+	}
+}
+
 func TestGTVDeterministicPerSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GAN training in -short mode")
