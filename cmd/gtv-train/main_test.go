@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,5 +123,67 @@ func TestRunResumeNeedsCheckpointDir(t *testing.T) {
 		"-block", "8", "-noise", "4", "-log-every", "0", "-skip-eval", "-resume"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("run -resume without -checkpoint-dir: %v", err)
+	}
+}
+
+// TestStoredSplitRerun: with -centralized -skip-eval -data-dir, the first
+// run generates the train split and stores it; a rerun trains from the
+// stored split without generating the dataset and writes the same CSV, also
+// when the encoded store is gone and the stored rows are encoded again; a
+// run with another -rows fails the tag check and generates its own split.
+func TestStoredSplitRerun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GAN training in -short mode")
+	}
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	train := func(csv string, extra ...string) ([]byte, string) {
+		t.Helper()
+		args := []string{"-centralized", "-skip-eval", "-dataset", "loan", "-rounds", "2", "-batch", "32",
+			"-block", "24", "-noise", "8", "-disc-steps", "1", "-log-every", "0", "-seed", "3",
+			"-data-dir", data, "-synth-out", filepath.Join(dir, csv)}
+		var out bytes.Buffer
+		if err := run(append(args, extra...), &out); err != nil {
+			t.Fatalf("run %s %v: %v\n%s", csv, extra, err, out.String())
+		}
+		got, err := os.ReadFile(filepath.Join(dir, csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, out.String()
+	}
+	const stored = "(stored,"
+	first, out := train("first.csv", "-rows", "200")
+	if strings.Contains(out, stored) {
+		t.Fatalf("the first run read a store that no run wrote:\n%s", out)
+	}
+	if runtime.GOARCH == "amd64" {
+		const want = "06ae6ba45a363404d5865286d87fb98ba06f12292fb092c8b8b4cc79efae6695"
+		if sum := sha256.Sum256(first); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("first run's CSV: sha256 %x, want %s", sum, want)
+		}
+	}
+	for _, step := range []struct {
+		name   string
+		before func()
+	}{
+		{"rerun", func() {}},
+		{"encoded store deleted", func() {
+			if err := os.Remove(filepath.Join(data, "central.enc.gtvcol")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		step.before()
+		got, out := train(step.name+".csv", "-rows", "200")
+		if !strings.Contains(out, stored) {
+			t.Fatalf("%s: the run did not train from the stored split:\n%s", step.name, out)
+		}
+		if !bytes.Equal(got, first) {
+			t.Fatalf("%s: CSV (%d bytes) differs from the first run's (%d bytes)", step.name, len(got), len(first))
+		}
+	}
+	if _, out := train("other-rows.csv", "-rows", "220"); strings.Contains(out, stored) || !strings.Contains(out, "test rows") {
+		t.Fatalf("-rows 220 did not regenerate its split:\n%s", out)
 	}
 }
