@@ -58,13 +58,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The party's columns are copied out of the generated table only if
-	// its -data-dir store misses.
-	parts, err := d.Table.DeferredSplit(assignment, *numClients)
+	// The party's own columns, and no other party's, are copied out of the
+	// generated table only if its -data-dir store misses.
+	local, err := d.Table.DeferredPart(assignment, *numClients, *clientIdx)
 	if err != nil {
 		return err
 	}
-	local := parts[*clientIdx]
 
 	opts := core.DefaultOptions()
 	opts.Seed = *seed

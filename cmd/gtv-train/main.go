@@ -106,28 +106,21 @@ func run(args []string, stdout io.Writer) error {
 
 	// The raw train split is identified by everything that determines its
 	// rows; with -data-dir, a centralized -skip-eval rerun whose stored
-	// table carries the same tag skips dataset generation entirely (the
-	// flat-memory path: nothing row-scaled is ever materialized).
+	// split carries the same tag skips dataset generation entirely (the
+	// flat-memory path: on an encoded-store hit, no row is ever read).
 	sourceTag := fmt.Sprintf("%s:rows=%d:seed=%d:split=0.2", *dataset, *rows, *seed)
 	rawStore := encoding.Storage{Dir: *dataDir, Name: "train", CacheBytes: int64(*blockCache) << 20}
 	var (
-		train, test *encoding.Table
+		// train is the stored split on a hit, else split.
+		train       encoding.Source
+		split, test *encoding.Table
 		target      int
 	)
 	if *dataDir != "" && *centralized && *skipEval {
-		if t, tag, err := encoding.OpenRawTable(rawStore); err == nil {
-			if tag == sourceTag {
-				train = t
-				defer func() {
-					//lint:ignore errdrop teardown of a read-only store at exit
-					_ = t.Close()
-				}()
-				fmt.Fprintf(stdout, "dataset %s: %d train rows, %d columns (stored, %s)\n",
-					*dataset, train.Rows(), train.Cols(), rawStore.RawPath())
-			} else {
-				//lint:ignore errdrop the stale store is simply regenerated
-				_ = t.Close()
-			}
+		if src, tag, err := encoding.OpenRawTable(rawStore); err == nil && tag == sourceTag {
+			train = src
+			fmt.Fprintf(stdout, "dataset %s: %d train rows, %d columns (stored, %s)\n",
+				*dataset, src.Rows(), len(src.Schema()), rawStore.RawPath())
 		}
 	}
 	if train == nil {
@@ -136,14 +129,14 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		rng := rand.New(rand.NewSource(*seed))
-		if train, test, err = d.TrainTestSplit(rng, 0.2); err != nil {
+		if split, test, err = d.TrainTestSplit(rng, 0.2); err != nil {
 			return err
 		}
-		target = d.Target
+		train, target = split, d.Target
 		fmt.Fprintf(stdout, "dataset %s: %d train rows, %d test rows, %d columns\n",
-			*dataset, train.Rows(), test.Rows(), train.Cols())
+			*dataset, split.Rows(), test.Rows(), split.Cols())
 		if *dataDir != "" && *centralized {
-			if err := encoding.WriteRawTable(rawStore, train, sourceTag); err != nil {
+			if err := encoding.WriteRawTable(rawStore, split, sourceTag); err != nil {
 				return err
 			}
 		}
@@ -206,11 +199,11 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		opts.Plan = plan
-		assignment, err := core.EvenAssignment(train.Cols(), *clients)
+		assignment, err := core.EvenAssignment(split.Cols(), *clients)
 		if err != nil {
 			return err
 		}
-		g, err := core.NewFromAssignment(train, assignment, *clients, opts)
+		g, err := core.NewFromAssignment(split, assignment, *clients, opts)
 		if err != nil {
 			return err
 		}
@@ -259,11 +252,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if !*skipEval {
-		sim, err := stats.Similarity(train, synth)
+		sim, err := stats.Similarity(split, synth)
 		if err != nil {
 			return err
 		}
-		util, err := ml.UtilityDifference(train, synth, test, target, *seed)
+		util, err := ml.UtilityDifference(split, synth, test, target, *seed)
 		if err != nil {
 			return err
 		}

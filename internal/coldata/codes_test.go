@@ -163,7 +163,7 @@ func FuzzBlockCodes(f *testing.F) {
 
 // BenchmarkCodes decodes 500 k-row code columns of each layout a span code
 // column takes, as codes (Reader.Codes, what the sampler's index is built
-// from) and as float64s (Reader.Column, the same per-layout decode).
+// from) and as float64s (the tests' Reader.Column, the same per-layout decode).
 func BenchmarkCodes(b *testing.B) {
 	const rows = 500_000
 	m, cats := codeColumns(rows, 3)

@@ -2,6 +2,7 @@ package coldata
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -401,4 +402,22 @@ func TestWriterRejectsBadInput(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Fatal("double Close accepted")
 	}
+}
+
+// Column returns a copy of column j, read past the block cache block by
+// block: the tests' oracle for one column, against which gathers, scans and
+// codes are checked.
+func (r *Reader) Column(j int) ([]float64, error) {
+	if j < 0 || j >= r.cols {
+		return nil, fmt.Errorf("coldata: column %d out of range %d", j, r.cols)
+	}
+	out := make([]float64, r.rows)
+	var h blockHandle
+	for s := 0; s < r.stripes; s++ {
+		dst := out[s*r.blockRows:]
+		if err := r.readPast(&h, s, j, func() error { h.fill(dst, 1); return nil }); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -324,8 +324,8 @@ func (h *blockHandle) lookup(group []uint64, base int, col []float64, stride int
 }
 
 // rowCursor walks a block's rows in order, a run of them at a time. With
-// expand it is the one per-layout decode behind fill (Reader.Column and
-// ScanStripes) and codes (Reader.Codes): a layout's own loop each, with
+// expand it is the one per-layout decode behind fill (ScanStripes) and
+// codes (Reader.Codes): a layout's own loop each, with
 // at()'s values.
 type rowCursor struct {
 	h   *blockHandle

@@ -19,7 +19,7 @@ import (
 // dataset.
 //
 // Concurrency: gathers (and CacheStats and Close) serialise on one mutex;
-// Column and ScanStripes share nothing with them. ScanStripes overlaps its
+// Codes and ScanStripes share nothing with them. ScanStripes overlaps its
 // internal prefetch decode with the caller's compute but presents stripes
 // strictly in order.
 type Reader struct {
@@ -331,25 +331,9 @@ func (r *Reader) gatherColumn(s, j int, group []uint64, col []float64) error {
 	return nil
 }
 
-// Column returns a copy of column j.
-func (r *Reader) Column(j int) ([]float64, error) {
-	if j < 0 || j >= r.cols {
-		return nil, fmt.Errorf("coldata: column %d out of range %d", j, r.cols)
-	}
-	out := make([]float64, r.rows)
-	var h blockHandle
-	for s := 0; s < r.stripes; s++ {
-		dst := out[s*r.blockRows:]
-		if err := r.readPast(&h, s, j, func() error { h.fill(dst, 1); return nil }); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Codes decodes column j as category codes below cats into dst, width (1,
 // 2 or 4) little-endian bytes a row, Rows()*width bytes in all. Like
-// Column it reads past the block cache. A CRC-valid file can hold any
+// ScanStripes it reads past the block cache. A CRC-valid file can hold any
 // value, so a row that is not an integer in [0, cats) is an error naming
 // it.
 func (r *Reader) Codes(j, cats, width int, dst []byte) error {

@@ -28,28 +28,15 @@ func adult(b *testing.B, rows int) (*encoding.Table, *encoding.Transformer) {
 }
 
 // BenchmarkNewSampler builds the training-by-sampling index over 500 k adult
-// rows from the table in memory, from its gtvcol file (-data-dir) and from
-// the code columns of its encoded image, and reports the index's size in
+// rows from the table in memory and from the code columns of its encoded
+// image, and reports the index's size in
 // bytes per row per categorical span.
 func BenchmarkNewSampler(b *testing.B) {
 	const rows = 500_000
 	table, tr := adult(b, rows)
-	st := encoding.Storage{Dir: b.TempDir(), Name: "train"}
-	if err := encoding.WriteRawTable(st, table, "bench"); err != nil {
-		b.Fatal(err)
-	}
-	stored, _, err := encoding.OpenRawTable(st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		if err := stored.Close(); err != nil {
-			b.Error(err)
-		}
-	})
 	// The image a party trains on: the table's encoded store, whose span
 	// code columns NewImageSampler decodes.
-	enc := encoding.Storage{Dir: st.Dir, Name: "central"}
+	enc := encoding.Storage{Dir: b.TempDir(), Name: "central"}
 	imageTr, image, err := encoding.OpenOrEncode(enc, table, 1, gmm.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -64,7 +51,6 @@ func BenchmarkNewSampler(b *testing.B) {
 		build func() (*Sampler, error)
 	}{
 		{"memory", func() (*Sampler, error) { return NewSampler(table, tr) }},
-		{"stored", func() (*Sampler, error) { return NewSampler(stored, tr) }},
 		{"image", func() (*Sampler, error) { return NewImageSampler(&image, imageTr) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {

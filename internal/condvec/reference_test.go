@@ -341,15 +341,14 @@ func TestNewSamplerMatchesReference(t *testing.T) {
 		if err := encoding.WriteRawTable(st, tbl, "oracle"); err != nil {
 			t.Fatal(err)
 		}
-		stored, _, err := encoding.OpenRawTable(st)
+		src, _, err := encoding.OpenRawTable(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			if err := stored.Close(); err != nil {
-				t.Error(err)
-			}
-		})
+		stored, err := src.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := newSamplerReference(tbl, tr)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)

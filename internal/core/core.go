@@ -522,7 +522,7 @@ type Centralized struct {
 
 // NewCentralized builds the paper's centralized CTGAN baseline with
 // hyper-parameters and checkpoint settings matching the given options.
-func NewCentralized(table *encoding.Table, opts Options) (*Centralized, error) {
+func NewCentralized(src encoding.Source, opts Options) (*Centralized, error) {
 	cfg := gan.Config{
 		Rounds:     opts.Rounds,
 		DiscSteps:  opts.DiscSteps,
@@ -535,7 +535,7 @@ func NewCentralized(table *encoding.Table, opts Options) (*Centralized, error) {
 		Pac:        opts.Pac,
 		Seed:       opts.Seed,
 	}
-	c, err := gan.NewCentralizedStored(table, cfg, opts.storage("central"))
+	c, err := gan.NewCentralized(src, cfg, opts.storage("central"))
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/encoding"
 	"repro/internal/tensor"
+	"repro/internal/vfl"
 )
 
 // codeColumns returns the image column of each categorical column of specs,
@@ -126,13 +127,6 @@ func rewriteImage(t *testing.T, path string, row, col int, v float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := make([][]float64, r.Cols())
-	for j := range cols {
-		if cols[j], err = r.Column(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cols[col][row] = v
 	w, err := coldata.Create(path+".tampered", r.Cols(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -142,14 +136,14 @@ func rewriteImage(t *testing.T, path string, row, col int, v float64) {
 			t.Fatal(err)
 		}
 	}
-	cells := make([]float64, len(cols))
-	for i := 0; i < r.Rows(); i++ {
-		for j := range cols {
-			cells[j] = cols[j][i]
+	err = r.ScanStripes(func(first int, block *tensor.Dense) error {
+		if row >= first && row < first+block.Rows() {
+			block.Set(row-first, col, v)
 		}
-		if err := w.AppendRow(cells); err != nil {
-			t.Fatal(err)
-		}
+		return w.AppendRows(block)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -325,4 +319,95 @@ func TestPartialHitReencodesOnlyTheMiss(t *testing.T) {
 		t.Fatalf("client 1's re-encoded store differs from the cold one (%v)", err)
 	}
 	sameCheckpoint(t, "cold vs partial hit", cold, partial)
+}
+
+// TestClientCopiesOnlyItsColumns builds one party of four the way
+// gtv-client does (Table.DeferredPart, then NewClient) with no store, so
+// the party misses and loads its rows. Beyond what building it from its own
+// columns, already split, allocates, it may copy those columns, but it must
+// allocate less than one copy of the other parties' columns.
+func TestClientCopiesOnlyItsColumns(t *testing.T) {
+	const clients, party = 4, 0
+	d, err := datasets.Generate("adult", datasets.Config{Rows: 20000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assignment, err := EvenAssignment(d.Table.Cols(), clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := d.Table.VerticalSplit(assignment, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := vfl.NewShuffleCoordinator(DefaultOptions().ShuffleSecret)
+	// allocated builds the party from the source src returns, with every
+	// pool emptied first so that no build reuses another's buffers.
+	allocated := func(src func() encoding.Source) uint64 {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewClient(src(), party, coord, DefaultOptions())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := allocated(func() encoding.Source { return own[party] })
+	shaped := allocated(func() encoding.Source {
+		src, err := d.Table.DeferredPart(assignment, clients, party)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	})
+	others := uint64(d.Table.Rows() * (d.Table.Cols() - own[party].Cols()) * 8)
+	t.Logf("from its own columns %d bytes, as gtv-client builds it %d; the other parties' columns are %d bytes", base, shaped, others)
+	if shaped-base >= others {
+		t.Fatalf("a gtv-client party allocated %d bytes more than one built from its own columns, no less than the %d bytes of the other parties' columns", shaped-base, others)
+	}
+}
+
+// TestCorruptRawStoreIsAnError stores a train split, flips a byte of its
+// first block, and builds the centralized trainer from the stored split
+// with no encoded store, so the split's rows are read to fit and encode:
+// the block's CRC fails, and that is an error naming the file, not a
+// panic.
+func TestCorruptRawStoreIsAnError(t *testing.T) {
+	d, err := datasets.Generate("loan", datasets.Config{Rows: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := encoding.Storage{Dir: t.TempDir(), Name: "train"}
+	if err := encoding.WriteRawTable(st, d.Table, "corrupt"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(st.RawPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[16] ^= 0xff // inside the first stripe, past the 8-byte header
+	if err := os.WriteFile(st.RawPath(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := encoding.OpenRawTable(st)
+	if err != nil {
+		t.Fatalf("opening the stored split reads no block, yet: %v", err)
+	}
+	opts := DefaultOptions()
+	opts.Rounds, opts.BatchSize = 1, 20
+	c, err := NewCentralized(src, opts)
+	if err == nil {
+		_ = c.Close()
+		t.Fatal("a corrupt stored split trained")
+	}
+	if !strings.Contains(err.Error(), st.RawPath()) {
+		t.Fatalf("error %q does not name %s", err, st.RawPath())
+	}
+	t.Log(err)
 }

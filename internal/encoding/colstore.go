@@ -441,7 +441,11 @@ func OpenOrEncode(st Storage, src Source, seed int64, cfg gmm.Config) (*Transfor
 			_ = r.Close()
 		}
 	}
-	tr, fill, err := fitEncoder(src.Load(), seed, cfg, fp)
+	t, err := src.Load()
+	if err != nil {
+		return nil, Backing{}, err
+	}
+	tr, fill, err := fitEncoder(t, seed, cfg, fp)
 	if err != nil {
 		return nil, Backing{}, err
 	}
@@ -555,25 +559,56 @@ func (st Storage) install(path string, cols int, fill func(*coldata.Writer) erro
 	return nil
 }
 
-// OpenRawTable opens st.RawPath() as a stored Table whose columns are
-// read through the block cache on demand. The returned tag is what
-// WriteRawTable recorded; callers compare it before trusting the rows.
-func OpenRawTable(st Storage) (*Table, string, error) {
+// OpenRawTable opens st.RawPath() as a Source, and returns the tag
+// WriteRawTable recorded, which callers compare before trusting the rows.
+// The source holds the specs and the row count and keeps no file open: its
+// Load reads the stored rows into memory.
+func OpenRawTable(st Storage) (Source, string, error) {
 	r, err := coldata.Open(st.RawPath(), st.CacheBytes)
 	if err != nil {
 		return nil, "", err
 	}
+	//lint:ignore errdrop a read-only file whose metadata has been read
+	defer func() { _ = r.Close() }()
 	specs, err := decodeSpecs(r.Meta(metaSpecs))
 	if err != nil {
-		//lint:ignore errdrop the decode error is the one worth reporting
-		_ = r.Close()
 		return nil, "", err
 	}
-	t, err := NewStoredTable(specs, r)
+	return &storedSplit{st: st, specs: specs, rows: r.Rows()}, string(r.Meta(metaSource)), nil
+}
+
+// storedSplit is the raw table WriteRawTable stored, as OpenRawTable found
+// it.
+type storedSplit struct {
+	st    Storage
+	specs []ColumnSpec
+	rows  int
+}
+
+func (s *storedSplit) Schema() []ColumnSpec { return s.specs }
+
+func (s *storedSplit) Rows() int { return s.rows }
+
+// Load reads the stored rows into an in-memory Table, once it has checked
+// that the file still holds the shape OpenRawTable reported.
+func (s *storedSplit) Load() (*Table, error) {
+	r, err := coldata.Open(s.st.RawPath(), s.st.CacheBytes)
 	if err != nil {
-		//lint:ignore errdrop the construction error is the one worth reporting
-		_ = r.Close()
-		return nil, "", err
+		return nil, err
 	}
-	return t, string(r.Meta(metaSource)), nil
+	//lint:ignore errdrop a read-only file: its rows have been read, or the read has failed
+	defer func() { _ = r.Close() }()
+	if r.Rows() != s.rows || r.Cols() != len(s.specs) {
+		return nil, fmt.Errorf("encoding: %s holds %d rows of %d columns, opened with %d of %d",
+			s.st.RawPath(), r.Rows(), r.Cols(), s.rows, len(s.specs))
+	}
+	m := tensor.New(s.rows, len(s.specs))
+	err = r.ScanStripes(func(first int, block *tensor.Dense) error {
+		copy(m.Data()[first*m.Cols():], block.Data())
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("encoding: reading %s: %w", s.st.RawPath(), err)
+	}
+	return NewTable(s.specs, m)
 }

@@ -15,7 +15,7 @@ import (
 // ConcatCols. TestSelectColumnsMatchesReference holds SelectColumns and
 // VerticalSplit to it, bit for bit.
 func selectColumnsReference(t *Table, cols []int) (*Table, error) {
-	d := t.mustDense("SelectColumns")
+	d := t.Data
 	specs := make([]ColumnSpec, len(cols))
 	mats := make([]*tensor.Dense, len(cols))
 	for i, j := range cols {
@@ -137,7 +137,7 @@ func TestDeferredSplitMatchesVerticalSplit(t *testing.T) {
 				defer wg.Done()
 				for k := range parts {
 					p := (g + k) % len(parts)
-					loaded[g][p] = parts[p].Load()
+					loaded[g][p] = load(t, parts[p])
 				}
 			}()
 		}
@@ -152,10 +152,53 @@ func TestDeferredSplitMatchesVerticalSplit(t *testing.T) {
 		}
 		if again := allocatedBy(func() {
 			for _, part := range parts {
-				part.Load()
+				load(t, part)
 			}
 		}); again != 0 {
 			t.Fatalf("%d rows: loading every part again allocated %d bytes", rows, again)
+		}
+	}
+}
+
+// load is Load for a source whose Load cannot fail; it may run on any
+// goroutine.
+func load(t *testing.T, src Source) *Table {
+	tbl, err := src.Load()
+	if err != nil {
+		t.Error(err)
+	}
+	return tbl
+}
+
+// TestDeferredPartMatchesVerticalSplit: each DeferredPart answers its
+// party's schema and row count and loads VerticalSplit's table for that
+// party bit for bit, copying that party's columns alone; a party out of
+// range is an error.
+func TestDeferredPartMatchesVerticalSplit(t *testing.T) {
+	assignment := []int{1, 0, 2, 1, 0, 1}
+	tbl := wideTable(t, 1001)
+	want, err := tbl.VerticalSplit(assignment, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range want {
+		part, err := tbl.DeferredPart(assignment, 3, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(part.Schema(), want[p].Specs) || part.Rows() != tbl.Rows() {
+			t.Fatalf("party %d: schema %+v and %d rows, VerticalSplit's %+v and %d", p, part.Schema(), part.Rows(), want[p].Specs, tbl.Rows())
+		}
+		var got *Table
+		copied := allocatedBy(func() { got = load(t, part) })
+		requireSameTable(t, fmt.Sprintf("party %d", p), got, want[p])
+		if all := uint64(tbl.Rows() * tbl.Cols() * 8); copied >= all {
+			t.Fatalf("party %d: loading allocated %d bytes, no less than the %d-byte copy of every column", p, copied, all)
+		}
+	}
+	for _, p := range []int{-1, 3} {
+		if _, err := tbl.DeferredPart(assignment, 3, p); err == nil {
+			t.Fatalf("party %d of 3: no error", p)
 		}
 	}
 }

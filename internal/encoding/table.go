@@ -12,7 +12,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/coldata"
 	"repro/internal/tensor"
 )
 
@@ -69,29 +68,23 @@ func (s *ColumnSpec) Validate() error {
 // the row count, which key the party's store, are always at hand; the rows
 // are read only when the store misses and the party fits and encodes. A
 // *Table is its own source; DeferredSplit's parts copy their columns out of
-// the parent table only when first loaded.
+// the parent table, and OpenRawTable's stored split reads its file, only
+// when first loaded.
 type Source interface {
 	// Schema returns the column specs.
 	Schema() []ColumnSpec
 	// Rows returns the row count.
 	Rows() int
 	// Load returns the table, materializing its rows if they are not yet.
-	Load() *Table
+	Load() (*Table, error)
 }
 
-// Table is a raw tabular dataset: one float64 cell per row and column.
-// Categorical cells store 0-based category indices. A Table is backed
-// either by an in-memory matrix (Data) or by an on-disk gtvcol file
-// (src, via NewStoredTable) — stored tables serve Rows/Cols/Column/
-// ScanRows through a bounded block cache and reject the row-rearranging
-// operations that need the whole matrix resident.
+// Table is a raw tabular dataset: one float64 cell per row and column,
+// held in memory. Categorical cells store 0-based category indices.
 type Table struct {
 	Specs []ColumnSpec
 	//shape:(R,C)
 	Data *tensor.Dense
-	// src serves a stored table's cells straight from its gtvcol file;
-	// Data is nil in that case.
-	src *coldata.Reader
 }
 
 // NewTable validates and wraps specs+data into a Table.
@@ -101,10 +94,8 @@ func NewTable(specs []ColumnSpec, data *tensor.Dense) (*Table, error) {
 	if data.Cols() != len(specs) {
 		return nil, fmt.Errorf("encoding: %d specs for %d data columns", len(specs), data.Cols())
 	}
-	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			return nil, err
-		}
+	if err := validateSpecs(specs); err != nil {
+		return nil, err
 	}
 	for i := 0; i < data.Rows(); i++ {
 		row := data.RawRow(i)
@@ -124,134 +115,36 @@ func NewTable(specs []ColumnSpec, data *tensor.Dense) (*Table, error) {
 	return &Table{Specs: specs, Data: data}, nil
 }
 
-// NewStoredTable wraps an open gtvcol reader as a Table. Cell-level
-// validation is skipped: the file's CRCs guarantee the bytes are the ones
-// written, and WriteRawTable only ever stores already-validated tables.
-// The caller transfers ownership of r; Close releases it.
-func NewStoredTable(specs []ColumnSpec, r *coldata.Reader) (*Table, error) {
-	if r.Cols() != len(specs) {
-		return nil, fmt.Errorf("encoding: %d specs for %d stored columns", len(specs), r.Cols())
-	}
-	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &Table{Specs: specs, src: r}, nil
-}
-
 // Schema returns the column specs (Source).
 func (t *Table) Schema() []ColumnSpec { return t.Specs }
 
 // Load returns t itself (Source).
-func (t *Table) Load() *Table { return t }
-
-// Close releases a stored table's reader and block cache; it is a no-op
-// for in-memory tables.
-func (t *Table) Close() error {
-	if t.src != nil {
-		return t.src.Close()
-	}
-	return nil
-}
-
-// mustDense returns the in-memory matrix, panicking with a diagnosable
-// message when the table is stored: the row-rearranging operations below
-// would silently materialize the whole dataset otherwise.
-func (t *Table) mustDense(op string) *tensor.Dense {
-	if t.src != nil {
-		panic(fmt.Sprintf("encoding: %s requires an in-memory table; stored tables support Rows/Cols/Column/ScanRows only", op))
-	}
-	return t.Data
-}
+func (t *Table) Load() (*Table, error) { return t, nil }
 
 // Rows returns the number of rows. Row and column counts are shape
 // metadata the protocol discloses by design (the server sizes batches and
 // splits with them), not row values.
 //
 //privacy:sanitizer table shape metadata (row count)
-func (t *Table) Rows() int {
-	if t.src != nil {
-		return t.src.Rows()
-	}
-	return t.Data.Rows()
-}
+func (t *Table) Rows() int { return t.Data.Rows() }
 
 // Cols returns the number of columns.
 //
 //privacy:sanitizer table shape metadata (column count)
-func (t *Table) Cols() int {
-	if t.src != nil {
-		return t.src.Cols()
-	}
-	return t.Data.Cols()
-}
+func (t *Table) Cols() int { return t.Data.Cols() }
 
-// Column returns a copy of column j's raw values. For stored tables the
-// column is decoded from its compact blocks; a read failure panics (the
-// file was CRC-validated at open, so mid-read corruption is not an error
-// the caller can meaningfully handle).
-func (t *Table) Column(j int) []float64 {
-	if t.src != nil {
-		col, err := t.src.Column(j)
-		if err != nil {
-			panic(fmt.Sprintf("encoding: reading stored column %d: %v", j, err))
-		}
-		return col
-	}
-	return t.Data.Col(j)
-}
+// Column returns a copy of column j's raw values.
+func (t *Table) Column(j int) []float64 { return t.Data.Col(j) }
 
-// ScanRows streams every row through fn in order. In-memory tables hand
-// out their resident rows; stored tables decode stripe by stripe, so the
-// peak footprint is one stripe regardless of table size. The row slice is
-// only valid during the callback.
+// ScanRows streams every row through fn in order. The row slice is only
+// valid during the callback.
 func (t *Table) ScanRows(fn func(i int, row []float64) error) error {
-	if t.src != nil {
-		return t.src.ScanStripes(func(first int, block *tensor.Dense) error {
-			for i := 0; i < block.Rows(); i++ {
-				if err := fn(first+i, block.RawRow(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
 	for i := 0; i < t.Data.Rows(); i++ {
 		if err := fn(i, t.Data.RawRow(i)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// chunkRows is the most rows scanChunks hands over at a time: few enough
-// that the encode's posteriors of one chunk stay in cache between the pass
-// that computes them and the pass that draws modes from them.
-const chunkRows = 256
-
-// scanChunks streams the rows through fn in order, up to chunkRows at a
-// time: rows[r] is row first+r. Stored tables decode stripe by stripe, and
-// no chunk spans two stripes. The row slices are only valid during the
-// callback.
-func (t *Table) scanChunks(fn func(first int, rows [][]float64) error) error {
-	rows := make([][]float64, 0, chunkRows)
-	chunks := func(first int, m *tensor.Dense) error {
-		for lo := 0; lo < m.Rows(); lo += chunkRows {
-			rows = rows[:0]
-			for i := lo; i < min(lo+chunkRows, m.Rows()); i++ {
-				rows = append(rows, m.RawRow(i))
-			}
-			if err := fn(first+lo, rows); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if t.src != nil {
-		return t.src.ScanStripes(chunks)
-	}
-	return chunks(0, t.Data)
 }
 
 // ColumnByName returns the index of the named column, or -1.
@@ -277,17 +170,17 @@ func (t *Table) SelectColumns(cols []int) (*Table, error) {
 
 // SliceRows returns a new Table with rows [from, to).
 func (t *Table) SliceRows(from, to int) *Table {
-	return &Table{Specs: t.Specs, Data: t.mustDense("SliceRows").SliceRows(from, to)}
+	return &Table{Specs: t.Specs, Data: t.Data.SliceRows(from, to)}
 }
 
 // GatherRows returns a new Table whose row k is t's row idx[k].
 func (t *Table) GatherRows(idx []int) *Table {
-	return &Table{Specs: t.Specs, Data: t.mustDense("GatherRows").GatherRows(idx)}
+	return &Table{Specs: t.Specs, Data: t.Data.GatherRows(idx)}
 }
 
 // ShuffleRows returns a new Table with rows permuted by perm.
 func (t *Table) ShuffleRows(perm []int) *Table {
-	return &Table{Specs: t.Specs, Data: t.mustDense("ShuffleRows").ShuffleRows(perm)}
+	return &Table{Specs: t.Specs, Data: t.Data.ShuffleRows(perm)}
 }
 
 // ConcatColumns horizontally joins tables that share a row count, as the
@@ -305,7 +198,7 @@ func ConcatColumns(tables ...*Table) (*Table, error) {
 			return nil, fmt.Errorf("encoding: row count mismatch %d vs %d", t.Rows(), rows)
 		}
 		specs = append(specs, t.Specs...)
-		mats = append(mats, t.mustDense("ConcatColumns"))
+		mats = append(mats, t.Data)
 	}
 	return &Table{Specs: specs, Data: tensor.ConcatCols(mats...)}, nil
 }
@@ -333,15 +226,35 @@ func (t *Table) DeferredSplit(assignment []int, numParties int) ([]Source, error
 	if err != nil {
 		return nil, err
 	}
+	return t.deferred(colsPer), nil
+}
+
+// DeferredPart is one party of DeferredSplit, for a process that holds
+// that party alone: its Load copies out the party's columns only
+// (SelectColumns), not every party's.
+func (t *Table) DeferredPart(assignment []int, numParties, party int) (Source, error) {
+	colsPer, err := t.partition(assignment, numParties)
+	if err != nil {
+		return nil, err
+	}
+	if party < 0 || party >= numParties {
+		return nil, fmt.Errorf("encoding: party %d out of range %d", party, numParties)
+	}
+	return t.deferred(colsPer[party : party+1])[0], nil
+}
+
+// deferred returns one source per column list, all materialized by the
+// first Load in one selectParts pass.
+func (t *Table) deferred(colsPer [][]int) []Source {
 	split := sync.OnceValue(func() []*Table { return t.selectParts(colsPer) })
-	out := make([]Source, numParties)
+	out := make([]Source, len(colsPer))
 	for p, cols := range colsPer {
 		out[p] = &splitPart{specs: t.specsOf(cols), rows: t.Rows(), party: p, split: split}
 	}
-	return out, nil
+	return out
 }
 
-// splitPart is one party of a DeferredSplit.
+// splitPart is one part of a deferred split.
 type splitPart struct {
 	specs []ColumnSpec
 	rows  int
@@ -353,7 +266,7 @@ func (s *splitPart) Schema() []ColumnSpec { return s.specs }
 
 func (s *splitPart) Rows() int { return s.rows }
 
-func (s *splitPart) Load() *Table { return s.split()[s.party] }
+func (s *splitPart) Load() (*Table, error) { return s.split()[s.party], nil }
 
 // partition lists each party's columns, in table order, after checking
 // that assignment names a party for every column and leaves none empty.
@@ -394,8 +307,7 @@ func (t *Table) specsOf(cols []int) []ColumnSpec {
 // party's table lives as long as its federation's set-up, so it is not
 // rounded up to a pooled slab class. The column indices must be in range.
 func (t *Table) selectParts(colsPer [][]int) []*Table {
-	d := t.mustDense("SelectColumns")
-	rows, width := d.Rows(), d.Cols()
+	rows, width := t.Rows(), t.Cols()
 	out := make([]*Table, len(colsPer))
 	type part struct {
 		cols []int
@@ -406,7 +318,7 @@ func (t *Table) selectParts(colsPer [][]int) []*Table {
 		m := tensor.New(rows, len(cols))
 		out[p], parts[p] = &Table{Specs: t.specsOf(cols), Data: m}, part{cols: cols, dst: m.Data()}
 	}
-	src := d.Data()
+	src := t.Data.Data()
 	for i := 0; i < rows; i++ {
 		row := src[i*width : (i+1)*width]
 		for p := range parts {

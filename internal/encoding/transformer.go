@@ -212,7 +212,12 @@ func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(code []fl
 	}
 	buf := make([]float64, len(tr.spans))
 	st := tr.newChunkState()
-	return t.scanChunks(func(first int, rows [][]float64) error {
+	rows := make([][]float64, 0, chunkRows)
+	for first := 0; first < t.Rows(); first += chunkRows {
+		rows = rows[:0]
+		for i := first; i < min(first+chunkRows, t.Rows()); i++ {
+			rows = append(rows, t.Data.RawRow(i))
+		}
 		st.fill(tr, rows)
 		for r, row := range rows {
 			if err := tr.encodeRow(rng, first+r, r, row, buf, st); err != nil {
@@ -222,9 +227,14 @@ func (tr *Transformer) TransformTo(rng *rand.Rand, t *Table, emit func(code []fl
 				return err
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
+
+// chunkRows is the most rows TransformTo encodes at a time: few enough that
+// the posteriors of one chunk stay in cache between the pass that computes
+// them and the pass that draws modes from them.
+const chunkRows = 256
 
 // expandRow writes the encoded row that the span-coded row code stands for
 // into dst, which must hold the spans' total width and be zero: a scalar
@@ -406,8 +416,6 @@ func CategoryFrequencies(t *Table, j int) ([]float64, error) {
 		return nil, fmt.Errorf("encoding: column %d is not categorical", j)
 	}
 	counts := make([]int, t.Specs[j].NumCategories())
-	// Column (not Data.At) so stored tables count straight from their
-	// compact categorical blocks.
 	for _, v := range t.Column(j) {
 		counts[int(v)]++
 	}

@@ -97,8 +97,8 @@ type Centralized struct {
 	rng         *rng.Rand
 	transformer *encoding.Transformer
 	sampler     *condvec.Sampler
-	// data serves the encoded real rows from a gtvcol image: in memory for
-	// NewCentralized, the store's file for NewCentralizedStored.
+	// data serves the encoded real rows from a gtvcol image: in memory, or
+	// the store's file when NewCentralized is given a data directory.
 	data  encoding.Backing
 	specs []encoding.ColumnSpec
 
@@ -112,26 +112,20 @@ type Centralized struct {
 	round int
 }
 
-// NewCentralized fits the feature encoders on the table and builds the
-// GAN, holding the encoded matrix as an in-memory gtvcol image.
-//
-//lint:ignore deadcode in-memory constructor the gan and tensor tests use
-func NewCentralized(table *encoding.Table, cfg Config) (*Centralized, error) {
-	return NewCentralizedStored(table, cfg, encoding.Storage{})
-}
-
-// NewCentralizedStored is NewCentralized with an optional gtvcol data
-// plane: when st names a data directory, the encoded matrix lives in
-// <dir>/<name>.enc.gtvcol and training batches are gathered through a
-// bounded block cache; a matching cached file skips fitting and encoding
-// entirely. Encoding draws from the dedicated EncodeSeed stream in every
-// path, so in-memory, freshly encoded and cache-hit runs are
-// bit-identical. Close releases the backing when training is done.
-func NewCentralizedStored(table *encoding.Table, cfg Config, st encoding.Storage) (*Centralized, error) {
+// NewCentralized fits the feature encoders on the source's table and
+// builds the GAN. The encoded matrix is a gtvcol image: when st names a
+// data directory it lives in <dir>/<name>.enc.gtvcol and training batches
+// are gathered through a bounded block cache, and a matching cached file
+// skips fitting and encoding, and loading the source's rows, entirely;
+// otherwise it is held in memory. Encoding draws from the dedicated
+// EncodeSeed stream in every path, so in-memory, freshly encoded and
+// cache-hit runs are bit-identical. Close releases the backing when
+// training is done.
+func NewCentralized(src encoding.Source, cfg Config, st encoding.Storage) (*Centralized, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr, data, err := encoding.OpenOrEncode(st, table, cfg.Seed, gmm.DefaultConfig())
+	tr, data, err := encoding.OpenOrEncode(st, src, cfg.Seed, gmm.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("gan: encoding table: %w", err)
 	}
@@ -152,7 +146,7 @@ func NewCentralizedStored(table *encoding.Table, cfg Config, st encoding.Storage
 		transformer: tr,
 		sampler:     sampler,
 		data:        data,
-		specs:       table.Specs,
+		specs:       src.Schema(),
 		gen:         NewGenerator(prng.Rand, cfg.NoiseDim+cvW, cfg.BlockDim, cfg.GenBlocks, dataW),
 		disc:        NewDiscriminator(prng.Rand, (dataW+cvW)*cfg.Pac, cfg.BlockDim, cfg.DiscBlocks),
 		genOpt:      nn.NewAdam(cfg.LR),

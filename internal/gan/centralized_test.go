@@ -46,7 +46,7 @@ func TestCentralizedTrainsAndSynthesizes(t *testing.T) {
 	cfg.BatchSize = 64
 	cfg.NoiseDim = 32
 	cfg.BlockDim = 64
-	g, err := NewCentralized(tbl, cfg)
+	g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestCentralizedOnDatasetSmoke(t *testing.T) {
 	cfg.BatchSize = 64
 	cfg.NoiseDim = 32
 	cfg.BlockDim = 64
-	g, err := NewCentralized(d.Table, cfg)
+	g, err := NewCentralized(d.Table, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestSynthesizeErrors(t *testing.T) {
 	cfg.BatchSize = 16
 	cfg.NoiseDim = 8
 	cfg.BlockDim = 16
-	g, err := NewCentralized(tbl, cfg)
+	g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestCentralizedAllContinuousTable(t *testing.T) {
 	cfg.BatchSize = 32
 	cfg.NoiseDim = 16
 	cfg.BlockDim = 32
-	g, err := NewCentralized(tbl, cfg)
+	g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestCentralizedDeterministicPerSeed(t *testing.T) {
 		cfg.NoiseDim = 16
 		cfg.BlockDim = 32
 		cfg.Seed = 77
-		g, err := NewCentralized(tbl, cfg)
+		g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 		if err != nil {
 			t.Fatalf("NewCentralized: %v", err)
 		}
@@ -229,7 +229,7 @@ func TestCentralizedPacTraining(t *testing.T) {
 	cfg.Pac = 10
 	cfg.NoiseDim = 16
 	cfg.BlockDim = 32
-	g, err := NewCentralized(tbl, cfg)
+	g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestCentralizedPacValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchSize = 33
 	cfg.Pac = 10
-	if _, err := NewCentralized(tbl, cfg); err == nil {
+	if _, err := NewCentralized(tbl, cfg, encoding.Storage{}); err == nil {
 		t.Fatal("expected pac divisibility error")
 	}
 }
@@ -269,7 +269,7 @@ func TestCentralizedSynthesizeCondition(t *testing.T) {
 	cfg.NoiseDim = 24
 	cfg.BlockDim = 64
 	cfg.LR = 5e-4
-	g, err := NewCentralized(tbl, cfg)
+	g, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestCentralizedSynthesisReusesBuffers(t *testing.T) {
 	cfg.BatchSize = 50
 	cfg.NoiseDim = 16
 	cfg.BlockDim = 48
-	g, err := NewCentralized(tinyTable(t, rand.New(rand.NewSource(3)), 200), cfg)
+	g, err := NewCentralized(tinyTable(t, rand.New(rand.NewSource(3)), 200), cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}

@@ -42,7 +42,7 @@ func TestCentralizedWeightsByteIdentical(t *testing.T) {
 			cfg.NoiseDim = 16
 			cfg.BlockDim = 32
 			cfg.Seed = 99
-			g, err := NewCentralized(tc.tbl, cfg)
+			g, err := NewCentralized(tc.tbl, cfg, encoding.Storage{})
 			if err != nil {
 				t.Fatalf("NewCentralized: %v", err)
 			}

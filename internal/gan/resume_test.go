@@ -33,7 +33,7 @@ func TestRestoreRejectsConfigDrift(t *testing.T) {
 	tbl := tinyTable(t, rng, 60)
 	cfg := resumeTestConfig()
 	cfg.Rounds = 1
-	c, err := NewCentralized(tbl, cfg)
+	c, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestRestoreRejectsConfigDrift(t *testing.T) {
 
 	drifted := cfg
 	drifted.LR = cfg.LR * 2
-	other, err := NewCentralized(tbl, drifted)
+	other, err := NewCentralized(tbl, drifted, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized(drifted): %v", err)
 	}
@@ -55,7 +55,7 @@ func TestRestoreRejectsConfigDrift(t *testing.T) {
 	// Extending Rounds alone is sanctioned.
 	extended := cfg
 	extended.Rounds = 9
-	ext, err := NewCentralized(tbl, extended)
+	ext, err := NewCentralized(tbl, extended, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized(extended): %v", err)
 	}
@@ -75,13 +75,13 @@ func TestRestoreRejectsHostileImages(t *testing.T) {
 	cfg := resumeTestConfig()
 	cfg.Rounds = 1
 	fresh := func() func([]byte) error {
-		c, err := NewCentralized(tbl, cfg)
+		c, err := NewCentralized(tbl, cfg, encoding.Storage{})
 		if err != nil {
 			t.Fatalf("NewCentralized: %v", err)
 		}
 		return c.Restore
 	}
-	c, err := NewCentralized(tbl, cfg)
+	c, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 	tbl := tinyTable(t, rng, 80)
 	cfg := resumeTestConfig()
 
-	full, err := NewCentralized(tbl, cfg)
+	full, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized(full): %v", err)
 	}
@@ -154,7 +154,7 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	interruptedCfg := cfg
 	interruptedCfg.Rounds = 3
-	first, err := NewCentralized(tbl, interruptedCfg)
+	first, err := NewCentralized(tbl, interruptedCfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized(first): %v", err)
 	}
@@ -165,7 +165,7 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 
-	resumed, err := NewCentralized(tbl, cfg)
+	resumed, err := NewCentralized(tbl, cfg, encoding.Storage{})
 	if err != nil {
 		t.Fatalf("NewCentralized(resumed): %v", err)
 	}

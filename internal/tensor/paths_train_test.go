@@ -126,7 +126,7 @@ func TestTrainingBytesSameOnBothKernelPaths(t *testing.T) {
 		cfg.NoiseDim = 19
 		cfg.BlockDim = 37 // a width with a vector tail
 		cfg.Seed = 7
-		g, err := gan.NewCentralized(tbl, cfg)
+		g, err := gan.NewCentralized(tbl, cfg, encoding.Storage{})
 		if err != nil {
 			t.Fatalf("NewCentralized: %v", err)
 		}
