@@ -521,7 +521,8 @@ type Centralized struct {
 }
 
 // NewCentralized builds the paper's centralized CTGAN baseline with
-// hyper-parameters and checkpoint settings matching the given options.
+// hyper-parameters and checkpoint settings matching the given options. The
+// source's rows are loaded only if the DataDir store misses.
 func NewCentralized(src encoding.Source, opts Options) (*Centralized, error) {
 	cfg := gan.Config{
 		Rounds:     opts.Rounds,
